@@ -10,7 +10,9 @@ benchmarks:
 * ``widest``   — split the neuron with the widest pre-activation interval;
 * ``babsr``    — BaB-SR (Bunel et al.): relaxation-gap × output-sensitivity;
 * ``deepsplit``— DeepSplit-like indirect-effect score: BaB-SR's direct term
-  plus the neuron's estimated effect on downstream unstable relaxations;
+  plus the neuron's effect on downstream unstable relaxations, for all
+  neurons at once by one backward vector pass per later layer (O(L²)
+  vector-matrix products per call for ``L`` ReLU layers);
 * ``fsb``      — filtered smart branching: shortlist by BaB-SR, then score
   each shortlisted neuron by the actual bound improvement of its two
   children (costs extra AppVer calls);
@@ -19,7 +21,7 @@ benchmarks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,6 +50,7 @@ class BranchingContext:
     evaluate_split: Optional[Callable[[SplitAssignment], float]] = None
 
     def unstable_neurons(self) -> List[Neuron]:
+        """Undecided neurons whose bounds straddle zero, ``(layer, unit)`` ascending."""
         return self.report.unstable_neurons(self.splits)
 
 
@@ -57,6 +60,7 @@ class BranchingHeuristic:
     name = "heuristic"
 
     def select(self, context: BranchingContext) -> Optional[Neuron]:
+        """The highest-scoring unstable neuron (first on ties), or ``None``."""
         unstable = context.unstable_neurons()
         if not unstable:
             return None
@@ -66,6 +70,7 @@ class BranchingHeuristic:
 
     def scores(self, context: BranchingContext,
                unstable: Sequence[Neuron]) -> np.ndarray:
+        """One score per neuron of ``unstable``; higher means split first."""
         raise NotImplementedError
 
 
@@ -78,25 +83,10 @@ def _relaxation_slopes(report: BoundReport) -> List[np.ndarray]:
     slopes = []
     for bounds in report.pre_activation_bounds:
         lower, upper = bounds.lower, bounds.upper
-        slope = np.ones_like(lower)
-        inactive = upper <= 0.0
         unstable = (lower < 0.0) & (upper > 0.0)
-        slope[inactive] = 0.0
-        denominator = np.where(unstable, upper - lower, 1.0)
-        slope[unstable] = (upper / denominator)[unstable]
-        slopes.append(slope)
+        slopes.append(np.where(unstable, upper / np.where(unstable, upper - lower, 1.0),
+                               np.where(upper <= 0.0, 0.0, 1.0)))
     return slopes
-
-
-def _relaxation_gap(report: BoundReport, layer: int) -> np.ndarray:
-    """Per-neuron area/intercept of the triangle relaxation (0 when stable)."""
-    bounds = report.pre_activation_bounds[layer]
-    lower, upper = bounds.lower, bounds.upper
-    unstable = (lower < 0.0) & (upper > 0.0)
-    gap = np.zeros_like(lower)
-    denominator = np.where(unstable, upper - lower, 1.0)
-    gap[unstable] = (upper * (-lower) / denominator)[unstable]
-    return gap
 
 
 def output_sensitivities(network: LoweredNetwork, spec: LinearOutputSpec,
@@ -117,13 +107,24 @@ def output_sensitivities(network: LoweredNetwork, spec: LinearOutputSpec,
     return sensitivities
 
 
-def _pre_activation_sensitivity(network: LoweredNetwork, slopes: List[np.ndarray],
-                                target_layer: int, source_layer: int) -> np.ndarray:
-    """|d z_target / d h_source| matrix estimate for ``source_layer < target_layer``."""
-    coefficients = network.weights[target_layer]
-    for layer in range(target_layer - 1, source_layer, -1):
-        coefficients = (np.abs(coefficients) * slopes[layer]) @ np.abs(network.weights[layer])
-    return np.abs(coefficients)
+def _gap_weights(context: BranchingContext) -> List[np.ndarray]:
+    """Per-layer relaxation gap ``u(-l)/(u-l)`` (0 when stable) × output sensitivity."""
+    sensitivities = output_sensitivities(context.network, context.spec, context.report)
+    gap_weights = []
+    for bounds, sensitivity in zip(context.report.pre_activation_bounds, sensitivities):
+        lower, upper = bounds.lower, bounds.upper
+        unstable = (lower < 0.0) & (upper > 0.0)
+        denominator = np.where(unstable, upper - lower, 1.0)
+        gap_weights.append(np.where(unstable, upper * (-lower) / denominator, 0.0)
+                           * sensitivity)
+    return gap_weights
+
+
+def _gather(per_layer: Sequence[np.ndarray], neurons: Sequence[Neuron]) -> np.ndarray:
+    """``per_layer[layer][unit]`` for every ``(layer, unit)`` in ``neurons``."""
+    offsets = np.cumsum([0] + [values.size for values in per_layer])
+    index = np.asarray(neurons, dtype=np.intp).reshape(-1, 2)
+    return np.concatenate(per_layer)[offsets[index[:, 0]] + index[:, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +138,10 @@ class WidestHeuristic(BranchingHeuristic):
 
     def scores(self, context: BranchingContext,
                unstable: Sequence[Neuron]) -> np.ndarray:
-        scores = np.empty(len(unstable))
-        for index, (layer, unit) in enumerate(unstable):
-            bounds = context.report.pre_activation_bounds[layer]
-            scores[index] = bounds.upper[unit] - bounds.lower[unit]
-        return scores
+        """Pre-activation interval width of each neuron."""
+        widths = [bounds.upper - bounds.lower
+                  for bounds in context.report.pre_activation_bounds]
+        return _gather(widths, unstable)
 
 
 class BaBSRHeuristic(BranchingHeuristic):
@@ -151,21 +151,21 @@ class BaBSRHeuristic(BranchingHeuristic):
 
     def scores(self, context: BranchingContext,
                unstable: Sequence[Neuron]) -> np.ndarray:
-        sensitivities = output_sensitivities(context.network, context.spec, context.report)
-        scores = np.empty(len(unstable))
-        for index, (layer, unit) in enumerate(unstable):
-            gap = _relaxation_gap(context.report, layer)[unit]
-            scores[index] = gap * sensitivities[layer][unit]
-        return scores
+        """``gap × sensitivity`` of each neuron (one gap vector per layer)."""
+        return _gather(_gap_weights(context), unstable)
 
 
 class DeepSplitHeuristic(BranchingHeuristic):
     """DeepSplit-like indirect-effect analysis.
 
-    The score of a neuron combines the *direct* effect of removing its
-    relaxation gap on the output bound (the BaB-SR term) with an *indirect*
-    effect: tightening this neuron also tightens the pre-activation bounds of
-    downstream unstable neurons, weighted by their own output sensitivity.
+    A neuron's score is its *direct* effect on the output bound (the BaB-SR
+    term) plus ``indirect_weight`` times its *indirect* effect: how much it
+    feeds the gaps ``g_t = gap_t ⊙ sensitivity_t`` of each later layer ``t``
+    through ``|W_t| diag(s_{t-1}) |W_{t-1}| …`` (``s``: upper-relaxation
+    slopes).  Each ``g_t`` is pushed backwards once as a vector — ``v = g_t
+    |W_t|``, then ``v = (v ⊙ s_l) |W_l|`` — scoring all neurons together: at
+    most ``L(L-1)/2`` vector-matrix products per call for ``L`` ReLU layers,
+    whatever the number of unstable neurons.
     """
 
     name = "deepsplit"
@@ -176,27 +176,21 @@ class DeepSplitHeuristic(BranchingHeuristic):
 
     def scores(self, context: BranchingContext,
                unstable: Sequence[Neuron]) -> np.ndarray:
-        network = context.network
-        report = context.report
-        slopes = _relaxation_slopes(report)
-        sensitivities = output_sensitivities(network, context.spec, report)
-        gaps = [_relaxation_gap(report, layer)
-                for layer in range(network.num_relu_layers)]
-
-        # Downstream influence: for every later layer with unstable neurons,
-        # how much does each earlier neuron feed into those relaxation gaps?
-        scores = np.empty(len(unstable))
-        for index, (layer, unit) in enumerate(unstable):
-            direct = gaps[layer][unit] * sensitivities[layer][unit]
-            indirect = 0.0
-            for later in range(layer + 1, network.num_relu_layers):
-                later_gap_weight = gaps[later] * sensitivities[later]
-                if not np.any(later_gap_weight):
-                    continue
-                influence = _pre_activation_sensitivity(network, slopes, later, layer)
-                indirect += float(later_gap_weight @ influence[:, unit])
-            scores[index] = direct + self.indirect_weight * indirect
-        return scores
+        """``direct + indirect_weight × indirect`` for each neuron."""
+        slopes = _relaxation_slopes(context.report)
+        gap_weights = _gap_weights(context)
+        absolute = [np.abs(weight) for weight in context.network.weights[1:-1]]
+        indirect = [np.zeros_like(gap_weight) for gap_weight in gap_weights]
+        for later in range(1, len(gap_weights)):
+            if not np.any(gap_weights[later]):
+                continue
+            vector = gap_weights[later] @ absolute[later - 1]
+            indirect[later - 1] += vector
+            for source in range(later - 1, 0, -1):
+                vector = (vector * slopes[source]) @ absolute[source - 1]
+                indirect[source - 1] += vector
+        return (_gather(gap_weights, unstable)
+                + self.indirect_weight * _gather(indirect, unstable))
 
 
 class FSBHeuristic(BranchingHeuristic):
@@ -210,6 +204,7 @@ class FSBHeuristic(BranchingHeuristic):
         self._fallback = BaBSRHeuristic()
 
     def select(self, context: BranchingContext) -> Optional[Neuron]:
+        """Shortlisted neuron with the best worse-child ``p̂`` (no callback: BaB-SR's top)."""
         unstable = context.unstable_neurons()
         if not unstable:
             return None
@@ -233,6 +228,7 @@ class FSBHeuristic(BranchingHeuristic):
 
     def scores(self, context: BranchingContext,
                unstable: Sequence[Neuron]) -> np.ndarray:  # pragma: no cover
+        """The BaB-SR shortlist scores (the look-ahead lives in :meth:`select`)."""
         return self._fallback.scores(context, unstable)
 
 
@@ -246,6 +242,7 @@ class RandomHeuristic(BranchingHeuristic):
 
     def scores(self, context: BranchingContext,
                unstable: Sequence[Neuron]) -> np.ndarray:
+        """Uniform draws from the heuristic's seeded generator."""
         return self._rng.random(len(unstable))
 
 
@@ -266,4 +263,5 @@ def make_heuristic(name: str) -> BranchingHeuristic:
 
 
 def available_heuristics() -> Tuple[str, ...]:
+    """Registered heuristic names, sorted."""
     return tuple(sorted(_HEURISTICS))

@@ -179,8 +179,8 @@ class DeepPolyAnalyzer:
         c = np.asarray(constants, dtype=float).copy()
         for layer in range(last_hidden, -1, -1):
             relax = relaxations[layer]
-            positive = np.clip(A, 0.0, None)
-            negative = np.clip(A, None, 0.0)
+            positive = np.maximum(A, 0.0)
+            negative = np.minimum(A, 0.0)
             if minimize:
                 # h >= lower_slope * z and h <= upper_slope * z + upper_intercept
                 new_A = positive * relax.lower_slope + negative * relax.upper_slope
@@ -237,8 +237,8 @@ class DeepPolyAnalyzer:
             ls = lower_slopes[layer][:, None, :]
             us = upper_slopes[layer][:, None, :]
             ui = upper_intercepts[layer]
-            positive = np.clip(A, 0.0, None)
-            negative = np.clip(A, None, 0.0)
+            positive = np.maximum(A, 0.0)
+            negative = np.minimum(A, 0.0)
             if minimize:
                 new_A = positive * ls + negative * us
                 c = c + np.matmul(negative, ui[:, :, None])[..., 0]

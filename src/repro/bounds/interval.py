@@ -30,8 +30,8 @@ from repro.utils.validation import require
 def _affine_interval(weight: np.ndarray, bias: np.ndarray,
                      lower: np.ndarray, upper: np.ndarray) -> ScalarBounds:
     """Interval image of ``W @ h + b`` for ``h`` in ``[lower, upper]``."""
-    positive = np.clip(weight, 0.0, None)
-    negative = np.clip(weight, None, 0.0)
+    positive = np.maximum(weight, 0.0)
+    negative = np.minimum(weight, 0.0)
     new_lower = positive @ lower + negative @ upper + bias
     new_upper = positive @ upper + negative @ lower + bias
     return ScalarBounds(new_lower, new_upper)
@@ -104,8 +104,8 @@ def interval_bounds(network: LoweredNetwork, box: InputBox,
 def _affine_interval_batch(weight: np.ndarray, bias: np.ndarray,
                            lower: np.ndarray, upper: np.ndarray):
     """Batched :func:`_affine_interval`: ``lower``/``upper`` are ``(B, dim)``."""
-    positive = np.clip(weight, 0.0, None)
-    negative = np.clip(weight, None, 0.0)
+    positive = np.maximum(weight, 0.0)
+    negative = np.minimum(weight, 0.0)
     new_lower = lower @ positive.T + upper @ negative.T + bias
     new_upper = upper @ positive.T + lower @ negative.T + bias
     return new_lower, new_upper

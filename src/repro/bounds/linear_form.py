@@ -75,8 +75,8 @@ def concretize_lower(coefficients: np.ndarray, constants: np.ndarray,
     """Minimum of ``A @ x + c`` over the box, per row."""
     coefficients = np.asarray(coefficients, dtype=float)
     constants = np.asarray(constants, dtype=float)
-    positive = np.clip(coefficients, 0.0, None)
-    negative = np.clip(coefficients, None, 0.0)
+    positive = np.maximum(coefficients, 0.0)
+    negative = np.minimum(coefficients, 0.0)
     return positive @ box.lower + negative @ box.upper + constants
 
 
@@ -85,8 +85,8 @@ def concretize_upper(coefficients: np.ndarray, constants: np.ndarray,
     """Maximum of ``A @ x + c`` over the box, per row."""
     coefficients = np.asarray(coefficients, dtype=float)
     constants = np.asarray(constants, dtype=float)
-    positive = np.clip(coefficients, 0.0, None)
-    negative = np.clip(coefficients, None, 0.0)
+    positive = np.maximum(coefficients, 0.0)
+    negative = np.minimum(coefficients, 0.0)
     return positive @ box.upper + negative @ box.lower + constants
 
 
@@ -105,8 +105,8 @@ def concretize_lower_batch(coefficients: np.ndarray, constants: np.ndarray,
     require(coefficients.ndim == 3, "batched coefficients must be (batch, rows, dim)")
     batch, rows, dim = coefficients.shape
     flat = coefficients.reshape(batch * rows, dim)
-    positive = np.clip(flat, 0.0, None)
-    negative = np.clip(flat, None, 0.0)
+    positive = np.maximum(flat, 0.0)
+    negative = np.minimum(flat, 0.0)
     values = positive @ box.lower + negative @ box.upper
     return values.reshape(batch, rows) + constants
 
@@ -119,8 +119,8 @@ def concretize_upper_batch(coefficients: np.ndarray, constants: np.ndarray,
     require(coefficients.ndim == 3, "batched coefficients must be (batch, rows, dim)")
     batch, rows, dim = coefficients.shape
     flat = coefficients.reshape(batch * rows, dim)
-    positive = np.clip(flat, 0.0, None)
-    negative = np.clip(flat, None, 0.0)
+    positive = np.maximum(flat, 0.0)
+    negative = np.minimum(flat, 0.0)
     values = positive @ box.upper + negative @ box.lower
     return values.reshape(batch, rows) + constants
 

@@ -64,21 +64,21 @@ class BoundReport:
                          tolerance: float = 0.0) -> List[Tuple[int, int]]:
         """Neurons whose phase is still ambiguous in this sub-problem.
 
-        A neuron is unstable when its pre-activation bounds straddle zero and
-        its phase has not been fixed by a split.
+        A neuron is unstable when its pre-activation bounds straddle zero
+        (beyond ``tolerance``) and its phase has not been fixed by a split.
+        The list is sorted by ``(layer, unit)``.
         """
-        splits = splits or SplitAssignment.empty()
-        unstable: List[Tuple[int, int]] = []
-        for layer, bounds in enumerate(self.pre_activation_bounds):
-            for unit in range(bounds.size):
-                if splits.is_decided(layer, unit):
-                    continue
-                if bounds.lower[unit] < -tolerance and bounds.upper[unit] > tolerance:
-                    unstable.append((layer, unit))
-        return unstable
+        masks = [(bounds.lower < -tolerance) & (bounds.upper > tolerance)
+                 for bounds in self.pre_activation_bounds]
+        for layer, unit in splits.decided_neurons() if splits else ():
+            if layer < len(masks) and unit < masks[layer].size:
+                masks[layer][unit] = False
+        return [(layer, unit) for layer, mask in enumerate(masks)
+                for unit in np.flatnonzero(mask).tolist()]
 
     @property
     def num_unstable(self) -> int:
+        """Number of unstable neurons when no split is decided."""
         return len(self.unstable_neurons())
 
     @property

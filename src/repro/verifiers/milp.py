@@ -450,8 +450,8 @@ def _objective_interval(objective: np.ndarray, constant: float,
                         var_lower: np.ndarray, var_upper: np.ndarray
                         ) -> Tuple[float, float]:
     """Interval bounds of ``objective @ v + constant`` over the var bounds."""
-    positive = np.clip(objective, 0.0, None)
-    negative = np.clip(objective, None, 0.0)
+    positive = np.maximum(objective, 0.0)
+    negative = np.minimum(objective, 0.0)
     lower = positive @ var_lower + negative @ var_upper + constant
     upper = positive @ var_upper + negative @ var_lower + constant
     return float(lower), float(upper)

@@ -14,7 +14,11 @@ from repro.bab.heuristics import (
     make_heuristic,
     output_sensitivities,
 )
-from repro.bounds.splits import ACTIVE, ReluSplit, SplitAssignment
+from repro.bounds.linear_form import ScalarBounds
+from repro.bounds.report import BoundReport
+from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
+from repro.nn.network import LoweredNetwork
+from repro.specs.properties import LinearOutputSpec
 from repro.specs.robustness import local_robustness_spec
 from repro.verifiers.appver import ApproximateVerifier
 
@@ -114,3 +118,169 @@ class TestScores:
         for layer, sizes in enumerate(context.network.relu_layer_sizes()):
             assert sensitivities[layer].shape == (sizes,)
             assert np.all(sensitivities[layer] >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-neuron formulas the vectorised code replaced
+# ---------------------------------------------------------------------------
+
+def oracle_deepsplit_scores(network, spec, report, unstable, indirect_weight):
+    """DeepSplit via one |d z_later / d h_layer| matrix chain per neuron."""
+    slopes, gaps = [], []
+    for bounds in report.pre_activation_bounds:
+        lower, upper = bounds.lower, bounds.upper
+        straddles = (lower < 0.0) & (upper > 0.0)
+        denominator = np.where(straddles, upper - lower, 1.0)
+        slopes.append(np.where(straddles, upper / denominator,
+                               np.where(upper <= 0.0, 0.0, 1.0)))
+        gaps.append(np.where(straddles, upper * (-lower) / denominator, 0.0))
+    sensitivities = output_sensitivities(network, spec, report)
+
+    def chain(target, source):
+        coefficients = network.weights[target]
+        for layer in range(target - 1, source, -1):
+            coefficients = (np.abs(coefficients) * slopes[layer]) \
+                @ np.abs(network.weights[layer])
+        return np.abs(coefficients)
+
+    scores = np.empty(len(unstable))
+    for index, (layer, unit) in enumerate(unstable):
+        direct = gaps[layer][unit] * sensitivities[layer][unit]
+        indirect = 0.0
+        for later in range(layer + 1, network.num_relu_layers):
+            later_gap_weight = gaps[later] * sensitivities[later]
+            if np.any(later_gap_weight):
+                indirect += float(later_gap_weight @ chain(later, layer)[:, unit])
+        scores[index] = direct + indirect_weight * indirect
+    return scores
+
+
+def oracle_unstable_neurons(report, splits=None, tolerance=0.0):
+    """The per-unit double loop ``BoundReport.unstable_neurons`` replaced."""
+    splits = splits or SplitAssignment.empty()
+    unstable = []
+    for layer, bounds in enumerate(report.pre_activation_bounds):
+        for unit in range(bounds.size):
+            if splits.is_decided(layer, unit):
+                continue
+            if bounds.lower[unit] < -tolerance and bounds.upper[unit] > tolerance:
+                unstable.append((layer, unit))
+    return unstable
+
+
+def random_problem(seed, num_relu_layers=None, stable_layer=None):
+    """A random lowered network, spec, bound report and split assignment.
+
+    ``stable_layer`` makes every neuron of that layer stable, so its
+    ``gap * sensitivity`` vector is all zero.
+    """
+    rng = np.random.default_rng(seed)
+    if num_relu_layers is None:
+        num_relu_layers = int(rng.integers(1, 5))
+    widths = [int(rng.integers(2, 5))] \
+        + [int(rng.integers(2, 9)) for _ in range(num_relu_layers)] + [3]
+    weights = tuple(rng.normal(size=(widths[i + 1], widths[i]))
+                    for i in range(len(widths) - 1))
+    biases = tuple(rng.normal(size=width) for width in widths[1:])
+    network = LoweredNetwork(weights, biases, (widths[0],))
+    spec = LinearOutputSpec(rng.normal(size=(2, 3)), rng.normal(size=2))
+    bounds = []
+    for layer, width in enumerate(widths[1:-1]):
+        centre = rng.normal(size=width)
+        radius = rng.uniform(0.0, 1.5, size=width)
+        if layer == stable_layer:
+            centre = np.where(centre >= 0.0, 1.0, -1.0) * (radius + 0.1)
+        bounds.append(ScalarBounds(centre - radius, centre + radius))
+    report = BoundReport(pre_activation_bounds=bounds,
+                         output_bounds=ScalarBounds(-np.ones(3), np.ones(3)))
+    splits = SplitAssignment.empty()
+    for layer, unit in report.unstable_neurons():
+        if rng.random() < 0.25:
+            phase = ACTIVE if rng.random() < 0.5 else INACTIVE
+            splits = splits.with_split(ReluSplit(layer, unit, phase))
+    return network, spec, report, splits
+
+
+ORACLE_CASES = ([(seed, None, None) for seed in range(40)]
+                + [(100 + seed, 1, None) for seed in range(5)]
+                + [(200 + seed, 4, stable) for seed, stable in enumerate((0, 1, 2, 3))])
+
+
+class TestVectorisedOracles:
+    @pytest.mark.parametrize("seed,num_relu_layers,stable_layer", ORACLE_CASES)
+    @pytest.mark.parametrize("indirect_weight", [0.5, 1.0])
+    def test_deepsplit_matches_matrix_chain(self, seed, num_relu_layers, stable_layer,
+                                            indirect_weight):
+        network, spec, report, splits = random_problem(seed, num_relu_layers, stable_layer)
+        context = BranchingContext(network=network, spec=spec, report=report, splits=splits)
+        unstable = context.unstable_neurons()
+        scores = DeepSplitHeuristic(indirect_weight).scores(context, unstable)
+        oracle = oracle_deepsplit_scores(network, spec, report, unstable, indirect_weight)
+        np.testing.assert_allclose(scores, oracle, rtol=1e-12, atol=0.0)
+        if len(unstable) >= 2:
+            top, runner_up = np.sort(oracle)[::-1][:2]
+            if top - runner_up > 1e-9 * abs(top):
+                assert np.argmax(scores) == np.argmax(oracle)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_babsr_and_widest_bit_identical_to_per_neuron_loop(self, seed):
+        network, spec, report, splits = random_problem(seed)
+        context = BranchingContext(network=network, spec=spec, report=report, splits=splits)
+        unstable = context.unstable_neurons()
+        oracle = oracle_deepsplit_scores(network, spec, report, unstable, 0.0)
+        babsr = BaBSRHeuristic().scores(context, unstable)
+        assert babsr.tobytes() == oracle.tobytes()
+        widest = WidestHeuristic().scores(context, unstable)
+        expected = [report.pre_activation_bounds[layer].upper[unit]
+                    - report.pre_activation_bounds[layer].lower[unit]
+                    for layer, unit in unstable]
+        assert widest.tolist() == expected
+
+    def test_stable_layer_contributes_no_indirect_effect(self):
+        network, spec, report, splits = random_problem(7, 3, stable_layer=2)
+        context = BranchingContext(network=network, spec=spec, report=report, splits=splits)
+        unstable = context.unstable_neurons()
+        assert all(layer != 2 for layer, _ in unstable)
+        assert any(layer == 1 for layer, _ in unstable)
+        direct = DeepSplitHeuristic(0.0).scores(context, unstable)
+        combined = DeepSplitHeuristic(1.0).scores(context, unstable)
+        # Layer 1 only feeds the all-stable layer 2: no indirect term.
+        for index, (layer, _) in enumerate(unstable):
+            if layer == 1:
+                assert combined[index] == direct[index]
+
+    def test_empty_neuron_list_scores_empty(self, context):
+        for name in ("widest", "babsr", "deepsplit"):
+            assert make_heuristic(name).scores(context, []).shape == (0,)
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("tolerance", [0.0, 0.3])
+    def test_unstable_neurons_matches_loop(self, seed, tolerance):
+        _, _, report, splits = random_problem(seed)
+        for assignment in (None, SplitAssignment.empty(), splits):
+            assert report.unstable_neurons(assignment, tolerance) == \
+                oracle_unstable_neurons(report, assignment, tolerance)
+
+    def test_unstable_neurons_ignores_out_of_range_splits(self):
+        _, _, report, splits = random_problem(3, 2)
+        far = splits.with_split(ReluSplit(0, 10_000, ACTIVE)) \
+            .with_split(ReluSplit(7, 0, INACTIVE))
+        assert report.unstable_neurons(far) == oracle_unstable_neurons(report, far)
+
+    def test_unstable_neurons_are_plain_int_pairs(self):
+        _, _, report, _ = random_problem(5)
+        for layer, unit in report.unstable_neurons():
+            assert type(layer) is int and type(unit) is int
+
+    def test_point_box_has_no_unstable_neurons(self, small_network):
+        reference = np.array([0.4, 0.5, 0.6, 0.3])
+        label = int(small_network.predict(reference.reshape(1, -1))[0])
+        spec = local_robustness_spec(reference, 0.0, label, 3)
+        report = ApproximateVerifier(small_network, spec).evaluate().report
+        assert report.unstable_neurons() == oracle_unstable_neurons(report) == []
+        assert report.num_unstable == 0
+        context = BranchingContext(network=ApproximateVerifier(small_network, spec).lowered,
+                                   spec=spec.output_spec, report=report,
+                                   splits=SplitAssignment.empty())
+        for name in ALL_HEURISTICS:
+            assert make_heuristic(name).select(context) is None

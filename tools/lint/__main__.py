@@ -22,6 +22,7 @@ from .core import REGISTRY, run_lint
 DOCSTRING_SURFACES = (
     "src/repro/engine", "src/repro/verifiers", "src/repro/core/abonn.py",
     "src/repro/bab/baseline.py", "src/repro/baselines", "src/repro/service",
+    "src/repro/bab/heuristics.py", "src/repro/bounds/report.py",
 )
 
 #: The Markdown trees the link checker gates in CI.

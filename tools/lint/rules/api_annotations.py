@@ -56,7 +56,8 @@ class ApiAnnotationsRule(Rule):
                    "must annotate every parameter and the return type")
     scope = ("src/repro/engine/", "src/repro/service/",
              "src/repro/verifiers/", "src/repro/core/abonn.py",
-             "src/repro/bab/baseline.py", "src/repro/baselines/")
+             "src/repro/bab/baseline.py", "src/repro/baselines/",
+             "src/repro/bab/heuristics.py", "src/repro/bounds/report.py")
 
     def check(self, context: LintContext) -> Iterable[Finding]:
         """Check every public callable on the gated surface."""
