@@ -26,9 +26,9 @@ With ``--lp`` the benchmark exercises the batched + cached leaf-LP path:
   (sibling-heavy, as frontier rounds produce them) one-by-one via
   ``solve_leaf_lp``, batched via ``solve_leaf_lp_batch``, and batched again
   against a warm ``LpCache`` — asserting identical optima and reporting
-  the cache hit/solve counters; the stacked multi-objective row solve
-  (``stack_rows=True``) is additionally gated for optima equal to the
-  per-row path;
+  the cache hit/solve counters; the batched optima are additionally gated
+  against an independent reference that solves each leaf through the
+  hidden-variable ``_encode_problem`` encoding of the MILP verifier;
 * end-to-end ABONN runs at ``frontier_size ∈ {1, 2, 8}`` *share* one
   ``LpCache`` per problem (sound: the cache key is the canonical split
   assignment scoped by the problem fingerprint), so re-visited leaves
@@ -83,7 +83,14 @@ from repro.nn.zoo import MODEL_FAMILIES
 from repro.specs.robustness import local_robustness_spec
 from repro.utils.timing import Budget
 from repro.verifiers.appver import ApproximateVerifier, CascadeConfig
-from repro.verifiers.milp import solve_leaf_lp, solve_leaf_lp_batch
+from repro.verifiers.milp import (
+    RowOptimum,
+    _encode_problem,
+    _objective_vector,
+    _solve,
+    solve_leaf_lp,
+    solve_leaf_lp_batch,
+)
 
 OUTPUT_PATH = Path(__file__).resolve().parent / "output" / "BENCH_batching.json"
 
@@ -196,7 +203,7 @@ def _decided_leaf_workload(network, spec, clusters: int, seed: int):
 
     Each cluster fully decides the unstable neurons of one random base
     assignment and contributes the base leaf plus one sibling (a single
-    flipped phase), so a batch shares most per-layer row blocks.  Returns
+    flipped phase, so sibling leaves differ in one split row).  Returns
     ``[(splits, report), ...]`` with each report from the leaf's own bound
     analysis, exactly as the drivers hand them to the LP.
     """
@@ -231,6 +238,33 @@ def _decided_leaf_workload(network, spec, clusters: int, seed: int):
     return appver.lowered, leaves
 
 
+def _reference_leaf_lp(lowered, box, spec, splits, report) -> RowOptimum:
+    """One leaf solved through the *independent* hidden-variable encoding.
+
+    ``_encode_problem`` (the MILP verifier's row construction) keeps every
+    hidden neuron as a variable: ``h = z`` rows for active neurons, a sign
+    row per neuron and variable bounds from the report.  The input-space
+    leaf LP must reproduce its feasibility and optimum.
+    """
+    encoding, builder, var_lower, var_upper, _ = _encode_problem(
+        lowered, box, report, splits, with_binaries=False)
+    constraints = builder.to_constraint()
+    integrality = np.zeros(encoding.num_variables)
+    best = RowOptimum(float("inf"), None, feasible=False)
+    for row_index in range(spec.num_constraints):
+        objective, constant = _objective_vector(lowered,
+                                                spec.coefficients[row_index],
+                                                encoding)
+        constant += float(spec.offsets[row_index])
+        optimum = _solve(objective, constant, constraints, var_lower, var_upper,
+                         integrality, encoding.num_inputs, None)
+        if not optimum.feasible:
+            return optimum
+        if optimum.value < best.value:
+            best = optimum
+    return best
+
+
 def bench_lp(family_name: str, clusters: int, frontier_sizes,
              max_nodes: int) -> Dict:
     """Micro + end-to-end benchmark of batched, cached leaf-LP resolution."""
@@ -253,14 +287,8 @@ def bench_lp(family_name: str, clusters: int, frontier_sizes,
                                leaves, cache=cache)
     warm_seconds = time.perf_counter() - start
 
-    # The stacked multi-objective row solve must agree with the per-row
-    # loop: one selector MILP per leaf versus one LP per (leaf, spec row).
-    start = time.perf_counter()
-    stacked = solve_leaf_lp_batch(lowered, spec.input_box, spec.output_spec,
-                                  leaves, stack_rows=True)
-    stacked_seconds = time.perf_counter() - start
-    per_row = solve_leaf_lp_batch(lowered, spec.input_box, spec.output_spec,
-                                  leaves, stack_rows=False)
+    reference = [_reference_leaf_lp(lowered, spec.input_box, spec.output_spec,
+                                    splits, report) for splits, report in leaves]
 
     def equal(a, b):
         if a.feasible != b.feasible:
@@ -271,7 +299,7 @@ def bench_lp(family_name: str, clusters: int, frontier_sizes,
 
     optima_equal = (all(equal(a, b) for a, b in zip(sequential, batched))
                     and all(a is b for a, b in zip(batched, warm)))
-    stacked_optima_equal = all(equal(a, b) for a, b in zip(stacked, per_row))
+    reference_optima_equal = all(equal(a, b) for a, b in zip(batched, reference))
 
     # End-to-end: one shared cache across the frontier sweep of the same
     # problem, so leaves re-visited at another K are hits, never re-solves.
@@ -300,9 +328,8 @@ def bench_lp(family_name: str, clusters: int, frontier_sizes,
                             if batched_seconds else 0.0),
         "speedup_warm": (sequential_seconds / warm_seconds
                          if warm_seconds else 0.0),
-        "stacked_seconds": stacked_seconds,
         "optima_equal": optima_equal,
-        "stacked_optima_equal": stacked_optima_equal,
+        "reference_optima_equal": reference_optima_equal,
         "micro_cache": cache.stats.as_dict(),
         "verdicts_match": len(statuses) == 1,
         "shared_cache": shared.stats.as_dict(),
@@ -676,14 +703,14 @@ def main(argv=None) -> int:
             "summary": {
                 # Acceptance: re-visited leaves are served from the cache
                 # (hit rate > 0), optima are bit-identical to the
-                # one-at-a-time path (and the stacked multi-objective row
-                # solve agrees with the per-row loop), and verdicts are
-                # independent of the frontier size and of cache hits.
+                # one-at-a-time path and equal to the hidden-variable
+                # reference encoding, and verdicts are independent of the
+                # frontier size and of cache hits.
                 "min_micro_hit_rate": min(row["micro_cache"]["hit_rate"]
                                           for row in lp_rows),
                 "optima_equal": all(row["optima_equal"] for row in lp_rows),
-                "stacked_optima_equal": all(row["stacked_optima_equal"]
-                                            for row in lp_rows),
+                "reference_optima_equal": all(row["reference_optima_equal"]
+                                              for row in lp_rows),
                 "verdicts_match": all(row["verdicts_match"] for row in lp_rows),
                 "total_shared_hits": sum(row["shared_cache"]["hits"]
                                          for row in lp_rows),

@@ -8,37 +8,28 @@ capabilities on top of SciPy's HiGHS back-end:
   network (Tjeng et al.), solved exactly with :func:`scipy.optimize.milp`.
   It serves as the ground-truth oracle in the test-suite and as the
   "MILP baseline" the paper's introduction contrasts BaB against.
-* :func:`solve_leaf_lp` — an LP over a *fully phase-decided* sub-problem
-  (every ReLU either stable or split), used by the BaB verifiers to resolve
-  leaves exactly.  This mirrors how BaB tools fall back to an LP once no
-  unstable neuron remains, which is what makes them complete.
+* :func:`solve_leaf_lp` / :func:`solve_leaf_lp_batch` — an LP over a
+  *fully phase-decided* sub-problem (every ReLU either stable or split),
+  used by the BaB verifiers to resolve leaves exactly.  This mirrors how
+  BaB tools fall back to an LP once no unstable neuron remains, which is
+  what makes them complete.
 
-Two execution modes back the leaf-LP hot path (the frontier drivers charge
-roughly one bound computation per leaf, and the LP dominated ABONN's node
-charges on the deeper seed families once bound batching landed):
+The leaf LP lives in the input space.  In a decided leaf every ReLU is
+linear, so the pre-activations compose forward as ``z_l(x) = A_l x + c_l``
+with ``A_0 = W_0``, ``A_l = W_l diag(active_{l-1}) A_{l-1}`` (likewise
+``c_l``), and each spec row's objective is ``C_i (W_out A x + c) + d_i``.
+The only variables are the inputs, bounded by the box, and the only rows
+are one sign row per *split* neuron: ``z >= 0`` for ACTIVE, ``z <= 0`` for
+INACTIVE.  The non-split neurons need no rows: their phases come from the
+leaf's report bounds, which at layer ``l`` are sound over the box
+restricted by the splits at layers ``<= l``.  By induction over the
+layers, every ``x`` in the box that satisfies the split rows gives every
+non-split neuron its predicted phase, so this region is exactly the
+projection onto ``x`` of the hidden-variable encoding (``h = z`` rows plus
+report variable bounds), which trusts the same report bounds.
 
-* :func:`solve_leaf_lp` — one leaf at a time;
-* :func:`solve_leaf_lp_batch` — all fully-decided leaves of one frontier
-  round in a single pass.  A decided leaf's constraint *rows* depend only
-  on the per-layer phase pattern (the bounds from its report enter only the
-  variable-bound vectors), so the batch shares one row block per
-  ``(layer, phase-pattern)`` group — sibling leaves, which agree on every
-  layer except the one holding the flipped neuron, rebuild almost nothing —
-  and computes the spec-row objective vectors once for the whole batch.
-  Within one leaf, all specification rows can resolve through a **single
-  stacked multi-objective ``milp`` call** (``stack_rows``): the rows share
-  one feasible region, so minimising an auxiliary ``t`` over
-  ``t >= f_i(v) - M_i (1 - s_i)`` with one-hot binary selectors ``s``
-  yields exactly ``min_i min_v f_i(v)`` in one solve sharing the
-  constraint matrix, instead of one ``milp`` call per row.  Big-Ms come
-  from interval arithmetic over the (always finite) leaf variable bounds.
-  The per-row loop (with an early exit on the first infeasible row — the
-  rows share the region, so one infeasible row means all are) remains the
-  default below :data:`STACK_ROWS_MIN` rows, where one solver call per row
-  is still cheaper than the selector branch-and-bound.
-
-Both modes accept a :class:`~repro.bounds.cache.LpCache` that memoises the
-resulting :class:`RowOptimum`.  Cache keys are
+Both entry points accept a :class:`~repro.bounds.cache.LpCache` that
+memoises the resulting :class:`RowOptimum`.  Cache keys are
 ``SplitAssignment.canonical_key()`` tuples, optionally scoped by a
 ``fingerprint`` — a digest of the network weights, input box and output
 spec from :func:`problem_fingerprint` — which makes one ``LpCache``
@@ -65,7 +56,6 @@ from repro.bounds.splits import ACTIVE, INACTIVE, SplitAssignment
 from repro.nn.network import LoweredNetwork, Network
 from repro.specs.properties import InputBox, LinearOutputSpec, Specification
 from repro.utils.timing import Budget, PhaseTimings
-from repro.utils.validation import require
 from repro.verifiers.result import (
     VerificationResult,
     VerificationStatus,
@@ -248,7 +238,11 @@ def _objective_vector(network: LoweredNetwork, spec_row: np.ndarray,
 
 @dataclass
 class RowOptimum:
-    """Exact minimum of one spec row over a (sub-)problem."""
+    """Exact minimum of one spec row over a (sub-)problem.
+
+    ``value`` is ``+inf`` for an infeasible region and ``-inf`` (with no
+    minimiser) when the solver stopped without a verdict.
+    """
 
     value: float
     minimizer: Optional[np.ndarray]
@@ -260,19 +254,19 @@ def _lp_measure(timings: Optional[PhaseTimings]):
     return timings.measure("lp") if timings is not None else nullcontext()
 
 
-#: Row count from which the stacked multi-objective leaf solve is the
-#: default.  The selector MILP costs one branch-and-bound over the one-hot
-#: binaries, which beats one HiGHS call per row once enough rows share the
-#: region (measured crossover on the seed families: ~2x slower at 3 rows,
-#: ~1.3x faster at 9); explicit ``stack_rows=True/False`` overrides.
-STACK_ROWS_MIN = 6
-
-
 def _solve(objective: np.ndarray, constant: float,
            constraints: Optional[optimize.LinearConstraint],
            var_lower: np.ndarray, var_upper: np.ndarray,
-           integrality: np.ndarray, encoding: _Encoding,
+           integrality: np.ndarray, num_inputs: int,
            time_limit: Optional[float]) -> RowOptimum:
+    """Minimise ``objective @ v + constant``; the value is a proven lower bound.
+
+    Only HiGHS status 0 (optimal) and 2 (infeasible) carry a verdict.  Any
+    other status — a time or iteration limit, even with an incumbent — is
+    returned as ``(-inf, None)``, which every reader treats as unknown.
+    With binaries, HiGHS stops within ``mip_rel_gap`` of its dual bound, so
+    the value is the dual bound whenever that is lower than the incumbent.
+    """
     options = {}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
@@ -283,12 +277,18 @@ def _solve(objective: np.ndarray, constant: float,
         integrality=integrality,
         options=options,
     )
+    unknown = RowOptimum(float("-inf"), None, feasible=True)
     if result.status == 2:  # infeasible
         return RowOptimum(float("inf"), None, feasible=False)
-    if result.x is None:  # pragma: no cover - solver failure/time limit
-        return RowOptimum(float("-inf"), None, feasible=True)
-    minimizer = np.asarray(result.x[:encoding.num_inputs])
-    return RowOptimum(float(result.fun + constant), minimizer, feasible=True)
+    if result.status != 0 or result.x is None:
+        return unknown
+    value = float(result.fun + constant)
+    if np.any(integrality):
+        dual_bound = result.mip_dual_bound
+        if dual_bound is None or not np.isfinite(dual_bound):
+            return unknown
+        value = min(value, float(dual_bound + constant))
+    return RowOptimum(value, np.asarray(result.x[:num_inputs]), feasible=True)
 
 
 # ---------------------------------------------------------------------------
@@ -338,217 +338,66 @@ def problem_fingerprint(network: LoweredNetwork, box: InputBox,
     return digest.hexdigest()
 
 
-def _leaf_phase_signature(network: LoweredNetwork, report: BoundReport,
-                          splits: SplitAssignment) -> Tuple[Tuple[int, ...], ...]:
-    """Per-layer decided phases of a leaf (``+1`` / ``-1`` per neuron).
+def _leaf_program(network: LoweredNetwork, spec: LinearOutputSpec,
+                  splits: SplitAssignment, report: BoundReport
+                  ) -> Tuple[np.ndarray, np.ndarray,
+                             Optional[optimize.LinearConstraint]]:
+    """The input-space leaf LP: ``(objectives, constants, split rows)``.
 
-    Raises ``ValueError`` when any neuron is still unstable — the leaf LP is
-    only defined for fully phase-decided sub-problems.
+    Composes the decided leaf's affine map forward (see the module
+    docstring) and keeps one sign row per split neuron.  Raises
+    ``ValueError`` when any neuron is still unstable — the leaf LP is only
+    defined for fully phase-decided sub-problems.
     """
-    signature = []
+    matrix = network.weights[0]
+    offset = network.biases[0]
+    rows: List[np.ndarray] = []
+    lower: List[np.ndarray] = []
+    upper: List[np.ndarray] = []
     for layer, size in enumerate(network.relu_layer_sizes()):
-        phases = []
-        for unit in range(size):
-            phase = _phase_of(layer, unit, report, splits)
-            if phase == 0:
-                raise ValueError("leaf LP requires every ReLU neuron to be phase-decided")
-            phases.append(phase)
-        signature.append(tuple(phases))
-    return tuple(signature)
-
-
-def _layer_row_block(network: LoweredNetwork, encoding: _Encoding, layer: int,
-                     phases: Tuple[int, ...]
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The leaf-LP constraint rows contributed by one hidden layer.
-
-    For decided leaves the rows depend only on the layer's phase pattern
-    (ACTIVE: ``h = z`` and ``z >= 0``; INACTIVE: ``z <= 0``), never on the
-    leaf's bound report — which is what lets a batch share row blocks across
-    leaves that agree on the layer.
-    """
-    builder = _ConstraintBuilder(encoding.num_variables)
-    previous_offset = None if layer == 0 else encoding.hidden_offsets[layer - 1]
-    weight = network.weights[layer]
-    bias = network.biases[layer]
-    infinity = float("inf")
-    for unit, phase in enumerate(phases):
-        h_index = encoding.h_index(layer, unit)
-        if phase == ACTIVE:
-            builder.add_affine_row(weight[unit], float(bias[unit]), previous_offset,
-                                   encoding, {h_index: -1.0}, 0.0, 0.0)
-            builder.add_affine_row(weight[unit], float(bias[unit]), previous_offset,
-                                   encoding, {}, 0.0, infinity)
-        else:
-            builder.add_affine_row(weight[unit], float(bias[unit]), previous_offset,
-                                   encoding, {}, -infinity, 0.0)
-    if not builder.rows:
-        empty = np.zeros((0, encoding.num_variables))
-        return empty, np.zeros(0), np.zeros(0)
-    return (np.vstack(builder.rows), np.asarray(builder.lower),
-            np.asarray(builder.upper))
-
-
-def _leaf_variable_bounds(box: InputBox, report: BoundReport,
-                          signature: Tuple[Tuple[int, ...], ...],
-                          encoding: _Encoding) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-leaf variable bounds (inputs from the box, ``h`` from the report)."""
-    var_lower = np.full(encoding.num_variables, -np.inf)
-    var_upper = np.full(encoding.num_variables, np.inf)
-    var_lower[:encoding.num_inputs] = box.lower
-    var_upper[:encoding.num_inputs] = box.upper
-    for layer, phases in enumerate(signature):
         bounds = report.pre_activation_bounds[layer]
-        for unit, phase in enumerate(phases):
-            h_index = encoding.h_index(layer, unit)
-            if phase == ACTIVE:
-                var_lower[h_index] = max(0.0, float(bounds.lower[unit]))
-                var_upper[h_index] = max(0.0, float(bounds.upper[unit]))
-            else:
-                var_lower[h_index] = 0.0
-                var_upper[h_index] = 0.0
-    return var_lower, var_upper
+        split = splits.layer_phase_array(layer, size)
+        decided = split != 0
+        if np.any(~decided & (bounds.lower < 0.0) & (bounds.upper > 0.0)):
+            raise ValueError("leaf LP requires every ReLU neuron to be phase-decided")
+        active = np.where(decided, split == ACTIVE, bounds.lower >= 0.0)
+        # One sign row per split neuron: ACTIVE A x >= -c, INACTIVE A x <= -c.
+        split_active = split[decided] == ACTIVE
+        rows.append(matrix[decided])
+        lower.append(np.where(split_active, -offset[decided], -np.inf))
+        upper.append(np.where(split_active, np.inf, -offset[decided]))
+        weight = network.weights[layer + 1][:, active]
+        matrix = weight @ matrix[active]
+        offset = weight @ offset[active] + network.biases[layer + 1]
+    objectives = spec.coefficients @ matrix
+    constants = spec.coefficients @ offset + spec.offsets
+    constraints = None
+    if any(len(block) for block in rows):
+        constraints = optimize.LinearConstraint(
+            np.vstack(rows), np.concatenate(lower), np.concatenate(upper))
+    return objectives, constants, constraints
 
 
-def _row_objectives(network: LoweredNetwork, spec: LinearOutputSpec,
-                    encoding: _Encoding) -> List[Tuple[np.ndarray, float]]:
-    """Objective vector and constant of every spec row over the encoding."""
-    objectives = []
-    for row_index in range(spec.num_constraints):
-        objective, constant = _objective_vector(network, spec.coefficients[row_index],
-                                                encoding)
-        objectives.append((objective, constant + float(spec.offsets[row_index])))
-    return objectives
-
-
-def _minimise_rows(objectives: List[Tuple[np.ndarray, float]],
+def _minimise_rows(objectives: np.ndarray, constants: np.ndarray,
                    constraints: Optional[optimize.LinearConstraint],
-                   var_lower: np.ndarray, var_upper: np.ndarray,
-                   integrality: np.ndarray, encoding: _Encoding,
-                   time_limit: Optional[float]) -> RowOptimum:
+                   box: InputBox, time_limit: Optional[float]) -> RowOptimum:
     """Minimum over all spec rows of one leaf (``+inf`` when infeasible).
 
     Every row shares the same feasible region, so the first infeasible row
     proves the region empty and the loop returns without solving the rest.
+    A row without a verdict (``-inf``) stays the minimum, so the leaf reads
+    as unknown.
     """
     best = RowOptimum(float("inf"), None, feasible=False)
-    any_feasible = False
-    for objective, constant in objectives:
-        optimum = _solve(objective, constant, constraints, var_lower, var_upper,
-                         integrality, encoding, time_limit)
+    integrality = np.zeros(box.dimension)
+    for objective, constant in zip(objectives, constants):
+        optimum = _solve(objective, float(constant), constraints, box.lower,
+                         box.upper, integrality, box.dimension, time_limit)
         if not optimum.feasible:
-            return RowOptimum(float("inf"), None, feasible=False)
-        any_feasible = True
-        if optimum.value < best.value or best.minimizer is None:
+            return optimum
+        if optimum.value < best.value:
             best = optimum
-    if not any_feasible:
-        return RowOptimum(float("inf"), None, feasible=False)
     return best
-
-
-def _objective_interval(objective: np.ndarray, constant: float,
-                        var_lower: np.ndarray, var_upper: np.ndarray
-                        ) -> Tuple[float, float]:
-    """Interval bounds of ``objective @ v + constant`` over the var bounds."""
-    positive = np.maximum(objective, 0.0)
-    negative = np.minimum(objective, 0.0)
-    lower = positive @ var_lower + negative @ var_upper + constant
-    upper = positive @ var_upper + negative @ var_lower + constant
-    return float(lower), float(upper)
-
-
-def _minimise_rows_stacked(objectives: List[Tuple[np.ndarray, float]],
-                           row_matrix: Optional[np.ndarray],
-                           row_lower: Optional[np.ndarray],
-                           row_upper: Optional[np.ndarray],
-                           var_lower: np.ndarray, var_upper: np.ndarray,
-                           encoding: _Encoding,
-                           time_limit: Optional[float]) -> Optional[RowOptimum]:
-    """All spec rows of one leaf in a single stacked ``milp`` call.
-
-    The rows share one feasible region, so ``min_i min_v f_i(v)`` is the
-    optimum of::
-
-        minimise t  s.t.  t >= f_i(v) - M_i (1 - s_i),  sum_i s_i = 1
-
-    with binary selectors ``s`` and ``M_i = U_i - L_min`` from interval
-    arithmetic over the (finite) leaf variable bounds.  Returns ``None``
-    when the stacking is inapplicable (unbounded big-M) or the solver fails
-    without a verdict — callers then fall back to the per-row loop.
-    """
-    num_rows = len(objectives)
-    if num_rows == 1:
-        constraints = None
-        if row_matrix is not None:
-            constraints = optimize.LinearConstraint(
-                sparse.csr_matrix(row_matrix), row_lower, row_upper)
-        objective, constant = objectives[0]
-        return _solve(objective, constant, constraints, var_lower, var_upper,
-                      np.zeros(encoding.num_variables), encoding, time_limit)
-
-    intervals = [_objective_interval(objective, constant, var_lower, var_upper)
-                 for objective, constant in objectives]
-    if not all(np.isfinite(bound) for pair in intervals for bound in pair):
-        return None  # pragma: no cover - leaf variable bounds are finite
-    lowest = min(lower for lower, _ in intervals)
-    big_m = [upper - lowest for _, upper in intervals]
-
-    num_base = encoding.num_variables
-    t_index = num_base
-    s_offset = num_base + 1
-    total = num_base + 1 + num_rows
-
-    blocks: List[np.ndarray] = []
-    lowers: List[np.ndarray] = []
-    uppers: List[np.ndarray] = []
-    if row_matrix is not None and row_matrix.shape[0]:
-        padded = np.zeros((row_matrix.shape[0], total))
-        padded[:, :num_base] = row_matrix
-        blocks.append(padded)
-        lowers.append(row_lower)
-        uppers.append(row_upper)
-    # f_i(v) - t + M_i s_i <= M_i - k_i  (i.e. t >= f_i(v) - M_i (1 - s_i))
-    selector_rows = np.zeros((num_rows, total))
-    for index, (objective, constant) in enumerate(objectives):
-        selector_rows[index, :num_base] = objective
-        selector_rows[index, t_index] = -1.0
-        selector_rows[index, s_offset + index] = big_m[index]
-    blocks.append(selector_rows)
-    lowers.append(np.full(num_rows, -np.inf))
-    uppers.append(np.asarray([big_m[index] - objectives[index][1]
-                              for index in range(num_rows)]))
-    # Exactly one selected row.
-    one_hot = np.zeros((1, total))
-    one_hot[0, s_offset:] = 1.0
-    blocks.append(one_hot)
-    lowers.append(np.ones(1))
-    uppers.append(np.ones(1))
-
-    constraints = optimize.LinearConstraint(
-        sparse.csr_matrix(np.vstack(blocks)),
-        np.concatenate(lowers), np.concatenate(uppers))
-    full_lower = np.concatenate([var_lower, [lowest], np.zeros(num_rows)])
-    full_upper = np.concatenate([var_upper,
-                                 [min(upper for _, upper in intervals)],
-                                 np.ones(num_rows)])
-    integrality = np.zeros(total)
-    integrality[s_offset:] = 1
-    options = {"mip_rel_gap": 0.0}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
-    result = optimize.milp(
-        c=np.concatenate([np.zeros(num_base), [1.0], np.zeros(num_rows)]),
-        constraints=[constraints],
-        bounds=optimize.Bounds(full_lower, full_upper),
-        integrality=integrality,
-        options=options,
-    )
-    if result.status == 2:  # infeasible region: every row is infeasible
-        return RowOptimum(float("inf"), None, feasible=False)
-    if result.x is None:  # pragma: no cover - solver failure/time limit
-        return None
-    minimizer = np.asarray(result.x[:encoding.num_inputs])
-    return RowOptimum(float(result.fun), minimizer, feasible=True)
 
 
 def solve_leaf_lp_batch(network: LoweredNetwork, box: InputBox,
@@ -557,7 +406,6 @@ def solve_leaf_lp_batch(network: LoweredNetwork, box: InputBox,
                         cache: Optional[LpCache] = None,
                         time_limit: Optional[float] = None,
                         fingerprint: Optional[str] = None,
-                        stack_rows: Optional[bool] = None,
                         timings: Optional[PhaseTimings] = None) -> List[RowOptimum]:
     """Exactly resolve a batch of fully phase-decided sub-problems.
 
@@ -566,19 +414,16 @@ def solve_leaf_lp_batch(network: LoweredNetwork, box: InputBox,
     Returns one :class:`RowOptimum` per leaf, in order, equal to what
     :func:`solve_leaf_lp` computes for each leaf alone.
 
-    The batch is resolved in one pass over shared structure: the variable
-    layout and the per-spec-row objective vectors are computed once; the
-    constraint rows, which depend only on each layer's phase pattern, are
-    built once per ``(layer, phase-pattern)`` group and reused by every leaf
-    agreeing on that layer.  With ``stack_rows`` each leaf's spec rows are
-    minimised through one stacked multi-objective ``milp`` call sharing
-    that constraint matrix (see the module docstring); ``False`` keeps one
-    call per row, and ``None`` (the default) stacks from
-    :data:`STACK_ROWS_MIN` rows up — the measured crossover where one
-    selector MILP beats per-row solves.  When a
-    :class:`~repro.bounds.cache.LpCache` is
-    supplied, leaves whose ``canonical_key()`` was already resolved — in an
-    earlier call or earlier in this batch — are served from the cache
+    Each leaf is an LP over the input box alone: its decided ReLUs compose
+    into one affine map, and its only rows are one sign row per split
+    neuron (``z >= 0`` ACTIVE, ``z <= 0`` INACTIVE).  Non-split neurons add
+    no rows, because the report bounds that give them their phase are sound
+    over the box restricted by the splits at or below their layer, so the
+    split rows already imply those phases (the module docstring has the
+    induction).  The spec rows are minimised one HiGHS call each, stopping
+    at the first infeasible row.  When a :class:`~repro.bounds.cache.LpCache`
+    is supplied, leaves whose ``canonical_key()`` was already resolved — in
+    an earlier call or earlier in this batch — are served from the cache
     (counted as hits) and never reach the solver.  ``fingerprint``
     (see :func:`problem_fingerprint`) scopes the cache keys so one cache
     can be shared across verification problems; ``timings`` accumulates the
@@ -612,60 +457,17 @@ def solve_leaf_lp_batch(network: LoweredNetwork, box: InputBox,
         first_by_key[key] = index
         unsolved.append(index)
 
-    if unsolved:
-        encoding = _build_encoding(network, (), with_binaries=False)
-        integrality = np.zeros(encoding.num_variables)
-        objectives = _row_objectives(network, spec, encoding)
-        if stack_rows is None:
-            stack_rows = len(objectives) >= STACK_ROWS_MIN
-        row_blocks = {}  # (layer, phase pattern) -> shared row block
-        for index in unsolved:
-            splits, report = leaves[index]
-            signature = _leaf_phase_signature(network, report, splits)
-            blocks = []
-            for layer, phases in enumerate(signature):
-                block_key = (layer, phases)
-                block = row_blocks.get(block_key)
-                if block is None:
-                    block = _layer_row_block(network, encoding, layer, phases)
-                    row_blocks[block_key] = block
-                blocks.append(block)
-            if blocks and sum(block[0].shape[0] for block in blocks):
-                row_matrix = np.vstack([block[0] for block in blocks])
-                row_lower = np.concatenate([block[1] for block in blocks])
-                row_upper = np.concatenate([block[2] for block in blocks])
-            else:
-                row_matrix = None
-                row_lower = None
-                row_upper = None
-            var_lower, var_upper = _leaf_variable_bounds(box, report,
-                                                         signature, encoding)
-            with _lp_measure(timings):
-                optimum = None
-                if stack_rows:
-                    optimum = _minimise_rows_stacked(
-                        objectives, row_matrix, row_lower, row_upper,
-                        var_lower, var_upper, encoding, time_limit)
-                    # The selector relaxations only ever *under*-estimate
-                    # (weaker constraints lower the minimum), so a
-                    # non-negative stacked value soundly proves the leaf;
-                    # a negative one may be a big-M/integrality-tolerance
-                    # artefact and is confirmed by the exact per-row LPs.
-                    if (optimum is not None and optimum.feasible
-                            and optimum.value < 0.0):
-                        optimum = None
-                if optimum is None:
-                    constraints = None
-                    if row_matrix is not None:
-                        constraints = optimize.LinearConstraint(
-                            sparse.csr_matrix(row_matrix), row_lower, row_upper)
-                    optimum = _minimise_rows(objectives, constraints,
-                                             var_lower, var_upper, integrality,
-                                             encoding, time_limit)
-            results[index] = optimum
-            if cache is not None:
-                cache.record_solve()
-                cache.put(cache_key(splits), optimum)
+    for index in unsolved:
+        splits, report = leaves[index]
+        objectives, constants, constraints = _leaf_program(network, spec,
+                                                           splits, report)
+        with _lp_measure(timings):
+            optimum = _minimise_rows(objectives, constants, constraints, box,
+                                     time_limit)
+        results[index] = optimum
+        if cache is not None:
+            cache.record_solve()
+            cache.put(cache_key(splits), optimum)
 
     for duplicate, primary in aliases:
         results[duplicate] = results[primary]
@@ -683,10 +485,10 @@ def classify_leaf_optimum(optimum: RowOptimum, spec: Specification,
     """Interpret one leaf optimum soundly; returns ``(verdict, counterexample)``.
 
     The single shared reading every BaB work source applies to an exact
-    leaf resolution:
+    leaf resolution, and :class:`MilpVerifier` to each row's MILP:
 
-    * infeasible region or non-negative minimum — the leaf is *verified*
-      (``LEAF_VERIFIED``);
+    * infeasible region or non-negative proven minimum — the leaf is
+      *verified* (``LEAF_VERIFIED``);
     * a negative minimum whose clipped minimiser is a real counterexample of
       the original problem — *falsified* (``LEAF_FALSIFIED``, with the
       validated point);
@@ -696,12 +498,12 @@ def classify_leaf_optimum(optimum: RowOptimum, spec: Specification,
     """
     if not optimum.feasible or optimum.value >= 0.0:
         return LEAF_VERIFIED, None
-    if optimum.minimizer is None:  # pragma: no cover - solver failure
+    if optimum.minimizer is None:  # the solver stopped without a verdict
         return LEAF_UNKNOWN, None
     point = spec.input_box.clip(optimum.minimizer)
     if spec.is_counterexample(network, point):
         return LEAF_FALSIFIED, point
-    return LEAF_UNKNOWN, None  # pragma: no cover - numerical corner case
+    return LEAF_UNKNOWN, None  # e.g. a dual bound below an incumbent >= 0
 
 
 def solve_leaf_lp(network: LoweredNetwork, box: InputBox, spec: LinearOutputSpec,
@@ -709,7 +511,6 @@ def solve_leaf_lp(network: LoweredNetwork, box: InputBox, spec: LinearOutputSpec
                   time_limit: Optional[float] = None,
                   cache: Optional[LpCache] = None,
                   fingerprint: Optional[str] = None,
-                  stack_rows: Optional[bool] = None,
                   timings: Optional[PhaseTimings] = None) -> RowOptimum:
     """Exactly resolve a fully phase-decided sub-problem with an LP.
 
@@ -718,13 +519,11 @@ def solve_leaf_lp(network: LoweredNetwork, box: InputBox, spec: LinearOutputSpec
     (vacuously verified).  Every ReLU neuron must be stable or split.  A
     supplied :class:`~repro.bounds.cache.LpCache` memoises the optimum by
     the assignment's canonical key, optionally scoped by ``fingerprint``
-    (see :func:`solve_leaf_lp_batch`, which also documents ``stack_rows``
-    and ``timings``).
+    (see :func:`solve_leaf_lp_batch`, which also documents ``timings``).
     """
     return solve_leaf_lp_batch(network, box, spec, [(splits, report)],
                                cache=cache, time_limit=time_limit,
-                               fingerprint=fingerprint, stack_rows=stack_rows,
-                               timings=timings)[0]
+                               fingerprint=fingerprint, timings=timings)[0]
 
 
 class MilpVerifier(Verifier):
@@ -759,12 +558,9 @@ class MilpVerifier(Verifier):
             integrality[index] = 1
 
         worst = float("inf")
-        counterexample = None
         for row_index in range(spec.output_spec.num_constraints):
             if budget.exhausted():
-                return VerificationResult(VerificationStatus.TIMEOUT, self.name,
-                                          elapsed_seconds=budget.elapsed_seconds,
-                                          nodes_explored=budget.nodes)
+                return self._timeout(budget)
             objective, constant = _objective_vector(
                 lowered, spec.output_spec.coefficients[row_index], encoding)
             constant += float(spec.output_spec.offsets[row_index])
@@ -773,26 +569,27 @@ class MilpVerifier(Verifier):
                 remaining = max(budget.max_seconds - budget.elapsed_seconds, 0.1)
                 time_limit = remaining if time_limit is None else min(time_limit, remaining)
             optimum = _solve(objective, constant, constraints, var_lower, var_upper,
-                             integrality, encoding, time_limit)
+                             integrality, encoding.num_inputs, time_limit)
             budget.charge_node()
-            if not optimum.feasible:
-                continue
-            if optimum.minimizer is None:
-                # Solver hit its limit without an incumbent: no sound verdict.
-                return VerificationResult(VerificationStatus.TIMEOUT, self.name,
-                                          elapsed_seconds=budget.elapsed_seconds,
-                                          nodes_explored=budget.nodes)
-            if optimum.value < worst:
-                worst = optimum.value
-                counterexample = optimum.minimizer
-            if optimum.value < 0.0 and optimum.minimizer is not None:
-                point = spec.input_box.clip(optimum.minimizer)
+            # A row is proven only by a non-negative dual bound, and falsified
+            # only by a minimiser that re-checks as a counterexample.
+            verdict, point = classify_leaf_optimum(optimum, spec, network)
+            if verdict == LEAF_FALSIFIED:
                 return VerificationResult(VerificationStatus.FALSIFIED, self.name,
                                           elapsed_seconds=budget.elapsed_seconds,
                                           nodes_explored=budget.nodes,
                                           counterexample=point,
                                           bound=float(optimum.value))
+            if verdict == LEAF_UNKNOWN:
+                return self._timeout(budget)
+            worst = min(worst, optimum.value)
         return VerificationResult(VerificationStatus.VERIFIED, self.name,
                                   elapsed_seconds=budget.elapsed_seconds,
                                   nodes_explored=budget.nodes,
                                   bound=None if worst == float("inf") else float(worst))
+
+    def _timeout(self, budget: Budget) -> VerificationResult:
+        """No sound verdict: the budget ran out or a solve stopped early."""
+        return VerificationResult(VerificationStatus.TIMEOUT, self.name,
+                                  elapsed_seconds=budget.elapsed_seconds,
+                                  nodes_explored=budget.nodes)

@@ -1,8 +1,8 @@
 """Satellite features of the incremental-bounds PR.
 
-Covers the stacked multi-objective leaf solve, the fingerprint-scoped
-shareable :class:`~repro.bounds.cache.LpCache`, the robustness-radius sweep
-helper, the α-CROWN parent warm start, and the per-phase timing surface.
+Covers the fingerprint-scoped shareable
+:class:`~repro.bounds.cache.LpCache`, the robustness-radius sweep helper,
+the α-CROWN parent warm start, and the per-phase timing surface.
 """
 
 from __future__ import annotations
@@ -50,45 +50,6 @@ def _decided_leaves(network, spec, count=3, seed=11):
             leaves.append((splits, outcome.report))
     assert leaves, "fixture network must admit decided leaves"
     return appver.lowered, leaves
-
-
-class TestStackedLeafRows:
-    def test_stacked_equals_per_row(self, small_network):
-        spec = _problem(small_network, [0.45, 0.55, 0.5, 0.4], 0.12)
-        lowered, leaves = _decided_leaves(small_network, spec)
-        stacked = solve_leaf_lp_batch(lowered, spec.input_box,
-                                      spec.output_spec, leaves,
-                                      stack_rows=True)
-        per_row = solve_leaf_lp_batch(lowered, spec.input_box,
-                                      spec.output_spec, leaves,
-                                      stack_rows=False)
-        for a, b in zip(stacked, per_row):
-            assert a.feasible == b.feasible
-            if a.feasible:
-                assert a.value == pytest.approx(b.value, abs=1e-7)
-                assert a.minimizer is not None and b.minimizer is not None
-
-    def test_stacked_detects_infeasible_region(self, small_network):
-        spec = _problem(small_network, [0.45, 0.55, 0.5, 0.4], 0.12)
-        lowered, leaves = _decided_leaves(small_network, spec)
-        splits, report = leaves[0]
-        # Flip every decided phase of one leaf until the region empties; if
-        # none empties, at least assert agreement per flip.
-        for neuron in splits.decided_neurons():
-            flipped = SplitAssignment({
-                n: (-splits.phase_of(*n) if n == neuron else splits.phase_of(*n))
-                for n in splits.decided_neurons()})
-            stacked = solve_leaf_lp_batch(lowered, spec.input_box,
-                                          spec.output_spec,
-                                          [(flipped, report)],
-                                          stack_rows=True)[0]
-            per_row = solve_leaf_lp_batch(lowered, spec.input_box,
-                                          spec.output_spec,
-                                          [(flipped, report)],
-                                          stack_rows=False)[0]
-            assert stacked.feasible == per_row.feasible
-            if stacked.feasible:
-                assert stacked.value == pytest.approx(per_row.value, abs=1e-7)
 
 
 class TestFingerprintScopedLpCache:

@@ -5,17 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.bounds.cache import LpCache
-from repro.bounds.splits import SplitAssignment
-from repro.nn import dense_network
+from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
+from repro.nn import Dense, Network, ReLU, dense_network
 from repro.specs.robustness import local_robustness_spec
 from repro.verifiers.appver import ApproximateVerifier
 from repro.verifiers.milp import (
     RowOptimum,
-    _encode_problem,
-    _objective_vector,
-    _solve,
+    _leaf_program,
     solve_leaf_lp,
     solve_leaf_lp_batch,
 )
@@ -23,9 +23,12 @@ from repro.verifiers.milp import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-# The sibling-heavy decided-leaf generator is shared with the CI-gated
-# benchmark so the acceptance workload and the tested workload never drift.
-from bench_batching import _decided_leaf_workload  # noqa: E402
+# The sibling-heavy decided-leaf generator and the hidden-variable reference
+# LP are shared with the CI-gated benchmark, so the acceptance workload and
+# oracle and the tested ones never drift.
+from bench_batching import _decided_leaf_workload, _reference_leaf_lp  # noqa: E402
+
+TOLERANCE = 1e-9
 
 
 def _problem(network, reference, epsilon):
@@ -34,32 +37,42 @@ def _problem(network, reference, epsilon):
     return local_robustness_spec(reference, epsilon, label, network.output_dim)
 
 
-def _reference_leaf_lp(lowered, box, spec, splits, report):
-    """The pre-batching leaf LP, built through the *independent*
-    ``_encode_problem`` encoding (the MILP verifier's row construction) —
-    guards the new per-layer row blocks against an encoding bug that would
-    fool a batch-vs-wrapper self-comparison."""
-    encoding, builder, var_lower, var_upper, _ = _encode_problem(
-        lowered, box, report, splits, with_binaries=False)
-    constraints = builder.to_constraint()
-    integrality = np.zeros(encoding.num_variables)
-    best = RowOptimum(float("inf"), None, feasible=False)
-    any_feasible = False
-    for row_index in range(spec.num_constraints):
-        objective, constant = _objective_vector(lowered,
-                                                spec.coefficients[row_index],
-                                                encoding)
-        constant += float(spec.offsets[row_index])
-        optimum = _solve(objective, constant, constraints, var_lower, var_upper,
-                         integrality, encoding, None)
-        if not optimum.feasible:
-            continue
-        any_feasible = True
-        if optimum.value < best.value or best.minimizer is None:
-            best = optimum
-    if not any_feasible:
-        return RowOptimum(float("inf"), None, feasible=False)
-    return best
+def _assert_matches_reference(lowered, spec, splits, report, optimum):
+    """Feasibility and value equal the ``_encode_problem`` reference's; a
+    minimiser lies in the box, reproduces the split phases and attains the
+    value.
+
+    Minimisers are not compared elementwise: at a degenerate optimum both
+    encodings may legitimately return different optimal points.
+    """
+    reference = _reference_leaf_lp(lowered, spec.input_box, spec.output_spec,
+                                   splits, report)
+    assert optimum.feasible == reference.feasible
+    if not optimum.feasible:
+        assert optimum.value == float("inf")
+        return
+    assert optimum.value == pytest.approx(reference.value, abs=TOLERANCE)
+    point = optimum.minimizer
+    assert point is not None
+    assert spec.input_box.contains(point, tolerance=TOLERANCE)
+    assert splits.satisfied_by(lowered.pre_activations(point), tolerance=TOLERANCE)
+    margin = spec.output_spec.margin(lowered.forward(point)[0])
+    assert margin == pytest.approx(optimum.value, abs=TOLERANCE)
+
+
+def _decide(appver, splits, rng):
+    """Randomly phase-split ``splits`` until its analysis decides every
+    neuron; ``None`` if splitting keeps re-destabilising neurons."""
+    report = appver.evaluate(splits).report
+    for _ in range(6):
+        unstable = report.unstable_neurons(splits)
+        if not unstable:
+            return splits, report
+        for layer, unit in unstable:
+            phase = ACTIVE if rng.random() < 0.5 else INACTIVE
+            splits = splits.with_split(ReluSplit(layer, unit, phase))
+        report = appver.evaluate(splits).report
+    return None
 
 
 @pytest.fixture(scope="module")
@@ -73,22 +86,14 @@ def lp_workload():
 
 class TestBatchedLeafLp:
     def test_batch_matches_independent_reference_encoding(self, lp_workload):
-        """The batched row blocks must reproduce the ``_encode_problem``
-        encoding exactly — a genuinely independent construction, since
-        ``solve_leaf_lp`` itself now delegates to the batch path."""
+        """The input-space leaf LP reproduces the ``_encode_problem``
+        hidden-variable LP — a genuinely independent construction, since
+        ``solve_leaf_lp`` itself delegates to the batch path."""
         lowered, spec, leaves = lp_workload
-        reference = [_reference_leaf_lp(lowered, spec.input_box,
-                                        spec.output_spec, splits, report)
-                     for splits, report in leaves]
         batched = solve_leaf_lp_batch(lowered, spec.input_box, spec.output_spec,
                                       leaves)
-        for a, b in zip(reference, batched):
-            assert a.feasible == b.feasible
-            if a.feasible:
-                assert a.value == pytest.approx(b.value, abs=1e-9)
-                if a.minimizer is not None:
-                    np.testing.assert_allclose(a.minimizer, b.minimizer,
-                                               atol=1e-9)
+        for (splits, report), optimum in zip(leaves, batched):
+            _assert_matches_reference(lowered, spec, splits, report, optimum)
 
     def test_batch_matches_one_at_a_time(self, lp_workload):
         lowered, spec, leaves = lp_workload
@@ -121,6 +126,67 @@ class TestBatchedLeafLp:
         with pytest.raises(ValueError):
             solve_leaf_lp_batch(lowered, spec.input_box, spec.output_spec,
                                 [(SplitAssignment.empty(), root_report)])
+
+
+class TestInputSpaceLeafLpOracle:
+    """The input-space, split-row leaf LP against the hidden-variable
+    ``_encode_problem`` oracle on random networks and real analyses."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), depth=st.integers(1, 4),
+           width=st.integers(2, 5), epsilon=st.floats(0.02, 0.4))
+    def test_random_decided_leaves_match_reference(self, seed, depth, width,
+                                                   epsilon):
+        rng = np.random.default_rng(seed)
+        input_dim = int(rng.integers(2, 5))
+        num_classes = int(rng.integers(2, 5))
+        network = dense_network([input_dim] + [width] * depth + [num_classes],
+                                seed=seed)
+        spec = _problem(network, rng.uniform(0.2, 0.8, size=input_dim), epsilon)
+        appver = ApproximateVerifier(network, spec, use_cache=False)
+        leaves = []
+        for _ in range(2):
+            leaf = _decide(appver, SplitAssignment.empty(), rng)
+            if leaf is not None:
+                leaves.append(leaf)
+        assume(leaves)
+        optima = solve_leaf_lp_batch(appver.lowered, spec.input_box,
+                                     spec.output_spec, leaves)
+        for (splits, report), optimum in zip(leaves, optima):
+            _assert_matches_reference(appver.lowered, spec, splits, report,
+                                      optimum)
+
+    def test_leaf_without_split_rows_is_a_box_lp(self):
+        network = dense_network([3, 6, 5, 3], seed=4)
+        spec = _problem(network, [0.5, 0.4, 0.6], 1e-4)
+        appver = ApproximateVerifier(network, spec, use_cache=False)
+        splits = SplitAssignment.empty()
+        report = appver.evaluate(splits).report
+        assert not report.unstable_neurons(), "root must be fully stable"
+        _, _, constraints = _leaf_program(appver.lowered, spec.output_spec,
+                                          splits, report)
+        assert constraints is None
+        optimum = solve_leaf_lp(appver.lowered, spec.input_box,
+                                spec.output_spec, splits, report)
+        _assert_matches_reference(appver.lowered, spec, splits, report, optimum)
+
+    def test_contradicting_split_rows_are_infeasible(self):
+        """``x >= 0.5`` and ``x <= 0.25`` from two ACTIVE splits in one
+        layer: each row alone is satisfiable, together they are not."""
+        hidden = Dense(1, 2, weight=np.array([[1.0], [-1.0]]),
+                       bias=np.array([-0.5, 0.25]))
+        head = Dense(2, 2, weight=np.array([[1.0, 1.0], [-1.0, 0.5]]),
+                     bias=np.zeros(2))
+        network = Network([hidden, ReLU(), head], (1,), name="contradiction")
+        spec = _problem(network, [0.4], 0.4)
+        appver = ApproximateVerifier(network, spec, use_cache=False)
+        splits = SplitAssignment({(0, 0): ACTIVE, (0, 1): ACTIVE})
+        report = appver.evaluate(splits).report
+        assert not report.unstable_neurons(splits)
+        optimum = solve_leaf_lp(appver.lowered, spec.input_box,
+                                spec.output_spec, splits, report)
+        assert not optimum.feasible
+        _assert_matches_reference(appver.lowered, spec, splits, report, optimum)
 
 
 class TestLpCache:

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from repro.bounds.deeppoly import DeepPolyAnalyzer
 from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
@@ -11,7 +12,12 @@ from repro.nn import dense_network
 from repro.specs.robustness import local_robustness_spec
 from repro.utils import Budget
 from repro.verifiers.appver import ApproximateVerifier
-from repro.verifiers.milp import MilpVerifier, solve_leaf_lp
+from repro.verifiers.milp import (
+    LEAF_UNKNOWN,
+    MilpVerifier,
+    classify_leaf_optimum,
+    solve_leaf_lp,
+)
 from repro.verifiers.result import VerificationStatus
 
 
@@ -74,18 +80,20 @@ class TestMilpVerifier:
         assert (result.status == VerificationStatus.FALSIFIED) == truly_violated
 
 
-class TestLeafLp:
-    def _fully_split(self, network, spec):
-        appver = ApproximateVerifier(network, spec)
-        outcome = appver.evaluate()
-        splits = SplitAssignment.empty()
-        report = outcome.report
-        while report.unstable_neurons(splits):
-            layer, unit = report.unstable_neurons(splits)[0]
-            splits = splits.with_split(ReluSplit(layer, unit, ACTIVE))
-            report = appver.evaluate(splits).report
-        return splits, report
+def fully_split(network, spec):
+    """Split unstable neurons ACTIVE until the leaf is phase-decided."""
+    appver = ApproximateVerifier(network, spec)
+    outcome = appver.evaluate()
+    splits = SplitAssignment.empty()
+    report = outcome.report
+    while report.unstable_neurons(splits):
+        layer, unit = report.unstable_neurons(splits)[0]
+        splits = splits.with_split(ReluSplit(layer, unit, ACTIVE))
+        report = appver.evaluate(splits).report
+    return splits, report
 
+
+class TestLeafLp:
     def test_leaf_lp_requires_full_phase_decision(self, small_network):
         spec = problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.3)
         appver = ApproximateVerifier(small_network, spec)
@@ -98,7 +106,7 @@ class TestLeafLp:
     def test_leaf_lp_value_is_sound_for_the_leaf_region(self):
         network = dense_network([2, 4, 3, 2], seed=8)
         spec = problem(network, [0.5, 0.5], 0.35)
-        splits, report = self._fully_split(network, spec)
+        splits, report = fully_split(network, spec)
         optimum = solve_leaf_lp(network.lowered(), spec.input_box, spec.output_spec,
                                 splits, report)
         if not optimum.feasible:
@@ -114,7 +122,7 @@ class TestLeafLp:
     def test_leaf_lp_minimizer_attains_value(self):
         network = dense_network([2, 4, 3, 2], seed=8)
         spec = problem(network, [0.5, 0.5], 0.35)
-        splits, report = self._fully_split(network, spec)
+        splits, report = fully_split(network, spec)
         optimum = solve_leaf_lp(network.lowered(), spec.input_box, spec.output_spec,
                                 splits, report)
         if not optimum.feasible or optimum.minimizer is None:
@@ -124,6 +132,61 @@ class TestLeafLp:
         # (they coincide when the minimiser satisfies the leaf's phase pattern).
         margin = spec.margin(network, spec.input_box.clip(optimum.minimizer))
         assert margin >= optimum.value - 1e-6
+
+
+class TestSolverStatus:
+    """Only a proven optimum or proven infeasibility may carry a verdict."""
+
+    @pytest.fixture()
+    def milp_problem(self):
+        """A problem whose DeepPoly root bound does not verify, so the MILP
+        rows run, plus a box point that is *not* a counterexample."""
+        network = dense_network([3, 6, 5, 3], seed=4)
+        spec = problem(network, [0.5, 0.4, 0.6], 0.3)
+        report = DeepPolyAnalyzer(network.lowered()).analyze(
+            spec.input_box, spec=spec.output_spec)
+        assert not report.p_hat > 0.0, "root bound must not verify"
+        center = (spec.input_box.lower + spec.input_box.upper) / 2.0
+        assert not spec.is_counterexample(network, center)
+        return network, spec, center
+
+    @staticmethod
+    def _fake_milp(monkeypatch, center, status, fun, dual_bound):
+        def fake(c, **_):
+            x = np.zeros(len(c))
+            x[:center.size] = center
+            return OptimizeResult(status=status, x=x, fun=fun,
+                                  mip_dual_bound=dual_bound)
+        monkeypatch.setattr("repro.verifiers.milp.optimize.milp", fake)
+
+    def test_time_limited_incumbent_is_no_proof(self, milp_problem, monkeypatch):
+        network, spec, center = milp_problem
+        self._fake_milp(monkeypatch, center, status=1, fun=1e6, dual_bound=-1e6)
+        result = MilpVerifier().verify(network, spec)
+        assert result.status == VerificationStatus.TIMEOUT
+
+    def test_negative_dual_bound_is_no_proof(self, milp_problem, monkeypatch):
+        network, spec, center = milp_problem
+        self._fake_milp(monkeypatch, center, status=0, fun=1e6, dual_bound=-1e6)
+        result = MilpVerifier().verify(network, spec)
+        assert result.status == VerificationStatus.TIMEOUT
+
+    def test_falsified_needs_a_real_counterexample(self, milp_problem,
+                                                   monkeypatch):
+        network, spec, center = milp_problem
+        self._fake_milp(monkeypatch, center, status=0, fun=-1e6, dual_bound=-1e6)
+        result = MilpVerifier().verify(network, spec)
+        assert result.status == VerificationStatus.TIMEOUT
+
+    def test_time_limited_leaf_is_unknown(self, milp_problem, monkeypatch):
+        network, spec, center = milp_problem
+        splits, report = fully_split(network, spec)
+        self._fake_milp(monkeypatch, center, status=1, fun=1e6, dual_bound=None)
+        optimum = solve_leaf_lp(network.lowered(), spec.input_box,
+                                spec.output_spec, splits, report)
+        verdict, counterexample = classify_leaf_optimum(optimum, spec, network)
+        assert verdict == LEAF_UNKNOWN
+        assert counterexample is None
 
 
 class TestBudgetHandling:
