@@ -5,8 +5,9 @@ affine transformations and ReLU activations (the class handled by the ABONN
 paper).  Each layer therefore provides three views:
 
 * ``forward`` / ``backward`` — batched inference and gradient propagation,
-  used by the trainer (:mod:`repro.nn.training`) and by the PGD attack
-  substrate (:mod:`repro.verifiers.attack`);
+  used by the trainer (:mod:`repro.nn.training`) and, through
+  :meth:`repro.nn.network.Network.forward`, as the ground truth that every
+  counterexample is checked against;
 * ``output_shape`` — static shape inference;
 * for affine layers, ``to_affine`` — the explicit ``(W, b)`` pair over the
   flattened input, used to lower the network into the canonical
@@ -23,6 +24,10 @@ from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import require
 
 
+#: Per-layer activation caches written by ``forward`` for ``backward``.
+_FORWARD_CACHES = ("_cache_input", "_cache_shape", "_cache_mask", "_cache")
+
+
 class Layer:
     """Base class for all layers."""
 
@@ -30,6 +35,19 @@ class Layer:
     is_affine: bool = False
     #: True for ReLU activation layers.
     is_relu: bool = False
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle without the last ``forward``'s activation caches.
+
+        A trained layer would otherwise carry the activations of its last
+        (full-dataset) forward into every pickle; the unpickled copy behaves
+        like a fresh layer and needs a ``forward`` before ``backward``.
+        """
+        state = self.__dict__.copy()
+        for name in _FORWARD_CACHES:
+            if name in state:
+                state[name] = None
+        return state
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Map a batch ``x`` of shape ``(batch, *input_shape)`` to outputs."""
@@ -254,8 +272,10 @@ class Conv2d(Layer):
         batch, channels, height, width = x.shape
         out_h, out_w = self._spatial_output(height, width)
         if self.padding:
-            x = np.pad(x, ((0, 0), (0, 0),
-                           (self.padding, self.padding), (self.padding, self.padding)))
+            pad = self.padding
+            padded = np.zeros((batch, channels, height + 2 * pad, width + 2 * pad))
+            padded[:, :, pad:pad + height, pad:pad + width] = x
+            x = padded
         k = self.kernel_size
         cols = np.empty((batch, channels, k, k, out_h, out_w), dtype=float)
         for i in range(k):

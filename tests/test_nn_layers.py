@@ -1,5 +1,7 @@
 """Tests for repro.nn.layers: forward semantics, gradients, affine lowering."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from repro.nn.layers import (
     layer_config,
     layer_from_config,
 )
+from repro.nn.network import Network
 
 
 def numerical_gradient(function, point, epsilon=1e-6):
@@ -192,6 +195,72 @@ class TestConv2d:
         layer.forward(x)
         layer.backward(np.ones_like(out))
         np.testing.assert_allclose(layer.grad_weight, numeric, atol=1e-5)
+
+
+class _PaddedConv2d(Conv2d):
+    """Reference im2col that pads with ``np.pad``."""
+
+    def _im2col(self, x):
+        batch, channels, height, width = x.shape
+        out_h, out_w = self._spatial_output(height, width)
+        if self.padding:
+            x = np.pad(x, ((0, 0), (0, 0),
+                           (self.padding, self.padding), (self.padding, self.padding)))
+        k = self.kernel_size
+        cols = np.empty((batch, channels, k, k, out_h, out_w), dtype=float)
+        for i in range(k):
+            i_end = i + self.stride * out_h
+            for j in range(k):
+                j_end = j + self.stride * out_w
+                cols[:, :, i, j, :, :] = x[:, :, i:i_end:self.stride, j:j_end:self.stride]
+        cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(batch, out_h * out_w, -1)
+        return cols, (out_h, out_w)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+def test_conv_im2col_bitwise_matches_np_pad(stride, padding):
+    layer = Conv2d(2, 3, kernel_size=3, stride=stride, padding=padding, seed=11)
+    reference = _PaddedConv2d(2, 3, kernel_size=3, stride=stride, padding=padding,
+                              weight=layer.weight, bias=layer.bias)
+    x = np.random.default_rng(stride + 10 * padding).normal(size=(3, 2, 7, 7))
+    out = layer.forward(x)
+    expected = reference.forward(x)
+    assert np.array_equal(out, expected)
+    grad = np.random.default_rng(1).normal(size=out.shape)
+    assert np.array_equal(layer.backward(grad), reference.backward(grad))
+    assert np.array_equal(layer.grad_weight, reference.grad_weight)
+
+
+class TestLayerPickling:
+    @staticmethod
+    def network():
+        layers = [Conv2d(1, 2, kernel_size=3, stride=2, padding=1, seed=0), ReLU(),
+                  Flatten(), Dense(2 * 3 * 3, 5, seed=1), ReLU(), Dense(5, 3, seed=2)]
+        return Network(layers, (1, 6, 6))
+
+    def test_pickle_size_does_not_grow_after_forward(self):
+        network = self.network()
+        fresh = len(pickle.dumps(network))
+        network.forward(np.random.default_rng(0).random((320, 1, 6, 6)))
+        assert len(pickle.dumps(network)) == fresh
+
+    def test_unpickled_copy_forwards_bitwise_equal(self):
+        network = self.network()
+        x = np.random.default_rng(1).random((4, 1, 6, 6))
+        expected = network.forward(x)
+        restored = pickle.loads(pickle.dumps(network))
+        assert np.array_equal(restored.forward(x), expected)
+
+    def test_unpickled_copy_needs_forward_before_backward(self):
+        network = self.network()
+        network.forward(np.zeros((2, 1, 6, 6)))
+        restored = pickle.loads(pickle.dumps(network))
+        with pytest.raises(RuntimeError):
+            restored.backward(np.ones((2, 3)))
+        for layer in restored.layers:
+            with pytest.raises(RuntimeError):
+                layer.backward(np.ones((2, 3)))
 
 
 class TestLayerSerialisation:

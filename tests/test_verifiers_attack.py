@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.nn.layers import Conv2d, Dense, Flatten, ReLU
+from repro.nn.network import LoweredNetwork, Network, dense_network
+from repro.nn.zoo import build_trained_model
 from repro.specs.robustness import local_robustness_spec
 from repro.verifiers.attack import (
     AttackConfig,
@@ -17,6 +22,36 @@ def problem(network, reference, epsilon):
     reference = np.asarray(reference, dtype=float)
     label = int(network.predict(reference.reshape(1, -1))[0])
     return local_robustness_spec(reference, epsilon, label, network.output_dim)
+
+
+def _reference_margin_and_gradient(network, spec, point):
+    """The layer-by-layer margin and input gradient (real forward/backward)."""
+    point = np.asarray(point, dtype=float).reshape(1, -1)
+    output = network.forward(point)[0]
+    values = spec.constraint_values(output)
+    worst_row = int(np.argmin(values))
+    grad_output = np.zeros((1, spec.output_dim))
+    grad_output[0] = spec.coefficients[worst_row]
+    grad_input = network.backward(grad_output).reshape(-1)
+    return float(values[worst_row]), grad_input
+
+
+def strided_conv_network(seed=0):
+    layers = [Conv2d(2, 3, kernel_size=3, stride=2, padding=1, seed=seed), ReLU(),
+              Conv2d(3, 2, kernel_size=3, stride=1, padding=1, seed=seed + 1), ReLU(),
+              Flatten(), Dense(2 * 4 * 4, 6, seed=seed + 2), ReLU(),
+              Dense(6, 3, seed=seed + 3)]
+    return Network(layers, (2, 7, 7), name="conv-strided")
+
+
+def assert_matches_reference(network, spec, points):
+    for point in points:
+        margin, gradient = margin_and_gradient(network, spec.output_spec, point)
+        expected_margin, expected_gradient = _reference_margin_and_gradient(
+            network, spec.output_spec, point)
+        assert gradient.shape == (network.input_dim,)
+        assert abs(margin - expected_margin) <= 1e-12
+        np.testing.assert_allclose(gradient, expected_gradient, rtol=1e-9, atol=1e-12)
 
 
 class TestMarginAndGradient:
@@ -41,6 +76,27 @@ class TestMarginAndGradient:
             down, _ = margin_and_gradient(small_network, spec.output_spec, perturbed)
             numeric[index] = (up - down) / (2 * eps)
         np.testing.assert_allclose(gradient, numeric, atol=1e-4)
+
+    def test_lowered_matches_layer_path_on_dense(self, small_network, trained_network):
+        spec = problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.3)
+        points = spec.input_box.sample(0, 10)
+        assert_matches_reference(small_network, spec, points)
+        network, dataset = trained_network
+        image, label = dataset.sample(2)
+        spec = local_robustness_spec(image.reshape(-1), 0.2, label, dataset.num_classes)
+        assert_matches_reference(network, spec, spec.input_box.sample(1, 10))
+
+    def test_lowered_matches_layer_path_on_strided_conv(self):
+        network = strided_conv_network()
+        reference = np.random.default_rng(3).random(network.input_dim)
+        spec = problem(network, reference, 0.3)
+        assert_matches_reference(network, spec, spec.input_box.sample(2, 10))
+
+    def test_lowered_matches_layer_path_on_trained_cifar_base(self):
+        network, dataset = build_trained_model("CIFAR_BASE", seed=0)
+        image, label = dataset.sample(0)
+        spec = local_robustness_spec(image.reshape(-1), 0.05, label, dataset.num_classes)
+        assert_matches_reference(network, spec, spec.input_box.sample(3, 10))
 
 
 class TestPgdAttack:
@@ -73,6 +129,33 @@ class TestPgdAttack:
         b = pgd_attack(small_network, spec, AttackConfig(steps=10, restarts=2, seed=3))
         np.testing.assert_allclose(a.best_input, b.best_input)
         assert a.best_margin == pytest.approx(b.best_margin)
+
+    def test_lowered_only_violation_is_not_a_counterexample(self, monkeypatch):
+        network = dense_network([4, 8, 6, 3], seed=1)
+        spec = problem(network, [0.4, 0.5, 0.6, 0.3], 0.01)
+        label = int(np.argmax(spec.output_spec.coefficients[0]))
+        real = network.lowered()
+        biases = list(real.biases)
+        biases[-1] = biases[-1].copy()
+        biases[-1][label] -= 1e3  # the lowered form loses the label everywhere
+        lowered = LoweredNetwork(real.weights, tuple(biases), real.input_shape)
+        monkeypatch.setattr(network, "lowered", lambda: lowered)
+        margin, _ = margin_and_gradient(network, spec.output_spec, spec.input_box.center)
+        assert margin < 0.0 < spec.margin(network, spec.input_box.center)
+
+        result = pgd_attack(network, spec, AttackConfig(steps=5, restarts=2))
+        assert not result.is_counterexample
+        assert result.best_margin >= 0.0
+        assert not spec.is_counterexample(network, result.best_input)
+        assert not fgsm(network, spec).is_counterexample
+
+    def test_counterexample_margin_is_the_real_margin(self, trained_network):
+        network, dataset = trained_network
+        image, label = dataset.sample(0)
+        spec = local_robustness_spec(image.reshape(-1), 0.9, label, dataset.num_classes)
+        result = pgd_attack(network, spec, AttackConfig(steps=40, restarts=4, seed=0))
+        assert result.is_counterexample
+        assert result.best_margin == spec.margin(network, result.best_input)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -117,3 +200,22 @@ class TestEmpiricalRadius:
         radius = empirical_robustness_radius(small_network, reference, label,
                                              small_network.output_dim, upper=1e-4)
         assert radius == pytest.approx(1e-4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       conv=st.booleans(),
+       epsilon=st.floats(min_value=0.0, max_value=1.0))
+def test_attack_verdict_rechecks_on_real_network_property(seed, conv, epsilon):
+    """PGD's verdict always agrees with the real network at its best input."""
+    if conv:
+        network = strided_conv_network(seed)
+    else:
+        network = dense_network([5, 7, 6, 3], seed=seed)
+    rng = np.random.default_rng(seed)
+    reference = rng.random(network.input_dim)
+    label = int(rng.integers(3))
+    spec = local_robustness_spec(reference, epsilon, label, 3)
+    result = pgd_attack(network, spec, AttackConfig(steps=8, restarts=2, seed=seed))
+    assert spec.input_box.contains(result.best_input)
+    assert result.is_counterexample == spec.is_counterexample(network, result.best_input)
