@@ -43,16 +43,6 @@ and counterexamples, and a replay of the recorded ``K=8`` frontier rounds
 bound-time speedup the acceptance gate requires (≥1.5x median on the dense
 families in full mode).
 
-With ``--cascade`` the benchmark measures the precision-cascade dispatcher
-(IBP → relaxed-incremental DeepPoly → exact): ABONN runs at
-``K ∈ {1, 2, 8}`` with the cascade on and off must produce identical
-verdicts, node charges and counterexamples (prefilter stages only ever
-*verify*, and the IBP stage is restricted to finite bounds precisely so
-the trajectory cannot change), and a replay of the recorded ``K=8``
-frontier rounds reports per-stage decide rates, the fraction of children
-decided before the exact stage, and the net per-child bound time cascade
-on vs. off.
-
 Results are printed as JSON and written to
 ``benchmarks/output/BENCH_batching.json`` so future runs can track the
 speedup; a stable top-level ``summary`` block (median per-child bound
@@ -82,7 +72,7 @@ from repro.core.config import AbonnConfig
 from repro.nn.zoo import MODEL_FAMILIES
 from repro.specs.robustness import local_robustness_spec
 from repro.utils.timing import Budget
-from repro.verifiers.appver import ApproximateVerifier, CascadeConfig
+from repro.verifiers.appver import ApproximateVerifier
 from repro.verifiers.milp import (
     RowOptimum,
     _encode_problem,
@@ -357,11 +347,10 @@ def _record_frontier_rounds(network, spec, max_nodes: int) -> List[Tuple]:
     return rounds
 
 
-def _replay_per_child_times(network, spec, rounds, incremental: bool,
-                            cascade: CascadeConfig = None) -> List[float]:
+def _replay_per_child_times(network, spec, rounds, incremental: bool
+                            ) -> List[float]:
     """Per-child bound time of each round against a fresh verifier."""
-    verifier = ApproximateVerifier(network, spec, incremental=incremental,
-                                   cascade=cascade)
+    verifier = ApproximateVerifier(network, spec, incremental=incremental)
     verifier.evaluate()  # bound the root, as the real run does
     times = []
     for splits_list, parents in rounds:
@@ -449,112 +438,6 @@ def bench_incremental(family_name: str, frontier_sizes, max_nodes: int,
     }
 
 
-def bench_cascade(family_name: str, frontier_sizes, max_nodes: int,
-                  repetitions: int, warmup_children: int = 128) -> Dict:
-    """Equality + per-stage decide rates of the precision cascade.
-
-    Verdicts, node charges and counterexamples must be identical with the
-    cascade on and off at every frontier size; the replayed ``K=8`` rounds
-    (mode-interleaved repetitions, min per round) give the net per-child
-    bound time in both modes and — via an instrumented cascade-on replay —
-    the per-stage decide counts and the fraction of children decided before
-    the exact stage.  Besides the all-round medians, the *steady* medians
-    restrict to the rounds after the adaptive-gating warm-up window
-    (``CascadeConfig.warmup_children``): the warm-up probe cost is bounded
-    and amortises away on longer runs, so steady state is where the
-    "per-child time no worse than the exact path" acceptance is judged.
-    ``warmup_children`` overrides the gating window so that even short
-    smoke replays reach steady state.
-    """
-    network, spec, epsilon = _branching_problem(family_name)
-    cascade_on = CascadeConfig(enabled=True, warmup_children=warmup_children)
-
-    equality_rows = []
-    all_equal = True
-    for frontier_size in frontier_sizes:
-        results = {}
-        for enabled in (False, True):
-            config = AbonnConfig(frontier_size=frontier_size,
-                                 cascade=cascade_on if enabled else None)
-            results[enabled] = AbonnVerifier(config).verify(
-                network, spec, Budget(max_nodes=max_nodes))
-        baseline, observed = results[False], results[True]
-        cex_equal = ((baseline.counterexample is None)
-                     == (observed.counterexample is None)
-                     and (baseline.counterexample is None
-                          or np.array_equal(baseline.counterexample,
-                                            observed.counterexample)))
-        row_equal = (baseline.status == observed.status
-                     and baseline.nodes_explored == observed.nodes_explored
-                     and cex_equal)
-        all_equal = all_equal and row_equal
-        equality_rows.append({
-            "frontier_size": frontier_size,
-            "status": baseline.status.value,
-            "nodes_explored": baseline.nodes_explored,
-            "identical": row_equal,
-        })
-
-    rounds = _record_frontier_rounds(network, spec, max_nodes)
-    best: Dict[bool, List[float]] = {False: None, True: None}
-    for repetition in range(repetitions + 1):
-        for enabled in (False, True):
-            times = _replay_per_child_times(
-                network, spec, rounds, incremental=True,
-                cascade=cascade_on if enabled else None)
-            if repetition == 0:
-                continue  # warm-up pass: NumPy buffers, branch caches
-            if best[enabled] is None:
-                best[enabled] = times
-            else:
-                best[enabled] = [min(a, b) for a, b
-                                 in zip(best[enabled], times)]
-    median_off = median(best[False]) if rounds else 0.0
-    median_on = median(best[True]) if rounds else 0.0
-
-    # Steady state starts with the first round past the adaptive-gating
-    # warm-up window (falls back to the full replay on short smoke runs).
-    steady_start = len(rounds)
-    warm_children = 0
-    for index, (splits_list, _) in enumerate(rounds):
-        if warm_children >= cascade_on.warmup_children:
-            steady_start = index
-            break
-        warm_children += len(splits_list)
-    if steady_start >= len(rounds):
-        steady_start = 0
-    steady_off = median(best[False][steady_start:]) if rounds else 0.0
-    steady_on = median(best[True][steady_start:]) if rounds else 0.0
-
-    # One instrumented cascade-on replay for the per-stage counters.
-    verifier = ApproximateVerifier(network, spec, incremental=True,
-                                   cascade=cascade_on)
-    verifier.evaluate()
-    for splits_list, parents in rounds:
-        verifier.evaluate_batch(splits_list, parents=parents)
-    stats = verifier.cascade_stats()
-    return {
-        "network": family_name,
-        "epsilon": epsilon,
-        "rounds": len(rounds),
-        "steady_rounds": len(rounds) - steady_start,
-        "children": stats["children"],
-        "identical_runs": all_equal,
-        "equality_rows": equality_rows,
-        "median_per_child_us_off": median_off * 1e6,
-        "median_per_child_us_on": median_on * 1e6,
-        "speedup_cascade": median_off / median_on if median_on else 0.0,
-        "median_per_child_us_off_steady": steady_off * 1e6,
-        "median_per_child_us_on_steady": steady_on * 1e6,
-        "speedup_cascade_steady": (steady_off / steady_on
-                                   if steady_on else 0.0),
-        "decided": stats["decided"],
-        "seen": stats["seen"],
-        "pre_exact_fraction": stats["pre_exact_fraction"],
-        "stage_seconds": stats["seconds"],
-    }
-
-
 def _best_time(run, repetitions: int) -> float:
     best = float("inf")
     for _ in range(repetitions):
@@ -623,12 +506,6 @@ def main(argv=None) -> int:
                              "parent-pass reuse) bound path: per-child "
                              "speedup at K=8 plus verdict/charge equality "
                              "at K in {1, 2, 8}")
-    parser.add_argument("--cascade", action="store_true",
-                        help="also measure the precision-cascade dispatcher "
-                             "(IBP -> relaxed-incremental -> exact): "
-                             "per-stage decide rates and net per-child time "
-                             "at K=8 plus verdict/charge equality at K in "
-                             "{1, 2, 8}")
     args = parser.parse_args(argv)
     smoke = _smoke_mode(args)
 
@@ -756,42 +633,6 @@ def main(argv=None) -> int:
                 "baseline": row["median_per_child_us_baseline"],
                 "incremental": row["median_per_child_us_incremental"],
             } for row in inc_rows}
-
-    if args.cascade:
-        cas_families = SMOKE_FRONTIER_FAMILIES if smoke else FRONTIER_FAMILIES
-        cas_sizes = (1, 2, 8)
-        cas_max_nodes = 96 if smoke else 512
-        cas_reps = 3 if smoke else 9
-        cas_warmup = 32 if smoke else 128
-        cas_rows = [bench_cascade(family_name, cas_sizes, cas_max_nodes,
-                                  cas_reps, warmup_children=cas_warmup)
-                    for family_name in cas_families]
-        payload["cascade"] = {
-            "max_nodes": cas_max_nodes,
-            "summary": {
-                # Acceptance: verdicts, node charges and counterexamples
-                # identical with the cascade on and off at K in {1, 2, 8};
-                # a nonzero fraction of children decided before the exact
-                # stage on at least one family (max: a family whose children
-                # never verify structurally offers a prefilter nothing);
-                # steady-state per-child bound time no worse than the exact
-                # path (gated in full mode — smoke rounds are too short for
-                # stable medians).
-                "identical_runs": all(row["identical_runs"]
-                                      for row in cas_rows),
-                "max_pre_exact_fraction": max(row["pre_exact_fraction"]
-                                              for row in cas_rows),
-                "min_speedup_cascade_steady": min(
-                    row["speedup_cascade_steady"] for row in cas_rows),
-            },
-            "rows": cas_rows,
-        }
-        summary["cascade_identical_runs"] = \
-            payload["cascade"]["summary"]["identical_runs"]
-        summary["cascade_max_pre_exact_fraction"] = \
-            payload["cascade"]["summary"]["max_pre_exact_fraction"]
-        summary["min_speedup_cascade_steady"] = \
-            payload["cascade"]["summary"]["min_speedup_cascade_steady"]
 
     text = json.dumps(payload, indent=2)
     print(text)

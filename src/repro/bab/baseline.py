@@ -41,7 +41,7 @@ from repro.nn.network import Network
 from repro.specs.properties import Specification
 from repro.utils.timing import Budget
 from repro.utils.validation import require
-from repro.verifiers.appver import ApproximateVerifier, AppVerOutcome, CascadeConfig
+from repro.verifiers.appver import ApproximateVerifier, AppVerOutcome
 from repro.verifiers.milp import (
     LEAF_FALSIFIED,
     LEAF_VERIFIED,
@@ -189,7 +189,6 @@ class _BaselineRun(VerifierRun):
         self.statistics = statistics
         self.lp_cache = lp_cache
         self.source = source
-        self.driver = driver
         self._run = driver.start(source, budget)
         self._result: Optional[VerificationResult] = None
 
@@ -197,8 +196,7 @@ class _BaselineRun(VerifierRun):
         return self.verifier._finish(
             verdict.status, self.budget, self.appver, self.statistics,
             self.lp_cache, counterexample=verdict.counterexample,
-            bound=verdict.bound,
-            attached_by_stage=dict(self.driver.attached_by_stage))
+            bound=verdict.bound)
 
     def step(self) -> Optional[VerificationResult]:
         """Advance one frontier round; the final result once finished."""
@@ -234,7 +232,6 @@ class BaBBaselineVerifier(Verifier):
                  frontier_size: int = 1,
                  lp_cache: Optional[LpCache] = None,
                  incremental: bool = True,
-                 cascade: Optional[CascadeConfig] = None,
                  bound_cache=None) -> None:
         require(exploration in ("bfs", "dfs"),
                 f"exploration must be 'bfs' or 'dfs', got {exploration!r}")
@@ -247,7 +244,6 @@ class BaBBaselineVerifier(Verifier):
         self.frontier_size = frontier_size
         self.lp_cache = lp_cache
         self.incremental = incremental
-        self.cascade = cascade
         self.bound_cache = bound_cache
         if exploration == "dfs":
             self.name = "BaB-dfs"
@@ -262,7 +258,6 @@ class BaBBaselineVerifier(Verifier):
         appver = ApproximateVerifier(network, spec, self.bound_method,
                                      alpha_config=self.alpha_config,
                                      incremental=self.incremental,
-                                     cascade=self.cascade,
                                      bound_cache=self.bound_cache)
         heuristic = self._make_heuristic()
         statistics = BaBStatistics()
@@ -303,16 +298,13 @@ class BaBBaselineVerifier(Verifier):
                 appver: ApproximateVerifier, statistics: BaBStatistics,
                 lp_cache: LpCache,
                 counterexample: Optional[np.ndarray] = None,
-                bound: Optional[float] = None,
-                attached_by_stage: Optional[dict] = None) -> VerificationResult:
+                bound: Optional[float] = None) -> VerificationResult:
         statistics.tree_size = appver.num_calls
         extras = statistics.as_dict()
         extras["frontier_size"] = self.frontier_size
         extras["incremental"] = self.incremental
         extras["bound_cache"] = appver.cache_stats()
         extras["lp_cache"] = lp_cache.stats.as_dict()
-        extras["cascade"] = appver.cascade_stats()
-        extras["cascade"]["attached_by_stage"] = attached_by_stage or {}
         extras["timings"] = appver.timings.as_dict()
         return VerificationResult(
             status=status,

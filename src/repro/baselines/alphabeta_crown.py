@@ -47,7 +47,7 @@ from repro.nn.network import Network
 from repro.specs.properties import Specification
 from repro.utils.timing import Budget
 from repro.utils.validation import require
-from repro.verifiers.appver import ApproximateVerifier, AppVerOutcome, CascadeConfig
+from repro.verifiers.appver import ApproximateVerifier, AppVerOutcome
 from repro.verifiers.attack import AttackConfig, pgd_attack
 from repro.verifiers.milp import (
     LEAF_FALSIFIED,
@@ -175,17 +175,14 @@ class _AlphaBetaRun(VerifierRun):
         self.budget = budget
         self.lp_cache = lp_cache
         self.source = source
-        self.driver = driver
         self.sub_appver = sub_appver
         self._run = driver.start(source, budget)
 
     def _finish(self, verdict: DriverVerdict) -> VerificationResult:
         return self.verifier._finish(
             verdict.status, self.budget, self.budget.nodes, self.lp_cache,
-            counterexample=verdict.counterexample,
-            bound=verdict.bound, lp_leaves=self.source.lp_leaves,
-            appver=self.sub_appver,
-            attached_by_stage=dict(self.driver.attached_by_stage))
+            self.sub_appver, counterexample=verdict.counterexample,
+            bound=verdict.bound, lp_leaves=self.source.lp_leaves)
 
     def step(self) -> Optional[VerificationResult]:
         """Advance one frontier round; the final result once decided."""
@@ -214,8 +211,7 @@ class AlphaBetaCrownVerifier(Verifier):
                  lp_leaf_refinement: bool = True,
                  frontier_size: int = 1,
                  lp_cache: Optional[LpCache] = None,
-                 incremental: bool = True,
-                 cascade: Optional[CascadeConfig] = None) -> None:
+                 incremental: bool = True) -> None:
         require(frontier_size >= 1, "frontier_size must be positive")
         self.heuristic_name = heuristic
         self.attack_config = attack_config or AttackConfig(steps=25, restarts=3)
@@ -224,7 +220,6 @@ class AlphaBetaCrownVerifier(Verifier):
         self.frontier_size = frontier_size
         self.lp_cache = lp_cache
         self.incremental = incremental
-        self.cascade = cascade
 
     def verify(self, network: Network, spec: Specification,
                budget: Optional[Budget] = None) -> VerificationResult:
@@ -244,38 +239,41 @@ class AlphaBetaCrownVerifier(Verifier):
         budget = make_budget(budget)
         heuristic = make_heuristic(self.heuristic_name)
         lp_cache = self.lp_cache if self.lp_cache is not None else LpCache()
+        # The root α-CROWN bound never reads a bound cache, so the root
+        # AppVer runs without one; its (zero) cache counters are what a
+        # pre-BaB exit reports.
+        appver = ApproximateVerifier(network, spec, "alpha-crown",
+                                     alpha_config=self.alpha_config,
+                                     use_cache=False)
 
         # Stage 1: adversarial attack (cheap falsification).
         attack = pgd_attack(network, spec, self.attack_config)
         budget.charge_node()  # the attack costs roughly one bound computation
         if attack.is_counterexample:
             return CompletedRun(self._finish(
-                VerificationStatus.FALSIFIED, budget, 1, lp_cache,
+                VerificationStatus.FALSIFIED, budget, 1, lp_cache, appver,
                 counterexample=attack.best_input,
                 bound=attack.best_margin))
 
         # Stage 2: α-CROWN bound on the root problem.
-        appver = ApproximateVerifier(network, spec, "alpha-crown",
-                                     alpha_config=self.alpha_config)
         root_outcome = appver.evaluate()
         root_cost = 2 + 3 * self.alpha_config.iterations
         budget.charge_node(root_cost)
         if root_outcome.verified or root_outcome.report.infeasible:
             return CompletedRun(self._finish(
                 VerificationStatus.VERIFIED, budget, budget.nodes,
-                lp_cache, bound=root_outcome.p_hat))
+                lp_cache, appver, bound=root_outcome.p_hat))
         if root_outcome.falsified:
             return CompletedRun(self._finish(
                 VerificationStatus.FALSIFIED, budget, budget.nodes,
-                lp_cache, counterexample=root_outcome.candidate,
+                lp_cache, appver, counterexample=root_outcome.candidate,
                 bound=root_outcome.p_hat))
 
         # Stage 3: best-first BaB ordered by the bound (most violated first)
         # on the shared frontier engine, using the cheaper DeepPoly back-end
         # for sub-problems.
         sub_appver = ApproximateVerifier(network, spec, "deeppoly",
-                                         incremental=self.incremental,
-                                         cascade=self.cascade)
+                                         incremental=self.incremental)
         root_entry: HeapEntry = (root_outcome.p_hat, 0,
                                  SplitAssignment.empty(), root_outcome)
         # Fingerprint-scoping only matters for an externally shared cache.
@@ -291,19 +289,10 @@ class AlphaBetaCrownVerifier(Verifier):
 
     # -- helpers ---------------------------------------------------------------
     def _finish(self, status: VerificationStatus, budget: Budget, nodes: int,
-                lp_cache: LpCache,
+                lp_cache: LpCache, appver: ApproximateVerifier,
                 counterexample: Optional[np.ndarray] = None,
                 bound: Optional[float] = None,
-                lp_leaves: int = 0,
-                appver: Optional[ApproximateVerifier] = None,
-                attached_by_stage: Optional[dict] = None) -> VerificationResult:
-        if appver is not None:
-            cascade = appver.cascade_stats()
-        else:  # pre-BaB exit: no sub-problem verifier was ever built
-            cascade = {"enabled": self.cascade.enabled if self.cascade else False,
-                       "children": 0, "decided": {}, "seen": {}, "seconds": {},
-                       "pre_exact_fraction": 0.0}
-        cascade["attached_by_stage"] = attached_by_stage or {}
+                lp_leaves: int = 0) -> VerificationResult:
         return VerificationResult(
             status=status,
             verifier=self.name,
@@ -317,8 +306,7 @@ class AlphaBetaCrownVerifier(Verifier):
                     "frontier_size": self.frontier_size,
                     "incremental": self.incremental,
                     "lp_leaves_resolved": lp_leaves,
+                    "bound_cache": appver.cache_stats(),
                     "lp_cache": lp_cache.stats.as_dict(),
-                    "cascade": cascade,
-                    "timings": (appver.timings.as_dict() if appver is not None
-                                else {})},
+                    "timings": appver.timings.as_dict()},
         )

@@ -6,7 +6,6 @@ from repro.bounds.cache import (
     DEFAULT_LP_CACHE_SIZE,
     BoundCache,
     CacheStats,
-    LayerEntry,
     LpCache,
     LpCacheStats,
     SubstitutionEntry,
@@ -58,7 +57,6 @@ __all__ = [
     "alpha_crown_bounds",
     "BoundCache",
     "CacheStats",
-    "LayerEntry",
     "DeepPolyAnalyzer",
     "deeppoly_bounds",
     "deeppoly_bounds_batch",

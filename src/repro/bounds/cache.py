@@ -14,15 +14,13 @@ bounded LRU store:
 
 * **substitution entries** (:class:`SubstitutionEntry`), keyed by
   ``(layer, SplitAssignment.prefix_key(layer))`` — the post-clip
-  pre-activation bounds, the ReLU relaxation derived from them, whether
-  clipping made that layer inconsistent, *and* the accumulated input-level
-  linear forms of the backward pass that produced the bounds.  The bounds
-  and relaxation serve plain prefix reuse; the whole entry additionally
-  backs the incremental path: a child that extends the entry's assignment
-  by one neuron *at this layer* derives its own entry with a rank-1
-  correction (clip the decided neuron's bounds, swap its relaxation row to
-  the exact identity/zero form) instead of re-substituting, and inherits
-  the parent's forms verbatim — they do not depend on the clip.
+  pre-activation bounds, the ReLU relaxation derived from them and whether
+  clipping made that layer inconsistent.  The bounds and relaxation serve
+  plain prefix reuse; the whole entry additionally backs the incremental
+  path: a child that extends the entry's assignment by one neuron *at this
+  layer* derives its own entry with a rank-1 correction (clip the decided
+  neuron's bounds, swap its relaxation row to the exact identity/zero form)
+  instead of re-substituting.
 * **report entries**, keyed by the full ``SplitAssignment.canonical_key()``
   — the complete :class:`~repro.bounds.report.BoundReport` of a finished
   analysis, so re-evaluating an identical sub-problem (e.g. an FSB probe
@@ -55,14 +53,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Optional, Tuple
+from typing import Hashable, Optional, Tuple
 
 import numpy as np
 
 from repro.utils.validation import require
-
-if TYPE_CHECKING:  # runtime import would cycle through repro.specs
-    from repro.bounds.linear_form import AffineForms
 
 #: Default capacity shared by every cache owner (AppVer, AbonnConfig).
 DEFAULT_CACHE_SIZE = 4096
@@ -79,13 +74,7 @@ class SubstitutionEntry:
 
     ``lower``/``upper`` are the layer's post-clip pre-activation bounds,
     the three relaxation arrays the ReLU relaxation derived from them, and
-    ``infeasible`` whether split clipping emptied the layer.  ``forms``
-    optionally carries the accumulated input-level linear forms of the
-    backward pass that produced the bounds (``None`` for entries created
-    before forms were captured); the rank-1 split correction shares the
-    parent's ``forms`` object with the child entry because the forms only
-    depend on the relaxations *below* the layer, which parent and child
-    agree on.
+    ``infeasible`` whether split clipping emptied the layer.
     """
 
     lower: np.ndarray
@@ -94,12 +83,6 @@ class SubstitutionEntry:
     upper_slope: np.ndarray
     upper_intercept: np.ndarray
     infeasible: bool
-    forms: Optional[AffineForms] = None
-
-
-#: Backwards-compatible name for :class:`SubstitutionEntry` (pre-incremental
-#: callers constructed entries without forms; the field defaults to None).
-LayerEntry = SubstitutionEntry
 
 
 @dataclass

@@ -25,12 +25,6 @@ Two execution modes are provided:
   relaxation slopes/intercepts, batched matmuls against the shared weights,
   vectorised concretisation over the shared input box).
 
-A third, *relaxed* mode (:meth:`DeepPolyAnalyzer.analyze_batch_relaxed`)
-backs the precision cascade's prefilter stage: it freezes the parent's
-cached relaxations at every layer (correcting only the decided neuron's
-row) and runs a single fused top-level pass — sound but slightly looser
-than the exact modes, at a fraction of their cost.
-
 Both modes accept a :class:`~repro.bounds.cache.BoundCache` that memoises
 per-layer results keyed by the split-assignment *prefix* relevant to that
 layer, so a child sub-problem only recomputes layers at-or-below its newly
@@ -373,7 +367,7 @@ class DeepPolyAnalyzer:
             # of them are safe to memoise.
             cache.put_layer(layer, keys[row], SubstitutionEntry(
                 lower[row], upper[row], ls[row], us[row], ui[row],
-                row_infeasible, entry.forms))
+                row_infeasible))
         cache.record_delta_corrections(len(corrected))
 
     @staticmethod
@@ -455,16 +449,15 @@ class DeepPolyAnalyzer:
                         cache.put_layer(layer, key, SubstitutionEntry(
                             bounds.lower, bounds.upper,
                             relaxation.lower_slope, relaxation.upper_slope,
-                            relaxation.upper_intercept, layer_infeasible,
-                            parent_entry.forms))
+                            relaxation.upper_intercept, layer_infeasible))
                         cache.record_delta_corrections()
                         corrected = True
                 if not corrected:
                     weight = network.weights[layer]
                     bias = network.biases[layer]
-                    bounds, forms = self._bound_expression(weight, bias, layer - 1,
-                                                           relaxations, box,
-                                                           timings=timings)
+                    bounds, _ = self._bound_expression(weight, bias, layer - 1,
+                                                       relaxations, box,
+                                                       timings=timings)
                     bounds = self._clip_with_splits(bounds, layer, splits)
                     layer_infeasible = not bounds.is_consistent()
                     if layer_infeasible:
@@ -477,8 +470,7 @@ class DeepPolyAnalyzer:
                             bounds.lower.copy(), bounds.upper.copy(),
                             relaxation.lower_slope.copy(),
                             relaxation.upper_slope.copy(),
-                            relaxation.upper_intercept.copy(), layer_infeasible,
-                            forms))
+                            relaxation.upper_intercept.copy(), layer_infeasible))
             infeasible = infeasible or layer_infeasible
             pre_activation_bounds.append(bounds)
             relaxations.append(relaxation)
@@ -741,19 +733,11 @@ class DeepPolyAnalyzer:
                 ui[idx] = miss_ui
                 layer_infeasible[idx] = inconsistent
                 if use_cache:
-                    # The batched pass stores no forms: a per-row view would
-                    # pin the whole round's stacked (miss, rows, input_dim)
-                    # substitution arrays in the LRU for the entry's
-                    # lifetime, and a per-row copy would put two
-                    # (width, input_dim) allocations on the hot path.  The
-                    # sequential path, whose form arrays are exclusively
-                    # owned, keeps capturing them (``forms`` is Optional).
                     for position, row in enumerate(miss):
                         cache.put_layer(layer, keys[row], SubstitutionEntry(
                             miss_lower[position].copy(), miss_upper[position].copy(),
                             miss_ls[position].copy(), miss_us[position].copy(),
-                            miss_ui[position].copy(), bool(inconsistent[position]),
-                            None))
+                            miss_ui[position].copy(), bool(inconsistent[position])))
 
             infeasible |= layer_infeasible
             lower_layers.append(lower)
@@ -828,184 +812,6 @@ class DeepPolyAnalyzer:
                 cache.put_report(sub_canonicals[position], spec is not None,
                                  _copy_report(report))
             reports[index] = report
-        return reports
-
-    def analyze_batch_relaxed(self, box: InputBox,
-                              splits_list: Sequence[Optional[SplitAssignment]],
-                              spec: Optional[LinearOutputSpec] = None,
-                              cache: Optional[BoundCache] = None,
-                              parents: Optional[Sequence[Optional[SplitAssignment]]] = None,
-                              timings: Optional[PhaseTimings] = None
-                              ) -> List[Optional[BoundReport]]:
-        """Relaxed-incremental pass: freeze the parent's relaxations.
-
-        For every sub-problem that extends its BaB parent by exactly one
-        split and whose parent has a cached substitution entry at *every*
-        hidden layer, this derives output/spec bounds from the parent's
-        **frozen** relaxation stacks: only the decided neuron's bounds are
-        clipped and its relaxation row swapped to the exact identity/zero
-        form (the same rank-1 payload as the exact incremental path), and no
-        layer is re-substituted — the whole batch costs one fused top-level
-        backward pass.
-
-        *Soundness.*  Each parent relaxation row satisfies
-        ``lower_slope·z <= ReLU(z) <= upper_slope·z + upper_intercept`` for
-        every ``z`` within the parent's post-clip pre-activation bounds.
-        The child's region is a subset of the parent's, so every
-        pre-activation attainable on the child lies within those same
-        bounds and the frozen rows remain valid; at the split layer the
-        decided neuron's corrected row is valid on its clipped range.  The
-        resulting bounds are therefore sound for the child — but layers
-        above the split are *not* re-tightened, so they are at most as
-        tight as :meth:`analyze_batch`'s (``p̂`` typically slightly
-        smaller).  Reports carry ``method="deeppoly-relaxed"``.
-
-        Returns one report per sub-problem, ``None`` where the mode does not
-        apply (no usable one-split delta, or a missing parent entry).  Parent
-        entries are read via :meth:`~repro.bounds.cache.BoundCache.peek_layer`
-        only and the cache is **never written**: the frozen-relaxation
-        results are looser than what the exact path memoises and must not
-        shadow it.
-        """
-        network = self.network
-        require(box.dimension == network.input_dim,
-                "input box dimension does not match the network")
-        splits_list = [s or SplitAssignment.empty() for s in splits_list]
-        batch_size = len(splits_list)
-        reports: List[Optional[BoundReport]] = [None] * batch_size
-        if batch_size == 0 or cache is None or parents is None:
-            return reports
-        require(len(parents) == batch_size,
-                "parents must be index-aligned with splits_list")
-        num_layers = network.num_relu_layers
-
-        # Rows where the mode applies: a usable one-split delta plus the
-        # parent's substitution entry at every hidden layer.  Entries are
-        # memoised per parent — phase-split siblings share all of them.
-        entries_by_parent: dict = {}
-
-        def _parent_entries(parent):
-            found = entries_by_parent.get(id(parent), False)
-            if found is not False:
-                return found
-            entries = []
-            for layer in range(num_layers):
-                entry = cache.peek_layer(layer, parent.prefix_key(layer))
-                if entry is None:
-                    entries = None
-                    break
-                entries.append(entry)
-            entries_by_parent[id(parent)] = entries
-            return entries
-
-        rows: List[int] = []
-        row_deltas: List[ReluSplit] = []
-        row_entries: List[List[SubstitutionEntry]] = []
-        for index in range(batch_size):
-            delta = self._usable_delta(parents[index], splits_list[index],
-                                       num_layers)
-            if delta is None:
-                continue
-            entries = _parent_entries(parents[index])
-            if entries is None:
-                continue
-            rows.append(index)
-            row_deltas.append(delta)
-            row_entries.append(entries)
-        if not rows:
-            return reports
-        count = len(rows)
-
-        # Stack the frozen per-layer relaxations, correcting only the
-        # decided neuron of each row's split layer.
-        relax_ls: List[np.ndarray] = []
-        relax_us: List[np.ndarray] = []
-        relax_ui: List[np.ndarray] = []
-        pre_bounds_rows: List[List[ScalarBounds]] = [[] for _ in range(count)]
-        infeasible = np.zeros(count, dtype=bool)
-        with _measure(timings, "correct"):
-            for layer in range(num_layers):
-                width = network.weights[layer].shape[0]
-                ls = np.empty((count, width))
-                us = np.empty((count, width))
-                ui = np.empty((count, width))
-                for row in range(count):
-                    entry = row_entries[row][layer]
-                    ls[row] = entry.lower_slope
-                    us[row] = entry.upper_slope
-                    ui[row] = entry.upper_intercept
-                    delta = row_deltas[row]
-                    if delta.layer == layer:
-                        unit = delta.unit
-                        (low, high, row_infeasible, ls[row, unit],
-                         us[row, unit], ui[row, unit]) = self._correct_neuron(
-                            float(entry.lower[unit]), float(entry.upper[unit]),
-                            delta.phase)
-                        lower = entry.lower.copy()
-                        upper = entry.upper.copy()
-                        lower[unit] = low
-                        upper[unit] = high
-                        bounds = ScalarBounds.wrap(lower, upper)
-                        infeasible[row] |= row_infeasible or entry.infeasible
-                    else:
-                        bounds = ScalarBounds.wrap(entry.lower, entry.upper)
-                        infeasible[row] |= entry.infeasible
-                    pre_bounds_rows[row].append(bounds)
-                relax_ls.append(ls)
-                relax_us.append(us)
-                relax_ui.append(ui)
-
-        # One fused top-level pass bounds outputs and spec rows, exactly as
-        # in :meth:`analyze_batch`.
-        last_hidden = num_layers - 1
-        num_outputs = network.biases[-1].shape[0]
-        top_coefficients = network.weights[-1]
-        top_constants = network.biases[-1]
-        if spec is not None:
-            require(spec.output_dim == network.output_dim,
-                    "specification output dimension does not match the network")
-            top_coefficients = np.vstack([top_coefficients,
-                                          spec.coefficients @ network.weights[-1]])
-            top_constants = np.concatenate([
-                top_constants,
-                spec.coefficients @ network.biases[-1] + spec.offsets])
-        top_lower, top_upper, top_forms = self._bound_expression_batch(
-            np.broadcast_to(top_coefficients, (count,) + top_coefficients.shape),
-            np.broadcast_to(top_constants, (count,) + top_constants.shape),
-            last_hidden, relax_ls, relax_us, relax_ui, box, timings=timings)
-        output_lower = top_lower[:, :num_outputs]
-        output_upper = top_upper[:, :num_outputs]
-
-        spec_lower = None
-        candidates = None
-        worst_rows = None
-        if spec is not None:
-            spec_lower = top_lower[:, num_outputs:]
-            worst_rows = np.argmin(spec_lower, axis=1)
-            candidates = BatchedAffineForms(
-                top_forms.lower_A[:, num_outputs:, :],
-                top_forms.lower_c[:, num_outputs:],
-                top_forms.upper_A[:, num_outputs:, :],
-                top_forms.upper_c[:, num_outputs:]).minimizers(box, worst_rows)
-
-        for row, index in enumerate(rows):
-            spec_row_lower = None
-            p_hat = None
-            candidate = None
-            if spec is not None:
-                spec_row_lower = spec_lower[row]
-                candidate = candidates[row]
-                p_hat = (float("inf") if infeasible[row]
-                         else float(spec_row_lower[worst_rows[row]]))
-            reports[index] = BoundReport(
-                pre_activation_bounds=pre_bounds_rows[row],
-                output_bounds=ScalarBounds.wrap(output_lower[row],
-                                                output_upper[row]),
-                spec_row_lower=spec_row_lower,
-                p_hat=p_hat,
-                candidate_input=candidate,
-                infeasible=bool(infeasible[row]),
-                method="deeppoly-relaxed")
         return reports
 
     @staticmethod

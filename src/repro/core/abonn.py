@@ -274,7 +274,6 @@ class _AbonnRun(VerifierRun):
         self.verifier = verifier
         self.appver = appver
         self.source = source
-        self.driver = driver
         self.budget = budget
         self.lp_cache = lp_cache
         self._run = driver.start(source, budget)
@@ -284,8 +283,7 @@ class _AbonnRun(VerifierRun):
         return self.verifier._finish(
             verdict.status, self.appver, self.budget, self.lp_cache,
             counterexample=verdict.counterexample, bound=verdict.bound,
-            max_depth=self.source.max_depth, lp_leaves=self.source.lp_leaves,
-            attached_by_stage=dict(self.driver.attached_by_stage))
+            max_depth=self.source.max_depth, lp_leaves=self.source.lp_leaves)
 
     def step(self) -> Optional[VerificationResult]:
         """Advance one frontier round; the final result once finished."""
@@ -336,7 +334,6 @@ class AbonnVerifier(Verifier):
                                      use_cache=config.use_bound_cache,
                                      cache_size=config.bound_cache_size,
                                      incremental=config.incremental,
-                                     cascade=config.cascade,
                                      bound_cache=self.bound_cache)
         heuristic = make_heuristic(config.heuristic)
         scorer = PotentialityScorer(max(appver.num_relu_neurons, 1), config.lam)
@@ -390,11 +387,8 @@ class AbonnVerifier(Verifier):
                 budget: Budget, lp_cache: LpCache,
                 counterexample: Optional[np.ndarray] = None,
                 bound: Optional[float] = None, max_depth: int = 0,
-                lp_leaves: int = 0,
-                attached_by_stage: Optional[dict] = None) -> VerificationResult:
+                lp_leaves: int = 0) -> VerificationResult:
         """Map a terminal state to the verifier's result format."""
-        cascade = appver.cascade_stats()
-        cascade["attached_by_stage"] = attached_by_stage or {}
         return VerificationResult(
             status=status,
             verifier=self.name,
@@ -413,7 +407,6 @@ class AbonnVerifier(Verifier):
                 "lp_leaves_resolved": lp_leaves,
                 "bound_cache": appver.cache_stats(),
                 "lp_cache": lp_cache.stats.as_dict(),
-                "cascade": cascade,
                 "timings": appver.timings.as_dict(),
             },
         )

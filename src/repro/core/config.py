@@ -8,7 +8,6 @@ from typing import Optional
 from repro.bounds.alpha_crown import AlphaCrownConfig
 from repro.bounds.cache import DEFAULT_CACHE_SIZE
 from repro.utils.validation import require
-from repro.verifiers.appver import CascadeConfig
 
 #: The paper's default hyperparameters (§V-A): λ = 0.5, c = 0.2.
 DEFAULT_LAMBDA = 0.5
@@ -74,15 +73,6 @@ class AbonnConfig:
         start moves where the SPSA ascent *begins*, so the optimised (still
         sound) bounds — and hence trajectories — may differ between the
         modes.
-    cascade:
-        Optional :class:`~repro.verifiers.appver.CascadeConfig` enabling the
-        precision-cascade dispatcher: batched children are routed through
-        cheap prefilter stages (IBP, then relaxed-incremental DeepPoly) and
-        only the survivors reach the exact back-end.  Prefilter stages only
-        ever *verify* (their bounds are sound), so verdicts stay sound;
-        ``None`` (default) keeps ``evaluate_batch`` byte-for-byte the
-        single-back-end path.  Per-stage decide counts and seconds surface
-        in ``extras["cascade"]``.
     """
 
     lam: float = DEFAULT_LAMBDA
@@ -96,7 +86,6 @@ class AbonnConfig:
     use_bound_cache: bool = True
     bound_cache_size: int = DEFAULT_CACHE_SIZE
     incremental: bool = True
-    cascade: Optional[CascadeConfig] = None
 
     def __post_init__(self) -> None:
         require(0.0 <= self.lam <= 1.0, "lam must be in [0, 1]")

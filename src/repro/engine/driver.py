@@ -58,7 +58,6 @@ verifier.
 from __future__ import annotations
 
 import abc
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -365,9 +364,6 @@ class FrontierDriver:
         require(frontier_size >= 1, "frontier_size must be positive")
         self.appver = appver
         self.frontier_size = int(frontier_size)
-        #: Attached children per cascade stage (``"ibp"``/``"relaxed"``/
-        #: ``"exact"``); stays empty when outcomes carry no stage tag.
-        self.attached_by_stage = Counter()
 
     def start(self, source: WorkSource, budget: Budget) -> DriverRun:
         """Begin a resumable run; the caller steps it one round at a time."""
@@ -465,9 +461,6 @@ class FrontierDriver:
                 outcome = outcomes[position + offset]
                 budget.charge_node()
                 first_child = False
-                stage = getattr(outcome, "stage", None)
-                if stage is not None:
-                    self.attached_by_stage[stage] += 1
                 verdict = source.attach(expansion.item, phase, splits, outcome)
                 added += 1
                 if verdict is not None:

@@ -65,7 +65,7 @@ from repro.verifiers.milp import network_weights_digest, problem_fingerprint
 #: Version stamp of the on-disk cache-bundle payload.  Bump it whenever the
 #: entry layout (cache keys, ``SubstitutionEntry``/``RowOptimum`` fields)
 #: changes incompatibly; :meth:`CacheBundle.load` refuses other versions.
-BUNDLE_FORMAT = 1
+BUNDLE_FORMAT = 2
 
 #: Marker distinguishing bundle files from arbitrary pickles.
 _BUNDLE_KIND = "repro-cache-bundle"

@@ -4,7 +4,6 @@ from repro.verifiers.appver import (
     BOUND_METHODS,
     AppVerOutcome,
     ApproximateVerifier,
-    CascadeConfig,
 )
 from repro.verifiers.attack import (
     AttackConfig,
@@ -31,7 +30,6 @@ __all__ = [
     "BOUND_METHODS",
     "AppVerOutcome",
     "ApproximateVerifier",
-    "CascadeConfig",
     "AttackConfig",
     "AttackResult",
     "empirical_robustness_radius",

@@ -47,7 +47,6 @@ and is surfaced by the verifiers as ``extras["timings"]``.
 
 from __future__ import annotations
 
-import math
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -55,7 +54,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.bounds.alpha_crown import AlphaCrownAnalyzer, AlphaCrownConfig
-from repro.bounds.cache import DEFAULT_CACHE_SIZE, BoundCache
+from repro.bounds.cache import DEFAULT_CACHE_SIZE, BoundCache, CacheStats
 from repro.bounds.deeppoly import DeepPolyAnalyzer
 from repro.bounds.interval import interval_bounds, interval_bounds_batch
 from repro.bounds.report import BoundReport
@@ -99,77 +98,14 @@ def affordable_phases(budget: Budget, planned: int = 0) -> tuple:
     return (ACTIVE, INACTIVE)
 
 
-@dataclass(frozen=True)
-class CascadeConfig:
-    """Knobs of the precision-cascade dispatcher (``docs/BATCHING.md``).
-
-    With ``enabled`` off (the default) :meth:`ApproximateVerifier.evaluate_batch`
-    runs the single-back-end path unchanged.  On, each batched sub-problem is
-    routed through the cheapest stage that *decides* it (proves ``p̂ > 0`` or
-    infeasibility); only the survivors of every prefilter stage reach the
-    configured exact back-end, re-batched per stage.  Prefilter stages never
-    falsify: a negative cheap bound says nothing, so candidates and
-    counterexamples always come from the exact stage.
-
-    ``use_ibp``
-        Forward interval propagation over the whole batch — near-free, only
-        decides very easy children.
-    ``use_relaxed``
-        The relaxed-incremental DeepPoly mode
-        (:meth:`~repro.bounds.deeppoly.DeepPolyAnalyzer.analyze_batch_relaxed`):
-        parent relaxations frozen above the split, one fused top pass.
-        Requires the bound cache, incremental mode and threaded parents.
-    ``use_deeppoly``
-        With the ``alpha-crown`` method, run exact DeepPoly as a further
-        prefilter before the (much costlier) α-CROWN stage.
-    ``adaptive``
-        A prefilter stage costs its bound pass on *every* pending child but
-        only saves the exact pass on the ones it decides, so on problems
-        where children rarely verify it is pure overhead.  With ``adaptive``
-        on (the default) each prefilter stage runs unconditionally for its
-        first ``warmup_children`` children and is then switched off for the
-        rest of the verifier's life whenever its cumulative decide rate
-        falls below ``min_decide_rate``.  Gating is deterministic (counts,
-        not wall clock) and trajectory-safe: skipping a prefilter only
-        sends children to the exact stage, which would have re-derived the
-        same verdicts anyway.
-    ``warmup_children``
-        Children each prefilter stage sees before gating can switch it off.
-    ``min_decide_rate``
-        Cumulative decided/seen ratio a prefilter stage must sustain after
-        warm-up to keep running.  The default approximates the break-even
-        point of the relaxed stage (roughly half an exact pass per child).
-    """
-
-    enabled: bool = False
-    use_ibp: bool = True
-    use_relaxed: bool = True
-    use_deeppoly: bool = True
-    adaptive: bool = True
-    warmup_children: int = 128
-    min_decide_rate: float = 0.25
-
-    def __post_init__(self) -> None:
-        require(self.warmup_children >= 0,
-                "warmup_children must be non-negative")
-        require(0.0 <= self.min_decide_rate <= 1.0,
-                "min_decide_rate must be within [0, 1]")
-
-
 @dataclass
 class AppVerOutcome:
-    """One AppVer evaluation of a sub-problem.
-
-    ``stage`` names the cascade stage that produced the outcome (``"ibp"``,
-    ``"relaxed"``, ``"deeppoly"`` or ``"exact"``) when the precision cascade
-    dispatched it; ``None`` on the single-back-end path.
-    """
+    """One AppVer evaluation of a sub-problem."""
 
     p_hat: float
     candidate: Optional[np.ndarray]
     is_valid_counterexample: bool
     report: BoundReport
-    stage: Optional[str] = None
 
     @property
     def verified(self) -> bool:
@@ -214,10 +150,6 @@ class ApproximateVerifier:
         every evaluation runs the full PR-3 path — DeepPoly results are
         identical either way; α-CROWN warm starts change where the slope
         ascent begins (sound, possibly different optimised bounds).
-    cascade:
-        Optional :class:`CascadeConfig` enabling the precision-cascade
-        dispatcher inside :meth:`evaluate_batch`; ``None`` (the default)
-        disables it and keeps the batched path byte-for-byte unchanged.
     bound_cache:
         Optional externally owned :class:`~repro.bounds.cache.BoundCache`
         used instead of creating a fresh one — this is how the verification
@@ -233,7 +165,6 @@ class ApproximateVerifier:
                  alpha_config: Optional[AlphaCrownConfig] = None,
                  use_cache: bool = True, cache_size: int = DEFAULT_CACHE_SIZE,
                  incremental: bool = True,
-                 cascade: Optional[CascadeConfig] = None,
                  bound_cache: Optional[BoundCache] = None) -> None:
         require(method in BOUND_METHODS,
                 f"unknown bound method {method!r}; choose one of {BOUND_METHODS}")
@@ -254,13 +185,6 @@ class ApproximateVerifier:
         else:
             self.cache = BoundCache(cache_size)
         self.incremental = bool(incremental)
-        self.cascade = cascade if cascade is not None else CascadeConfig()
-        #: Children decided per cascade stage (``{stage: count}``).
-        self.cascade_decided: Counter = Counter()
-        #: Children each prefilter stage has bounded (adaptive-gating input).
-        self.cascade_seen: Counter = Counter()
-        #: Sub-problems routed through the cascade dispatcher.
-        self.cascade_children = 0
         self.num_calls = 0
         #: Realised ``evaluate_batch`` sizes: ``{batch_size: call_count}``.
         self.batch_histogram: Counter = Counter()
@@ -398,15 +322,6 @@ class ApproximateVerifier:
         ``parents`` (index-aligned with ``splits_list``, ``None`` entries
         allowed) threads each sub-problem's BaB parent for the incremental
         reuse paths; ignored when ``incremental`` is off.
-
-        With :attr:`cascade` enabled (and a non-IBP method), the batch is
-        instead routed through the precision cascade: cheap prefilter stages
-        decide (verify) whichever children they can, and only the survivors
-        are re-batched into the configured exact back-end.  Charges
-        (``num_calls``) and the realised batch size are recorded once at
-        entry either way, so budget accounting is identical cascade on or
-        off; each outcome's :attr:`AppVerOutcome.stage` names the stage that
-        decided it.
         """
         method = method or self.method
         require(method in BOUND_METHODS, f"unknown bound method {method!r}")
@@ -417,10 +332,7 @@ class ApproximateVerifier:
         self.batch_histogram[len(splits_list)] += 1
         if not self.incremental:
             parents = None
-        stages: Optional[List[str]] = None
-        if self.cascade.enabled and method != "ibp":
-            reports, stages = self._cascade_reports(splits_list, method, parents)
-        elif method == "ibp":
+        if method == "ibp":
             reports = interval_bounds_batch(self.lowered, self.spec.input_box,
                                             splits_list, spec=self.spec.output_spec)
         elif method == "alpha-crown":
@@ -435,124 +347,7 @@ class ApproximateVerifier:
                                                    timings=self.timings)
         if self.incremental and len(reports) > 1:
             self._prevalidate_candidates(reports)
-        outcomes = [self._outcome_from_report(report) for report in reports]
-        if stages is not None:
-            for outcome, stage in zip(outcomes, stages):
-                outcome.stage = stage
-        return outcomes
-
-    def _cascade_reports(self, splits_list: Sequence[SplitAssignment],
-                         method: str,
-                         parents: Optional[Sequence[Optional[SplitAssignment]]]
-                         ) -> tuple:
-        """Route each sub-problem through the cheapest stage that decides it.
-
-        Stage order: IBP → relaxed-incremental DeepPoly → (with the
-        ``alpha-crown`` method) exact DeepPoly → the exact back-end; the
-        stacked leaf LP stays with the engine's decided-leaf resolution.  A
-        prefilter stage only ever decides *verified* children (``p̂ > 0``):
-        its bounds are sound, so a positive bound is a proof, while a
-        negative one says nothing — those children fall through, which keeps
-        candidate counterexamples (and thus falsifications) the exact
-        stage's alone.  Survivors are re-batched per stage.  Returns
-        ``(reports, stages)``, index-aligned with ``splits_list``.
-
-        The IBP stage additionally requires a *finite* positive bound.  Its
-        forward pass clips every interval with the split phases, so it
-        routinely proves a split combination empty (``p̂ = +inf``) where the
-        exact backward pass still reports a finite negative bound and
-        queues the child; letting those decisions through would prune
-        subtrees the exact path explores and change node charges.  The
-        relaxed stage keeps its ``+inf`` decisions: its infeasibility test
-        is the same ``_correct_neuron`` conflict the exact rank-1 path
-        applies, and a phase conflict on the parent's (looser) bounds
-        implies the same conflict on the child's.
-
-        With :attr:`CascadeConfig.adaptive` on, each prefilter stage is
-        skipped once its cumulative decide rate after warm-up drops below
-        ``min_decide_rate`` — see the config docstring for the rationale.
-        """
-        total = len(splits_list)
-        reports: List[Optional[BoundReport]] = [None] * total
-        stages: List[str] = ["exact"] * total
-        pending = list(range(total))
-        self.cascade_children += total
-
-        def _stage_active(stage_name):
-            # Adaptive gating: a prefilter runs through its warm-up window,
-            # then only while its cumulative decide rate pays for the extra
-            # bound pass.  Purely count-based, hence deterministic.
-            if not self.cascade.adaptive:
-                return True
-            seen = self.cascade_seen[stage_name]
-            if seen < self.cascade.warmup_children:
-                return True
-            return (self.cascade_decided[stage_name]
-                    >= self.cascade.min_decide_rate * seen)
-
-        def _keep_decided(stage_name, stage_reports, require_finite=False):
-            self.cascade_seen[stage_name] += len(pending)
-            survivors = []
-            for position, index in enumerate(pending):
-                report = stage_reports[position]
-                decided = (report is not None and report.p_hat is not None
-                           and report.p_hat > 0.0)
-                if decided and require_finite and not math.isfinite(report.p_hat):
-                    decided = False
-                if decided:
-                    reports[index] = report
-                    stages[index] = stage_name
-                    self.cascade_decided[stage_name] += 1
-                else:
-                    survivors.append(index)
-            return survivors
-
-        if pending and self.cascade.use_ibp and _stage_active("ibp"):
-            with self.timings.measure("cascade_ibp"):
-                stage_reports = interval_bounds_batch(
-                    self.lowered, self.spec.input_box,
-                    [splits_list[i] for i in pending],
-                    spec=self.spec.output_spec)
-            pending = _keep_decided("ibp", stage_reports, require_finite=True)
-
-        if (pending and self.cascade.use_relaxed and self.cache is not None
-                and parents is not None and _stage_active("relaxed")):
-            with self.timings.measure("cascade_relaxed"):
-                stage_reports = self._deeppoly.analyze_batch_relaxed(
-                    self.spec.input_box, [splits_list[i] for i in pending],
-                    spec=self.spec.output_spec, cache=self.cache,
-                    parents=[parents[i] for i in pending])
-            pending = _keep_decided("relaxed", stage_reports)
-
-        if (pending and method == "alpha-crown" and self.cascade.use_deeppoly
-                and _stage_active("deeppoly")):
-            sub_parents = ([parents[i] for i in pending]
-                           if parents is not None else None)
-            with self.timings.measure("cascade_deeppoly"):
-                stage_reports = self._deeppoly.analyze_batch(
-                    self.spec.input_box, [splits_list[i] for i in pending],
-                    spec=self.spec.output_spec, cache=self.cache,
-                    parents=sub_parents, timings=self.timings)
-            pending = _keep_decided("deeppoly", stage_reports)
-
-        if pending:
-            sub_splits = [splits_list[i] for i in pending]
-            sub_parents = ([parents[i] for i in pending]
-                           if parents is not None else None)
-            with self.timings.measure("cascade_exact"):
-                if method == "alpha-crown":
-                    stage_reports = self._alpha.analyze_batch(
-                        self.spec.input_box, sub_splits,
-                        spec=self.spec.output_spec, parents=sub_parents)
-                else:
-                    stage_reports = self._deeppoly.analyze_batch(
-                        self.spec.input_box, sub_splits,
-                        spec=self.spec.output_spec, cache=self.cache,
-                        parents=sub_parents, timings=self.timings)
-            for position, index in enumerate(pending):
-                reports[index] = stage_reports[position]
-            self.cascade_decided["exact"] += len(pending)
-        return reports, stages
+        return [self._outcome_from_report(report) for report in reports]
 
     def cache_stats(self) -> dict:
         """Cache hit/miss counters plus the realised batch-size statistics.
@@ -563,45 +358,13 @@ class ApproximateVerifier:
         calls (0.0 before any batched call) — this is how frontier drivers
         make the batch sizes they actually achieve observable.
         """
-        if self.cache is None:
-            stats = {"layer_hits": 0, "layer_misses": 0, "report_hits": 0,
-                     "report_misses": 0, "evictions": 0, "layer_evictions": 0,
-                     "report_evictions": 0, "delta_corrections": 0}
-        else:
-            stats = self.cache.stats.as_dict()
+        stats = (self.cache.stats if self.cache is not None
+                 else CacheStats()).as_dict()
         stats["candidate_hits"] = self.candidate_hits
         stats["candidate_misses"] = self.candidate_misses
         stats["alpha_warm_starts"] = self._alpha.warm_starts
         stats.update(self.batch_stats())
         return stats
-
-    def cascade_stats(self) -> dict:
-        """Per-stage decide counts and seconds of the precision cascade.
-
-        Schema (the ``extras["cascade"]`` block of the verifiers):
-        ``enabled``; ``children`` — sub-problems routed through the cascade
-        dispatcher; ``decided`` — children decided per stage; ``seen`` —
-        children each prefilter stage bounded (the adaptive-gating input:
-        ``seen`` stops growing once the stage is gated off); ``seconds`` —
-        wall-clock per stage from :attr:`timings`; ``pre_exact_fraction`` —
-        the share of children decided before the exact stage (0.0 before any
-        cascade call).
-        """
-        stage_names = ("ibp", "relaxed", "deeppoly", "exact")
-        decided = {stage: int(self.cascade_decided.get(stage, 0))
-                   for stage in stage_names}
-        pre_exact = self.cascade_children - decided["exact"]
-        return {
-            "enabled": bool(self.cascade.enabled),
-            "children": int(self.cascade_children),
-            "decided": decided,
-            "seen": {stage: int(self.cascade_seen.get(stage, 0))
-                     for stage in stage_names if stage != "exact"},
-            "seconds": {stage: self.timings.seconds(f"cascade_{stage}")
-                        for stage in stage_names},
-            "pre_exact_fraction": (pre_exact / self.cascade_children
-                                   if self.cascade_children else 0.0),
-        }
 
     def batch_stats(self) -> dict:
         """Histogram and mean of realised :meth:`evaluate_batch` sizes."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bounds.cache import BoundCache, LayerEntry
+from repro.bounds.cache import BoundCache, SubstitutionEntry
 from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
 from repro.core import AbonnConfig, AbonnVerifier
 from repro.specs.robustness import local_robustness_spec
@@ -96,8 +96,8 @@ class TestCacheDoesNotChangeVerdicts:
 class TestCacheSizeBound:
     def test_lru_eviction_respects_max_entries(self):
         cache = BoundCache(max_entries=2)
-        entry = LayerEntry(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2),
-                           np.zeros(2), False)
+        entry = SubstitutionEntry(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2),
+                                  np.zeros(2), False)
         cache.put_layer(0, ("a",), entry)
         cache.put_layer(0, ("b",), entry)
         cache.put_layer(0, ("c",), entry)
@@ -108,8 +108,8 @@ class TestCacheSizeBound:
 
     def test_get_refreshes_recency(self):
         cache = BoundCache(max_entries=2)
-        entry = LayerEntry(np.zeros(1), np.ones(1), np.zeros(1), np.ones(1),
-                           np.zeros(1), False)
+        entry = SubstitutionEntry(np.zeros(1), np.ones(1), np.zeros(1), np.ones(1),
+                                  np.zeros(1), False)
         cache.put_layer(0, ("a",), entry)
         cache.put_layer(0, ("b",), entry)
         cache.get_layer(0, ("a",))  # refresh "a"; "b" becomes LRU
@@ -155,8 +155,8 @@ class TestEvictionCountersByKind:
 
     @staticmethod
     def _entry():
-        return LayerEntry(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2),
-                          np.zeros(2), False)
+        return SubstitutionEntry(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2),
+                                 np.zeros(2), False)
 
     def test_layer_and_report_evictions_counted_separately(self):
         cache = BoundCache(max_entries=2)

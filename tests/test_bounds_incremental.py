@@ -199,34 +199,6 @@ class TestBatchedEquivalence:
                 np.testing.assert_allclose(got_bounds.upper, want_bounds.upper,
                                            atol=TOLERANCE)
 
-    def test_corrected_entry_shares_parent_forms(self, small_network):
-        """The rank-1 correction must inherit the parent's accumulated
-        input-level forms by reference (they do not depend on the clip)."""
-        reference = np.array([0.45, 0.55, 0.5, 0.4])
-        label = int(small_network.predict(reference.reshape(1, -1))[0])
-        spec = local_robustness_spec(reference, 0.12, label, 3)
-        lowered = small_network.lowered()
-        analyzer = DeepPolyAnalyzer(lowered)
-        cache = BoundCache()
-        parent = SplitAssignment.empty()
-        report = analyzer.analyze(spec.input_box, parent,
-                                  spec=spec.output_spec, cache=cache)
-        unstable = report.unstable_neurons()
-        assert unstable
-        layer, unit = unstable[0]
-        child = parent.with_split(ReluSplit(layer, unit, ACTIVE))
-        analyzer.analyze(spec.input_box, child, spec=spec.output_spec,
-                         cache=cache, parent=parent)
-        assert cache.stats.delta_corrections == 1
-        parent_entry = cache.peek_layer(layer, parent.prefix_key(layer))
-        child_entry = cache.peek_layer(layer, child.prefix_key(layer))
-        assert child_entry is not None and parent_entry is not None
-        assert child_entry.forms is parent_entry.forms
-        # The forms concretise to the parent's pre-clip bounds.
-        pre_clip = parent_entry.forms.concretize(spec.input_box)
-        clipped = np.maximum(pre_clip.lower[unit], 0.0)
-        assert child_entry.lower[unit] == clipped
-
 
 class TestKeyDerivation:
     @settings(max_examples=50, deadline=None)

@@ -23,6 +23,7 @@ from repro.core.config import AbonnConfig
 from repro.engine.driver import DriverVerdict, FrontierDriver, WorkSource
 from repro.specs.robustness import local_robustness_spec
 from repro.utils import Budget
+from repro.verifiers.appver import ApproximateVerifier
 from repro.verifiers.result import VerificationStatus
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -279,6 +280,48 @@ class TestVerdictEqualityAcrossSources:
             assert set(stats) == {"hits", "misses", "solves", "evictions",
                                   "hit_rate"}
             assert stats["misses"] == stats["solves"]
+
+
+VERIFIER_FACTORIES = {
+    "abonn": lambda: AbonnVerifier(AbonnConfig(frontier_size=2)),
+    "bab": lambda: BaBBaselineVerifier(frontier_size=2),
+    "alphabeta": lambda: AlphaBetaCrownVerifier(frontier_size=2),
+}
+SHARED_EXTRAS = {"bound_cache", "lp_cache", "timings", "frontier_size",
+                 "incremental"}
+#: Each verifier's own ``extras`` keys on top of the shared blocks.
+OWN_EXTRAS = {
+    "abonn": {"exploration", "heuristic", "lambda", "lp_leaves_resolved",
+              "max_depth"},
+    "bab": {"leaves_lp_resolved", "max_depth", "nodes_expanded",
+            "nodes_split", "nodes_verified", "tree_size"},
+    "alphabeta": {"alpha_iterations", "heuristic", "lp_leaves_resolved"},
+}
+
+
+class TestResultExtrasSchema:
+    """All three verifiers report the same ``extras`` blocks, BaB or not."""
+
+    @pytest.mark.parametrize("name", sorted(VERIFIER_FACTORIES))
+    @pytest.mark.parametrize("index,epsilon,branches", [
+        (12, 0.2, True),     # every verifier enters BaB
+        (13, 0.12, False),   # the root bound verifies
+        (13, 0.3, False),    # falsified before any split (αβ: by the attack)
+    ])
+    def test_schema_exposed_by_all_verifiers(self, name, index, epsilon,
+                                             branches, trained_network):
+        network, dataset = trained_network
+        spec = problem(dataset, index, epsilon)
+        result = VERIFIER_FACTORIES[name]().verify(network, spec,
+                                                   Budget(max_nodes=300))
+        extras = result.extras
+        # Exact key sets: the shared blocks are present and nothing else
+        # (no block of a removed mechanism) lingers.
+        assert set(extras) == SHARED_EXTRAS | OWN_EXTRAS[name]
+        reference = ApproximateVerifier(network, spec).cache_stats()
+        assert set(extras["bound_cache"]) == set(reference)
+        if branches:
+            assert extras["bound_cache"]["layer_misses"] > 0
 
 
 class TestSingleFrontierLoop:

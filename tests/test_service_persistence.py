@@ -166,11 +166,12 @@ class TestFileValidation:
         with pytest.raises(ValueError, match="not a cache-bundle"):
             CacheBundle.load(path)
 
-    def test_future_format_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("stale_format", [BUNDLE_FORMAT + 1, BUNDLE_FORMAT - 1])
+    def test_future_format_is_rejected(self, tmp_path, stale_format):
         path, fingerprint = self._saved_bundle(tmp_path)
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
-        payload["format"] = BUNDLE_FORMAT + 1
+        payload["format"] = stale_format
         with open(path, "wb") as handle:
             pickle.dump(payload, handle)
         with pytest.raises(ValueError, match="unsupported cache-bundle format"):

@@ -22,10 +22,11 @@ Only *machine-portable* metrics are compared by default:
 
 Absolute per-child times (``median_per_child_us``) are informational: they
 are not comparable across machines and are skipped unless
-``--compare-times`` is given.  Keys present in only one of the two files
-are skipped (sections are flag-dependent), so the checker works for both
-smoke and full runs as long as baseline and current were produced with the
-same flags.
+``--compare-times`` is given.  A gated baseline key that is missing from
+the current summary is a regression: a renamed or dropped metric must not
+silently retire its gate.  Ungated baseline keys and keys present only in
+the current summary are ignored, so baseline and current must be produced
+with the same flags.
 
 Usage::
 
@@ -47,8 +48,6 @@ HIGHER_BETTER_KEYS = (
     "min_speedup_incremental",
     "lp_min_micro_hit_rate",
     "min_mean_realised_batch_at_frontier_8",
-    "min_speedup_cascade_steady",
-    "cascade_max_pre_exact_fraction",
     "service_min_throughput_speedup",
     "service_min_lp_hit_rate",
     "service_min_bound_hit_rate",
@@ -61,7 +60,6 @@ HIGHER_BETTER_KEYS = (
 #: sits just above 1.0 — CI still fails if the incremental path stops
 #: helping at all, without flaking on scheduler noise.
 TOLERANCE_OVERRIDES = {"min_speedup_incremental": 0.30,
-                       "min_speedup_cascade_steady": 0.30,
                        # End-to-end wall-clock ratios on the tiny smoke
                        # workload swing with scheduler noise; wider headroom
                        # keeps the gates meaningful without flaking.
@@ -103,11 +101,20 @@ def _classify(key: str):
     return None
 
 
+def _gated(key: str, compare_times: bool) -> bool:
+    if key in TIME_KEYS:
+        return compare_times
+    return _classify(key) is not None
+
+
 def compare_summaries(current: dict, baseline: dict, tolerance: float,
                       compare_times: bool = False):
     """Yield ``(key, message)`` for every regression found."""
     for key, base_value in baseline.items():
         if key not in current:
+            if _gated(key, compare_times):
+                yield (key, f"gated metric {key} is missing from the "
+                            f"current summary")
             continue
         value = current[key]
         if key in TIME_KEYS:
@@ -176,9 +183,7 @@ def main(argv=None) -> int:
     regressions = list(compare_summaries(current_summary, baseline_summary,
                                          args.tolerance, args.compare_times))
     checked = [key for key in baseline_summary
-               if key in current_summary and
-               (_classify(key) is not None
-                or (key in TIME_KEYS and args.compare_times))]
+               if _gated(key, args.compare_times)]
     for key, message in regressions:
         print(f"REGRESSION: {message}", file=sys.stderr)
     print(f"checked {len(checked)} summary metrics against "
