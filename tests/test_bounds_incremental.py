@@ -200,6 +200,64 @@ class TestBatchedEquivalence:
                                            atol=TOLERANCE)
 
 
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000), depth=st.integers(1, 3),
+           width=st.integers(2, 5))
+    def test_batched_infeasible_corner_matches(self, seed, depth, width):
+        """A batched child that splits a provably-active neuron inactive is
+        infeasible on the incremental path exactly as sequentially."""
+        network, spec = _random_problem(seed, depth, width, 0.05)
+        analyzer = DeepPolyAnalyzer(network)
+        box = spec.input_box
+        cache = BoundCache()
+        parent = SplitAssignment.empty()
+        report = analyzer.analyze(box, parent, spec=spec.output_spec,
+                                  cache=cache)
+        stable = [(layer, unit)
+                  for layer, bounds in enumerate(report.pre_activation_bounds)
+                  for unit in range(bounds.size)
+                  if bounds.lower[unit] > 1e-6]
+        assume(stable)
+        layer, unit = stable[0]
+        child = parent.with_split(ReluSplit(layer, unit, INACTIVE))
+        batched = analyzer.analyze_batch(box, [child], spec=spec.output_spec,
+                                         cache=cache, parents=[parent])[0]
+        dense = analyzer.analyze(box, child, spec=spec.output_spec)
+        assert batched.infeasible and dense.infeasible
+        assert batched.p_hat == dense.p_hat == float("inf")
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), depth=st.integers(1, 3),
+           width=st.integers(2, 5), epsilon=st.floats(0.02, 0.3))
+    def test_batched_bound_holds_on_sampled_feasible_points(self, seed, depth,
+                                                            width, epsilon):
+        """``p̂`` of every batched incremental child lower-bounds the spec
+        margin on each sampled input that satisfies the child's splits."""
+        network, spec = _random_problem(seed, depth, width, epsilon)
+        analyzer = DeepPolyAnalyzer(network)
+        box = spec.input_box
+        cache = BoundCache()
+        parent = SplitAssignment.empty()
+        report = analyzer.analyze(box, parent, spec=spec.output_spec,
+                                  cache=cache)
+        children = [parent.with_split(ReluSplit(layer, unit, phase))
+                    for layer, unit in report.unstable_neurons(parent)[:4]
+                    for phase in (ACTIVE, INACTIVE)]
+        assume(children)
+        reports = analyzer.analyze_batch(box, children, spec=spec.output_spec,
+                                         cache=cache,
+                                         parents=[parent] * len(children))
+        rng = np.random.default_rng(seed + 7)
+        samples = rng.uniform(box.lower, box.upper, size=(64, box.dimension))
+        outputs = network.forward(samples)
+        for child, child_report in zip(children, reports):
+            for x, y in zip(samples, outputs):
+                if child.satisfied_by(network.pre_activations(x)):
+                    assert not child_report.infeasible
+                    assert (spec.output_spec.margin(y)
+                            >= child_report.p_hat - TOLERANCE)
+
+
 class TestKeyDerivation:
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 100_000), size=st.integers(0, 10))
@@ -287,3 +345,76 @@ class TestEndToEndEquality:
                                           observed.counterexample)
         assert observed.extras["bound_cache"]["delta_corrections"] >= 0
         assert "timings" in observed.extras
+
+
+class TestTrainedTrajectoryEquality:
+    """Incremental on vs. off on a trained network, for all three verifiers:
+    verdict, node charges, bound and counterexample must be identical."""
+
+    #: (sample index, epsilon) pairs covering verified-after-branching,
+    #: falsified-after-branching and root-resolved problems.
+    PROBLEMS = [(25, 0.15), (13, 0.2), (13, 0.12)]
+
+    @staticmethod
+    def _spec(dataset, index, epsilon):
+        image, label = dataset.sample(index)
+        return local_robustness_spec(image.reshape(-1), epsilon, label,
+                                     dataset.num_classes)
+
+    @staticmethod
+    def _assert_identical(full, incremental):
+        assert incremental.status == full.status
+        assert incremental.nodes_explored == full.nodes_explored
+        if full.bound is None:
+            assert incremental.bound is None
+        else:
+            assert incremental.bound == pytest.approx(full.bound,
+                                                      abs=TOLERANCE)
+        if full.counterexample is None:
+            assert incremental.counterexample is None
+        else:
+            np.testing.assert_array_equal(incremental.counterexample,
+                                          full.counterexample)
+
+    @pytest.mark.parametrize("frontier_size", [1, 2, 8])
+    @pytest.mark.parametrize("index,epsilon", PROBLEMS)
+    def test_abonn_identical_at_all_frontier_sizes(self, trained_network,
+                                                   frontier_size, index,
+                                                   epsilon):
+        from repro.core.abonn import AbonnVerifier
+        from repro.core.config import AbonnConfig
+        from repro.utils.timing import Budget
+
+        network, dataset = trained_network
+        spec = self._spec(dataset, index, epsilon)
+        runs = [AbonnVerifier(AbonnConfig(frontier_size=frontier_size,
+                                          incremental=incremental)).verify(
+                    network, spec, Budget(max_nodes=300))
+                for incremental in (False, True)]
+        self._assert_identical(*runs)
+
+    @pytest.mark.parametrize("frontier_size", [1, 8])
+    def test_bab_baseline_identical(self, trained_network, frontier_size):
+        from repro.bab import BaBBaselineVerifier
+        from repro.utils.timing import Budget
+
+        network, dataset = trained_network
+        spec = self._spec(dataset, 13, 0.2)
+        runs = [BaBBaselineVerifier(frontier_size=frontier_size,
+                                    incremental=incremental).verify(
+                    network, spec, Budget(max_nodes=300))
+                for incremental in (False, True)]
+        self._assert_identical(*runs)
+
+    @pytest.mark.parametrize("frontier_size", [1, 8])
+    def test_alphabeta_identical(self, trained_network, frontier_size):
+        from repro.baselines.alphabeta_crown import AlphaBetaCrownVerifier
+        from repro.utils.timing import Budget
+
+        network, dataset = trained_network
+        spec = self._spec(dataset, 13, 0.2)
+        runs = [AlphaBetaCrownVerifier(frontier_size=frontier_size,
+                                       incremental=incremental).verify(
+                    network, spec, Budget(max_nodes=300))
+                for incremental in (False, True)]
+        self._assert_identical(*runs)
