@@ -26,9 +26,11 @@ With ``--lp`` the benchmark exercises the batched + cached leaf-LP path:
   (sibling-heavy, as frontier rounds produce them) one-by-one via
   ``solve_leaf_lp``, batched via ``solve_leaf_lp_batch``, and batched again
   against a warm ``LpCache`` — asserting identical optima and reporting
-  the cache hit/solve counters; the batched optima are additionally gated
-  against an independent reference that solves each leaf through the
-  hidden-variable ``_encode_problem`` encoding of the MILP verifier;
+  the cache hit/solve counters and how many leaves the emptiness
+  certificate closed before HiGHS (``proven_empty``); the batched optima
+  are additionally gated against an independent reference that solves
+  each leaf through the hidden-variable ``_encode_problem`` encoding of
+  the MILP verifier;
 * end-to-end ABONN runs at ``frontier_size ∈ {1, 2, 8}`` *share* one
   ``LpCache`` per problem (sound: the cache key is the canonical split
   assignment scoped by the problem fingerprint), so re-visited leaves
@@ -321,6 +323,8 @@ def bench_lp(family_name: str, clusters: int, frontier_sizes,
         "optima_equal": optima_equal,
         "reference_optima_equal": reference_optima_equal,
         "micro_cache": cache.stats.as_dict(),
+        # Micro leaves closed by the emptiness certificate, never by HiGHS.
+        "proven_empty": cache.stats.proven_empty,
         "verdicts_match": len(statuses) == 1,
         "shared_cache": shared.stats.as_dict(),
         "runs": runs,
@@ -593,6 +597,10 @@ def main(argv=None) -> int:
                                          for row in lp_rows),
                 "total_lp_solves": sum(row["shared_cache"]["solves"]
                                        for row in lp_rows),
+                # > 0 keeps the exactness gates above covering leaves the
+                # emptiness certificate closes before HiGHS.
+                "total_proven_empty": sum(row["proven_empty"]
+                                          for row in lp_rows),
             },
             "rows": lp_rows,
         }

@@ -271,12 +271,15 @@ class LpCacheStats:
 
     ``solves`` counts *leaf resolutions* dispatched to the solver — the unit
     hits and misses are measured in (each resolution internally costs one LP
-    per specification row).
+    per specification row).  ``proven_empty`` counts the subset of those
+    resolutions closed by an emptiness certificate before any LP ran, so
+    ``solves - proven_empty`` leaves actually reached HiGHS.
     """
 
     hits: int = 0
     misses: int = 0
     solves: int = 0
+    proven_empty: int = 0
     evictions: int = 0
 
     @property
@@ -290,6 +293,7 @@ class LpCacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "solves": self.solves,
+            "proven_empty": self.proven_empty,
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
         }
@@ -344,6 +348,11 @@ class LpCache:
         """Count ``count`` leaf resolutions dispatched to the solver."""
         with self._lock:
             self.stats.solves += count
+
+    def record_proven_empty(self, count: int = 1) -> None:
+        """Count ``count`` solved leaves closed by an emptiness certificate."""
+        with self._lock:
+            self.stats.proven_empty += count
 
     def record_hit(self, count: int = 1) -> None:
         """Count ``count`` reuses served without a store lookup.

@@ -28,6 +28,20 @@ non-split neuron its predicted phase, so this region is exactly the
 projection onto ``x`` of the hidden-variable encoding (``h = z`` rows plus
 report variable bounds), which trusts the same report bounds.
 
+Most leaves that reach the LP are empty regions: their split rows
+``g_i(x) = s_i (a_i x + c_i) >= 0`` (``s = +1`` ACTIVE, ``-1`` INACTIVE)
+cannot all hold inside the box.  Before any HiGHS call, one batched numpy
+search (:func:`_prove_empty`) looks for a Farkas certificate: multipliers
+``lambda >= 0`` summing to 1 whose combined row stays below ``-1e-7`` at
+every box corner, hence everywhere in the box.  Every box point then
+violates some split row by more than ``1e-7``, HiGHS's primal feasibility
+tolerance, so HiGHS itself would report the region infeasible; a certified
+leaf therefore returns ``RowOptimum(inf, None, feasible=False)``, the exact
+optimum, and is cached, counted (``LpCacheStats.proven_empty``) and
+classified like any solved leaf.  A region empty by less than the
+tolerance is never claimed and goes to HiGHS, as does every leaf without a
+certificate.
+
 Both entry points accept a :class:`~repro.bounds.cache.LpCache` that
 memoises the resulting :class:`RowOptimum`.  Cache keys are
 ``SplitAssignment.canonical_key()`` tuples, optionally scoped by a
@@ -51,6 +65,7 @@ from scipy import optimize, sparse
 
 from repro.bounds.cache import LpCache
 from repro.bounds.deeppoly import DeepPolyAnalyzer
+from repro.bounds.linear_form import concretize_upper_batch
 from repro.bounds.report import BoundReport
 from repro.bounds.splits import ACTIVE, INACTIVE, SplitAssignment
 from repro.nn.network import LoweredNetwork, Network
@@ -295,6 +310,15 @@ def _solve(objective: np.ndarray, constant: float,
 # Batched, cached leaf-LP resolution
 # ---------------------------------------------------------------------------
 
+#: Mirror-descent steps of the leaf emptiness certificate (:func:`_prove_empty`).
+_CERTIFICATE_ITERATIONS = 50
+#: Exponentiated-gradient step size on rows scaled to unit range over the box.
+_CERTIFICATE_STEP = 1.0
+#: A certificate must leave every box point violating some split row by more
+#: than this: HiGHS's default primal feasibility tolerance.
+_CERTIFICATE_TOLERANCE = 1e-7
+
+
 def network_weights_digest(network: LoweredNetwork) -> str:
     """A stable digest over just the lowered weights and biases.
 
@@ -338,22 +362,45 @@ def problem_fingerprint(network: LoweredNetwork, box: InputBox,
     return digest.hexdigest()
 
 
+@dataclass(frozen=True)
+class _SplitRows:
+    """A leaf's split rows, signed so that each reads ``matrix @ x + offset >= 0``.
+
+    ``sign`` is ``+1`` for an ACTIVE split and ``-1`` for an INACTIVE one,
+    so row ``i`` is ``sign_i (a_i x + c_i) >= 0`` for the neuron's
+    pre-activation ``a_i x + c_i``.
+    """
+
+    matrix: np.ndarray
+    offset: np.ndarray
+    sign: np.ndarray
+
+    def constraint(self) -> optimize.LinearConstraint:
+        """The rows as HiGHS solves them: ``a x >= -c`` ACTIVE, ``a x <= -c``
+        INACTIVE (unsigning is exact, so the solver input is unchanged)."""
+        active = self.sign > 0
+        bound = -self.sign * self.offset
+        return optimize.LinearConstraint(self.sign[:, None] * self.matrix,
+                                         np.where(active, bound, -np.inf),
+                                         np.where(active, np.inf, bound))
+
+
 def _leaf_program(network: LoweredNetwork, spec: LinearOutputSpec,
                   splits: SplitAssignment, report: BoundReport
-                  ) -> Tuple[np.ndarray, np.ndarray,
-                             Optional[optimize.LinearConstraint]]:
+                  ) -> Tuple[np.ndarray, np.ndarray, Optional[_SplitRows]]:
     """The input-space leaf LP: ``(objectives, constants, split rows)``.
 
     Composes the decided leaf's affine map forward (see the module
-    docstring) and keeps one sign row per split neuron.  Raises
-    ``ValueError`` when any neuron is still unstable — the leaf LP is only
-    defined for fully phase-decided sub-problems.
+    docstring) and keeps one sign row per split neuron; the rows are
+    ``None`` when nothing is split.  Raises ``ValueError`` when any neuron
+    is still unstable — the leaf LP is only defined for fully
+    phase-decided sub-problems.
     """
     matrix = network.weights[0]
     offset = network.biases[0]
     rows: List[np.ndarray] = []
-    lower: List[np.ndarray] = []
-    upper: List[np.ndarray] = []
+    offsets: List[np.ndarray] = []
+    signs: List[np.ndarray] = []
     for layer, size in enumerate(network.relu_layer_sizes()):
         bounds = report.pre_activation_bounds[layer]
         split = splits.layer_phase_array(layer, size)
@@ -361,21 +408,79 @@ def _leaf_program(network: LoweredNetwork, spec: LinearOutputSpec,
         if np.any(~decided & (bounds.lower < 0.0) & (bounds.upper > 0.0)):
             raise ValueError("leaf LP requires every ReLU neuron to be phase-decided")
         active = np.where(decided, split == ACTIVE, bounds.lower >= 0.0)
-        # One sign row per split neuron: ACTIVE A x >= -c, INACTIVE A x <= -c.
-        split_active = split[decided] == ACTIVE
-        rows.append(matrix[decided])
-        lower.append(np.where(split_active, -offset[decided], -np.inf))
-        upper.append(np.where(split_active, np.inf, -offset[decided]))
+        # One sign row per split neuron: ACTIVE A x + c >= 0, INACTIVE
+        # -(A x + c) >= 0 (ACTIVE and INACTIVE are the signs +1 and -1).
+        sign = split[decided].astype(float)
+        rows.append(sign[:, None] * matrix[decided])
+        offsets.append(sign * offset[decided])
+        signs.append(sign)
         weight = network.weights[layer + 1][:, active]
         matrix = weight @ matrix[active]
         offset = weight @ offset[active] + network.biases[layer + 1]
     objectives = spec.coefficients @ matrix
     constants = spec.coefficients @ offset + spec.offsets
-    constraints = None
-    if any(len(block) for block in rows):
-        constraints = optimize.LinearConstraint(
-            np.vstack(rows), np.concatenate(lower), np.concatenate(upper))
-    return objectives, constants, constraints
+    split_rows = None
+    if any(len(block) for block in signs):
+        split_rows = _SplitRows(np.vstack(rows), np.concatenate(offsets),
+                                np.concatenate(signs))
+    return objectives, constants, split_rows
+
+
+def _prove_empty(leaf_rows: Sequence[_SplitRows], box: InputBox) -> np.ndarray:
+    """Which leaves a Farkas certificate proves empty over the box.
+
+    A region ``{x in box : g_i(x) >= 0}`` is empty iff some ``lambda >= 0``
+    with ``sum(lambda) = 1`` has ``U(lambda) = max_box sum_i lambda_i g_i(x)
+    < 0``; ``U`` is the box-corner concretisation of the combined row.  One
+    exponentiated-gradient (mirror-descent) search over the simplex runs on
+    all leaves at once, on rows scaled to unit range over the box and
+    padded to the batch's largest row count.  A leaf is accepted only when
+    its best ``lambda``, mapped back to the *original* rows and normalised
+    to sum 1, gives ``U < -_CERTIFICATE_TOLERANCE``: every box point then
+    violates some split row by more than that.  Returns one bool per leaf;
+    ``False`` proves nothing.
+    """
+    count = len(leaf_rows)
+    width = max(len(rows.offset) for rows in leaf_rows)
+    matrix = np.zeros((count, width, box.dimension))
+    offset = np.zeros((count, width))
+    present = np.zeros((count, width), dtype=bool)
+    for index, rows in enumerate(leaf_rows):
+        size = len(rows.offset)
+        matrix[index, :size] = rows.matrix
+        offset[index, :size] = rows.offset
+        present[index, :size] = True
+    span = np.abs(matrix) @ (box.upper - box.lower)
+    scale = 1.0 / np.where(span > 0.0, span, 1.0)
+    unit_matrix = matrix * scale[..., None]
+    unit_offset = offset * scale
+
+    logits = np.where(present, 0.0, -np.inf)
+    best = present / present.sum(axis=1, keepdims=True)
+    best_upper = np.full(count, np.inf)
+    for _ in range(_CERTIFICATE_ITERATIONS):
+        weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+        weights /= weights.sum(axis=1, keepdims=True)
+        combined = np.einsum("br,brd->bd", weights, unit_matrix)
+        corner = np.where(combined > 0.0, box.upper, box.lower)
+        values = np.einsum("brd,bd->br", unit_matrix, corner) + unit_offset
+        # U on the original rows: sum(w g~) / sum(w scale), since
+        # lambda = w scale / sum(w scale) combines the unscaled rows.
+        upper = (weights * values).sum(axis=1) / (weights * scale).sum(axis=1)
+        improved = upper < best_upper
+        best[improved] = weights[improved]
+        best_upper[improved] = upper[improved]
+        if np.all(best_upper < -_CERTIFICATE_TOLERANCE):
+            break
+        # Descend on the subgradient g~(x*): violated rows gain weight.
+        logits -= _CERTIFICATE_STEP * values
+
+    multipliers = best * scale
+    multipliers /= multipliers.sum(axis=1, keepdims=True)
+    upper = concretize_upper_batch(
+        np.einsum("br,brd->bd", multipliers, matrix)[:, None, :],
+        (multipliers * offset).sum(axis=1)[:, None], box)[:, 0]
+    return upper < -_CERTIFICATE_TOLERANCE
 
 
 def _minimise_rows(objectives: np.ndarray, constants: np.ndarray,
@@ -420,7 +525,10 @@ def solve_leaf_lp_batch(network: LoweredNetwork, box: InputBox,
     no rows, because the report bounds that give them their phase are sound
     over the box restricted by the splits at or below their layer, so the
     split rows already imply those phases (the module docstring has the
-    induction).  The spec rows are minimised one HiGHS call each, stopping
+    induction).  Leaves with split rows first go through one batched
+    emptiness-certificate search (:func:`_prove_empty`); a certified leaf
+    is empty and returns the infeasible optimum without a solver call.
+    For the rest, the spec rows are minimised one HiGHS call each, stopping
     at the first infeasible row.  When a :class:`~repro.bounds.cache.LpCache`
     is supplied, leaves whose ``canonical_key()`` was already resolved — in
     an earlier call or earlier in this batch — are served from the cache
@@ -457,17 +565,31 @@ def solve_leaf_lp_batch(network: LoweredNetwork, box: InputBox,
         first_by_key[key] = index
         unsolved.append(index)
 
-    for index in unsolved:
-        splits, report = leaves[index]
-        objectives, constants, constraints = _leaf_program(network, spec,
-                                                           splits, report)
+    programs = [_leaf_program(network, spec, *leaves[index]) for index in unsolved]
+    screened = [position for position, (_, _, rows) in enumerate(programs)
+                if rows is not None]
+    proven = np.zeros(len(unsolved), dtype=bool)
+    if screened:
         with _lp_measure(timings):
-            optimum = _minimise_rows(objectives, constants, constraints, box,
-                                     time_limit)
+            proven[screened] = _prove_empty(
+                [programs[position][2] for position in screened], box)
+
+    for position, index in enumerate(unsolved):
+        objectives, constants, rows = programs[position]
+        if proven[position]:
+            # Exactly what HiGHS returns for an empty region.
+            optimum = RowOptimum(float("inf"), None, feasible=False)
+        else:
+            with _lp_measure(timings):
+                optimum = _minimise_rows(
+                    objectives, constants,
+                    None if rows is None else rows.constraint(), box, time_limit)
         results[index] = optimum
         if cache is not None:
             cache.record_solve()
-            cache.put(cache_key(splits), optimum)
+            if proven[position]:
+                cache.record_proven_empty()
+            cache.put(cache_key(leaves[index][0]), optimum)
 
     for duplicate, primary in aliases:
         results[duplicate] = results[primary]

@@ -277,9 +277,9 @@ class TestVerdictEqualityAcrossSources:
                          AlphaBetaCrownVerifier(frontier_size=2)):
             result = verifier.verify(network, spec, Budget(max_nodes=300))
             stats = result.extras["lp_cache"]
-            assert set(stats) == {"hits", "misses", "solves", "evictions",
-                                  "hit_rate"}
+            assert set(stats) == LP_CACHE_KEYS
             assert stats["misses"] == stats["solves"]
+            assert 0 <= stats["proven_empty"] <= stats["solves"]
 
 
 VERIFIER_FACTORIES = {
@@ -287,6 +287,10 @@ VERIFIER_FACTORIES = {
     "bab": lambda: BaBBaselineVerifier(frontier_size=2),
     "alphabeta": lambda: AlphaBetaCrownVerifier(frontier_size=2),
 }
+#: ``extras["lp_cache"]`` keys: ``proven_empty`` counts the solves closed by
+#: the emptiness certificate before HiGHS.
+LP_CACHE_KEYS = {"hits", "misses", "solves", "proven_empty", "evictions",
+                 "hit_rate"}
 SHARED_EXTRAS = {"bound_cache", "lp_cache", "timings", "frontier_size",
                  "incremental"}
 #: Each verifier's own ``extras`` keys on top of the shared blocks.
@@ -320,6 +324,7 @@ class TestResultExtrasSchema:
         assert set(extras) == SHARED_EXTRAS | OWN_EXTRAS[name]
         reference = ApproximateVerifier(network, spec).cache_stats()
         assert set(extras["bound_cache"]) == set(reference)
+        assert set(extras["lp_cache"]) == LP_CACHE_KEYS
         if branches:
             assert extras["bound_cache"]["layer_misses"] > 0
 

@@ -12,10 +12,13 @@ from repro.bounds.cache import LpCache
 from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
 from repro.nn import Dense, Network, ReLU, dense_network
 from repro.specs.robustness import local_robustness_spec
+from repro.verifiers import milp as milp_module
 from repro.verifiers.appver import ApproximateVerifier
 from repro.verifiers.milp import (
     RowOptimum,
     _leaf_program,
+    _minimise_rows,
+    _prove_empty,
     solve_leaf_lp,
     solve_leaf_lp_batch,
 )
@@ -187,6 +190,138 @@ class TestInputSpaceLeafLpOracle:
                                 spec.output_spec, splits, report)
         assert not optimum.feasible
         _assert_matches_reference(appver.lowered, spec, splits, report, optimum)
+
+
+def _two_row_network(bias):
+    """``z0 = x + bias[0]`` and ``z1 = -x + bias[1]`` over a 1-D input."""
+    hidden = Dense(1, 2, weight=np.array([[1.0], [-1.0]]), bias=np.asarray(bias))
+    head = Dense(2, 2, weight=np.array([[1.0, 1.0], [-1.0, 0.5]]),
+                 bias=np.zeros(2))
+    return Network([hidden, ReLU(), head], (1,), name="two-rows")
+
+
+def _both_active_leaf(bias):
+    """The leaf splitting both neurons of :func:`_two_row_network` ACTIVE."""
+    network = _two_row_network(bias)
+    spec = _problem(network, [0.5], 0.4)
+    appver = ApproximateVerifier(network, spec, use_cache=False)
+    splits = SplitAssignment({(0, 0): ACTIVE, (0, 1): ACTIVE})
+    report = appver.evaluate(splits).report
+    assert not report.unstable_neurons(splits)
+    return appver.lowered, spec, splits, report
+
+
+def _count_highs_calls(monkeypatch):
+    """Wrap the real HiGHS entry point; returns the live call counter."""
+    real = milp_module.optimize.milp
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(milp_module.optimize, "milp", counting)
+    return calls
+
+
+def _random_network(seed, depth, width):
+    rng = np.random.default_rng(seed)
+    input_dim = int(rng.integers(2, 5))
+    network = dense_network([input_dim] + [width] * depth + [3], seed=seed)
+    return rng, network
+
+
+class TestEmptinessCertificate:
+    """The batched Farkas screen in front of HiGHS claims only empty leaves."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), depth=st.integers(1, 3),
+           width=st.integers(2, 5), epsilon=st.floats(0.05, 0.5))
+    def test_claims_are_confirmed_by_highs(self, seed, depth, width, epsilon):
+        """Whenever the screen claims a random full split assignment empty,
+        a direct HiGHS solve of the same leaf LP finds it infeasible."""
+        rng, network = _random_network(seed, depth, width)
+        spec = _problem(network, rng.uniform(0.2, 0.8, network.input_dim),
+                        epsilon)
+        appver = ApproximateVerifier(network, spec, use_cache=False)
+        programs = []
+        for _ in range(4):
+            phases = {(layer, unit): ACTIVE if rng.random() < 0.5 else INACTIVE
+                      for layer in range(depth) for unit in range(width)}
+            splits = SplitAssignment(phases)
+            report = appver.evaluate(splits).report
+            programs.append(_leaf_program(appver.lowered, spec.output_spec,
+                                          splits, report))
+        claims = _prove_empty([rows for _, _, rows in programs], spec.input_box)
+        for (objectives, constants, rows), claim in zip(programs, claims):
+            if claim:
+                optimum = _minimise_rows(objectives, constants,
+                                         rows.constraint(), spec.input_box, None)
+                assert not optimum.feasible
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), depth=st.integers(1, 3),
+           width=st.integers(2, 5), epsilon=st.floats(0.05, 0.5))
+    def test_leaf_split_at_a_box_point_is_never_claimed(self, seed, depth,
+                                                        width, epsilon):
+        rng, network = _random_network(seed, depth, width)
+        spec = _problem(network, rng.uniform(0.2, 0.8, network.input_dim),
+                        epsilon)
+        appver = ApproximateVerifier(network, spec, use_cache=False)
+        point = spec.input_box.sample(rng)[0]
+        pre_activations = appver.lowered.pre_activations(point)
+        splits = SplitAssignment({
+            (layer, unit): ACTIVE if value >= 0.0 else INACTIVE
+            for layer, values in enumerate(pre_activations)
+            for unit, value in enumerate(values)})
+        report = appver.evaluate(splits).report
+        _, _, rows = _leaf_program(appver.lowered, spec.output_spec, splits,
+                                   report)
+        assert not _prove_empty([rows], spec.input_box)[0]
+
+    def test_leaf_without_split_rows_is_never_screened(self, monkeypatch):
+        network = dense_network([3, 6, 5, 3], seed=4)
+        spec = _problem(network, [0.5, 0.4, 0.6], 1e-4)
+        appver = ApproximateVerifier(network, spec, use_cache=False)
+        splits = SplitAssignment.empty()
+        report = appver.evaluate(splits).report
+        assert not report.unstable_neurons(), "root must be fully stable"
+
+        def screened(*_):
+            pytest.fail("a leaf without split rows reached the screen")
+
+        monkeypatch.setattr(milp_module, "_prove_empty", screened)
+        cache = LpCache()
+        optimum = solve_leaf_lp(appver.lowered, spec.input_box,
+                                spec.output_spec, splits, report, cache=cache)
+        assert optimum.feasible
+        assert cache.stats.proven_empty == 0
+
+    def test_empty_leaf_is_closed_without_highs(self, monkeypatch):
+        """``x >= 0.5`` and ``x <= 0.25``: proven, cached and counted as an
+        infeasible solve, with no HiGHS call."""
+        lowered, spec, splits, report = _both_active_leaf([-0.5, 0.25])
+        calls = _count_highs_calls(monkeypatch)
+        cache = LpCache()
+        optimum = solve_leaf_lp(lowered, spec.input_box, spec.output_spec,
+                                splits, report, cache=cache)
+        assert not calls
+        assert optimum == RowOptimum(float("inf"), None, feasible=False)
+        assert cache.stats.solves == 1
+        assert cache.stats.proven_empty == 1
+
+    def test_sliver_below_the_tolerance_goes_to_highs(self, monkeypatch):
+        """``x >= 0.5`` and ``x <= 0.5 - 1e-9`` is empty by less than the
+        certificate's tolerance, so it is not claimed and HiGHS decides."""
+        lowered, spec, splits, report = _both_active_leaf([-0.5, 0.5 - 1e-9])
+        _, _, rows = _leaf_program(lowered, spec.output_spec, splits, report)
+        assert not _prove_empty([rows], spec.input_box)[0]
+        calls = _count_highs_calls(monkeypatch)
+        cache = LpCache()
+        solve_leaf_lp(lowered, spec.input_box, spec.output_spec, splits,
+                      report, cache=cache)
+        assert calls
+        assert cache.stats.proven_empty == 0
 
 
 class TestLpCache:

@@ -93,6 +93,22 @@ def fully_split(network, spec):
     return splits, report
 
 
+def split_at(network, spec, point):
+    """Split unstable neurons at ``point``'s own phases until the leaf is
+    phase-decided; ``point`` satisfies every split row, so the leaf region
+    is non-empty whenever ``point`` lies in the box."""
+    appver = ApproximateVerifier(network, spec)
+    pre_activations = network.lowered().pre_activations(point)
+    splits = SplitAssignment.empty()
+    report = appver.evaluate().report
+    while report.unstable_neurons(splits):
+        layer, unit = report.unstable_neurons(splits)[0]
+        phase = ACTIVE if pre_activations[layer][unit] >= 0.0 else INACTIVE
+        splits = splits.with_split(ReluSplit(layer, unit, phase))
+        report = appver.evaluate(splits).report
+    return splits, report
+
+
 class TestLeafLp:
     def test_leaf_lp_requires_full_phase_decision(self, small_network):
         spec = problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.3)
@@ -180,7 +196,10 @@ class TestSolverStatus:
 
     def test_time_limited_leaf_is_unknown(self, milp_problem, monkeypatch):
         network, spec, center = milp_problem
-        splits, report = fully_split(network, spec)
+        # Split at the box centre's phases: the region holds ``center``, so
+        # no emptiness certificate can close it before the (faked) solver.
+        splits, report = split_at(network, spec, center)
+        assert splits.satisfied_by(network.lowered().pre_activations(center))
         self._fake_milp(monkeypatch, center, status=1, fun=1e6, dual_bound=None)
         optimum = solve_leaf_lp(network.lowered(), spec.input_box,
                                 spec.output_spec, splits, report)
