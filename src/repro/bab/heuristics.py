@@ -17,6 +17,30 @@ benchmarks:
   each shortlisted neuron by the actual bound improvement of its two
   children (costs extra AppVer calls);
 * ``random``   — uniform choice among unstable neurons.
+
+**One flat pass.**  :meth:`BranchingHeuristic.select` concatenates the
+report's hidden bounds once (:class:`~repro.bounds.report.FlatBounds`,
+layer-major), builds one boolean candidate mask (bounds straddle zero and
+the neuron is undecided), scores every hidden neuron in one vector per
+heuristic and returns the first maximum among the candidates — the same
+first-max rule as a sorted ``(layer, unit)`` list.  Slopes, gaps and their
+denominators are computed once on the flat vectors; the sensitivity and
+indirect passes run on per-layer views of them.
+
+**Per-run constants.**  ``|W|`` of the hidden-to-hidden weights, the
+specification pulled through the last affine layer and its column abs-max
+are computed once and kept on the heuristic instance, tied to the identity
+of the network and spec objects (every verifier builds one heuristic per
+run; a heuristic handed other objects recomputes them).
+
+**Bit-identical scores.**  Every element goes through the same operations in
+the same order as a per-layer implementation, so scores, split choices,
+verdicts and node charges do not depend on the flat layout.
+
+**``select`` is the entry point.**  Subclasses implement :meth:`scores_at`
+and leave :meth:`select` alone (FSB's look-ahead is the one exception):
+instrumentation that times branching wraps exactly these two methods, so an
+override elsewhere would silently drop its calls from a trace.
 """
 
 from __future__ import annotations
@@ -26,7 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bounds.report import BoundReport
+from repro.bounds.report import BoundReport, FlatBounds
 from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
 from repro.nn.network import LoweredNetwork
 from repro.specs.properties import LinearOutputSpec
@@ -55,22 +79,33 @@ class BranchingContext:
 
 
 class BranchingHeuristic:
-    """Base class: pick one unstable neuron to split (or ``None`` at a leaf)."""
+    """Base class: pick one unstable neuron to split (or ``None`` at a leaf).
+
+    Subclasses implement :meth:`scores_at`; :meth:`select` is the one
+    selection entry point and is not overridden (FSB's look-ahead aside).
+    """
 
     name = "heuristic"
 
     def select(self, context: BranchingContext) -> Optional[Neuron]:
         """The highest-scoring unstable neuron (first on ties), or ``None``."""
-        unstable = context.unstable_neurons()
-        if not unstable:
+        flat = context.report.flat_bounds()
+        candidates = np.flatnonzero(flat.unstable_mask(context.splits))
+        if not candidates.size:
             return None
-        scores = self.scores(context, unstable)
-        require(len(scores) == len(unstable), "heuristic returned wrong number of scores")
-        return unstable[int(np.argmax(scores))]
+        scores = self.scores_at(context, flat, candidates)
+        require(len(scores) == len(candidates), "heuristic returned wrong number of scores")
+        return flat.neuron(int(candidates[int(np.argmax(scores))]))
 
     def scores(self, context: BranchingContext,
-               unstable: Sequence[Neuron]) -> np.ndarray:
-        """One score per neuron of ``unstable``; higher means split first."""
+               neurons: Sequence[Neuron]) -> np.ndarray:
+        """One score per neuron of ``neurons``; higher means split first."""
+        flat = context.report.flat_bounds()
+        return self.scores_at(context, flat, flat.index_of(neurons))
+
+    def scores_at(self, context: BranchingContext, flat: FlatBounds,
+                  index: np.ndarray) -> np.ndarray:
+        """One score per flat neuron index of ``index`` (layer-major order)."""
         raise NotImplementedError
 
 
@@ -78,15 +113,46 @@ class BranchingHeuristic:
 # Shared sensitivity machinery
 # ---------------------------------------------------------------------------
 
-def _relaxation_slopes(report: BoundReport) -> List[np.ndarray]:
-    """Per-layer upper-relaxation slopes implied by the report's bounds."""
-    slopes = []
-    for bounds in report.pre_activation_bounds:
-        lower, upper = bounds.lower, bounds.upper
-        unstable = (lower < 0.0) & (upper > 0.0)
-        slopes.append(np.where(unstable, upper / np.where(unstable, upper - lower, 1.0),
-                               np.where(upper <= 0.0, 0.0, 1.0)))
-    return slopes
+class _RunConstants:
+    """What the sensitivity pass reuses across a run's calls.
+
+    ``|W|`` of the hidden-to-hidden weights, the specification pulled
+    through the last affine layer and that product's column abs-max.  Held
+    with the network and spec they came from, so a heuristic handed other
+    objects recomputes them.
+    """
+
+    __slots__ = ("network", "spec", "absolute", "head", "head_sensitivity")
+
+    def __init__(self, network: LoweredNetwork, spec: LinearOutputSpec) -> None:
+        self.network = network
+        self.spec = spec
+        self.absolute = [np.abs(weight) for weight in network.weights[1:-1]]
+        self.head = spec.coefficients @ network.weights[-1]
+        self.head_sensitivity = np.abs(self.head).max(axis=0)
+
+
+def _relaxation(flat: FlatBounds) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat upper-relaxation slopes and relaxation gaps ``u(-l)/(u-l)`` (0 when stable)."""
+    lower, upper = flat.lower, flat.upper
+    straddles = (lower < 0.0) & (upper > 0.0)
+    denominator = np.where(straddles, upper - lower, 1.0)
+    slopes = np.where(straddles, upper / denominator, np.where(upper <= 0.0, 0.0, 1.0))
+    gaps = np.where(straddles, upper * (-lower) / denominator, 0.0)
+    return slopes, gaps
+
+
+def _sensitivities(constants: _RunConstants, flat: FlatBounds,
+                   slopes: np.ndarray) -> List[np.ndarray]:
+    """Per-layer |d margin / d h_layer| given the flat relaxation slopes."""
+    network = constants.network
+    coefficients = constants.head
+    sensitivities: List[np.ndarray] = [constants.head_sensitivity]
+    for layer in range(network.num_relu_layers - 1, 0, -1):
+        coefficients = (coefficients * flat.layer(slopes, layer)) @ network.weights[layer]
+        sensitivities.append(np.abs(coefficients).max(axis=0))
+    sensitivities.reverse()
+    return sensitivities
 
 
 def output_sensitivities(network: LoweredNetwork, spec: LinearOutputSpec,
@@ -97,34 +163,26 @@ def output_sensitivities(network: LoweredNetwork, spec: LinearOutputSpec,
     layers, passing ReLU layers with their upper-relaxation slope, and
     aggregates absolute values over the specification rows.
     """
-    slopes = _relaxation_slopes(report)
-    coefficients = spec.coefficients @ network.weights[-1]
-    sensitivities: List[np.ndarray] = [np.abs(coefficients).max(axis=0)]
-    for layer in range(network.num_relu_layers - 1, 0, -1):
-        coefficients = (coefficients * slopes[layer]) @ network.weights[layer]
-        sensitivities.append(np.abs(coefficients).max(axis=0))
-    sensitivities.reverse()
-    return sensitivities
+    flat = report.flat_bounds()
+    slopes, _ = _relaxation(flat)
+    return _sensitivities(_RunConstants(network, spec), flat, slopes)
 
 
-def _gap_weights(context: BranchingContext) -> List[np.ndarray]:
-    """Per-layer relaxation gap ``u(-l)/(u-l)`` (0 when stable) × output sensitivity."""
-    sensitivities = output_sensitivities(context.network, context.spec, context.report)
-    gap_weights = []
-    for bounds, sensitivity in zip(context.report.pre_activation_bounds, sensitivities):
-        lower, upper = bounds.lower, bounds.upper
-        unstable = (lower < 0.0) & (upper > 0.0)
-        denominator = np.where(unstable, upper - lower, 1.0)
-        gap_weights.append(np.where(unstable, upper * (-lower) / denominator, 0.0)
-                           * sensitivity)
-    return gap_weights
+class _GapHeuristic(BranchingHeuristic):
+    """Shared flat pass of the gap-based heuristics (BaB-SR, DeepSplit)."""
 
+    _constants: Optional[_RunConstants] = None
 
-def _gather(per_layer: Sequence[np.ndarray], neurons: Sequence[Neuron]) -> np.ndarray:
-    """``per_layer[layer][unit]`` for every ``(layer, unit)`` in ``neurons``."""
-    offsets = np.cumsum([0] + [values.size for values in per_layer])
-    index = np.asarray(neurons, dtype=np.intp).reshape(-1, 2)
-    return np.concatenate(per_layer)[offsets[index[:, 0]] + index[:, 1]]
+    def _gap_pass(self, context: BranchingContext,
+                  flat: FlatBounds) -> Tuple[np.ndarray, np.ndarray]:
+        """Flat slopes and ``gap × output sensitivity`` for every hidden neuron."""
+        constants = self._constants
+        if (constants is None or constants.network is not context.network
+                or constants.spec is not context.spec):
+            constants = self._constants = _RunConstants(context.network, context.spec)
+        slopes, gaps = _relaxation(flat)
+        sensitivity = np.concatenate(_sensitivities(constants, flat, slopes))
+        return slopes, gaps * sensitivity
 
 
 # ---------------------------------------------------------------------------
@@ -136,26 +194,24 @@ class WidestHeuristic(BranchingHeuristic):
 
     name = "widest"
 
-    def scores(self, context: BranchingContext,
-               unstable: Sequence[Neuron]) -> np.ndarray:
+    def scores_at(self, context: BranchingContext, flat: FlatBounds,
+                  index: np.ndarray) -> np.ndarray:
         """Pre-activation interval width of each neuron."""
-        widths = [bounds.upper - bounds.lower
-                  for bounds in context.report.pre_activation_bounds]
-        return _gather(widths, unstable)
+        return (flat.upper - flat.lower)[index]
 
 
-class BaBSRHeuristic(BranchingHeuristic):
+class BaBSRHeuristic(_GapHeuristic):
     """BaB-SR: relaxation gap weighted by estimated output sensitivity."""
 
     name = "babsr"
 
-    def scores(self, context: BranchingContext,
-               unstable: Sequence[Neuron]) -> np.ndarray:
-        """``gap × sensitivity`` of each neuron (one gap vector per layer)."""
-        return _gather(_gap_weights(context), unstable)
+    def scores_at(self, context: BranchingContext, flat: FlatBounds,
+                  index: np.ndarray) -> np.ndarray:
+        """``gap × sensitivity`` of each neuron."""
+        return self._gap_pass(context, flat)[1][index]
 
 
-class DeepSplitHeuristic(BranchingHeuristic):
+class DeepSplitHeuristic(_GapHeuristic):
     """DeepSplit-like indirect-effect analysis.
 
     A neuron's score is its *direct* effect on the output bound (the BaB-SR
@@ -174,23 +230,23 @@ class DeepSplitHeuristic(BranchingHeuristic):
         require(indirect_weight >= 0.0, "indirect_weight must be non-negative")
         self.indirect_weight = indirect_weight
 
-    def scores(self, context: BranchingContext,
-               unstable: Sequence[Neuron]) -> np.ndarray:
+    def scores_at(self, context: BranchingContext, flat: FlatBounds,
+                  index: np.ndarray) -> np.ndarray:
         """``direct + indirect_weight × indirect`` for each neuron."""
-        slopes = _relaxation_slopes(context.report)
-        gap_weights = _gap_weights(context)
-        absolute = [np.abs(weight) for weight in context.network.weights[1:-1]]
-        indirect = [np.zeros_like(gap_weight) for gap_weight in gap_weights]
-        for later in range(1, len(gap_weights)):
-            if not np.any(gap_weights[later]):
+        slopes, gap_weights = self._gap_pass(context, flat)
+        absolute = self._constants.absolute
+        indirect = np.zeros_like(gap_weights)
+        indirect_layers = [flat.layer(indirect, layer) for layer in range(flat.num_layers)]
+        for later in range(1, flat.num_layers):
+            gap_weight = flat.layer(gap_weights, later)
+            if not gap_weight.any():
                 continue
-            vector = gap_weights[later] @ absolute[later - 1]
-            indirect[later - 1] += vector
+            vector = gap_weight @ absolute[later - 1]
+            indirect_layers[later - 1] += vector
             for source in range(later - 1, 0, -1):
-                vector = (vector * slopes[source]) @ absolute[source - 1]
-                indirect[source - 1] += vector
-        return (_gather(gap_weights, unstable)
-                + self.indirect_weight * _gather(indirect, unstable))
+                vector = (vector * flat.layer(slopes, source)) @ absolute[source - 1]
+                indirect_layers[source - 1] += vector
+        return gap_weights[index] + self.indirect_weight * indirect[index]
 
 
 class FSBHeuristic(BranchingHeuristic):
@@ -205,12 +261,13 @@ class FSBHeuristic(BranchingHeuristic):
 
     def select(self, context: BranchingContext) -> Optional[Neuron]:
         """Shortlisted neuron with the best worse-child ``p̂`` (no callback: BaB-SR's top)."""
-        unstable = context.unstable_neurons()
-        if not unstable:
+        flat = context.report.flat_bounds()
+        candidates = np.flatnonzero(flat.unstable_mask(context.splits))
+        if not candidates.size:
             return None
-        babsr_scores = self._fallback.scores(context, unstable)
+        babsr_scores = self._fallback.scores_at(context, flat, candidates)
         order = np.argsort(babsr_scores)[::-1][:self.shortlist_size]
-        shortlist = [unstable[int(i)] for i in order]
+        shortlist = [flat.neuron(int(candidates[i])) for i in order]
         if context.evaluate_split is None or len(shortlist) == 1:
             return shortlist[0]
         best_neuron = shortlist[0]
@@ -226,10 +283,10 @@ class FSBHeuristic(BranchingHeuristic):
                 best_neuron = (layer, unit)
         return best_neuron
 
-    def scores(self, context: BranchingContext,
-               unstable: Sequence[Neuron]) -> np.ndarray:  # pragma: no cover
+    def scores_at(self, context: BranchingContext, flat: FlatBounds,
+                  index: np.ndarray) -> np.ndarray:
         """The BaB-SR shortlist scores (the look-ahead lives in :meth:`select`)."""
-        return self._fallback.scores(context, unstable)
+        return self._fallback.scores_at(context, flat, index)
 
 
 class RandomHeuristic(BranchingHeuristic):
@@ -240,10 +297,10 @@ class RandomHeuristic(BranchingHeuristic):
     def __init__(self, seed: SeedLike = 0) -> None:
         self._rng = as_rng(seed)
 
-    def scores(self, context: BranchingContext,
-               unstable: Sequence[Neuron]) -> np.ndarray:
-        """Uniform draws from the heuristic's seeded generator."""
-        return self._rng.random(len(unstable))
+    def scores_at(self, context: BranchingContext, flat: FlatBounds,
+                  index: np.ndarray) -> np.ndarray:
+        """One uniform draw per neuron, in order, from the seeded generator."""
+        return self._rng.random(len(index))
 
 
 _HEURISTICS: Dict[str, Callable[[], BranchingHeuristic]] = {

@@ -2,13 +2,75 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bounds.linear_form import ScalarBounds
 from repro.bounds.splits import SplitAssignment
+
+
+class FlatBounds:
+    """All hidden pre-activation bounds of a report, concatenated layer-major.
+
+    ``lower`` and ``upper`` hold every hidden neuron once, layer after
+    layer; layer ``l`` occupies ``offsets[l]:offsets[l + 1]``.  Branching
+    heuristics score neurons on these flat vectors, so one numpy call
+    covers every layer.
+    """
+
+    __slots__ = ("lower", "upper", "offsets")
+
+    def __init__(self, layers: Sequence[ScalarBounds]) -> None:
+        offsets = [0]
+        for bounds in layers:
+            offsets.append(offsets[-1] + bounds.size)
+        self.offsets: List[int] = offsets
+        if layers:
+            self.lower = np.concatenate([bounds.lower for bounds in layers])
+            self.upper = np.concatenate([bounds.upper for bounds in layers])
+        else:
+            self.lower = self.upper = np.empty(0)
+
+    @property
+    def num_layers(self) -> int:
+        """Number of hidden layers."""
+        return len(self.offsets) - 1
+
+    def layer(self, values: np.ndarray, layer: int) -> np.ndarray:
+        """The view of flat ``values`` that belongs to ``layer``."""
+        return values[self.offsets[layer]:self.offsets[layer + 1]]
+
+    def unstable_mask(self, splits: Optional[SplitAssignment] = None,
+                      tolerance: float = 0.0) -> np.ndarray:
+        """Flat mask of the undecided neurons whose bounds straddle zero.
+
+        Splits on neurons outside the report's layers are ignored.
+        """
+        mask = (self.lower < -tolerance) & (self.upper > tolerance)
+        offsets = self.offsets
+        for layer, unit in splits.decided_neurons() if splits else ():
+            if layer < len(offsets) - 1 and unit < offsets[layer + 1] - offsets[layer]:
+                mask[offsets[layer] + unit] = False
+        return mask
+
+    def neuron(self, index: int) -> Tuple[int, int]:
+        """The ``(layer, unit)`` address of flat index ``index``."""
+        layer = bisect_right(self.offsets, index) - 1
+        return layer, index - self.offsets[layer]
+
+    def neurons(self, index: np.ndarray) -> List[Tuple[int, int]]:
+        """Plain-``int`` ``(layer, unit)`` addresses of the flat indices ``index``."""
+        offsets = np.asarray(self.offsets)
+        layers = np.searchsorted(offsets, index, side="right") - 1
+        return list(zip(layers.tolist(), (index - offsets[layers]).tolist()))
+
+    def index_of(self, neurons: Sequence[Tuple[int, int]]) -> np.ndarray:
+        """Flat indices of the ``(layer, unit)`` addresses ``neurons``."""
+        pairs = np.asarray(neurons, dtype=np.intp).reshape(-1, 2)
+        return np.asarray(self.offsets, dtype=np.intp)[pairs[:, 0]] + pairs[:, 1]
 
 
 @dataclass
@@ -60,6 +122,10 @@ class BoundReport:
             infeasible=self.infeasible,
             method=self.method)
 
+    def flat_bounds(self) -> FlatBounds:
+        """The hidden pre-activation bounds as flat layer-major vectors."""
+        return FlatBounds(self.pre_activation_bounds)
+
     def unstable_neurons(self, splits: Optional[SplitAssignment] = None,
                          tolerance: float = 0.0) -> List[Tuple[int, int]]:
         """Neurons whose phase is still ambiguous in this sub-problem.
@@ -68,18 +134,13 @@ class BoundReport:
         (beyond ``tolerance``) and its phase has not been fixed by a split.
         The list is sorted by ``(layer, unit)``.
         """
-        masks = [(bounds.lower < -tolerance) & (bounds.upper > tolerance)
-                 for bounds in self.pre_activation_bounds]
-        for layer, unit in splits.decided_neurons() if splits else ():
-            if layer < len(masks) and unit < masks[layer].size:
-                masks[layer][unit] = False
-        return [(layer, unit) for layer, mask in enumerate(masks)
-                for unit in np.flatnonzero(mask).tolist()]
+        flat = self.flat_bounds()
+        return flat.neurons(np.flatnonzero(flat.unstable_mask(splits, tolerance)))
 
     @property
     def num_unstable(self) -> int:
         """Number of unstable neurons when no split is decided."""
-        return len(self.unstable_neurons())
+        return int(np.count_nonzero(self.flat_bounds().unstable_mask()))
 
     @property
     def verified(self) -> bool:

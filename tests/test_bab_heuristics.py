@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bab.heuristics import (
     BaBSRHeuristic,
     BranchingContext,
+    BranchingHeuristic,
     DeepSplitHeuristic,
     FSBHeuristic,
     RandomHeuristic,
@@ -284,3 +287,170 @@ class TestVectorisedOracles:
                                    splits=SplitAssignment.empty())
         for name in ALL_HEURISTICS:
             assert make_heuristic(name).select(context) is None
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-layer scoring code the flat pass replaced, verbatim
+# ---------------------------------------------------------------------------
+
+def reference_relaxation_slopes(report):
+    """Per-layer upper-relaxation slopes implied by the report's bounds."""
+    slopes = []
+    for bounds in report.pre_activation_bounds:
+        lower, upper = bounds.lower, bounds.upper
+        unstable = (lower < 0.0) & (upper > 0.0)
+        slopes.append(np.where(unstable, upper / np.where(unstable, upper - lower, 1.0),
+                               np.where(upper <= 0.0, 0.0, 1.0)))
+    return slopes
+
+
+def reference_output_sensitivities(network, spec, report):
+    """Estimated |d margin / d h_layer| for every hidden layer."""
+    slopes = reference_relaxation_slopes(report)
+    coefficients = spec.coefficients @ network.weights[-1]
+    sensitivities = [np.abs(coefficients).max(axis=0)]
+    for layer in range(network.num_relu_layers - 1, 0, -1):
+        coefficients = (coefficients * slopes[layer]) @ network.weights[layer]
+        sensitivities.append(np.abs(coefficients).max(axis=0))
+    sensitivities.reverse()
+    return sensitivities
+
+
+def reference_gap_weights(context):
+    """Per-layer relaxation gap ``u(-l)/(u-l)`` (0 when stable) × output sensitivity."""
+    sensitivities = reference_output_sensitivities(context.network, context.spec,
+                                                   context.report)
+    gap_weights = []
+    for bounds, sensitivity in zip(context.report.pre_activation_bounds, sensitivities):
+        lower, upper = bounds.lower, bounds.upper
+        unstable = (lower < 0.0) & (upper > 0.0)
+        denominator = np.where(unstable, upper - lower, 1.0)
+        gap_weights.append(np.where(unstable, upper * (-lower) / denominator, 0.0)
+                           * sensitivity)
+    return gap_weights
+
+
+def reference_gather(per_layer, neurons):
+    """``per_layer[layer][unit]`` for every ``(layer, unit)`` in ``neurons``."""
+    offsets = np.cumsum([0] + [values.size for values in per_layer])
+    index = np.asarray(neurons, dtype=np.intp).reshape(-1, 2)
+    return np.concatenate(per_layer)[offsets[index[:, 0]] + index[:, 1]]
+
+
+def reference_deepsplit_scores(context, unstable, indirect_weight):
+    """``direct + indirect_weight × indirect`` for each neuron."""
+    slopes = reference_relaxation_slopes(context.report)
+    gap_weights = reference_gap_weights(context)
+    absolute = [np.abs(weight) for weight in context.network.weights[1:-1]]
+    indirect = [np.zeros_like(gap_weight) for gap_weight in gap_weights]
+    for later in range(1, len(gap_weights)):
+        if not np.any(gap_weights[later]):
+            continue
+        vector = gap_weights[later] @ absolute[later - 1]
+        indirect[later - 1] += vector
+        for source in range(later - 1, 0, -1):
+            vector = (vector * slopes[source]) @ absolute[source - 1]
+            indirect[source - 1] += vector
+    return (reference_gather(gap_weights, unstable)
+            + indirect_weight * reference_gather(indirect, unstable))
+
+
+def reference_scores(name, context, unstable):
+    """The replaced code's scores of heuristic ``name`` (``deepsplit-W``: weight W)."""
+    if name.startswith("deepsplit-"):
+        return reference_deepsplit_scores(context, unstable, float(name.split("-")[1]))
+    if name == "babsr":
+        return reference_gather(reference_gap_weights(context), unstable)
+    widths = [bounds.upper - bounds.lower for bounds in context.report.pre_activation_bounds]
+    return reference_gather(widths, unstable)
+
+
+def flat_heuristic(name):
+    """The heuristic under test for a :func:`reference_scores` name."""
+    if name.startswith("deepsplit-"):
+        return DeepSplitHeuristic(float(name.split("-")[1]))
+    return make_heuristic(name)
+
+
+def reference_choice(scores, unstable):
+    """The replaced ``select``: first maximum over the sorted unstable list."""
+    return unstable[int(np.argmax(scores))] if unstable else None
+
+
+def rescaled_problem(network, spec, seed):
+    """Same shapes as ``network``/``spec``, different values."""
+    rng = np.random.default_rng(seed)
+    weights = tuple(weight * rng.uniform(0.5, 2.0, size=weight.shape)
+                    for weight in network.weights)
+    other = LoweredNetwork(weights, network.biases, network.input_shape)
+    return other, LinearOutputSpec(rng.normal(size=spec.coefficients.shape), spec.offsets)
+
+
+FLAT_NAMES = ["deepsplit-0.0", "deepsplit-0.5", "deepsplit-1.0", "babsr", "widest"]
+
+
+class TestFlatPassBitExact:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           num_relu_layers=st.sampled_from([None, 1, 2, 4]),
+           stable_layer=st.sampled_from([None, 0, 1]),
+           split=st.booleans())
+    def test_scores_and_choice_equal_reference(self, seed, num_relu_layers, stable_layer,
+                                               split):
+        network, spec, report, splits = random_problem(seed, num_relu_layers, stable_layer)
+        if not split:
+            splits = SplitAssignment.empty()
+        context = BranchingContext(network=network, spec=spec, report=report, splits=splits)
+        unstable = context.unstable_neurons()
+        for name in FLAT_NAMES:
+            reference = reference_scores(name, context, unstable)
+            heuristic = flat_heuristic(name)
+            scores = heuristic.scores(context, unstable)
+            assert scores.tobytes() == reference.tobytes(), name
+            assert np.array_equal(scores, reference), name
+            assert heuristic.select(context) == reference_choice(reference, unstable), name
+
+    def test_seeded_random_draws_one_number_per_candidate(self):
+        heuristic = RandomHeuristic(seed=3)
+        rng = np.random.default_rng(3)
+        for seed in range(12):
+            network, spec, report, splits = random_problem(seed)
+            context = BranchingContext(network=network, spec=spec, report=report,
+                                       splits=splits)
+            unstable = context.unstable_neurons()
+            expected = reference_choice(rng.random(len(unstable)), unstable)
+            assert heuristic.select(context) == expected
+
+    @pytest.mark.parametrize("name", FLAT_NAMES)
+    def test_one_instance_alternating_problems_never_reuses_constants(self, name):
+        network, spec, report, splits = random_problem(21, 3)
+        other_network, other_spec = rescaled_problem(network, spec, 5)
+        heuristic = flat_heuristic(name)
+        # Consecutive pairs change only the spec, then only the network.
+        pairs = [(network, spec), (network, other_spec),
+                 (other_network, other_spec), (other_network, spec)] * 2
+        for pair_network, pair_spec in pairs:
+            context = BranchingContext(network=pair_network, spec=pair_spec,
+                                       report=report, splits=splits)
+            unstable = context.unstable_neurons()
+            reference = reference_scores(name, context, unstable)
+            assert heuristic.scores(context, unstable).tobytes() == reference.tobytes()
+            assert heuristic.select(context) == reference_choice(reference, unstable)
+
+    def test_alternating_problems_pick_different_neurons(self):
+        # The alternation above is only a leak check if the two problems disagree.
+        network, spec, report, splits = random_problem(21, 3)
+        other_network, other_spec = rescaled_problem(network, spec, 5)
+        choices = set()
+        for pair in ((network, spec), (other_network, other_spec)):
+            context = BranchingContext(network=pair[0], spec=pair[1], report=report,
+                                       splits=splits)
+            unstable = context.unstable_neurons()
+            choices.add(reference_choice(
+                reference_scores("deepsplit-0.5", context, unstable), unstable))
+        assert len(choices) == 2
+
+    @pytest.mark.parametrize("name", ALL_HEURISTICS)
+    def test_only_fsb_overrides_select(self, name):
+        overrides = type(make_heuristic(name)).select is not BranchingHeuristic.select
+        assert overrides == (name == "fsb")
