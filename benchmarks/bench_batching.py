@@ -1,12 +1,13 @@
-"""Micro-benchmark: batched vs sequential AppVer throughput.
+"""Micro-benchmark: batched vs one-child-at-a-time AppVer throughput.
 
 Models the hot path of every BaB-style verifier in the library — expanding
 the phase-split children of already-bounded parent sub-problems — and
 measures AppVer calls/second on the seed synthetic model families in three
 modes:
 
-* ``sequential``      — one ``evaluate`` call per child, cache off (the
-  pre-batching seed behaviour);
+* ``sequential``      — one ``evaluate`` call per child, cache off: the one
+  bound kernel at ``B = 1``, once per child (the pre-batching call
+  pattern; the JSON keys keep the ``sequential`` name);
 * ``batched``         — one ``evaluate_batch`` call for all children,
   cache off (pure batching);
 * ``engine``          — ``evaluate_batch`` with the split-aware bound

@@ -18,16 +18,10 @@ from repro.bounds.deeppoly import (
 )
 from repro.bounds.interval import interval_bounds, interval_bounds_batch
 from repro.bounds.linear_form import (
-    AffineForms,
-    BatchedAffineForms,
     BatchedLinearForm,
-    LinearForm,
     ScalarBounds,
-    concretize_lower,
     concretize_lower_batch,
-    concretize_upper,
     concretize_upper_batch,
-    minimizing_corner,
     minimizing_corner_batch,
 )
 from repro.bounds.report import BoundReport
@@ -37,8 +31,8 @@ from repro.bounds.splits import (
     ReluSplit,
     SplitAssignment,
     clip_bounds_with_phases,
+    decided_phases,
     split_delta,
-    stacked_phase_array,
 )
 
 __all__ = [
@@ -48,10 +42,8 @@ __all__ = [
     "LpCacheStats",
     "clip_bounds_with_phases",
     "split_delta",
-    "stacked_phase_array",
+    "decided_phases",
     "SubstitutionEntry",
-    "AffineForms",
-    "BatchedAffineForms",
     "AlphaCrownAnalyzer",
     "AlphaCrownConfig",
     "alpha_crown_bounds",
@@ -64,13 +56,9 @@ __all__ = [
     "interval_bounds",
     "interval_bounds_batch",
     "BatchedLinearForm",
-    "LinearForm",
     "ScalarBounds",
-    "concretize_lower",
     "concretize_lower_batch",
-    "concretize_upper",
     "concretize_upper_batch",
-    "minimizing_corner",
     "minimizing_corner_batch",
     "BoundReport",
     "ACTIVE",

@@ -15,14 +15,15 @@ laptop-scale networks used here a handful of iterations recovers most of the
 gap between DeepPoly and the fully optimised bound, which is what matters
 for the baseline comparison.
 
-:meth:`AlphaCrownAnalyzer.analyze_batch` runs the same optimisation for
-``B`` sub-problems at once: because each sequential :meth:`analyze` call
-seeds a fresh RNG, every sub-problem sees the *same* ±1 perturbation
-direction sequence, so one shared draw per iteration serves the whole batch
-and all ``2B`` perturbed objectives evaluate through one stacked DeepPoly
-pass (:meth:`~repro.bounds.deeppoly.DeepPolyAnalyzer.analyze_batch` with
-batched ``lower_slopes``).  Ascent steps and best-so-far tracking are
-per-element, so results match the per-element loop up to batched-matmul
+:meth:`AlphaCrownAnalyzer.analyze_batch` runs the optimisation for ``B``
+sub-problems at once and :meth:`AlphaCrownAnalyzer.analyze` is the same
+optimisation at ``B = 1``.  Every sub-problem sees the *same* ±1
+perturbation direction sequence (the RNG is seeded per call), so one
+shared draw per iteration serves the whole batch and all perturbed
+objectives evaluate through one stacked DeepPoly pass
+(:meth:`~repro.bounds.deeppoly.DeepPolyAnalyzer.analyze_batch` with batched
+``lower_slopes``).  Ascent steps and best-so-far tracking are per-element,
+so a row's result does not depend on the other rows beyond batched-matmul
 float noise.
 
 **Parent warm start.**  When the caller threads BaB parent identity
@@ -124,79 +125,20 @@ class AlphaCrownAnalyzer:
         self.warm_starts += 1
         return slopes
 
-    def _initial_slopes(self, box: InputBox,
-                        splits: Optional[SplitAssignment]) -> List[np.ndarray]:
-        """Start from the DeepPoly heuristic slopes of a plain analysis."""
-        report = self._inner.analyze(box, splits=splits)
-        slopes = []
-        for bounds in report.pre_activation_bounds:
-            slopes.append(default_lower_slope(bounds.lower, bounds.upper))
-        return slopes
-
-    def _objective(self, box: InputBox, splits: Optional[SplitAssignment],
-                   spec: LinearOutputSpec, slopes: Sequence[np.ndarray]) -> float:
-        report = self._inner.analyze(box, splits=splits, spec=spec, lower_slopes=slopes)
-        return float("-inf") if report.p_hat is None else float(report.p_hat)
-
-    def analyze(self, box: InputBox, splits: Optional[SplitAssignment] = None,
-                spec: Optional[LinearOutputSpec] = None,
-                rng: SeedLike = None,
-                parent: Optional[SplitAssignment] = None) -> BoundReport:
-        """Return bounds with optimised slopes (falls back to DeepPoly without a spec)."""
-        if spec is None or self.config.iterations == 0:
-            report = self._inner.analyze(box, splits=splits, spec=spec)
-            report.method = "alpha-crown"
-            return report
-
-        splits = splits or SplitAssignment.empty()
-        rng = as_rng(self.config.seed if rng is None else rng)
-        slopes = self._warm_slopes(parent, splits)
-        if slopes is None:
-            slopes = self._initial_slopes(box, splits)
-        best_slopes = [s.copy() for s in slopes]
-        best_value = self._objective(box, splits, spec, slopes)
-
-        for iteration in range(self.config.iterations):
-            directions = [rng.choice([-1.0, 1.0], size=s.shape) for s in slopes]
-            delta = self.config.perturbation
-            plus = [np.clip(s + delta * d, 0.0, 1.0) for s, d in zip(slopes, directions)]
-            minus = [np.clip(s - delta * d, 0.0, 1.0) for s, d in zip(slopes, directions)]
-            value_plus = self._objective(box, splits, spec, plus)
-            value_minus = self._objective(box, splits, spec, minus)
-            gradient_scale = (value_plus - value_minus) / (2.0 * delta)
-            step = self.config.step_size / np.sqrt(iteration + 1.0)
-            slopes = [np.clip(s + step * gradient_scale * d, 0.0, 1.0)
-                      for s, d in zip(slopes, directions)]
-            value = self._objective(box, splits, spec, slopes)
-            for candidate_value, candidate_slopes in ((value_plus, plus),
-                                                      (value_minus, minus),
-                                                      (value, slopes)):
-                if candidate_value > best_value:
-                    best_value = candidate_value
-                    best_slopes = [s.copy() for s in candidate_slopes]
-
-        if self.config.warm_start:
-            self._store_slopes(splits, best_slopes)
-        report = self._inner.analyze(box, splits=splits, spec=spec,
-                                     lower_slopes=best_slopes)
-        report.method = "alpha-crown"
-        return report
-
-    # -- batched optimisation ---------------------------------------------------
-    def _objective_batch(self, box: InputBox,
-                         splits_list: Sequence[SplitAssignment],
-                         spec: LinearOutputSpec,
-                         slopes: Sequence[np.ndarray]) -> np.ndarray:
+    # -- optimisation -----------------------------------------------------------
+    def _objectives(self, box: InputBox, splits_list: Sequence[SplitAssignment],
+                    spec: LinearOutputSpec,
+                    slopes: Sequence[np.ndarray]) -> np.ndarray:
         """Per-element ``p̂`` of one stacked bound evaluation, shape ``(B,)``."""
         reports = self._inner.analyze_batch(box, splits_list, spec=spec,
                                             lower_slopes=slopes)
         return np.array([float("-inf") if report.p_hat is None
                          else float(report.p_hat) for report in reports])
 
-    def _initial_slopes_batch(self, box: InputBox,
-                              splits_list: Sequence[SplitAssignment],
-                              parents: Optional[Sequence[Optional[SplitAssignment]]]
-                              ) -> List[np.ndarray]:
+    def _starting_slopes(self, box: InputBox,
+                         splits_list: Sequence[SplitAssignment],
+                         parents: Optional[Sequence[Optional[SplitAssignment]]]
+                         ) -> List[np.ndarray]:
         """Stacked starting slopes: warm entries where available, heuristic
         DeepPoly slopes (one batched spec-less pass over the cold subset)
         otherwise."""
@@ -223,6 +165,14 @@ class AlphaCrownAnalyzer:
                 for index in range(len(splits_list))]))
         return stacked
 
+    def analyze(self, box: InputBox, splits: Optional[SplitAssignment] = None,
+                spec: Optional[LinearOutputSpec] = None,
+                rng: SeedLike = None,
+                parent: Optional[SplitAssignment] = None) -> BoundReport:
+        """Bounds of one sub-problem with optimised slopes: the batched
+        optimisation at ``B = 1`` (falls back to DeepPoly without a spec)."""
+        return self._optimise(box, [splits], spec, rng, [parent])[0]
+
     def analyze_batch(self, box: InputBox,
                       splits_list: Sequence[Optional[SplitAssignment]],
                       spec: Optional[LinearOutputSpec] = None,
@@ -231,17 +181,21 @@ class AlphaCrownAnalyzer:
                       ) -> List[BoundReport]:
         """Optimise slopes for ``B`` sub-problems in stacked SPSA passes.
 
-        Equivalent to ``[self.analyze(box, s, spec) for s in splits_list]``
-        up to batched-matmul floating-point noise: the per-element loop
-        reseeds its RNG for every sub-problem, so all sub-problems share one
-        perturbation-direction sequence, which is exactly what one shared
-        draw per iteration reproduces.  Instead of ``B`` independent SPSA
-        loops of ``3`` bound computations per iteration, each iteration runs
-        three stacked :meth:`DeepPolyAnalyzer.analyze_batch` passes over the
-        whole batch.  ``parents`` (index-aligned, ``None`` entries allowed)
-        enables the per-element parent warm start; when every element is
-        warm the initial spec-less bounding pass is skipped entirely.
+        Every sub-problem sees the same perturbation-direction sequence, one
+        shared draw per iteration, and each iteration runs three stacked
+        :meth:`DeepPolyAnalyzer.analyze_batch` passes over the whole batch.
+        ``parents`` (index-aligned, ``None`` entries allowed) enables the
+        per-element parent warm start; when every element is warm the
+        initial spec-less bounding pass is skipped entirely.
         """
+        return self._optimise(box, splits_list, spec, rng, parents)
+
+    def _optimise(self, box: InputBox,
+                  splits_list: Sequence[Optional[SplitAssignment]],
+                  spec: Optional[LinearOutputSpec], rng: SeedLike,
+                  parents: Optional[Sequence[Optional[SplitAssignment]]]
+                  ) -> List[BoundReport]:
+        """The SPSA optimisation behind :meth:`analyze` and :meth:`analyze_batch`."""
         splits_list = [s or SplitAssignment.empty() for s in splits_list]
         if not splits_list:
             return []
@@ -255,29 +209,27 @@ class AlphaCrownAnalyzer:
             return reports
 
         rng = as_rng(self.config.seed if rng is None else rng)
-        slopes = self._initial_slopes_batch(box, splits_list, parents)
+        slopes = self._starting_slopes(box, splits_list, parents)
         best_slopes = [s.copy() for s in slopes]
-        best_value = self._objective_batch(box, splits_list, spec, slopes)
+        best_value = self._objectives(box, splits_list, spec, slopes)
 
         for iteration in range(self.config.iterations):
-            # One shared ±1 draw per layer — the same directions every
-            # sequential call would draw from its freshly seeded RNG.
-            directions = [np.broadcast_to(
-                rng.choice([-1.0, 1.0], size=s.shape[1:]), s.shape)
-                for s in slopes]
+            # One shared ±1 draw per layer; it broadcasts over the rows.
+            directions = [rng.choice([-1.0, 1.0], size=s.shape[1:])
+                          for s in slopes]
             delta = self.config.perturbation
             plus = [np.clip(s + delta * d, 0.0, 1.0)
                     for s, d in zip(slopes, directions)]
             minus = [np.clip(s - delta * d, 0.0, 1.0)
                      for s, d in zip(slopes, directions)]
-            value_plus = self._objective_batch(box, splits_list, spec, plus)
-            value_minus = self._objective_batch(box, splits_list, spec, minus)
+            value_plus = self._objectives(box, splits_list, spec, plus)
+            value_minus = self._objectives(box, splits_list, spec, minus)
             with np.errstate(invalid="ignore"):
                 gradient_scale = (value_plus - value_minus) / (2.0 * delta)
             step = self.config.step_size / np.sqrt(iteration + 1.0)
             slopes = [np.clip(s + step * gradient_scale[:, None] * d, 0.0, 1.0)
                       for s, d in zip(slopes, directions)]
-            value = self._objective_batch(box, splits_list, spec, slopes)
+            value = self._objectives(box, splits_list, spec, slopes)
             for candidate_value, candidate_slopes in ((value_plus, plus),
                                                       (value_minus, minus),
                                                       (value, slopes)):
@@ -304,5 +256,5 @@ def alpha_crown_bounds(network: LoweredNetwork, box: InputBox,
                        splits: Optional[SplitAssignment] = None,
                        spec: Optional[LinearOutputSpec] = None,
                        config: Optional[AlphaCrownConfig] = None) -> BoundReport:
-    """Convenience wrapper around :class:`AlphaCrownAnalyzer`."""
+    """Convenience wrapper around :meth:`AlphaCrownAnalyzer.analyze`."""
     return AlphaCrownAnalyzer(network, config).analyze(box, splits=splits, spec=spec)

@@ -248,32 +248,53 @@ def prefix_counts(canonical: Tuple[Tuple[int, int, int], ...],
     return tuple(counts)
 
 
-def stacked_phase_array(splits_list: Sequence["SplitAssignment"], layer: int,
-                        width: int) -> np.ndarray:
-    """Stacked decided-phase array ``(B, width)`` for one layer (0 = undecided)."""
-    return np.stack([splits.layer_phase_array(layer, width)
-                     for splits in splits_list])
+def decided_phases(canonical_keys: Sequence[Tuple[Tuple[int, int, int], ...]],
+                   counts: Sequence[Tuple[int, ...]], rows: Sequence[int],
+                   layer: int, width: int) -> Optional[np.ndarray]:
+    """Decided phases of ``rows`` at one layer, or ``None`` if none is decided.
+
+    ``counts[row]`` is :func:`prefix_counts` of ``canonical_keys[row]``, so
+    the row's decisions at ``layer`` are the key's slice between
+    consecutive counts.  Returns a ``(len(rows), width)`` integer array
+    (0 = undecided); units beyond ``width`` are ignored, as in
+    :meth:`SplitAssignment.layer_phases`.
+    """
+    phases = None
+    for position, row in enumerate(rows):
+        row_counts = counts[row]
+        start = row_counts[layer - 1] if layer else 0
+        for _, unit, phase in canonical_keys[row][start:row_counts[layer]]:
+            if unit < width:
+                if phases is None:
+                    phases = np.zeros((len(rows), width), dtype=int)
+                phases[position, unit] = phase
+    return phases
 
 
 def clip_bounds_with_phases(lower: np.ndarray, upper: np.ndarray,
-                            phases: np.ndarray
+                            phases: Optional[np.ndarray]
                             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched split clipping plus per-row inconsistency handling.
 
     Intersects ``(B, width)`` pre-activation bounds with the decided phases
-    (ACTIVE rows clip the lower bound to 0, INACTIVE rows the upper), flags
-    each batch row whose intersection became empty (beyond the ``1e-12``
-    slack of :meth:`~repro.bounds.linear_form.ScalarBounds.is_consistent`),
-    and re-sorts only those rows so downstream relaxations stay well formed
-    — exactly matching the sequential analyser's behaviour per sub-problem.
-    Returns ``(lower, upper, inconsistent_rows)``.
+    (ACTIVE entries clip the lower bound to 0, INACTIVE entries the upper;
+    ``phases=None`` decides nothing), flags each batch row whose bounds are
+    empty (beyond the ``1e-12`` slack of
+    :meth:`~repro.bounds.linear_form.ScalarBounds.is_consistent`), and
+    re-sorts only those rows so downstream relaxations stay well formed.
+    The emptiness test runs whether or not anything was clipped.  Returns
+    ``(lower, upper, inconsistent_rows)``; without phases the inputs
+    themselves are returned, re-sorted in place where inconsistent.
     """
-    lower = np.where(phases == ACTIVE, np.maximum(lower, 0.0), lower)
-    upper = np.where(phases == INACTIVE, np.minimum(upper, 0.0), upper)
-    inconsistent = ~np.all(lower <= upper + 1e-12, axis=1)
-    if np.any(inconsistent):
-        swapped_lower = np.minimum(lower[inconsistent], upper[inconsistent])
-        swapped_upper = np.maximum(lower[inconsistent], upper[inconsistent])
-        lower[inconsistent] = swapped_lower
-        upper[inconsistent] = swapped_upper
+    if phases is not None:
+        lower = np.where(phases == ACTIVE, np.maximum(lower, 0.0), lower)
+        upper = np.where(phases == INACTIVE, np.minimum(upper, 0.0), upper)
+    consistent = lower <= upper + 1e-12
+    if consistent.all():
+        return lower, upper, np.zeros(len(lower), dtype=bool)
+    inconsistent = ~consistent.all(axis=1)
+    swapped_lower = np.minimum(lower[inconsistent], upper[inconsistent])
+    swapped_upper = np.maximum(lower[inconsistent], upper[inconsistent])
+    lower[inconsistent] = swapped_lower
+    upper[inconsistent] = swapped_upper
     return lower, upper, inconsistent

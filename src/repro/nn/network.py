@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.nn.layers import Dense, Layer, ReLU, layer_config, layer_from_config
-from repro.utils.validation import require
+from repro.utils.validation import require, require_finite_array
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,10 @@ class LoweredNetwork:
             require(bias.ndim == 1, f"bias {index} must be a vector")
             require(weight.shape[0] == bias.shape[0],
                     f"weight/bias {index} output dimensions disagree")
+            # A NaN bound fails every emptiness test, so a non-finite
+            # parameter would read as an empty (verified) region.
+            require_finite_array(weight, f"weight {index}")
+            require_finite_array(bias, f"bias {index}")
             if index > 0:
                 require(weight.shape[1] == self.weights[index - 1].shape[0],
                         f"affine layers {index - 1} and {index} do not compose")

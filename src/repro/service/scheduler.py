@@ -102,6 +102,10 @@ TRANSPORTS = ("cooperative", "threaded", "process")
 #: it is inside a retry-backoff window.
 _BACKOFF_POLL_SECONDS = 0.005
 
+#: Fingerprint of a rejected job whose network cannot be lowered (and so
+#: has no problem fingerprint); it is never run, cached or looked up.
+_UNLOWERABLE_FINGERPRINT = "0" * 64
+
 
 def _default_verifier_factory(bundle: CacheBundle):
     """Build the paper's verifier on the bundle's shared caches."""
@@ -285,15 +289,21 @@ class VerificationService:
     def submit_request(self, request: JobRequest) -> str:
         """Enqueue a prebuilt :class:`~repro.service.jobs.JobRequest`.
 
-        Malformed requests (non-positive deadline or budget limits) are
-        *rejected*, not raised: the job is accepted, immediately finalised
-        with ``JobError(kind="InvalidRequest", stage="submit")`` and
-        ``attempts == 0``, and flows through the normal completion stream —
-        so a batch with one bad request still runs the other jobs and the
-        caller sees the rejection where it sees every other failure.
+        Malformed requests (non-positive deadline or budget limits, or a
+        network that does not lower, e.g. one with NaN or infinite
+        parameters) are *rejected*, not raised: the job is accepted,
+        immediately finalised with ``JobError(kind="InvalidRequest",
+        stage="submit")`` and ``attempts == 0``, and flows through the
+        normal completion stream — so a batch with one bad request still
+        runs the other jobs and the caller sees the rejection where it sees
+        every other failure.
         """
         error = self._validate_request(request)
-        fingerprint = self.pool.fingerprint_for(request.network, request.spec)
+        try:
+            fingerprint = self.pool.fingerprint_for(request.network, request.spec)
+        except ValueError as exc:  # the network does not lower, e.g. NaN weights
+            fingerprint = _UNLOWERABLE_FINGERPRINT
+            error = error or JobError("InvalidRequest", str(exc), "submit")
         now = time.monotonic()
         with self._lock:
             require(not self._shutdown,

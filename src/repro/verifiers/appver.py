@@ -19,7 +19,8 @@ Three throughput features back the hot path (see ``docs/BATCHING.md``):
   batch axis through the backward substitution, α-CROWN via stacked SPSA
   slope optimisation.  The frontier-wide drivers feed it the phase-split
   children of up to ``frontier_size`` nodes at once, and the realised batch
-  sizes are recorded in :attr:`ApproximateVerifier.batch_histogram`;
+  sizes are recorded in :attr:`ApproximateVerifier.batch_histogram`.
+  :meth:`ApproximateVerifier.evaluate` runs the same kernels at ``B = 1``;
 * a split-aware :class:`~repro.bounds.cache.BoundCache` (on by default)
   memoises per-layer pre-activation bounds keyed by the split-assignment
   prefix relevant to each layer, plus whole reports keyed by the full
@@ -34,9 +35,9 @@ Three throughput features back the hot path (see ``docs/BATCHING.md``):
   candidate-counterexample validation memoises the network forward pass per
   distinct candidate corner (phase-split children overwhelmingly share
   their parent's corner).  The DeepPoly reuse is exact — results are
-  identical to the non-incremental path (sequential mode bit-for-bit;
-  batched mode up to the same sub-1e-9 GEMM noise that already separates
-  batched from sequential evaluation).  The α-CROWN warm start is sound
+  identical to the non-incremental path (bit-for-bit at equal batch size;
+  across batch sizes up to the sub-1e-9 GEMM noise between rows of
+  differently sized batches).  The α-CROWN warm start is sound
   but moves the SPSA ascent's starting point, so optimised bounds may
   differ from the cold-start path.
 
@@ -279,9 +280,12 @@ class ApproximateVerifier:
                  parent: Optional[SplitAssignment] = None) -> AppVerOutcome:
         """Apply the approximated verifier to the sub-problem ``splits``.
 
-        ``parent`` optionally names the sub-problem's BaB parent; with the
-        incremental mode on, a one-split child reuses the parent's memoised
-        pass (see the module docstring) — results are unchanged.
+        The back-end's batched kernel at ``B = 1``, through its own
+        single-sub-problem entry point: charged as one call and not recorded
+        as a realised batch in :attr:`batch_histogram`.  ``parent``
+        optionally names the sub-problem's BaB parent; with the incremental
+        mode on, a one-split child reuses the parent's memoised pass (see
+        the module docstring) — results are unchanged.
         """
         splits = splits or SplitAssignment.empty()
         method = method or self.method

@@ -1,17 +1,19 @@
-"""Batched α-CROWN must match the per-element SPSA loop.
+"""Batched α-CROWN must match one-at-a-time α-CROWN.
 
 ``AlphaCrownAnalyzer.analyze_batch`` shares one perturbation draw per
-iteration across the batch — valid because the per-element loop reseeds its
-RNG for every sub-problem and therefore draws identical direction
-sequences.  These tests pin that equivalence (within batched-matmul float
-noise) and the soundness of the batched bounds.
+iteration across the batch, and ``analyze`` is the same optimisation at
+``B = 1`` with a freshly seeded RNG — so every sub-problem draws identical
+direction sequences whether bounded alone or in a batch.  These tests pin
+that equivalence (within batched-matmul float noise), the soundness of the
+batched bounds, and their relation to the textbook DeepPoly of
+``tests/reference_bounds.py``.
 """
 
 import numpy as np
 import pytest
+from reference_bounds import reference_deeppoly
 
 from repro.bounds.alpha_crown import AlphaCrownAnalyzer, AlphaCrownConfig
-from repro.bounds.deeppoly import DeepPolyAnalyzer
 from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
 from repro.specs.robustness import local_robustness_spec
 from repro.verifiers.appver import ApproximateVerifier
@@ -71,14 +73,13 @@ class TestAlphaCrownBatched:
         spec = _problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.15)
         lowered = small_network.lowered()
         analyzer = AlphaCrownAnalyzer(lowered, AlphaCrownConfig(iterations=8))
-        deeppoly = DeepPolyAnalyzer(lowered)
         splits_list = _split_workload(small_network, spec,
                                       include_infeasible=False)
         batched = analyzer.analyze_batch(spec.input_box, splits_list,
                                          spec=spec.output_spec)
         for splits, report in zip(splits_list, batched):
-            baseline = deeppoly.analyze(spec.input_box, splits=splits,
-                                        spec=spec.output_spec)
+            baseline = reference_deeppoly(lowered, spec.input_box, splits,
+                                          spec.output_spec)
             assert report.p_hat >= baseline.p_hat - TOLERANCE
 
     def test_no_spec_and_zero_iterations_fall_back(self, small_network):
@@ -94,8 +95,8 @@ class TestAlphaCrownBatched:
         batched = frozen.analyze_batch(spec.input_box, splits_list,
                                        spec=spec.output_spec)
         for splits, report in zip(splits_list, batched):
-            loop = frozen.analyze(spec.input_box, splits=splits,
-                                  spec=spec.output_spec)
+            loop = reference_deeppoly(lowered, spec.input_box, splits,
+                                      spec.output_spec)
             assert report.p_hat == pytest.approx(loop.p_hat, abs=TOLERANCE)
 
     def test_empty_batch(self, small_network):

@@ -1,17 +1,33 @@
-"""Equivalence regression tests: batched AppVer vs sequential evaluation.
+"""Equivalence regression tests for the batched bound kernels.
 
-``ApproximateVerifier.evaluate_batch`` must reproduce sequential
-``evaluate`` results to 1e-9 — for batch sizes 1, 2 and 17, with and
-without warmed cache prefixes, and including infeasible-split reports.
+``ApproximateVerifier.evaluate_batch`` must reproduce the cache-free
+textbook DeepPoly / IBP of ``tests/reference_bounds.py`` to 1e-9 — for
+batch sizes 1, 2 and 17, with and without warmed cache prefixes, and
+including infeasible-split reports.  Row ``b`` of a batch must also equal
+the same sub-problem bounded alone (``B = 1``), with and without parents.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_bounds import (
+    assert_report_matches,
+    reference_deeppoly,
+    reference_ibp,
+)
 
-from repro.bounds.linear_form import BatchedLinearForm, LinearForm
+from repro.bounds.cache import BoundCache
+from repro.bounds.deeppoly import DeepPolyAnalyzer
+from repro.bounds.linear_form import BatchedLinearForm
 from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
+from repro.nn.layers import Dense, Flatten, ReLU
+from repro.nn.network import Network
+from repro.specs.properties import InputBox
 from repro.specs.robustness import local_robustness_spec
 from repro.verifiers.appver import ApproximateVerifier
 
@@ -58,6 +74,19 @@ def _make_splits_pool(network, spec, seed=0):
     return pool
 
 
+def _reference_outcomes(network, spec, batch, method):
+    """What AppVer must return for each sub-problem, from the reference."""
+    analyse = reference_ibp if method == "ibp" else reference_deeppoly
+    outcomes = []
+    for splits in batch:
+        report = analyse(network.lowered(), spec.input_box, splits, spec.output_spec)
+        outcomes.append(SimpleNamespace(
+            p_hat=report.p_hat, report=report, candidate=report.candidate_input,
+            is_valid_counterexample=(report.p_hat < 0.0 and spec.is_counterexample(
+                network, report.candidate_input))))
+    return outcomes
+
+
 def _assert_outcomes_match(batched, sequential):
     assert len(batched) == len(sequential)
     for got, want in zip(batched, sequential):
@@ -83,25 +112,21 @@ def _assert_outcomes_match(batched, sequential):
 class TestEvaluateBatchEquivalence:
     @pytest.mark.parametrize("batch_size", [1, 2, 17])
     @pytest.mark.parametrize("method", ["deeppoly", "ibp"])
-    def test_matches_sequential_without_cache(self, medium_problem, batch_size, method):
+    def test_matches_reference_without_cache(self, medium_problem, batch_size, method):
         network, spec = medium_problem
         pool = _make_splits_pool(network, spec)
         batch = [pool[index % len(pool)] for index in range(batch_size)]
-        sequential = [ApproximateVerifier(network, spec, method,
-                                          use_cache=False).evaluate(splits)
-                      for splits in batch]
+        sequential = _reference_outcomes(network, spec, batch, method)
         batched = ApproximateVerifier(network, spec, method,
                                       use_cache=False).evaluate_batch(batch)
         _assert_outcomes_match(batched, sequential)
 
     @pytest.mark.parametrize("batch_size", [1, 2, 17])
-    def test_matches_sequential_with_cached_prefixes(self, medium_problem, batch_size):
+    def test_matches_reference_with_cached_prefixes(self, medium_problem, batch_size):
         network, spec = medium_problem
         pool = _make_splits_pool(network, spec)
         batch = [pool[index % len(pool)] for index in range(batch_size)]
-        sequential = [ApproximateVerifier(network, spec,
-                                          use_cache=False).evaluate(splits)
-                      for splits in batch]
+        sequential = _reference_outcomes(network, spec, batch, "deeppoly")
         # Warm the cache with the root and a few parents, then batch-evaluate.
         verifier = ApproximateVerifier(network, spec, use_cache=True)
         verifier.evaluate()
@@ -162,7 +187,6 @@ class TestBatchedLinearForm:
         rng = np.random.default_rng(3)
         coefficients = rng.standard_normal((4, 3, 5))
         constants = rng.standard_normal((4, 3))
-        from repro.specs.properties import InputBox
         box = InputBox(np.zeros(5), np.ones(5))
         batched = BatchedLinearForm(coefficients, constants)
         assert batched.batch_size == 4
@@ -175,16 +199,118 @@ class TestBatchedLinearForm:
         rows = np.array([0, 2, 1, 0])
         corners = batched.minimizers(box, rows)
         for index in range(4):
-            form = batched.select(index)
-            assert isinstance(form, LinearForm)
-            assert np.allclose(values[index], form.evaluate(x))
-            assert np.allclose(lower[index], form.lower_bound(box))
-            assert np.allclose(upper[index], form.upper_bound(box))
-            assert np.array_equal(corners[index],
-                                  form.minimizer(box, int(rows[index])))
+            A, c = coefficients[index], constants[index]
+            assert np.allclose(values[index], A @ x + c)
+            assert np.allclose(lower[index], np.minimum(A * box.lower, A * box.upper).sum(1) + c)
+            assert np.allclose(upper[index], np.maximum(A * box.lower, A * box.upper).sum(1) + c)
+            row = A[rows[index]]
+            assert np.array_equal(corners[index], np.where(row > 0, box.lower, box.upper))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             BatchedLinearForm(np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(ValueError):
             BatchedLinearForm(np.zeros((2, 3, 4)), np.zeros((2, 4)))
+
+
+def _random_problem(seed: int, depth: int, width: int, epsilon: float):
+    """A random dense network plus a robustness spec around a random point."""
+    rng = np.random.default_rng(seed)
+    input_dim = int(rng.integers(3, 6))
+    num_classes = int(rng.integers(2, 5))
+    layers = [Flatten()]
+    previous = input_dim
+    for index in range(depth):
+        layers.append(Dense(previous, width, seed=seed * 31 + index))
+        layers.append(ReLU())
+        previous = width
+    layers.append(Dense(previous, num_classes, seed=seed * 31 + depth))
+    network = Network(layers, (input_dim,), name=f"rand-{seed}")
+    reference = rng.uniform(0.2, 0.8, size=input_dim)
+    label = int(network.predict(reference.reshape(1, -1))[0])
+    return network.lowered(), local_robustness_spec(reference, epsilon, label, num_classes)
+
+
+def _random_assignments(rng, network, count: int):
+    """``count`` random assignments of up to three splits each, any phase,
+    each leaving at least one neuron undecided."""
+    neurons = [(layer, unit) for layer, width in enumerate(network.relu_layer_sizes())
+               for unit in range(width)]
+    assignments = []
+    for _ in range(count):
+        splits = SplitAssignment.empty()
+        size = min(int(rng.integers(0, 4)), len(neurons) - 1)
+        for index in rng.choice(len(neurons), size=size, replace=False):
+            layer, unit = neurons[int(index)]
+            splits = splits.with_split(ReluSplit(layer, unit, ACTIVE if rng.random() < 0.5
+                                                 else INACTIVE))
+        assignments.append(splits)
+    return assignments
+
+
+class TestBatchRowIndependence:
+    """Row ``b`` of ``analyze_batch([s_1..s_B])`` equals ``analyze_batch([s_b])``."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), depth=st.integers(1, 3),
+           width=st.integers(2, 6), size=st.integers(2, 9),
+           epsilon=st.floats(0.01, 0.4))
+    def test_rows_equal_single_calls(self, seed, depth, width, size, epsilon):
+        network, spec = _random_problem(seed, depth, width, epsilon)
+        analyzer = DeepPolyAnalyzer(network)
+        box = spec.input_box
+        batch = _random_assignments(np.random.default_rng(seed), network, size)
+        reports = analyzer.analyze_batch(box, batch, spec=spec.output_spec)
+        for splits, report in zip(batch, reports):
+            assert_report_matches(report, analyzer.analyze_batch(
+                box, [splits], spec=spec.output_spec)[0])
+            assert_report_matches(report, reference_deeppoly(
+                network, box, splits, spec.output_spec))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), depth=st.integers(1, 3),
+           width=st.integers(2, 6), epsilon=st.floats(0.01, 0.4))
+    def test_rows_equal_single_calls_with_parents(self, seed, depth, width, epsilon):
+        """Children bounded together through their parents' cached passes
+        equal each child bounded alone through its own parent."""
+        network, spec = _random_problem(seed, depth, width, epsilon)
+        analyzer = DeepPolyAnalyzer(network)
+        box = spec.input_box
+        rng = np.random.default_rng(seed)
+        parents = _random_assignments(rng, network, 3)
+        children, child_parents = [], []
+        for parent in parents:
+            free = [(layer, unit) for layer, width in enumerate(network.relu_layer_sizes())
+                    for unit in range(width) if not parent.is_decided(layer, unit)]
+            layer, unit = free[int(rng.integers(len(free)))]
+            for phase in (ACTIVE, INACTIVE):
+                children.append(parent.with_split(ReluSplit(layer, unit, phase)))
+                child_parents.append(parent)
+        alone = []
+        for child, parent in zip(children, child_parents):
+            cache = BoundCache()
+            analyzer.analyze_batch(box, [parent], spec=spec.output_spec, cache=cache)
+            alone.append(analyzer.analyze_batch(box, [child], spec=spec.output_spec,
+                                                cache=cache, parents=[parent])[0])
+        cache = BoundCache()
+        analyzer.analyze_batch(box, parents, spec=spec.output_spec, cache=cache)
+        together = analyzer.analyze_batch(box, children, spec=spec.output_spec,
+                                          cache=cache, parents=child_parents)
+        for got, want in zip(together, alone):
+            assert_report_matches(got, want)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000), depth=st.integers(1, 3),
+           width=st.integers(2, 6), size=st.integers(2, 9))
+    def test_ibp_rows_equal_single_calls(self, seed, depth, width, size):
+        from repro.bounds.interval import interval_bounds_batch
+
+        network, spec = _random_problem(seed, depth, width, 0.2)
+        box = spec.input_box
+        batch = _random_assignments(np.random.default_rng(seed), network, size)
+        reports = interval_bounds_batch(network, box, batch, spec=spec.output_spec)
+        for splits, report in zip(batch, reports):
+            assert_report_matches(report, interval_bounds_batch(
+                network, box, [splits], spec=spec.output_spec)[0])
+            assert_report_matches(report, reference_ibp(
+                network, box, splits, spec.output_spec))

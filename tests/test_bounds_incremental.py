@@ -4,11 +4,12 @@ The rank-1 parent-pass reuse of :class:`~repro.bounds.deeppoly.DeepPolyAnalyzer`
 must be *numerically identical* to full recomputation: for random networks,
 boxes and split chains, a child analysed with ``parent=`` (and a cache
 warmed by the parent's own analysis) must reproduce the from-scratch
-sequential analysis bit for bit — every pre-activation bound, the output
-bounds, the spec-row lower bounds, ``p̂``, the counterexample corner and
-the ``infeasible`` flag.  The batched path with ``parents=`` must agree
-with the sequential dense path to the established sub-1e-9 GEMM noise
-while keeping the verdict-grade fields (flags, corners) exact.
+analysis at the same batch size bit for bit — every pre-activation bound,
+the output bounds, the spec-row lower bounds, ``p̂``, the counterexample
+corner and the ``infeasible`` flag.  The batched path with ``parents=``
+must agree with the cache-free textbook DeepPoly of
+``tests/reference_bounds.py`` to the established sub-1e-9 GEMM noise while
+keeping the verdict-grade fields (flags, corners) exact.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_bounds import reference_deeppoly
 
 from repro.bounds.cache import BoundCache
 from repro.bounds.deeppoly import DeepPolyAnalyzer
@@ -165,9 +167,9 @@ class TestBatchedEquivalence:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), depth=st.integers(1, 3),
            width=st.integers(2, 5))
-    def test_batched_incremental_matches_sequential(self, seed, depth, width):
-        """`analyze_batch(parents=...)` == per-child `analyze` to 1e-9, with
-        the verdict-grade fields (flags, corners) exactly equal."""
+    def test_batched_incremental_matches_reference(self, seed, depth, width):
+        """`analyze_batch(parents=...)` == per-child reference DeepPoly to
+        1e-9, with the verdict-grade fields (flags, corners) exactly equal."""
         network, spec = _random_problem(seed, depth, width, 0.1)
         analyzer = DeepPolyAnalyzer(network)
         box = spec.input_box
@@ -186,7 +188,7 @@ class TestBatchedEquivalence:
         batched = analyzer.analyze_batch(box, children, spec=spec.output_spec,
                                          cache=cache, parents=parents)
         for child, got in zip(children, batched):
-            want = analyzer.analyze(box, child, spec=spec.output_spec)
+            want = reference_deeppoly(network, box, child, spec.output_spec)
             assert got.infeasible == want.infeasible
             if want.p_hat == float("inf"):
                 assert got.p_hat == float("inf")
@@ -205,7 +207,7 @@ class TestBatchedEquivalence:
            width=st.integers(2, 5))
     def test_batched_infeasible_corner_matches(self, seed, depth, width):
         """A batched child that splits a provably-active neuron inactive is
-        infeasible on the incremental path exactly as sequentially."""
+        infeasible on the incremental path exactly as in the reference."""
         network, spec = _random_problem(seed, depth, width, 0.05)
         analyzer = DeepPolyAnalyzer(network)
         box = spec.input_box
@@ -222,7 +224,7 @@ class TestBatchedEquivalence:
         child = parent.with_split(ReluSplit(layer, unit, INACTIVE))
         batched = analyzer.analyze_batch(box, [child], spec=spec.output_spec,
                                          cache=cache, parents=[parent])[0]
-        dense = analyzer.analyze(box, child, spec=spec.output_spec)
+        dense = reference_deeppoly(network, box, child, spec.output_spec)
         assert batched.infeasible and dense.infeasible
         assert batched.p_hat == dense.p_hat == float("inf")
 

@@ -1,4 +1,8 @@
-"""Tests for repro.bounds.linear_form."""
+"""Tests for repro.bounds.linear_form.
+
+The concretisation functions and :class:`BatchedLinearForm` are exercised
+on single forms as batches of one (the module-level helpers below).
+"""
 
 import numpy as np
 import pytest
@@ -6,16 +10,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bounds.linear_form import (
-    LinearForm,
+    BatchedLinearForm,
     ScalarBounds,
-    concretize_lower,
-    concretize_upper,
-    minimizing_corner,
+    concretize_lower_batch,
+    concretize_upper_batch,
+    minimizing_corner_batch,
 )
 from repro.specs.properties import InputBox
 
 
 BOX = InputBox([0.0, -1.0, 2.0], [1.0, 1.0, 3.0])
+
+
+def concretize_lower(coefficients, constants, box):
+    """Per-row minimum of one ``(rows, dim)`` form: a batch of one."""
+    return concretize_lower_batch(coefficients[None], constants[None], box)[0]
+
+
+def concretize_upper(coefficients, constants, box):
+    """Per-row maximum of one ``(rows, dim)`` form: a batch of one."""
+    return concretize_upper_batch(coefficients[None], constants[None], box)[0]
+
+
+def minimizing_corner(coefficients, box):
+    """The corner minimising one coefficient row: a batch of one."""
+    return minimizing_corner_batch(coefficients[None], box)[0]
+
+
+def single_form(coefficients, constants):
+    """One ``(rows, dim)`` form as a batch of one."""
+    return BatchedLinearForm(np.asarray(coefficients)[None], np.asarray(constants)[None])
 
 
 class TestConcretization:
@@ -52,12 +76,12 @@ class TestConcretization:
 
 class TestLinearForm:
     def test_evaluate(self):
-        form = LinearForm(np.array([[1.0, 0.0, 2.0]]), np.array([0.5]))
-        assert form.evaluate(np.array([1.0, 5.0, 2.0]))[0] == pytest.approx(5.5)
+        form = single_form(np.array([[1.0, 0.0, 2.0]]), np.array([0.5]))
+        assert form.evaluate(np.array([1.0, 5.0, 2.0]))[0, 0] == pytest.approx(5.5)
 
     def test_bounds_contain_sampled_values(self):
         rng = np.random.default_rng(2)
-        form = LinearForm(rng.normal(size=(4, 3)), rng.normal(size=4))
+        form = single_form(rng.normal(size=(4, 3)), rng.normal(size=4))
         lower = form.lower_bound(BOX)
         upper = form.upper_bound(BOX)
         for sample in BOX.sample(3, count=100):
@@ -67,21 +91,23 @@ class TestLinearForm:
 
     def test_minimizer_and_maximizer_in_box(self):
         rng = np.random.default_rng(3)
-        form = LinearForm(rng.normal(size=(2, 3)), rng.normal(size=2))
-        assert BOX.contains(form.minimizer(BOX, 0))
-        assert BOX.contains(form.maximizer(BOX, 1))
+        coefficients, constants = rng.normal(size=(2, 3)), rng.normal(size=2)
+        assert BOX.contains(single_form(coefficients, constants).minimizers(BOX, [0])[0])
+        assert BOX.contains(single_form(-coefficients, -constants).minimizers(BOX, [1])[0])
 
     def test_maximizer_attains_upper(self):
-        form = LinearForm(np.array([[1.0, -1.0, 0.0]]), np.array([0.0]))
-        value = form.evaluate(form.maximizer(BOX, 0))[0]
-        assert value == pytest.approx(form.upper_bound(BOX)[0])
+        form = single_form(np.array([[1.0, -1.0, 0.0]]), np.array([0.0]))
+        negated = single_form(np.array([[-1.0, 1.0, 0.0]]), np.array([0.0]))
+        maximizer = negated.minimizers(BOX, [0])[0]
+        value = form.evaluate(maximizer)[0, 0]
+        assert value == pytest.approx(form.upper_bound(BOX)[0, 0])
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            LinearForm(np.zeros((2, 3)), np.zeros(3))
+            BatchedLinearForm(np.zeros((1, 2, 3)), np.zeros((1, 3)))
 
     def test_wrong_input_dimension_rejected(self):
-        form = LinearForm(np.zeros((1, 3)), np.zeros(1))
+        form = single_form(np.zeros((1, 3)), np.zeros(1))
         with pytest.raises(ValueError):
             form.evaluate(np.zeros(2))
 

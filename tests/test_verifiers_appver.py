@@ -76,3 +76,45 @@ class TestApproximateVerifier:
         if outcome.p_hat < 0:
             assert outcome.is_valid_counterexample == spec.is_counterexample(
                 network, outcome.candidate)
+
+
+class TestSingleCallAccounting:
+    """``evaluate`` is the batched kernel at ``B = 1`` but stays its own
+    entry point: it charges one call, records no realised batch, and never
+    goes through ``evaluate_batch`` / ``AlphaCrownAnalyzer.analyze_batch``
+    (which profilers time as separate sites)."""
+
+    @pytest.mark.parametrize("method", ["deeppoly", "alpha-crown", "ibp"])
+    def test_evaluate_charges_one_call_and_no_batch(self, small_network, method):
+        spec = problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.1)
+        verifier = ApproximateVerifier(small_network, spec, method)
+        keys = set(verifier.cache_stats())
+        verifier.evaluate()
+        verifier.evaluate(SplitAssignment.from_splits([ReluSplit(0, 0, ACTIVE)]))
+        assert verifier.num_calls == 2
+        assert verifier.batch_stats() == {"batch_histogram": {}, "batched_calls": 0,
+                                          "mean_realised_batch": 0.0}
+        stats = verifier.cache_stats()
+        assert set(stats) == keys
+        assert stats["batch_histogram"] == {}
+        verifier.evaluate_batch([None])
+        assert verifier.num_calls == 3
+        assert verifier.batch_stats()["batch_histogram"] == {1: 1}
+
+    @pytest.mark.parametrize("method", ["deeppoly", "alpha-crown", "ibp"])
+    def test_single_entry_points_bypass_the_batched_ones(self, small_network,
+                                                         method, monkeypatch):
+        from repro.bounds.alpha_crown import AlphaCrownAnalyzer
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("single-call path entered a batched entry point")
+
+        spec = problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.1)
+        verifier = ApproximateVerifier(small_network, spec, method)
+        monkeypatch.setattr(ApproximateVerifier, "evaluate_batch", forbidden)
+        monkeypatch.setattr(AlphaCrownAnalyzer, "analyze_batch", forbidden)
+        outcome = verifier.evaluate()
+        assert outcome.report.p_hat == outcome.p_hat
+        report = AlphaCrownAnalyzer(small_network.lowered()).analyze(
+            spec.input_box, spec=spec.output_spec)
+        assert report.method == "alpha-crown"
