@@ -68,3 +68,22 @@ def make_robustness_problem(network: Network, reference: np.ndarray, epsilon: fl
     label = int(network.predict(reference.reshape(1, -1))[0])
     num_classes = network.output_dim
     return local_robustness_spec(reference, epsilon, label, num_classes)
+
+
+def make_random_dense_problem(seed: int, depth: int, width: int, epsilon: float):
+    """A random dense lowered network plus a robustness spec around a random point."""
+    rng = np.random.default_rng(seed)
+    input_dim = int(rng.integers(3, 6))
+    num_classes = int(rng.integers(2, 5))
+    layers = [Flatten()]
+    previous = input_dim
+    for index in range(depth):
+        layers.append(Dense(previous, width, seed=seed * 31 + index))
+        layers.append(ReLU())
+        previous = width
+    layers.append(Dense(previous, num_classes, seed=seed * 31 + depth))
+    network = Network(layers, (input_dim,), name=f"rand-{seed}")
+    reference = rng.uniform(0.2, 0.8, size=input_dim)
+    label = int(network.predict(reference.reshape(1, -1))[0])
+    spec = local_robustness_spec(reference, epsilon, label, num_classes)
+    return network.lowered(), spec

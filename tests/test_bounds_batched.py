@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import make_random_dense_problem
 from reference_bounds import (
     assert_report_matches,
     reference_deeppoly,
@@ -25,8 +26,6 @@ from repro.bounds.cache import BoundCache
 from repro.bounds.deeppoly import DeepPolyAnalyzer
 from repro.bounds.linear_form import BatchedLinearForm
 from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
-from repro.nn.layers import Dense, Flatten, ReLU
-from repro.nn.network import Network
 from repro.specs.properties import InputBox
 from repro.specs.robustness import local_robustness_spec
 from repro.verifiers.appver import ApproximateVerifier
@@ -213,24 +212,6 @@ class TestBatchedLinearForm:
             BatchedLinearForm(np.zeros((2, 3, 4)), np.zeros((2, 4)))
 
 
-def _random_problem(seed: int, depth: int, width: int, epsilon: float):
-    """A random dense network plus a robustness spec around a random point."""
-    rng = np.random.default_rng(seed)
-    input_dim = int(rng.integers(3, 6))
-    num_classes = int(rng.integers(2, 5))
-    layers = [Flatten()]
-    previous = input_dim
-    for index in range(depth):
-        layers.append(Dense(previous, width, seed=seed * 31 + index))
-        layers.append(ReLU())
-        previous = width
-    layers.append(Dense(previous, num_classes, seed=seed * 31 + depth))
-    network = Network(layers, (input_dim,), name=f"rand-{seed}")
-    reference = rng.uniform(0.2, 0.8, size=input_dim)
-    label = int(network.predict(reference.reshape(1, -1))[0])
-    return network.lowered(), local_robustness_spec(reference, epsilon, label, num_classes)
-
-
 def _random_assignments(rng, network, count: int):
     """``count`` random assignments of up to three splits each, any phase,
     each leaving at least one neuron undecided."""
@@ -256,7 +237,7 @@ class TestBatchRowIndependence:
            width=st.integers(2, 6), size=st.integers(2, 9),
            epsilon=st.floats(0.01, 0.4))
     def test_rows_equal_single_calls(self, seed, depth, width, size, epsilon):
-        network, spec = _random_problem(seed, depth, width, epsilon)
+        network, spec = make_random_dense_problem(seed, depth, width, epsilon)
         analyzer = DeepPolyAnalyzer(network)
         box = spec.input_box
         batch = _random_assignments(np.random.default_rng(seed), network, size)
@@ -273,7 +254,7 @@ class TestBatchRowIndependence:
     def test_rows_equal_single_calls_with_parents(self, seed, depth, width, epsilon):
         """Children bounded together through their parents' cached passes
         equal each child bounded alone through its own parent."""
-        network, spec = _random_problem(seed, depth, width, epsilon)
+        network, spec = make_random_dense_problem(seed, depth, width, epsilon)
         analyzer = DeepPolyAnalyzer(network)
         box = spec.input_box
         rng = np.random.default_rng(seed)
@@ -305,7 +286,7 @@ class TestBatchRowIndependence:
     def test_ibp_rows_equal_single_calls(self, seed, depth, width, size):
         from repro.bounds.interval import interval_bounds_batch
 
-        network, spec = _random_problem(seed, depth, width, 0.2)
+        network, spec = make_random_dense_problem(seed, depth, width, 0.2)
         box = spec.input_box
         batch = _random_assignments(np.random.default_rng(seed), network, size)
         reports = interval_bounds_batch(network, box, batch, spec=spec.output_spec)

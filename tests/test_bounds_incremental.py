@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from conftest import make_random_dense_problem
 from reference_bounds import reference_deeppoly
 
 from repro.bounds.cache import BoundCache
@@ -31,30 +32,9 @@ from repro.bounds.splits import (
     prefix_counts,
     split_delta,
 )
-from repro.nn.layers import Dense, Flatten, ReLU
-from repro.nn.network import Network
 from repro.specs.robustness import local_robustness_spec
 
 TOLERANCE = 1e-9
-
-
-def _random_problem(seed: int, depth: int, width: int, epsilon: float):
-    """A random dense network plus a robustness spec around a random point."""
-    rng = np.random.default_rng(seed)
-    input_dim = int(rng.integers(3, 6))
-    num_classes = int(rng.integers(2, 5))
-    layers = [Flatten()]
-    previous = input_dim
-    for index in range(depth):
-        layers.append(Dense(previous, width, seed=seed * 31 + index))
-        layers.append(ReLU())
-        previous = width
-    layers.append(Dense(previous, num_classes, seed=seed * 31 + depth))
-    network = Network(layers, (input_dim,), name=f"rand-{seed}")
-    reference = rng.uniform(0.2, 0.8, size=input_dim)
-    label = int(network.predict(reference.reshape(1, -1))[0])
-    spec = local_robustness_spec(reference, epsilon, label, num_classes)
-    return network.lowered(), spec
 
 
 def _random_chain(rng, analyzer, box, spec, cache, length: int):
@@ -124,7 +104,7 @@ class TestSequentialBitwiseEquivalence:
     def test_incremental_child_equals_full_recompute(self, seed, depth, width,
                                                      chain, epsilon):
         """Incremental child bounds == from-scratch bounds, bit for bit."""
-        network, spec = _random_problem(seed, depth, width, epsilon)
+        network, spec = make_random_dense_problem(seed, depth, width, epsilon)
         analyzer = DeepPolyAnalyzer(network)
         box = spec.input_box
         cache = BoundCache()
@@ -141,7 +121,7 @@ class TestSequentialBitwiseEquivalence:
     def test_infeasible_corner_matches(self, seed, chain):
         """Splitting a provably-stable neuron against its phase must yield
         an identical infeasible flag (and swapped bounds) either way."""
-        network, spec = _random_problem(seed, 2, 4, 0.05)
+        network, spec = make_random_dense_problem(seed, 2, 4, 0.05)
         analyzer = DeepPolyAnalyzer(network)
         box = spec.input_box
         cache = BoundCache()
@@ -170,7 +150,7 @@ class TestBatchedEquivalence:
     def test_batched_incremental_matches_reference(self, seed, depth, width):
         """`analyze_batch(parents=...)` == per-child reference DeepPoly to
         1e-9, with the verdict-grade fields (flags, corners) exactly equal."""
-        network, spec = _random_problem(seed, depth, width, 0.1)
+        network, spec = make_random_dense_problem(seed, depth, width, 0.1)
         analyzer = DeepPolyAnalyzer(network)
         box = spec.input_box
         cache = BoundCache()
@@ -208,7 +188,7 @@ class TestBatchedEquivalence:
     def test_batched_infeasible_corner_matches(self, seed, depth, width):
         """A batched child that splits a provably-active neuron inactive is
         infeasible on the incremental path exactly as in the reference."""
-        network, spec = _random_problem(seed, depth, width, 0.05)
+        network, spec = make_random_dense_problem(seed, depth, width, 0.05)
         analyzer = DeepPolyAnalyzer(network)
         box = spec.input_box
         cache = BoundCache()
@@ -235,7 +215,7 @@ class TestBatchedEquivalence:
                                                             width, epsilon):
         """``p̂`` of every batched incremental child lower-bounds the spec
         margin on each sampled input that satisfies the child's splits."""
-        network, spec = _random_problem(seed, depth, width, epsilon)
+        network, spec = make_random_dense_problem(seed, depth, width, epsilon)
         analyzer = DeepPolyAnalyzer(network)
         box = spec.input_box
         cache = BoundCache()
