@@ -46,6 +46,11 @@ and counterexamples, and a replay of the recorded ``K=8`` frontier rounds
 bound-time speedup the acceptance gate requires (≥1.5x median on the dense
 families in full mode).
 
+With ``--alpha`` the benchmark bounds each family's ``_make_problem`` root
+with DeepPoly and with α-CROWN's exact-gradient slope ascent and records
+both ``p̂`` and α-CROWN's milliseconds per call; ``alpha_never_looser``
+holds when no α-CROWN root bound is below its DeepPoly bound.
+
 Results are printed as JSON and written to
 ``benchmarks/output/BENCH_batching.json`` so future runs can track the
 speedup; a stable top-level ``summary`` block (median per-child bound
@@ -68,7 +73,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.bounds.alpha_crown import AlphaCrownAnalyzer
 from repro.bounds.cache import LpCache
+from repro.bounds.deeppoly import DeepPolyAnalyzer
 from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
 from repro.core.abonn import AbonnVerifier
 from repro.core.config import AbonnConfig
@@ -495,6 +502,29 @@ def bench_family(family_name: str, batch_sizes, repetitions: int) -> List[Dict]:
     return rows
 
 
+def bench_alpha(family_name: str, repetitions: int) -> Dict:
+    """Root ``p̂`` of DeepPoly and α-CROWN, and α-CROWN's time per call."""
+    network, spec = _make_problem(family_name)
+    lowered = network.lowered()
+    box, output_spec = spec.input_box, spec.output_spec
+    deeppoly = DeepPolyAnalyzer(lowered).analyze(box, spec=output_spec)
+    analyzer = AlphaCrownAnalyzer(lowered)
+    alpha = analyzer.analyze(box, spec=output_spec)
+
+    def time_alpha() -> float:
+        start = time.perf_counter()
+        analyzer.analyze(box, spec=output_spec)
+        return time.perf_counter() - start
+
+    return {
+        "network": family_name,
+        "iterations": analyzer.config.iterations,
+        "deeppoly_p_hat": deeppoly.p_hat,
+        "alpha_p_hat": alpha.p_hat,
+        "alpha_ms_per_call": 1e3 * _best_time(time_alpha, repetitions),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
@@ -511,6 +541,9 @@ def main(argv=None) -> int:
                              "parent-pass reuse) bound path: per-child "
                              "speedup at K=8 plus verdict/charge equality "
                              "at K in {1, 2, 8}")
+    parser.add_argument("--alpha", action="store_true",
+                        help="also bound each family's root with DeepPoly "
+                             "and α-CROWN: both p̂ and α-CROWN ms per call")
     args = parser.parse_args(argv)
     smoke = _smoke_mode(args)
 
@@ -642,6 +675,19 @@ def main(argv=None) -> int:
                 "baseline": row["median_per_child_us_baseline"],
                 "incremental": row["median_per_child_us_incremental"],
             } for row in inc_rows}
+
+    if args.alpha:
+        alpha_rows = [bench_alpha(family_name, repetitions)
+                      for family_name in families]
+        payload["alpha"] = {
+            "summary": {
+                # Any slope in [0, 1] is sound and the ascent keeps its best
+                # pass, which starts at DeepPoly's, so it is never looser.
+                "alpha_never_looser": all(row["alpha_p_hat"] >= row["deeppoly_p_hat"]
+                                          for row in alpha_rows),
+            },
+            "rows": alpha_rows,
+        }
 
     text = json.dumps(payload, indent=2)
     print(text)

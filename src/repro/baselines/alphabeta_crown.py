@@ -25,8 +25,11 @@ the behaviours that matter for that comparison:
   LP falsifies — see the engine's docstring).
 
 Node-budget accounting: one α-CROWN evaluation internally performs several
-bound computations (the SPSA iterations), so it is charged accordingly —
-this mirrors the higher per-call cost of the original tool.
+bound computations (a DeepPoly pass and a gradient step per slope
+iteration), so the root is charged ``2 + 3 * iterations`` nodes.  The
+charge is an accounting model of the original tool's higher per-call
+cost, not a count of this implementation's ``1 + iterations`` DeepPoly
+passes, so a faster optimiser moves ``us_per_node`` only through speed.
 """
 
 from __future__ import annotations

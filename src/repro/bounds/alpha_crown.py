@@ -1,58 +1,62 @@
 """α-CROWN: DeepPoly/CROWN bounds with optimised unstable lower slopes.
 
 CROWN's lower-bound quality depends on the slope chosen for the lower
-relaxation of every unstable ReLU.  α-CROWN (Xu et al., adopted by the
-αβ-CROWN tool the paper compares against) treats those slopes as free
-parameters in ``[0, 1]`` and optimises them to maximise the specification
-lower bound ``p̂``.
+relaxation of every unstable ReLU.  α-CROWN (Xu et al., *Fast and
+Complete*, ICLR 2021, adopted by the αβ-CROWN tool the paper compares
+against) treats those slopes as free parameters ``α`` in ``[0, 1]`` and
+optimises them to maximise the specification lower bound ``p̂``.  Any
+``α`` in ``[0, 1]`` is sound (``ReLU(z) >= α·z`` for every ``z``), so the
+optimiser changes only tightness and cost.
 
 The original implementation differentiates through the bound computation
-with PyTorch autograd.  This numpy reproduction instead uses SPSA
-(simultaneous-perturbation stochastic approximation): each iteration
-estimates the gradient of ``p̂`` with two bound evaluations under a random
-±δ perturbation of all slopes, then takes a projected ascent step.  On the
-laptop-scale networks used here a handful of iterations recovers most of the
-gap between DeepPoly and the fully optimised bound, which is what matters
-for the baseline comparison.
+with PyTorch autograd.  This numpy reproduction runs projected gradient
+ascent on the *exact* ``∂p̂/∂α``, derived by hand.  With the intermediate
+(pre-activation) bounds held at a pass's values, the worst spec row's
+lower bound is a composition of ``Λ ← (max(Λ,0)·diag(ls) + min(Λ,0)·diag(us))·W``
+substitution steps plus the constants they collect, concretised at the
+minimising box corner ``x*``.  One reverse (adjoint) sweep over the
+stored ``Λ`` of that single row therefore gives the gradient for every
+slope: starting from ``g = x*``, each layer sets ``g ← g·Wᵀ + b``, reads
+``∂p̂/∂α = max(Λ,0)·g`` on its unstable neurons, and carries
+``g ← g·(ls where Λ>0, us where Λ<0) + (ui where Λ<0)`` upwards.  An
+iteration is one full DeepPoly pass (which yields ``p̂`` and the bounds)
+plus that one-row adjoint; the step is
+``α ← clip(α + step_size/√(t+1) · g / max|g|, 0, 1)``.
 
 :meth:`AlphaCrownAnalyzer.analyze_batch` runs the optimisation for ``B``
 sub-problems at once and :meth:`AlphaCrownAnalyzer.analyze` is the same
-optimisation at ``B = 1``.  Every sub-problem sees the *same* ±1
-perturbation direction sequence (the RNG is seeded per call), so one
-shared draw per iteration serves the whole batch and all perturbed
-objectives evaluate through one stacked DeepPoly pass
-(:meth:`~repro.bounds.deeppoly.DeepPolyAnalyzer.analyze_batch` with batched
-``lower_slopes``).  Ascent steps and best-so-far tracking are per-element,
-so a row's result does not depend on the other rows beyond batched-matmul
-float noise.
+optimisation at ``B = 1``.  Every pass is one stacked
+:meth:`~repro.bounds.deeppoly.DeepPolyAnalyzer.analyze_batch` with batched
+``lower_slopes``, every adjoint carries the same leading batch axis, and
+gradients, steps and best-so-far tracking are per row, so a row's result
+does not depend on the other rows beyond batched-matmul float noise.  The
+first pass of a cold row runs with DeepPoly's default slopes, which are
+also the ascent's starting point; every row keeps the report of its best
+pass, so no final re-pass is needed.  A cold analysis costs
+``1 + iterations`` DeepPoly passes plus ``iterations`` one-row adjoints.
 
 **Parent warm start.**  When the caller threads BaB parent identity
-(``parent=`` / ``parents=``), a phase-split child starts its SPSA ascent
-from the *parent's optimised slopes* — with the newly decided neuron's
-slope swapped to the exact identity/zero value its phase imposes — instead
-of re-deriving ``default_lower_slope`` heuristics through an extra
-spec-less DeepPoly pass.  Any slope vector in ``[0, 1]`` yields sound
-bounds (``ReLU(z) >= s·z`` holds for every ``z``), so the warm start only
-changes where the ascent *begins*: children typically start near their
-parent's optimum and the initial bounding pass is skipped entirely when
-every batch element has a warm entry.  The per-problem slope store is a
-bounded LRU keyed by ``SplitAssignment.canonical_key()``.
+(``parent=`` / ``parents=``), a phase-split child starts its ascent from
+the *parent's optimised slopes* — with the newly decided neuron's slope
+swapped to the exact identity/zero value its phase imposes — instead of
+DeepPoly's default slopes.  Since any slope vector in ``[0, 1]`` is sound,
+the warm start only changes where the ascent *begins*.  The per-problem
+slope store is a bounded LRU keyed by ``SplitAssignment.canonical_key()``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bounds.deeppoly import DeepPolyAnalyzer, default_lower_slope
+from repro.bounds.deeppoly import DeepPolyAnalyzer, _relaxation_arrays, default_lower_slope
 from repro.bounds.report import BoundReport
 from repro.bounds.splits import ACTIVE, SplitAssignment, split_delta
 from repro.nn.network import LoweredNetwork
 from repro.specs.properties import InputBox, LinearOutputSpec
-from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import require
 
 #: Capacity of the per-analyzer optimised-slope store (LRU beyond that).
@@ -61,28 +65,74 @@ DEFAULT_SLOPE_STORE_SIZE = 1024
 
 @dataclass(frozen=True)
 class AlphaCrownConfig:
-    """Hyperparameters of the SPSA slope optimisation.
+    """Hyperparameters of the projected-gradient slope optimisation.
 
-    ``warm_start`` enables the parent-entry slope warm start: children whose
-    parent identity is threaded through ``analyze``/``analyze_batch`` start
-    the ascent from the parent's optimised slopes (split neuron corrected)
-    instead of the ``default_lower_slope`` heuristic.
+    ``step_size`` is the largest change of any slope in the first step
+    (steps decay as ``1/√(t+1)``).  ``warm_start`` enables the parent-entry
+    slope warm start: children whose parent identity is threaded through
+    ``analyze``/``analyze_batch`` start the ascent from the parent's
+    optimised slopes (split neuron corrected) instead of DeepPoly's
+    default slopes.
     """
 
     iterations: int = 8
     step_size: float = 0.25
-    perturbation: float = 0.15
-    seed: int = 0
     warm_start: bool = True
 
     def __post_init__(self) -> None:
         require(self.iterations >= 0, "iterations must be non-negative")
         require(self.step_size > 0, "step_size must be positive")
-        require(0 < self.perturbation <= 0.5, "perturbation must be in (0, 0.5]")
+
+
+def spec_row_gradient(network: LoweredNetwork, spec: LinearOutputSpec,
+                      reports: Sequence[BoundReport],
+                      slopes: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Exact ``∂p̂/∂α`` of each report's worst spec row, intermediate bounds fixed.
+
+    ``reports`` are ``B`` DeepPoly reports bounded with ``slopes`` (one
+    ``(B, width)`` array per hidden layer).  Each row's relaxation is
+    rebuilt from its report's pre-activation bounds, the worst spec row's
+    lower back-substitution is replayed storing its coefficients ``Λ`` per
+    layer, and the adjoint sweep of the module docstring runs upwards from
+    the report's minimising corner.  Returns one ``(B, width)`` gradient per
+    hidden layer, zero on stable neurons and on rows without a finite
+    ``p̂``.
+    """
+    num_layers = network.num_relu_layers
+    rows = [int(np.argmin(report.spec_row_lower)) for report in reports]
+    finite = np.array([report.p_hat is not None and np.isfinite(report.p_hat)
+                       for report in reports])
+    relaxations = []
+    for layer in range(num_layers):
+        lower = np.stack([r.pre_activation_bounds[layer].lower for r in reports])
+        upper = np.stack([r.pre_activation_bounds[layer].upper for r in reports])
+        unstable = (lower < 0.0) & (upper > 0.0) & finite[:, None]
+        relaxations.append((unstable,) + _relaxation_arrays(
+            lower, upper, None, np.clip(slopes[layer], 0.0, 1.0)))
+    # Down: the worst row's coefficients over each hidden layer's output.
+    coefficients = [None] * num_layers
+    lam = spec.coefficients[rows] @ network.weights[-1]
+    for layer in range(num_layers - 1, -1, -1):
+        coefficients[layer] = lam
+        if layer:
+            _, ls, us, _ = relaxations[layer]
+            lam = (np.maximum(lam, 0.0) * ls
+                   + np.minimum(lam, 0.0) * us) @ network.weights[layer]
+    # Up: the adjoint of each layer's relaxed coefficients.
+    adjoint = np.stack([report.candidate_input for report in reports])
+    gradients = []
+    for layer in range(num_layers):
+        lam = coefficients[layer]
+        unstable, ls, us, ui = relaxations[layer]
+        adjoint = adjoint @ network.weights[layer].T + network.biases[layer]
+        gradients.append(np.where(unstable, np.maximum(lam, 0.0) * adjoint, 0.0))
+        adjoint = (adjoint * np.where(lam > 0.0, ls, np.where(lam < 0.0, us, 0.0))
+                   + np.where(lam < 0.0, ui, 0.0))
+    return gradients
 
 
 class AlphaCrownAnalyzer:
-    """CROWN analyser with SPSA-optimised lower slopes."""
+    """CROWN analyser with gradient-optimised lower slopes."""
 
     def __init__(self, network: LoweredNetwork,
                  config: Optional[AlphaCrownConfig] = None) -> None:
@@ -126,76 +176,72 @@ class AlphaCrownAnalyzer:
         return slopes
 
     # -- optimisation -----------------------------------------------------------
-    def _objectives(self, box: InputBox, splits_list: Sequence[SplitAssignment],
-                    spec: LinearOutputSpec,
-                    slopes: Sequence[np.ndarray]) -> np.ndarray:
-        """Per-element ``p̂`` of one stacked bound evaluation, shape ``(B,)``."""
-        reports = self._inner.analyze_batch(box, splits_list, spec=spec,
-                                            lower_slopes=slopes)
-        return np.array([float("-inf") if report.p_hat is None
-                         else float(report.p_hat) for report in reports])
+    def _starting_pass(self, box: InputBox,
+                       splits_list: Sequence[SplitAssignment],
+                       spec: LinearOutputSpec,
+                       parents: Optional[Sequence[Optional[SplitAssignment]]]
+                       ) -> Tuple[List[np.ndarray], List[BoundReport]]:
+        """Starting slopes and the reports they give.
 
-    def _starting_slopes(self, box: InputBox,
-                         splits_list: Sequence[SplitAssignment],
-                         parents: Optional[Sequence[Optional[SplitAssignment]]]
-                         ) -> List[np.ndarray]:
-        """Stacked starting slopes: warm entries where available, heuristic
-        DeepPoly slopes (one batched spec-less pass over the cold subset)
-        otherwise."""
+        Warm rows are bounded with their parents' corrected slopes; cold rows
+        with DeepPoly's default slopes, which their reports' bounds then
+        reproduce as explicit slopes.
+        """
         num_layers = self.network.num_relu_layers
         warm: List[Optional[List[np.ndarray]]] = [None] * len(splits_list)
         if parents is not None:
             for index, splits in enumerate(splits_list):
                 warm[index] = self._warm_slopes(parents[index], splits)
-        cold = [index for index, slopes in enumerate(warm) if slopes is None]
-        cold_slopes: Dict[int, List[np.ndarray]] = {}
-        if cold:
-            reports = self._inner.analyze_batch(box, [splits_list[i] for i in cold])
-            for position, index in enumerate(cold):
-                report = reports[position]
-                cold_slopes[index] = [
-                    default_lower_slope(report.pre_activation_bounds[layer].lower,
-                                        report.pre_activation_bounds[layer].upper)
-                    for layer in range(num_layers)]
-        stacked: List[np.ndarray] = []
-        for layer in range(num_layers):
-            stacked.append(np.stack([
-                (warm[index][layer] if warm[index] is not None
-                 else cold_slopes[index][layer])
-                for index in range(len(splits_list))]))
-        return stacked
+        starts = list(warm)
+        reports: List[Optional[BoundReport]] = [None] * len(splits_list)
+        cold_rows = [index for index, slopes in enumerate(warm) if slopes is None]
+        if cold_rows:
+            cold_reports = self._inner.analyze_batch(
+                box, [splits_list[i] for i in cold_rows], spec=spec)
+            for index, report in zip(cold_rows, cold_reports):
+                reports[index] = report
+                starts[index] = [default_lower_slope(bounds.lower, bounds.upper)
+                                 for bounds in report.pre_activation_bounds]
+        warm_rows = [index for index, slopes in enumerate(warm) if slopes is not None]
+        if warm_rows:
+            warm_reports = self._inner.analyze_batch(
+                box, [splits_list[i] for i in warm_rows], spec=spec,
+                lower_slopes=[np.stack([warm[i][layer] for i in warm_rows])
+                              for layer in range(num_layers)])
+            for index, report in zip(warm_rows, warm_reports):
+                reports[index] = report
+        slopes = [np.stack([start[layer] for start in starts])
+                  for layer in range(num_layers)]
+        return slopes, reports
 
     def analyze(self, box: InputBox, splits: Optional[SplitAssignment] = None,
                 spec: Optional[LinearOutputSpec] = None,
-                rng: SeedLike = None,
                 parent: Optional[SplitAssignment] = None) -> BoundReport:
         """Bounds of one sub-problem with optimised slopes: the batched
         optimisation at ``B = 1`` (falls back to DeepPoly without a spec)."""
-        return self._optimise(box, [splits], spec, rng, [parent])[0]
+        return self._optimise(box, [splits], spec, [parent])[0]
 
     def analyze_batch(self, box: InputBox,
                       splits_list: Sequence[Optional[SplitAssignment]],
                       spec: Optional[LinearOutputSpec] = None,
-                      rng: SeedLike = None,
                       parents: Optional[Sequence[Optional[SplitAssignment]]] = None
                       ) -> List[BoundReport]:
-        """Optimise slopes for ``B`` sub-problems in stacked SPSA passes.
+        """Optimise slopes for ``B`` sub-problems in stacked passes.
 
-        Every sub-problem sees the same perturbation-direction sequence, one
-        shared draw per iteration, and each iteration runs three stacked
-        :meth:`DeepPolyAnalyzer.analyze_batch` passes over the whole batch.
+        Each iteration runs one one-row adjoint and one stacked
+        :meth:`DeepPolyAnalyzer.analyze_batch` pass over the whole batch.
         ``parents`` (index-aligned, ``None`` entries allowed) enables the
-        per-element parent warm start; when every element is warm the
-        initial spec-less bounding pass is skipped entirely.
+        per-element parent warm start.
         """
-        return self._optimise(box, splits_list, spec, rng, parents)
+        return self._optimise(box, splits_list, spec, parents)
 
     def _optimise(self, box: InputBox,
                   splits_list: Sequence[Optional[SplitAssignment]],
-                  spec: Optional[LinearOutputSpec], rng: SeedLike,
+                  spec: Optional[LinearOutputSpec],
                   parents: Optional[Sequence[Optional[SplitAssignment]]]
                   ) -> List[BoundReport]:
-        """The SPSA optimisation behind :meth:`analyze` and :meth:`analyze_batch`."""
+        """The projected gradient ascent behind :meth:`analyze` and
+        :meth:`analyze_batch`."""
         splits_list = [s or SplitAssignment.empty() for s in splits_list]
         if not splits_list:
             return []
@@ -208,48 +254,38 @@ class AlphaCrownAnalyzer:
                 report.method = "alpha-crown"
             return reports
 
-        rng = as_rng(self.config.seed if rng is None else rng)
-        slopes = self._starting_slopes(box, splits_list, parents)
+        slopes, reports = self._starting_pass(box, splits_list, spec, parents)
+        best_reports = list(reports)
         best_slopes = [s.copy() for s in slopes]
-        best_value = self._objectives(box, splits_list, spec, slopes)
-
+        best_value = np.array([report.p_hat for report in reports])
         for iteration in range(self.config.iterations):
-            # One shared ±1 draw per layer; it broadcasts over the rows.
-            directions = [rng.choice([-1.0, 1.0], size=s.shape[1:])
-                          for s in slopes]
-            delta = self.config.perturbation
-            plus = [np.clip(s + delta * d, 0.0, 1.0)
-                    for s, d in zip(slopes, directions)]
-            minus = [np.clip(s - delta * d, 0.0, 1.0)
-                     for s, d in zip(slopes, directions)]
-            value_plus = self._objectives(box, splits_list, spec, plus)
-            value_minus = self._objectives(box, splits_list, spec, minus)
-            with np.errstate(invalid="ignore"):
-                gradient_scale = (value_plus - value_minus) / (2.0 * delta)
-            step = self.config.step_size / np.sqrt(iteration + 1.0)
-            slopes = [np.clip(s + step * gradient_scale[:, None] * d, 0.0, 1.0)
-                      for s, d in zip(slopes, directions)]
-            value = self._objectives(box, splits_list, spec, slopes)
-            for candidate_value, candidate_slopes in ((value_plus, plus),
-                                                      (value_minus, minus),
-                                                      (value, slopes)):
-                with np.errstate(invalid="ignore"):
-                    improved = candidate_value > best_value
-                if not np.any(improved):
-                    continue
-                best_value = np.where(improved, candidate_value, best_value)
-                for layer, candidate in enumerate(candidate_slopes):
-                    best_slopes[layer] = np.where(improved[:, None], candidate,
-                                                  best_slopes[layer])
+            gradients = spec_row_gradient(self.network, spec, reports, slopes)
+            scale = np.zeros(len(splits_list))
+            for gradient in gradients:
+                scale = np.maximum(scale, np.abs(gradient).max(axis=1))
+            if not np.any(scale > 0.0):
+                break
+            step = (self.config.step_size / np.sqrt(iteration + 1.0)
+                    / np.where(scale > 0.0, scale, 1.0))
+            slopes = [np.clip(s + step[:, None] * g, 0.0, 1.0)
+                      for s, g in zip(slopes, gradients)]
+            reports = self._inner.analyze_batch(box, splits_list, spec=spec,
+                                                lower_slopes=slopes)
+            value = np.array([report.p_hat for report in reports])
+            improved = value > best_value
+            best_value = np.where(improved, value, best_value)
+            for index in np.flatnonzero(improved):
+                best_reports[index] = reports[index]
+            for layer, candidate in enumerate(slopes):
+                best_slopes[layer] = np.where(improved[:, None], candidate,
+                                              best_slopes[layer])
 
         if self.config.warm_start:
             for index, splits in enumerate(splits_list):
                 self._store_slopes(splits, [s[index] for s in best_slopes])
-        reports = self._inner.analyze_batch(box, splits_list, spec=spec,
-                                            lower_slopes=best_slopes)
-        for report in reports:
+        for report in best_reports:
             report.method = "alpha-crown"
-        return reports
+        return best_reports
 
 
 def alpha_crown_bounds(network: LoweredNetwork, box: InputBox,

@@ -70,7 +70,7 @@ class AbonnConfig:
         verdicts, node charges, counterexamples — are identical with the
         flag on or off; off reproduces the PR-3 bound path exactly (the
         benchmark baseline).  With ``bound_method="alpha-crown"`` the warm
-        start moves where the SPSA ascent *begins*, so the optimised (still
+        start moves where the slope ascent *begins*, so the optimised (still
         sound) bounds — and hence trajectories — may differ between the
         modes.
     """

@@ -16,6 +16,10 @@ This module supports the subset used by local-robustness benchmarks:
 * atoms of the form ``(<= a b)`` / ``(>= a b)`` where each side is an output
   variable ``Y_j`` or a numeric constant.
 
+Constants must be finite decimal numerals, and the declared ``X_i`` and
+``Y_j`` must be numbered exactly ``0..n-1`` (checked before any array is
+sized by them).  Any input outside this subset raises :class:`VnnLibError`.
+
 The parsed unsafe region is converted to a :class:`Specification` whose
 output property is the *negation* of the unsafe region (a conjunction of
 linear constraints), matching the semantics used throughout the library.
@@ -48,12 +52,18 @@ def _tokenize(text: str) -> List[str]:
     return text.split()
 
 
+#: Deepest parenthesis nesting accepted (robustness properties need four).
+MAX_NESTING = 64
+
+
 def _parse_sexprs(tokens: List[str]) -> List[object]:
     """Parse a flat token list into nested lists (one per top-level form)."""
     forms: List[object] = []
     stack: List[List[object]] = []
     for token in tokens:
         if token == "(":
+            if len(stack) == MAX_NESTING:
+                raise VnnLibError(f"forms nested deeper than {MAX_NESTING} levels")
             stack.append([])
         elif token == ")":
             if not stack:
@@ -129,16 +139,34 @@ class ParsedVnnLib:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_VARIABLE_RE = re.compile(r"^([XY])_(\d+)$")
+_VARIABLE_RE = re.compile(r"([XY])_([0-9]+)")
+_NUMERAL_RE = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 def _variable(token: object) -> Optional[Tuple[str, int]]:
     if not isinstance(token, str):
         return None
-    match = _VARIABLE_RE.match(token)
+    match = _VARIABLE_RE.fullmatch(token)
     if match is None:
         return None
     return match.group(1), int(match.group(2))
+
+
+def _numeral(token: object) -> Optional[float]:
+    """The value of a finite decimal numeral token, else ``None``."""
+    if not isinstance(token, str) or _NUMERAL_RE.fullmatch(token) is None:
+        return None
+    value = float(token)
+    return value if np.isfinite(value) else None
+
+
+def _dimension(kind: str, indices: List[int]) -> int:
+    """The variable count, once the declared indices are exactly ``0..n-1``."""
+    if not indices:
+        raise VnnLibError("vnnlib file must declare X_* and Y_* variables")
+    if sorted(indices) != list(range(len(indices))):
+        raise VnnLibError(f"declared {kind}_* indices must be exactly 0..{len(indices) - 1}")
+    return len(indices)
 
 
 def _term_to_linear(term: object, num_outputs: int) -> Tuple[np.ndarray, float]:
@@ -153,10 +181,10 @@ def _term_to_linear(term: object, num_outputs: int) -> Tuple[np.ndarray, float]:
             raise VnnLibError(f"output variable Y_{index} out of range")
         coefficients[index] = 1.0
         return coefficients, 0.0
-    try:
-        return coefficients, float(term)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
-        raise VnnLibError(f"unsupported term in output constraint: {term!r}") from exc
+    value = _numeral(term)
+    if value is None:
+        raise VnnLibError(f"unsupported term in output constraint: {term!r}")
+    return coefficients, value
 
 
 def _atom_from_form(form: List[object], num_outputs: int) -> LinearAtom:
@@ -167,9 +195,13 @@ def _atom_from_form(form: List[object], num_outputs: int) -> LinearAtom:
     right_coeffs, right_const = _term_to_linear(right, num_outputs)
     if operator == "<=":
         # left <= right  <=>  right - left >= 0
-        return LinearAtom(right_coeffs - left_coeffs, right_const - left_const)
-    # left >= right  <=>  left - right >= 0
-    return LinearAtom(left_coeffs - right_coeffs, left_const - right_const)
+        atom = LinearAtom(right_coeffs - left_coeffs, right_const - left_const)
+    else:
+        # left >= right  <=>  left - right >= 0
+        atom = LinearAtom(left_coeffs - right_coeffs, left_const - right_const)
+    if not np.isfinite(atom.offset):
+        raise VnnLibError(f"output atom constant overflows: {form!r}")
+    return atom
 
 
 def parse_vnnlib(text: str) -> ParsedVnnLib:
@@ -184,8 +216,8 @@ def parse_vnnlib(text: str) -> ParsedVnnLib:
             continue
         head = form[0]
         if head == "declare-const":
-            variable = _variable(form[1])
-            if variable is None:
+            variable = _variable(form[1]) if len(form) == 3 else None
+            if variable is None or form[2] != "Real":
                 raise VnnLibError(f"cannot parse declaration {form!r}")
             kind, index = variable
             (input_indices if kind == "X" else output_indices).append(index)
@@ -194,10 +226,9 @@ def parse_vnnlib(text: str) -> ParsedVnnLib:
                 raise VnnLibError(f"malformed assert {form!r}")
             asserts.append(form[1])
 
-    if not input_indices or not output_indices:
-        raise VnnLibError("vnnlib file must declare X_* and Y_* variables")
-    num_inputs = max(input_indices) + 1
-    num_outputs = max(output_indices) + 1
+    # Checked before any per-variable array is allocated.
+    num_inputs = _dimension("X", input_indices)
+    num_outputs = _dimension("Y", output_indices)
 
     lower = np.full(num_inputs, -np.inf)
     upper = np.full(num_inputs, np.inf)
@@ -226,6 +257,8 @@ def parse_vnnlib(text: str) -> ParsedVnnLib:
 
     if np.any(~np.isfinite(lower)) or np.any(~np.isfinite(upper)):
         raise VnnLibError("every input variable needs both a lower and an upper bound")
+    if np.any(lower > upper):
+        raise VnnLibError("an input variable's lower bound exceeds its upper bound")
 
     return ParsedVnnLib(num_inputs, num_outputs, lower, upper, unsafe_disjuncts)
 
@@ -239,24 +272,23 @@ def _is_input_atom(form: List[object]) -> bool:
 
 
 def _apply_input_bound(form: List[object], lower: np.ndarray, upper: np.ndarray) -> None:
+    """Tighten the box by one ``(<= X_i c)``-style atom (either side order)."""
+    if len(form) != 3:
+        raise VnnLibError(f"cannot interpret input bound {form!r}")
     operator, left, right = form
     left_var, right_var = _variable(left), _variable(right)
     if left_var is not None and left_var[0] == "X":
-        index = left_var[1]
-        value = float(right)  # type: ignore[arg-type]
-        if operator == "<=":
-            upper[index] = min(upper[index], value)
-        else:
-            lower[index] = max(lower[index], value)
+        index, value, is_upper = left_var[1], _numeral(right), operator == "<="
     elif right_var is not None and right_var[0] == "X":
-        index = right_var[1]
-        value = float(left)  # type: ignore[arg-type]
-        if operator == "<=":
-            lower[index] = max(lower[index], value)
-        else:
-            upper[index] = min(upper[index], value)
+        index, value, is_upper = right_var[1], _numeral(left), operator == ">="
     else:
         raise VnnLibError(f"cannot interpret input bound {form!r}")
+    if value is None or index >= len(lower):
+        raise VnnLibError(f"cannot interpret input bound {form!r}")
+    if is_upper:
+        upper[index] = min(upper[index], value)
+    else:
+        lower[index] = max(lower[index], value)
 
 
 def _parse_disjunct(disjunct: object, num_outputs: int) -> List[LinearAtom]:

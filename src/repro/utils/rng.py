@@ -1,7 +1,7 @@
 """Deterministic random-number-generator helpers.
 
 Every stochastic component in the library (dataset generation, weight
-initialisation, PGD restarts, SPSA perturbations) takes either an integer
+initialisation, PGD restarts, random branching) takes either an integer
 seed or a :class:`numpy.random.Generator`.  These helpers normalise both
 forms so experiments are reproducible end to end.
 """

@@ -16,8 +16,8 @@ Three throughput features back the hot path (see ``docs/BATCHING.md``):
 
 * :meth:`ApproximateVerifier.evaluate_batch` bounds ``B`` sub-problems in
   one batched pass for every back-end — DeepPoly and IBP via a leading
-  batch axis through the backward substitution, α-CROWN via stacked SPSA
-  slope optimisation.  The frontier-wide drivers feed it the phase-split
+  batch axis through the backward substitution, α-CROWN via stacked
+  exact-gradient slope ascent.  The frontier-wide drivers feed it the phase-split
   children of up to ``frontier_size`` nodes at once, and the realised batch
   sizes are recorded in :attr:`ApproximateVerifier.batch_histogram`.
   :meth:`ApproximateVerifier.evaluate` runs the same kernels at ``B = 1``;
@@ -38,7 +38,7 @@ Three throughput features back the hot path (see ``docs/BATCHING.md``):
   identical to the non-incremental path (bit-for-bit at equal batch size;
   across batch sizes up to the sub-1e-9 GEMM noise between rows of
   differently sized batches).  The α-CROWN warm start is sound
-  but moves the SPSA ascent's starting point, so optimised bounds may
+  but moves the slope ascent's starting point, so optimised bounds may
   differ from the cold-start path.
 
 The per-phase time breakdown (``substitute`` / ``correct`` / ``concretize``
@@ -318,8 +318,8 @@ class ApproximateVerifier:
         :meth:`evaluate` calls would return; each sub-problem is charged one
         call.  All three back-ends run genuinely batched: DeepPoly and IBP
         carry a leading batch axis through one backward pass, and α-CROWN
-        runs its SPSA slope optimisation for all ``B`` sub-problems at once
-        (shared perturbation draws, stacked objective evaluations — see
+        runs its slope ascent for all ``B`` sub-problems at once (stacked
+        DeepPoly passes and adjoints, per-row gradient steps — see
         :meth:`~repro.bounds.alpha_crown.AlphaCrownAnalyzer.analyze_batch`).
         The realised batch size is recorded in :attr:`batch_histogram`.
 

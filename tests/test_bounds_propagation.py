@@ -184,14 +184,14 @@ class TestAlphaCrown:
         lowered = small_network.lowered()
         dp = deeppoly_bounds(lowered, spec.input_box, spec=spec.output_spec)
         alpha = alpha_crown_bounds(lowered, spec.input_box, spec=spec.output_spec,
-                                   config=AlphaCrownConfig(iterations=5, seed=0))
+                                   config=AlphaCrownConfig(iterations=5))
         assert alpha.p_hat >= dp.p_hat - 1e-9
 
     def test_soundness(self, small_network):
         spec = robustness_problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.2)
         lowered = small_network.lowered()
         report = alpha_crown_bounds(lowered, spec.input_box, spec=spec.output_spec,
-                                    config=AlphaCrownConfig(iterations=4, seed=1))
+                                    config=AlphaCrownConfig(iterations=4))
         for sample in spec.input_box.sample(6, count=200):
             margin = spec.output_spec.margin(lowered.forward(sample)[0])
             assert margin >= report.p_hat - 1e-7
@@ -215,7 +215,19 @@ class TestAlphaCrown:
         with pytest.raises(ValueError):
             AlphaCrownConfig(iterations=-1)
         with pytest.raises(ValueError):
-            AlphaCrownConfig(perturbation=0.9)
+            AlphaCrownConfig(step_size=0.0)
+
+    def test_optimiser_is_deterministic_without_seed(self, small_network):
+        """The exact-gradient ascent draws nothing: no seed or perturbation."""
+        for field in ("seed", "perturbation"):
+            with pytest.raises(TypeError):
+                AlphaCrownConfig(**{field: 0.1})
+        spec = robustness_problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.2)
+        lowered = small_network.lowered()
+        first, second = (alpha_crown_bounds(lowered, spec.input_box,
+                                            spec=spec.output_spec)
+                         for _ in range(2))
+        assert first.p_hat == second.p_hat
 
 
 class TestBoundReport:
