@@ -51,6 +51,17 @@ with DeepPoly and with α-CROWN's exact-gradient slope ascent and records
 both ``p̂`` and α-CROWN's milliseconds per call; ``alpha_never_looser``
 holds when no α-CROWN root bound is below its DeepPoly bound.
 
+With ``--kernel`` the benchmark bounds each family's ``_make_problem`` root
+and its first frontier (both phase-split children of the root's first
+unstable neurons, through the cache and the parent pass, as the engine
+bounds them) with the DeepPoly kernel and with the cache-free textbook
+oracle of ``tests/reference_bounds.py``.  Per batch it records the largest
+bound difference and the fraction of hidden columns dead in every row —
+the columns the kernel's live-column substitution skips.
+``kernel_matches_reference`` holds when every difference is within 1e-9
+and every flag and corner is equal; ``dead_columns_skipped`` when some
+batch had a dead column.
+
 Results are printed as JSON and written to
 ``benchmarks/output/BENCH_batching.json`` so future runs can track the
 speedup; a stable top-level ``summary`` block (median per-child bound
@@ -74,7 +85,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.bounds.alpha_crown import AlphaCrownAnalyzer
-from repro.bounds.cache import LpCache
+from repro.bounds.cache import BoundCache, LpCache
 from repro.bounds.deeppoly import DeepPolyAnalyzer
 from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
 from repro.core.abonn import AbonnVerifier
@@ -93,6 +104,10 @@ from repro.verifiers.milp import (
 )
 
 OUTPUT_PATH = Path(__file__).resolve().parent / "output" / "BENCH_batching.json"
+TESTS_PATH = Path(__file__).resolve().parent.parent / "tests"
+
+#: Agreement ``--kernel`` requires between the kernel and the oracle.
+KERNEL_TOLERANCE = 1e-9
 
 FULL_FAMILIES = ("MNIST_L2", "MNIST_L4", "CIFAR_BASE", "CIFAR_DEEP")
 SMOKE_FAMILIES = ("MNIST_L2",)
@@ -525,6 +540,72 @@ def bench_alpha(family_name: str, repetitions: int) -> Dict:
     }
 
 
+def _max_report_difference(got, want) -> float:
+    """Largest bound difference of two reports; ``inf`` when a flag, a
+    corner or an infinite ``p̂`` disagrees."""
+    if (got.infeasible != want.infeasible
+            or not np.array_equal(got.candidate_input, want.candidate_input)):
+        return float("inf")
+    if not np.isfinite(want.p_hat) or not np.isfinite(got.p_hat):
+        return 0.0 if got.p_hat == want.p_hat else float("inf")
+    pairs = list(zip(got.pre_activation_bounds, want.pre_activation_bounds))
+    pairs.append((got.output_bounds, want.output_bounds))
+    differences = [abs(got.p_hat - want.p_hat),
+                   float(np.max(np.abs(got.spec_row_lower - want.spec_row_lower)))]
+    for got_bounds, want_bounds in pairs:
+        differences.append(float(np.max(np.abs(got_bounds.lower - want_bounds.lower))))
+        differences.append(float(np.max(np.abs(got_bounds.upper - want_bounds.upper))))
+    return max(differences)
+
+
+def _dead_column_fraction(reports) -> float:
+    """Share of hidden columns dead in every row of one batch: stably or
+    split inactive, so their whole relaxation is zero."""
+    dead = total = 0
+    for layer in range(len(reports[0].pre_activation_bounds)):
+        lower = np.stack([r.pre_activation_bounds[layer].lower for r in reports])
+        upper = np.stack([r.pre_activation_bounds[layer].upper for r in reports])
+        dead += int(np.all((upper <= 0.0) & (lower < 0.0), axis=0).sum())
+        total += lower.shape[1]
+    return dead / total if total else 0.0
+
+
+def bench_kernel(family_name: str, children_per_round: int) -> List[Dict]:
+    """Kernel vs reference oracle on the root and its first frontier."""
+    if str(TESTS_PATH) not in sys.path:
+        sys.path.insert(0, str(TESTS_PATH))
+    from reference_bounds import reference_deeppoly
+
+    network, spec = _make_problem(family_name)
+    lowered = network.lowered()
+    box, output_spec = spec.input_box, spec.output_spec
+    analyzer = DeepPolyAnalyzer(lowered)
+    cache = BoundCache()
+    root_splits = SplitAssignment.empty()
+    root = analyzer.analyze(box, root_splits, spec=output_spec, cache=cache)
+    unstable = root.unstable_neurons()[:children_per_round // 2]
+    children = [root_splits.with_split(ReluSplit(layer, unit, phase))
+                for layer, unit in unstable for phase in (ACTIVE, INACTIVE)]
+    batches = [("root", [root_splits], [root])]
+    if children:
+        batches.append(("frontier", children, analyzer.analyze_batch(
+            box, children, spec=output_spec, cache=cache,
+            parents=[root_splits] * len(children))))
+    rows = []
+    for name, batch, reports in batches:
+        difference = max(_max_report_difference(
+            report, reference_deeppoly(lowered, box, splits, output_spec))
+            for splits, report in zip(batch, reports))
+        rows.append({
+            "network": family_name,
+            "batch": name,
+            "batch_size": len(batch),
+            "max_difference": difference,
+            "dead_column_fraction": _dead_column_fraction(reports),
+        })
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
@@ -544,6 +625,10 @@ def main(argv=None) -> int:
     parser.add_argument("--alpha", action="store_true",
                         help="also bound each family's root with DeepPoly "
                              "and α-CROWN: both p̂ and α-CROWN ms per call")
+    parser.add_argument("--kernel", action="store_true",
+                        help="also compare the DeepPoly kernel with the "
+                             "reference oracle on each family's root and "
+                             "first frontier, with the dead-column fraction")
     args = parser.parse_args(argv)
     smoke = _smoke_mode(args)
 
@@ -687,6 +772,20 @@ def main(argv=None) -> int:
                                           for row in alpha_rows),
             },
             "rows": alpha_rows,
+        }
+
+    if args.kernel:
+        kernel_rows = [row for family_name in families
+                       for row in bench_kernel(family_name, 8)]
+        payload["kernel"] = {
+            "tolerance": KERNEL_TOLERANCE,
+            "summary": {
+                "kernel_matches_reference": all(
+                    row["max_difference"] <= KERNEL_TOLERANCE for row in kernel_rows),
+                "dead_columns_skipped": any(
+                    row["dead_column_fraction"] > 0.0 for row in kernel_rows),
+            },
+            "rows": kernel_rows,
         }
 
     text = json.dumps(payload, indent=2)

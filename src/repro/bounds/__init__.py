@@ -18,7 +18,6 @@ from repro.bounds.deeppoly import (
 )
 from repro.bounds.interval import interval_bounds, interval_bounds_batch
 from repro.bounds.linear_form import (
-    BatchedLinearForm,
     ScalarBounds,
     concretize_lower_batch,
     concretize_upper_batch,
@@ -55,7 +54,6 @@ __all__ = [
     "default_lower_slope",
     "interval_bounds",
     "interval_bounds_batch",
-    "BatchedLinearForm",
     "ScalarBounds",
     "concretize_lower_batch",
     "concretize_upper_batch",

@@ -107,8 +107,8 @@ def spec_row_gradient(network: LoweredNetwork, spec: LinearOutputSpec,
         lower = np.stack([r.pre_activation_bounds[layer].lower for r in reports])
         upper = np.stack([r.pre_activation_bounds[layer].upper for r in reports])
         unstable = (lower < 0.0) & (upper > 0.0) & finite[:, None]
-        relaxations.append((unstable,) + _relaxation_arrays(
-            lower, upper, None, np.clip(slopes[layer], 0.0, 1.0)))
+        relaxations.append((unstable, *_relaxation_arrays(
+            lower, upper, None, np.clip(slopes[layer], 0.0, 1.0))))
     # Down: the worst row's coefficients over each hidden layer's output.
     coefficients = [None] * num_layers
     lam = spec.coefficients[rows] @ network.weights[-1]

@@ -30,6 +30,22 @@ no sub-problem decides a neuron skips the split clip, and a layer that
 every row computes afresh is used in place instead of gathered and
 scattered.
 
+**Live-column substitution.**  Once a layer's stacked relaxation is built,
+the kernel keeps only its *live* columns: neurons whose lower slope, upper
+slope or upper intercept is non-zero in at least one row of the batch.
+A stably inactive neuron (or one every row splits ``r-``) is zero in every
+row of every substituted form, so dropping it changes no bound; on the
+trained conv families roughly half of a layer's columns are dead.  The layer
+stores its relaxation and its weights already compressed,
+``W̃ₖ = Wₖ[liveₖ][:, liveₖ₋₁]`` and ``b̃ₖ = bₖ[liveₖ]`` (``W̃ₖ`` is a row
+gather of the start matrix ``Wₖ[:, liveₖ₋₁]`` that bounded the layer), and
+every later back-substitution runs in live coordinates with no gather per
+step.  Only the summation order of the GEMMs moves.  When every column is
+live the arrays are used as they are.  Each substituted form is
+concretised straight after its substitution, while it is still in cache,
+as ``A @ center ∓ |A| @ radius`` with the box's centre and radius computed
+once per call.
+
 The kernel accepts a :class:`~repro.bounds.cache.BoundCache` that memoises
 per-layer results keyed by the split-assignment *prefix* relevant to that
 layer, so a child sub-problem only recomputes layers at-or-below its newly
@@ -45,11 +61,12 @@ bounds with its phase and swap that single relaxation row to the exact
 identity/zero form — instead of re-substituting the whole layer through
 every layer below.  The correction reproduces the full recomputation
 bit-for-bit (clipping is per-neuron independent and the relaxation rebuild
-is element-wise on identical inputs): when the parent was bounded at the
-same batch size as the child, incremental results are *numerically
-identical* to a from-scratch analysis; across batch sizes they are
+is element-wise on identical inputs): when parent and child are each
+bounded alone (``B = 1``), incremental results are *numerically
+identical* to a from-scratch analysis; in larger batches they are
 identical up to the sub-1e-9 GEMM-reassociation noise that separates
-rows of differently sized batches.  Layers above ``l*`` genuinely change
+rows of different batches (their size and, through the live columns,
+their other rows).  Layers above ``l*`` genuinely change
 (the tightened relaxation propagates) and are recomputed exactly as the
 non-incremental path would — which is what keeps verdicts, node charges
 and counterexamples identical whether the incremental path is on or off
@@ -66,8 +83,7 @@ import numpy as np
 from repro.bounds.cache import BoundCache, SubstitutionEntry
 from repro.bounds.linear_form import (
     ScalarBounds,
-    concretize_lower_batch,
-    concretize_upper_batch,
+    concretize_center_radius,
     minimizing_corner_batch,
 )
 from repro.bounds.report import BoundReport
@@ -87,10 +103,12 @@ from repro.specs.properties import InputBox, LinearOutputSpec
 from repro.utils.timing import PhaseTimings
 from repro.utils.validation import require
 
-#: Per hidden layer, the stacked lower slopes, upper slopes and upper
-#: intercepts of the ReLU relaxation, held as the ``(B, 1, width)``,
-#: ``(B, 1, width)`` and ``(B, width, 1)`` views the substitution consumes.
-Relaxation = Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]
+#: One hidden layer's backward-substitution step in its live coordinates:
+#: the stacked lower slopes ``(B, 1, n)``, upper slopes ``(B, 1, n)`` and
+#: upper intercepts ``(B, n, 1)`` of the relaxation's ``n`` live columns,
+#: then the weight ``(n, n_below)`` and bias ``(n,)`` rows that substitute
+#: them, already restricted to the live columns of the layer below.
+Step = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _measure(timings: Optional[PhaseTimings], phase: str):
@@ -105,14 +123,15 @@ def default_lower_slope(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 def _relaxation_arrays(lower: np.ndarray, upper: np.ndarray,
                        phases: Optional[np.ndarray],
-                       unstable_lower_slope: Optional[np.ndarray]
-                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                       unstable_lower_slope: Optional[np.ndarray]) -> np.ndarray:
     """Vectorised triangle relaxation of ``(B, width)`` bounds.
 
     A neuron is exact-identity when split ACTIVE or provably non-negative,
     exact-zero when split INACTIVE or provably non-positive, and otherwise
     gets the triangle upper relaxation with the supplied (or default) lower
     slope.  ``phases`` is ``None`` when no neuron of the layer is decided.
+    Returns the lower slopes, upper slopes and upper intercepts stacked
+    into one ``(3, B, width)`` array.
     """
     active = lower >= 0.0
     inactive = upper <= 0.0
@@ -125,11 +144,37 @@ def _relaxation_arrays(lower: np.ndarray, upper: np.ndarray,
         unstable_lower_slope = default_lower_slope(lower, upper)
     denominator = np.where(unstable, upper - lower, 1.0)
     slope = np.where(unstable, upper / denominator, 0.0)
-    lower_slope = np.where(active, 1.0,
-                           np.where(unstable, unstable_lower_slope, 0.0))
-    upper_slope = np.where(active, 1.0, slope)
-    upper_intercept = np.where(unstable, -slope * lower, 0.0)
-    return lower_slope, upper_slope, upper_intercept
+    relaxation = np.empty((3,) + lower.shape)
+    relaxation[0] = np.where(active, 1.0, np.where(unstable, unstable_lower_slope, 0.0))
+    relaxation[1] = np.where(active, 1.0, slope)
+    relaxation[2] = np.where(unstable, -slope * lower, 0.0)
+    return relaxation
+
+
+def _live_step(relaxation: np.ndarray, weight: np.ndarray,
+               bias: np.ndarray) -> Tuple[Step, Optional[np.ndarray]]:
+    """One layer's substitution step restricted to its live columns.
+
+    ``relaxation`` is the layer's stacked ``(3, B, width)`` relaxation and
+    ``weight`` its ``(width, n_below)`` weight, already restricted to the
+    live columns of the layer below.  A column is dead when its lower
+    slope, upper slope and upper intercept are exactly zero in every row:
+    it contributes nothing to any substituted form, so dropping it changes
+    no bound.  (α-CROWN may give an unstable neuron a zero lower slope; its
+    upper slope keeps the column live, and so does a NaN.)  Returns the
+    step and the live column indices, or ``None`` when every column is
+    live, in which case the arrays are used as they are.
+    """
+    live = relaxation.any(axis=(0, 1)).nonzero()[0]
+    if len(live) == relaxation.shape[2]:
+        live = None
+    else:
+        relaxation = relaxation.take(live, axis=2)
+        weight = weight.take(live, axis=0)
+        bias = bias.take(live)
+    lower_slopes, upper_slopes, upper_intercepts = relaxation
+    return (lower_slopes[:, None, :], upper_slopes[:, None, :],
+            upper_intercepts[:, :, None], weight, bias), live
 
 
 class DeepPolyAnalyzer:
@@ -159,64 +204,70 @@ class DeepPolyAnalyzer:
         return top[1], top[2]
 
     # -- backward substitution ------------------------------------------------
-    def _back_substitute(self, coefficients: np.ndarray, constants: np.ndarray,
-                         last_hidden: int, relaxation: Relaxation,
+    @staticmethod
+    def _back_substitute(coefficients: np.ndarray, constants: np.ndarray,
+                         steps: Sequence[Step],
                          minimize: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """Rewrite ``A @ h_last_hidden + c`` as linear forms over the input.
+        """Rewrite ``A @ h + c`` as linear forms over the input.
 
-        ``coefficients`` has shape ``(1 or B, rows, width)`` and
-        ``constants`` ``(1 or B, rows)``; a leading axis of one is shared by
-        every batch row and broadcasts against the relaxation arrays, which
-        hold one array per hidden layer up to ``last_hidden`` (``-1``: the
-        expression is already over the input).
+        ``h`` is the live part of the output of the hidden layer that
+        ``steps[-1]`` relaxes (the input when ``steps`` is empty), so
+        ``coefficients`` has shape ``(1 or B, rows, n)`` over that layer's
+        live columns and ``constants`` ``(1 or B, rows)``; a leading axis of
+        one is shared by every batch row and broadcasts against the
+        relaxation arrays.  Each step relaxes the live ReLU columns and
+        substitutes ``z = W̃ h_below + b̃`` with the weight and bias rows of
+        those columns, whose own columns are the live ones of the layer
+        below, so the whole rewrite runs in live coordinates with no
+        gather: a dead column is zero in every row of every form, and the
+        rewrite is the full-width one up to summation order.
         When ``minimize`` is True the rewriting under-approximates the
         expression (suitable for lower bounds); otherwise it
         over-approximates.
         """
-        lower_slopes, upper_slopes, upper_intercepts = relaxation
         A = coefficients
         c = constants
-        for layer in range(last_hidden, -1, -1):
-            ls = lower_slopes[layer]
-            us = upper_slopes[layer]
-            ui = upper_intercepts[layer]
+        for lower_slope, upper_slope, upper_intercept, weight, bias in reversed(steps):
             positive = np.maximum(A, 0.0)
             negative = np.minimum(A, 0.0)
             if minimize:
                 # h >= lower_slope * z and h <= upper_slope * z + upper_intercept
-                A = positive * ls + negative * us
-                c = c + np.matmul(negative, ui)[..., 0]
+                A = positive * lower_slope + negative * upper_slope
+                c = c + np.matmul(negative, upper_intercept)[..., 0]
             else:
-                A = positive * us + negative * ls
-                c = c + np.matmul(positive, ui)[..., 0]
-            # Substitute z = W h_{layer-1} + b.  Flattening the batch axis
-            # into the rows runs the whole batch through one GEMM instead of
-            # a C-level loop of per-element matmuls.
-            weight = self.network.weights[layer]
+                A = positive * upper_slope + negative * lower_slope
+                c = c + np.matmul(positive, upper_intercept)[..., 0]
+            # Flattening the batch axis into the rows runs the whole batch
+            # through one GEMM instead of a C-level loop of per-element
+            # matmuls.
             batch, rows, width = A.shape
             flat = A.reshape(batch * rows, width)
-            c = c + (flat @ self.network.biases[layer]).reshape(batch, rows)
+            c = c + (flat @ bias).reshape(batch, rows)
             A = (flat @ weight).reshape(batch, rows, weight.shape[1])
         return A, c
 
     def _bound_rows(self, coefficients: np.ndarray, constants: np.ndarray,
-                    last_hidden: int, relaxation: Relaxation, box: InputBox,
+                    steps: Sequence[Step], center: np.ndarray, radius: np.ndarray,
                     batch: int, timings: Optional[PhaseTimings] = None
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(batch, rows)`` bounds of ``A @ h_last_hidden + c`` over the box.
+        """``(batch, rows)`` bounds of ``A @ h + c`` over the box.
 
-        Also returns the coefficients of the input-level lower forms: the
-        minimising corner of a spec row's form is the counterexample
-        candidate.
+        ``center`` and ``radius`` describe the input box.  Each form is
+        concretised straight after its own substitution, while it is still
+        in cache.  Also returns the coefficients of the input-level lower
+        forms: the minimising corner of a spec row's form is the
+        counterexample candidate.
         """
         with _measure(timings, "substitute"):
             lower_A, lower_c = self._back_substitute(
-                coefficients, constants, last_hidden, relaxation, minimize=True)
-            upper_A, upper_c = self._back_substitute(
-                coefficients, constants, last_hidden, relaxation, minimize=False)
+                coefficients, constants, steps, minimize=True)
         with _measure(timings, "concretize"):
-            lower = concretize_lower_batch(lower_A, lower_c, box)
-            upper = concretize_upper_batch(upper_A, upper_c, box)
+            lower = concretize_center_radius(lower_A, lower_c, center, radius, -1.0)
+        with _measure(timings, "substitute"):
+            upper_A, upper_c = self._back_substitute(
+                coefficients, constants, steps, minimize=False)
+        with _measure(timings, "concretize"):
+            upper = concretize_center_radius(upper_A, upper_c, center, radius, 1.0)
         if lower.shape[0] != batch:
             # No relaxation was substituted, so every row shares one form.
             lower = np.repeat(lower, batch, axis=0)
@@ -258,7 +309,8 @@ class DeepPolyAnalyzer:
             low = max(low, 0.0)
         else:
             high = min(high, 0.0)
-        infeasible = not low <= high + 1e-12
+        # A NaN bound is not evidence of an empty region.
+        infeasible = bool(low > high + 1e-12)
         if infeasible:
             low, high = min(low, high), max(low, high)
         return (low, high, infeasible) + cls._scalar_relaxation(low, high, phase)
@@ -436,15 +488,21 @@ class DeepPolyAnalyzer:
                 prefix = parent_prefixes[(id(parent), layer)] = parent.prefix_key(layer)
             return prefix
 
-        # Per layer, the stacked (count, width) state of every pending
-        # sub-problem: its relaxation and its post-clip bounds.
-        relaxation: Relaxation = ([], [], [])
+        # Per layer, the stacked (count, width) post-clip bounds of every
+        # pending sub-problem, and its relaxation as a substitution step in
+        # the batch's live columns (see :func:`_live_step`).
+        steps: List[Step] = []
         lower_layers: List[np.ndarray] = []
         upper_layers: List[np.ndarray] = []
         infeasible = np.zeros(count, dtype=bool)
+        center = box.center
+        radius = box.radius
+        live = None
 
         for layer in range(num_layers):
             weight = network.weights[layer]
+            if live is not None:
+                weight = weight.take(live, axis=1)
             width = weight.shape[0]
             prefixes = None
             miss: Sequence[int] = range(count)
@@ -469,9 +527,8 @@ class DeepPolyAnalyzer:
                 if len(miss) < count:
                     lower = np.empty((count, width))
                     upper = np.empty((count, width))
-                    ls = np.empty((count, width))
-                    us = np.empty((count, width))
-                    ui = np.empty((count, width))
+                    relaxation = np.empty((3, count, width))
+                    ls, us, ui = relaxation
                     layer_infeasible = np.zeros(count, dtype=bool)
                     for row, entry in hits:
                         lower[row] = entry.lower
@@ -489,11 +546,12 @@ class DeepPolyAnalyzer:
             if miss:
                 every_row = len(miss) == count
                 miss_index = None if every_row else np.asarray(miss, dtype=int)
-                below = relaxation if every_row else tuple(
-                    [values[miss_index] for values in arrays] for arrays in relaxation)
+                below = steps if every_row else [
+                    (step[0][miss_index], step[1][miss_index], step[2][miss_index])
+                    + step[3:] for step in steps]
                 miss_lower, miss_upper, _ = self._bound_rows(
-                    weight[None], network.biases[layer][None], layer - 1, below,
-                    box, len(miss), timings=timings)
+                    weight[None], network.biases[layer][None], below,
+                    center, radius, len(miss), timings=timings)
                 phases = decided_phases(sub_keys, sub_counts, miss, layer, width)
                 miss_lower, miss_upper, inconsistent = clip_bounds_with_phases(
                     miss_lower, miss_upper, phases)
@@ -505,20 +563,18 @@ class DeepPolyAnalyzer:
                     require(miss_slopes.shape == (batch_size, width),
                             f"lower_slopes for layer {layer} must have shape "
                             f"{(batch_size, width)}")
-                miss_ls, miss_us, miss_ui = _relaxation_arrays(
+                miss_relaxation = _relaxation_arrays(
                     miss_lower, miss_upper, phases, miss_slopes)
                 if every_row:
-                    lower, upper, ls, us, ui, layer_infeasible = (
-                        miss_lower, miss_upper, miss_ls, miss_us, miss_ui,
-                        inconsistent)
+                    lower, upper, relaxation, layer_infeasible = (
+                        miss_lower, miss_upper, miss_relaxation, inconsistent)
                 else:
                     lower[miss_index] = miss_lower
                     upper[miss_index] = miss_upper
-                    ls[miss_index] = miss_ls
-                    us[miss_index] = miss_us
-                    ui[miss_index] = miss_ui
+                    relaxation[:, miss_index] = miss_relaxation
                     layer_infeasible[miss_index] = inconsistent
                 if use_cache:
+                    miss_ls, miss_us, miss_ui = miss_relaxation
                     for position, row in enumerate(miss):
                         cache.put_layer(layer, prefixes[row], SubstitutionEntry(
                             miss_lower[position].copy(), miss_upper[position].copy(),
@@ -528,14 +584,15 @@ class DeepPolyAnalyzer:
             infeasible |= layer_infeasible
             lower_layers.append(lower)
             upper_layers.append(upper)
-            relaxation[0].append(ls[:, None, :])
-            relaxation[1].append(us[:, None, :])
-            relaxation[2].append(ui[:, :, None])
+            step, live = _live_step(relaxation, weight, network.biases[layer])
+            steps.append(step)
 
         num_outputs = network.output_dim
         top_coefficients, top_constants = self._top_rows(spec)
+        if live is not None:
+            top_coefficients = top_coefficients.take(live, axis=2)
         top_lower, top_upper, top_lower_A = self._bound_rows(
-            top_coefficients, top_constants, num_layers - 1, relaxation, box,
+            top_coefficients, top_constants, steps, center, radius,
             count, timings=timings)
         if with_spec:
             spec_lower = top_lower[:, num_outputs:]

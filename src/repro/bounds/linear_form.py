@@ -5,8 +5,15 @@ quantities as affine functions of the (flattened) input,
 
 ``f(x) = A @ x + c``.
 
-Concretising such a form over an axis-aligned input box gives scalar bounds;
-the minimising / maximising *corner* of the box is also the candidate
+Concretising such a form over an axis-aligned input box gives scalar bounds.
+Every concretisation here is written around the box's centre and radius,
+``min f = A @ center − |A| @ radius + c`` and
+``max f = A @ center + |A| @ radius + c``: two matrix-vector products per
+bound instead of splitting ``A`` into its positive and negative parts, and
+the bound kernel computes the centre and radius once per call and
+concretises each form straight after its substitution.  The box computes
+them as ``0.5·lo + 0.5·hi`` and ``0.5·hi − 0.5·lo``, so a finite box never
+overflows.  The minimising *corner* of the box is also the candidate
 counterexample ``x̂`` that AppVer reports alongside a negative ``p̂``.
 """
 
@@ -20,34 +27,50 @@ from repro.specs.properties import InputBox
 from repro.utils.validation import require
 
 
+def concretize_center_radius(coefficients: np.ndarray, constants: np.ndarray,
+                             center: np.ndarray, radius: np.ndarray,
+                             sign: float) -> np.ndarray:
+    """``A[b] @ center + sign·|A[b]| @ radius + c[b]`` per row, unchecked.
+
+    ``(B, R, D)`` coefficients and ``(B, R)`` constants give ``(B, R)``
+    bounds: the minimum over the box for ``sign = -1`` and the maximum for
+    ``sign = +1``.  The bound kernel's hot path; callers pass float arrays
+    of matching shapes.
+    """
+    batch, rows, dim = coefficients.shape
+    flat = coefficients.reshape(batch * rows, dim)
+    values = flat @ center
+    spread = np.abs(flat) @ radius
+    values = values - spread if sign < 0 else values + spread
+    return values.reshape(batch, rows) + constants
+
+
+def _checked(coefficients: np.ndarray, constants: np.ndarray):
+    """Float ``(B, R, D)`` coefficients and ``(B, R)`` constants, or ``ValueError``."""
+    coefficients = np.asarray(coefficients, dtype=float)
+    constants = np.asarray(constants, dtype=float)
+    require(coefficients.ndim == 3, "batched coefficients must be (batch, rows, dim)")
+    require(constants.shape == coefficients.shape[:2],
+            "batched constants must be (batch, rows)")
+    return coefficients, constants
+
+
 def concretize_lower_batch(coefficients: np.ndarray, constants: np.ndarray,
                            box: InputBox) -> np.ndarray:
     """Minimum of ``A[b] @ x + c[b]`` over the box, per row: ``(B, R, D)``
     coefficients and ``(B, R)`` constants give ``(B, R)`` bounds."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    constants = np.asarray(constants, dtype=float)
-    require(coefficients.ndim == 3, "batched coefficients must be (batch, rows, dim)")
-    batch, rows, dim = coefficients.shape
-    flat = coefficients.reshape(batch * rows, dim)
-    positive = np.maximum(flat, 0.0)
-    negative = np.minimum(flat, 0.0)
-    values = positive @ box.lower + negative @ box.upper
-    return values.reshape(batch, rows) + constants
+    coefficients, constants = _checked(coefficients, constants)
+    return concretize_center_radius(coefficients, constants, box.center,
+                                    box.radius, -1.0)
 
 
 def concretize_upper_batch(coefficients: np.ndarray, constants: np.ndarray,
                            box: InputBox) -> np.ndarray:
     """Maximum of ``A[b] @ x + c[b]`` over the box, per row: ``(B, R, D)``
     coefficients and ``(B, R)`` constants give ``(B, R)`` bounds."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    constants = np.asarray(constants, dtype=float)
-    require(coefficients.ndim == 3, "batched coefficients must be (batch, rows, dim)")
-    batch, rows, dim = coefficients.shape
-    flat = coefficients.reshape(batch * rows, dim)
-    positive = np.maximum(flat, 0.0)
-    negative = np.minimum(flat, 0.0)
-    values = positive @ box.upper + negative @ box.lower
-    return values.reshape(batch, rows) + constants
+    coefficients, constants = _checked(coefficients, constants)
+    return concretize_center_radius(coefficients, constants, box.center,
+                                    box.radius, 1.0)
 
 
 def minimizing_corner_batch(coefficients: np.ndarray, box: InputBox) -> np.ndarray:
@@ -57,61 +80,6 @@ def minimizing_corner_batch(coefficients: np.ndarray, box: InputBox) -> np.ndarr
     require(coefficients.ndim == 2 and coefficients.shape[1] == box.dimension,
             "batched coefficient rows must be (batch, dim)")
     return np.where(coefficients > 0, box.lower, box.upper)
-
-
-@dataclass(frozen=True)
-class BatchedLinearForm:
-    """A leading-batch-axis stack of linear forms: ``A[b] @ x + c[b]``.
-
-    ``coefficients`` has shape ``(batch, rows, input_dim)`` and ``constants``
-    shape ``(batch, rows)``; element ``b`` holds the forms of the b-th
-    sub-problem of a batched bound computation.
-    """
-
-    coefficients: np.ndarray
-    constants: np.ndarray
-
-    def __post_init__(self) -> None:
-        coefficients = np.asarray(self.coefficients, dtype=float)
-        constants = np.asarray(self.constants, dtype=float)
-        require(coefficients.ndim == 3, "coefficients must be (batch, rows, dim)")
-        require(constants.shape == coefficients.shape[:2],
-                "constants must be (batch, rows)")
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "constants", constants)
-
-    @property
-    def batch_size(self) -> int:
-        return int(self.coefficients.shape[0])
-
-    @property
-    def num_rows(self) -> int:
-        return int(self.coefficients.shape[1])
-
-    @property
-    def input_dim(self) -> int:
-        return int(self.coefficients.shape[2])
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate every batch element's rows at one input: ``(batch, rows)``."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        require(x.shape[0] == self.input_dim, "input has wrong dimension")
-        return self.coefficients @ x + self.constants
-
-    def lower_bound(self, box: InputBox) -> np.ndarray:
-        """Per-element per-row minimum over the box: ``(batch, rows)``."""
-        return concretize_lower_batch(self.coefficients, self.constants, box)
-
-    def upper_bound(self, box: InputBox) -> np.ndarray:
-        """Per-element per-row maximum over the box: ``(batch, rows)``."""
-        return concretize_upper_batch(self.coefficients, self.constants, box)
-
-    def minimizers(self, box: InputBox, rows: np.ndarray) -> np.ndarray:
-        """Per batch element, the corner minimising the selected row."""
-        rows = np.asarray(rows, dtype=int).reshape(-1)
-        require(rows.shape[0] == self.batch_size, "need one row index per batch element")
-        selected = self.coefficients[np.arange(self.batch_size), rows]
-        return minimizing_corner_batch(selected, box)
 
 
 @dataclass(frozen=True)

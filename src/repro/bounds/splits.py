@@ -282,17 +282,18 @@ def clip_bounds_with_phases(lower: np.ndarray, upper: np.ndarray,
     empty (beyond the ``1e-12`` slack of
     :meth:`~repro.bounds.linear_form.ScalarBounds.is_consistent`), and
     re-sorts only those rows so downstream relaxations stay well formed.
-    The emptiness test runs whether or not anything was clipped.  Returns
+    The emptiness test runs whether or not anything was clipped, and a NaN
+    bound (an overflowed analysis) never reads as empty.  Returns
     ``(lower, upper, inconsistent_rows)``; without phases the inputs
     themselves are returned, re-sorted in place where inconsistent.
     """
     if phases is not None:
         lower = np.where(phases == ACTIVE, np.maximum(lower, 0.0), lower)
         upper = np.where(phases == INACTIVE, np.minimum(upper, 0.0), upper)
-    consistent = lower <= upper + 1e-12
-    if consistent.all():
+    empty = lower > upper + 1e-12
+    if not empty.any():
         return lower, upper, np.zeros(len(lower), dtype=bool)
-    inconsistent = ~consistent.all(axis=1)
+    inconsistent = empty.any(axis=1)
     swapped_lower = np.minimum(lower[inconsistent], upper[inconsistent])
     swapped_upper = np.maximum(lower[inconsistent], upper[inconsistent])
     lower[inconsistent] = swapped_lower

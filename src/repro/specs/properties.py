@@ -54,11 +54,13 @@ class InputBox:
 
     @property
     def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
+        """``0.5·lo + 0.5·hi``: halving first keeps every finite box finite."""
+        return 0.5 * self.lower + 0.5 * self.upper
 
     @property
     def radius(self) -> np.ndarray:
-        return 0.5 * (self.upper - self.lower)
+        """``0.5·hi − 0.5·lo``: halving first keeps every finite box finite."""
+        return 0.5 * self.upper - 0.5 * self.lower
 
     @property
     def volume_log(self) -> float:

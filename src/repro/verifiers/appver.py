@@ -35,9 +35,9 @@ Three throughput features back the hot path (see ``docs/BATCHING.md``):
   candidate-counterexample validation memoises the network forward pass per
   distinct candidate corner (phase-split children overwhelmingly share
   their parent's corner).  The DeepPoly reuse is exact — results are
-  identical to the non-incremental path (bit-for-bit at equal batch size;
-  across batch sizes up to the sub-1e-9 GEMM noise between rows of
-  differently sized batches).  The α-CROWN warm start is sound
+  identical to the non-incremental path (bit-for-bit at ``B = 1``; in
+  larger batches up to the sub-1e-9 GEMM noise between rows of different
+  batches).  The α-CROWN warm start is sound
   but moves the slope ascent's starting point, so optimised bounds may
   differ from the cold-start path.
 
@@ -122,6 +122,22 @@ class AppVerOutcome:
     def needs_split(self) -> bool:
         """``p̂ < 0`` with only a spurious counterexample: a false alarm."""
         return not self.verified and not self.falsified
+
+
+def _require_finite_root(report: BoundReport) -> None:
+    """Refuse a root analysis whose bounds overflowed.
+
+    An extreme but finite input box (``±1e308``) overflows the bound
+    arithmetic to ``inf − inf = NaN``.  A NaN bound proves nothing — it is
+    neither an empty region nor ``p̂ ≥ 0`` — and every sub-problem inherits
+    the root's overflow, so the problem is rejected with ``ValueError``
+    before any verdict is drawn from it.
+    """
+    bounds = list(report.pre_activation_bounds) + [report.output_bounds]
+    finite = (report.p_hat is None or bool(np.isfinite(report.p_hat))) and all(
+        np.isfinite(b.lower).all() and np.isfinite(b.upper).all() for b in bounds)
+    require(finite, "the root bounds are not finite: the input box or the "
+                    "network's values overflow float64")
 
 
 class ApproximateVerifier:
@@ -305,6 +321,8 @@ class ApproximateVerifier:
                                             spec=self.spec.output_spec,
                                             cache=self.cache, parent=parent,
                                             timings=self.timings)
+        if not splits:
+            _require_finite_root(report)
         return self._outcome_from_report(report)
 
     def evaluate_batch(self, splits_list: Sequence[Optional[SplitAssignment]],

@@ -24,7 +24,11 @@ from reference_bounds import (
 
 from repro.bounds.cache import BoundCache
 from repro.bounds.deeppoly import DeepPolyAnalyzer
-from repro.bounds.linear_form import BatchedLinearForm
+from repro.bounds.linear_form import (
+    concretize_lower_batch,
+    concretize_upper_batch,
+    minimizing_corner_batch,
+)
 from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
 from repro.specs.properties import InputBox
 from repro.specs.robustness import local_robustness_spec
@@ -181,35 +185,34 @@ class TestEvaluateBatchEquivalence:
             assert got.p_hat == pytest.approx(want.p_hat, abs=TOLERANCE)
 
 
-class TestBatchedLinearForm:
-    def test_batched_form_matches_per_element_forms(self):
+class TestBatchedConcretization:
+    def test_batched_forms_match_per_element_forms(self):
         rng = np.random.default_rng(3)
         coefficients = rng.standard_normal((4, 3, 5))
         constants = rng.standard_normal((4, 3))
         box = InputBox(np.zeros(5), np.ones(5))
-        batched = BatchedLinearForm(coefficients, constants)
-        assert batched.batch_size == 4
-        assert batched.num_rows == 3
-        assert batched.input_dim == 5
         x = rng.random(5)
-        values = batched.evaluate(x)
-        lower = batched.lower_bound(box)
-        upper = batched.upper_bound(box)
+        lower = concretize_lower_batch(coefficients, constants, box)
+        upper = concretize_upper_batch(coefficients, constants, box)
         rows = np.array([0, 2, 1, 0])
-        corners = batched.minimizers(box, rows)
+        corners = minimizing_corner_batch(coefficients[np.arange(4), rows], box)
+        assert lower.shape == upper.shape == (4, 3)
+        assert corners.shape == (4, 5)
         for index in range(4):
             A, c = coefficients[index], constants[index]
-            assert np.allclose(values[index], A @ x + c)
+            values = A @ x + c
+            assert np.all(lower[index] <= values) and np.all(values <= upper[index])
             assert np.allclose(lower[index], np.minimum(A * box.lower, A * box.upper).sum(1) + c)
             assert np.allclose(upper[index], np.maximum(A * box.lower, A * box.upper).sum(1) + c)
             row = A[rows[index]]
             assert np.array_equal(corners[index], np.where(row > 0, box.lower, box.upper))
 
     def test_shape_validation(self):
+        box = InputBox(np.zeros(3), np.ones(3))
         with pytest.raises(ValueError):
-            BatchedLinearForm(np.zeros((2, 3)), np.zeros((2, 3)))
+            concretize_lower_batch(np.zeros((2, 3)), np.zeros((2, 3)), box)
         with pytest.raises(ValueError):
-            BatchedLinearForm(np.zeros((2, 3, 4)), np.zeros((2, 4)))
+            concretize_upper_batch(np.zeros((2, 3, 4)), np.zeros((2, 4)), box)
 
 
 def _random_assignments(rng, network, count: int):

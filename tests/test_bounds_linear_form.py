@@ -1,7 +1,7 @@
 """Tests for repro.bounds.linear_form.
 
-The concretisation functions and :class:`BatchedLinearForm` are exercised
-on single forms as batches of one (the module-level helpers below).
+The concretisation functions are exercised on single forms as batches of
+one (the module-level helpers below).
 """
 
 import numpy as np
@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bounds.linear_form import (
-    BatchedLinearForm,
     ScalarBounds,
+    concretize_center_radius,
     concretize_lower_batch,
     concretize_upper_batch,
     minimizing_corner_batch,
@@ -24,22 +24,19 @@ BOX = InputBox([0.0, -1.0, 2.0], [1.0, 1.0, 3.0])
 
 def concretize_lower(coefficients, constants, box):
     """Per-row minimum of one ``(rows, dim)`` form: a batch of one."""
-    return concretize_lower_batch(coefficients[None], constants[None], box)[0]
+    return concretize_lower_batch(np.asarray(coefficients)[None],
+                                  np.asarray(constants)[None], box)[0]
 
 
 def concretize_upper(coefficients, constants, box):
     """Per-row maximum of one ``(rows, dim)`` form: a batch of one."""
-    return concretize_upper_batch(coefficients[None], constants[None], box)[0]
+    return concretize_upper_batch(np.asarray(coefficients)[None],
+                                  np.asarray(constants)[None], box)[0]
 
 
 def minimizing_corner(coefficients, box):
     """The corner minimising one coefficient row: a batch of one."""
-    return minimizing_corner_batch(coefficients[None], box)[0]
-
-
-def single_form(coefficients, constants):
-    """One ``(rows, dim)`` form as a batch of one."""
-    return BatchedLinearForm(np.asarray(coefficients)[None], np.asarray(constants)[None])
+    return minimizing_corner_batch(np.asarray(coefficients)[None], box)[0]
 
 
 class TestConcretization:
@@ -73,43 +70,69 @@ class TestConcretization:
         value = coefficients[0] @ corner + constants[0]
         assert value == pytest.approx(concretize_lower(coefficients, constants, BOX)[0])
 
+    def test_center_radius_form_matches_corner_form(self):
+        """``A @ center ∓ |A| @ radius`` is the textbook corner sum."""
+        rng = np.random.default_rng(4)
+        coefficients = rng.normal(size=(2, 5, 3))
+        constants = rng.normal(size=(2, 5))
+        positive, negative = np.maximum(coefficients, 0.0), np.minimum(coefficients, 0.0)
+        np.testing.assert_allclose(
+            concretize_center_radius(coefficients, constants, BOX.center, BOX.radius, -1.0),
+            positive @ BOX.lower + negative @ BOX.upper + constants, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            concretize_center_radius(coefficients, constants, BOX.center, BOX.radius, 1.0),
+            positive @ BOX.upper + negative @ BOX.lower + constants, rtol=0, atol=1e-12)
+
+    def test_extreme_finite_box_does_not_overflow(self):
+        """Centre and radius of a ``±1e308`` box are finite, and so are the
+        bounds of a unit form over it."""
+        box = InputBox([-1e308, 1e308], [1e308, 1e308])
+        assert np.all(np.isfinite(box.center)) and np.all(np.isfinite(box.radius))
+        np.testing.assert_array_equal(box.center, [0.0, 1e308])
+        np.testing.assert_array_equal(box.radius, [1e308, 0.0])
+        coefficients = np.array([[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(concretize_lower(coefficients, np.zeros(2), box),
+                                      [-1e308, 1e308])
+        np.testing.assert_array_equal(concretize_upper(coefficients, np.zeros(2), box),
+                                      [1e308, 1e308])
+
 
 class TestLinearForm:
-    def test_evaluate(self):
-        form = single_form(np.array([[1.0, 0.0, 2.0]]), np.array([0.5]))
-        assert form.evaluate(np.array([1.0, 5.0, 2.0]))[0, 0] == pytest.approx(5.5)
+    def test_point_box_evaluates_the_form(self):
+        coefficients, constants = np.array([[1.0, 0.0, 2.0]]), np.array([0.5])
+        point = InputBox([1.0, 5.0, 2.0], [1.0, 5.0, 2.0])
+        assert concretize_lower(coefficients, constants, point)[0] == pytest.approx(5.5)
+        assert concretize_upper(coefficients, constants, point)[0] == pytest.approx(5.5)
 
     def test_bounds_contain_sampled_values(self):
         rng = np.random.default_rng(2)
-        form = single_form(rng.normal(size=(4, 3)), rng.normal(size=4))
-        lower = form.lower_bound(BOX)
-        upper = form.upper_bound(BOX)
+        coefficients, constants = rng.normal(size=(4, 3)), rng.normal(size=4)
+        lower = concretize_lower(coefficients, constants, BOX)
+        upper = concretize_upper(coefficients, constants, BOX)
         for sample in BOX.sample(3, count=100):
-            values = form.evaluate(sample)
+            values = coefficients @ sample + constants
             assert np.all(values >= lower - 1e-9)
             assert np.all(values <= upper + 1e-9)
 
     def test_minimizer_and_maximizer_in_box(self):
         rng = np.random.default_rng(3)
-        coefficients, constants = rng.normal(size=(2, 3)), rng.normal(size=2)
-        assert BOX.contains(single_form(coefficients, constants).minimizers(BOX, [0])[0])
-        assert BOX.contains(single_form(-coefficients, -constants).minimizers(BOX, [1])[0])
+        coefficients = rng.normal(size=(2, 3))
+        assert BOX.contains(minimizing_corner(coefficients[0], BOX))
+        assert BOX.contains(minimizing_corner(-coefficients[1], BOX))
 
     def test_maximizer_attains_upper(self):
-        form = single_form(np.array([[1.0, -1.0, 0.0]]), np.array([0.0]))
-        negated = single_form(np.array([[-1.0, 1.0, 0.0]]), np.array([0.0]))
-        maximizer = negated.minimizers(BOX, [0])[0]
-        value = form.evaluate(maximizer)[0, 0]
-        assert value == pytest.approx(form.upper_bound(BOX)[0, 0])
+        coefficients, constants = np.array([[1.0, -1.0, 0.0]]), np.array([0.0])
+        maximizer = minimizing_corner(-coefficients[0], BOX)
+        value = coefficients[0] @ maximizer + constants[0]
+        assert value == pytest.approx(concretize_upper(coefficients, constants, BOX)[0])
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            BatchedLinearForm(np.zeros((1, 2, 3)), np.zeros((1, 3)))
+            concretize_lower_batch(np.zeros((1, 2, 3)), np.zeros((1, 3)), BOX)
 
     def test_wrong_input_dimension_rejected(self):
-        form = single_form(np.zeros((1, 3)), np.zeros(1))
         with pytest.raises(ValueError):
-            form.evaluate(np.zeros(2))
+            minimizing_corner(np.zeros(2), BOX)
 
 
 class TestScalarBounds:
