@@ -26,6 +26,7 @@ call.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Deque, List, Optional, Sequence
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.bab.domain import BaBNode, BaBStatistics
 from repro.bab.heuristics import BranchingContext, BranchingHeuristic, make_heuristic
 from repro.bounds.alpha_crown import AlphaCrownConfig
 from repro.bounds.cache import LpCache
+from repro.bounds.report import BoundReport
 from repro.bounds.splits import ReluSplit, SplitAssignment
 from repro.engine.driver import DriverVerdict, FrontierDriver, \
     LinearWorkSource, Neuron
@@ -113,7 +115,7 @@ class QueueFrontierSource(LinearWorkSource):
         context = BranchingContext(network=self.appver.lowered,
                                    spec=self.spec.output_spec,
                                    report=node.outcome.report, splits=node.splits,
-                                   evaluate_split=self._probe)
+                                   evaluate_split=partial(self._probe, node))
         neuron = self.heuristic.select(context)
         if neuron is not None:
             node.branch_neuron = neuron
@@ -126,9 +128,9 @@ class QueueFrontierSource(LinearWorkSource):
         return [node.child_splits(ReluSplit(neuron[0], neuron[1], phase))
                 for phase in phases]
 
-    def item_splits(self, node: BaBNode) -> SplitAssignment:
-        """The node's assignment — the parent identity of its children."""
-        return node.splits
+    def item_report(self, node: BaBNode) -> BoundReport:
+        """The node's report — the parent its children are bounded against."""
+        return node.outcome.report
 
     # -- batched exact leaf resolution -----------------------------------------
     def resolve_leaves(self, nodes: List[BaBNode]) -> Optional[DriverVerdict]:
@@ -171,9 +173,11 @@ class QueueFrontierSource(LinearWorkSource):
         return None
 
     # -- helpers ---------------------------------------------------------------
-    def _probe(self, splits: SplitAssignment) -> float:
+    def _probe(self, node: BaBNode, split: ReluSplit) -> float:
+        """Bound one look-ahead child against the node, as its expansion would."""
         self.budget.charge_node()
-        return self.appver.evaluate(splits).p_hat
+        return self.appver.evaluate(node.child_splits(split),
+                                    parent=(node.outcome.report, split)).p_hat
 
 
 class _BaselineRun(VerifierRun):
@@ -220,7 +224,7 @@ class BaBBaselineVerifier(Verifier):
 
     ``lp_cache`` optionally shares a leaf-LP cache across runs on the same
     verification problem (see :class:`~repro.bounds.cache.LpCache`);
-    ``bound_cache`` does the same for the split-aware bound cache (the
+    ``bound_cache`` does the same for the bound cache (the
     verification service scopes both by the problem fingerprint).
     """
 

@@ -68,10 +68,11 @@ class BranchingContext:
     spec: LinearOutputSpec
     report: BoundReport
     splits: SplitAssignment
-    #: Optional callback evaluating a hypothetical child sub-problem and
-    #: returning its ``p̂`` (used by look-ahead heuristics such as FSB; the
-    #: caller is responsible for charging any budget).
-    evaluate_split: Optional[Callable[[SplitAssignment], float]] = None
+    #: Optional callback bounding the child that adds one split to
+    #: ``splits`` and returning its ``p̂`` (used by look-ahead heuristics
+    #: such as FSB; the caller bounds the child against this context's
+    #: report, exactly as the real expansion would, and charges any budget).
+    evaluate_split: Optional[Callable[[ReluSplit], float]] = None
 
     def unstable_neurons(self) -> List[Neuron]:
         """Undecided neurons whose bounds straddle zero, ``(layer, unit)`` ascending."""
@@ -275,8 +276,7 @@ class FSBHeuristic(BranchingHeuristic):
         for layer, unit in shortlist:
             improvements = []
             for phase in (ACTIVE, INACTIVE):
-                child = context.splits.with_split(ReluSplit(layer, unit, phase))
-                improvements.append(context.evaluate_split(child))
+                improvements.append(context.evaluate_split(ReluSplit(layer, unit, phase)))
             score = min(improvements)
             if score > best_score:
                 best_score = score

@@ -43,6 +43,7 @@ import numpy as np
 from repro.bab.heuristics import BranchingContext, BranchingHeuristic, make_heuristic
 from repro.bounds.alpha_crown import AlphaCrownConfig
 from repro.bounds.cache import LpCache
+from repro.bounds.report import BoundReport
 from repro.bounds.splits import ReluSplit, SplitAssignment
 from repro.engine.driver import DriverVerdict, FrontierDriver, \
     LinearWorkSource, Neuron
@@ -126,9 +127,13 @@ class HeapFrontierSource(LinearWorkSource):
         return [splits.with_split(ReluSplit(neuron[0], neuron[1], phase))
                 for phase in phases]
 
-    def item_splits(self, entry: HeapEntry) -> SplitAssignment:
-        """The entry's assignment — the parent identity of its children."""
-        return entry[2]
+    def item_report(self, entry: HeapEntry) -> BoundReport:
+        """The entry's report — the parent its children are bounded against.
+
+        The root entry holds the α-CROWN root report, so the root's
+        children are bounded against the optimised root bounds.
+        """
+        return entry[3].report
 
     # -- batched exact leaf resolution -----------------------------------------
     def resolve_leaves(self, entries: List[HeapEntry]) -> Optional[DriverVerdict]:
@@ -203,7 +208,11 @@ class AlphaBetaCrownVerifier(Verifier):
     """Attack + α-CROWN root + bound-ordered best-first BaB.
 
     ``lp_cache`` optionally shares a leaf-LP cache across runs on the same
-    verification problem (see :class:`~repro.bounds.cache.LpCache`).
+    verification problem (see :class:`~repro.bounds.cache.LpCache`);
+    ``bound_cache`` does the same for the bound cache of the BaB stage.  Its
+    reports descend from the α-CROWN root, whose path tag differs from a
+    DeepPoly root's, so sharing one cache with ABONN or BaB jobs on the
+    same problem never hands either a report of the other's search.
     """
 
     name = "alpha-beta-CROWN"
@@ -214,7 +223,8 @@ class AlphaBetaCrownVerifier(Verifier):
                  lp_leaf_refinement: bool = True,
                  frontier_size: int = 1,
                  lp_cache: Optional[LpCache] = None,
-                 incremental: bool = True) -> None:
+                 incremental: bool = True,
+                 bound_cache=None) -> None:
         require(frontier_size >= 1, "frontier_size must be positive")
         self.heuristic_name = heuristic
         self.attack_config = attack_config or AttackConfig(steps=25, restarts=3)
@@ -223,6 +233,7 @@ class AlphaBetaCrownVerifier(Verifier):
         self.frontier_size = frontier_size
         self.lp_cache = lp_cache
         self.incremental = incremental
+        self.bound_cache = bound_cache
 
     def verify(self, network: Network, spec: Specification,
                budget: Optional[Budget] = None) -> VerificationResult:
@@ -276,7 +287,8 @@ class AlphaBetaCrownVerifier(Verifier):
         # on the shared frontier engine, using the cheaper DeepPoly back-end
         # for sub-problems.
         sub_appver = ApproximateVerifier(network, spec, "deeppoly",
-                                         incremental=self.incremental)
+                                         incremental=self.incremental,
+                                         bound_cache=self.bound_cache)
         root_entry: HeapEntry = (root_outcome.p_hat, 0,
                                  SplitAssignment.empty(), root_outcome)
         # Fingerprint-scoping only matters for an externally shared cache.

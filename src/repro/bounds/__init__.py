@@ -8,7 +8,6 @@ from repro.bounds.cache import (
     CacheStats,
     LpCache,
     LpCacheStats,
-    SubstitutionEntry,
 )
 from repro.bounds.deeppoly import (
     DeepPolyAnalyzer,
@@ -23,7 +22,7 @@ from repro.bounds.linear_form import (
     concretize_upper_batch,
     minimizing_corner_batch,
 )
-from repro.bounds.report import BoundReport
+from repro.bounds.report import BoundReport, Parent
 from repro.bounds.splits import (
     ACTIVE,
     INACTIVE,
@@ -31,7 +30,6 @@ from repro.bounds.splits import (
     SplitAssignment,
     clip_bounds_with_phases,
     decided_phases,
-    split_delta,
 )
 
 __all__ = [
@@ -40,9 +38,7 @@ __all__ = [
     "LpCache",
     "LpCacheStats",
     "clip_bounds_with_phases",
-    "split_delta",
     "decided_phases",
-    "SubstitutionEntry",
     "AlphaCrownAnalyzer",
     "AlphaCrownConfig",
     "alpha_crown_bounds",
@@ -59,6 +55,7 @@ __all__ = [
     "concretize_upper_batch",
     "minimizing_corner_batch",
     "BoundReport",
+    "Parent",
     "ACTIVE",
     "INACTIVE",
     "ReluSplit",

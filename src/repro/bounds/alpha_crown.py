@@ -35,13 +35,21 @@ also the ascent's starting point; every row keeps the report of its best
 pass, so no final re-pass is needed.  A cold analysis costs
 ``1 + iterations`` DeepPoly passes plus ``iterations`` one-row adjoints.
 
-**Parent warm start.**  When the caller threads BaB parent identity
-(``parent=`` / ``parents=``), a phase-split child starts its ascent from
-the *parent's optimised slopes* — with the newly decided neuron's slope
-swapped to the exact identity/zero value its phase imposes — instead of
-DeepPoly's default slopes.  Since any slope vector in ``[0, 1]`` is sound,
-the warm start only changes where the ascent *begins*.  The per-problem
-slope store is a bounded LRU keyed by ``SplitAssignment.canonical_key()``.
+**Parent warm start.**  When the caller passes each child's parent as
+``(parent report, split)`` (``parent=`` / ``parents=``), a phase-split
+child starts its ascent from the *parent's optimised slopes* — with the
+newly decided neuron's slope swapped to the exact identity/zero value its
+phase imposes — instead of DeepPoly's default slopes.  Since any slope
+vector in ``[0, 1]`` is sound, the warm start only changes where the ascent
+*begins*.  The per-problem slope store is a bounded LRU keyed by
+``SplitAssignment.canonical_key()``; the parent's key is the child's
+without the new split.  The optimiser's inner DeepPoly passes bound every
+layer afresh: the parent's report serves only the warm start.
+
+A report the optimiser bounds without a warm start carries the path
+``(("alpha-crown", config),) + canonical key``, so a DeepPoly child bounded
+against an α-CROWN root (the αβ-CROWN baseline's search) never shares a
+cache entry with a child of a DeepPoly root.
 """
 
 from __future__ import annotations
@@ -53,8 +61,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bounds.deeppoly import DeepPolyAnalyzer, _relaxation_arrays, default_lower_slope
-from repro.bounds.report import BoundReport
-from repro.bounds.splits import ACTIVE, SplitAssignment, split_delta
+from repro.bounds.report import BoundReport, Parent
+from repro.bounds.splits import ACTIVE, SplitAssignment
 from repro.nn.network import LoweredNetwork
 from repro.specs.properties import InputBox, LinearOutputSpec
 from repro.utils.validation import require
@@ -152,26 +160,28 @@ class AlphaCrownAnalyzer:
         while len(self._slope_store) > DEFAULT_SLOPE_STORE_SIZE:
             self._slope_store.popitem(last=False)
 
-    def _warm_slopes(self, parent: Optional[SplitAssignment],
+    def _warm_slopes(self, parent: Optional[Parent],
                      splits: SplitAssignment) -> Optional[List[np.ndarray]]:
         """The parent's optimised slopes, split-neuron-corrected, or ``None``.
 
-        The correction mirrors the rank-1 relaxation swap of the incremental
-        DeepPoly path: the newly decided neuron's lower relaxation becomes
-        exact (slope 1 for ``r+``, 0 for ``r-``), every other slope is
-        inherited from the parent's optimum.
+        The newly decided neuron's lower relaxation becomes exact (slope 1
+        for ``r+``, 0 for ``r-``); every other slope is inherited from the
+        parent's optimum.
         """
         if not self.config.warm_start or parent is None:
             return None
-        delta = split_delta(parent, splits)
-        if delta is None or delta.layer >= self.network.num_relu_layers:
+        split = parent[1]
+        if split.layer >= self.network.num_relu_layers:
             return None
-        stored = self._slope_store.get(parent.canonical_key())
+        added = (split.layer, split.unit, split.phase)
+        parent_key = tuple(triple for triple in splits.canonical_key()
+                           if triple != added)
+        stored = self._slope_store.get(parent_key)
         if stored is None:
             return None
-        self._slope_store.move_to_end(parent.canonical_key())
+        self._slope_store.move_to_end(parent_key)
         slopes = [s.copy() for s in stored]
-        slopes[delta.layer][delta.unit] = 1.0 if delta.phase == ACTIVE else 0.0
+        slopes[split.layer][split.unit] = 1.0 if split.phase == ACTIVE else 0.0
         self.warm_starts += 1
         return slopes
 
@@ -179,9 +189,9 @@ class AlphaCrownAnalyzer:
     def _starting_pass(self, box: InputBox,
                        splits_list: Sequence[SplitAssignment],
                        spec: LinearOutputSpec,
-                       parents: Optional[Sequence[Optional[SplitAssignment]]]
-                       ) -> Tuple[List[np.ndarray], List[BoundReport]]:
-        """Starting slopes and the reports they give.
+                       parents: Optional[Sequence[Optional[Parent]]]
+                       ) -> Tuple[List[np.ndarray], List[BoundReport], List[bool]]:
+        """Starting slopes, the reports they give and which rows are warm.
 
         Warm rows are bounded with their parents' corrected slopes; cold rows
         with DeepPoly's default slopes, which their reports' bounds then
@@ -212,11 +222,11 @@ class AlphaCrownAnalyzer:
                 reports[index] = report
         slopes = [np.stack([start[layer] for start in starts])
                   for layer in range(num_layers)]
-        return slopes, reports
+        return slopes, reports, [start is not None for start in warm]
 
     def analyze(self, box: InputBox, splits: Optional[SplitAssignment] = None,
                 spec: Optional[LinearOutputSpec] = None,
-                parent: Optional[SplitAssignment] = None) -> BoundReport:
+                parent: Optional[Parent] = None) -> BoundReport:
         """Bounds of one sub-problem with optimised slopes: the batched
         optimisation at ``B = 1`` (falls back to DeepPoly without a spec)."""
         return self._optimise(box, [splits], spec, [parent])[0]
@@ -224,21 +234,21 @@ class AlphaCrownAnalyzer:
     def analyze_batch(self, box: InputBox,
                       splits_list: Sequence[Optional[SplitAssignment]],
                       spec: Optional[LinearOutputSpec] = None,
-                      parents: Optional[Sequence[Optional[SplitAssignment]]] = None
+                      parents: Optional[Sequence[Optional[Parent]]] = None
                       ) -> List[BoundReport]:
         """Optimise slopes for ``B`` sub-problems in stacked passes.
 
         Each iteration runs one one-row adjoint and one stacked
         :meth:`DeepPolyAnalyzer.analyze_batch` pass over the whole batch.
-        ``parents`` (index-aligned, ``None`` entries allowed) enables the
-        per-element parent warm start.
+        ``parents`` (index-aligned ``(parent report, split)`` pairs,
+        ``None`` entries allowed) enables the per-element parent warm start.
         """
         return self._optimise(box, splits_list, spec, parents)
 
     def _optimise(self, box: InputBox,
                   splits_list: Sequence[Optional[SplitAssignment]],
                   spec: Optional[LinearOutputSpec],
-                  parents: Optional[Sequence[Optional[SplitAssignment]]]
+                  parents: Optional[Sequence[Optional[Parent]]]
                   ) -> List[BoundReport]:
         """The projected gradient ascent behind :meth:`analyze` and
         :meth:`analyze_batch`."""
@@ -250,11 +260,9 @@ class AlphaCrownAnalyzer:
                     "parents must be index-aligned with splits_list")
         if spec is None or self.config.iterations == 0:
             reports = self._inner.analyze_batch(box, splits_list, spec=spec)
-            for report in reports:
-                report.method = "alpha-crown"
-            return reports
+            return self._stamp(reports, splits_list, [False] * len(reports))
 
-        slopes, reports = self._starting_pass(box, splits_list, spec, parents)
+        slopes, reports, warm = self._starting_pass(box, splits_list, spec, parents)
         best_reports = list(reports)
         best_slopes = [s.copy() for s in slopes]
         best_value = np.array([report.p_hat for report in reports])
@@ -283,9 +291,21 @@ class AlphaCrownAnalyzer:
         if self.config.warm_start:
             for index, splits in enumerate(splits_list):
                 self._store_slopes(splits, [s[index] for s in best_slopes])
-        for report in best_reports:
+        return self._stamp(best_reports, splits_list, warm)
+
+    def _stamp(self, reports: List[BoundReport],
+               splits_list: Sequence[SplitAssignment],
+               warm: Sequence[bool]) -> List[BoundReport]:
+        """Mark reports as α-CROWN's and give the cold ones their path.
+
+        A warm-started report depends on which slopes the store held, so no
+        path reproduces it.
+        """
+        tag = ("alpha-crown", self.config)
+        for report, splits, warmed in zip(reports, splits_list, warm):
             report.method = "alpha-crown"
-        return best_reports
+            report.path = None if warmed else (tag,) + splits.canonical_key()
+        return reports
 
 
 def alpha_crown_bounds(network: LoweredNetwork, box: InputBox,

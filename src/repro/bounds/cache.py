@@ -1,41 +1,32 @@
 """Split-aware memoisation of bound-propagation work.
 
-BaB-style verifiers evaluate thousands of sub-problems whose
-:class:`~repro.bounds.splits.SplitAssignment` constraint sets overlap almost
-entirely: the two children of a node share *all* of the parent's splits and
-add one decision each.  Because DeepPoly/IBP pre-activation bounds at hidden
-layer ``L`` depend only on the splits decided at layers ``<= L``, a child
-that splits a neuron at layer ``l*`` can reuse every per-layer result of its
-parent for layers ``< l*`` verbatim and only recompute layers at-or-below
-the decided neuron.
+BaB-style verifiers evaluate thousands of sub-problems, and some of them
+more than once: an FSB look-ahead probe bounds a child that the real
+expansion bounds again, and the verification service replays identical
+jobs against one fingerprint-scoped cache.  :class:`BoundCache` memoises
+whole :class:`~repro.bounds.report.BoundReport` objects so such a repeat is
+free.
 
-:class:`BoundCache` exploits this with two kinds of entries, both behind one
-bounded LRU store:
+A report is keyed by its :attr:`~repro.bounds.report.BoundReport.path`: the
+root's back-end tag followed by the splits in the order the search made
+them.  A child bounded against its parent's report inherits the parent's
+bounds (see :mod:`repro.bounds.deeppoly`), so its bounds depend on the path
+from the root and not only on its split set; two paths to the same split
+set never share an entry, and a root bounded by α-CROWN never shares one
+with a root bounded by DeepPoly.  Per-layer reuse between a parent and its
+children needs no cache at all: the parent's report is passed to the
+analyser explicitly, so cache on and cache off bound every child the same
+way.
 
-* **substitution entries** (:class:`SubstitutionEntry`), keyed by
-  ``(layer, SplitAssignment.prefix_key(layer))`` — the post-clip
-  pre-activation bounds, the ReLU relaxation derived from them and whether
-  clipping made that layer inconsistent.  The bounds and relaxation serve
-  plain prefix reuse; the whole entry additionally backs the incremental
-  path: a child that extends the entry's assignment by one neuron *at this
-  layer* derives its own entry with a rank-1 correction (clip the decided
-  neuron's bounds, swap its relaxation row to the exact identity/zero form)
-  instead of re-substituting.
-* **report entries**, keyed by the full ``SplitAssignment.canonical_key()``
-  — the complete :class:`~repro.bounds.report.BoundReport` of a finished
-  analysis, so re-evaluating an identical sub-problem (e.g. an FSB probe
-  followed by the actual expansion) is free.
+Entries are immutable facts about one ``(network, input box, output spec)``
+triple, so the only invalidation rule is LRU eviction: an evicted report
+is simply recomputed.  A cache instance is only valid for one such triple
+and for the default (heuristic) relaxation slopes; analyses with externally
+supplied ``lower_slopes`` (the α-CROWN optimiser) bypass it.  The owning
+:class:`~repro.verifiers.appver.ApproximateVerifier` guarantees both.
 
-Entries are immutable facts about one ``(network, input box)`` pair, so the
-only invalidation rule is LRU eviction: an evicted parent entry simply makes
-its children fall back to the full backward substitution (which recreates
-the entry), never changes a result.
-
-A cache instance is only valid for one fixed ``(network, input box, output
-spec)`` triple and for the default (heuristic) relaxation slopes; analyses
-with externally supplied ``lower_slopes`` (the α-CROWN optimiser) must
-bypass it.  The owning :class:`~repro.verifiers.appver.ApproximateVerifier`
-guarantees both.
+The cache also carries the analyser's reuse counters (:class:`CacheStats`),
+so every verifier reports them under ``extras["bound_cache"]``.
 
 :class:`LpCache` applies the same idea to the *exact* leaf resolutions of
 :func:`~repro.verifiers.milp.solve_leaf_lp_batch`: a bounded LRU store of
@@ -55,8 +46,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Optional, Tuple
 
-import numpy as np
-
 from repro.utils.validation import require
 
 #: Default capacity shared by every cache owner (AppVer, AbonnConfig).
@@ -68,40 +57,23 @@ DEFAULT_CACHE_SIZE = 4096
 DEFAULT_LP_CACHE_SIZE = 2048
 
 
-@dataclass(frozen=True)
-class SubstitutionEntry:
-    """Memoised per-layer analysis state (arrays are never mutated).
-
-    ``lower``/``upper`` are the layer's post-clip pre-activation bounds,
-    the three relaxation arrays the ReLU relaxation derived from them, and
-    ``infeasible`` whether split clipping emptied the layer.
-    """
-
-    lower: np.ndarray
-    upper: np.ndarray
-    lower_slope: np.ndarray
-    upper_slope: np.ndarray
-    upper_intercept: np.ndarray
-    infeasible: bool
-
-
 @dataclass
 class CacheStats:
-    """Hit/miss counters, split by entry kind.
+    """Reuse counters of the bound analyser and its report cache.
 
-    ``delta_corrections`` counts the phase-split children whose layer entry
-    was derived from the parent's entry with a rank-1 correction instead of
-    a full backward substitution — the incremental path's reuse counter.
-    Evictions are likewise split by the kind of the entry that was dropped
-    (``layer_evictions`` / ``report_evictions``); :attr:`evictions` stays
-    available as their total.
+    ``layer_hits`` counts the hidden layers a child took from its parent's
+    report without re-bounding a single neuron, and ``layer_misses`` the
+    hidden layers that re-bounded at least one neuron (every layer of a
+    sub-problem without a parent).  ``delta_corrections`` counts the
+    children bounded against a parent report.  ``report_hits`` and
+    ``report_misses`` count report lookups, and ``evictions`` the reports
+    the LRU dropped.
     """
 
     layer_hits: int = 0
     layer_misses: int = 0
     report_hits: int = 0
     report_misses: int = 0
-    layer_evictions: int = 0
     report_evictions: int = 0
     delta_corrections: int = 0
 
@@ -115,8 +87,8 @@ class CacheStats:
 
     @property
     def evictions(self) -> int:
-        """Total LRU evictions across both entry kinds."""
-        return self.layer_evictions + self.report_evictions
+        """LRU evictions (the cache holds report entries only)."""
+        return self.report_evictions
 
     def as_dict(self) -> dict:
         return {
@@ -125,14 +97,13 @@ class CacheStats:
             "report_hits": self.report_hits,
             "report_misses": self.report_misses,
             "evictions": self.evictions,
-            "layer_evictions": self.layer_evictions,
             "report_evictions": self.report_evictions,
             "delta_corrections": self.delta_corrections,
         }
 
 
 class BoundCache:
-    """A bounded LRU cache over layer and report entries.
+    """A bounded LRU cache of bound reports keyed by their search path.
 
     Every public method holds an internal re-entrant lock for its whole
     duration, so the LRU bookkeeping (lookup + ``move_to_end``, insert +
@@ -148,75 +119,46 @@ class BoundCache:
         self._lock = threading.RLock()
         self.stats = CacheStats()
 
-    # -- generic LRU plumbing (callers must hold ``_lock``) -------------------
-    def _get(self, key: Hashable) -> Optional[object]:
-        value = self._store.get(key)
-        if value is not None:
-            self._store.move_to_end(key)
-        return value
-
     def _put(self, key: Hashable, value: object) -> None:
+        """Insert with LRU eviction (callers must hold ``_lock``)."""
         if key in self._store:
             self._store.move_to_end(key)
         self._store[key] = value
         while len(self._store) > self.max_entries:
-            evicted_key, _ = self._store.popitem(last=False)
-            if evicted_key[0] == "layer":
-                self.stats.layer_evictions += 1  # lint: disable=lock-discipline - caller holds _lock (see section comment)
-            else:
-                self.stats.report_evictions += 1  # lint: disable=lock-discipline - caller holds _lock (see section comment)
-
-    # -- substitution (per-layer) entries -------------------------------------
-    def get_layer(self, layer: int, prefix_key: Tuple) -> Optional[SubstitutionEntry]:
-        with self._lock:
-            entry = self._get(("layer", layer, prefix_key))
-            if entry is None:
-                self.stats.layer_misses += 1
-            else:
-                self.stats.layer_hits += 1
-            return entry
-
-    def put_layer(self, layer: int, prefix_key: Tuple,
-                  entry: SubstitutionEntry) -> None:
-        with self._lock:
-            self._put(("layer", layer, prefix_key), entry)
-
-    def peek_layer(self, layer: int, prefix_key: Tuple) -> Optional[SubstitutionEntry]:
-        """Like :meth:`get_layer` but without touching the hit/miss counters.
-
-        The incremental path probes for the *parent's* entry before deciding
-        whether a rank-1 correction applies; a failed probe is not a cache
-        miss of the sub-problem being analysed.
-        """
-        with self._lock:
-            return self._get(("layer", layer, prefix_key))
+            self._store.popitem(last=False)
+            self.stats.report_evictions += 1  # lint: disable=lock-discipline - caller holds _lock
 
     # -- report entries -------------------------------------------------------
-    def get_report(self, canonical_key: Tuple, with_spec: bool):
+    def get_report(self, path: Tuple, with_spec: bool):
+        """The report memoised for ``path``, or ``None``; counts a hit or miss."""
         with self._lock:
-            report = self._get(("report", canonical_key, with_spec))
+            key = ("report", path, with_spec)
+            report = self._store.get(key)
             if report is None:
                 self.stats.report_misses += 1
             else:
                 self.stats.report_hits += 1
+                self._store.move_to_end(key)
             return report
 
-    def put_report(self, canonical_key: Tuple, with_spec: bool, report) -> None:
+    def put_report(self, path: Tuple, with_spec: bool, report) -> None:
         with self._lock:
-            self._put(("report", canonical_key, with_spec), report)
+            self._put(("report", path, with_spec), report)
 
     # -- stats ----------------------------------------------------------------
-    def record_delta_corrections(self, count: int = 1) -> None:
-        """Count ``count`` rank-1 split corrections served by this cache.
+    def record_reuse(self, children: int, layers_taken: int,
+                     layers_rebound: int) -> None:
+        """Count one analysis call's parent reuse (see :class:`CacheStats`).
 
-        The incremental bound path derives child entries from a parent's
-        entry; it counts that reuse through this method instead of mutating
-        :attr:`stats` directly, which would tear the counter on a
-        fingerprint-shared cache under concurrent workers (the same
-        discipline as :meth:`LpCache.record_hit`).
+        Counted through this method instead of mutating :attr:`stats`
+        directly, which would tear the counters on a fingerprint-shared
+        cache under concurrent workers (the same discipline as
+        :meth:`LpCache.record_hit`).
         """
         with self._lock:
-            self.stats.delta_corrections += count
+            self.stats.delta_corrections += children
+            self.stats.layer_hits += layers_taken
+            self.stats.layer_misses += layers_rebound
 
     def stats_snapshot(self) -> dict:
         """Atomic :meth:`CacheStats.as_dict` snapshot (taken under the lock).

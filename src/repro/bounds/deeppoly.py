@@ -46,31 +46,45 @@ concretised straight after its substitution, while it is still in cache,
 as ``A @ center ∓ |A| @ radius`` with the box's centre and radius computed
 once per call.
 
-The kernel accepts a :class:`~repro.bounds.cache.BoundCache` that memoises
-per-layer results keyed by the split-assignment *prefix* relevant to that
-layer, so a child sub-problem only recomputes layers at-or-below its newly
-decided neuron.
+**Reference bounds.**  A BaB child's region lies inside its parent's, so
+the parent's pre-activation bounds stay sound for the child.  When the
+caller passes each child's parent as ``(parent report, split)`` (see
+:data:`~repro.bounds.report.Parent`), the child's bounds are defined from
+that reference.  With ``l*`` the layer of the new split:
 
-**Incremental parent-pass reuse.**  When the caller additionally supplies
-the *parent* assignment of a sub-problem (``parent=`` / ``parents=``) and
-the child extends the parent by exactly one split at layer ``l*``, the
-analysis reuses the parent's memoised pass further: the child's layer-``l*``
-state is derived from the parent's :class:`~repro.bounds.cache.SubstitutionEntry`
-by a **rank-1 correction** — clip the decided neuron's pre-activation
-bounds with its phase and swap that single relaxation row to the exact
-identity/zero form — instead of re-substituting the whole layer through
-every layer below.  The correction reproduces the full recomputation
-bit-for-bit (clipping is per-neuron independent and the relaxation rebuild
-is element-wise on identical inputs): when parent and child are each
-bounded alone (``B = 1``), incremental results are *numerically
-identical* to a from-scratch analysis; in larger batches they are
-identical up to the sub-1e-9 GEMM-reassociation noise that separates
-rows of different batches (their size and, through the live columns,
-their other rows).  Layers above ``l*`` genuinely change
-(the tightened relaxation propagates) and are recomputed exactly as the
-non-incremental path would — which is what keeps verdicts, node charges
-and counterexamples identical whether the incremental path is on or off
-(see ``docs/BATCHING.md``).
+* layers below ``l*`` are the parent's;
+* layer ``l*`` is the parent's, clipped at the newly decided neuron;
+* on every layer above, only the neurons *unstable in the parent* are
+  re-bounded, over the child's own relaxations; each result is
+  intersected with the parent's interval, and every other neuron keeps
+  the parent's interval.
+
+The parent's bounds hold on the parent's region, which contains the
+child's; a re-bound row is DeepPoly on the child's relaxations; and the
+intersection of two sound intervals is sound.  So every child interval is
+sound and lies inside the parent's, and an empty intersection proves the
+child's region empty (``infeasible``, with the usual ``1e-12`` slack).  A
+neuron counts as unstable in the parent when ``not (lower >= 0 or upper
+<= 0)``, so a NaN parent bound is re-bounded, never inherited, and the
+intersection (``fmax``/``fmin``) never lets a NaN win over a number.
+Siblings share a parent, so the re-bound rows are grouped by parent: each
+parent's unstable weight rows are gathered once per layer, padded to the
+call's largest group, and expanded to the children by one fancy index.
+A sub-problem without a parent (the root, a direct :meth:`analyze` call)
+is bounded by plain DeepPoly.
+
+With ``inherit=False`` (the verifiers' ``incremental=False``) the layers
+``<= l*`` are re-bounded against the parent instead of copied, and give
+the same bounds: the parent re-bounded every neuron that is unstable in it
+(a neuron stable in the grandparent stays stable in the parent), over the
+same relaxations the child has below ``l*``, so the child's re-bound
+equals the parent's own and the intersection returns the parent's
+interval; at ``l*`` the clip then matches the copy.  Only GEMM summation
+order, which moves with the batch's rows, separates the two.
+
+An optional :class:`~repro.bounds.cache.BoundCache` memoises whole reports
+keyed by :attr:`~repro.bounds.report.BoundReport.path` and carries the
+reuse counters.
 """
 
 from __future__ import annotations
@@ -80,23 +94,20 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bounds.cache import BoundCache, SubstitutionEntry
+from repro.bounds.cache import BoundCache
 from repro.bounds.linear_form import (
     ScalarBounds,
     concretize_center_radius,
     minimizing_corner_batch,
 )
-from repro.bounds.report import BoundReport
+from repro.bounds.report import BoundReport, Parent
 from repro.bounds.splits import (
     ACTIVE,
     INACTIVE,
-    ReluSplit,
     SplitAssignment,
     clip_bounds_with_phases,
     decided_phases,
-    insert_into_canonical,
     prefix_counts,
-    split_delta,
 )
 from repro.nn.network import LoweredNetwork
 from repro.specs.properties import InputBox, LinearOutputSpec
@@ -275,118 +286,110 @@ class DeepPolyAnalyzer:
             lower_A = np.broadcast_to(lower_A, (batch,) + lower_A.shape[1:])
         return lower, upper, lower_A
 
-    # -- incremental rank-1 split correction -----------------------------------
-    @staticmethod
-    def _scalar_relaxation(lower: float, upper: float,
-                           phase: int) -> Tuple[float, float, float]:
-        """The triangle relaxation of one neuron — the rank-1 payload.
+    # -- reference bounds -------------------------------------------------------
+    def _rebound_against_parents(self, layer: int, weight: np.ndarray,
+                                 bias: np.ndarray, steps: Sequence[Step],
+                                 reference: "_Reference", inherit: bool,
+                                 center: np.ndarray, radius: np.ndarray,
+                                 timings: Optional[PhaseTimings]
+                                 ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """One layer's ``(count, width)`` bounds defined from the parents.
 
-        Scalar mirror of :func:`_relaxation_arrays` for a single element
-        (identical operations in identical order, so the result is
-        bit-identical to the vectorised rebuild).
+        Every row starts from its parent's interval (NaN for a row without
+        a parent); the rows that must re-bound (see the module docstring)
+        substitute only their parent's unstable neurons, gathered once per
+        parent and padded to the largest group, and intersect the result
+        with the parent's interval.  Also returns how many parent rows
+        re-bounded the layer.
         """
-        active = (phase == ACTIVE) or (lower >= 0.0)
-        inactive = (not active) and ((phase == INACTIVE) or (upper <= 0.0))
-        if active:
-            return 1.0, 1.0, 0.0
-        if inactive:
-            return 0.0, 0.0, 0.0
-        unstable_lower_slope = 1.0 if upper > -lower else 0.0
-        slope = upper / (upper - lower)
-        return unstable_lower_slope, slope, (-slope) * lower
-
-    @classmethod
-    def _correct_neuron(cls, low, high, phase: int):
-        """Clip one neuron by its decided phase and re-derive its relaxation.
-
-        Applies the same ``1e-12`` consistency slack and swap as
-        :func:`~repro.bounds.splits.clip_bounds_with_phases`.  Only the
-        clipped neuron can break consistency — the parent's row was
-        consistent and the other entries are untouched.  Returns
-        ``(low, high, infeasible, lower_slope, upper_slope, intercept)``.
-        """
-        if phase == ACTIVE:
-            low = max(low, 0.0)
-        else:
-            high = min(high, 0.0)
-        # A NaN bound is not evidence of an empty region.
-        infeasible = bool(low > high + 1e-12)
-        if infeasible:
-            low, high = min(low, high), max(low, high)
-        return (low, high, infeasible) + cls._scalar_relaxation(low, high, phase)
-
-    def _apply_rank1_corrections(self, corrected, layer: int, deltas, cache, keys,
-                                 lower, upper, ls, us, ui,
-                                 layer_infeasible) -> None:
-        """Rank-1 split corrections for one layer's stacked rows.
-
-        The child extends the parent by the single decision ``delta`` at
-        this layer, so its pre-activation bounds are the parent's post-clip
-        bounds additionally clipped at the decided neuron, and only that
-        neuron's relaxation column changes.  ``corrected`` pairs
-        stacked-row indices with their parents' substitution entries; each
-        child inherits the parent's bounds and relaxation rows wholesale
-        and only the decided neuron's column is rewritten through
-        :meth:`_correct_neuron`.  Every untouched column's relaxation
-        inputs are identical to the parent's, so inheriting its stored
-        values *is* the full elementwise rebuild, bit for bit — at the cost
-        of one scalar clip instead of a whole-layer substitution.
-        """
-        for row, entry in corrected:
-            delta = deltas[row]
-            unit = delta.unit
-            lower[row] = entry.lower
-            upper[row] = entry.upper
-            ls[row] = entry.lower_slope
-            us[row] = entry.upper_slope
-            ui[row] = entry.upper_intercept
-            (lower[row, unit], upper[row, unit], row_infeasible,
-             ls[row, unit], us[row, unit], ui[row, unit]) = \
-                self._correct_neuron(lower[row, unit], upper[row, unit],
-                                     delta.phase)
-            layer_infeasible[row] = row_infeasible
-            # The stacked rows are written exactly once per layer, so views
-            # of them are safe to memoise.
-            cache.put_layer(layer, keys[row], SubstitutionEntry(
-                lower[row], upper[row], ls[row], us[row], ui[row],
-                row_infeasible))
-        cache.record_delta_corrections(len(corrected))
+        with _measure(timings, "correct"):
+            ref_lower, ref_upper = reference.layer(layer)
+            lower = ref_lower[reference.group]
+            upper = ref_upper[reference.group]
+            rows, rebound = reference.rows(layer, inherit)
+            if rows is None:
+                return lower, upper, 0
+            unstable = ~((ref_lower >= 0.0) | (ref_upper <= 0.0))
+            padding = None
+            if reference.single:
+                # Every row shares one parent: its unstable rows, unpadded.
+                columns = np.flatnonzero(unstable[0])
+                size = columns.size
+                if size == len(bias):
+                    columns = None
+                weight = weight[None] if columns is None else weight[columns][None]
+                bias = bias[None] if columns is None else bias[columns][None]
+            else:
+                sizes = unstable.sum(axis=1)
+                row_groups = reference.group[rows]
+                groups = np.flatnonzero(np.bincount(row_groups, minlength=len(sizes)))
+                size = int(sizes[groups].max())
+                order = np.argsort(~unstable[groups], axis=1, kind="stable")[:, :size]
+                inverse = np.searchsorted(groups, row_groups)
+                columns = order[inverse]
+                weight = weight[order][inverse]
+                bias = bias[order][inverse]
+                # Padding columns are parent-stable neurons: a NaN result
+                # leaves them the parent's interval.
+                padding = np.arange(size) >= sizes[row_groups][:, None]
+            if not size:
+                return lower, upper, 0
+        below = steps if len(rows) == len(lower) else [
+            (step[0][rows], step[1][rows], step[2][rows]) + step[3:] for step in steps]
+        row_lower, row_upper, _ = self._bound_rows(
+            weight, bias, below, center, radius, len(rows), timings=timings)
+        with _measure(timings, "correct"):
+            if columns is None:
+                lower[rows] = np.fmax(lower[rows], row_lower)
+                upper[rows] = np.fmin(upper[rows], row_upper)
+            else:
+                if padding is not None and padding.any():
+                    row_lower[padding] = np.nan
+                    row_upper[padding] = np.nan
+                at = (rows[:, None], columns)
+                lower[at] = np.fmax(lower[at], row_lower)
+                upper[at] = np.fmin(upper[at], row_upper)
+        return lower, upper, rebound
 
     @staticmethod
-    def _usable_delta(parent: Optional[SplitAssignment], splits: SplitAssignment,
-                      num_relu_layers: int) -> Optional[ReluSplit]:
-        """The one-split extension of ``parent``, when usable for reuse."""
-        delta = split_delta(parent, splits)
-        if delta is not None and delta.layer < num_relu_layers:
-            return delta
-        return None
+    def _path(parent: Optional[Parent], splits: SplitAssignment) -> Optional[Tuple]:
+        """The report path of a sub-problem (see :class:`BoundReport`)."""
+        if parent is None:
+            return ("deeppoly",) + splits.canonical_key()
+        report, split = parent
+        require(splits.phase_of(split.layer, split.unit) == split.phase,
+                "a parent's split must be decided in its child")
+        if report.path is None:
+            return None
+        return report.path + ((split.layer, split.unit, split.phase),)
 
     # -- public API -------------------------------------------------------------
     def analyze(self, box: InputBox, splits: Optional[SplitAssignment] = None,
                 spec: Optional[LinearOutputSpec] = None,
                 lower_slopes: Optional[Sequence[np.ndarray]] = None,
                 cache: Optional[BoundCache] = None,
-                parent: Optional[SplitAssignment] = None,
+                parent: Optional[Parent] = None, inherit: bool = True,
                 timings: Optional[PhaseTimings] = None) -> BoundReport:
         """Analyse one sub-problem: :meth:`analyze_batch` at ``B = 1``.
 
         ``lower_slopes`` holds one ``(width,)`` array per hidden layer and
-        ``parent`` is the sub-problem's BaB parent; every other parameter
-        is as in :meth:`analyze_batch`.
+        ``parent`` is the sub-problem's ``(parent report, split)``; every
+        other parameter is as in :meth:`analyze_batch`.
         """
         if lower_slopes is not None:
             lower_slopes = [np.asarray(slopes, dtype=float)[None]
                             for slopes in lower_slopes]
         return self.analyze_batch(box, [splits], spec=spec, cache=cache,
                                   lower_slopes=lower_slopes, parents=[parent],
-                                  timings=timings)[0]
+                                  inherit=inherit, timings=timings)[0]
 
     def analyze_batch(self, box: InputBox,
                       splits_list: Sequence[Optional[SplitAssignment]],
                       spec: Optional[LinearOutputSpec] = None,
                       cache: Optional[BoundCache] = None,
                       lower_slopes: Optional[Sequence[np.ndarray]] = None,
-                      parents: Optional[Sequence[Optional[SplitAssignment]]] = None,
+                      parents: Optional[Sequence[Optional[Parent]]] = None,
+                      inherit: bool = True,
                       timings: Optional[PhaseTimings] = None
                       ) -> List[BoundReport]:
         """Analyse ``B`` sub-problems of the same box in one batched pass.
@@ -399,11 +402,10 @@ class DeepPolyAnalyzer:
             Optional output specification; with it every report carries the
             spec-row lower bounds, ``p̂`` and the counterexample candidate.
         cache:
-            Optional split-aware bound cache: sub-problems whose layer
-            prefixes (or whole assignment) were seen before skip straight
-            past the memoised layers.  Only consulted with the default
-            slopes; the cache must be dedicated to this network, box and
-            spec.
+            Optional bound cache: a sub-problem whose report path was seen
+            before is served from it, and the reuse counters accumulate in
+            it.  Only consulted with the default slopes; the cache must be
+            dedicated to this network, box and spec.
         lower_slopes:
             Optional per-hidden-layer ``(B, width)`` arrays of unstable
             lower-relaxation slopes in ``[0, 1]``, row ``b`` applying to
@@ -411,12 +413,14 @@ class DeepPolyAnalyzer:
             selects DeepPoly's default slope heuristic.  Supplying slopes
             bypasses the cache.
         parents:
-            Optional BaB parent of each sub-problem (index-aligned with
-            ``splits_list``, ``None`` entries allowed).  With a cache, a
-            sub-problem extending its parent by exactly one split resolves
-            its split layer through the rank-1 correction against the
-            parent's cached substitution entry instead of a fresh backward
-            substitution; results are identical either way.
+            Optional ``(parent report, split)`` of each sub-problem
+            (index-aligned with ``splits_list``, ``None`` entries allowed):
+            the child's bounds are defined from the parent's report, as the
+            module docstring describes.
+        inherit:
+            Copy the layers up to the split layer from the parent instead
+            of re-bounding them against it; the bounds are the same either
+            way (see the module docstring).
         timings:
             Optional :class:`~repro.utils.timing.PhaseTimings` receiving the
             ``substitute`` / ``correct`` / ``concretize`` breakdown.
@@ -432,61 +436,35 @@ class DeepPolyAnalyzer:
         if lower_slopes is not None:
             require(len(lower_slopes) == num_layers,
                     "lower_slopes must provide one array per hidden layer")
-        if parents is not None:
-            require(len(parents) == batch_size,
-                    "parents must be index-aligned with splits_list")
+        if parents is None:
+            parents = [None] * batch_size
+        require(len(parents) == batch_size,
+                "parents must be index-aligned with splits_list")
         if spec is not None:
             require(spec.output_dim == network.output_dim,
                     "specification output dimension does not match the network")
         use_cache = cache is not None and lower_slopes is None
-        incremental = use_cache and parents is not None
         with_spec = spec is not None
 
-        # Canonical keys: in incremental mode a one-split child's key is
-        # derived from its parent's by a sorted insertion (the parent's key
-        # is sorted once per call, not once per child).
-        keys: List[Tuple] = []
-        deltas: List[Optional[ReluSplit]] = []
-        parent_keys = {}
-        for index, splits in enumerate(splits_list):
-            delta = (self._usable_delta(parents[index], splits, num_layers)
-                     if incremental else None)
-            if delta is None:
-                keys.append(splits.canonical_key())
-            else:
-                parent = parents[index]
-                parent_key = parent_keys.get(id(parent))
-                if parent_key is None:
-                    parent_key = parent_keys[id(parent)] = parent.canonical_key()
-                keys.append(insert_into_canonical(parent_key, delta))
-            deltas.append(delta)
-
+        paths = [self._path(parent, splits) if lower_slopes is None else None
+                 for parent, splits in zip(parents, splits_list)]
         reports: List[Optional[BoundReport]] = [None] * batch_size
         if use_cache:
-            for index, key in enumerate(keys):
-                cached = cache.get_report(key, with_spec)
-                if cached is not None:
-                    reports[index] = cached.shallow_copy()
+            for index, path in enumerate(paths):
+                if path is not None:
+                    cached = cache.get_report(path, with_spec)
+                    if cached is not None:
+                        reports[index] = cached.shallow_copy()
         pending = [index for index, report in enumerate(reports) if report is None]
         if not pending:
             return reports
         count = len(pending)
-        sub_keys = [keys[index] for index in pending]
-        sub_deltas = [deltas[index] for index in pending]
-        # A canonical key is sorted by layer, so a row's prefix key at layer
-        # ``l`` is ``key[:counts[l]]`` and its decisions at ``l`` are the
-        # slice between consecutive counts.
+        # A canonical key is sorted by layer, so a row's decisions at layer
+        # ``l`` are the key's slice between consecutive prefix counts.
+        sub_keys = [splits_list[index].canonical_key() for index in pending]
         sub_counts = [prefix_counts(key, num_layers) for key in sub_keys]
-        parent_prefixes = {}
-
-        def _parent_prefix(row: int, layer: int) -> Tuple:
-            """The parent's prefix key at one layer, memoised per call
-            (both phase-split siblings probe the same parent entry)."""
-            parent = parents[pending[row]]
-            prefix = parent_prefixes.get((id(parent), layer))
-            if prefix is None:
-                prefix = parent_prefixes[(id(parent), layer)] = parent.prefix_key(layer)
-            return prefix
+        reference = _Reference.build([parents[index] for index in pending],
+                                     num_layers)
 
         # Per layer, the stacked (count, width) post-clip bounds of every
         # pending sub-problem, and its relaxation as a substitution step in
@@ -498,94 +476,42 @@ class DeepPolyAnalyzer:
         center = box.center
         radius = box.radius
         live = None
+        layers_taken = layers_rebound = 0
 
         for layer in range(num_layers):
             weight = network.weights[layer]
             if live is not None:
                 weight = weight.take(live, axis=1)
+            bias = network.biases[layer]
             width = weight.shape[0]
-            prefixes = None
-            miss: Sequence[int] = range(count)
-            if use_cache:
-                prefixes = [key[:counts[layer]]
-                            for key, counts in zip(sub_keys, sub_counts)]
-                hits: List[Tuple[int, SubstitutionEntry]] = []
-                corrected: List[Tuple[int, SubstitutionEntry]] = []
-                miss = []
-                for row in range(count):
-                    entry = cache.get_layer(layer, prefixes[row])
-                    if entry is not None:
-                        hits.append((row, entry))
-                        continue
-                    delta = sub_deltas[row]
-                    if delta is not None and delta.layer == layer:
-                        parent_entry = cache.peek_layer(layer, _parent_prefix(row, layer))
-                        if parent_entry is not None and not parent_entry.infeasible:
-                            corrected.append((row, parent_entry))
-                            continue
-                    miss.append(row)
-                if len(miss) < count:
-                    lower = np.empty((count, width))
-                    upper = np.empty((count, width))
-                    relaxation = np.empty((3, count, width))
-                    ls, us, ui = relaxation
-                    layer_infeasible = np.zeros(count, dtype=bool)
-                    for row, entry in hits:
-                        lower[row] = entry.lower
-                        upper[row] = entry.upper
-                        ls[row] = entry.lower_slope
-                        us[row] = entry.upper_slope
-                        ui[row] = entry.upper_intercept
-                        layer_infeasible[row] = entry.infeasible
-                    if corrected:
-                        with _measure(timings, "correct"):
-                            self._apply_rank1_corrections(
-                                corrected, layer, sub_deltas, cache, prefixes,
-                                lower, upper, ls, us, ui, layer_infeasible)
-
-            if miss:
-                every_row = len(miss) == count
-                miss_index = None if every_row else np.asarray(miss, dtype=int)
-                below = steps if every_row else [
-                    (step[0][miss_index], step[1][miss_index], step[2][miss_index])
-                    + step[3:] for step in steps]
-                miss_lower, miss_upper, _ = self._bound_rows(
-                    weight[None], network.biases[layer][None], below,
-                    center, radius, len(miss), timings=timings)
-                phases = decided_phases(sub_keys, sub_counts, miss, layer, width)
-                miss_lower, miss_upper, inconsistent = clip_bounds_with_phases(
-                    miss_lower, miss_upper, phases)
-                miss_slopes = None
-                if lower_slopes is not None:
-                    # Slopes bypass the cache, so every row is a miss.
-                    miss_slopes = np.clip(
-                        np.asarray(lower_slopes[layer], dtype=float), 0.0, 1.0)
-                    require(miss_slopes.shape == (batch_size, width),
-                            f"lower_slopes for layer {layer} must have shape "
-                            f"{(batch_size, width)}")
-                miss_relaxation = _relaxation_arrays(
-                    miss_lower, miss_upper, phases, miss_slopes)
-                if every_row:
-                    lower, upper, relaxation, layer_infeasible = (
-                        miss_lower, miss_upper, miss_relaxation, inconsistent)
-                else:
-                    lower[miss_index] = miss_lower
-                    upper[miss_index] = miss_upper
-                    relaxation[:, miss_index] = miss_relaxation
-                    layer_infeasible[miss_index] = inconsistent
-                if use_cache:
-                    miss_ls, miss_us, miss_ui = miss_relaxation
-                    for position, row in enumerate(miss):
-                        cache.put_layer(layer, prefixes[row], SubstitutionEntry(
-                            miss_lower[position].copy(), miss_upper[position].copy(),
-                            miss_ls[position].copy(), miss_us[position].copy(),
-                            miss_ui[position].copy(), bool(inconsistent[position])))
-
+            if reference is None:
+                lower, upper, _ = self._bound_rows(
+                    weight[None], bias[None], steps, center, radius, count,
+                    timings=timings)
+                layers_rebound += count
+            else:
+                lower, upper, rebound = self._rebound_against_parents(
+                    layer, weight, bias, steps, reference, inherit, center,
+                    radius, timings)
+                layers_taken += reference.children - rebound
+                layers_rebound += count - reference.children + rebound
+            phases = decided_phases(sub_keys, sub_counts, range(count), layer, width)
+            lower, upper, layer_infeasible = clip_bounds_with_phases(lower, upper, phases)
+            slopes = None
+            if lower_slopes is not None:
+                slopes = np.clip(np.asarray(lower_slopes[layer], dtype=float), 0.0, 1.0)
+                require(slopes.shape == (batch_size, width),
+                        f"lower_slopes for layer {layer} must have shape "
+                        f"{(batch_size, width)}")
+            relaxation = _relaxation_arrays(lower, upper, phases, slopes)
             infeasible |= layer_infeasible
             lower_layers.append(lower)
             upper_layers.append(upper)
-            step, live = _live_step(relaxation, weight, network.biases[layer])
+            step, live = _live_step(relaxation, weight, bias)
             steps.append(step)
+        if cache is not None:
+            cache.record_reuse(0 if reference is None else reference.children,
+                               layers_taken, layers_rebound)
 
         num_outputs = network.output_dim
         top_coefficients, top_constants = self._top_rows(spec)
@@ -618,18 +544,94 @@ class DeepPolyAnalyzer:
                 p_hat=p_hat,
                 candidate_input=candidate,
                 infeasible=bool(infeasible[position]),
-                method="deeppoly")
-            # Report entries are stored for every child, including those
-            # resolved through the parent delta: within one run the
-            # substitution entries subsume report reuse (a frontier never
-            # re-bounds a child it already expanded), but a *shared* cache
+                method="deeppoly",
+                path=paths[index])
+            # Every bounded report is stored: an FSB probe's report serves
+            # the real expansion of the same child, and a *shared* cache
             # outlives the run — the verification service replays identical
-            # jobs against it, and their children are report hits only if
-            # the first run stored them.
-            if use_cache:
-                cache.put_report(sub_keys[position], with_spec, report.shallow_copy())
+            # jobs against it.
+            if use_cache and paths[index] is not None:
+                cache.put_report(paths[index], with_spec, report.shallow_copy())
             reports[index] = report
         return reports
+
+
+class _Reference:
+    """The parents of one :meth:`DeepPolyAnalyzer.analyze_batch` call.
+
+    ``reports`` are the distinct parent reports; when some row has no
+    parent, a NaN pseudo-parent follows them (a NaN bound is unstable, and
+    ``fmax``/``fmin`` against NaN return the re-bound value, so such a row
+    is plain DeepPoly).  ``group[row]`` indexes a row's parent and
+    ``split_layer[row]`` is the layer of its new split (``-1`` without a
+    parent).
+    """
+
+    def __init__(self, reports: List[BoundReport], group: List[int],
+                 split_layer: List[int]) -> None:
+        self.reports = reports
+        self.group = np.asarray(group, dtype=np.intp)
+        self.split_layer = split_layer
+        self.children = sum(index < len(reports) for index in group)
+        self.orphans = self.children < len(group)
+        #: One parent and no orphan: every row shares a single group.
+        self.single = len(reports) == 1 and not self.orphans
+        self._all_rows = np.arange(len(group))
+
+    @classmethod
+    def build(cls, parents: Sequence[Optional[Parent]],
+              num_layers: int) -> Optional["_Reference"]:
+        """The call's reference, or ``None`` when no row has a parent."""
+        if all(parent is None for parent in parents):
+            return None
+        reports: List[BoundReport] = []
+        position = {}
+        group: List[int] = []
+        split_layer: List[int] = []
+        for parent in parents:
+            if parent is None:
+                group.append(-1)
+                split_layer.append(-1)
+                continue
+            report, split = parent
+            index = position.get(id(report))
+            if index is None:
+                require(len(report.pre_activation_bounds) == num_layers,
+                        "a parent report must bound every hidden layer")
+                index = position[id(report)] = len(reports)
+                reports.append(report)
+            group.append(index)
+            split_layer.append(split.layer)
+        group = [len(reports) if index < 0 else index for index in group]
+        return cls(reports, group, split_layer)
+
+    def rows(self, layer: int, inherit: bool) -> Tuple[Optional[np.ndarray], int]:
+        """The rows that re-bound ``layer`` (``None`` when none does) and how
+        many of them have a parent.
+
+        With ``inherit`` a row takes every layer up to its split layer from
+        its parent; otherwise it re-bounds every layer against the parent.
+        """
+        if not inherit:
+            return self._all_rows, self.children
+        rows = [row for row, split in enumerate(self.split_layer) if split < layer]
+        if not rows:
+            return None, 0
+        rebound = sum(self.split_layer[row] >= 0 for row in rows)
+        return np.asarray(rows, dtype=np.intp), rebound
+
+    def layer(self, layer: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(groups, width)`` lower and upper bounds of one layer."""
+        bounds = [report.pre_activation_bounds[layer] for report in self.reports]
+        if self.single:
+            return bounds[0].lower[None], bounds[0].upper[None]
+        lower = [b.lower for b in bounds]
+        upper = [b.upper for b in bounds]
+        if self.orphans:
+            unknown = np.full(bounds[0].size, np.nan)
+            lower.append(unknown)
+            upper.append(unknown)
+        return np.stack(lower), np.stack(upper)
 
 
 def deeppoly_bounds(network: LoweredNetwork, box: InputBox,

@@ -9,7 +9,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bounds.linear_form import ScalarBounds
-from repro.bounds.splits import SplitAssignment
+from repro.bounds.splits import ReluSplit, SplitAssignment
 
 
 class FlatBounds:
@@ -96,6 +96,13 @@ class BoundReport:
     infeasible:
         True when the split constraints are unsatisfiable within the input
         box — the sub-problem is vacuously verified.
+    path:
+        The report's identity in a bound cache: a root tag (the back-end
+        that bounded the root of its search path) followed by the
+        ``(layer, unit, phase)`` splits in the order they were made.  A
+        child bounded against its parent's report inherits the parent's
+        bounds, so its report depends on that path and not only on its
+        split set.  ``None`` when no path reproduces the report.
     """
 
     pre_activation_bounds: List[ScalarBounds]
@@ -105,6 +112,7 @@ class BoundReport:
     candidate_input: Optional[np.ndarray] = None
     infeasible: bool = False
     method: str = "unknown"
+    path: Optional[Tuple] = None
 
     def shallow_copy(self) -> "BoundReport":
         """A copy sharing every array but owning its own list and shell.
@@ -120,7 +128,8 @@ class BoundReport:
             p_hat=self.p_hat,
             candidate_input=self.candidate_input,
             infeasible=self.infeasible,
-            method=self.method)
+            method=self.method,
+            path=self.path)
 
     def flat_bounds(self) -> FlatBounds:
         """The hidden pre-activation bounds as flat layer-major vectors."""
@@ -148,3 +157,8 @@ class BoundReport:
         if self.infeasible:
             return True
         return self.p_hat is not None and self.p_hat > 0.0
+
+
+#: A child's reference for bound propagation: its parent's report and the
+#: split that turns the parent's region into the child's.
+Parent = Tuple[BoundReport, ReluSplit]

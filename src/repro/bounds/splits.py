@@ -9,7 +9,6 @@ The bound-propagation verifiers consume these constraints as a
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -58,13 +57,6 @@ class SplitAssignment:
 
     def __init__(self, splits: Optional[Mapping[Tuple[int, int], int]] = None) -> None:
         self._phases: Dict[Tuple[int, int], int] = dict(splits or {})
-        #: Derivation breadcrumb set by :meth:`with_split`: a weak reference
-        #: to the parent plus the added split, when this assignment was
-        #: created as a one-split extension.  Purely an accelerator for
-        #: :func:`split_delta` — semantics never depend on it (two equal
-        #: assignments may differ in provenance), and the weak reference
-        #: keeps a child from pinning its whole ancestor chain in memory.
-        self._derived_from: Optional[Tuple["weakref.ref", ReluSplit]] = None
         for neuron, phase in self._phases.items():
             require(phase in (ACTIVE, INACTIVE),
                     f"phase for neuron {neuron} must be +1 or -1")
@@ -84,16 +76,16 @@ class SplitAssignment:
         """Return a new assignment extended by ``split``.
 
         Re-splitting an already-decided neuron with a conflicting phase is a
-        programming error in the BaB driver and raises ``ValueError``.
+        programming error in the BaB driver and raises ``ValueError``.  Only
+        the added split is checked: the inherited phases were validated when
+        this assignment was built, and ``split`` validated its own phase.
         """
         existing = self._phases.get(split.neuron)
         if existing is not None and existing != split.phase:
             raise ValueError(f"conflicting split for neuron {split.neuron}")
-        phases = dict(self._phases)
-        phases[split.neuron] = split.phase
-        child = SplitAssignment(phases)
-        if existing is None:
-            child._derived_from = (weakref.ref(self), split)
+        child = SplitAssignment.__new__(SplitAssignment)
+        child._phases = dict(self._phases)
+        child._phases[split.neuron] = split.phase
         return child
 
     def phase_of(self, layer: int, unit: int) -> int:
@@ -119,19 +111,6 @@ class SplitAssignment:
         """
         return tuple((layer, unit, phase)
                      for (layer, unit), phase in sorted(self._phases.items()))
-
-    def prefix_key(self, max_layer: int) -> Tuple[Tuple[int, int, int], ...]:
-        """Canonical key restricted to splits at layers ``<= max_layer``.
-
-        DeepPoly/IBP pre-activation bounds at layer ``L`` depend only on the
-        splits decided at layers ``<= L`` (clipping at ``L``, relaxations
-        below), so this is the correct cache key for per-layer bounds: a child
-        sub-problem shares every prefix entry of its parent below the layer of
-        the newly decided neuron.
-        """
-        return tuple((layer, unit, phase)
-                     for (layer, unit), phase in sorted(self._phases.items())
-                     if layer <= max_layer)
 
     def max_layer(self) -> int:
         """The deepest layer with a decided neuron, or ``-1`` when empty."""
@@ -184,59 +163,14 @@ class SplitAssignment:
         return True
 
 
-def split_delta(parent: Optional["SplitAssignment"],
-                child: "SplitAssignment") -> Optional[ReluSplit]:
-    """The single split by which ``child`` extends ``parent``, or ``None``.
-
-    This is the relationship the incremental bound path exploits: a BaB
-    phase-split child shares *all* of its parent's constraints and adds
-    exactly one.  Returns ``None`` when ``parent`` is ``None``, when the
-    child is not a one-split extension, or when any shared neuron disagrees
-    on its phase — callers then fall back to the non-incremental path.
-    """
-    if parent is None or len(child) != len(parent) + 1:
-        return None
-    derived = child._derived_from
-    if derived is not None and derived[0]() is parent:
-        return derived[1]
-    added: Optional[ReluSplit] = None
-    for neuron, phase in child._phases.items():
-        existing = parent._phases.get(neuron)
-        if existing is None:
-            if added is not None:
-                return None
-            added = ReluSplit(neuron[0], neuron[1], phase)
-        elif existing != phase:
-            return None
-    return added
-
-
-def insert_into_canonical(canonical: Tuple[Tuple[int, int, int], ...],
-                          split: ReluSplit) -> Tuple[Tuple[int, int, int], ...]:
-    """Insert one split's triple into a canonical key, keeping it sorted.
-
-    ``insert_into_canonical(parent.canonical_key(), delta)`` equals
-    ``child.canonical_key()`` when ``child = parent + delta`` — which lets
-    the incremental path derive a child's cache keys from the parent's in
-    one O(depth) pass instead of re-sorting the whole assignment.
-    """
-    triple = (split.layer, split.unit, split.phase)
-    neuron = (split.layer, split.unit)
-    for position, (layer, unit, _) in enumerate(canonical):
-        if (layer, unit) > neuron:
-            return canonical[:position] + (triple,) + canonical[position:]
-    return canonical + (triple,)
-
-
 def prefix_counts(canonical: Tuple[Tuple[int, int, int], ...],
                   num_layers: int) -> Tuple[int, ...]:
-    """Per-layer split counts such that ``canonical[:counts[l]]`` equals
-    ``prefix_key(l)``.
+    """Per-layer split counts: ``canonical[:counts[l]]`` holds the splits
+    at layers ``<= l``.
 
     A canonical key is sorted by ``(layer, unit)``, so the splits at layers
     ``<= l`` are literally a leading slice of it; this computes every
-    slice boundary in one linear pass, replacing ``num_layers`` sort-based
-    ``prefix_key`` calls per sub-problem on the batched hot path.
+    slice boundary in one linear pass.
     """
     counts = []
     position = 0

@@ -28,12 +28,14 @@ as
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.bab.heuristics import BranchingContext, BranchingHeuristic, make_heuristic
 from repro.bounds.cache import LpCache
+from repro.bounds.report import BoundReport
 from repro.bounds.splits import ReluSplit, SplitAssignment
 from repro.core.config import AbonnConfig
 from repro.core.mcts import (
@@ -121,8 +123,7 @@ class MctsFrontierSource(WorkSource):
     def begin_round(self, budget: Budget) -> bool:
         """Select the round's frontier by repeated virtual-loss UCB1 descent."""
         self._leaves = select_frontier(self.root, self.config.exploration,
-                                       self.config.frontier_size,
-                                       redescend=self.config.deep_redescent)
+                                       self.config.frontier_size)
         self._cursor = 0
         if not self._leaves:
             # Every reachable branch is verified.  Back-propagate -inf from
@@ -155,7 +156,7 @@ class MctsFrontierSource(WorkSource):
         context = BranchingContext(network=self.appver.lowered,
                                    spec=self.spec.output_spec,
                                    report=leaf.outcome.report, splits=leaf.splits,
-                                   evaluate_split=self._probe)
+                                   evaluate_split=partial(self._probe, leaf))
         return self.heuristic.select(context)
 
     def child_splits(self, leaf: MctsNode, neuron: Neuron,
@@ -165,9 +166,9 @@ class MctsFrontierSource(WorkSource):
         return [leaf.splits.with_split(ReluSplit(neuron[0], neuron[1], phase))
                 for phase in phases]
 
-    def item_splits(self, leaf: MctsNode) -> SplitAssignment:
-        """The leaf's assignment — the parent identity of its children."""
-        return leaf.splits
+    def item_report(self, leaf: MctsNode) -> BoundReport:
+        """The leaf's report — the parent its children are bounded against."""
+        return leaf.outcome.report
 
     def push_back(self, leaf: MctsNode, gathered: int) -> Optional[DriverVerdict]:
         """Budget starvation: nothing to do, the leaf stays in the tree."""
@@ -254,9 +255,11 @@ class MctsFrontierSource(WorkSource):
         return self.timeout()
 
     # -- helpers ---------------------------------------------------------------
-    def _probe(self, splits: SplitAssignment) -> float:
+    def _probe(self, leaf: MctsNode, split: ReluSplit) -> float:
+        """Bound one look-ahead child against the leaf, as its expansion would."""
         self.budget.charge_node()
-        return self.appver.evaluate(splits).p_hat
+        return self.appver.evaluate(leaf.splits.with_split(split),
+                                    parent=(leaf.outcome.report, split)).p_hat
 
 
 class _AbonnRun(VerifierRun):
@@ -309,7 +312,7 @@ class AbonnVerifier(Verifier):
     verification problem* (the cache key is the leaf's canonical split
     assignment, which only identifies a sub-problem for a fixed network,
     input box and output spec); by default every run gets a fresh cache.
-    ``bound_cache`` likewise shares the split-aware bound cache across runs
+    ``bound_cache`` likewise shares the bound cache across runs
     on one problem (the verification service scopes both by the problem
     fingerprint); it only applies while ``config.use_bound_cache`` is on.
     """

@@ -42,13 +42,6 @@ class AbonnConfig:
         values trade strict selection order for realised AppVer batch sizes
         that actually reach the batched back-end's throughput regime.
         Verdicts remain sound for every ``K``.
-    deep_redescent:
-        Keep filling the frontier when a UCB1 descent dead-ends: the dead
-        end is back-propagated (deeper virtual back-propagation) and the
-        descent retried, so sparser trees still realise large batches.  At
-        ``K=1`` this only merges the sequential loop's propagate-then-retry
-        rounds and changes no charge; disable to reproduce the PR-2
-        first-dead-end-stops behaviour exactly.
     lp_leaf_refinement:
         Resolve fully phase-decided leaves exactly with an LP (keeps the
         procedure complete, mirroring the paper's GUROBI back-end).  All
@@ -57,22 +50,21 @@ class AbonnConfig:
         an :class:`~repro.bounds.cache.LpCache` keyed by the leaf's
         canonical split assignment.
     use_bound_cache:
-        Memoise per-layer pre-activation bounds (and whole reports) in the
-        AppVer's split-aware bound cache.  Caching never changes verdicts —
-        a hit returns exactly what recomputation would.
+        Memoise whole bound reports, keyed by their search path, in the
+        AppVer's bound cache.  Caching never changes verdicts — a hit
+        returns exactly what recomputation would.
     bound_cache_size:
         Maximum number of bound-cache entries (LRU eviction beyond that).
     incremental:
-        Thread parent identity into the batched bound calls so phase-split
-        children resolve as rank-1 deltas against their parent's memoised
-        backward pass (and candidate validation / α-CROWN warm starts reuse
-        the parent too).  With the default DeepPoly back-end, results —
-        verdicts, node charges, counterexamples — are identical with the
-        flag on or off; off reproduces the PR-3 bound path exactly (the
-        benchmark baseline).  With ``bound_method="alpha-crown"`` the warm
-        start moves where the slope ascent *begins*, so the optimised (still
-        sound) bounds — and hence trajectories — may differ between the
-        modes.
+        Copy the layers up to a child's split layer from its parent's
+        report instead of re-bounding them against it (and let candidate
+        validation and α-CROWN warm starts reuse the parent too).  Every
+        child is bounded against its parent either way, and with the
+        default DeepPoly back-end the bounds are the same, so verdicts,
+        node charges and counterexamples are identical with the flag on or
+        off.  With ``bound_method="alpha-crown"`` the warm start moves where
+        the slope ascent *begins*, so the optimised (still sound) bounds —
+        and hence trajectories — may differ between the modes.
     """
 
     lam: float = DEFAULT_LAMBDA
@@ -80,7 +72,6 @@ class AbonnConfig:
     heuristic: str = "deepsplit"
     bound_method: str = "deeppoly"
     frontier_size: int = 1
-    deep_redescent: bool = True
     lp_leaf_refinement: bool = True
     alpha_config: Optional[AlphaCrownConfig] = None
     use_bound_cache: bool = True

@@ -136,7 +136,7 @@ def descend_to_leaf(node: MctsNode, exploration: float) -> MctsNode:
 
 
 def select_frontier(root: MctsNode, exploration: float,
-                    limit: int, redescend: bool = True) -> List[MctsNode]:
+                    limit: int) -> List[MctsNode]:
     """Select up to ``limit`` *distinct* unexpanded nodes for batched expansion.
 
     Repeats the UCB1 descent of Alg. 1 with a virtual-loss / exclusion scheme
@@ -147,9 +147,8 @@ def select_frontier(root: MctsNode, exploration: float,
     subtrees.  All virtual state is restored before returning, so the tree
     the caller sees is exactly the tree before the call.
 
-    With ``redescend`` (the default) a descent that dead-ends on an
-    *expanded* node whose children are all exhausted does not end the
-    gathering: the dead end's reward is back-propagated (refreshing any
+    A descent that dead-ends on an *expanded* node whose children are all
+    exhausted does not end the gathering: the dead end's reward is back-propagated (refreshing any
     ancestor whose reward had not yet absorbed its exhausted subtree) and
     the descent retried, so sparser trees still fill their frontier.  Each
     distinct dead end is re-propagated at most once per call, which bounds
@@ -173,7 +172,7 @@ def select_frontier(root: MctsNode, exploration: float,
             # exhausted.  Deeper virtual back-propagation re-descends once
             # per distinct dead end; the restoration loop below undoes any
             # virtual component of the refreshed rewards.
-            if not redescend or id(leaf) in redescended:
+            if id(leaf) in redescended:
                 break
             redescended.add(id(leaf))
             propagate_rewards(leaf)

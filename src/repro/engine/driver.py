@@ -29,10 +29,11 @@ One driver **round** is:
    :class:`~repro.verifiers.appver.ApproximateVerifier`; this is the only
    place in the library where a search driver reaches the batched bound
    back-ends, so realised batch sizes are accounted exactly once.  Each
-   child is dispatched together with its *parent identity* (the gathered
-   item's own split assignment, via :meth:`WorkSource.item_splits`), which
-   lets the incremental bound path resolve the ≤2K children of a round as
-   rank-1 deltas against at most K memoised parent passes.
+   child is dispatched together with its *parent*: the gathered item's own
+   bound report (via :meth:`WorkSource.item_report`) and the split that
+   creates the child.  The bound back-end then re-bounds only the neurons
+   unstable in the parent, so the ≤2K children of a round cost only their
+   parents' unstable rows above each split layer.
 4. **Attach** — outcomes are handed back to the source one child at a time
    in selection order, each preceded by the sequential wall-clock re-check
    and followed by one node charge, so a frontier of ``K`` behaves at
@@ -63,7 +64,8 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bounds.splits import SplitAssignment
+from repro.bounds.report import BoundReport
+from repro.bounds.splits import ReluSplit, SplitAssignment
 from repro.utils.timing import Budget
 from repro.utils.validation import require
 from repro.verifiers.appver import (
@@ -147,12 +149,13 @@ class WorkSource(abc.ABC):
     def select_neuron(self, item: Any) -> Optional[Neuron]:
         """Pick the item's branching neuron, or ``None`` for a decided leaf."""
 
-    def item_splits(self, item: Any) -> Optional[SplitAssignment]:
-        """The item's own split assignment (the parent of its children).
+    def item_report(self, item: Any) -> Optional[BoundReport]:
+        """The item's own bound report (the parent of its children).
 
-        The driver threads it through ``evaluate_batch(parents=...)`` so the
-        incremental bound path can reuse the parent's memoised pass; return
-        ``None`` (the default) to opt a source out of parent threading.
+        The driver passes it with each child's split through
+        ``evaluate_batch(parents=...)``, so the child is bounded against
+        it; return ``None`` (the default) to bound children without a
+        parent.
         """
         return None
 
@@ -424,13 +427,18 @@ class FrontierDriver:
             return None
 
         # One batched AppVer call bounds the children of the whole round;
-        # this is the engine's single point of batched-bound dispatch.  The
-        # children carry their parents' identities so the ≤2K sub-problems
-        # resolve as rank-1 deltas against at most K memoised parent passes.
+        # this is the engine's single point of batched-bound dispatch.  Each
+        # child carries its parent's report and its own split, so it is
+        # bounded against the parent instead of from scratch.
         flat_splits = [splits for expansion in plan
                        for splits in expansion.child_splits]
-        flat_parents = [source.item_splits(expansion.item) for expansion in plan
-                        for _ in expansion.child_splits]
+        flat_parents = []
+        for expansion in plan:
+            report = source.item_report(expansion.item)
+            layer, unit = expansion.neuron
+            flat_parents.extend(
+                None if report is None else (report, ReluSplit(layer, unit, phase))
+                for phase in expansion.phases)
         outcomes = self.appver.evaluate_batch(flat_splits, parents=flat_parents)
 
         verdict = self._attach(source, plan, outcomes, budget)

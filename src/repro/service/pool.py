@@ -63,9 +63,10 @@ from repro.utils.validation import require
 from repro.verifiers.milp import network_weights_digest, problem_fingerprint
 
 #: Version stamp of the on-disk cache-bundle payload.  Bump it whenever the
-#: entry layout (cache keys, ``SubstitutionEntry``/``RowOptimum`` fields)
+#: entry layout (cache keys, ``BoundReport``/``RowOptimum`` fields)
 #: changes incompatibly; :meth:`CacheBundle.load` refuses other versions.
-BUNDLE_FORMAT = 2
+#: Format 3 keys bound reports by their search path and drops layer entries.
+BUNDLE_FORMAT = 3
 
 #: Marker distinguishing bundle files from arbitrary pickles.
 _BUNDLE_KIND = "repro-cache-bundle"

@@ -289,8 +289,8 @@ class VerificationService:
     def submit_request(self, request: JobRequest) -> str:
         """Enqueue a prebuilt :class:`~repro.service.jobs.JobRequest`.
 
-        Malformed requests (non-positive deadline or budget limits, or a
-        network that does not lower, e.g. one with NaN or infinite
+        Malformed requests (non-positive or NaN deadline or budget limits,
+        or a network that does not lower, e.g. one with NaN or infinite
         parameters) are *rejected*, not raised: the job is accepted,
         immediately finalised with ``JobError(kind="InvalidRequest",
         stage="submit")`` and ``attempts == 0``, and flows through the
@@ -495,25 +495,23 @@ class VerificationService:
 
     # -- submit validation -----------------------------------------------------
     def _validate_request(self, request: JobRequest) -> Optional[JobError]:
-        """Structured rejection for malformed requests (``None`` when fine)."""
-        if (request.deadline_seconds is not None
-                and request.deadline_seconds <= 0):
-            return JobError(
-                "InvalidRequest",
-                f"deadline_seconds must be positive when given, got "
-                f"{request.deadline_seconds!r}", "submit")
+        """Structured rejection for malformed requests (``None`` when fine).
+
+        A limit must be positive when given; ``inf`` means "no limit".  A
+        NaN limit is rejected: it passes every ``<= 0`` test, and a NaN node
+        limit leaves the driver unable to afford a child while never
+        counting as exhausted, so the job would never finish.
+        """
         budget = request.budget
-        if budget is not None:
-            if budget.max_nodes is not None and budget.max_nodes <= 0:
+        limits = (("deadline_seconds", request.deadline_seconds),
+                  ("budget.max_nodes", budget.max_nodes if budget else None),
+                  ("budget.max_seconds", budget.max_seconds if budget else None))
+        for name, value in limits:
+            if value is not None and not value > 0:
                 return JobError(
                     "InvalidRequest",
-                    f"budget.max_nodes must be positive when given, got "
-                    f"{budget.max_nodes!r}", "submit")
-            if budget.max_seconds is not None and budget.max_seconds <= 0:
-                return JobError(
-                    "InvalidRequest",
-                    f"budget.max_seconds must be positive when given, got "
-                    f"{budget.max_seconds!r}", "submit")
+                    f"{name} must be positive when given, got {value!r}",
+                    "submit")
         return None
 
     def _reject(self, job: _Job, error: JobError) -> str:

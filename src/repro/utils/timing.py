@@ -68,8 +68,9 @@ class PhaseTimings:
     """Cumulative wall-clock seconds (and call counts) per named phase.
 
     The bound analysers record their backward-substitution time under
-    ``"substitute"``, the incremental rank-1 split corrections under
-    ``"correct"`` and the box concretisations under ``"concretize"``; the
+    ``"substitute"``, the work of bounding children against their parents'
+    reports under ``"correct"`` and the box concretisations under
+    ``"concretize"``; the
     leaf-LP solver records under ``"lp"``.  One instance lives on each
     :class:`~repro.verifiers.appver.ApproximateVerifier` and is exposed by
     the verifiers as ``extras["timings"]``.  Recording costs two
@@ -124,12 +125,23 @@ class Budget:
     calls :meth:`start` still enforces ``max_seconds`` (previously the limit
     was silently a no-op — the unstarted stopwatch reported 0 s forever).
     :meth:`start` remains the explicit way to pin the measurement origin.
+
+    ``inf`` is a valid limit meaning "no limit"; a NaN limit raises
+    ``ValueError``.  NaN compares false with everything, so it would make
+    :meth:`exhausted` say "not yet" forever while :meth:`remaining_nodes`
+    says nothing is left — a run that can afford no child and never ends.
     """
 
     max_seconds: Optional[float] = None
     max_nodes: Optional[int] = None
     nodes: int = 0
     _watch: Stopwatch = field(default_factory=Stopwatch, repr=False)
+
+    def __post_init__(self) -> None:
+        for name in ("max_seconds", "max_nodes"):
+            value = getattr(self, name)
+            if value is not None and value != value:
+                raise ValueError(f"{name} must not be NaN")
 
     def start(self) -> "Budget":
         self._watch.start()

@@ -12,7 +12,7 @@ This module wraps the bound-propagation analysers of :mod:`repro.bounds`
 behind that interface and counts calls, which is how all verifiers charge
 their node budgets.
 
-Three throughput features back the hot path (see ``docs/BATCHING.md``):
+Four throughput features back the hot path (see ``docs/BATCHING.md``):
 
 * :meth:`ApproximateVerifier.evaluate_batch` bounds ``B`` sub-problems in
   one batched pass for every back-end — DeepPoly and IBP via a leading
@@ -21,25 +21,28 @@ Three throughput features back the hot path (see ``docs/BATCHING.md``):
   children of up to ``frontier_size`` nodes at once, and the realised batch
   sizes are recorded in :attr:`ApproximateVerifier.batch_histogram`.
   :meth:`ApproximateVerifier.evaluate` runs the same kernels at ``B = 1``;
-* a split-aware :class:`~repro.bounds.cache.BoundCache` (on by default)
-  memoises per-layer pre-activation bounds keyed by the split-assignment
-  prefix relevant to each layer, plus whole reports keyed by the full
-  canonical assignment, so a child sub-problem only recomputes layers
-  at-or-below its newly decided neuron;
-* **incremental parent-pass reuse** (``incremental=True``, the default):
-  when the caller threads each child's BaB parent through ``parent=`` /
-  ``parents=``, the DeepPoly back-end derives the child's split layer from
-  the parent's memoised substitution entry with a rank-1 correction
-  (skipping that layer's whole backward substitution), the α-CROWN back-end
-  warm-starts its slope ascent from the parent's optimised slopes, and
+* **reference bounds**: the frontier drivers pass each child's parent as
+  ``(parent report, split)`` through ``parent=`` / ``parents=``, and the
+  DeepPoly back-end re-bounds only the neurons unstable in the parent,
+  intersects them with the parent's intervals and keeps the parent's
+  interval everywhere else (see :mod:`repro.bounds.deeppoly`).  A child's
+  bounds are therefore never looser than its parent's, and a pass costs
+  only the parent-unstable rows above the split layer;
+* a :class:`~repro.bounds.cache.BoundCache` (on by default) memoises whole
+  reports keyed by their search path, so a repeated sub-problem (an FSB
+  probe followed by the real expansion, or a job replayed on a shared
+  cache) is free;
+* **incremental reuse** (``incremental=True``, the default): the DeepPoly
+  back-end copies the layers up to a child's split layer from the parent
+  instead of re-bounding them against it, the α-CROWN back-end warm-starts
+  its slope ascent from the parent's optimised slopes, and
   candidate-counterexample validation memoises the network forward pass per
   distinct candidate corner (phase-split children overwhelmingly share
-  their parent's corner).  The DeepPoly reuse is exact — results are
-  identical to the non-incremental path (bit-for-bit at ``B = 1``; in
-  larger batches up to the sub-1e-9 GEMM noise between rows of different
-  batches).  The α-CROWN warm start is sound
-  but moves the slope ascent's starting point, so optimised bounds may
-  differ from the cold-start path.
+  their parent's corner).  The DeepPoly copy is exact — the bounds equal
+  the re-bound ones up to the sub-1e-9 GEMM noise between batches, so
+  verdicts, charges and counterexamples do not depend on the flag.  The
+  α-CROWN warm start is sound but moves the slope ascent's starting point,
+  so optimised bounds may differ from the cold-start path.
 
 The per-phase time breakdown (``substitute`` / ``correct`` / ``concretize``
 and the sources' ``lp``) accumulates in :attr:`ApproximateVerifier.timings`
@@ -58,7 +61,7 @@ from repro.bounds.alpha_crown import AlphaCrownAnalyzer, AlphaCrownConfig
 from repro.bounds.cache import DEFAULT_CACHE_SIZE, BoundCache, CacheStats
 from repro.bounds.deeppoly import DeepPolyAnalyzer
 from repro.bounds.interval import interval_bounds, interval_bounds_batch
-from repro.bounds.report import BoundReport
+from repro.bounds.report import BoundReport, Parent
 from repro.bounds.splits import ACTIVE, INACTIVE, SplitAssignment
 from repro.nn.network import Network
 from repro.specs.properties import Specification
@@ -154,19 +157,18 @@ class ApproximateVerifier:
     alpha_config:
         Optional α-CROWN optimiser configuration (only used by that method).
     use_cache:
-        Enable the split-aware bound cache for the DeepPoly back-end.
-        Caching never changes results: a hit returns exactly the bounds the
-        analyser would recompute for the same (sub-)problem.
+        Enable the report cache for the DeepPoly back-end.  Caching never
+        changes results: a hit returns the report of the same search path.
     cache_size:
         Maximum number of cache entries (LRU eviction beyond that).
     incremental:
-        Honour parent identity threaded through ``parent=`` / ``parents=``:
-        rank-1 split corrections against the parent's substitution entry
-        (DeepPoly), parent-slope warm starts (α-CROWN) and the
-        candidate-validation memo.  Off, parent arguments are ignored and
-        every evaluation runs the full PR-3 path — DeepPoly results are
-        identical either way; α-CROWN warm starts change where the slope
-        ascent begins (sound, possibly different optimised bounds).
+        Copy the layers up to a child's split layer from its parent's
+        report (DeepPoly), warm-start α-CROWN from the parent's slopes, and
+        memoise candidate validation.  Off, DeepPoly re-bounds those layers
+        against the parent and gets the same bounds, so verdicts, charges
+        and counterexamples are identical either way; α-CROWN warm starts
+        change where the slope ascent begins (sound, possibly different
+        optimised bounds).
     bound_cache:
         Optional externally owned :class:`~repro.bounds.cache.BoundCache`
         used instead of creating a fresh one — this is how the verification
@@ -293,33 +295,32 @@ class ApproximateVerifier:
 
     def evaluate(self, splits: Optional[SplitAssignment] = None,
                  method: Optional[str] = None,
-                 parent: Optional[SplitAssignment] = None) -> AppVerOutcome:
+                 parent: Optional[Parent] = None) -> AppVerOutcome:
         """Apply the approximated verifier to the sub-problem ``splits``.
 
         The back-end's batched kernel at ``B = 1``, through its own
         single-sub-problem entry point: charged as one call and not recorded
         as a realised batch in :attr:`batch_histogram`.  ``parent``
-        optionally names the sub-problem's BaB parent; with the incremental
-        mode on, a one-split child reuses the parent's memoised pass (see
-        the module docstring) — results are unchanged.
+        optionally gives the sub-problem's ``(parent report, split)``; the
+        DeepPoly back-end then bounds it against the parent's report (see
+        the module docstring).
         """
         splits = splits or SplitAssignment.empty()
         method = method or self.method
         require(method in BOUND_METHODS, f"unknown bound method {method!r}")
         self.num_calls += 1
-        if not self.incremental:
-            parent = None
         if method == "ibp":
             report = interval_bounds(self.lowered, self.spec.input_box,
                                      splits=splits, spec=self.spec.output_spec)
         elif method == "alpha-crown":
             report = self._alpha.analyze(self.spec.input_box, splits=splits,
                                          spec=self.spec.output_spec,
-                                         parent=parent)
+                                         parent=parent if self.incremental else None)
         else:
             report = self._deeppoly.analyze(self.spec.input_box, splits=splits,
                                             spec=self.spec.output_spec,
                                             cache=self.cache, parent=parent,
+                                            inherit=self.incremental,
                                             timings=self.timings)
         if not splits:
             _require_finite_root(report)
@@ -327,7 +328,7 @@ class ApproximateVerifier:
 
     def evaluate_batch(self, splits_list: Sequence[Optional[SplitAssignment]],
                        method: Optional[str] = None,
-                       parents: Optional[Sequence[Optional[SplitAssignment]]] = None
+                       parents: Optional[Sequence[Optional[Parent]]] = None
                        ) -> List[AppVerOutcome]:
         """Apply the approximated verifier to ``B`` sub-problems at once.
 
@@ -342,8 +343,7 @@ class ApproximateVerifier:
         The realised batch size is recorded in :attr:`batch_histogram`.
 
         ``parents`` (index-aligned with ``splits_list``, ``None`` entries
-        allowed) threads each sub-problem's BaB parent for the incremental
-        reuse paths; ignored when ``incremental`` is off.
+        allowed) gives each sub-problem's ``(parent report, split)``.
         """
         method = method or self.method
         require(method in BOUND_METHODS, f"unknown bound method {method!r}")
@@ -352,21 +352,18 @@ class ApproximateVerifier:
         if not splits_list:
             return []
         self.batch_histogram[len(splits_list)] += 1
-        if not self.incremental:
-            parents = None
         if method == "ibp":
             reports = interval_bounds_batch(self.lowered, self.spec.input_box,
                                             splits_list, spec=self.spec.output_spec)
         elif method == "alpha-crown":
-            reports = self._alpha.analyze_batch(self.spec.input_box, splits_list,
-                                                spec=self.spec.output_spec,
-                                                parents=parents)
+            reports = self._alpha.analyze_batch(
+                self.spec.input_box, splits_list, spec=self.spec.output_spec,
+                parents=parents if self.incremental else None)
         else:
-            reports = self._deeppoly.analyze_batch(self.spec.input_box, splits_list,
-                                                   spec=self.spec.output_spec,
-                                                   cache=self.cache,
-                                                   parents=parents,
-                                                   timings=self.timings)
+            reports = self._deeppoly.analyze_batch(
+                self.spec.input_box, splits_list, spec=self.spec.output_spec,
+                cache=self.cache, parents=parents, inherit=self.incremental,
+                timings=self.timings)
         if self.incremental and len(reports) > 1:
             self._prevalidate_candidates(reports)
         return [self._outcome_from_report(report) for report in reports]

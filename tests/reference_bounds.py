@@ -3,7 +3,10 @@
 A direct transcription of both analyses for one sub-problem at a time: no
 batch axis, no cache, no parent reuse, and one backward pass per bounded
 quantity (the output rows and the specification rows are substituted
-separately).  It shares nothing with ``repro.bounds`` but the result
+separately).  ``reference_deeppoly`` also takes an optional parent report:
+every layer is then bounded by DeepPoly in full, each neuron unstable in
+the parent is intersected with the parent's interval, and every other
+neuron keeps the parent's interval.  It shares nothing with ``repro.bounds`` but the result
 containers, so a kernel that agrees with it is not agreeing with itself.
 Kernel and reference differ only by floating-point reassociation, far
 below ``TOLERANCE``; verdict-grade fields (flags, corners) agree exactly.
@@ -67,13 +70,27 @@ def _deeppoly_bounds(network, A, c, relaxations, box):
     return lower, upper, lower_A
 
 
-def reference_deeppoly(network, box, splits=None, spec=None, lower_slopes=None):
-    """DeepPoly of one sub-problem; ``lower_slopes`` is one array per hidden layer."""
+def _against_parent(lower, upper, parent_bounds):
+    """Intersect with the parent where it is unstable (NaN counts as
+    unstable and never wins); keep the parent's interval elsewhere."""
+    parent_lower, parent_upper = parent_bounds.lower, parent_bounds.upper
+    unstable = ~((parent_lower >= 0.0) | (parent_upper <= 0.0))
+    return (np.where(unstable, np.fmax(parent_lower, lower), parent_lower),
+            np.where(unstable, np.fmin(parent_upper, upper), parent_upper))
+
+
+def reference_deeppoly(network, box, splits=None, spec=None, lower_slopes=None,
+                       parent=None):
+    """DeepPoly of one sub-problem; ``lower_slopes`` is one array per hidden
+    layer, and ``parent`` an optional report the child is bounded against."""
     splits = splits or SplitAssignment.empty()
     relaxations, pre_activation, infeasible = [], [], False
     for layer in range(network.num_relu_layers):
         lower, upper, _ = _deeppoly_bounds(network, network.weights[layer],
                                            network.biases[layer], relaxations, box)
+        if parent is not None:
+            lower, upper = _against_parent(lower, upper,
+                                           parent.pre_activation_bounds[layer])
         phases = splits.layer_phase_array(layer, len(lower))
         lower, upper, empty = _clip(lower, upper, phases)
         infeasible = infeasible or empty

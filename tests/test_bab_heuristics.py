@@ -35,9 +35,12 @@ def context(small_network):
     spec = local_robustness_spec(reference, 0.25, label, 3)
     appver = ApproximateVerifier(small_network, spec)
     outcome = appver.evaluate()
+    splits = SplitAssignment.empty()
     return BranchingContext(network=appver.lowered, spec=spec.output_spec,
-                            report=outcome.report, splits=SplitAssignment.empty(),
-                            evaluate_split=lambda splits: appver.evaluate(splits).p_hat)
+                            report=outcome.report, splits=splits,
+                            evaluate_split=lambda split: appver.evaluate(
+                                splits.with_split(split),
+                                parent=(outcome.report, split)).p_hat)
 
 
 class TestRegistry:

@@ -255,31 +255,28 @@ class TestBatchRowIndependence:
     @given(seed=st.integers(0, 10_000), depth=st.integers(1, 3),
            width=st.integers(2, 6), epsilon=st.floats(0.01, 0.4))
     def test_rows_equal_single_calls_with_parents(self, seed, depth, width, epsilon):
-        """Children bounded together through their parents' cached passes
-        equal each child bounded alone through its own parent."""
+        """Children bounded together against their parents' reports equal
+        each child bounded alone against its own parent."""
         network, spec = make_random_dense_problem(seed, depth, width, epsilon)
         analyzer = DeepPolyAnalyzer(network)
         box = spec.input_box
         rng = np.random.default_rng(seed)
         parents = _random_assignments(rng, network, 3)
+        parent_reports = analyzer.analyze_batch(box, parents, spec=spec.output_spec)
         children, child_parents = [], []
-        for parent in parents:
+        for parent, report in zip(parents, parent_reports):
             free = [(layer, unit) for layer, width in enumerate(network.relu_layer_sizes())
                     for unit in range(width) if not parent.is_decided(layer, unit)]
             layer, unit = free[int(rng.integers(len(free)))]
             for phase in (ACTIVE, INACTIVE):
-                children.append(parent.with_split(ReluSplit(layer, unit, phase)))
-                child_parents.append(parent)
-        alone = []
-        for child, parent in zip(children, child_parents):
-            cache = BoundCache()
-            analyzer.analyze_batch(box, [parent], spec=spec.output_spec, cache=cache)
-            alone.append(analyzer.analyze_batch(box, [child], spec=spec.output_spec,
-                                                cache=cache, parents=[parent])[0])
-        cache = BoundCache()
-        analyzer.analyze_batch(box, parents, spec=spec.output_spec, cache=cache)
+                delta = ReluSplit(layer, unit, phase)
+                children.append(parent.with_split(delta))
+                child_parents.append((report, delta))
+        alone = [analyzer.analyze_batch(box, [child], spec=spec.output_spec,
+                                        cache=BoundCache(), parents=[parent])[0]
+                 for child, parent in zip(children, child_parents)]
         together = analyzer.analyze_batch(box, children, spec=spec.output_spec,
-                                          cache=cache, parents=child_parents)
+                                          cache=BoundCache(), parents=child_parents)
         for got, want in zip(together, alone):
             assert_report_matches(got, want)
 

@@ -10,7 +10,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bounds.cache import BoundCache, SubstitutionEntry
+from reference_bounds import assert_report_matches, reference_deeppoly
+
+from repro.bounds.cache import BoundCache
+from repro.bounds.deeppoly import DeepPolyAnalyzer
 from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
 from repro.core import AbonnConfig, AbonnVerifier
 from repro.specs.robustness import local_robustness_spec
@@ -58,13 +61,26 @@ class TestCacheDoesNotChangeVerdicts:
         _results_equal(results[True], results[False])
 
     def test_branching_run_produces_layer_hits(self, trained_network):
-        """Splits below the last layer reuse the parent's prefix entries."""
+        """Children take the layers up to their split layer from the parent,
+        and a child taken from its parent equals the reference-bound oracle."""
         network, dataset = trained_network
         image, _ = dataset.sample(25)
         spec = _problem(network, image.reshape(-1), 0.15)
         result = AbonnVerifier().verify(network, spec, Budget(max_nodes=120))
         assert result.nodes_explored > 1, "problem must require branching"
         assert result.extras["bound_cache"]["layer_hits"] > 0
+        lowered = network.lowered()
+        analyzer = DeepPolyAnalyzer(lowered)
+        cache = BoundCache()
+        root = analyzer.analyze(spec.input_box, spec=spec.output_spec, cache=cache)
+        layer, unit = root.unstable_neurons()[-1]  # deepest: layers below are taken
+        delta = ReluSplit(layer, unit, ACTIVE)
+        child = SplitAssignment.empty().with_split(delta)
+        report = analyzer.analyze(spec.input_box, child, spec=spec.output_spec,
+                                  cache=cache, parent=(root, delta))
+        assert cache.stats.layer_hits == layer + 1
+        assert_report_matches(report, reference_deeppoly(
+            lowered, spec.input_box, child, spec.output_spec, parent=root))
 
     def test_abonn_cache_on_vs_off_with_probing_heuristic(self, trained_network):
         """FSB probes children that are later expanded: report-cache hits."""
@@ -93,29 +109,50 @@ class TestCacheDoesNotChangeVerdicts:
                 assert cached.evaluate(splits).p_hat == plain.evaluate(splits).p_hat
 
 
+class TestProbeMatchesExpansion:
+    def test_fsb_probe_and_expansion_give_the_same_report(self, small_network):
+        """An FSB look-ahead probe bounds a child against the same parent as
+        the real expansion: the expansion is a report-cache hit with the
+        cache on, and equal to the probe with the cache off."""
+        spec = _problem(small_network, [0.45, 0.55, 0.5, 0.4], 0.12)
+        for use_cache in (True, False):
+            appver = ApproximateVerifier(small_network, spec, use_cache=use_cache)
+            root = appver.evaluate().report
+            layer, unit = root.unstable_neurons()[0]
+            deltas = [ReluSplit(layer, unit, phase) for phase in (ACTIVE, INACTIVE)]
+            children = [SplitAssignment.empty().with_split(d) for d in deltas]
+            probes = [appver.evaluate(child, parent=(root, delta)).report
+                      for child, delta in zip(children, deltas)]
+            expanded = appver.evaluate_batch(
+                children, parents=[(root, delta) for delta in deltas])
+            for probe, outcome in zip(probes, expanded):
+                assert_report_matches(outcome.report, probe)
+                assert outcome.report.path == probe.path
+                if use_cache:
+                    assert outcome.report.p_hat == probe.p_hat
+            if use_cache:
+                assert appver.cache.stats.report_hits == len(children)
+
+
 class TestCacheSizeBound:
     def test_lru_eviction_respects_max_entries(self):
         cache = BoundCache(max_entries=2)
-        entry = SubstitutionEntry(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2),
-                                  np.zeros(2), False)
-        cache.put_layer(0, ("a",), entry)
-        cache.put_layer(0, ("b",), entry)
-        cache.put_layer(0, ("c",), entry)
+        cache.put_report(("a",), True, "report-a")
+        cache.put_report(("b",), True, "report-b")
+        cache.put_report(("c",), True, "report-c")
         assert len(cache) == 2
         assert cache.stats.evictions == 1
-        assert cache.get_layer(0, ("a",)) is None  # oldest evicted
-        assert cache.get_layer(0, ("c",)) is not None
+        assert cache.get_report(("a",), True) is None  # oldest evicted
+        assert cache.get_report(("c",), True) is not None
 
     def test_get_refreshes_recency(self):
         cache = BoundCache(max_entries=2)
-        entry = SubstitutionEntry(np.zeros(1), np.ones(1), np.zeros(1), np.ones(1),
-                                  np.zeros(1), False)
-        cache.put_layer(0, ("a",), entry)
-        cache.put_layer(0, ("b",), entry)
-        cache.get_layer(0, ("a",))  # refresh "a"; "b" becomes LRU
-        cache.put_layer(0, ("c",), entry)
-        assert cache.get_layer(0, ("a",)) is not None
-        assert cache.get_layer(0, ("b",)) is None
+        cache.put_report(("a",), True, "report-a")
+        cache.put_report(("b",), True, "report-b")
+        cache.get_report(("a",), True)  # refresh "a"; "b" becomes LRU
+        cache.put_report(("c",), True, "report-c")
+        assert cache.get_report(("a",), True) is not None
+        assert cache.get_report(("b",), True) is None
 
     def test_verifier_cache_respects_configured_bound(self, small_network):
         spec = _problem(small_network, [0.45, 0.55, 0.5, 0.4], 0.12)
@@ -146,37 +183,29 @@ class TestCacheSizeBound:
 
 
 class TestEvictionCountersByKind:
-    """Evictions are counted per entry kind, with ``evictions`` their sum.
+    """Evictions are counted as report evictions, with ``evictions`` their sum.
 
-    The cache stores layer entries and whole-report entries in one LRU
-    store; a single shared counter could not tell whether pressure came
-    from the per-layer prefix entries or the memoised reports.
+    The cache holds report entries only: a child takes its parent's layers
+    from the parent's report, passed explicitly, never from a cache entry.
     """
 
-    @staticmethod
-    def _entry():
-        return SubstitutionEntry(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2),
-                                 np.zeros(2), False)
-
-    def test_layer_and_report_evictions_counted_separately(self):
+    def test_evictions_are_report_evictions(self):
         cache = BoundCache(max_entries=2)
-        cache.put_layer(0, ("a",), self._entry())
-        cache.put_layer(0, ("b",), self._entry())
-        cache.put_report(("r",), True, "report")  # evicts layer ("a",)
-        cache.put_report(("s",), True, "report")  # evicts layer ("b",)
-        cache.put_report(("t",), True, "report")  # evicts report ("r",)
-        assert cache.stats.layer_evictions == 2
+        cache.put_report(("r",), True, "report")
+        cache.put_report(("s",), True, "report")
+        cache.put_report(("t",), True, "report")  # evicts ("r",)
+        cache.put_report(("t",), True, "report")  # a refresh evicts nothing
         assert cache.stats.report_evictions == 1
-        assert cache.stats.evictions == 3
+        assert cache.stats.evictions == 1
 
-    def test_as_dict_exposes_both_kinds(self):
+    def test_as_dict_exposes_report_evictions(self):
         cache = BoundCache(max_entries=1)
-        cache.put_layer(0, ("a",), self._entry())
-        cache.put_layer(0, ("b",), self._entry())
+        cache.put_report(("a",), False, "report")
+        cache.put_report(("a",), True, "report")  # with_spec is part of the key
         stats = cache.stats.as_dict()
         assert stats["evictions"] == 1
-        assert stats["layer_evictions"] == 1
-        assert stats["report_evictions"] == 0
+        assert stats["report_evictions"] == 1
+        assert "layer_evictions" not in stats
 
     def test_lp_cache_eviction_counter(self):
         from repro.bounds.cache import LpCache

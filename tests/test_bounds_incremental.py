@@ -1,15 +1,16 @@
-"""Property-based equivalence suite for the incremental bound path.
+"""Property-based equivalence suite for reference bounds.
 
-The rank-1 parent-pass reuse of :class:`~repro.bounds.deeppoly.DeepPolyAnalyzer`
-must be *numerically identical* to full recomputation: for random networks,
-boxes and split chains, a child analysed with ``parent=`` (and a cache
-warmed by the parent's own analysis) must reproduce the from-scratch
-analysis at the same batch size bit for bit — every pre-activation bound,
-the output bounds, the spec-row lower bounds, ``p̂``, the counterexample
-corner and the ``infeasible`` flag.  The batched path with ``parents=``
-must agree with the cache-free textbook DeepPoly of
-``tests/reference_bounds.py`` to the established sub-1e-9 GEMM noise while
-keeping the verdict-grade fields (flags, corners) exact.
+A child bounded against its parent's report (``parent=(report, split)``)
+must equal the cache-free textbook oracle of ``tests/reference_bounds.py``
+given the same parent report, to the established sub-1e-9 GEMM noise, with
+the verdict-grade fields (flags, corners) exact, and the ``inherit`` copy
+of the layers up to the split layer must agree with re-bounding them the
+same way.  (A re-bound row runs over its parent's unstable rows only, so
+the two routes sum in a different BLAS order and may differ in the last
+bit.)  Further properties: a child's bounds lie
+inside its parent's on every layer, points of the child's region lie
+inside its bounds and have margin at least ``p̂``, and a NaN parent bound
+is re-bounded rather than inherited.
 """
 
 from __future__ import annotations
@@ -19,18 +20,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from conftest import make_random_dense_problem
-from reference_bounds import reference_deeppoly
+from reference_bounds import assert_report_matches, reference_deeppoly
 
 from repro.bounds.cache import BoundCache
 from repro.bounds.deeppoly import DeepPolyAnalyzer
+from repro.bounds.linear_form import ScalarBounds
 from repro.bounds.splits import (
     ACTIVE,
     INACTIVE,
     ReluSplit,
     SplitAssignment,
-    insert_into_canonical,
     prefix_counts,
-    split_delta,
 )
 from repro.specs.robustness import local_robustness_spec
 
@@ -38,12 +38,12 @@ TOLERANCE = 1e-9
 
 
 def _random_chain(rng, analyzer, box, spec, cache, length: int):
-    """A parent chain of random splits, analysed as the search would.
+    """A chain of random splits, each bounded against the previous report.
 
-    Returns ``(parent, child, delta)`` where the child extends the parent
-    by one random split on a neuron of the parent's report (unstable where
-    possible, any undecided neuron otherwise — exercising the stable-split
-    and infeasible corners too).
+    Returns ``(parent_report, child, delta)`` where the child extends the
+    parent by one random split on a neuron of the parent's report (unstable
+    where possible, any undecided neuron otherwise — exercising the
+    stable-split and infeasible corners too).
     """
     parent = SplitAssignment.empty()
     report = analyzer.analyze(box, parent, spec=spec, cache=cache)
@@ -62,36 +62,15 @@ def _random_chain(rng, analyzer, box, spec, cache, length: int):
         else:
             layer, unit = candidates[int(rng.integers(len(candidates)))]
         phase = ACTIVE if rng.random() < 0.5 else INACTIVE
-        child = parent.with_split(ReluSplit(layer, unit, phase))
         delta = ReluSplit(layer, unit, phase)
+        child = parent.with_split(delta)
         if len(child) == length + 1:
-            return parent, child, delta
+            return report, child, delta
+        assume(not report.infeasible)
+        report = analyzer.analyze(box, child, spec=spec, cache=cache,
+                                  parent=(report, delta))
         parent = child
-        report = analyzer.analyze(box, parent, spec=spec, cache=cache)
     raise AssertionError("unreachable: the chain always reaches length + 1")
-
-
-def _assert_reports_bitwise(incremental, dense):
-    assert incremental.infeasible == dense.infeasible
-    assert incremental.p_hat == dense.p_hat
-    for got, want in zip(incremental.pre_activation_bounds,
-                         dense.pre_activation_bounds):
-        np.testing.assert_array_equal(got.lower, want.lower)
-        np.testing.assert_array_equal(got.upper, want.upper)
-    np.testing.assert_array_equal(incremental.output_bounds.lower,
-                                  dense.output_bounds.lower)
-    np.testing.assert_array_equal(incremental.output_bounds.upper,
-                                  dense.output_bounds.upper)
-    if dense.spec_row_lower is None:
-        assert incremental.spec_row_lower is None
-    else:
-        np.testing.assert_array_equal(incremental.spec_row_lower,
-                                      dense.spec_row_lower)
-    if dense.candidate_input is None:
-        assert incremental.candidate_input is None
-    else:
-        np.testing.assert_array_equal(incremental.candidate_input,
-                                      dense.candidate_input)
 
 
 class TestSequentialBitwiseEquivalence:
@@ -103,7 +82,8 @@ class TestSequentialBitwiseEquivalence:
            epsilon=st.floats(0.01, 0.4))
     def test_incremental_child_equals_full_recompute(self, seed, depth, width,
                                                      chain, epsilon):
-        """Incremental child bounds == from-scratch bounds, bit for bit."""
+        """The inherited child equals the re-bound child and the
+        reference-bound oracle to 1e-9, flags and corners exactly."""
         network, spec = make_random_dense_problem(seed, depth, width, epsilon)
         analyzer = DeepPolyAnalyzer(network)
         box = spec.input_box
@@ -112,9 +92,12 @@ class TestSequentialBitwiseEquivalence:
         parent, child, delta = _random_chain(rng, analyzer, box,
                                              spec.output_spec, cache, chain)
         incremental = analyzer.analyze(box, child, spec=spec.output_spec,
-                                       cache=cache, parent=parent)
-        dense = analyzer.analyze(box, child, spec=spec.output_spec)
-        _assert_reports_bitwise(incremental, dense)
+                                       cache=cache, parent=(parent, delta))
+        rebound = analyzer.analyze(box, child, spec=spec.output_spec,
+                                   parent=(parent, delta), inherit=False)
+        assert_report_matches(incremental, rebound)
+        assert_report_matches(incremental, reference_deeppoly(
+            network, box, child, spec.output_spec, parent=parent))
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000), chain=st.integers(0, 3))
@@ -134,13 +117,30 @@ class TestSequentialBitwiseEquivalence:
                   if bounds.lower[unit] > 1e-6]
         assume(stable)
         layer, unit, _ = stable[0]
-        child = parent.with_split(ReluSplit(layer, unit, INACTIVE))
+        delta = ReluSplit(layer, unit, INACTIVE)
+        child = parent.with_split(delta)
         incremental = analyzer.analyze(box, child, spec=spec.output_spec,
-                                       cache=cache, parent=parent)
-        dense = analyzer.analyze(box, child, spec=spec.output_spec)
-        assert incremental.infeasible and dense.infeasible
-        assert incremental.p_hat == dense.p_hat == float("inf")
-        _assert_reports_bitwise(incremental, dense)
+                                       cache=cache, parent=(report, delta))
+        rebound = analyzer.analyze(box, child, spec=spec.output_spec,
+                                   parent=(report, delta), inherit=False)
+        assert incremental.infeasible and rebound.infeasible
+        assert incremental.p_hat == rebound.p_hat == float("inf")
+        assert_report_matches(incremental, rebound)
+        want = reference_deeppoly(network, box, child, spec.output_spec,
+                                  parent=report)
+        assert want.infeasible and want.p_hat == float("inf")
+
+
+def _root_children(analyzer, box, spec, cache, count):
+    """The root report and its first ``count`` unstable neurons' children."""
+    root = analyzer.analyze(box, SplitAssignment.empty(), spec=spec, cache=cache)
+    children, parents = [], []
+    for layer, unit in root.unstable_neurons()[:count]:
+        for phase in (ACTIVE, INACTIVE):
+            delta = ReluSplit(layer, unit, phase)
+            children.append(SplitAssignment.empty().with_split(delta))
+            parents.append((root, delta))
+    return root, children, parents
 
 
 class TestBatchedEquivalence:
@@ -148,27 +148,21 @@ class TestBatchedEquivalence:
     @given(seed=st.integers(0, 10_000), depth=st.integers(1, 3),
            width=st.integers(2, 5))
     def test_batched_incremental_matches_reference(self, seed, depth, width):
-        """`analyze_batch(parents=...)` == per-child reference DeepPoly to
-        1e-9, with the verdict-grade fields (flags, corners) exactly equal."""
+        """`analyze_batch(parents=...)` == per-child reference-bound oracle
+        to 1e-9, with the verdict-grade fields (flags, corners) exactly
+        equal."""
         network, spec = make_random_dense_problem(seed, depth, width, 0.1)
         analyzer = DeepPolyAnalyzer(network)
         box = spec.input_box
         cache = BoundCache()
-        rng = np.random.default_rng(seed + 2)
-        parent = SplitAssignment.empty()
-        report = analyzer.analyze(box, parent, spec=spec.output_spec,
-                                  cache=cache)
-        unstable = report.unstable_neurons(parent)
-        assume(unstable)
-        children, parents = [], []
-        for layer, unit in unstable[:4]:
-            for phase in (ACTIVE, INACTIVE):
-                children.append(parent.with_split(ReluSplit(layer, unit, phase)))
-                parents.append(parent)
+        root, children, parents = _root_children(analyzer, box, spec.output_spec,
+                                                 cache, 4)
+        assume(children)
         batched = analyzer.analyze_batch(box, children, spec=spec.output_spec,
                                          cache=cache, parents=parents)
         for child, got in zip(children, batched):
-            want = reference_deeppoly(network, box, child, spec.output_spec)
+            want = reference_deeppoly(network, box, child, spec.output_spec,
+                                      parent=root)
             assert got.infeasible == want.infeasible
             if want.p_hat == float("inf"):
                 assert got.p_hat == float("inf")
@@ -187,7 +181,7 @@ class TestBatchedEquivalence:
            width=st.integers(2, 5))
     def test_batched_infeasible_corner_matches(self, seed, depth, width):
         """A batched child that splits a provably-active neuron inactive is
-        infeasible on the incremental path exactly as in the reference."""
+        infeasible against its parent exactly as in the reference."""
         network, spec = make_random_dense_problem(seed, depth, width, 0.05)
         analyzer = DeepPolyAnalyzer(network)
         box = spec.input_box
@@ -201,10 +195,12 @@ class TestBatchedEquivalence:
                   if bounds.lower[unit] > 1e-6]
         assume(stable)
         layer, unit = stable[0]
-        child = parent.with_split(ReluSplit(layer, unit, INACTIVE))
+        delta = ReluSplit(layer, unit, INACTIVE)
+        child = parent.with_split(delta)
         batched = analyzer.analyze_batch(box, [child], spec=spec.output_spec,
-                                         cache=cache, parents=[parent])[0]
-        dense = reference_deeppoly(network, box, child, spec.output_spec)
+                                         cache=cache, parents=[(report, delta)])[0]
+        dense = reference_deeppoly(network, box, child, spec.output_spec,
+                                   parent=report)
         assert batched.infeasible and dense.infeasible
         assert batched.p_hat == dense.p_hat == float("inf")
 
@@ -213,58 +209,109 @@ class TestBatchedEquivalence:
            width=st.integers(2, 5), epsilon=st.floats(0.02, 0.3))
     def test_batched_bound_holds_on_sampled_feasible_points(self, seed, depth,
                                                             width, epsilon):
-        """``p̂`` of every batched incremental child lower-bounds the spec
-        margin on each sampled input that satisfies the child's splits."""
+        """``p̂`` of every batched child lower-bounds the spec margin on each
+        sampled input that satisfies the child's splits, and the point's
+        pre-activations lie inside the child's bounds."""
         network, spec = make_random_dense_problem(seed, depth, width, epsilon)
         analyzer = DeepPolyAnalyzer(network)
         box = spec.input_box
         cache = BoundCache()
-        parent = SplitAssignment.empty()
-        report = analyzer.analyze(box, parent, spec=spec.output_spec,
-                                  cache=cache)
-        children = [parent.with_split(ReluSplit(layer, unit, phase))
-                    for layer, unit in report.unstable_neurons(parent)[:4]
-                    for phase in (ACTIVE, INACTIVE)]
+        _, children, parents = _root_children(analyzer, box, spec.output_spec,
+                                              cache, 4)
         assume(children)
         reports = analyzer.analyze_batch(box, children, spec=spec.output_spec,
-                                         cache=cache,
-                                         parents=[parent] * len(children))
+                                         cache=cache, parents=parents)
         rng = np.random.default_rng(seed + 7)
         samples = rng.uniform(box.lower, box.upper, size=(64, box.dimension))
         outputs = network.forward(samples)
         for child, child_report in zip(children, reports):
             for x, y in zip(samples, outputs):
-                if child.satisfied_by(network.pre_activations(x)):
+                pre = network.pre_activations(x)
+                if child.satisfied_by(pre):
                     assert not child_report.infeasible
                     assert (spec.output_spec.margin(y)
                             >= child_report.p_hat - TOLERANCE)
+                    for values, bounds in zip(pre, child_report.pre_activation_bounds):
+                        assert np.all(values >= bounds.lower - TOLERANCE)
+                        assert np.all(values <= bounds.upper + TOLERANCE)
+
+
+class TestReferenceProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), depth=st.integers(1, 4),
+           width=st.integers(2, 6), chain=st.integers(0, 4),
+           epsilon=st.floats(0.01, 0.4))
+    def test_child_bounds_lie_inside_the_parent(self, seed, depth, width,
+                                                chain, epsilon):
+        """Every layer of a child's bounds lies inside its parent's."""
+        network, spec = make_random_dense_problem(seed, depth, width, epsilon)
+        analyzer = DeepPolyAnalyzer(network)
+        box = spec.input_box
+        rng = np.random.default_rng(seed + 3)
+        parent, child, delta = _random_chain(rng, analyzer, box,
+                                             spec.output_spec, None, chain)
+        report = analyzer.analyze(box, child, spec=spec.output_spec,
+                                  parent=(parent, delta))
+        assume(not report.infeasible)
+        for got, bound in zip(report.pre_activation_bounds,
+                              parent.pre_activation_bounds):
+            assert np.all(got.lower >= bound.lower)
+            assert np.all(got.upper <= bound.upper)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), depth=st.integers(2, 4),
+           width=st.integers(2, 6), epsilon=st.floats(0.02, 0.4))
+    def test_nan_parent_bound_is_rebounded(self, seed, depth, width, epsilon):
+        """A NaN parent bound above the split layer is re-bounded (the child
+        gets the finite DeepPoly value), never inherited."""
+        network, spec = make_random_dense_problem(seed, depth, width, epsilon)
+        analyzer = DeepPolyAnalyzer(network)
+        box = spec.input_box
+        root = analyzer.analyze(box, SplitAssignment.empty(), spec=spec.output_spec)
+        unit = 0
+        poisoned = root.shallow_copy()
+        bounds = poisoned.pre_activation_bounds[1]
+        lower, upper = bounds.lower.copy(), bounds.upper.copy()
+        lower[unit] = np.nan
+        upper[unit] = np.nan
+        poisoned.pre_activation_bounds[1] = ScalarBounds.wrap(lower, upper)
+        delta = ReluSplit(0, 0, ACTIVE)
+        child = SplitAssignment.empty().with_split(delta)
+        report = analyzer.analyze(box, child, spec=spec.output_spec,
+                                  parent=(poisoned, delta))
+        got = report.pre_activation_bounds[1]
+        assert np.isfinite(got.lower[unit]) and np.isfinite(got.upper[unit])
+        want = reference_deeppoly(network, box, child, spec.output_spec,
+                                  parent=poisoned)
+        assert_report_matches(report, want)
 
 
 class TestKeyDerivation:
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 100_000), size=st.integers(0, 10))
-    def test_insert_into_canonical_matches_with_split(self, seed, size):
+    def test_with_split_chain_matches_the_split_set(self, seed, size):
+        """A chain of ``with_split`` calls builds the assignment the splits
+        describe, in any order."""
         rng = np.random.default_rng(seed)
         parent = SplitAssignment.empty()
+        made = []
         for _ in range(size):
             layer = int(rng.integers(0, 4))
             unit = int(rng.integers(0, 6))
             if parent.is_decided(layer, unit):
                 continue
             phase = ACTIVE if rng.random() < 0.5 else INACTIVE
-            parent = parent.with_split(ReluSplit(layer, unit, phase))
-        free = [(layer, unit) for layer in range(4) for unit in range(6)
-                if not parent.is_decided(layer, unit)]
-        layer, unit = free[int(rng.integers(len(free)))]
-        delta = ReluSplit(layer, unit, INACTIVE)
-        child = parent.with_split(delta)
-        assert insert_into_canonical(parent.canonical_key(), delta) \
-            == child.canonical_key()
+            made.append(ReluSplit(layer, unit, phase))
+            parent = parent.with_split(made[-1])
+        rng.shuffle(made)
+        rebuilt = SplitAssignment({split.neuron: split.phase for split in made})
+        assert rebuilt == parent
+        assert rebuilt.canonical_key() == parent.canonical_key()
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 100_000), size=st.integers(0, 10),
            num_layers=st.integers(1, 5))
-    def test_prefix_counts_match_prefix_key(self, seed, size, num_layers):
+    def test_prefix_counts_slice_the_layers(self, seed, size, num_layers):
         rng = np.random.default_rng(seed)
         splits = SplitAssignment.empty()
         for _ in range(size):
@@ -277,27 +324,20 @@ class TestKeyDerivation:
         canonical = splits.canonical_key()
         counts = prefix_counts(canonical, num_layers)
         for layer in range(num_layers):
-            assert canonical[:counts[layer]] == splits.prefix_key(layer)
+            assert canonical[:counts[layer]] == tuple(
+                triple for triple in canonical if triple[0] <= layer)
 
-    def test_split_delta_detects_one_split_extensions(self):
+    def test_with_split_checks_only_the_added_split(self):
+        """``with_split`` checks only the added split: a repeated split is a
+        no-op and a conflicting one raises."""
         parent = SplitAssignment.from_splits([ReluSplit(0, 1, ACTIVE),
                                               ReluSplit(1, 0, INACTIVE)])
         child = parent.with_split(ReluSplit(2, 3, ACTIVE))
-        delta = split_delta(parent, child)
-        assert delta == ReluSplit(2, 3, ACTIVE)
-        # Rebuilt (breadcrumb-free) assignments are detected structurally.
-        rebuilt = SplitAssignment.from_splits(list(child))
-        assert split_delta(parent, rebuilt) == ReluSplit(2, 3, ACTIVE)
-        # Not a one-split extension.
-        assert split_delta(parent, parent) is None
-        assert split_delta(None, child) is None
-        grandchild = child.with_split(ReluSplit(3, 0, ACTIVE))
-        assert split_delta(parent, grandchild) is None
-        # A same-size assignment with a flipped phase is no extension.
-        flipped = SplitAssignment.from_splits(
-            [ReluSplit(0, 1, INACTIVE), ReluSplit(1, 0, INACTIVE),
-             ReluSplit(2, 3, ACTIVE)])
-        assert split_delta(parent, flipped) is None
+        assert child.phase_of(2, 3) == ACTIVE and len(child) == 3
+        assert len(parent) == 2  # the parent is unchanged
+        assert child.with_split(ReluSplit(2, 3, ACTIVE)) == child
+        with pytest.raises(ValueError):
+            child.with_split(ReluSplit(0, 1, INACTIVE))
 
 
 class TestEndToEndEquality:

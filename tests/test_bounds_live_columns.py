@@ -161,18 +161,20 @@ def test_negative_biases_match_reference(seed, depth, width, size, shift, epsilo
 
 @pytest.mark.parametrize("phase", [ACTIVE, INACTIVE])
 def test_incremental_child_of_a_partly_dead_layer(phase):
-    """A child resolved through its parent's cached layer equals the
-    reference when the parent's batch dropped columns."""
+    """A child bounded against its parent's report equals the
+    reference-bound oracle when the parent's batch dropped columns."""
     network, spec = make_random_dense_problem(21, 2, 6, 0.3)
     network = _shifted(network, [np.r_[np.full(3, -1e3), np.zeros(3)]])
     analyzer = DeepPolyAnalyzer(network)
     box = spec.input_box
     cache = BoundCache()
     parent = SplitAssignment.empty()
-    analyzer.analyze(box, parent, spec=spec.output_spec, cache=cache)
-    children = [parent.with_split(ReluSplit(0, unit, phase)) for unit in range(3, 6)]
+    root = analyzer.analyze(box, parent, spec=spec.output_spec, cache=cache)
+    deltas = [ReluSplit(0, unit, phase) for unit in range(3, 6)]
+    children = [parent.with_split(delta) for delta in deltas]
     reports = analyzer.analyze_batch(box, children, spec=spec.output_spec, cache=cache,
-                                     parents=[parent] * len(children))
+                                     parents=[(root, delta) for delta in deltas])
     for child, report in zip(children, reports):
         assert_report_matches(report, reference_deeppoly(network, box, child,
-                                                         spec.output_spec))
+                                                         spec.output_spec,
+                                                         parent=root))

@@ -146,10 +146,12 @@ class TestAlphaWarmStart:
         unstable = parent_report.unstable_neurons()
         assert unstable
         layer, unit = unstable[0]
-        child = parent.with_split(ReluSplit(layer, unit, ACTIVE))
+        delta = ReluSplit(layer, unit, ACTIVE)
+        child = parent.with_split(delta)
         assert analyzer.warm_starts == 0
         child_report = analyzer.analyze(spec.input_box, child,
-                                        spec=spec.output_spec, parent=parent)
+                                        spec=spec.output_spec,
+                                        parent=(parent_report, delta))
         assert analyzer.warm_starts == 1
         # Warm-started bounds stay sound: p_hat is a valid lower bound.
         cold = AlphaCrownAnalyzer(lowered, AlphaCrownConfig(iterations=2))
@@ -171,9 +173,10 @@ class TestAlphaWarmStart:
         report = analyzer.analyze(spec.input_box, parent, spec=spec.output_spec)
         unstable = report.unstable_neurons()
         assert unstable
-        child = parent.with_split(ReluSplit(*unstable[0], ACTIVE))
+        delta = ReluSplit(*unstable[0], ACTIVE)
+        child = parent.with_split(delta)
         analyzer.analyze(spec.input_box, child, spec=spec.output_spec,
-                         parent=parent)
+                         parent=(report, delta))
         assert analyzer.warm_starts == 0
 
     def test_batched_warm_start_skips_initial_pass(self, small_network):
@@ -185,11 +188,11 @@ class TestAlphaWarmStart:
         unstable = report.unstable_neurons()
         assert unstable
         layer, unit = unstable[0]
-        children = [parent.with_split(ReluSplit(layer, unit, phase))
-                    for phase in (ACTIVE, INACTIVE)]
+        deltas = [ReluSplit(layer, unit, phase) for phase in (ACTIVE, INACTIVE)]
+        children = [parent.with_split(delta) for delta in deltas]
         reports = analyzer.analyze_batch(spec.input_box, children,
                                          spec=spec.output_spec,
-                                         parents=[parent, parent])
+                                         parents=[(report, delta) for delta in deltas])
         assert analyzer.warm_starts == 2
         for child_report in reports:
             assert child_report.method == "alpha-crown"

@@ -14,7 +14,10 @@ from __future__ import annotations
 import threading
 
 import numpy as np
+import pytest
 
+from repro.bab import BaBBaselineVerifier
+from repro.baselines.alphabeta_crown import AlphaBetaCrownVerifier
 from repro.bounds.cache import BoundCache, LpCache
 from repro.core.abonn import AbonnVerifier
 from repro.nn import dense_network
@@ -87,6 +90,51 @@ class TestSameFingerprintReuse:
         for done in service.as_completed():
             assert done.ok
             _assert_identical(done.result, solo)
+
+
+def _abonn_on(bundle):
+    return AbonnVerifier(lp_cache=bundle.lp_cache, bound_cache=bundle.bound_cache)
+
+
+def _bab_on(bundle):
+    return BaBBaselineVerifier(lp_cache=bundle.lp_cache,
+                               bound_cache=bundle.bound_cache)
+
+
+def _abcrown_on(bundle):
+    return AlphaBetaCrownVerifier(lp_cache=bundle.lp_cache,
+                                  bound_cache=bundle.bound_cache)
+
+
+#: Verifier factories sharing a job's fingerprint bundle, with the matching
+#: cold solo verifier.  Module-level so the process transport can pickle them.
+SHARED_FACTORIES = ((_abonn_on, AbonnVerifier), (_bab_on, BaBBaselineVerifier),
+                    (_abcrown_on, AlphaBetaCrownVerifier))
+
+
+class TestSharedBundleAcrossVerifiers:
+    @pytest.mark.parametrize("transport", ["cooperative", "process"])
+    def test_each_verifier_equals_its_solo_run(self, transport):
+        """ABONN, BaB and αβ-CROWN jobs on one fingerprint share its bound
+        cache, yet each returns its solo result: reports are keyed by their
+        search path, and αβ-CROWN's paths start at an α-CROWN root."""
+        network, spec = PROBLEM_LP
+        solos = [solo().verify(network, spec, Budget(max_nodes=BUDGET_NODES))
+                 for _, solo in SHARED_FACTORIES]
+        service = VerificationService(ServiceConfig(pool_size=1, transport=transport))
+        with service:
+            job_ids = [service.submit(network, spec,
+                                      budget=Budget(max_nodes=BUDGET_NODES),
+                                      verifier_factory=factory)
+                       for _ in range(2) for factory, _ in SHARED_FACTORIES]
+            results = {done.job_id: done for done in service.as_completed()}
+        assert len({results[job_id].fingerprint for job_id in job_ids}) == 1
+        for position, job_id in enumerate(job_ids):
+            done = results[job_id]
+            assert done.ok
+            _assert_identical(done.result, solos[position % len(solos)])
+        repeats = [results[job_id] for job_id in job_ids[len(SHARED_FACTORIES):]]
+        assert any(done.cache_stats.get("bound_report_hits", 0) for done in repeats)
 
 
 class TestFingerprintIsolation:

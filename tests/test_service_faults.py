@@ -28,7 +28,6 @@ import signal
 import numpy as np
 import pytest
 
-from repro.bounds.splits import SplitAssignment
 from repro.core.abonn import AbonnVerifier
 from repro.nn import dense_network
 from repro.service import RetryPolicy, ServiceConfig, VerificationService
@@ -38,6 +37,10 @@ from repro.verifiers.result import VerificationStatus, VerifierRun
 from conftest import make_robustness_problem
 
 BUDGET_NODES = 60
+
+#: The report path of a DeepPoly root: the bound-cache key of a problem's
+#: root report, which every job's setup reads first.
+ROOT_PATH = ("deeppoly",)
 
 
 def _problem(seed, shape, reference, epsilon):
@@ -250,7 +253,7 @@ class TestWorkerCrash:
             network, spec = PROBLEM_A
             fingerprint = service.pool.fingerprint_for(network, spec)
             bundle = service.pool.bundle(fingerprint)
-            root_key = SplitAssignment.empty().canonical_key()
+            root_key = ROOT_PATH
             bundle.bound_cache.put_report(root_key, True, "poison")
             bundle.bound_cache.put_report(root_key, False, "poison")
 
@@ -384,7 +387,7 @@ class TestPoisonedCache:
         fingerprint = service.pool.fingerprint_for(network, spec)
         bundle = service.pool.bundle(fingerprint)
         # A truthy non-report value: any consumer blows up on first use.
-        root_key = SplitAssignment.empty().canonical_key()
+        root_key = ROOT_PATH
         bundle.bound_cache.put_report(root_key, True, "poison")
         bundle.bound_cache.put_report(root_key, False, "poison")
         return fingerprint, bundle
@@ -419,7 +422,7 @@ class TestPoisonedCache:
             # to a fresh (cold, unpoisoned) bundle now.
             fresh = service.pool.bundle(fingerprint)
             assert fresh is not poisoned
-            assert fresh.bound_cache.peek_layer(0, ()) is None
+            assert len(fresh.bound_cache) == 0
 
             # Resubmitting the same problem succeeds against the fresh bundle.
             retry = service.submit(*PROBLEM_A,

@@ -18,7 +18,14 @@ import pytest
 from repro.bab import BaBBaselineVerifier
 from repro.baselines.alphabeta_crown import AlphaBetaCrownVerifier
 from repro.bounds.deeppoly import DeepPolyAnalyzer
-from repro.bounds.splits import ACTIVE, INACTIVE, clip_bounds_with_phases
+from repro.bounds.linear_form import ScalarBounds
+from repro.bounds.splits import (
+    ACTIVE,
+    INACTIVE,
+    ReluSplit,
+    SplitAssignment,
+    clip_bounds_with_phases,
+)
 from repro.core.abonn import AbonnVerifier
 from repro.core.config import AbonnConfig
 from repro.nn import dense_network
@@ -157,9 +164,21 @@ def test_nan_bounds_never_read_as_empty():
     upper = np.array([[0.5, np.nan], [0.0, 1.0]])
     _, _, empty = clip_bounds_with_phases(lower.copy(), upper.copy(), None)
     np.testing.assert_array_equal(empty, [False, True])
-    for phase in (ACTIVE, INACTIVE):
-        assert not DeepPolyAnalyzer._correct_neuron(np.nan, 1.0, phase)[2]
-        assert not DeepPolyAnalyzer._correct_neuron(-1.0, np.nan, phase)[2]
+    # A child clipped at a neuron whose parent bound is NaN is not empty.
+    network = dense_network([2, 3, 2], seed=0).lowered()
+    spec = local_robustness_spec(np.array([0.5, 0.5]), 0.1, 0, 2)
+    analyzer = DeepPolyAnalyzer(network)
+    root = analyzer.analyze(spec.input_box, spec=spec.output_spec)
+    for lower, upper in ((np.nan, 1.0), (-1.0, np.nan)):
+        parent = root.shallow_copy()
+        parent.pre_activation_bounds[0] = ScalarBounds.wrap(
+            np.array([lower, -1.0, -1.0]), np.array([upper, 1.0, 1.0]))
+        for phase in (ACTIVE, INACTIVE):
+            split = ReluSplit(0, 0, phase)
+            child = analyzer.analyze(spec.input_box,
+                                     SplitAssignment.empty().with_split(split),
+                                     spec=spec.output_spec, parent=(parent, split))
+            assert not child.infeasible
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

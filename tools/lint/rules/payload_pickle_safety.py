@@ -33,8 +33,8 @@ PAYLOAD_CLASSES = {
     "JobRequest", "JobResult", "JobError",
     # verifiers/result.py — the verdict shipped back from workers.
     "VerificationResult",
-    # bounds/{cache,report,linear_form}.py — cache-bundle payload entries.
-    "SubstitutionEntry", "BoundReport", "ScalarBounds",
+    # bounds/{report,linear_form}.py — cache-bundle payload entries.
+    "BoundReport", "ScalarBounds",
     # nn/network.py, specs/properties.py — the problem statement in a job.
     "LoweredNetwork", "InputBox", "LinearOutputSpec", "Specification",
     # utils/timing.py, verifiers/milp.py — budget state and LP row results.
