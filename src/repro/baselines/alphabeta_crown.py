@@ -208,11 +208,7 @@ class AlphaBetaCrownVerifier(Verifier):
     """Attack + α-CROWN root + bound-ordered best-first BaB.
 
     ``lp_cache`` optionally shares a leaf-LP cache across runs on the same
-    verification problem (see :class:`~repro.bounds.cache.LpCache`);
-    ``bound_cache`` does the same for the bound cache of the BaB stage.  Its
-    reports descend from the α-CROWN root, whose path tag differs from a
-    DeepPoly root's, so sharing one cache with ABONN or BaB jobs on the
-    same problem never hands either a report of the other's search.
+    verification problem (see :class:`~repro.bounds.cache.LpCache`).
     """
 
     name = "alpha-beta-CROWN"
@@ -223,8 +219,7 @@ class AlphaBetaCrownVerifier(Verifier):
                  lp_leaf_refinement: bool = True,
                  frontier_size: int = 1,
                  lp_cache: Optional[LpCache] = None,
-                 incremental: bool = True,
-                 bound_cache=None) -> None:
+                 incremental: bool = True) -> None:
         require(frontier_size >= 1, "frontier_size must be positive")
         self.heuristic_name = heuristic
         self.attack_config = attack_config or AttackConfig(steps=25, restarts=3)
@@ -233,7 +228,6 @@ class AlphaBetaCrownVerifier(Verifier):
         self.frontier_size = frontier_size
         self.lp_cache = lp_cache
         self.incremental = incremental
-        self.bound_cache = bound_cache
 
     def verify(self, network: Network, spec: Specification,
                budget: Optional[Budget] = None) -> VerificationResult:
@@ -287,8 +281,7 @@ class AlphaBetaCrownVerifier(Verifier):
         # on the shared frontier engine, using the cheaper DeepPoly back-end
         # for sub-problems.
         sub_appver = ApproximateVerifier(network, spec, "deeppoly",
-                                         incremental=self.incremental,
-                                         bound_cache=self.bound_cache)
+                                         incremental=self.incremental)
         root_entry: HeapEntry = (root_outcome.p_hat, 0,
                                  SplitAssignment.empty(), root_outcome)
         # Fingerprint-scoping only matters for an externally shared cache.

@@ -46,10 +46,9 @@ vector in ``[0, 1]`` is sound, the warm start only changes where the ascent
 without the new split.  The optimiser's inner DeepPoly passes bound every
 layer afresh: the parent's report serves only the warm start.
 
-A report the optimiser bounds without a warm start carries the path
-``(("alpha-crown", config),) + canonical key``, so a DeepPoly child bounded
-against an α-CROWN root (the αβ-CROWN baseline's search) never shares a
-cache entry with a child of a DeepPoly root.
+An α-CROWN report has no cache path (``path=None``), so nothing bounded
+against it — a DeepPoly child of the αβ-CROWN baseline's α-CROWN root, say —
+is ever memoised under a DeepPoly root's path.
 """
 
 from __future__ import annotations
@@ -190,8 +189,8 @@ class AlphaCrownAnalyzer:
                        splits_list: Sequence[SplitAssignment],
                        spec: LinearOutputSpec,
                        parents: Optional[Sequence[Optional[Parent]]]
-                       ) -> Tuple[List[np.ndarray], List[BoundReport], List[bool]]:
-        """Starting slopes, the reports they give and which rows are warm.
+                       ) -> Tuple[List[np.ndarray], List[BoundReport]]:
+        """Starting slopes and the reports they give.
 
         Warm rows are bounded with their parents' corrected slopes; cold rows
         with DeepPoly's default slopes, which their reports' bounds then
@@ -222,7 +221,7 @@ class AlphaCrownAnalyzer:
                 reports[index] = report
         slopes = [np.stack([start[layer] for start in starts])
                   for layer in range(num_layers)]
-        return slopes, reports, [start is not None for start in warm]
+        return slopes, reports
 
     def analyze(self, box: InputBox, splits: Optional[SplitAssignment] = None,
                 spec: Optional[LinearOutputSpec] = None,
@@ -260,9 +259,9 @@ class AlphaCrownAnalyzer:
                     "parents must be index-aligned with splits_list")
         if spec is None or self.config.iterations == 0:
             reports = self._inner.analyze_batch(box, splits_list, spec=spec)
-            return self._stamp(reports, splits_list, [False] * len(reports))
+            return self._stamp(reports)
 
-        slopes, reports, warm = self._starting_pass(box, splits_list, spec, parents)
+        slopes, reports = self._starting_pass(box, splits_list, spec, parents)
         best_reports = list(reports)
         best_slopes = [s.copy() for s in slopes]
         best_value = np.array([report.p_hat for report in reports])
@@ -291,20 +290,15 @@ class AlphaCrownAnalyzer:
         if self.config.warm_start:
             for index, splits in enumerate(splits_list):
                 self._store_slopes(splits, [s[index] for s in best_slopes])
-        return self._stamp(best_reports, splits_list, warm)
+        return self._stamp(best_reports)
 
-    def _stamp(self, reports: List[BoundReport],
-               splits_list: Sequence[SplitAssignment],
-               warm: Sequence[bool]) -> List[BoundReport]:
-        """Mark reports as α-CROWN's and give the cold ones their path.
-
-        A warm-started report depends on which slopes the store held, so no
-        path reproduces it.
-        """
-        tag = ("alpha-crown", self.config)
-        for report, splits, warmed in zip(reports, splits_list, warm):
+    @staticmethod
+    def _stamp(reports: List[BoundReport]) -> List[BoundReport]:
+        """Mark reports as α-CROWN's, with no cache path (see the module
+        docstring); an inner DeepPoly pass may have given them one."""
+        for report in reports:
             report.method = "alpha-crown"
-            report.path = None if warmed else (tag,) + splits.canonical_key()
+            report.path = None
         return reports
 
 

@@ -12,8 +12,8 @@ root's back-end tag followed by the splits in the order the search made
 them.  A child bounded against its parent's report inherits the parent's
 bounds (see :mod:`repro.bounds.deeppoly`), so its bounds depend on the path
 from the root and not only on its split set; two paths to the same split
-set never share an entry, and a root bounded by α-CROWN never shares one
-with a root bounded by DeepPoly.  Per-layer reuse between a parent and its
+set never share an entry.  An α-CROWN report has no path, so nothing
+bounded against one is memoised.  Per-layer reuse between a parent and its
 children needs no cache at all: the parent's report is passed to the
 analyser explicitly, so cache on and cache off bound every child the same
 way.

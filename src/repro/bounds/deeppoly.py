@@ -73,18 +73,19 @@ call's largest group, and expanded to the children by one fancy index.
 A sub-problem without a parent (the root, a direct :meth:`analyze` call)
 is bounded by plain DeepPoly.
 
-With ``inherit=False`` (the verifiers' ``incremental=False``) the layers
-``<= l*`` are re-bounded against the parent instead of copied, and give
-the same bounds: the parent re-bounded every neuron that is unstable in it
-(a neuron stable in the grandparent stays stable in the parent), over the
-same relaxations the child has below ``l*``, so the child's re-bound
-equals the parent's own and the intersection returns the parent's
-interval; at ``l*`` the clip then matches the copy.  Only GEMM summation
-order, which moves with the batch's rows, separates the two.
+The copy of the layers up to ``l*`` does not depend on the verifiers'
+``incremental`` flag.  Re-bounding them against the parent instead would
+not reproduce the copy: an α-CROWN parent's bounds come from optimised
+slopes, which a default-slope re-bound can tighten, and even against a
+DeepPoly parent the re-bound rows sum in a different GEMM order.  Copying
+in both modes keeps incremental on and off bit-identical.
 
 An optional :class:`~repro.bounds.cache.BoundCache` memoises whole reports
 keyed by :attr:`~repro.bounds.report.BoundReport.path` and carries the
-reuse counters.
+reuse counters.  A sub-problem without a parent is plain DeepPoly of its
+split set: the root has path ``("deeppoly",)``, and a plain call with
+splits gets the separate tag ``"deeppoly-plain"``, so it never shares an
+entry with a child bounded against the root along the same splits.
 """
 
 from __future__ import annotations
@@ -289,8 +290,8 @@ class DeepPolyAnalyzer:
     # -- reference bounds -------------------------------------------------------
     def _rebound_against_parents(self, layer: int, weight: np.ndarray,
                                  bias: np.ndarray, steps: Sequence[Step],
-                                 reference: "_Reference", inherit: bool,
-                                 center: np.ndarray, radius: np.ndarray,
+                                 reference: "_Reference", center: np.ndarray,
+                                 radius: np.ndarray,
                                  timings: Optional[PhaseTimings]
                                  ) -> Tuple[np.ndarray, np.ndarray, int]:
         """One layer's ``(count, width)`` bounds defined from the parents.
@@ -306,13 +307,15 @@ class DeepPolyAnalyzer:
             ref_lower, ref_upper = reference.layer(layer)
             lower = ref_lower[reference.group]
             upper = ref_upper[reference.group]
-            rows, rebound = reference.rows(layer, inherit)
+            rows, rebound = reference.rows(layer)
             if rows is None:
                 return lower, upper, 0
             unstable = ~((ref_lower >= 0.0) | (ref_upper <= 0.0))
             padding = None
             if reference.single:
-                # Every row shares one parent: its unstable rows, unpadded.
+                # Every row shares one parent (always so at K = 1): its
+                # unstable rows, unpadded, are broadcast to the children
+                # rather than copied per child as the padded gather does.
                 columns = np.flatnonzero(unstable[0])
                 size = columns.size
                 if size == len(bias):
@@ -355,7 +358,9 @@ class DeepPolyAnalyzer:
     def _path(parent: Optional[Parent], splits: SplitAssignment) -> Optional[Tuple]:
         """The report path of a sub-problem (see :class:`BoundReport`)."""
         if parent is None:
-            return ("deeppoly",) + splits.canonical_key()
+            if not splits:
+                return ("deeppoly",)
+            return ("deeppoly-plain",) + splits.canonical_key()
         report, split = parent
         require(splits.phase_of(split.layer, split.unit) == split.phase,
                 "a parent's split must be decided in its child")
@@ -368,7 +373,7 @@ class DeepPolyAnalyzer:
                 spec: Optional[LinearOutputSpec] = None,
                 lower_slopes: Optional[Sequence[np.ndarray]] = None,
                 cache: Optional[BoundCache] = None,
-                parent: Optional[Parent] = None, inherit: bool = True,
+                parent: Optional[Parent] = None,
                 timings: Optional[PhaseTimings] = None) -> BoundReport:
         """Analyse one sub-problem: :meth:`analyze_batch` at ``B = 1``.
 
@@ -381,7 +386,7 @@ class DeepPolyAnalyzer:
                             for slopes in lower_slopes]
         return self.analyze_batch(box, [splits], spec=spec, cache=cache,
                                   lower_slopes=lower_slopes, parents=[parent],
-                                  inherit=inherit, timings=timings)[0]
+                                  timings=timings)[0]
 
     def analyze_batch(self, box: InputBox,
                       splits_list: Sequence[Optional[SplitAssignment]],
@@ -389,7 +394,6 @@ class DeepPolyAnalyzer:
                       cache: Optional[BoundCache] = None,
                       lower_slopes: Optional[Sequence[np.ndarray]] = None,
                       parents: Optional[Sequence[Optional[Parent]]] = None,
-                      inherit: bool = True,
                       timings: Optional[PhaseTimings] = None
                       ) -> List[BoundReport]:
         """Analyse ``B`` sub-problems of the same box in one batched pass.
@@ -417,10 +421,6 @@ class DeepPolyAnalyzer:
             (index-aligned with ``splits_list``, ``None`` entries allowed):
             the child's bounds are defined from the parent's report, as the
             module docstring describes.
-        inherit:
-            Copy the layers up to the split layer from the parent instead
-            of re-bounding them against it; the bounds are the same either
-            way (see the module docstring).
         timings:
             Optional :class:`~repro.utils.timing.PhaseTimings` receiving the
             ``substitute`` / ``correct`` / ``concretize`` breakdown.
@@ -491,8 +491,8 @@ class DeepPolyAnalyzer:
                 layers_rebound += count
             else:
                 lower, upper, rebound = self._rebound_against_parents(
-                    layer, weight, bias, steps, reference, inherit, center,
-                    radius, timings)
+                    layer, weight, bias, steps, reference, center, radius,
+                    timings)
                 layers_taken += reference.children - rebound
                 layers_rebound += count - reference.children + rebound
             phases = decided_phases(sub_keys, sub_counts, range(count), layer, width)
@@ -576,7 +576,6 @@ class _Reference:
         self.orphans = self.children < len(group)
         #: One parent and no orphan: every row shares a single group.
         self.single = len(reports) == 1 and not self.orphans
-        self._all_rows = np.arange(len(group))
 
     @classmethod
     def build(cls, parents: Sequence[Optional[Parent]],
@@ -605,15 +604,12 @@ class _Reference:
         group = [len(reports) if index < 0 else index for index in group]
         return cls(reports, group, split_layer)
 
-    def rows(self, layer: int, inherit: bool) -> Tuple[Optional[np.ndarray], int]:
+    def rows(self, layer: int) -> Tuple[Optional[np.ndarray], int]:
         """The rows that re-bound ``layer`` (``None`` when none does) and how
         many of them have a parent.
 
-        With ``inherit`` a row takes every layer up to its split layer from
-        its parent; otherwise it re-bounds every layer against the parent.
+        A row takes every layer up to its split layer from its parent.
         """
-        if not inherit:
-            return self._all_rows, self.children
         rows = [row for row, split in enumerate(self.split_layer) if split < layer]
         if not rows:
             return None, 0

@@ -56,13 +56,11 @@ class AbonnConfig:
     bound_cache_size:
         Maximum number of bound-cache entries (LRU eviction beyond that).
     incremental:
-        Copy the layers up to a child's split layer from its parent's
-        report instead of re-bounding them against it (and let candidate
-        validation and α-CROWN warm starts reuse the parent too).  Every
-        child is bounded against its parent either way, and with the
-        default DeepPoly back-end the bounds are the same, so verdicts,
-        node charges and counterexamples are identical with the flag on or
-        off.  With ``bound_method="alpha-crown"`` the warm start moves where
+        Let candidate validation and α-CROWN warm starts reuse the parent.
+        Every DeepPoly child is bounded against its parent's report either
+        way, so with the default DeepPoly back-end verdicts, node charges
+        and counterexamples are identical with the flag on or off.  With
+        ``bound_method="alpha-crown"`` the warm start moves where
         the slope ascent *begins*, so the optimised (still sound) bounds —
         and hence trajectories — may differ between the modes.
     """

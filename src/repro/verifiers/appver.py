@@ -32,17 +32,15 @@ Four throughput features back the hot path (see ``docs/BATCHING.md``):
   reports keyed by their search path, so a repeated sub-problem (an FSB
   probe followed by the real expansion, or a job replayed on a shared
   cache) is free;
-* **incremental reuse** (``incremental=True``, the default): the DeepPoly
-  back-end copies the layers up to a child's split layer from the parent
-  instead of re-bounding them against it, the α-CROWN back-end warm-starts
-  its slope ascent from the parent's optimised slopes, and
-  candidate-counterexample validation memoises the network forward pass per
-  distinct candidate corner (phase-split children overwhelmingly share
-  their parent's corner).  The DeepPoly copy is exact — the bounds equal
-  the re-bound ones up to the sub-1e-9 GEMM noise between batches, so
-  verdicts, charges and counterexamples do not depend on the flag.  The
-  α-CROWN warm start is sound but moves the slope ascent's starting point,
-  so optimised bounds may differ from the cold-start path.
+* **incremental reuse** (``incremental=True``, the default): the α-CROWN
+  back-end warm-starts its slope ascent from the parent's optimised slopes,
+  and candidate-counterexample validation memoises the network forward pass
+  per distinct candidate corner (phase-split children overwhelmingly share
+  their parent's corner).  The memo is exact, and the DeepPoly reference
+  bounds do not depend on the flag, so DeepPoly verdicts, charges and
+  counterexamples are bit-identical either way.  The α-CROWN warm start is
+  sound but moves the slope ascent's starting point, so optimised bounds
+  may differ from the cold-start path.
 
 The per-phase time breakdown (``substitute`` / ``correct`` / ``concretize``
 and the sources' ``lp``) accumulates in :attr:`ApproximateVerifier.timings`
@@ -162,13 +160,11 @@ class ApproximateVerifier:
     cache_size:
         Maximum number of cache entries (LRU eviction beyond that).
     incremental:
-        Copy the layers up to a child's split layer from its parent's
-        report (DeepPoly), warm-start α-CROWN from the parent's slopes, and
-        memoise candidate validation.  Off, DeepPoly re-bounds those layers
-        against the parent and gets the same bounds, so verdicts, charges
-        and counterexamples are identical either way; α-CROWN warm starts
-        change where the slope ascent begins (sound, possibly different
-        optimised bounds).
+        Warm-start α-CROWN from the parent's slopes and memoise candidate
+        validation.  DeepPoly bounds children against their parents either
+        way, so its verdicts, charges and counterexamples do not depend on
+        the flag; α-CROWN warm starts change where the slope ascent begins
+        (sound, possibly different optimised bounds).
     bound_cache:
         Optional externally owned :class:`~repro.bounds.cache.BoundCache`
         used instead of creating a fresh one — this is how the verification
@@ -320,7 +316,6 @@ class ApproximateVerifier:
             report = self._deeppoly.analyze(self.spec.input_box, splits=splits,
                                             spec=self.spec.output_spec,
                                             cache=self.cache, parent=parent,
-                                            inherit=self.incremental,
                                             timings=self.timings)
         if not splits:
             _require_finite_root(report)
@@ -362,8 +357,7 @@ class ApproximateVerifier:
         else:
             reports = self._deeppoly.analyze_batch(
                 self.spec.input_box, splits_list, spec=self.spec.output_spec,
-                cache=self.cache, parents=parents, inherit=self.incremental,
-                timings=self.timings)
+                cache=self.cache, parents=parents, timings=self.timings)
         if self.incremental and len(reports) > 1:
             self._prevalidate_candidates(reports)
         return [self._outcome_from_report(report) for report in reports]

@@ -109,6 +109,38 @@ class TestCacheDoesNotChangeVerdicts:
                 assert cached.evaluate(splits).p_hat == plain.evaluate(splits).p_hat
 
 
+    def test_plain_call_after_a_search_equals_a_recompute(self, trained_network):
+        """A plain ``evaluate(splits)`` (no parent) after a search bounded
+        the same splits, made in sorted order, against its parents is plain
+        DeepPoly of the split set, bit for bit as with the cache off — never
+        the search's reference-bounded report."""
+        network, dataset = trained_network
+        image, label = dataset.sample(21)
+        spec = local_robustness_spec(image.reshape(-1), 0.25, label,
+                                     dataset.num_classes)
+        cached = ApproximateVerifier(network, spec, use_cache=True)
+        uncached = ApproximateVerifier(network, spec, use_cache=False)
+        report = cached.evaluate().report
+        chain = SplitAssignment.empty()
+        searched = []
+        for layer, unit in sorted(report.unstable_neurons())[:4]:
+            delta = ReluSplit(layer, unit, ACTIVE)
+            chain = chain.with_split(delta)
+            report = cached.evaluate(chain, parent=(report, delta)).report
+            searched.append((chain, report))
+        differs = False
+        for splits, searched_report in searched:
+            got = cached.evaluate(splits).report
+            want = uncached.evaluate(splits).report
+            for got_bounds, want_bounds in zip(got.pre_activation_bounds,
+                                               want.pre_activation_bounds):
+                np.testing.assert_array_equal(got_bounds.lower, want_bounds.lower)
+                np.testing.assert_array_equal(got_bounds.upper, want_bounds.upper)
+            assert got.p_hat == want.p_hat
+            differs |= searched_report.p_hat != want.p_hat
+        assert differs  # the reference bounds are tighter somewhere
+
+
 class TestProbeMatchesExpansion:
     def test_fsb_probe_and_expansion_give_the_same_report(self, small_network):
         """An FSB look-ahead probe bounds a child against the same parent as

@@ -1,16 +1,17 @@
 """Property-based equivalence suite for reference bounds.
 
 A child bounded against its parent's report (``parent=(report, split)``)
-must equal the cache-free textbook oracle of ``tests/reference_bounds.py``
-given the same parent report, to the established sub-1e-9 GEMM noise, with
-the verdict-grade fields (flags, corners) exact, and the ``inherit`` copy
-of the layers up to the split layer must agree with re-bounding them the
-same way.  (A re-bound row runs over its parent's unstable rows only, so
-the two routes sum in a different BLAS order and may differ in the last
-bit.)  Further properties: a child's bounds lie
-inside its parent's on every layer, points of the child's region lie
-inside its bounds and have margin at least ``p̂``, and a NaN parent bound
-is re-bounded rather than inherited.
+takes the layers below its split layer from the parent and the split layer
+as the parent's interval clipped at the new neuron: those are checked bit
+for bit.  The layers it re-bounds must equal the cache-free textbook oracle
+of ``tests/reference_bounds.py`` given the same parent report, to the
+established sub-1e-9 GEMM noise, with the verdict-grade fields (flags,
+corners) exact, and a cache hit must equal a cache-free recompute bit for
+bit.  Further properties: a child's bounds lie inside its parent's on every
+layer, points of the child's region lie inside its bounds and have margin
+at least ``p̂``, a NaN parent bound is re-bounded rather than inherited, and
+the verifiers' ``incremental`` flag leaves DeepPoly children bit-identical,
+also against an α-CROWN root.
 """
 
 from __future__ import annotations
@@ -73,6 +74,47 @@ def _random_chain(rng, analyzer, box, spec, cache, length: int):
     raise AssertionError("unreachable: the chain always reaches length + 1")
 
 
+def _assert_reports_bitwise(got, want):
+    assert got.infeasible == want.infeasible
+    assert got.p_hat == want.p_hat
+    for got_bounds, want_bounds in zip(got.pre_activation_bounds,
+                                       want.pre_activation_bounds):
+        np.testing.assert_array_equal(got_bounds.lower, want_bounds.lower)
+        np.testing.assert_array_equal(got_bounds.upper, want_bounds.upper)
+    np.testing.assert_array_equal(got.output_bounds.lower,
+                                  want.output_bounds.lower)
+    np.testing.assert_array_equal(got.output_bounds.upper,
+                                  want.output_bounds.upper)
+    if want.spec_row_lower is None:
+        assert got.spec_row_lower is None
+    else:
+        np.testing.assert_array_equal(got.spec_row_lower, want.spec_row_lower)
+    if want.candidate_input is None:
+        assert got.candidate_input is None
+    else:
+        np.testing.assert_array_equal(got.candidate_input, want.candidate_input)
+
+
+def _assert_copied_from_parent(report, parent, child, delta):
+    """The layers up to the split layer are the parent's, clipped at the
+    child's decided neurons (only the new one changes anything unless the
+    parent is infeasible), bit for bit."""
+    for layer in range(delta.layer + 1):
+        want = parent.pre_activation_bounds[layer]
+        lower, upper = want.lower.copy(), want.upper.copy()
+        for split in child:
+            if split.layer == layer and split.phase == ACTIVE:
+                lower[split.unit] = np.maximum(lower[split.unit], 0.0)
+            elif split.layer == layer:
+                upper[split.unit] = np.minimum(upper[split.unit], 0.0)
+        if np.any(lower > upper + 1e-12):
+            # An empty layer: the kernel re-sorts the row's bounds.
+            lower, upper = np.minimum(lower, upper), np.maximum(lower, upper)
+        got = report.pre_activation_bounds[layer]
+        np.testing.assert_array_equal(got.lower, lower)
+        np.testing.assert_array_equal(got.upper, upper)
+
+
 class TestSequentialBitwiseEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000),
@@ -82,8 +124,10 @@ class TestSequentialBitwiseEquivalence:
            epsilon=st.floats(0.01, 0.4))
     def test_incremental_child_equals_full_recompute(self, seed, depth, width,
                                                      chain, epsilon):
-        """The inherited child equals the re-bound child and the
-        reference-bound oracle to 1e-9, flags and corners exactly."""
+        """The layers up to the split layer are the parent's bit for bit,
+        the re-bound layers equal the reference-bound oracle to 1e-9 (flags
+        and corners exactly), and a cache hit equals a cache-free recompute
+        bit for bit."""
         network, spec = make_random_dense_problem(seed, depth, width, epsilon)
         analyzer = DeepPolyAnalyzer(network)
         box = spec.input_box
@@ -93,11 +137,17 @@ class TestSequentialBitwiseEquivalence:
                                              spec.output_spec, cache, chain)
         incremental = analyzer.analyze(box, child, spec=spec.output_spec,
                                        cache=cache, parent=(parent, delta))
-        rebound = analyzer.analyze(box, child, spec=spec.output_spec,
-                                   parent=(parent, delta), inherit=False)
-        assert_report_matches(incremental, rebound)
+        _assert_copied_from_parent(incremental, parent, child, delta)
         assert_report_matches(incremental, reference_deeppoly(
             network, box, child, spec.output_spec, parent=parent))
+        hits = cache.stats.report_hits
+        cached = analyzer.analyze(box, child, spec=spec.output_spec,
+                                  cache=cache, parent=(parent, delta))
+        assert cache.stats.report_hits == hits + 1
+        fresh = analyzer.analyze(box, child, spec=spec.output_spec,
+                                 parent=(parent, delta))
+        _assert_reports_bitwise(cached, fresh)
+        _assert_reports_bitwise(incremental, fresh)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000), chain=st.integers(0, 3))
@@ -121,11 +171,11 @@ class TestSequentialBitwiseEquivalence:
         child = parent.with_split(delta)
         incremental = analyzer.analyze(box, child, spec=spec.output_spec,
                                        cache=cache, parent=(report, delta))
-        rebound = analyzer.analyze(box, child, spec=spec.output_spec,
-                                   parent=(report, delta), inherit=False)
-        assert incremental.infeasible and rebound.infeasible
-        assert incremental.p_hat == rebound.p_hat == float("inf")
-        assert_report_matches(incremental, rebound)
+        assert incremental.infeasible
+        assert incremental.p_hat == float("inf")
+        _assert_copied_from_parent(incremental, report, child, delta)
+        _assert_reports_bitwise(incremental, analyzer.analyze(
+            box, child, spec=spec.output_spec, parent=(report, delta)))
         want = reference_deeppoly(network, box, child, spec.output_spec,
                                   parent=report)
         assert want.infeasible and want.p_hat == float("inf")
@@ -387,11 +437,7 @@ class TestTrainedTrajectoryEquality:
     def _assert_identical(full, incremental):
         assert incremental.status == full.status
         assert incremental.nodes_explored == full.nodes_explored
-        if full.bound is None:
-            assert incremental.bound is None
-        else:
-            assert incremental.bound == pytest.approx(full.bound,
-                                                      abs=TOLERANCE)
+        assert incremental.bound == full.bound
         if full.counterexample is None:
             assert incremental.counterexample is None
         else:
@@ -436,6 +482,48 @@ class TestTrainedTrajectoryEquality:
         network, dataset = trained_network
         spec = self._spec(dataset, 13, 0.2)
         runs = [AlphaBetaCrownVerifier(frontier_size=frontier_size,
+                                       incremental=incremental).verify(
+                    network, spec, Budget(max_nodes=300))
+                for incremental in (False, True)]
+        self._assert_identical(*runs)
+
+    def test_alpha_root_children_identical(self, trained_network):
+        """αβ-CROWN bounds its root's children against the α-CROWN root
+        report, whose intermediate bounds a default-slope re-bound could
+        tighten.  The children's reports, split on both hidden layers, are
+        the same bit for bit with the flag on and off, and so is the run."""
+        from repro.baselines.alphabeta_crown import AlphaBetaCrownVerifier
+        from repro.bounds.alpha_crown import AlphaCrownConfig
+        from repro.utils.timing import Budget
+        from repro.verifiers.appver import ApproximateVerifier
+
+        network, dataset = trained_network
+        spec = self._spec(dataset, 21, 0.25)
+        root = ApproximateVerifier(network, spec, "alpha-crown",
+                                   alpha_config=AlphaCrownConfig(iterations=6),
+                                   use_cache=False).evaluate()
+        plain = ApproximateVerifier(network, spec).evaluate()
+        assert root.p_hat > plain.p_hat  # α improves the root
+        unstable = root.report.unstable_neurons()
+        children, parents = [], []
+        for layer in range(network.lowered().num_relu_layers):
+            for unit in [unit for at, unit in unstable if at == layer][:2]:
+                for phase in (ACTIVE, INACTIVE):
+                    delta = ReluSplit(layer, unit, phase)
+                    children.append(SplitAssignment.empty().with_split(delta))
+                    parents.append((root.report, delta))
+        assert {parent[1].layer for parent in parents} == {0, 1}
+        appvers = [ApproximateVerifier(network, spec, incremental=incremental)
+                   for incremental in (False, True)]
+        off, on = [appver.evaluate_batch(children, parents=parents)
+                   for appver in appvers]
+        for child, parent, batched_off, batched_on in zip(children, parents,
+                                                          off, on):
+            _assert_reports_bitwise(batched_off.report, batched_on.report)
+            single_off, single_on = [appver.evaluate(child, parent=parent)
+                                     for appver in appvers]
+            _assert_reports_bitwise(single_off.report, single_on.report)
+        runs = [AlphaBetaCrownVerifier(frontier_size=8,
                                        incremental=incremental).verify(
                     network, spec, Budget(max_nodes=300))
                 for incremental in (False, True)]

@@ -102,8 +102,7 @@ def _bab_on(bundle):
 
 
 def _abcrown_on(bundle):
-    return AlphaBetaCrownVerifier(lp_cache=bundle.lp_cache,
-                                  bound_cache=bundle.bound_cache)
+    return AlphaBetaCrownVerifier(lp_cache=bundle.lp_cache)
 
 
 #: Verifier factories sharing a job's fingerprint bundle, with the matching
@@ -115,9 +114,10 @@ SHARED_FACTORIES = ((_abonn_on, AbonnVerifier), (_bab_on, BaBBaselineVerifier),
 class TestSharedBundleAcrossVerifiers:
     @pytest.mark.parametrize("transport", ["cooperative", "process"])
     def test_each_verifier_equals_its_solo_run(self, transport):
-        """ABONN, BaB and αβ-CROWN jobs on one fingerprint share its bound
-        cache, yet each returns its solo result: reports are keyed by their
-        search path, and αβ-CROWN's paths start at an α-CROWN root."""
+        """ABONN and BaB jobs on one fingerprint share its bound cache, and
+        all three verifiers its LP cache, yet each job returns its solo
+        result: reports are keyed by their search path, and a leaf LP is
+        exact over its region."""
         network, spec = PROBLEM_LP
         solos = [solo().verify(network, spec, Budget(max_nodes=BUDGET_NODES))
                  for _, solo in SHARED_FACTORIES]
