@@ -554,14 +554,17 @@ def bench_alpha(family_name: str, repetitions: int) -> Dict:
 
 def _max_report_difference(got, want) -> float:
     """Largest bound difference of two reports; ``inf`` when a flag, a
-    corner or an infinite ``p̂`` disagrees."""
+    corner or an infinite ``p̂`` disagrees.  Compares the hidden bounds,
+    the spec rows and ``p̂``, and the output bounds only when ``got`` has
+    them (a spec-given DeepPoly report bounds the spec rows instead)."""
     if (got.infeasible != want.infeasible
             or not np.array_equal(got.candidate_input, want.candidate_input)):
         return float("inf")
     if not np.isfinite(want.p_hat) or not np.isfinite(got.p_hat):
         return 0.0 if got.p_hat == want.p_hat else float("inf")
-    pairs = list(zip(got.pre_activation_bounds, want.pre_activation_bounds))
-    pairs.append((got.output_bounds, want.output_bounds))
+    pairs = [(got.flat_bounds(), want.flat_bounds())]
+    if got.output_bounds is not None:
+        pairs.append((got.output_bounds, want.output_bounds))
     differences = [abs(got.p_hat - want.p_hat),
                    float(np.max(np.abs(got.spec_row_lower - want.spec_row_lower)))]
     for got_bounds, want_bounds in pairs:
@@ -573,13 +576,10 @@ def _max_report_difference(got, want) -> float:
 def _dead_column_fraction(reports) -> float:
     """Share of hidden columns dead in every row of one batch: stably or
     split inactive, so their whole relaxation is zero."""
-    dead = total = 0
-    for layer in range(len(reports[0].pre_activation_bounds)):
-        lower = np.stack([r.pre_activation_bounds[layer].lower for r in reports])
-        upper = np.stack([r.pre_activation_bounds[layer].upper for r in reports])
-        dead += int(np.all((upper <= 0.0) & (lower < 0.0), axis=0).sum())
-        total += lower.shape[1]
-    return dead / total if total else 0.0
+    lower = np.stack([report.flat_bounds().lower for report in reports])
+    upper = np.stack([report.flat_bounds().upper for report in reports])
+    dead = int(np.all((upper <= 0.0) & (lower < 0.0), axis=0).sum())
+    return dead / lower.shape[1] if lower.shape[1] else 0.0
 
 
 def bench_kernel(family_name: str, children_per_round: int) -> List[Dict]:

@@ -18,9 +18,10 @@ benchmarks:
   children (costs extra AppVer calls);
 * ``random``   — uniform choice among unstable neurons.
 
-**One flat pass.**  :meth:`BranchingHeuristic.select` concatenates the
-report's hidden bounds once (:class:`~repro.bounds.report.FlatBounds`,
-layer-major), builds one boolean candidate mask (bounds straddle zero and
+**One flat pass.**  :meth:`BranchingHeuristic.select` reads the report's
+hidden bounds as the flat layer-major row the report stores
+(:class:`~repro.bounds.report.FlatBounds`; nothing is concatenated per
+call), builds one boolean candidate mask (bounds straddle zero and
 the neuron is undecided), scores every hidden neuron in one vector per
 heuristic and returns the first maximum among the candidates — the same
 first-max rule as a sorted ``(layer, unit)`` list.  Slopes, gaps and their

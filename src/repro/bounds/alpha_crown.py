@@ -109,10 +109,13 @@ def spec_row_gradient(network: LoweredNetwork, spec: LinearOutputSpec,
     rows = [int(np.argmin(report.spec_row_lower)) for report in reports]
     finite = np.array([report.p_hat is not None and np.isfinite(report.p_hat)
                        for report in reports])
+    flat = reports[0].hidden_bounds
+    flat_lower = np.stack([report.hidden_bounds.lower for report in reports])
+    flat_upper = np.stack([report.hidden_bounds.upper for report in reports])
     relaxations = []
     for layer in range(num_layers):
-        lower = np.stack([r.pre_activation_bounds[layer].lower for r in reports])
-        upper = np.stack([r.pre_activation_bounds[layer].upper for r in reports])
+        lower = flat.layer(flat_lower, layer)
+        upper = flat.layer(flat_upper, layer)
         unstable = (lower < 0.0) & (upper > 0.0) & finite[:, None]
         relaxations.append((unstable, *_relaxation_arrays(
             lower, upper, None, np.clip(slopes[layer], 0.0, 1.0))))
@@ -209,8 +212,10 @@ class AlphaCrownAnalyzer:
                 box, [splits_list[i] for i in cold_rows], spec=spec)
             for index, report in zip(cold_rows, cold_reports):
                 reports[index] = report
-                starts[index] = [default_lower_slope(bounds.lower, bounds.upper)
-                                 for bounds in report.pre_activation_bounds]
+                flat = report.hidden_bounds
+                slopes = default_lower_slope(flat.lower, flat.upper)
+                starts[index] = [flat.layer(slopes, layer)
+                                 for layer in range(num_layers)]
         warm_rows = [index for index, slopes in enumerate(warm) if slopes is not None]
         if warm_rows:
             warm_reports = self._inner.analyze_batch(

@@ -73,6 +73,17 @@ call's largest group, and expanded to the children by one fancy index.
 A sub-problem without a parent (the root, a direct :meth:`analyze` call)
 is bounded by plain DeepPoly.
 
+**What a report holds.**  Only what the search reads.  With a spec, the
+top pass bounds just the rows ``C·W`` of the last affine layer (constants
+``C·b + d``), and from below only: that yields the spec rows' lower bounds,
+``p̂`` and the candidate corner, and ``output_bounds`` is ``None`` (the spec
+matrix is folded into the last layer, as auto_LiRPA does).  Without a spec
+the logits are bounded both ways.  A call writes every hidden bound into
+one layer-major ``(count, H)`` array per side; each report's
+:class:`~repro.bounds.report.FlatBounds` is a view of its row, and the
+per-layer ``pre_activation_bounds`` are views of that row.  The parents
+of a call are stacked once, and each layer reads its columns of the stack.
+
 The copy of the layers up to ``l*`` does not depend on the verifiers'
 ``incremental`` flag.  Re-bounding them against the parent instead would
 not reproduce the copy: an α-CROWN parent's bounds come from optimised
@@ -101,7 +112,7 @@ from repro.bounds.linear_form import (
     concretize_center_radius,
     minimizing_corner_batch,
 )
-from repro.bounds.report import BoundReport, Parent
+from repro.bounds.report import BoundReport, FlatBounds, Parent, flat_offsets
 from repro.bounds.splits import (
     ACTIVE,
     INACTIVE,
@@ -195,23 +206,25 @@ class DeepPolyAnalyzer:
     def __init__(self, network: LoweredNetwork) -> None:
         self.network = network
         self._top: Tuple = (None, None, None)
+        #: Layer offsets of a flat hidden row, shared by every report.
+        self._offsets = flat_offsets(network.relu_layer_sizes())
 
     def _top_rows(self, spec: Optional[LinearOutputSpec]
                   ) -> Tuple[np.ndarray, np.ndarray]:
         """Coefficients ``(1, rows, width)`` and constants ``(1, rows)`` of the
-        last affine layer's outputs followed by the spec rows through it.
+        top pass: the spec rows pulled through the last affine layer,
+        ``C·W`` and ``C·b + d``, or that layer's outputs without a spec.
 
-        The output bounds and the spec rows share every relaxation, so one
-        fused backward pass bounds both.  The rows of the last spec seen are
-        kept, since an analyser bounds one spec many times.
+        The rows of the last spec seen are kept, since an analyser bounds
+        one spec many times.
         """
         top = self._top
         if top[0] is not spec or top[1] is None:
             weight = self.network.weights[-1]
             bias = self.network.biases[-1]
             if spec is not None:
-                weight = np.concatenate([weight, spec.coefficients @ weight])
-                bias = np.concatenate([bias, spec.coefficients @ bias + spec.offsets])
+                weight = spec.coefficients @ weight
+                bias = spec.coefficients @ bias + spec.offsets
             top = self._top = (spec, weight[None], bias[None])
         return top[1], top[2]
 
@@ -260,30 +273,35 @@ class DeepPolyAnalyzer:
 
     def _bound_rows(self, coefficients: np.ndarray, constants: np.ndarray,
                     steps: Sequence[Step], center: np.ndarray, radius: np.ndarray,
-                    batch: int, timings: Optional[PhaseTimings] = None
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    batch: int, timings: Optional[PhaseTimings] = None,
+                    two_sided: bool = True
+                    ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
         """``(batch, rows)`` bounds of ``A @ h + c`` over the box.
 
         ``center`` and ``radius`` describe the input box.  Each form is
         concretised straight after its own substitution, while it is still
-        in cache.  Also returns the coefficients of the input-level lower
-        forms: the minimising corner of a spec row's form is the
-        counterexample candidate.
+        in cache.  The upper bounds are ``None`` unless ``two_sided``.  Also
+        returns the coefficients of the input-level lower forms: the
+        minimising corner of a spec row's form is the counterexample
+        candidate.
         """
         with _measure(timings, "substitute"):
             lower_A, lower_c = self._back_substitute(
                 coefficients, constants, steps, minimize=True)
         with _measure(timings, "concretize"):
             lower = concretize_center_radius(lower_A, lower_c, center, radius, -1.0)
-        with _measure(timings, "substitute"):
-            upper_A, upper_c = self._back_substitute(
-                coefficients, constants, steps, minimize=False)
-        with _measure(timings, "concretize"):
-            upper = concretize_center_radius(upper_A, upper_c, center, radius, 1.0)
+        upper = None
+        if two_sided:
+            with _measure(timings, "substitute"):
+                upper_A, upper_c = self._back_substitute(
+                    coefficients, constants, steps, minimize=False)
+            with _measure(timings, "concretize"):
+                upper = concretize_center_radius(upper_A, upper_c, center, radius, 1.0)
         if lower.shape[0] != batch:
             # No relaxation was substituted, so every row shares one form.
             lower = np.repeat(lower, batch, axis=0)
-            upper = np.repeat(upper, batch, axis=0)
+            if upper is not None:
+                upper = np.repeat(upper, batch, axis=0)
             lower_A = np.broadcast_to(lower_A, (batch,) + lower_A.shape[1:])
         return lower, upper, lower_A
 
@@ -463,15 +481,17 @@ class DeepPolyAnalyzer:
         # ``l`` are the key's slice between consecutive prefix counts.
         sub_keys = [splits_list[index].canonical_key() for index in pending]
         sub_counts = [prefix_counts(key, num_layers) for key in sub_keys]
+        offsets = self._offsets
         reference = _Reference.build([parents[index] for index in pending],
-                                     num_layers)
+                                     offsets)
 
-        # Per layer, the stacked (count, width) post-clip bounds of every
-        # pending sub-problem, and its relaxation as a substitution step in
-        # the batch's live columns (see :func:`_live_step`).
+        # The post-clip bounds of every pending sub-problem, one flat
+        # (count, H) row each, and per layer its relaxation as a
+        # substitution step in the batch's live columns (see
+        # :func:`_live_step`).
         steps: List[Step] = []
-        lower_layers: List[np.ndarray] = []
-        upper_layers: List[np.ndarray] = []
+        flat_lower = np.empty((count, offsets[-1]))
+        flat_upper = np.empty((count, offsets[-1]))
         infeasible = np.zeros(count, dtype=bool)
         center = box.center
         radius = box.radius
@@ -505,41 +525,39 @@ class DeepPolyAnalyzer:
                         f"{(batch_size, width)}")
             relaxation = _relaxation_arrays(lower, upper, phases, slopes)
             infeasible |= layer_infeasible
-            lower_layers.append(lower)
-            upper_layers.append(upper)
+            flat_lower[:, offsets[layer]:offsets[layer + 1]] = lower
+            flat_upper[:, offsets[layer]:offsets[layer + 1]] = upper
             step, live = _live_step(relaxation, weight, bias)
             steps.append(step)
         if cache is not None:
             cache.record_reuse(0 if reference is None else reference.children,
                                layers_taken, layers_rebound)
 
-        num_outputs = network.output_dim
         top_coefficients, top_constants = self._top_rows(spec)
         if live is not None:
             top_coefficients = top_coefficients.take(live, axis=2)
         top_lower, top_upper, top_lower_A = self._bound_rows(
             top_coefficients, top_constants, steps, center, radius,
-            count, timings=timings)
+            count, timings=timings, two_sided=not with_spec)
         if with_spec:
-            spec_lower = top_lower[:, num_outputs:]
-            worst_rows = spec_lower.argmin(axis=1)
+            worst_rows = top_lower.argmin(axis=1)
             candidates = minimizing_corner_batch(
-                top_lower_A[np.arange(count), num_outputs + worst_rows], box)
+                top_lower_A[np.arange(count), worst_rows], box)
 
         for position, index in enumerate(pending):
-            spec_row_lower = None
-            p_hat = None
-            candidate = None
+            output_bounds = spec_row_lower = p_hat = candidate = None
             if with_spec:
-                spec_row_lower = spec_lower[position]
+                spec_row_lower = top_lower[position]
                 candidate = candidates[position]
                 p_hat = (float("inf") if infeasible[position]
                          else float(spec_row_lower[worst_rows[position]]))
+            else:
+                output_bounds = ScalarBounds.wrap(top_lower[position],
+                                                  top_upper[position])
             report = BoundReport(
-                pre_activation_bounds=[ScalarBounds.wrap(low[position], high[position])
-                                       for low, high in zip(lower_layers, upper_layers)],
-                output_bounds=ScalarBounds.wrap(top_lower[position, :num_outputs],
-                                                top_upper[position, :num_outputs]),
+                hidden_bounds=FlatBounds.wrap(flat_lower[position],
+                                              flat_upper[position], offsets),
+                output_bounds=output_bounds,
                 spec_row_lower=spec_row_lower,
                 p_hat=p_hat,
                 candidate_input=candidate,
@@ -559,31 +577,39 @@ class DeepPolyAnalyzer:
 class _Reference:
     """The parents of one :meth:`DeepPolyAnalyzer.analyze_batch` call.
 
-    ``reports`` are the distinct parent reports; when some row has no
-    parent, a NaN pseudo-parent follows them (a NaN bound is unstable, and
+    ``lower`` and ``upper`` stack the flat rows of the distinct parent
+    reports once per call, ``(groups, H)``; when some row has no parent, a
+    NaN pseudo-parent follows them (a NaN bound is unstable, and
     ``fmax``/``fmin`` against NaN return the re-bound value, so such a row
     is plain DeepPoly).  ``group[row]`` indexes a row's parent and
     ``split_layer[row]`` is the layer of its new split (``-1`` without a
     parent).
     """
 
-    def __init__(self, reports: List[BoundReport], group: List[int],
-                 split_layer: List[int]) -> None:
-        self.reports = reports
+    def __init__(self, parents: List[FlatBounds], group: List[int],
+                 split_layer: List[int], offsets: List[int]) -> None:
         self.group = np.asarray(group, dtype=np.intp)
         self.split_layer = split_layer
-        self.children = sum(index < len(reports) for index in group)
+        self.offsets = offsets
+        self.children = sum(index < len(parents) for index in group)
         self.orphans = self.children < len(group)
         #: One parent and no orphan: every row shares a single group.
-        self.single = len(reports) == 1 and not self.orphans
+        self.single = len(parents) == 1 and not self.orphans
+        lower = [flat.lower for flat in parents]
+        upper = [flat.upper for flat in parents]
+        if self.orphans:
+            unknown = np.full(offsets[-1], np.nan)
+            lower.append(unknown)
+            upper.append(unknown)
+        self.lower, self.upper = np.stack(lower), np.stack(upper)
 
     @classmethod
     def build(cls, parents: Sequence[Optional[Parent]],
-              num_layers: int) -> Optional["_Reference"]:
+              offsets: List[int]) -> Optional["_Reference"]:
         """The call's reference, or ``None`` when no row has a parent."""
         if all(parent is None for parent in parents):
             return None
-        reports: List[BoundReport] = []
+        flats: List[FlatBounds] = []
         position = {}
         group: List[int] = []
         split_layer: List[int] = []
@@ -595,14 +621,14 @@ class _Reference:
             report, split = parent
             index = position.get(id(report))
             if index is None:
-                require(len(report.pre_activation_bounds) == num_layers,
+                require(report.hidden_bounds.offsets == offsets,
                         "a parent report must bound every hidden layer")
-                index = position[id(report)] = len(reports)
-                reports.append(report)
+                index = position[id(report)] = len(flats)
+                flats.append(report.hidden_bounds)
             group.append(index)
             split_layer.append(split.layer)
-        group = [len(reports) if index < 0 else index for index in group]
-        return cls(reports, group, split_layer)
+        group = [len(flats) if index < 0 else index for index in group]
+        return cls(flats, group, split_layer, offsets)
 
     def rows(self, layer: int) -> Tuple[Optional[np.ndarray], int]:
         """The rows that re-bound ``layer`` (``None`` when none does) and how
@@ -617,17 +643,10 @@ class _Reference:
         return np.asarray(rows, dtype=np.intp), rebound
 
     def layer(self, layer: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(groups, width)`` lower and upper bounds of one layer."""
-        bounds = [report.pre_activation_bounds[layer] for report in self.reports]
-        if self.single:
-            return bounds[0].lower[None], bounds[0].upper[None]
-        lower = [b.lower for b in bounds]
-        upper = [b.upper for b in bounds]
-        if self.orphans:
-            unknown = np.full(bounds[0].size, np.nan)
-            lower.append(unknown)
-            upper.append(unknown)
-        return np.stack(lower), np.stack(upper)
+        """``(groups, width)`` lower and upper bounds of one layer: views
+        of the stacked rows."""
+        start, stop = self.offsets[layer], self.offsets[layer + 1]
+        return self.lower[:, start:stop], self.upper[:, start:stop]
 
 
 def deeppoly_bounds(network: LoweredNetwork, box: InputBox,

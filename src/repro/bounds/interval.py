@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bounds.linear_form import ScalarBounds
-from repro.bounds.report import BoundReport
+from repro.bounds.report import BoundReport, FlatBounds, flat_offsets
 from repro.bounds.splits import (
     SplitAssignment,
     clip_bounds_with_phases,
@@ -84,11 +84,13 @@ def interval_bounds_batch(network: LoweredNetwork, box: InputBox,
     counts = [prefix_counts(key, num_layers) for key in keys]
     rows = range(batch_size)
 
-    # Until a layer decides a neuron the intervals have one shared row.
+    # Until a layer decides a neuron the intervals have one shared row; the
+    # flat (B, H) hidden bounds broadcast it into every sub-problem's row.
     lower = box.lower[None]
     upper = box.upper[None]
-    lower_layers: List[np.ndarray] = []
-    upper_layers: List[np.ndarray] = []
+    offsets = flat_offsets(network.relu_layer_sizes())
+    flat_lower = np.empty((batch_size, offsets[-1]))
+    flat_upper = np.empty((batch_size, offsets[-1]))
     infeasible = np.zeros(batch_size, dtype=bool)
     for layer in range(num_layers):
         pre_lower, pre_upper = _interval_image(
@@ -97,8 +99,8 @@ def interval_bounds_batch(network: LoweredNetwork, box: InputBox,
         pre_lower, pre_upper, inconsistent = clip_bounds_with_phases(
             pre_lower, pre_upper, phases)
         infeasible |= inconsistent
-        lower_layers.append(pre_lower)
-        upper_layers.append(pre_upper)
+        flat_lower[:, offsets[layer]:offsets[layer + 1]] = pre_lower
+        flat_upper[:, offsets[layer]:offsets[layer + 1]] = pre_upper
         lower = np.maximum(pre_lower, 0.0)
         upper = np.maximum(pre_upper, 0.0)
 
@@ -109,8 +111,6 @@ def interval_bounds_batch(network: LoweredNetwork, box: InputBox,
                                          output_lower, output_upper)
         spec_lower = _rows(spec_lower, batch_size)
 
-    lower_layers = [_rows(values, batch_size) for values in lower_layers]
-    upper_layers = [_rows(values, batch_size) for values in upper_layers]
     output_lower = _rows(output_lower, batch_size)
     output_upper = _rows(output_upper, batch_size)
     reports: List[BoundReport] = []
@@ -124,8 +124,7 @@ def interval_bounds_batch(network: LoweredNetwork, box: InputBox,
                      else float(spec_row_lower.min()))
             candidate = box.center
         reports.append(BoundReport(
-            pre_activation_bounds=[ScalarBounds.wrap(low[row], high[row])
-                                   for low, high in zip(lower_layers, upper_layers)],
+            hidden_bounds=FlatBounds.wrap(flat_lower[row], flat_upper[row], offsets),
             output_bounds=ScalarBounds.wrap(output_lower[row], output_upper[row]),
             spec_row_lower=spec_row_lower,
             p_hat=p_hat,

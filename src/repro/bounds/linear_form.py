@@ -101,9 +101,9 @@ class ScalarBounds:
         """Trusted constructor for internal hot paths.
 
         Skips the coercion/validation of ``__post_init__``; callers must
-        pass equal-shape 1-D float arrays (e.g. rows of a batched analysis).
-        A bound analysis builds five-plus instances per sub-problem, so the
-        constructor overhead is measurable on the per-child hot path.
+        pass equal-shape 1-D float arrays (e.g. rows of a batched analysis
+        or per-layer views of a report's flat row), which it keeps as they
+        are, without a copy.
         """
         bounds = object.__new__(cls)
         object.__setattr__(bounds, "lower", lower)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -12,27 +13,45 @@ from repro.bounds.linear_form import ScalarBounds
 from repro.bounds.splits import ReluSplit, SplitAssignment
 
 
+def flat_offsets(sizes: Sequence[int]) -> List[int]:
+    """Start of each layer in a flat row of layers of ``sizes``, then its end."""
+    return list(accumulate(sizes, initial=0))
+
+
 class FlatBounds:
     """All hidden pre-activation bounds of a report, concatenated layer-major.
 
     ``lower`` and ``upper`` hold every hidden neuron once, layer after
     layer; layer ``l`` occupies ``offsets[l]:offsets[l + 1]``.  Branching
     heuristics score neurons on these flat vectors, so one numpy call
-    covers every layer.
+    covers every layer.  The constructor concatenates per-layer bounds;
+    a bound kernel hands over rows it already holds through :meth:`wrap`.
     """
 
     __slots__ = ("lower", "upper", "offsets")
 
     def __init__(self, layers: Sequence[ScalarBounds]) -> None:
-        offsets = [0]
-        for bounds in layers:
-            offsets.append(offsets[-1] + bounds.size)
-        self.offsets: List[int] = offsets
+        self.offsets: List[int] = flat_offsets([bounds.size for bounds in layers])
         if layers:
             self.lower = np.concatenate([bounds.lower for bounds in layers])
             self.upper = np.concatenate([bounds.upper for bounds in layers])
         else:
             self.lower = self.upper = np.empty(0)
+
+    @classmethod
+    def wrap(cls, lower: np.ndarray, upper: np.ndarray,
+             offsets: List[int]) -> "FlatBounds":
+        """Trusted constructor for the bound kernels' hot path.
+
+        ``lower`` and ``upper`` are equal-length 1-D float rows (typically
+        views into a batch's ``(count, H)`` arrays) laid out by ``offsets``,
+        which siblings share.  Nothing is copied or checked.
+        """
+        flat = object.__new__(cls)
+        flat.lower = lower
+        flat.upper = upper
+        flat.offsets = offsets
+        return flat
 
     @property
     def num_layers(self) -> int:
@@ -40,8 +59,14 @@ class FlatBounds:
         return len(self.offsets) - 1
 
     def layer(self, values: np.ndarray, layer: int) -> np.ndarray:
-        """The view of flat ``values`` that belongs to ``layer``."""
-        return values[self.offsets[layer]:self.offsets[layer + 1]]
+        """The view of flat ``values`` (along the last axis, so stacked
+        rows work too) that belongs to ``layer``."""
+        return values[..., self.offsets[layer]:self.offsets[layer + 1]]
+
+    def bounds(self, layer: int) -> ScalarBounds:
+        """Layer ``layer``'s bounds, as views of the flat row."""
+        return ScalarBounds.wrap(self.layer(self.lower, layer),
+                                 self.layer(self.upper, layer))
 
     def unstable_mask(self, splits: Optional[SplitAssignment] = None,
                       tolerance: float = 0.0) -> np.ndarray:
@@ -77,13 +102,21 @@ class FlatBounds:
 class BoundReport:
     """The outcome of one bound computation (one AppVer call).
 
+    A report holds what the search reads and no more: the hidden bounds as
+    one flat row, the spec rows' lower bounds, ``p̂`` and the candidate.
+
     Attributes
     ----------
-    pre_activation_bounds:
-        Per hidden layer, scalar bounds on the pre-activation vector
-        (after intersecting with the sub-problem's split constraints).
+    hidden_bounds:
+        Every hidden layer's scalar pre-activation bounds (after
+        intersecting with the sub-problem's split constraints) as one
+        layer-major :class:`FlatBounds` row; a batched analysis hands each
+        sub-problem a view of its row of the batch's arrays.
     output_bounds:
-        Scalar bounds on the network output (logits).
+        Scalar bounds on the network output (logits), or ``None`` when a
+        specification was supplied to DeepPoly or α-CROWN: those bound the
+        spec rows instead (from below only), and nothing downstream reads
+        the logits.
     spec_row_lower:
         Lower bound of each output-spec constraint row over the sub-problem,
         or ``None`` when no specification was supplied.
@@ -105,8 +138,8 @@ class BoundReport:
         split set.  ``None`` when no path reproduces the report.
     """
 
-    pre_activation_bounds: List[ScalarBounds]
-    output_bounds: ScalarBounds
+    hidden_bounds: FlatBounds
+    output_bounds: Optional[ScalarBounds]
     spec_row_lower: Optional[np.ndarray] = None
     p_hat: Optional[float] = None
     candidate_input: Optional[np.ndarray] = None
@@ -115,14 +148,14 @@ class BoundReport:
     path: Optional[Tuple] = None
 
     def shallow_copy(self) -> "BoundReport":
-        """A copy sharing every array but owning its own list and shell.
+        """A copy sharing every array but owning its own shell.
 
         Lives next to the field list so a new field cannot be forgotten
         (``dataclasses.replace`` would copy it automatically but costs
         several microseconds per call on the cache hot path).
         """
         return BoundReport(
-            pre_activation_bounds=list(self.pre_activation_bounds),
+            hidden_bounds=self.hidden_bounds,
             output_bounds=self.output_bounds,
             spec_row_lower=self.spec_row_lower,
             p_hat=self.p_hat,
@@ -131,9 +164,19 @@ class BoundReport:
             method=self.method,
             path=self.path)
 
+    @property
+    def pre_activation_bounds(self) -> Tuple[ScalarBounds, ...]:
+        """Per hidden layer, the bounds as views of the flat row.
+
+        Built on each access; a tuple, so a layer cannot be replaced in
+        place.  Loops over the layers read it once.
+        """
+        flat = self.hidden_bounds
+        return tuple(flat.bounds(layer) for layer in range(flat.num_layers))
+
     def flat_bounds(self) -> FlatBounds:
         """The hidden pre-activation bounds as flat layer-major vectors."""
-        return FlatBounds(self.pre_activation_bounds)
+        return self.hidden_bounds
 
     def unstable_neurons(self, splits: Optional[SplitAssignment] = None,
                          tolerance: float = 0.0) -> List[Tuple[int, int]]:

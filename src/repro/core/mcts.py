@@ -204,8 +204,22 @@ def propagate_sizes(node: MctsNode, added: int) -> None:
 
 
 def propagate_rewards(node: MctsNode) -> None:
-    """Recompute rewards from ``node`` up to the root (max over children)."""
+    """Recompute rewards from ``node`` upwards (max over children), stopping
+    at the first node whose reward and counterexample do not change.
+
+    Invariant: every expanded node's reward equals the max over its
+    children (and it holds a child's counterexample when one has any).  A
+    caller that changes a node's reward or counterexample then propagates
+    from that node's parent (or from the node, after changing its
+    children), so only the path above the change can be stale; once a node
+    is unchanged, every ancestor above it still satisfies the invariant.
+    The one exception is a partial expansion cut off by the wall clock,
+    which is never propagated; the run ends right after it.
+    """
     current: Optional[MctsNode] = node
     while current is not None:
+        reward, counterexample = current.reward, current.counterexample
         current.refresh_from_children()
+        if current.reward == reward and current.counterexample is counterexample:
+            return
         current = current.parent

@@ -65,8 +65,10 @@ from repro.verifiers.milp import network_weights_digest, problem_fingerprint
 #: Version stamp of the on-disk cache-bundle payload.  Bump it whenever the
 #: entry layout (cache keys, ``BoundReport``/``RowOptimum`` fields)
 #: changes incompatibly; :meth:`CacheBundle.load` refuses other versions.
-#: Format 3 keys bound reports by their search path and drops layer entries.
-BUNDLE_FORMAT = 3
+#: Format 3 keys bound reports by their search path and drops layer entries;
+#: format 4 stores a report's hidden bounds as one flat row and drops the
+#: output bounds of spec-given reports.
+BUNDLE_FORMAT = 4
 
 #: Marker distinguishing bundle files from arbitrary pickles.
 _BUNDLE_KIND = "repro-cache-bundle"

@@ -132,11 +132,15 @@ def _require_finite_root(report: BoundReport) -> None:
     arithmetic to ``inf − inf = NaN``.  A NaN bound proves nothing — it is
     neither an empty region nor ``p̂ ≥ 0`` — and every sub-problem inherits
     the root's overflow, so the problem is rejected with ``ValueError``
-    before any verdict is drawn from it.
+    before any verdict is drawn from it.  Checked: the hidden bounds, the
+    spec rows, ``p̂``, and the output bounds when the report has them.
     """
-    bounds = list(report.pre_activation_bounds) + [report.output_bounds]
+    arrays = [report.hidden_bounds.lower, report.hidden_bounds.upper,
+              report.spec_row_lower]
+    if report.output_bounds is not None:
+        arrays += [report.output_bounds.lower, report.output_bounds.upper]
     finite = (report.p_hat is None or bool(np.isfinite(report.p_hat))) and all(
-        np.isfinite(b.lower).all() and np.isfinite(b.upper).all() for b in bounds)
+        np.isfinite(values).all() for values in arrays if values is not None)
     require(finite, "the root bounds are not finite: the input box or the "
                     "network's values overflow float64")
 

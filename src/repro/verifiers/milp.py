@@ -65,7 +65,7 @@ from scipy import optimize, sparse
 
 from repro.bounds.cache import LpCache
 from repro.bounds.deeppoly import DeepPolyAnalyzer
-from repro.bounds.linear_form import concretize_upper_batch
+from repro.bounds.linear_form import ScalarBounds, concretize_upper_batch
 from repro.bounds.report import BoundReport
 from repro.bounds.splits import ACTIVE, INACTIVE, SplitAssignment
 from repro.nn.network import LoweredNetwork, Network
@@ -115,13 +115,13 @@ def _build_encoding(network: LoweredNetwork, unstable: Sequence[Tuple[int, int]]
                      binary_index, cursor)
 
 
-def _phase_of(layer: int, unit: int, report: BoundReport,
+def _phase_of(layer: int, unit: int, bounds: ScalarBounds,
               splits: SplitAssignment) -> int:
-    """Phase of a neuron: +1 active, -1 inactive, 0 unstable."""
+    """Phase of a neuron (``bounds``: its layer's): +1 active, -1 inactive,
+    0 unstable."""
     decided = splits.phase_of(layer, unit)
     if decided != 0:
         return decided
-    bounds = report.pre_activation_bounds[layer]
     if bounds.lower[unit] >= 0.0:
         return ACTIVE
     if bounds.upper[unit] <= 0.0:
@@ -191,16 +191,17 @@ def _encode_problem(network: LoweredNetwork, box: InputBox, report: BoundReport,
     var_upper[:encoding.num_inputs] = box.upper
 
     infinity = float("inf")
+    layers = report.pre_activation_bounds
     for layer, size in enumerate(encoding.hidden_sizes):
         previous_offset = None if layer == 0 else encoding.hidden_offsets[layer - 1]
         weight = network.weights[layer]
         bias = network.biases[layer]
-        bounds = report.pre_activation_bounds[layer]
+        bounds = layers[layer]
         for unit in range(size):
             h_index = encoding.h_index(layer, unit)
             lower_z = float(bounds.lower[unit])
             upper_z = float(bounds.upper[unit])
-            phase = _phase_of(layer, unit, report, splits)
+            phase = _phase_of(layer, unit, bounds, splits)
             if phase == ACTIVE:
                 # h = z, z >= 0
                 var_lower[h_index] = max(0.0, lower_z)
@@ -401,8 +402,9 @@ def _leaf_program(network: LoweredNetwork, spec: LinearOutputSpec,
     rows: List[np.ndarray] = []
     offsets: List[np.ndarray] = []
     signs: List[np.ndarray] = []
+    layers = report.pre_activation_bounds
     for layer, size in enumerate(network.relu_layer_sizes()):
-        bounds = report.pre_activation_bounds[layer]
+        bounds = layers[layer]
         split = splits.layer_phase_array(layer, size)
         decided = split != 0
         if np.any(~decided & (bounds.lower < 0.0) & (bounds.upper > 0.0)):

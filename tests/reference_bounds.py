@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bounds.linear_form import ScalarBounds
-from repro.bounds.report import BoundReport
+from repro.bounds.report import BoundReport, FlatBounds
 from repro.bounds.splits import ACTIVE, INACTIVE, SplitAssignment
 
 #: Agreement required between a bound kernel and this reference.
@@ -99,7 +99,8 @@ def reference_deeppoly(network, box, splits=None, spec=None, lower_slopes=None,
                                        None if lower_slopes is None else lower_slopes[layer]))
     output_lower, output_upper, _ = _deeppoly_bounds(
         network, network.weights[-1], network.biases[-1], relaxations, box)
-    report = BoundReport(pre_activation, ScalarBounds(output_lower, output_upper),
+    report = BoundReport(FlatBounds(pre_activation),
+                         ScalarBounds(output_lower, output_upper),
                          infeasible=infeasible, method="reference-deeppoly")
     if spec is not None:
         spec_lower, _, spec_A = _deeppoly_bounds(
@@ -133,7 +134,8 @@ def reference_ibp(network, box, splits=None, spec=None):
         lower, upper = np.maximum(pre_lower, 0.0), np.maximum(pre_upper, 0.0)
     output_lower, output_upper = _interval_image(network.weights[-1],
                                                  network.biases[-1], lower, upper)
-    report = BoundReport(pre_activation, ScalarBounds(output_lower, output_upper),
+    report = BoundReport(FlatBounds(pre_activation),
+                         ScalarBounds(output_lower, output_upper),
                          infeasible=infeasible, method="reference-ibp")
     if spec is not None:
         spec_lower, _ = _interval_image(spec.coefficients, spec.offsets,
@@ -145,15 +147,23 @@ def reference_ibp(network, box, splits=None, spec=None):
 
 
 def assert_report_matches(got, want, tolerance=TOLERANCE):
-    """``got`` equals ``want`` to ``tolerance``; flags and corners exactly."""
+    """``got`` equals ``want`` to ``tolerance``; flags and corners exactly.
+
+    The hidden bounds are compared always (a spec does not change them).
+    With a spec, the spec rows, ``p̂`` and the candidate are compared, and
+    the output bounds only when ``got`` has them (IBP keeps them; DeepPoly
+    and α-CROWN bound the spec rows instead); without one, the output
+    bounds are.
+    """
     assert got.infeasible == want.infeasible
     if want.p_hat is None or want.p_hat == float("inf"):
         assert got.p_hat == want.p_hat
     else:
         assert abs(got.p_hat - want.p_hat) <= tolerance
+    assert len(got.pre_activation_bounds) == len(want.pre_activation_bounds)
     pairs = list(zip(got.pre_activation_bounds, want.pre_activation_bounds))
-    pairs.append((got.output_bounds, want.output_bounds))
-    assert len(pairs) == len(want.pre_activation_bounds) + 1
+    if want.spec_row_lower is None or got.output_bounds is not None:
+        pairs.append((got.output_bounds, want.output_bounds))
     for got_bounds, want_bounds in pairs:
         np.testing.assert_allclose(got_bounds.lower, want_bounds.lower, rtol=0, atol=tolerance)
         np.testing.assert_allclose(got_bounds.upper, want_bounds.upper, rtol=0, atol=tolerance)

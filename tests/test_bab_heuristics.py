@@ -18,7 +18,7 @@ from repro.bab.heuristics import (
     output_sensitivities,
 )
 from repro.bounds.linear_form import ScalarBounds
-from repro.bounds.report import BoundReport
+from repro.bounds.report import BoundReport, FlatBounds
 from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
 from repro.nn.network import LoweredNetwork
 from repro.specs.properties import LinearOutputSpec
@@ -197,7 +197,7 @@ def random_problem(seed, num_relu_layers=None, stable_layer=None):
         if layer == stable_layer:
             centre = np.where(centre >= 0.0, 1.0, -1.0) * (radius + 0.1)
         bounds.append(ScalarBounds(centre - radius, centre + radius))
-    report = BoundReport(pre_activation_bounds=bounds,
+    report = BoundReport(hidden_bounds=FlatBounds(bounds),
                          output_bounds=ScalarBounds(-np.ones(3), np.ones(3)))
     splits = SplitAssignment.empty()
     for layer, unit in report.unstable_neurons():

@@ -16,6 +16,8 @@ also against an α-CROWN root.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -26,6 +28,7 @@ from reference_bounds import assert_report_matches, reference_deeppoly
 from repro.bounds.cache import BoundCache
 from repro.bounds.deeppoly import DeepPolyAnalyzer
 from repro.bounds.linear_form import ScalarBounds
+from repro.bounds.report import FlatBounds
 from repro.bounds.splits import (
     ACTIVE,
     INACTIVE,
@@ -75,16 +78,21 @@ def _random_chain(rng, analyzer, box, spec, cache, length: int):
 
 
 def _assert_reports_bitwise(got, want):
+    """Bit-for-bit equal: the hidden bounds always, the output bounds when
+    the reports have them (spec-less), and the spec rows, ``p̂`` and the
+    candidate when a spec was given."""
     assert got.infeasible == want.infeasible
     assert got.p_hat == want.p_hat
-    for got_bounds, want_bounds in zip(got.pre_activation_bounds,
-                                       want.pre_activation_bounds):
-        np.testing.assert_array_equal(got_bounds.lower, want_bounds.lower)
-        np.testing.assert_array_equal(got_bounds.upper, want_bounds.upper)
-    np.testing.assert_array_equal(got.output_bounds.lower,
-                                  want.output_bounds.lower)
-    np.testing.assert_array_equal(got.output_bounds.upper,
-                                  want.output_bounds.upper)
+    assert got.hidden_bounds.offsets == want.hidden_bounds.offsets
+    np.testing.assert_array_equal(got.hidden_bounds.lower, want.hidden_bounds.lower)
+    np.testing.assert_array_equal(got.hidden_bounds.upper, want.hidden_bounds.upper)
+    if want.output_bounds is None:
+        assert got.output_bounds is None
+    else:
+        np.testing.assert_array_equal(got.output_bounds.lower,
+                                      want.output_bounds.lower)
+        np.testing.assert_array_equal(got.output_bounds.upper,
+                                      want.output_bounds.upper)
     if want.spec_row_lower is None:
         assert got.spec_row_lower is None
     else:
@@ -319,12 +327,11 @@ class TestReferenceProperties:
         box = spec.input_box
         root = analyzer.analyze(box, SplitAssignment.empty(), spec=spec.output_spec)
         unit = 0
-        poisoned = root.shallow_copy()
-        bounds = poisoned.pre_activation_bounds[1]
-        lower, upper = bounds.lower.copy(), bounds.upper.copy()
-        lower[unit] = np.nan
-        upper[unit] = np.nan
-        poisoned.pre_activation_bounds[1] = ScalarBounds.wrap(lower, upper)
+        layers = [ScalarBounds(bounds.lower.copy(), bounds.upper.copy())
+                  for bounds in root.pre_activation_bounds]
+        layers[1].lower[unit] = np.nan
+        layers[1].upper[unit] = np.nan
+        poisoned = dataclasses.replace(root, hidden_bounds=FlatBounds(layers))
         delta = ReluSplit(0, 0, ACTIVE)
         child = SplitAssignment.empty().with_split(delta)
         report = analyzer.analyze(box, child, spec=spec.output_spec,

@@ -69,15 +69,29 @@ def _draw_splits(report, lowered, rng, max_splits: int) -> SplitAssignment:
 
 
 def _check_execution_within_report(report, lowered, samples, spec):
-    """Every sampled execution respects the report's bounds and ``p̂``."""
+    """Every sampled execution respects the report's bounds: the hidden
+    bounds, the output bounds when the report has them (IBP, or DeepPoly
+    without a spec), and each spec row's lower bound and ``p̂`` when it has
+    those."""
     for sample in samples:
         pre_activations = lowered.pre_activations(sample)
         for layer, bounds in enumerate(report.pre_activation_bounds):
             assert bounds.contains(pre_activations[layer], tolerance=TOLERANCE)
         output = lowered.forward(sample.reshape(1, -1)).reshape(-1)
-        assert report.output_bounds.contains(output, tolerance=TOLERANCE)
-        margin = float(np.min(spec.constraint_values(output)))
-        assert margin >= report.p_hat - TOLERANCE
+        if report.output_bounds is not None:
+            assert report.output_bounds.contains(output, tolerance=TOLERANCE)
+        if report.spec_row_lower is not None:
+            values = spec.constraint_values(output)
+            assert np.all(values >= report.spec_row_lower - TOLERANCE)
+            assert float(np.min(values)) >= report.p_hat - TOLERANCE
+
+
+def _analyses(lowered, box, spec, splits=None):
+    """IBP and DeepPoly with the spec, and DeepPoly without it (the only
+    DeepPoly report that bounds the logits)."""
+    return (interval_bounds(lowered, box, splits=splits, spec=spec),
+            deeppoly_bounds(lowered, box, splits=splits, spec=spec),
+            deeppoly_bounds(lowered, box, splits=splits))
 
 
 class TestUnconstrainedSoundness:
@@ -87,8 +101,7 @@ class TestUnconstrainedSoundness:
         network, box, spec = problem
         lowered = network.lowered()
         samples = box.sample(sample_seed, count=48)
-        for report in (interval_bounds(lowered, box, spec=spec),
-                       deeppoly_bounds(lowered, box, spec=spec)):
+        for report in _analyses(lowered, box, spec):
             assert not report.infeasible
             _check_execution_within_report(report, lowered, samples, spec)
 
@@ -110,10 +123,18 @@ class TestUnconstrainedSoundness:
         network, box, spec = problem
         lowered = network.lowered()
         deeppoly = deeppoly_bounds(lowered, box, spec=spec)
+        # A spec-given report bounds only the spec rows; the spec-less pass
+        # has the same hidden bounds and bounds the logits.
+        logits = deeppoly_bounds(lowered, box)
+        assert deeppoly.output_bounds is None
+        np.testing.assert_array_equal(deeppoly.hidden_bounds.lower,
+                                      logits.hidden_bounds.lower)
+        np.testing.assert_array_equal(deeppoly.hidden_bounds.upper,
+                                      logits.hidden_bounds.upper)
         positive = np.clip(spec.coefficients, 0.0, None)
         negative = np.clip(spec.coefficients, None, 0.0)
-        early_lower = (positive @ deeppoly.output_bounds.lower
-                       + negative @ deeppoly.output_bounds.upper + spec.offsets)
+        early_lower = (positive @ logits.output_bounds.lower
+                       + negative @ logits.output_bounds.upper + spec.offsets)
         assert np.all(deeppoly.spec_row_lower >= early_lower - 1e-9)
         assert deeppoly.p_hat >= float(np.min(early_lower)) - 1e-9
 
@@ -132,11 +153,11 @@ class TestSplitConstrainedSoundness:
         satisfying = [sample for sample in samples
                       if splits.satisfied_by(lowered.pre_activations(sample))]
 
-        for analyse in (interval_bounds, deeppoly_bounds):
-            report = analyse(lowered, box, splits=splits, spec=spec)
+        for report in _analyses(lowered, box, spec, splits):
             if report.infeasible:
                 # An empty sub-problem region is vacuously verified.
-                assert report.p_hat == float("inf")
+                assert report.p_hat == (None if report.spec_row_lower is None
+                                        else float("inf"))
                 continue
             # The bounds constrain the *sub-problem* region: only samples that
             # satisfy every split decision must be contained.

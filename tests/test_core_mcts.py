@@ -1,10 +1,14 @@
 """Tests for repro.core.mcts (reward/visit bookkeeping and UCB1 selection)."""
 
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
+from repro.core import mcts
 from repro.core.mcts import (
     MctsNode,
     propagate_rewards,
@@ -139,3 +143,118 @@ class TestNodeAccessors:
         assert root.is_root and not root.is_expanded
         plus, _ = attach_children(root, 0.1, 0.2)
         assert root.is_expanded and not plus.is_root
+
+
+# ---------------------------------------------------------------------------
+# Early-stopping back-propagation against a full-recompute reference
+# ---------------------------------------------------------------------------
+
+def _full_propagate(node):
+    """Reference back-propagation: refresh every node from ``node`` to the
+    root, whether or not anything changed."""
+    while node is not None:
+        node.refresh_from_children()
+        node = node.parent
+
+
+REWARDS = st.sampled_from([float("-inf"), -1.0, -0.25, 0.0, 0.5, 1.0, float("inf")])
+
+#: One tree operation: expand an unexpanded node (``leaf_attached``),
+#: select and restore a frontier (``select_frontier``'s exclusion), or
+#: resolve an unexpanded node to a final reward (a leaf LP).
+OPERATIONS = st.one_of(
+    st.tuples(st.just("expand"), st.integers(0, 63), REWARDS, REWARDS),
+    st.tuples(st.just("select"), st.integers(1, 4)),
+    st.tuples(st.just("resolve"), st.integers(0, 63),
+              st.sampled_from([float("-inf"), float("inf")])),
+)
+
+
+def _unexpanded(root):
+    return [node for node in _walk(root) if not node.is_expanded]
+
+
+def _walk(root):
+    """Every node, parents before children, ``r+`` before ``r-``."""
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node.children[phase] for phase in (INACTIVE, ACTIVE)
+                     if phase in node.children)
+    return nodes
+
+
+def _snapshot(root):
+    return [(node.depth, node.reward, node.subtree_size,
+             None if node.counterexample is None else tuple(node.counterexample))
+            for node in _walk(root)]
+
+
+def _replay(operations):
+    """Run ``operations`` on a fresh tree; the snapshot and the selected
+    frontier after each one."""
+    root = make_node(reward=0.0)
+    trace = []
+    for operation in operations:
+        selected = []
+        if operation[0] == "expand":
+            _, pick, reward_plus, reward_minus = operation
+            leaves = _unexpanded(root)
+            leaf = leaves[pick % len(leaves)]
+            for phase, reward in ((ACTIVE, reward_plus), (INACTIVE, reward_minus)):
+                child = make_node(reward=reward, depth=leaf.depth + 1, parent=leaf)
+                if reward == float("inf"):
+                    child.counterexample = (leaf.depth, phase)
+                leaf.children[phase] = child
+            propagate_sizes(leaf, 2)
+            mcts.propagate_rewards(leaf)
+        elif operation[0] == "select":
+            frontier = mcts.select_frontier(root, 0.3, operation[1])
+            walk = _walk(root)
+            selected = [next(i for i, node in enumerate(walk) if node is leaf)
+                        for leaf in frontier]
+        else:
+            _, pick, reward = operation
+            leaves = _unexpanded(root)
+            leaf = leaves[pick % len(leaves)]
+            leaf.reward = reward
+            if reward == float("inf"):
+                leaf.counterexample = (leaf.depth, 0)
+            mcts.propagate_rewards(leaf.parent or leaf)
+        trace.append((_snapshot(root), selected))
+        for node in _walk(root):
+            if node.is_expanded:
+                assert node.reward == max(c.reward for c in node.children.values())
+    return trace
+
+
+class TestEarlyStoppingBackPropagation:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(OPERATIONS, min_size=1, max_size=40))
+    def test_matches_full_recompute(self, operations):
+        """Stopping at the first unchanged ancestor gives the same rewards,
+        counterexamples, sizes and frontiers as refreshing every ancestor,
+        and keeps every expanded node's reward the max over its children."""
+        fast = _replay(operations)
+        with mock.patch.object(mcts, "propagate_rewards", _full_propagate):
+            full = _replay(operations)
+        assert fast == full
+
+    def test_stops_at_the_first_unchanged_ancestor(self):
+        root = make_node(reward=0.9)
+        plus, minus = attach_children(root, 0.9, 0.1)
+        grand_plus, grand_minus = attach_children(minus, 0.2, 0.1)
+        minus.reward = 0.2
+        calls = []
+        original = MctsNode.refresh_from_children
+
+        def counting(node):
+            calls.append(node)
+            original(node)
+
+        with mock.patch.object(MctsNode, "refresh_from_children", counting):
+            propagate_rewards(minus)
+        # minus is unchanged (0.2), so root is never refreshed.
+        assert len(calls) == 1 and calls[0] is minus
+        assert root.reward == 0.9

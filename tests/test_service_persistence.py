@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.abonn import AbonnVerifier
@@ -110,6 +111,39 @@ class TestRoundTrip:
             assert warm.ok
             _assert_identical(warm.result, before.result)
             assert warm.cache_stats["lp_solves"] == 0
+
+    def test_reloaded_reports_keep_their_flat_rows(self, tmp_path):
+        """A reloaded bound report's flat row and per-layer views equal the
+        saved ones, the views still read the row, and a job replayed from
+        the reloaded bundle equals its solo run."""
+        service = VerificationService(ServiceConfig(pool_size=1))
+        done = _run_one(service)
+        saved = service.pool.bundle(done.fingerprint)
+        path = saved.save(tmp_path / f"{done.fingerprint}{BUNDLE_SUFFIX}")
+        loaded = CacheBundle.load(path, expected_fingerprint=done.fingerprint)
+        before = saved.bound_cache.export_entries()
+        after = loaded.bound_cache.export_entries()
+        assert before and [key for key, _ in after] == [key for key, _ in before]
+        for (_, want), (_, got) in zip(before, after):
+            assert got.hidden_bounds.offsets == want.hidden_bounds.offsets
+            np.testing.assert_array_equal(got.hidden_bounds.lower,
+                                          want.hidden_bounds.lower)
+            np.testing.assert_array_equal(got.hidden_bounds.upper,
+                                          want.hidden_bounds.upper)
+            assert got.output_bounds is None and want.output_bounds is None
+            np.testing.assert_array_equal(got.spec_row_lower, want.spec_row_lower)
+            assert got.p_hat == want.p_hat and got.path == want.path
+            for got_layer, want_layer in zip(got.pre_activation_bounds,
+                                             want.pre_activation_bounds):
+                np.testing.assert_array_equal(got_layer.lower, want_layer.lower)
+                np.testing.assert_array_equal(got_layer.upper, want_layer.upper)
+                assert np.shares_memory(got_layer.lower, got.hidden_bounds.lower)
+
+        restored = VerificationService(ServiceConfig(pool_size=1))
+        assert restored.load_caches(tmp_path) == 1
+        warm = _run_one(restored)
+        assert warm.ok and warm.cache_stats["bound_report_hits"] > 0
+        _assert_identical(warm.result, SOLO_LP)
 
     def test_load_preserves_lru_order(self, tmp_path):
         """Importing into a smaller cache keeps the most recent entries."""

@@ -12,6 +12,8 @@ section at the end.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.bab import BaBBaselineVerifier
 from repro.baselines.alphabeta_crown import AlphaBetaCrownVerifier
 from repro.bounds.deeppoly import DeepPolyAnalyzer
 from repro.bounds.linear_form import ScalarBounds
+from repro.bounds.report import FlatBounds
 from repro.bounds.splits import (
     ACTIVE,
     INACTIVE,
@@ -170,9 +173,10 @@ def test_nan_bounds_never_read_as_empty():
     analyzer = DeepPolyAnalyzer(network)
     root = analyzer.analyze(spec.input_box, spec=spec.output_spec)
     for lower, upper in ((np.nan, 1.0), (-1.0, np.nan)):
-        parent = root.shallow_copy()
-        parent.pre_activation_bounds[0] = ScalarBounds.wrap(
-            np.array([lower, -1.0, -1.0]), np.array([upper, 1.0, 1.0]))
+        layers = list(root.pre_activation_bounds)
+        layers[0] = ScalarBounds(np.array([lower, -1.0, -1.0]),
+                                 np.array([upper, 1.0, 1.0]))
+        parent = dataclasses.replace(root, hidden_bounds=FlatBounds(layers))
         for phase in (ACTIVE, INACTIVE):
             split = ReluSplit(0, 0, phase)
             child = analyzer.analyze(spec.input_box,

@@ -34,7 +34,7 @@ PAYLOAD_CLASSES = {
     # verifiers/result.py — the verdict shipped back from workers.
     "VerificationResult",
     # bounds/{report,linear_form}.py — cache-bundle payload entries.
-    "BoundReport", "ScalarBounds",
+    "BoundReport", "FlatBounds", "ScalarBounds",
     # nn/network.py, specs/properties.py — the problem statement in a job.
     "LoweredNetwork", "InputBox", "LinearOutputSpec", "Specification",
     # utils/timing.py, verifiers/milp.py — budget state and LP row results.
