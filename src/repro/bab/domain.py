@@ -8,12 +8,9 @@ created, which is all that later exploration decisions need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
 
-import numpy as np
-
-from repro.bounds.splits import ReluSplit, SplitAssignment
+from repro.bounds.splits import SplitAssignment
 from repro.verifiers.appver import AppVerOutcome
 
 
@@ -24,43 +21,6 @@ class BaBNode:
     splits: SplitAssignment
     depth: int
     outcome: AppVerOutcome
-    parent: Optional["BaBNode"] = None
-    #: The ReLU neuron this node's children were split on (set at expansion).
-    branch_neuron: Optional[Tuple[int, int]] = None
-    children: List["BaBNode"] = field(default_factory=list)
-
-    @property
-    def p_hat(self) -> float:
-        return self.outcome.p_hat
-
-    @property
-    def is_root(self) -> bool:
-        return self.parent is None
-
-    @property
-    def verified(self) -> bool:
-        return self.outcome.verified or self.outcome.report.infeasible
-
-    @property
-    def falsified(self) -> bool:
-        return self.outcome.falsified
-
-    def child_splits(self, split: ReluSplit) -> SplitAssignment:
-        """The split assignment of the child produced by ``split``."""
-        return self.splits.with_split(split)
-
-    def path_from_root(self) -> List["BaBNode"]:
-        """Nodes from the root down to (and including) this node."""
-        path: List[BaBNode] = []
-        node: Optional[BaBNode] = self
-        while node is not None:
-            path.append(node)
-            node = node.parent
-        return list(reversed(path))
-
-    def __repr__(self) -> str:
-        return (f"BaBNode(depth={self.depth}, p_hat={self.p_hat:.4f}, "
-                f"splits={len(self.splits)})")
 
 
 @dataclass

@@ -36,17 +36,22 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import partial
+from typing import List, Optional
 
-import numpy as np
-
-from repro.bab.heuristics import BranchingContext, BranchingHeuristic, make_heuristic
+from repro.bab.heuristics import make_heuristic
 from repro.bounds.alpha_crown import AlphaCrownConfig
 from repro.bounds.cache import LpCache
-from repro.bounds.report import BoundReport
-from repro.bounds.splits import ReluSplit, SplitAssignment
-from repro.engine.driver import DriverVerdict, FrontierDriver, \
-    LinearWorkSource, Neuron
+from repro.bounds.splits import SplitAssignment
+from repro.engine.driver import (
+    DriverVerdict,
+    FrontierDriver,
+    LinearWorkSource,
+    leaf_lp_cache,
+    settle_root,
+    verification_result,
+)
 from repro.nn.network import Network
 from repro.specs.properties import Specification
 from repro.utils.timing import Budget
@@ -57,7 +62,6 @@ from repro.verifiers.milp import (
     LEAF_FALSIFIED,
     LEAF_VERIFIED,
     classify_leaf_optimum,
-    problem_fingerprint,
     solve_leaf_lp_batch,
 )
 from repro.verifiers.result import (
@@ -69,34 +73,35 @@ from repro.verifiers.result import (
     make_budget,
 )
 
-#: A heap entry: (bound, tie-break counter, splits, outcome).
-HeapEntry = Tuple[float, int, SplitAssignment, AppVerOutcome]
+
+@dataclass(order=True)
+class HeapNode:
+    """A best-first sub-problem, ordered by ``(p̂, counter)``: most violated
+    first, ties in push order."""
+
+    p_hat: float
+    counter: int
+    splits: SplitAssignment = field(compare=False)
+    outcome: AppVerOutcome = field(compare=False)
 
 
 class HeapFrontierSource(LinearWorkSource):
     """A best-first (most-violated-bound) heap as a work source.
 
-    Budget starvation pushes the popped entry straight back onto the heap
-    (its bound key is unchanged), keeping the unresolved sub-problem alive;
-    the TIMEOUT-not-VERIFIED invariants live in
-    :class:`~repro.engine.driver.LinearWorkSource`.
+    Budget starvation pushes the popped node straight back onto the heap
+    (its ``(p̂, counter)`` key is unchanged), keeping the unresolved
+    sub-problem alive; the TIMEOUT-not-VERIFIED invariants live in
+    :class:`~repro.engine.driver.LinearWorkSource`.  Branching never bounds
+    look-ahead children.  The constructor arguments after ``root`` are
+    :class:`~repro.engine.driver.WorkSource`'s.
     """
 
-    def __init__(self, root_entry: HeapEntry, appver: ApproximateVerifier,
-                 heuristic: BranchingHeuristic, spec: Specification,
-                 budget: Budget, lp_cache: LpCache, lp_leaf_refinement: bool,
-                 root_bound: float,
-                 lp_fingerprint: Optional[str] = None) -> None:
-        super().__init__(root_bound)
-        self.heap: List[HeapEntry] = [root_entry]
-        self.appver = appver
-        self.heuristic = heuristic
-        self.spec = spec
-        self.budget = budget
-        self.lp_cache = lp_cache
-        self.lp_fingerprint = lp_fingerprint
-        self.lp_leaf_refinement = lp_leaf_refinement
-        self.counter = itertools.count(1)
+    probes = False
+
+    def __init__(self, root: HeapNode, *args, **kwargs) -> None:
+        super().__init__(root.p_hat, *args, **kwargs)
+        self.heap: List[HeapNode] = [root]
+        self.counter = itertools.count(root.counter + 1)
         self.lp_leaves = 0
 
     # -- gathering -------------------------------------------------------------
@@ -104,46 +109,20 @@ class HeapFrontierSource(LinearWorkSource):
         """Whether any unresolved sub-problem is still on the heap."""
         return bool(self.heap)
 
-    def _pop(self) -> HeapEntry:
+    def _pop(self) -> HeapNode:
         """Pop the most-violated sub-problem."""
         return heapq.heappop(self.heap)
 
-    def _reinsert(self, entry: HeapEntry) -> None:
-        """Undo a pop: the entry's bound key makes it the next pop again."""
-        heapq.heappush(self.heap, entry)
-
-    def select_neuron(self, entry: HeapEntry) -> Optional[Neuron]:
-        """Pick the entry's branching neuron (no look-ahead probing)."""
-        _, _, splits, outcome = entry
-        context = BranchingContext(network=self.appver.lowered,
-                                   spec=self.spec.output_spec,
-                                   report=outcome.report, splits=splits)
-        return self.heuristic.select(context)
-
-    def child_splits(self, entry: HeapEntry, neuron: Neuron,
-                     phases: Sequence[int]) -> List[SplitAssignment]:
-        """The children's split assignments for the chosen neuron."""
-        splits = entry[2]
-        return [splits.with_split(ReluSplit(neuron[0], neuron[1], phase))
-                for phase in phases]
-
-    def item_report(self, entry: HeapEntry) -> BoundReport:
-        """The entry's report — the parent its children are bounded against.
-
-        The root entry holds the α-CROWN root report, so the root's
-        children are bounded against the optimised root bounds.
-        """
-        return entry[3].report
+    def _reinsert(self, node: HeapNode) -> None:
+        """Undo a pop: the node's key makes it the next pop again."""
+        heapq.heappush(self.heap, node)
 
     # -- batched exact leaf resolution -----------------------------------------
-    def resolve_leaves(self, entries: List[HeapEntry]) -> Optional[DriverVerdict]:
+    def resolve_leaves(self, nodes: List[HeapNode]) -> Optional[DriverVerdict]:
         """Resolve decided leaves with one batched, cached leaf-LP call."""
-        if not self.lp_leaf_refinement:
-            self.has_unknown_leaf = True
-            return None
         optima = solve_leaf_lp_batch(
             self.appver.lowered, self.spec.input_box, self.spec.output_spec,
-            [(entry[2], entry[3].report) for entry in entries],
+            [(node.splits, node.outcome.report) for node in nodes],
             cache=self.lp_cache, fingerprint=self.lp_fingerprint,
             timings=self.appver.timings)
         for optimum in optima:
@@ -158,7 +137,7 @@ class HeapFrontierSource(LinearWorkSource):
         return None
 
     # -- attachment ------------------------------------------------------------
-    def attach(self, entry: HeapEntry, phase: int, splits: SplitAssignment,
+    def attach(self, node: HeapNode, phase: int, splits: SplitAssignment,
                outcome: AppVerOutcome) -> Optional[DriverVerdict]:
         """Heap-push one bounded child unless its bound settles it."""
         if outcome.falsified:
@@ -167,41 +146,9 @@ class HeapFrontierSource(LinearWorkSource):
                                  bound=outcome.p_hat)
         if outcome.verified or outcome.report.infeasible:
             return None
-        heapq.heappush(self.heap, (outcome.p_hat, next(self.counter),
-                                   splits, outcome))
+        heapq.heappush(self.heap, HeapNode(outcome.p_hat, next(self.counter),
+                                           splits, outcome))
         return None
-
-
-class _AlphaBetaRun(VerifierRun):
-    """A preemptible αβ-CROWN-style BaB run (stage 3 of ``start_run``)."""
-
-    def __init__(self, verifier: "AlphaBetaCrownVerifier", budget: Budget,
-                 lp_cache: LpCache, source: HeapFrontierSource,
-                 driver: FrontierDriver,
-                 sub_appver: ApproximateVerifier) -> None:
-        self.verifier = verifier
-        self.budget = budget
-        self.lp_cache = lp_cache
-        self.source = source
-        self.sub_appver = sub_appver
-        self._run = driver.start(source, budget)
-
-    def _finish(self, verdict: DriverVerdict) -> VerificationResult:
-        return self.verifier._finish(
-            verdict.status, self.budget, self.budget.nodes, self.lp_cache,
-            self.sub_appver, counterexample=verdict.counterexample,
-            bound=verdict.bound, lp_leaves=self.source.lp_leaves)
-
-    def step(self) -> Optional[VerificationResult]:
-        """Advance one frontier round; the final result once decided."""
-        verdict = self._run.step()
-        if verdict is None:
-            return None
-        return self._finish(verdict)
-
-    def interrupt(self) -> VerificationResult:
-        """Stop early, reporting TIMEOUT with the best bound so far."""
-        return self._finish(self.source.timeout())
 
 
 class AlphaBetaCrownVerifier(Verifier):
@@ -216,7 +163,6 @@ class AlphaBetaCrownVerifier(Verifier):
     def __init__(self, heuristic: str = "deepsplit",
                  attack_config: Optional[AttackConfig] = None,
                  alpha_config: Optional[AlphaCrownConfig] = None,
-                 lp_leaf_refinement: bool = True,
                  frontier_size: int = 1,
                  lp_cache: Optional[LpCache] = None,
                  incremental: bool = True) -> None:
@@ -224,7 +170,6 @@ class AlphaBetaCrownVerifier(Verifier):
         self.heuristic_name = heuristic
         self.attack_config = attack_config or AttackConfig(steps=25, restarts=3)
         self.alpha_config = alpha_config or AlphaCrownConfig(iterations=6)
-        self.lp_leaf_refinement = lp_leaf_refinement
         self.frontier_size = frontier_size
         self.lp_cache = lp_cache
         self.incremental = incremental
@@ -246,75 +191,50 @@ class AlphaBetaCrownVerifier(Verifier):
         """
         budget = make_budget(budget)
         heuristic = make_heuristic(self.heuristic_name)
-        lp_cache = self.lp_cache if self.lp_cache is not None else LpCache()
         # The root α-CROWN bound never reads a bound cache, so the root
         # AppVer runs without one; its (zero) cache counters are what a
         # pre-BaB exit reports.
         appver = ApproximateVerifier(network, spec, "alpha-crown",
                                      alpha_config=self.alpha_config,
                                      use_cache=False)
+        lp_cache, lp_fingerprint = leaf_lp_cache(self.lp_cache, appver, spec)
+
+        def finish(verdict: DriverVerdict,
+                   source: Optional[HeapFrontierSource] = None) -> VerificationResult:
+            # Node counts are budget charges; a BaB exit reports the DeepPoly
+            # sub-AppVer, a pre-BaB exit the α-CROWN root AppVer.
+            return verification_result(
+                self.name, verdict, budget, source.appver if source else appver,
+                lp_cache, nodes=budget.nodes, frontier_size=self.frontier_size,
+                incremental=self.incremental,
+                extras={"heuristic": self.heuristic_name,
+                        "alpha_iterations": self.alpha_config.iterations,
+                        "lp_leaves_resolved": source.lp_leaves if source else 0})
 
         # Stage 1: adversarial attack (cheap falsification).
         attack = pgd_attack(network, spec, self.attack_config)
         budget.charge_node()  # the attack costs roughly one bound computation
         if attack.is_counterexample:
-            return CompletedRun(self._finish(
-                VerificationStatus.FALSIFIED, budget, 1, lp_cache, appver,
-                counterexample=attack.best_input,
-                bound=attack.best_margin))
+            return CompletedRun(finish(DriverVerdict(
+                VerificationStatus.FALSIFIED, counterexample=attack.best_input,
+                bound=attack.best_margin)))
 
         # Stage 2: α-CROWN bound on the root problem.
         root_outcome = appver.evaluate()
-        root_cost = 2 + 3 * self.alpha_config.iterations
-        budget.charge_node(root_cost)
-        if root_outcome.verified or root_outcome.report.infeasible:
-            return CompletedRun(self._finish(
-                VerificationStatus.VERIFIED, budget, budget.nodes,
-                lp_cache, appver, bound=root_outcome.p_hat))
-        if root_outcome.falsified:
-            return CompletedRun(self._finish(
-                VerificationStatus.FALSIFIED, budget, budget.nodes,
-                lp_cache, appver, counterexample=root_outcome.candidate,
-                bound=root_outcome.p_hat))
+        budget.charge_node(2 + 3 * self.alpha_config.iterations)
+        settled = settle_root(root_outcome)
+        if settled is not None:
+            return CompletedRun(finish(settled))
 
         # Stage 3: best-first BaB ordered by the bound (most violated first)
         # on the shared frontier engine, using the cheaper DeepPoly back-end
-        # for sub-problems.
+        # for sub-problems.  The root node holds the α-CROWN report, so the
+        # root's children are bounded against the optimised root bounds.
         sub_appver = ApproximateVerifier(network, spec, "deeppoly",
                                          incremental=self.incremental)
-        root_entry: HeapEntry = (root_outcome.p_hat, 0,
-                                 SplitAssignment.empty(), root_outcome)
-        # Fingerprint-scoping only matters for an externally shared cache.
-        lp_fingerprint = (problem_fingerprint(sub_appver.lowered, spec.input_box,
-                                              spec.output_spec)
-                          if self.lp_cache is not None else None)
-        source = HeapFrontierSource(root_entry, sub_appver, heuristic, spec,
-                                    budget, lp_cache, self.lp_leaf_refinement,
-                                    root_outcome.p_hat,
-                                    lp_fingerprint=lp_fingerprint)
+        root = HeapNode(root_outcome.p_hat, 0, SplitAssignment.empty(),
+                        root_outcome)
+        source = HeapFrontierSource(root, sub_appver, spec, heuristic, budget,
+                                    lp_cache, lp_fingerprint)
         driver = FrontierDriver(sub_appver, self.frontier_size)
-        return _AlphaBetaRun(self, budget, lp_cache, source, driver, sub_appver)
-
-    # -- helpers ---------------------------------------------------------------
-    def _finish(self, status: VerificationStatus, budget: Budget, nodes: int,
-                lp_cache: LpCache, appver: ApproximateVerifier,
-                counterexample: Optional[np.ndarray] = None,
-                bound: Optional[float] = None,
-                lp_leaves: int = 0) -> VerificationResult:
-        return VerificationResult(
-            status=status,
-            verifier=self.name,
-            elapsed_seconds=budget.elapsed_seconds,
-            nodes_explored=budget.nodes,
-            tree_size=nodes,
-            counterexample=counterexample,
-            bound=bound,
-            extras={"heuristic": self.heuristic_name,
-                    "alpha_iterations": self.alpha_config.iterations,
-                    "frontier_size": self.frontier_size,
-                    "incremental": self.incremental,
-                    "lp_leaves_resolved": lp_leaves,
-                    "bound_cache": appver.cache_stats(),
-                    "lp_cache": lp_cache.stats.as_dict(),
-                    "timings": appver.timings.as_dict()},
-        )
+        return driver.start(source, budget, partial(finish, source=source))

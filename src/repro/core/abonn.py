@@ -29,14 +29,11 @@ as
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-import numpy as np
-
-from repro.bab.heuristics import BranchingContext, BranchingHeuristic, make_heuristic
+from repro.bab.heuristics import BranchingHeuristic, make_heuristic
 from repro.bounds.cache import LpCache
-from repro.bounds.report import BoundReport
-from repro.bounds.splits import ReluSplit, SplitAssignment
+from repro.bounds.splits import SplitAssignment
 from repro.core.config import AbonnConfig
 from repro.core.mcts import (
     MctsNode,
@@ -46,7 +43,14 @@ from repro.core.mcts import (
     select_frontier,
 )
 from repro.core.potentiality import PotentialityScorer
-from repro.engine.driver import DriverVerdict, Neuron, WorkSource, FrontierDriver
+from repro.engine.driver import (
+    DriverVerdict,
+    FrontierDriver,
+    WorkSource,
+    leaf_lp_cache,
+    settle_root,
+    verification_result,
+)
 from repro.nn.network import Network
 from repro.specs.properties import Specification
 from repro.utils.timing import Budget
@@ -55,7 +59,6 @@ from repro.verifiers.milp import (
     LEAF_FALSIFIED,
     LEAF_VERIFIED,
     classify_leaf_optimum,
-    problem_fingerprint,
     solve_leaf_lp_batch,
 )
 from repro.verifiers.result import (
@@ -92,21 +95,16 @@ class MctsFrontierSource(WorkSource):
     stays selectable.
     """
 
-    def __init__(self, root: MctsNode, appver: ApproximateVerifier,
-                 heuristic: BranchingHeuristic, scorer: PotentialityScorer,
-                 spec: Specification, config: AbonnConfig, budget: Budget,
-                 lp_cache: LpCache,
-                 lp_fingerprint: Optional[str] = None) -> None:
+    def __init__(self, root: MctsNode, scorer: PotentialityScorer,
+                 config: AbonnConfig, appver: ApproximateVerifier,
+                 spec: Specification, heuristic: BranchingHeuristic,
+                 budget: Budget, lp_cache: LpCache,
+                 lp_fingerprint: Optional[str]) -> None:
+        super().__init__(appver, spec, heuristic, budget, lp_cache,
+                         lp_fingerprint)
         self.root = root
-        self.appver = appver
-        self.heuristic = heuristic
         self.scorer = scorer
-        self.spec = spec
         self.config = config
-        self.budget = budget
-        self.lp_cache = lp_cache
-        self.lp_fingerprint = lp_fingerprint
-        self.has_unknown_leaf = False
         self.max_depth = 0
         self.lp_leaves = 0
         self._leaves: List[MctsNode] = []
@@ -151,25 +149,6 @@ class MctsFrontierSource(WorkSource):
         self._cursor += 1
         return leaf
 
-    def select_neuron(self, leaf: MctsNode) -> Optional[Neuron]:
-        """Pick the leaf's branching neuron with the configured heuristic."""
-        context = BranchingContext(network=self.appver.lowered,
-                                   spec=self.spec.output_spec,
-                                   report=leaf.outcome.report, splits=leaf.splits,
-                                   evaluate_split=partial(self._probe, leaf))
-        return self.heuristic.select(context)
-
-    def child_splits(self, leaf: MctsNode, neuron: Neuron,
-                     phases: Sequence[int]) -> List[SplitAssignment]:
-        """Record the branch neuron and derive the children's assignments."""
-        leaf.branch_neuron = neuron
-        return [leaf.splits.with_split(ReluSplit(neuron[0], neuron[1], phase))
-                for phase in phases]
-
-    def item_report(self, leaf: MctsNode) -> BoundReport:
-        """The leaf's report — the parent its children are bounded against."""
-        return leaf.outcome.report
-
     def push_back(self, leaf: MctsNode, gathered: int) -> Optional[DriverVerdict]:
         """Budget starvation: nothing to do, the leaf stays in the tree."""
         # The leaf was never removed from the tree: it stays selectable, and
@@ -179,12 +158,6 @@ class MctsFrontierSource(WorkSource):
     # -- batched exact leaf resolution -----------------------------------------
     def resolve_leaves(self, leaves: List[MctsNode]) -> Optional[DriverVerdict]:
         """Resolve decided leaves with one batched, cached leaf-LP call."""
-        if not self.config.lp_leaf_refinement:
-            for leaf in leaves:
-                self.has_unknown_leaf = True
-                leaf.reward = float("-inf")
-                propagate_rewards(leaf.parent or leaf)
-            return None
         optima = solve_leaf_lp_batch(
             self.appver.lowered, self.spec.input_box, self.spec.output_spec,
             [(leaf.splits, leaf.outcome.report) for leaf in leaves],
@@ -254,56 +227,6 @@ class MctsFrontierSource(WorkSource):
         """Unreachable (``has_work`` is constant); defensive TIMEOUT."""
         return self.timeout()
 
-    # -- helpers ---------------------------------------------------------------
-    def _probe(self, leaf: MctsNode, split: ReluSplit) -> float:
-        """Bound one look-ahead child against the leaf, as its expansion would."""
-        self.budget.charge_node()
-        return self.appver.evaluate(leaf.splits.with_split(split),
-                                    parent=(leaf.outcome.report, split)).p_hat
-
-
-class _AbonnRun(VerifierRun):
-    """A resumable ABONN run: one driver round per :meth:`step`.
-
-    Owned by :meth:`AbonnVerifier.start_run`; stepping it to completion is
-    byte-identical to :meth:`AbonnVerifier.verify` (which is implemented on
-    top of it) — the setup, per-round charges, and the terminal ``_finish``
-    mapping all run the same code.
-    """
-
-    def __init__(self, verifier: "AbonnVerifier", appver: ApproximateVerifier,
-                 source: MctsFrontierSource, driver: FrontierDriver,
-                 budget: Budget, lp_cache: LpCache) -> None:
-        self.verifier = verifier
-        self.appver = appver
-        self.source = source
-        self.budget = budget
-        self.lp_cache = lp_cache
-        self._run = driver.start(source, budget)
-        self._result: Optional[VerificationResult] = None
-
-    def _finish(self, verdict: DriverVerdict) -> VerificationResult:
-        return self.verifier._finish(
-            verdict.status, self.appver, self.budget, self.lp_cache,
-            counterexample=verdict.counterexample, bound=verdict.bound,
-            max_depth=self.source.max_depth, lp_leaves=self.source.lp_leaves)
-
-    def step(self) -> Optional[VerificationResult]:
-        """Advance one frontier round; the final result once finished."""
-        if self._result is not None:
-            return self._result
-        verdict = self._run.step()
-        if verdict is None:
-            return None
-        self._result = self._finish(verdict)
-        return self._result
-
-    def interrupt(self) -> VerificationResult:
-        """Finish early with ABONN's budget-exhaustion (TIMEOUT) result."""
-        if self._result is None:
-            self._result = self._finish(self.source.timeout())
-        return self._result
-
 
 class AbonnVerifier(Verifier):
     """The paper's proposed verifier.
@@ -340,21 +263,27 @@ class AbonnVerifier(Verifier):
                                      bound_cache=self.bound_cache)
         heuristic = make_heuristic(config.heuristic)
         scorer = PotentialityScorer(max(appver.num_relu_neurons, 1), config.lam)
-        lp_cache = self.lp_cache if self.lp_cache is not None else LpCache()
+        lp_cache, lp_fingerprint = leaf_lp_cache(self.lp_cache, appver, spec)
+
+        def finish(verdict: DriverVerdict,
+                   source: Optional[MctsFrontierSource] = None) -> VerificationResult:
+            return verification_result(
+                self.name, verdict, budget, appver, lp_cache,
+                nodes=appver.num_calls, frontier_size=config.frontier_size,
+                incremental=config.incremental,
+                extras={"max_depth": source.max_depth if source else 0,
+                        "lambda": config.lam,
+                        "exploration": config.exploration,
+                        "heuristic": config.heuristic,
+                        "lp_leaves_resolved": source.lp_leaves if source else 0})
 
         # Initialisation (Alg. 1 lines 1-3, 8-9).
         root_outcome = appver.evaluate()
         budget.charge_node()
         scorer.observe(root_outcome.p_hat)
-        if root_outcome.verified or root_outcome.report.infeasible:
-            return CompletedRun(self._finish(
-                VerificationStatus.VERIFIED, appver, budget, lp_cache,
-                bound=root_outcome.p_hat, max_depth=0))
-        if root_outcome.falsified:
-            return CompletedRun(self._finish(
-                VerificationStatus.FALSIFIED, appver, budget, lp_cache,
-                counterexample=root_outcome.candidate,
-                bound=root_outcome.p_hat, max_depth=0))
+        settled = settle_root(root_outcome)
+        if settled is not None:
+            return CompletedRun(finish(settled))
 
         root = MctsNode(SplitAssignment.empty(), depth=0, outcome=root_outcome)
         root.reward = scorer.score(root_outcome.p_hat, False, 0)
@@ -363,53 +292,12 @@ class AbonnVerifier(Verifier):
         # round expands up to ``frontier_size`` leaves through one batched
         # AppVer call and resolves the round's decided leaves through one
         # batched, cached leaf-LP call.
-        # Fingerprint-scoping only matters for an externally shared cache —
-        # a fresh per-run cache never sees another problem's keys, so the
-        # weight digest is skipped for it.
-        lp_fingerprint = (problem_fingerprint(appver.lowered, spec.input_box,
-                                              spec.output_spec)
-                          if self.lp_cache is not None else None)
-        source = MctsFrontierSource(root, appver, heuristic, scorer, spec,
-                                    config, budget, lp_cache,
-                                    lp_fingerprint=lp_fingerprint)
+        source = MctsFrontierSource(root, scorer, config, appver, spec,
+                                    heuristic, budget, lp_cache, lp_fingerprint)
         driver = FrontierDriver(appver, config.frontier_size)
-        return _AbonnRun(self, appver, source, driver, budget, lp_cache)
+        return driver.start(source, budget, partial(finish, source=source))
 
     def verify(self, network: Network, spec: Specification,
                budget: Optional[Budget] = None) -> VerificationResult:
         """Run Alg. 1 on the shared frontier engine until verdict or budget."""
         return self.start_run(network, spec, budget).run_to_completion()
-
-    # -- helpers ----------------------------------------------------------------
-    def _make_child(self, parent: MctsNode, splits: SplitAssignment,
-                    outcome: AppVerOutcome, scorer: PotentialityScorer) -> MctsNode:
-        """Create one potentiality-scored child (kept as a testing seam)."""
-        return _score_child(parent, splits, outcome, scorer)
-
-    def _finish(self, status: VerificationStatus, appver: ApproximateVerifier,
-                budget: Budget, lp_cache: LpCache,
-                counterexample: Optional[np.ndarray] = None,
-                bound: Optional[float] = None, max_depth: int = 0,
-                lp_leaves: int = 0) -> VerificationResult:
-        """Map a terminal state to the verifier's result format."""
-        return VerificationResult(
-            status=status,
-            verifier=self.name,
-            elapsed_seconds=budget.elapsed_seconds,
-            nodes_explored=appver.num_calls,
-            tree_size=appver.num_calls,
-            counterexample=counterexample,
-            bound=bound,
-            extras={
-                "max_depth": max_depth,
-                "lambda": self.config.lam,
-                "exploration": self.config.exploration,
-                "heuristic": self.config.heuristic,
-                "frontier_size": self.config.frontier_size,
-                "incremental": self.config.incremental,
-                "lp_leaves_resolved": lp_leaves,
-                "bound_cache": appver.cache_stats(),
-                "lp_cache": lp_cache.stats.as_dict(),
-                "timings": appver.timings.as_dict(),
-            },
-        )

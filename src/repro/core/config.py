@@ -42,13 +42,6 @@ class AbonnConfig:
         values trade strict selection order for realised AppVer batch sizes
         that actually reach the batched back-end's throughput regime.
         Verdicts remain sound for every ``K``.
-    lp_leaf_refinement:
-        Resolve fully phase-decided leaves exactly with an LP (keeps the
-        procedure complete, mirroring the paper's GUROBI back-end).  All
-        decided leaves of one frontier round are solved through one
-        :func:`~repro.verifiers.milp.solve_leaf_lp_batch` call, memoised in
-        an :class:`~repro.bounds.cache.LpCache` keyed by the leaf's
-        canonical split assignment.
     use_bound_cache:
         Memoise whole bound reports, keyed by their search path, in the
         AppVer's bound cache.  Caching never changes verdicts — a hit
@@ -70,7 +63,6 @@ class AbonnConfig:
     heuristic: str = "deepsplit"
     bound_method: str = "deeppoly"
     frontier_size: int = 1
-    lp_leaf_refinement: bool = True
     alpha_config: Optional[AlphaCrownConfig] = None
     use_bound_cache: bool = True
     bound_cache_size: int = DEFAULT_CACHE_SIZE

@@ -36,8 +36,6 @@ class MctsNode:
     reward: float = float("-inf")
     subtree_size: int = 1
     parent: Optional["MctsNode"] = None
-    #: The ReLU neuron whose two phases produced this node's children.
-    branch_neuron: Optional[Tuple[int, int]] = None
     children: Dict[int, "MctsNode"] = field(default_factory=dict)
     #: A real counterexample found in this node's subtree, if any.
     counterexample: Optional[np.ndarray] = None

@@ -2,9 +2,11 @@
 
 :mod:`repro.engine.driver` owns the gather → flatten → batched-bound →
 attach loop that ABONN, the BaB baseline, and the αβ-CROWN baseline all
-execute; the verifiers only supply a :class:`~repro.engine.driver.WorkSource`
-describing where sub-problems come from and where their children go.  See
-``docs/ENGINE.md`` for the full contract.
+execute, and the run, result and expansion path they share; the verifiers
+only supply a :class:`~repro.engine.driver.WorkSource` describing where
+sub-problems come from and where their children go, plus the ``finish``
+function that names their own result keys.  See ``docs/ENGINE.md`` for the
+full contract.
 """
 
 from repro.engine.driver import (

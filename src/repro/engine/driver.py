@@ -50,22 +50,33 @@ return TIMEOUT immediately.  Tree sources simply leave the leaf in the tree
 (it stays selectable) and let the main loop re-check the budget.
 
 Verdicts flow back as :class:`DriverVerdict` values; ``None`` from a hook
-always means "keep going".  The driver never constructs
-:class:`~repro.verifiers.result.VerificationResult` objects — mapping a
-verdict to the verifier's result format (extras, statistics) stays with the
-verifier.
+always means "keep going".
+
+A verifier is its search order.  Everything else the three verifiers share
+lives here once: the expansion path over node items (branching with the
+look-ahead probe, the children's splits, the parent report) on
+:class:`WorkSource`, the resumable run (:class:`DriverRun`, which maps the
+terminal verdict to a :class:`~repro.verifiers.result.VerificationResult`
+through the verifier's finish function), the result with its shared
+``extras`` blocks (:func:`verification_result`), the run's leaf-LP cache
+(:func:`leaf_lp_cache`) and the root settlement (:func:`settle_root`).
+Each verifier module keeps only its search state and its leaf-LP call.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional, Protocol,
+                    Sequence, Tuple)
 
 import numpy as np
 
+from repro.bounds.cache import LpCache
 from repro.bounds.report import BoundReport
 from repro.bounds.splits import ReluSplit, SplitAssignment
+from repro.specs.properties import Specification
 from repro.utils.timing import Budget
 from repro.utils.validation import require
 from repro.verifiers.appver import (
@@ -73,7 +84,15 @@ from repro.verifiers.appver import (
     AppVerOutcome,
     affordable_phases,
 )
-from repro.verifiers.result import VerificationStatus
+from repro.verifiers.milp import problem_fingerprint
+from repro.verifiers.result import (
+    VerificationResult,
+    VerificationStatus,
+    VerifierRun,
+)
+
+if TYPE_CHECKING:  # the ``repro.bab`` package imports this module
+    from repro.bab.heuristics import BranchingHeuristic
 
 #: A ReLU neuron identified by ``(layer, unit)``.
 Neuron = Tuple[int, int]
@@ -94,14 +113,76 @@ class DriverVerdict:
     bound: Optional[float] = None
 
 
+def settle_root(outcome: AppVerOutcome) -> Optional[DriverVerdict]:
+    """The verdict when the root bound alone decides the problem, else ``None``.
+
+    A positive or infeasible root is VERIFIED and a root whose candidate is
+    a real counterexample is FALSIFIED; both report the root ``p̂``.
+    """
+    if outcome.verified or outcome.report.infeasible:
+        return DriverVerdict(VerificationStatus.VERIFIED, bound=outcome.p_hat)
+    if outcome.falsified:
+        return DriverVerdict(VerificationStatus.FALSIFIED,
+                             counterexample=outcome.candidate,
+                             bound=outcome.p_hat)
+    return None
+
+
+def leaf_lp_cache(shared: Optional[LpCache], appver: ApproximateVerifier,
+                  spec: Specification) -> Tuple[LpCache, Optional[str]]:
+    """The run's leaf-LP cache and the fingerprint that scopes its keys.
+
+    Without a ``shared`` cache the run gets a fresh one; it never sees
+    another problem's keys, so the weight digest is skipped (``None``).
+    """
+    if shared is None:
+        return LpCache(), None
+    return shared, problem_fingerprint(appver.lowered, spec.input_box,
+                                       spec.output_spec)
+
+
+def verification_result(verifier: str, verdict: DriverVerdict, budget: Budget,
+                        appver: ApproximateVerifier, lp_cache: LpCache, *,
+                        nodes: int, frontier_size: int, incremental: bool,
+                        extras: Dict[str, object]) -> VerificationResult:
+    """Map a terminal verdict to the result every verifier reports.
+
+    ``nodes`` is the verifier's node count (``nodes_explored`` and
+    ``tree_size``) and ``extras`` its own keys; this function adds the
+    shared blocks: ``frontier_size``, ``incremental`` and, from ``appver``
+    and ``lp_cache``, ``bound_cache``, ``lp_cache`` and ``timings``.
+    """
+    return VerificationResult(
+        status=verdict.status,
+        verifier=verifier,
+        elapsed_seconds=budget.elapsed_seconds,
+        nodes_explored=nodes,
+        tree_size=nodes,
+        counterexample=verdict.counterexample,
+        bound=verdict.bound,
+        extras={**extras,
+                "frontier_size": frontier_size,
+                "incremental": incremental,
+                "bound_cache": appver.cache_stats(),
+                "lp_cache": lp_cache.stats.as_dict(),
+                "timings": appver.timings.as_dict()},
+    )
+
+
+class Node(Protocol):
+    """A work item: one sub-problem's split assignment and AppVer outcome."""
+
+    splits: SplitAssignment
+    outcome: AppVerOutcome
+
+
 @dataclass
 class Expansion:
     """One gathered work item together with its planned phase-split children.
 
-    ``item`` is whatever the :class:`WorkSource` yields (an MCTS node, a BaB
-    node, a heap entry); ``phases`` are the affordable child phases in
-    expansion order and ``child_splits`` the corresponding split
-    assignments, index-aligned with ``phases``.
+    ``item`` is the node the :class:`WorkSource` yielded; ``phases`` are the
+    affordable child phases in expansion order and ``child_splits`` the
+    corresponding split assignments, index-aligned with ``phases``.
     """
 
     item: Any
@@ -113,12 +194,33 @@ class Expansion:
 class WorkSource(abc.ABC):
     """What a verifier must provide to run on the :class:`FrontierDriver`.
 
-    A source is constructed per ``verify()`` run and owns the run's mutable
-    search state (tree / queue / heap, statistics, the budget reference used
-    by probing heuristics, the LP cache).  Hooks returning
+    A source is constructed per run and owns the run's mutable search state
+    (tree / queue / heap, statistics).  Hooks returning
     ``Optional[DriverVerdict]`` end the run when they return a verdict and
     continue otherwise.
+
+    Work items are :class:`Node` objects (``.splits`` and ``.outcome``), so
+    the base class implements the expansion path every search order
+    shares: :meth:`select_neuron` (with the look-ahead probe),
+    :meth:`child_splits` and :meth:`item_report`.  It also holds what
+    every source's ``resolve_leaves`` reads: the AppVer, the specification,
+    the run's leaf-LP cache and its fingerprint.
     """
+
+    #: Whether branching may bound look-ahead children (FSB's probes, each
+    #: charged as one node).
+    probes = True
+
+    def __init__(self, appver: ApproximateVerifier, spec: Specification,
+                 heuristic: BranchingHeuristic, budget: Budget, lp_cache: LpCache,
+                 lp_fingerprint: Optional[str]) -> None:
+        self.appver = appver
+        self.spec = spec
+        self.heuristic = heuristic
+        self.budget = budget
+        self.lp_cache = lp_cache
+        self.lp_fingerprint = lp_fingerprint
+        self.has_unknown_leaf = False
 
     @abc.abstractmethod
     def has_work(self) -> bool:
@@ -145,24 +247,40 @@ class WorkSource(abc.ABC):
         TIMEOUT when nothing could be gathered.
         """
 
-    @abc.abstractmethod
-    def select_neuron(self, item: Any) -> Optional[Neuron]:
-        """Pick the item's branching neuron, or ``None`` for a decided leaf."""
+    def select_neuron(self, node: Node) -> Optional[Neuron]:
+        """Pick the node's branching neuron, or ``None`` for a decided leaf.
 
-    def item_report(self, item: Any) -> Optional[BoundReport]:
-        """The item's own bound report (the parent of its children).
+        With :attr:`probes` on, a look-ahead heuristic (FSB) bounds
+        candidate children through :meth:`_probe`.
+        """
+        # Imported here: the ``repro.bab`` package imports this module.
+        from repro.bab.heuristics import BranchingContext
+        context = BranchingContext(
+            network=self.appver.lowered, spec=self.spec.output_spec,
+            report=node.outcome.report, splits=node.splits,
+            evaluate_split=partial(self._probe, node) if self.probes else None)
+        return self.heuristic.select(context)
+
+    def _probe(self, node: Node, split: ReluSplit) -> float:
+        """Bound one look-ahead child against the node, as its expansion would."""
+        self.budget.charge_node()
+        return self.appver.evaluate(node.splits.with_split(split),
+                                    parent=(node.outcome.report, split)).p_hat
+
+    def child_splits(self, node: Node, neuron: Neuron,
+                     phases: Sequence[int]) -> List[SplitAssignment]:
+        """Split assignments of the node's children, aligned with ``phases``."""
+        layer, unit = neuron
+        return [node.splits.with_split(ReluSplit(layer, unit, phase))
+                for phase in phases]
+
+    def item_report(self, node: Node) -> BoundReport:
+        """The node's own bound report (the parent of its children).
 
         The driver passes it with each child's split through
-        ``evaluate_batch(parents=...)``, so the child is bounded against
-        it; return ``None`` (the default) to bound children without a
-        parent.
+        ``evaluate_batch(parents=...)``, so the child is bounded against it.
         """
-        return None
-
-    @abc.abstractmethod
-    def child_splits(self, item: Any, neuron: Neuron,
-                     phases: Sequence[int]) -> List[SplitAssignment]:
-        """Split assignments of the item's children, aligned with ``phases``."""
+        return node.outcome.report
 
     @abc.abstractmethod
     def push_back(self, item: Any, gathered: int) -> Optional[DriverVerdict]:
@@ -240,12 +358,13 @@ class LinearWorkSource(WorkSource):
     TIMEOUT — never as a spurious VERIFIED from a drained container — and
     every exhaustion verdict (``timeout``/``truncated``/``attach_exhausted``)
     carries the root bound.  Subclasses provide ``_pop`` (which may also
-    record statistics) and ``_reinsert`` (which must undo them).
+    record statistics) and ``_reinsert`` (which must undo them).  The
+    constructor takes the root bound, then :class:`WorkSource`'s arguments.
     """
 
-    def __init__(self, root_bound: float) -> None:
+    def __init__(self, root_bound: float, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.root_bound = root_bound
-        self.has_unknown_leaf = False
 
     def next_item(self, budget: Budget, gathered: int, planned: int) -> Any:
         """Pop the next sub-problem, minding the wall clock before the pop."""
@@ -291,7 +410,7 @@ class LinearWorkSource(WorkSource):
         """Undo a pop so the item is the next to be re-popped."""
 
 
-class DriverRun:
+class DriverRun(VerifierRun):
     """A resumable :class:`FrontierDriver` run: one :meth:`step` per round.
 
     The driver's main loop — check work, check the wall clock, execute one
@@ -300,48 +419,51 @@ class DriverRun:
     multiplex many verification jobs over one process: each job advances one
     round at a time and yields between rounds, with all budget accounting
     (``affordable_phases``, per-child charges, wall-clock re-checks)
-    happening inside the round exactly as in an uninterrupted
-    :meth:`FrontierDriver.run`.  Stepping a run to completion is
-    byte-identical to calling ``run`` directly; ``run`` is itself
-    implemented as a step loop.
+    happening inside the round, so interleaving the steps of several runs
+    cannot change any single run's trajectory.
+
+    ``finish`` maps the terminal verdict to the verifier's result.  The run
+    memoises that result: every later :meth:`step` and :meth:`interrupt`
+    returns the identical object.
     """
 
     def __init__(self, driver: "FrontierDriver", source: WorkSource,
-                 budget: Budget) -> None:
+                 budget: Budget,
+                 finish: Callable[[DriverVerdict], VerificationResult]) -> None:
         self.driver = driver
         self.source = source
         self.budget = budget
+        self.finish = finish
         self.rounds = 0
-        self._verdict: Optional[DriverVerdict] = None
+        self._result: Optional[VerificationResult] = None
 
-    @property
-    def verdict(self) -> Optional[DriverVerdict]:
-        """The terminal verdict, or ``None`` while the run is in progress."""
-        return self._verdict
-
-    def step(self) -> Optional[DriverVerdict]:
+    def step(self) -> Optional[VerificationResult]:
         """Execute at most one driver round.
 
-        Returns the terminal :class:`DriverVerdict` once the run finishes
-        (and on every call thereafter), ``None`` while more rounds remain.
-        The order of checks — work, wall clock, round, ``round_complete`` —
-        is exactly the main loop's, so interleaving ``step`` calls of
-        several runs cannot change any single run's trajectory.
+        Returns the finished result once the run has a verdict (and on every
+        call thereafter), ``None`` while more rounds remain.
         """
-        if self._verdict is not None:
-            return self._verdict
+        if self._result is not None:
+            return self._result
         if not self.source.has_work():
-            self._verdict = self.source.drained()
-            return self._verdict
-        if self.budget.exhausted():
-            self._verdict = self.source.timeout()
-            return self._verdict
-        self.rounds += 1
-        verdict = self.driver._round(self.source, self.budget)
-        if verdict is None:
-            verdict = self.source.round_complete()
-        self._verdict = verdict
-        return verdict
+            verdict = self.source.drained()
+        elif self.budget.exhausted():
+            verdict = self.source.timeout()
+        else:
+            self.rounds += 1
+            verdict = self.driver._round(self.source, self.budget)
+            if verdict is None:
+                verdict = self.source.round_complete()
+            if verdict is None:
+                return None
+        self._result = self.finish(verdict)
+        return self._result
+
+    def interrupt(self) -> VerificationResult:
+        """The finished result, or finish now with the source's TIMEOUT."""
+        if self._result is None:
+            self._result = self.finish(self.source.timeout())
+        return self._result
 
 
 class FrontierDriver:
@@ -368,17 +490,10 @@ class FrontierDriver:
         self.appver = appver
         self.frontier_size = int(frontier_size)
 
-    def start(self, source: WorkSource, budget: Budget) -> DriverRun:
+    def start(self, source: WorkSource, budget: Budget,
+              finish: Callable[[DriverVerdict], VerificationResult]) -> DriverRun:
         """Begin a resumable run; the caller steps it one round at a time."""
-        return DriverRun(self, source, budget)
-
-    def run(self, source: WorkSource, budget: Budget) -> DriverVerdict:
-        """Drive ``source`` until a verdict: the shared main loop."""
-        run = self.start(source, budget)
-        while True:
-            verdict = run.step()
-            if verdict is not None:
-                return verdict
+        return DriverRun(self, source, budget, finish)
 
     # -- one gather → resolve → expand → attach round --------------------------
     def _round(self, source: WorkSource, budget: Budget) -> Optional[DriverVerdict]:
@@ -436,9 +551,8 @@ class FrontierDriver:
         for expansion in plan:
             report = source.item_report(expansion.item)
             layer, unit = expansion.neuron
-            flat_parents.extend(
-                None if report is None else (report, ReluSplit(layer, unit, phase))
-                for phase in expansion.phases)
+            flat_parents.extend((report, ReluSplit(layer, unit, phase))
+                                for phase in expansion.phases)
         outcomes = self.appver.evaluate_batch(flat_splits, parents=flat_parents)
 
         verdict = self._attach(source, plan, outcomes, budget)

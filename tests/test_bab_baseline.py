@@ -93,15 +93,3 @@ class TestBaBBaseline:
         if default.solved and other.solved:
             assert default.status == other.status
 
-    def test_without_lp_leaf_refinement_never_claims_false_verification(self,
-                                                                         trained_network):
-        network, dataset = trained_network
-        image, label = dataset.sample(11)
-        spec = local_robustness_spec(image.reshape(-1), 0.3, label, dataset.num_classes)
-        oracle = MilpVerifier().verify(network, spec)
-        result = BaBBaselineVerifier(lp_leaf_refinement=False).verify(
-            network, spec, Budget(max_nodes=2000))
-        if oracle.status == VerificationStatus.FALSIFIED:
-            assert result.status != VerificationStatus.VERIFIED
-        if oracle.status == VerificationStatus.VERIFIED:
-            assert result.status != VerificationStatus.FALSIFIED

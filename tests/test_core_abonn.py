@@ -113,18 +113,6 @@ class TestHyperparameters:
         with pytest.raises(ValueError):
             AbonnConfig(exploration=-0.1)
 
-    def test_without_lp_leaf_refinement_never_contradicts_oracle(self, trained_network):
-        network, dataset = trained_network
-        image, label = dataset.sample(26)
-        spec = local_robustness_spec(image.reshape(-1), 0.3, label, dataset.num_classes)
-        oracle = MilpVerifier().verify(network, spec)
-        config = AbonnConfig(lp_leaf_refinement=False)
-        result = AbonnVerifier(config).verify(network, spec, Budget(max_nodes=2000))
-        if oracle.status == VerificationStatus.FALSIFIED:
-            assert result.status != VerificationStatus.VERIFIED
-        if oracle.status == VerificationStatus.VERIFIED:
-            assert result.status != VerificationStatus.FALSIFIED
-
     @pytest.mark.parametrize("bound_method", ["deeppoly", "ibp"])
     def test_bound_methods_agree_on_verdict(self, bound_method, trained_network):
         network, dataset = trained_network

@@ -15,7 +15,7 @@ import pytest
 from repro.bab import BaBBaselineVerifier
 from repro.baselines.alphabeta_crown import AlphaBetaCrownVerifier
 from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
-from repro.core.abonn import AbonnVerifier
+from repro.core.abonn import AbonnVerifier, _score_child
 from repro.core.config import AbonnConfig
 from repro.core.mcts import (
     MctsNode,
@@ -155,10 +155,9 @@ class TestAbonnFrontierVerdicts:
         splits = SplitAssignment.from_splits([ReluSplit(stable[0], stable[1], ACTIVE)])
         outcomes = appver.evaluate_batch([splits, SplitAssignment.empty()])
         assert outcomes[0].report.infeasible
-        verifier = AbonnVerifier()
         scorer = PotentialityScorer(appver.num_relu_neurons, 0.5)
         parent = MctsNode(SplitAssignment.empty(), depth=0, outcome=outcomes[1])
-        child = verifier._make_child(parent, splits, outcomes[0], scorer)
+        child = _score_child(parent, splits, outcomes[0], scorer)
         assert child.reward == float("-inf")
 
     def test_frontier_with_alpha_crown_backend(self, trained_network):

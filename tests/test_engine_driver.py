@@ -11,9 +11,14 @@ Two layers of coverage:
   that the engine is the *only* place that dispatches batched bounds.
 """
 
+import inspect
 from pathlib import Path
 
 import pytest
+
+import repro.bab.baseline
+import repro.baselines.alphabeta_crown
+import repro.core.abonn
 
 from repro.bab import BaBBaselineVerifier
 from repro.baselines.alphabeta_crown import AlphaBetaCrownVerifier
@@ -24,7 +29,7 @@ from repro.engine.driver import DriverVerdict, FrontierDriver, WorkSource
 from repro.specs.robustness import local_robustness_spec
 from repro.utils import Budget
 from repro.verifiers.appver import ApproximateVerifier
-from repro.verifiers.result import VerificationStatus
+from repro.verifiers.result import CompletedRun, VerificationStatus, VerifierRun
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -79,6 +84,9 @@ class ScriptedSource(WorkSource):
     def child_splits(self, item, neuron, phases):
         return [SplitAssignment.empty() for _ in phases]
 
+    def item_report(self, item):
+        return f"report-{item[1]}"
+
     def push_back(self, item, gathered):
         self.events.append(("push_back", item[1], gathered))
         if not gathered:
@@ -99,6 +107,11 @@ class ScriptedSource(WorkSource):
 
     def drained(self):
         return DriverVerdict(VerificationStatus.VERIFIED)
+
+
+def drive(driver, source, budget):
+    """Step a run to its terminal verdict (``finish`` passes it through)."""
+    return driver.start(source, budget, lambda verdict: verdict).run_to_completion()
 
 
 class ScriptedBudget(Budget):
@@ -145,14 +158,14 @@ class TestPartialAttachBackprop:
         # run-loop check, affordable_phases check, then exhaustion between
         # the two children of "a".
         budget = ScriptedBudget([False, False, True])
-        FrontierDriver(appver, frontier_size=1).run(source, budget)
+        drive(FrontierDriver(appver, frontier_size=1), source, budget)
         assert [name for name, _, _ in source.attached] == ["a"]
         assert source.completed == []  # partial: leaf_attached must not fire
 
     def test_complete_expansion_is_reported_with_all_children(self):
         appver = StubAppver()
         source = BackpropRecordingSource([("split", "a")])
-        FrontierDriver(appver, frontier_size=1).run(source, Budget())
+        drive(FrontierDriver(appver, frontier_size=1), source, Budget())
         assert [name for name, _, _ in source.attached] == ["a", "a"]
         assert source.completed == [("a", 2)]
 
@@ -166,7 +179,7 @@ class TestDriverContract:
         appver = StubAppver()
         source = ScriptedSource([("split", "a"), ("split", "b"), ("split", "c")])
         driver = FrontierDriver(appver, frontier_size=2)
-        verdict = driver.run(source, Budget())
+        verdict = drive(driver, source, Budget())
         # Two rounds of two/one expansions; every child bounded in one call
         # per round, attached in order, then the drained verdict.
         assert verdict.status == VerificationStatus.VERIFIED
@@ -178,14 +191,14 @@ class TestDriverContract:
         appver = StubAppver()
         source = ScriptedSource([("split", "a"), ("split", "b")])
         budget = Budget()
-        FrontierDriver(appver, frontier_size=2).run(source, budget)
+        drive(FrontierDriver(appver, frontier_size=2), source, budget)
         assert budget.nodes == 4  # two children per expansion
 
     def test_decided_leaves_charged_and_resolved_in_pop_order(self):
         appver = StubAppver()
         source = ScriptedSource([("leaf", "l1"), ("split", "a"), ("leaf", "l2")])
         budget = Budget()
-        verdict = FrontierDriver(appver, frontier_size=8).run(source, budget)
+        verdict = drive(FrontierDriver(appver, frontier_size=8), source, budget)
         assert verdict.status == VerificationStatus.VERIFIED
         # One charge per leaf LP + two child charges.
         assert budget.nodes == 4
@@ -196,7 +209,7 @@ class TestDriverContract:
         falsified = DriverVerdict(VerificationStatus.FALSIFIED)
         source = ScriptedSource([("split", "a"), ("leaf", "bad")],
                                 resolve_verdict=falsified)
-        verdict = FrontierDriver(appver, frontier_size=8).run(source, Budget())
+        verdict = drive(FrontierDriver(appver, frontier_size=8), source, Budget())
         assert verdict.status == VerificationStatus.FALSIFIED
         # The planned expansion of "a" must never have been bounded.
         assert appver.batches == []
@@ -208,8 +221,8 @@ class TestDriverContract:
         # The leaf LP charge exhausts the single node of budget, so "a"
         # starves with nothing gathered: push_back returns TIMEOUT — but the
         # charged leaf must still be resolved first.
-        verdict = FrontierDriver(appver, frontier_size=2).run(
-            source, Budget(max_nodes=1))
+        verdict = drive(FrontierDriver(appver, frontier_size=2), source,
+                        Budget(max_nodes=1))
         assert ("push_back", "a", 0) in source.events
         assert source.resolved == [["l"]]
         assert verdict.status == VerificationStatus.TIMEOUT
@@ -225,7 +238,7 @@ class TestDriverContract:
 
         source = StarvingOnce([("split", "a"), ("split", "b")])
         budget = Budget(max_nodes=2)  # round 1: a's 2 children; b starves
-        verdict = FrontierDriver(appver, frontier_size=2).run(source, budget)
+        verdict = drive(FrontierDriver(appver, frontier_size=2), source, budget)
         # b was pushed back (gathered=1), the first batch holds only a's
         # children, and exhaustion then surfaces as the source's TIMEOUT.
         assert ("push_back", "b", 1) in source.events
@@ -329,7 +342,78 @@ class TestResultExtrasSchema:
             assert extras["bound_cache"]["layer_misses"] > 0
 
 
+class TestFinishedRunContract:
+    """After a run finishes, ``step`` and ``interrupt`` return the result it
+    finished with — the identical object, not a rebuilt or TIMEOUT one."""
+
+    @pytest.mark.parametrize("name", sorted(VERIFIER_FACTORIES))
+    @pytest.mark.parametrize("index,epsilon,in_setup", [
+        (12, 0.2, False),   # settled in BaB
+        (13, 0.12, True),   # settled by the root bound
+        (13, 0.3, True),    # settled by the root (αβ: by the attack)
+    ])
+    def test_step_and_interrupt_return_the_finished_result(
+            self, name, index, epsilon, in_setup, trained_network):
+        network, dataset = trained_network
+        spec = problem(dataset, index, epsilon)
+        run = VERIFIER_FACTORIES[name]().start_run(network, spec,
+                                                   Budget(max_nodes=300))
+        assert isinstance(run, CompletedRun) == in_setup
+        result = run.run_to_completion()
+        assert result.solved
+        assert run.step() is result
+        assert run.interrupt() is result
+
+
+#: The search orders whose trees :class:`TestSearchOrderInvariance` compares.
+SEARCH_ORDERS = {
+    "abonn-k1": lambda: AbonnVerifier(AbonnConfig(frontier_size=1)),
+    "abonn-k8": lambda: AbonnVerifier(AbonnConfig(frontier_size=8)),
+    "bfs-k8": lambda: BaBBaselineVerifier(exploration="bfs", frontier_size=8),
+    "dfs-k1": lambda: BaBBaselineVerifier(exploration="dfs", frontier_size=1),
+}
+
+
+class TestSearchOrderInvariance:
+    """A VERIFIED tree has the same nodes under every search order.
+
+    DeepSplit picks each node's neuron from the node's own report, so once
+    every leaf is verified the tree is fixed; the order it is visited in
+    (MCTS at any ``K``, BFS, DFS) must not change how many nodes it has.
+    """
+
+    @pytest.mark.parametrize("index,epsilon,nodes", [
+        (0, 0.2, 29), (8, 0.2, 5), (12, 0.2, 13), (14, 0.15, 13),
+    ])
+    def test_verified_tree_is_order_independent(self, index, epsilon, nodes,
+                                                trained_network):
+        network, dataset = trained_network
+        spec = problem(dataset, index, epsilon)
+        results = {order: factory().verify(network, spec, Budget(max_nodes=2000))
+                   for order, factory in SEARCH_ORDERS.items()}
+        assert {order: result.status for order, result in results.items()} == \
+            dict.fromkeys(SEARCH_ORDERS, VerificationStatus.VERIFIED)
+        assert {order: result.nodes_explored for order, result in results.items()} == \
+            dict.fromkeys(SEARCH_ORDERS, nodes)
+
+
+VERIFIER_MODULES = (repro.core.abonn, repro.bab.baseline,
+                    repro.baselines.alphabeta_crown)
+
+
 class TestSingleFrontierLoop:
+    def test_verifiers_keep_only_their_search_order(self):
+        """The run and the result are the engine's: no verifier module
+        defines its own run class or builds a result itself."""
+        for module in VERIFIER_MODULES:
+            runs = [name for name, cls in inspect.getmembers(module, inspect.isclass)
+                    if cls.__module__ == module.__name__
+                    and issubclass(cls, VerifierRun)]
+            assert runs == [], f"{module.__name__} defines run classes {runs}"
+            text = Path(module.__file__).read_text(encoding="utf-8")
+            assert "VerificationResult(" not in text, \
+                f"{module.__name__} builds a VerificationResult itself"
+
     def test_only_the_engine_dispatches_batched_bounds(self):
         """The gather/flatten/attach loop exists exactly once: the three
         driver modules never call the batched bound entry points."""
