@@ -209,8 +209,3 @@ class BaBBaselineVerifier(Verifier):
                                      lp_fingerprint)
         driver = FrontierDriver(appver, self.frontier_size)
         return driver.start(source, budget, finish)
-
-    def verify(self, network: Network, spec: Specification,
-               budget: Optional[Budget] = None) -> VerificationResult:
-        """Run breadth/depth-first BaB on the shared frontier engine."""
-        return self.start_run(network, spec, budget).run_to_completion()

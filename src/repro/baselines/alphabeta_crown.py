@@ -174,11 +174,6 @@ class AlphaBetaCrownVerifier(Verifier):
         self.lp_cache = lp_cache
         self.incremental = incremental
 
-    def verify(self, network: Network, spec: Specification,
-               budget: Optional[Budget] = None) -> VerificationResult:
-        """Attack, then α-CROWN root bound, then best-first engine BaB."""
-        return self.start_run(network, spec, budget).run_to_completion()
-
     def start_run(self, network: Network, spec: Specification,
                   budget: Optional[Budget] = None) -> VerifierRun:
         """Run the attack and root-bound stages; return a resumable BaB run.

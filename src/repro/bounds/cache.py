@@ -256,11 +256,18 @@ class LpCache:
     As with :class:`BoundCache`, every public method is serialised by an
     internal re-entrant lock, so a fingerprint-shared instance is safe under
     concurrent workers and its counters never tear.
+
+    Setting :attr:`fingerprint` pins the cache to one verification problem:
+    a run on the cache then scopes its keys with it instead of hashing the
+    problem again.  Each service cache bundle pins its cache to the
+    fingerprint the pool computed; a pinned cache must serve no other
+    problem.
     """
 
     def __init__(self, max_entries: int = DEFAULT_LP_CACHE_SIZE) -> None:
         require(max_entries >= 1, "max_entries must be positive")
         self.max_entries = int(max_entries)
+        self.fingerprint: Optional[str] = None
         self._store: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.RLock()
         self.stats = LpCacheStats()

@@ -296,8 +296,3 @@ class AbonnVerifier(Verifier):
                                     heuristic, budget, lp_cache, lp_fingerprint)
         driver = FrontierDriver(appver, config.frontier_size)
         return driver.start(source, budget, partial(finish, source=source))
-
-    def verify(self, network: Network, spec: Specification,
-               budget: Optional[Budget] = None) -> VerificationResult:
-        """Run Alg. 1 on the shared frontier engine until verdict or budget."""
-        return self.start_run(network, spec, budget).run_to_completion()

@@ -133,12 +133,15 @@ def leaf_lp_cache(shared: Optional[LpCache], appver: ApproximateVerifier,
     """The run's leaf-LP cache and the fingerprint that scopes its keys.
 
     Without a ``shared`` cache the run gets a fresh one; it never sees
-    another problem's keys, so the weight digest is skipped (``None``).
+    another problem's keys, so the weight digest is skipped (``None``).  A
+    cache pinned to this problem (:attr:`LpCache.fingerprint
+    <repro.bounds.cache.LpCache>`, as in a service cache bundle) supplies
+    its fingerprint; any other shared cache has the problem hashed here.
     """
     if shared is None:
         return LpCache(), None
-    return shared, problem_fingerprint(appver.lowered, spec.input_box,
-                                       spec.output_spec)
+    return shared, shared.fingerprint or problem_fingerprint(
+        appver.lowered, spec.input_box, spec.output_spec)
 
 
 def verification_result(verifier: str, verdict: DriverVerdict, budget: Budget,

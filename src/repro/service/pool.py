@@ -85,6 +85,11 @@ class CacheBundle:
     lp_cache: LpCache = field(default_factory=LpCache)
     bound_cache: BoundCache = field(default_factory=BoundCache)
 
+    def __post_init__(self) -> None:
+        # Every run on this bundle solves this bundle's problem, so its LP
+        # cache carries the fingerprint and runs skip hashing the weights.
+        self.lp_cache.fingerprint = self.fingerprint
+
     def stats_snapshot(self) -> Dict[str, int]:
         """Flat counter snapshot (``lp_*`` / ``bound_*``) for delta accounting.
 

@@ -11,12 +11,23 @@ two roles in the library, mirroring how the paper's baselines use them:
 
 The search runs on the network's canonical affine/ReLU form
 (:meth:`~repro.nn.network.Network.lowered`, memoised on the network): one
-matrix-vector product per layer forward and one per layer back, with no
-im2col and no weight gradients.  The lowered form can differ from the
-layer-by-layer network in the last few ulps (``Conv2d.to_affine`` builds
-its matrix by differencing two forwards), so :func:`pgd_attack` reports a
-counterexample only after re-checking it with a forward pass of the real
-network (:meth:`~repro.specs.properties.Specification.margin`).
+matrix product per layer forward and one per layer back, with no im2col and
+no weight gradients.  :func:`pgd_attack` runs its restarts in lockstep: the
+restarts' current points are the rows of one ``(R, d)`` array, and each PGD
+step is one batched forward and backward pass for all of them.  The result
+is the one a restart-by-restart loop returns: restart ``r`` wins only if
+every earlier restart finished without a counterexample, so the attack
+stops early only when the first restart finds one.
+
+The lowered form can differ from the layer-by-layer network in the last few
+ulps (``Conv2d.to_affine`` builds its matrix by differencing two forwards),
+so every row whose lowered margin is negative is re-checked with a forward
+pass of the real network (:meth:`~repro.specs.properties.Specification.margin`)
+and only a confirmed point counts as a counterexample.  A batched GEMM also
+sums in a different order than a one-row one, so a restart's margins may
+differ from a one-row evaluation of the same point in the last bits; that
+changes a step only where a margin or a gradient entry is within rounding of
+zero.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.nn.network import Network
-from repro.specs.properties import InputBox, LinearOutputSpec, Specification
+from repro.specs.properties import LinearOutputSpec, Specification
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import require
 
@@ -61,6 +72,31 @@ class AttackResult:
         return self.best_margin < 0.0
 
 
+def _margins_and_gradients(network: Network, spec: LinearOutputSpec,
+                           points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Margins ``(B,)`` and input gradients ``(B, input_dim)`` of ``(B, d)`` points.
+
+    One batched forward and backward pass on ``network.lowered()``; each
+    row's gradient is that of its active (minimal) spec row.
+    """
+    lowered = network.lowered()
+    # Row-vector products, as in Dense.forward/backward: on a network of
+    # unmerged Dense layers the lowered margin is bitwise the real one.
+    h = points
+    masks = []
+    for weight, bias in zip(lowered.weights[:-1], lowered.biases[:-1]):
+        z = h @ weight.T + bias
+        masks.append(z > 0)
+        h = np.maximum(z, 0.0)
+    output = h @ lowered.weights[-1].T + lowered.biases[-1]
+    values = output @ spec.coefficients.T + spec.offsets
+    worst_rows = np.argmin(values, axis=1)
+    grad = spec.coefficients[worst_rows] @ lowered.weights[-1]
+    for weight, mask in zip(reversed(lowered.weights[:-1]), reversed(masks)):
+        grad = (grad * mask) @ weight
+    return values[np.arange(len(values)), worst_rows], grad
+
+
 def margin_and_gradient(network: Network, spec: LinearOutputSpec,
                         point: np.ndarray) -> Tuple[float, np.ndarray]:
     """Specification margin at ``point`` and its gradient w.r.t. the input.
@@ -71,39 +107,29 @@ def margin_and_gradient(network: Network, spec: LinearOutputSpec,
     :meth:`~repro.specs.properties.Specification.margin` in the last few
     ulps.  At ``z = 0`` the ReLU derivative is taken as 0, as in
     :meth:`repro.nn.layers.ReLU.backward`.  The gradient is flat,
-    ``(input_dim,)``.
+    ``(input_dim,)``.  This is the one-row case of the batched kernel
+    :func:`pgd_attack` steps its restarts with.
     """
-    lowered = network.lowered()
-    # Row-vector products, as in Dense.forward/backward: on a network of
-    # unmerged Dense layers the lowered margin is bitwise the real one.
-    h = np.asarray(point, dtype=float).reshape(1, -1)
-    masks = []
-    for weight, bias in zip(lowered.weights[:-1], lowered.biases[:-1]):
-        z = h @ weight.T + bias
-        masks.append(z > 0)
-        h = np.maximum(z, 0.0)
-    output = (h @ lowered.weights[-1].T + lowered.biases[-1])[0]
-    values = spec.coefficients @ output + spec.offsets
-    worst_row = int(np.argmin(values))
-    grad = spec.coefficients[worst_row:worst_row + 1] @ lowered.weights[-1]
-    for weight, mask in zip(reversed(lowered.weights[:-1]), reversed(masks)):
-        grad = (grad * mask) @ weight
-    return float(values[worst_row]), grad.reshape(-1)
+    margins, gradients = _margins_and_gradients(
+        network, spec, np.asarray(point, dtype=float).reshape(1, -1))
+    return float(margins[0]), gradients[0]
 
 
-def _checked_margin_and_gradient(network: Network, spec: Specification,
-                                 point: np.ndarray) -> Tuple[float, np.ndarray]:
-    """:func:`margin_and_gradient` with a negative margin re-checked for real.
+def _checked_margins_and_gradients(network: Network, spec: Specification,
+                                   points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_margins_and_gradients` with negative margins re-checked for real.
 
     A violation on the lowered form only counts once the layer-by-layer
-    network confirms it, so the real network's margin replaces a negative
+    network confirms it, so the real network's margin replaces each negative
     lowered one: a point that violates only on the lowered form is kept as a
     non-violation.
     """
-    margin, gradient = margin_and_gradient(network, spec.output_spec, point)
-    if margin < 0.0:
-        margin = spec.margin(network, point)
-    return margin, gradient
+    margins, gradients = _margins_and_gradients(network, spec.output_spec, points)
+    negative = margins < 0.0
+    if negative.any():
+        for row in np.flatnonzero(negative):
+            margins[row] = spec.margin(network, points[row])
+    return margins, gradients
 
 
 def fgsm(network: Network, spec: Specification,
@@ -115,12 +141,12 @@ def fgsm(network: Network, spec: Specification,
     """
     box = spec.input_box
     point = box.center if start is None else box.clip(start)
-    margin, gradient = _checked_margin_and_gradient(network, spec, point)
-    stepped = box.clip(point - np.sign(gradient) * (box.upper - box.lower))
-    stepped_margin, _ = _checked_margin_and_gradient(network, spec, stepped)
-    if stepped_margin < margin:
-        return AttackResult(stepped, stepped_margin, 1)
-    return AttackResult(point, margin, 1)
+    margins, gradients = _checked_margins_and_gradients(network, spec, point[None])
+    stepped = box.clip(point - np.sign(gradients[0]) * (box.upper - box.lower))
+    stepped_margins, _ = _checked_margins_and_gradients(network, spec, stepped[None])
+    if stepped_margins[0] < margins[0]:
+        return AttackResult(stepped, float(stepped_margins[0]), 1)
+    return AttackResult(point, float(margins[0]), 1)
 
 
 def pgd_attack(network: Network, spec: Specification,
@@ -129,44 +155,72 @@ def pgd_attack(network: Network, spec: Specification,
                rng: SeedLike = None) -> AttackResult:
     """Multi-restart projected gradient descent on the specification margin.
 
-    Returns the input with the lowest margin found (always inside the box).
-    The search runs on the lowered form (:func:`margin_and_gradient`); every
-    point whose lowered margin is negative is re-checked on the real
-    network, and only a confirmed point ends the search as a counterexample,
-    with the real network's margin as ``best_margin``.  An unconfirmed point
-    keeps its (non-negative) real margin and the search continues.  When no
-    counterexample is found, ``best_margin`` is the lowered form's margin.
+    Restarts begin at ``start`` (when given), the box centre, then one
+    ``box.sample(rng, 1)`` draw each, ``config.restarts`` in all.  Each
+    takes ``config.steps`` signed steps of ``config.step_fraction`` times
+    the box width, projected onto the box, and evaluates its point before
+    every step and once after the last.  The restarts advance in lockstep:
+    each of the at most ``steps + 1`` rounds is one batched pass over the
+    rows still running, and the box centre is evaluated once, in the first
+    round, whether or not it is a restart.
+
+    The result is that of running the restarts one after another.  A
+    restart whose margin turns negative during its steps wins only if every
+    earlier restart finished without a counterexample, so its success drops
+    every later restart, and the search stops early once the first restart
+    succeeds.  Otherwise the best point so far (centre first, first minimum
+    kept) is returned after the first restart that leaves it negative, or
+    after the last restart.  ``iterations`` counts that loop's evaluations.
+
+    Every negative lowered margin is re-checked on the real network; only a
+    confirmed point is a counterexample, with its real margin as
+    ``best_margin``.  An unconfirmed point keeps its real margin and its
+    restart continues.  Without a counterexample ``best_margin`` is the
+    lowered form's margin.  The returned input is always inside the box.
     """
     config = config or AttackConfig()
     rng = as_rng(config.seed if rng is None else rng)
     box = spec.input_box
     step = config.step_fraction * np.maximum(box.upper - box.lower, 1e-12)
+    steps, restarts = config.steps, config.restarts
 
-    best_point = box.center
-    best_margin, _ = _checked_margin_and_gradient(network, spec, best_point)
-    iterations = 0
-
-    starts = []
-    if start is not None:
-        starts.append(box.clip(start))
+    # Row r is restart r.  The centre row follows ``start``; with a start
+    # and one restart it is an extra row evaluated in the first round only.
+    starts = [] if start is None else [box.clip(start)]
+    centre = len(starts)
     starts.append(box.center)
-    while len(starts) < config.restarts:
+    while len(starts) < restarts:
         starts.append(box.sample(rng, 1)[0])
+    points = np.array(starts)
+    trajectory, margins_by_round = [], []
+    count = restarts  # rows [0, count) run on: none of them has succeeded
+    for round_index in range(steps + 1):
+        margins, gradients = _checked_margins_and_gradients(network, spec, points)
+        trajectory.append(points)
+        margins_by_round.append(margins.tolist())
+        if round_index == steps:
+            break
+        successes = margins[:count] < 0.0
+        if successes.any():
+            # The first success decides every later restart.
+            count = int(successes.argmax())
+            if not count:
+                break
+        points = points[:count] - step * np.sign(gradients[:count])
+        np.minimum(np.maximum(points, box.lower, out=points), box.upper, out=points)
 
-    for start_point in starts[:config.restarts]:
-        point = start_point.copy()
-        for _ in range(config.steps):
-            margin, gradient = _checked_margin_and_gradient(network, spec, point)
+    # Replay the restart-by-restart loop over the recorded rounds.
+    best_margin, best_point = margins_by_round[0][centre], starts[centre]
+    iterations = 0
+    for row in range(restarts):
+        for round_index, (round_points, round_margins) in enumerate(
+                zip(trajectory, margins_by_round)):
+            margin = round_margins[row]
             iterations += 1
             if margin < best_margin:
-                best_margin, best_point = margin, point.copy()
-            if margin < 0.0:
-                return AttackResult(point.copy(), margin, iterations)
-            point = box.clip(point - step * np.sign(gradient))
-        margin, _ = _checked_margin_and_gradient(network, spec, point)
-        iterations += 1
-        if margin < best_margin:
-            best_margin, best_point = margin, point.copy()
+                best_margin, best_point = margin, round_points[row]
+            if margin < 0.0 and round_index < steps:
+                return AttackResult(round_points[row], margin, iterations)
         if best_margin < 0.0:
             break
     return AttackResult(best_point, best_margin, iterations)

@@ -149,8 +149,12 @@ class Verifier:
 
     def verify(self, network: Network, spec: Specification,
                budget: Optional[Budget] = None) -> VerificationResult:
-        """Decide whether ``network`` satisfies ``spec`` within ``budget``."""
-        raise NotImplementedError
+        """Decide whether ``network`` satisfies ``spec`` within ``budget``.
+
+        Runs :meth:`start_run`'s run to completion; a verifier without a
+        resumable run overrides this instead.
+        """
+        return self.start_run(network, spec, budget).run_to_completion()
 
     def start_run(self, network: Network, spec: Specification,
                   budget: Optional[Budget] = None) -> VerifierRun:
@@ -158,10 +162,14 @@ class Verifier:
 
         The engine-backed verifiers override this with a run that is
         preemptible at :class:`~repro.engine.driver.FrontierDriver` round
-        boundaries; the default wraps :meth:`verify` in a
+        boundaries; the default wraps an overridden :meth:`verify` in a
         :class:`MonolithicRun` so every verifier can serve as a job backend
-        of the verification service.
+        of the verification service.  A subclass must override one of the
+        two methods; with neither, this raises :class:`NotImplementedError`.
         """
+        if type(self).verify is Verifier.verify:
+            raise NotImplementedError(
+                f"{type(self).__name__} overrides neither verify nor start_run")
         return MonolithicRun(self, network, spec, budget)
 
     def __repr__(self) -> str:

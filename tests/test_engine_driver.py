@@ -29,7 +29,15 @@ from repro.engine.driver import DriverVerdict, FrontierDriver, WorkSource
 from repro.specs.robustness import local_robustness_spec
 from repro.utils import Budget
 from repro.verifiers.appver import ApproximateVerifier
-from repro.verifiers.result import CompletedRun, VerificationStatus, VerifierRun
+from repro.verifiers.milp import MilpVerifier
+from repro.verifiers.result import (
+    CompletedRun,
+    MonolithicRun,
+    VerificationResult,
+    VerificationStatus,
+    Verifier,
+    VerifierRun,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -429,3 +437,45 @@ class TestSingleFrontierLoop:
         engine = (REPO_ROOT / "src" / "repro" / "engine" / "driver.py").read_text(
             encoding="utf-8")
         assert engine.count("self.appver.evaluate_batch") == 1
+
+
+class TestVerifierEntryPoints:
+    """``Verifier.verify`` runs ``start_run`` to completion, once, for all."""
+
+    def test_engine_verifiers_inherit_verify(self):
+        for cls in (AbonnVerifier, BaBBaselineVerifier, AlphaBetaCrownVerifier):
+            assert "verify" not in vars(cls), f"{cls.__name__} copies verify"
+            assert "start_run" in vars(cls)
+
+    def test_verifier_with_only_verify_runs_monolithically(self, trained_network):
+        network, dataset = trained_network
+        spec = problem(dataset, 13, 0.12)
+        assert "verify" in vars(MilpVerifier)
+        run = MilpVerifier().start_run(network, spec)
+        assert isinstance(run, MonolithicRun)
+        assert run.interrupt() is None
+        result = run.run_to_completion()
+        assert result.status is VerificationStatus.VERIFIED
+        assert run.interrupt() is result
+
+    def test_subclass_overriding_neither_method_raises(self, trained_network):
+        class Bare(Verifier):
+            name = "bare"
+
+        network, dataset = trained_network
+        spec = problem(dataset, 13, 0.12)
+        with pytest.raises(NotImplementedError, match="Bare"):
+            Bare().verify(network, spec)
+        with pytest.raises(NotImplementedError, match="Bare"):
+            Bare().start_run(network, spec)
+
+    def test_subclass_overriding_only_verify_serves_runs(self, trained_network):
+        expected = VerificationResult(status=VerificationStatus.UNKNOWN,
+                                      verifier="fixed")
+
+        class Fixed(Verifier):
+            def verify(self, network, spec, budget=None):
+                return expected
+
+        network, dataset = trained_network
+        assert Fixed().start_run(network, problem(dataset, 13, 0.12)).step() is expected

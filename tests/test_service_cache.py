@@ -16,6 +16,8 @@ import threading
 import numpy as np
 import pytest
 
+import repro.engine.driver
+import repro.service.pool
 from repro.bab import BaBBaselineVerifier
 from repro.baselines.alphabeta_crown import AlphaBetaCrownVerifier
 from repro.bounds.cache import BoundCache, LpCache
@@ -23,6 +25,7 @@ from repro.core.abonn import AbonnVerifier
 from repro.nn import dense_network
 from repro.service import ServiceConfig, VerificationService
 from repro.utils import Budget
+from repro.verifiers.milp import problem_fingerprint
 
 from conftest import make_robustness_problem
 
@@ -135,6 +138,81 @@ class TestSharedBundleAcrossVerifiers:
             _assert_identical(done.result, solos[position % len(solos)])
         repeats = [results[job_id] for job_id in job_ids[len(SHARED_FACTORIES):]]
         assert any(done.cache_stats.get("bound_report_hits", 0) for done in repeats)
+
+
+class _NoRehashVerifier:
+    """ABONN on the job's bundle, failing the job if ``start_run`` hashes
+    the problem.  Module-level so the process transport can pickle it."""
+
+    def __init__(self, bundle) -> None:
+        self.inner = _abonn_on(bundle)
+
+    def start_run(self, network, spec, budget=None):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the job hashed its problem again")
+
+        original = repro.engine.driver.problem_fingerprint
+        repro.engine.driver.problem_fingerprint = refuse
+        try:
+            return self.inner.start_run(network, spec, budget)
+        finally:
+            repro.engine.driver.problem_fingerprint = original
+
+
+def _lp_key_fingerprints(cache: LpCache) -> set:
+    return {key[0] for key, _ in cache.export_entries()}
+
+
+class TestOneFingerprintPerJob:
+    """The pool's fingerprint reaches the run through the bundle's pinned
+    LP cache, so a job hashes its problem once, and the keys stay the
+    full problem fingerprint."""
+
+    @pytest.mark.parametrize("transport", ["cooperative", "process"])
+    def test_job_fingerprints_its_problem_once(self, transport, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return problem_fingerprint(*args, **kwargs)
+
+        monkeypatch.setattr(repro.service.pool, "problem_fingerprint", counting)
+        monkeypatch.setattr(repro.engine.driver, "problem_fingerprint", counting)
+        network, spec = PROBLEM_LP
+        expected = problem_fingerprint(network.lowered(), spec.input_box,
+                                       spec.output_spec)
+        service = VerificationService(ServiceConfig(pool_size=1, transport=transport))
+        with service:
+            job_id = service.submit(network, spec, budget=Budget(max_nodes=BUDGET_NODES),
+                                    verifier_factory=_NoRehashVerifier)
+            done = {done.job_id: done for done in service.as_completed()}[job_id]
+        assert done.ok, done.error
+        _assert_identical(done.result, _solo(PROBLEM_LP))
+        assert len(calls) == 1  # the pool's, when the job was submitted
+        assert done.fingerprint == expected
+        if transport == "process":
+            assert service.stats()["jobs_inline"] == 0
+        bundle = service.pool.bundle(expected)
+        assert bundle.lp_cache.fingerprint == expected
+        assert _lp_key_fingerprints(bundle.lp_cache) == {expected}
+
+    def test_user_shared_cache_is_fingerprinted_per_run(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return problem_fingerprint(*args, **kwargs)
+
+        monkeypatch.setattr(repro.engine.driver, "problem_fingerprint", counting)
+        network, spec = PROBLEM_LP
+        cache = LpCache()
+        result = AbonnVerifier(lp_cache=cache).verify(
+            network, spec, Budget(max_nodes=BUDGET_NODES))
+        _assert_identical(result, _solo(PROBLEM_LP))
+        assert len(calls) == 1
+        assert cache.fingerprint is None
+        assert _lp_key_fingerprints(cache) == {
+            problem_fingerprint(network.lowered(), spec.input_box, spec.output_spec)}
 
 
 class TestFingerprintIsolation:

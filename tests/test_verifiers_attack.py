@@ -1,5 +1,7 @@
 """Tests for repro.verifiers.attack (FGSM / PGD falsification substrate)."""
 
+from typing import Optional
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,13 @@ from hypothesis import strategies as st
 from repro.nn.layers import Conv2d, Dense, Flatten, ReLU
 from repro.nn.network import LoweredNetwork, Network, dense_network
 from repro.nn.zoo import build_trained_model
+from repro.specs.properties import Specification
 from repro.specs.robustness import local_robustness_spec
+from repro.utils.rng import SeedLike, as_rng
+from repro.verifiers import attack
 from repro.verifiers.attack import (
     AttackConfig,
+    AttackResult,
     empirical_robustness_radius,
     fgsm,
     margin_and_gradient,
@@ -34,6 +40,58 @@ def _reference_margin_and_gradient(network, spec, point):
     grad_output[0] = spec.coefficients[worst_row]
     grad_input = network.backward(grad_output).reshape(-1)
     return float(values[worst_row]), grad_input
+
+
+def _checked_margin_and_gradient(network, spec, point):
+    """The one-row re-checked evaluation the sequential reference steps with."""
+    margin, gradient = margin_and_gradient(network, spec.output_spec, point)
+    if margin < 0.0:
+        margin = spec.margin(network, point)
+    return margin, gradient
+
+
+def sequential_pgd_attack(network: Network, spec: Specification,
+                          config: Optional[AttackConfig] = None,
+                          start: Optional[np.ndarray] = None,
+                          rng: SeedLike = None) -> AttackResult:
+    """The restart-by-restart PGD loop the lockstep attack must reproduce.
+
+    A verbatim copy of the sequential ``pgd_attack``: each restart runs
+    alone, one single-row evaluation per step.
+    """
+    config = config or AttackConfig()
+    rng = as_rng(config.seed if rng is None else rng)
+    box = spec.input_box
+    step = config.step_fraction * np.maximum(box.upper - box.lower, 1e-12)
+
+    best_point = box.center
+    best_margin, _ = _checked_margin_and_gradient(network, spec, best_point)
+    iterations = 0
+
+    starts = []
+    if start is not None:
+        starts.append(box.clip(start))
+    starts.append(box.center)
+    while len(starts) < config.restarts:
+        starts.append(box.sample(rng, 1)[0])
+
+    for start_point in starts[:config.restarts]:
+        point = start_point.copy()
+        for _ in range(config.steps):
+            margin, gradient = _checked_margin_and_gradient(network, spec, point)
+            iterations += 1
+            if margin < best_margin:
+                best_margin, best_point = margin, point.copy()
+            if margin < 0.0:
+                return AttackResult(point.copy(), margin, iterations)
+            point = box.clip(point - step * np.sign(gradient))
+        margin, _ = _checked_margin_and_gradient(network, spec, point)
+        iterations += 1
+        if margin < best_margin:
+            best_margin, best_point = margin, point.copy()
+        if best_margin < 0.0:
+            break
+    return AttackResult(best_point, best_margin, iterations)
 
 
 def strided_conv_network(seed=0):
@@ -162,6 +220,126 @@ class TestPgdAttack:
             AttackConfig(steps=0)
         with pytest.raises(ValueError):
             AttackConfig(restarts=0)
+
+
+SCHEDULES = [(1, 1), (5, 2), (20, 2), (25, 3), (40, 4)]
+
+
+def assert_same_attack(network, spec, config, start=None):
+    expected = sequential_pgd_attack(network, spec, config, start)
+    result = pgd_attack(network, spec, config, start)
+    assert result.is_counterexample == expected.is_counterexample
+    assert result.iterations == expected.iterations
+    assert abs(result.best_margin - expected.best_margin) <= 1e-9
+    np.testing.assert_allclose(result.best_input, expected.best_input,
+                               rtol=1e-9, atol=1e-12)
+    assert spec.input_box.contains(result.best_input)
+    return result
+
+
+def _one_input_network(threshold):
+    """A linear two-class network whose class-0 margin is ``x - threshold``."""
+    layer = Dense(1, 2, weight=np.array([[1.0], [0.0]]),
+                  bias=np.array([0.0, threshold]))
+    return Network([layer], (1,), name="one-input")
+
+
+class TestLockstepMatchesSequential:
+    """The lockstep restarts return what the restart-by-restart loop does."""
+
+    @pytest.mark.parametrize("steps,restarts", SCHEDULES)
+    @pytest.mark.parametrize("with_start", [False, True])
+    def test_trained_fixture(self, trained_network, steps, restarts, with_start):
+        network, dataset = trained_network
+        outcomes = set()
+        for index, epsilon in [(0, 0.05), (1, 0.2), (2, 0.4), (3, 0.9), (5, 0.3)]:
+            image, label = dataset.sample(index)
+            reference = image.reshape(-1)
+            spec = local_robustness_spec(reference, epsilon, label,
+                                         dataset.num_classes)
+            start = (np.random.default_rng(index).random(network.input_dim)
+                     if with_start else None)
+            config = AttackConfig(steps=steps, restarts=restarts, seed=index)
+            outcomes.add(assert_same_attack(network, spec, config, start)
+                         .is_counterexample)
+        if steps >= 5:
+            assert outcomes == {False, True}  # both branches are compared
+
+    @pytest.mark.parametrize("steps,restarts", SCHEDULES)
+    @pytest.mark.parametrize("with_start", [False, True])
+    def test_strided_conv(self, steps, restarts, with_start):
+        for seed, epsilon in [(0, 0.05), (1, 0.3), (2, 0.8)]:
+            network = strided_conv_network(seed)
+            rng = np.random.default_rng(seed)
+            spec = problem(network, rng.random(network.input_dim), epsilon)
+            start = rng.random(network.input_dim) if with_start else None
+            assert_same_attack(network, spec,
+                               AttackConfig(steps=steps, restarts=restarts, seed=seed),
+                               start)
+
+    @pytest.mark.parametrize("steps,restarts", SCHEDULES)
+    @pytest.mark.parametrize("with_start", [False, True])
+    def test_small_network(self, small_network, steps, restarts, with_start):
+        for seed, epsilon in [(0, 0.01), (1, 0.2), (2, 0.5)]:
+            spec = problem(small_network, [0.4, 0.5, 0.6, 0.3], epsilon)
+            start = (np.random.default_rng(seed).random(4) if with_start else None)
+            assert_same_attack(small_network, spec,
+                               AttackConfig(steps=steps, restarts=restarts, seed=seed),
+                               start)
+
+    def test_first_restart_wins_over_a_faster_later_one(self):
+        # Margin x - 0.3 on [0, 1]: the centre restart needs two steps
+        # (0.5, 0.35, 0.2), while seed 2's first sample (0.26) violates at
+        # once.  Only the first restart's success counts.
+        network = _one_input_network(0.3)
+        spec = local_robustness_spec(np.array([0.5]), 0.5, 0, 2)
+        config = AttackConfig(steps=10, restarts=2, seed=2)
+        later_start = spec.input_box.sample(as_rng(2), 1)[0]
+        later = pgd_attack(network, spec, AttackConfig(steps=10, restarts=1),
+                           start=later_start)
+        assert later.is_counterexample and later.iterations == 1
+
+        result = assert_same_attack(network, spec, config)
+        assert result.is_counterexample
+        assert result.iterations == 3
+        np.testing.assert_allclose(result.best_input, [0.2])
+
+    def test_centre_counterexample_after_a_failing_start(self):
+        # The centre (0.5) violates x - 0.6.  The start restart comes first
+        # and stays above 0.6 (1.0, 0.85, 0.7), so the attack returns the
+        # centre as soon as that restart finishes, not at the centre
+        # restart's first step.
+        network = _one_input_network(0.6)
+        spec = local_robustness_spec(np.array([0.5]), 0.5, 0, 2)
+        config = AttackConfig(steps=2, restarts=3)
+        result = assert_same_attack(network, spec, config, start=np.array([1.0]))
+        assert result.is_counterexample
+        assert result.iterations == 3
+        np.testing.assert_allclose(result.best_input, [0.5])
+
+    @pytest.mark.parametrize("with_start", [False, True])
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_one_batched_pass_per_step(self, small_network, monkeypatch,
+                                       restarts, with_start):
+        spec = problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.01)
+        steps = 10
+        config = AttackConfig(steps=steps, restarts=restarts)
+        start = np.array([0.41, 0.49, 0.6, 0.3]) if with_start else None
+        kernel = attack._margins_and_gradients
+        rows = []
+
+        def counting(network, output_spec, points):
+            rows.append(len(points))
+            return kernel(network, output_spec, points)
+
+        monkeypatch.setattr(attack, "_margins_and_gradients", counting)
+        result = pgd_attack(small_network, spec, config, start)
+        assert not result.is_counterexample
+        assert len(rows) == steps + 1
+        assert max(rows) <= restarts + 1
+        rows.clear()
+        sequential_pgd_attack(small_network, spec, config, start)
+        assert len(rows) == restarts * (steps + 1) + 1
 
 
 class TestFgsm:
