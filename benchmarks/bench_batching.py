@@ -34,8 +34,8 @@ With ``--lp`` the benchmark exercises the batched + cached leaf-LP path:
   each leaf through the hidden-variable ``_encode_problem`` encoding of
   the MILP verifier;
 * end-to-end ABONN runs at ``frontier_size ∈ {1, 2, 8}`` *share* one
-  ``LpCache`` per problem (sound: the cache key is the canonical split
-  assignment scoped by the problem fingerprint), so re-visited leaves
+  ``LpCache`` per problem (sound: the cache key is the leaf's phase row
+  scoped by the problem fingerprint), so re-visited leaves
   across the sweep never re-solve — verdicts must not depend on the
   frontier size or on cache hits.
 
@@ -156,7 +156,7 @@ def _make_frontier(network, spec, batch_size: int, seed: int
         depth = int(rng.integers(0, 3))
         chosen = rng.choice(len(unstable), size=min(depth + 1, len(unstable)),
                             replace=False)
-        parent = SplitAssignment.empty()
+        parent = probe.root_splits
         for index in chosen[:-1]:
             layer, unit = unstable[int(index)]
             phase = ACTIVE if rng.random() < 0.5 else INACTIVE
@@ -232,7 +232,7 @@ def _decided_leaf_workload(network, spec, clusters: int, seed: int):
     rng = np.random.default_rng(seed)
     leaves = []
     for _ in range(clusters):
-        splits = SplitAssignment.empty()
+        splits = appver.root_splits
         outcome = appver.evaluate(splits)
         # Decide every unstable neuron (splitting can re-destabilise a
         # neuron in corner cases, so iterate until the leaf is decided).
@@ -248,11 +248,9 @@ def _decided_leaf_workload(network, spec, clusters: int, seed: int):
             continue  # pragma: no cover - pathological family
         leaves.append((splits, outcome.report))
         # The sibling flips the last decided neuron's phase.
-        decided = splits.decided_neurons()
-        flip_layer, flip_unit = decided[-1]
-        sibling = SplitAssignment(
-            {neuron: (-splits.phase_of(*neuron) if neuron == (flip_layer, flip_unit)
-                      else splits.phase_of(*neuron)) for neuron in decided})
+        *kept, last = splits
+        sibling = SplitAssignment.from_splits(appver.lowered.relu_layer_sizes(),
+                                              kept + [last.negated()])
         sibling_outcome = appver.evaluate(sibling)
         if not sibling_outcome.report.unstable_neurons(sibling):
             leaves.append((sibling, sibling_outcome.report))
@@ -593,7 +591,7 @@ def bench_kernel(family_name: str, children_per_round: int) -> List[Dict]:
     box, output_spec = spec.input_box, spec.output_spec
     analyzer = DeepPolyAnalyzer(lowered)
     cache = BoundCache()
-    root_splits = SplitAssignment.empty()
+    root_splits = analyzer.root_splits
     root = analyzer.analyze(box, root_splits, spec=output_spec, cache=cache)
     unstable = root.unstable_neurons()[:children_per_round // 2]
     deltas = [ReluSplit(layer, unit, phase)

@@ -203,7 +203,7 @@ class BaBBaselineVerifier(Verifier):
         if settled is not None:
             return CompletedRun(finish(settled))
 
-        root = BaBNode(SplitAssignment.empty(), depth=0, outcome=root_outcome)
+        root = BaBNode(appver.root_splits, depth=0, outcome=root_outcome)
         source = QueueFrontierSource(root, self.exploration, statistics, appver,
                                      spec, heuristic, budget, lp_cache,
                                      lp_fingerprint)

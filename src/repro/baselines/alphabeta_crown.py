@@ -227,7 +227,7 @@ class AlphaBetaCrownVerifier(Verifier):
         # root's children are bounded against the optimised root bounds.
         sub_appver = ApproximateVerifier(network, spec, "deeppoly",
                                          incremental=self.incremental)
-        root = HeapNode(root_outcome.p_hat, 0, SplitAssignment.empty(),
+        root = HeapNode(root_outcome.p_hat, 0, sub_appver.root_splits,
                         root_outcome)
         source = HeapFrontierSource(root, sub_appver, spec, heuristic, budget,
                                     lp_cache, lp_fingerprint)

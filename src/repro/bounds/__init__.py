@@ -29,7 +29,7 @@ from repro.bounds.splits import (
     ReluSplit,
     SplitAssignment,
     clip_bounds_with_phases,
-    decided_phases,
+    stack_rows,
 )
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "LpCache",
     "LpCacheStats",
     "clip_bounds_with_phases",
-    "decided_phases",
+    "stack_rows",
     "AlphaCrownAnalyzer",
     "AlphaCrownConfig",
     "alpha_crown_bounds",

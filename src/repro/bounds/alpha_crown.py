@@ -41,10 +41,11 @@ child starts its ascent from the *parent's optimised slopes* — with the
 newly decided neuron's slope swapped to the exact identity/zero value its
 phase imposes — instead of DeepPoly's default slopes.  Since any slope
 vector in ``[0, 1]`` is sound, the warm start only changes where the ascent
-*begins*.  The per-problem slope store is a bounded LRU keyed by
-``SplitAssignment.canonical_key()``; the parent's key is the child's
-without the new split.  The optimiser's inner DeepPoly passes bound every
-layer afresh: the parent's report serves only the warm start.
+*begins*.  The per-problem slope store is a bounded LRU keyed by the
+phase row's bytes (``SplitAssignment.key``); the parent's key is the
+child's row with the new split's entry zeroed.  The optimiser's inner
+DeepPoly passes bound every layer afresh: the parent's report serves only
+the warm start.
 
 An α-CROWN report has no cache path (``path=None``), so nothing bounded
 against it — a DeepPoly child of the αβ-CROWN baseline's α-CROWN root, say —
@@ -149,14 +150,14 @@ class AlphaCrownAnalyzer:
         self.network = network
         self.config = config or AlphaCrownConfig()
         self._inner = DeepPolyAnalyzer(network)
-        #: Optimised slopes of finished analyses, keyed by canonical splits.
-        self._slope_store: "OrderedDict[Tuple, List[np.ndarray]]" = OrderedDict()
+        #: Optimised slopes of finished analyses, keyed by phase-row bytes.
+        self._slope_store: "OrderedDict[bytes, List[np.ndarray]]" = OrderedDict()
         self.warm_starts = 0
 
     # -- slope store -----------------------------------------------------------
     def _store_slopes(self, splits: SplitAssignment,
                       slopes: Sequence[np.ndarray]) -> None:
-        key = splits.canonical_key()
+        key = splits.key
         self._slope_store[key] = [np.asarray(s, dtype=float).copy() for s in slopes]
         self._slope_store.move_to_end(key)
         while len(self._slope_store) > DEFAULT_SLOPE_STORE_SIZE:
@@ -175,9 +176,7 @@ class AlphaCrownAnalyzer:
         split = parent[1]
         if split.layer >= self.network.num_relu_layers:
             return None
-        added = (split.layer, split.unit, split.phase)
-        parent_key = tuple(triple for triple in splits.canonical_key()
-                           if triple != added)
+        parent_key = splits.key_without(split)
         stored = self._slope_store.get(parent_key)
         if stored is None:
             return None
@@ -256,7 +255,7 @@ class AlphaCrownAnalyzer:
                   ) -> List[BoundReport]:
         """The projected gradient ascent behind :meth:`analyze` and
         :meth:`analyze_batch`."""
-        splits_list = [s or SplitAssignment.empty() for s in splits_list]
+        splits_list = [self._inner.root_splits if s is None else s for s in splits_list]
         if not splits_list:
             return []
         if parents is not None:

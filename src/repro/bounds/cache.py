@@ -30,13 +30,13 @@ so every verifier reports them under ``extras["bound_cache"]``.
 
 :class:`LpCache` applies the same idea to the *exact* leaf resolutions of
 :func:`~repro.verifiers.milp.solve_leaf_lp_batch`: a bounded LRU store of
-``RowOptimum`` results keyed by ``SplitAssignment.canonical_key()``, so a
-fully phase-decided leaf that is reached again (within a run, or across
-runs on the *same* verification problem when the cache is shared
-explicitly) never re-solves its LP.  The same soundness invariant applies —
-one cache per ``(network, input box, output spec)`` triple; the bound
-analysis is deterministic, so a canonical split assignment always induces
-the same LP and a hit returns the identical optimum.
+``RowOptimum`` results keyed by the leaf's phase-row bytes
+(``SplitAssignment.key``), so a fully phase-decided leaf that is reached
+again (within a run, or across runs on the *same* verification problem
+when the cache is shared explicitly) never re-solves its LP.  The same
+soundness invariant applies — one cache per ``(network, input box, output
+spec)`` triple; the bound analysis is deterministic, so a phase row always
+induces the same LP and a hit returns the identical optimum.
 """
 
 from __future__ import annotations
@@ -79,10 +79,12 @@ class CacheStats:
 
     @property
     def hits(self) -> int:
+        """Layers taken from a parent plus reports served from the cache."""
         return self.layer_hits + self.report_hits
 
     @property
     def misses(self) -> int:
+        """Layers re-bounded plus report lookups that found nothing."""
         return self.layer_misses + self.report_misses
 
     @property
@@ -91,6 +93,7 @@ class CacheStats:
         return self.report_evictions
 
     def as_dict(self) -> dict:
+        """The counters as a plain dict (``extras["bound_cache"]``)."""
         return {
             "layer_hits": self.layer_hits,
             "layer_misses": self.layer_misses,
@@ -142,6 +145,7 @@ class BoundCache:
             return report
 
     def put_report(self, path: Tuple, with_spec: bool, report) -> None:
+        """Memoise ``report`` under ``path`` (LRU eviction beyond capacity)."""
         with self._lock:
             self._put(("report", path, with_spec), report)
 
@@ -203,6 +207,7 @@ class BoundCache:
             return len(self._store)
 
     def clear(self) -> None:
+        """Drop every entry; the counters are kept."""
         with self._lock:
             self._store.clear()
 
@@ -231,6 +236,7 @@ class LpCacheStats:
         return (self.hits / total) if total else 0.0
 
     def as_dict(self) -> dict:
+        """The counters and the hit rate as a plain dict (``extras["lp_cache"]``)."""
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -244,8 +250,9 @@ class LpCacheStats:
 class LpCache:
     """A bounded LRU cache of exact leaf-LP optima.
 
-    Keys are ``SplitAssignment.canonical_key()`` tuples; values are the
-    :class:`~repro.verifiers.milp.RowOptimum` computed for that leaf (stored
+    Keys are leaf phase-row bytes (``SplitAssignment.key``), or
+    ``(fingerprint, bytes)`` pairs when scoped by a problem fingerprint;
+    values are the :class:`~repro.verifiers.milp.RowOptimum` of that leaf (stored
     as an opaque object so this module stays free of verifier imports).  A
     hit returns the *identical* object the solver produced — callers treat
     optima as immutable.  ``solves`` counts leaf resolutions that actually
@@ -272,23 +279,23 @@ class LpCache:
         self._lock = threading.RLock()
         self.stats = LpCacheStats()
 
-    def get(self, canonical_key: Hashable) -> Optional[object]:
+    def get(self, key: Hashable) -> Optional[object]:
         """Look up a leaf's optimum; counts a hit or a miss."""
         with self._lock:
-            value = self._store.get(canonical_key)
+            value = self._store.get(key)
             if value is None:
                 self.stats.misses += 1
             else:
                 self.stats.hits += 1
-                self._store.move_to_end(canonical_key)
+                self._store.move_to_end(key)
             return value
 
-    def put(self, canonical_key: Hashable, optimum: object) -> None:
+    def put(self, key: Hashable, optimum: object) -> None:
         """Store a freshly solved optimum (LRU eviction beyond capacity)."""
         with self._lock:
-            if canonical_key in self._store:
-                self._store.move_to_end(canonical_key)
-            self._store[canonical_key] = optimum
+            if key in self._store:
+                self._store.move_to_end(key)
+            self._store[key] = optimum
             while len(self._store) > self.max_entries:
                 self._store.popitem(last=False)
                 self.stats.evictions += 1
@@ -357,5 +364,6 @@ class LpCache:
             return len(self._store)
 
     def clear(self) -> None:
+        """Drop every entry; the counters are kept."""
         with self._lock:
             self._store.clear()

@@ -95,8 +95,11 @@ An optional :class:`~repro.bounds.cache.BoundCache` memoises whole reports
 keyed by :attr:`~repro.bounds.report.BoundReport.path` and carries the
 reuse counters.  A sub-problem without a parent is plain DeepPoly of its
 split set: the root has path ``("deeppoly",)``, and a plain call with
-splits gets the separate tag ``"deeppoly-plain"``, so it never shares an
-entry with a child bounded against the root along the same splits.
+splits has path ``("deeppoly-plain", phase row bytes)``, so it never shares
+an entry with a child bounded against the root along the same splits.
+A call stacks its sub-problems' phase rows once
+(:func:`~repro.bounds.splits.stack_rows`), and each layer clips and
+relaxes against its columns of the stack.
 """
 
 from __future__ import annotations
@@ -112,14 +115,14 @@ from repro.bounds.linear_form import (
     concretize_center_radius,
     minimizing_corner_batch,
 )
-from repro.bounds.report import BoundReport, FlatBounds, Parent, flat_offsets
+from repro.bounds.report import BoundReport, FlatBounds, Parent
 from repro.bounds.splits import (
     ACTIVE,
     INACTIVE,
     SplitAssignment,
     clip_bounds_with_phases,
-    decided_phases,
-    prefix_counts,
+    layer_rows,
+    stack_rows,
 )
 from repro.nn.network import LoweredNetwork
 from repro.specs.properties import InputBox, LinearOutputSpec
@@ -206,8 +209,11 @@ class DeepPolyAnalyzer:
     def __init__(self, network: LoweredNetwork) -> None:
         self.network = network
         self._top: Tuple = (None, None, None)
+        #: The network's empty split assignment: the root of a search and
+        #: what a ``None`` entry of ``splits_list`` means.
+        self.root_splits = SplitAssignment.empty(network.relu_layer_sizes())
         #: Layer offsets of a flat hidden row, shared by every report.
-        self._offsets = flat_offsets(network.relu_layer_sizes())
+        self._offsets = list(self.root_splits.offsets)
 
     def _top_rows(self, spec: Optional[LinearOutputSpec]
                   ) -> Tuple[np.ndarray, np.ndarray]:
@@ -378,7 +384,7 @@ class DeepPolyAnalyzer:
         if parent is None:
             if not splits:
                 return ("deeppoly",)
-            return ("deeppoly-plain",) + splits.canonical_key()
+            return ("deeppoly-plain", splits.key)
         report, split = parent
         require(splits.phase_of(split.layer, split.unit) == split.phase,
                 "a parent's split must be decided in its child")
@@ -446,7 +452,7 @@ class DeepPolyAnalyzer:
         network = self.network
         require(box.dimension == network.input_dim,
                 "input box dimension does not match the network")
-        splits_list = [s or SplitAssignment.empty() for s in splits_list]
+        splits_list = [self.root_splits if s is None else s for s in splits_list]
         batch_size = len(splits_list)
         if batch_size == 0:
             return []
@@ -477,10 +483,7 @@ class DeepPolyAnalyzer:
         if not pending:
             return reports
         count = len(pending)
-        # A canonical key is sorted by layer, so a row's decisions at layer
-        # ``l`` are the key's slice between consecutive prefix counts.
-        sub_keys = [splits_list[index].canonical_key() for index in pending]
-        sub_counts = [prefix_counts(key, num_layers) for key in sub_keys]
+        phase_rows = stack_rows([splits_list[index] for index in pending], self.root_splits)
         offsets = self._offsets
         reference = _Reference.build([parents[index] for index in pending],
                                      offsets)
@@ -515,7 +518,7 @@ class DeepPolyAnalyzer:
                     timings)
                 layers_taken += reference.children - rebound
                 layers_rebound += count - reference.children + rebound
-            phases = decided_phases(sub_keys, sub_counts, range(count), layer, width)
+            phases = layer_rows(phase_rows, offsets, layer)
             lower, upper, layer_infeasible = clip_bounds_with_phases(lower, upper, phases)
             slopes = None
             if lower_slopes is not None:

@@ -23,8 +23,8 @@ from repro.bounds.report import BoundReport, FlatBounds, flat_offsets
 from repro.bounds.splits import (
     SplitAssignment,
     clip_bounds_with_phases,
-    decided_phases,
-    prefix_counts,
+    layer_rows,
+    stack_rows,
 )
 from repro.nn.network import LoweredNetwork
 from repro.specs.properties import InputBox, LinearOutputSpec
@@ -72,32 +72,29 @@ def interval_bounds_batch(network: LoweredNetwork, box: InputBox,
     """
     require(box.dimension == network.input_dim,
             "input box dimension does not match the network")
-    splits_list = [s or SplitAssignment.empty() for s in splits_list]
     batch_size = len(splits_list)
     if batch_size == 0:
         return []
     if spec is not None:
         require(spec.output_dim == network.output_dim,
                 "specification output dimension does not match the network")
-    num_layers = network.num_relu_layers
-    keys = [splits.canonical_key() for splits in splits_list]
-    counts = [prefix_counts(key, num_layers) for key in keys]
+    sizes = network.relu_layer_sizes()
+    phase_rows = stack_rows(splits_list, SplitAssignment.empty(sizes))
+    offsets = flat_offsets(sizes)
     rows = range(batch_size)
 
     # Until a layer decides a neuron the intervals have one shared row; the
     # flat (B, H) hidden bounds broadcast it into every sub-problem's row.
     lower = box.lower[None]
     upper = box.upper[None]
-    offsets = flat_offsets(network.relu_layer_sizes())
     flat_lower = np.empty((batch_size, offsets[-1]))
     flat_upper = np.empty((batch_size, offsets[-1]))
     infeasible = np.zeros(batch_size, dtype=bool)
-    for layer in range(num_layers):
+    for layer in range(network.num_relu_layers):
         pre_lower, pre_upper = _interval_image(
             network.weights[layer], network.biases[layer], lower, upper)
-        phases = decided_phases(keys, counts, rows, layer, pre_lower.shape[1])
         pre_lower, pre_upper, inconsistent = clip_bounds_with_phases(
-            pre_lower, pre_upper, phases)
+            pre_lower, pre_upper, layer_rows(phase_rows, offsets, layer))
         infeasible |= inconsistent
         flat_lower[:, offsets[layer]:offsets[layer + 1]] = pre_lower
         flat_upper[:, offsets[layer]:offsets[layer + 1]] = pre_upper

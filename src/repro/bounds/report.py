@@ -4,18 +4,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bounds.linear_form import ScalarBounds
-from repro.bounds.splits import ReluSplit, SplitAssignment
-
-
-def flat_offsets(sizes: Sequence[int]) -> List[int]:
-    """Start of each layer in a flat row of layers of ``sizes``, then its end."""
-    return list(accumulate(sizes, initial=0))
+from repro.bounds.splits import ReluSplit, SplitAssignment, flat_offsets
 
 
 class FlatBounds:
@@ -70,15 +64,10 @@ class FlatBounds:
 
     def unstable_mask(self, splits: Optional[SplitAssignment] = None,
                       tolerance: float = 0.0) -> np.ndarray:
-        """Flat mask of the undecided neurons whose bounds straddle zero.
-
-        Splits on neurons outside the report's layers are ignored.
-        """
+        """Flat mask of the undecided neurons whose bounds straddle zero."""
         mask = (self.lower < -tolerance) & (self.upper > tolerance)
-        offsets = self.offsets
-        for layer, unit in splits.decided_neurons() if splits else ():
-            if layer < len(offsets) - 1 and unit < offsets[layer + 1] - offsets[layer]:
-                mask[offsets[layer] + unit] = False
+        if splits is not None:
+            mask &= splits.row == 0
         return mask
 
     def neuron(self, index: int) -> Tuple[int, int]:

@@ -4,13 +4,17 @@ A BaB sub-problem Γ (§III of the paper) is identified by a sequence of ReLU
 input constraints: each split fixes one ReLU neuron to be *active*
 (``r+``: pre-activation >= 0) or *inactive* (``r-``: pre-activation <= 0).
 The bound-propagation verifiers consume these constraints as a
-:class:`SplitAssignment`, which records the decided phase of each neuron.
+:class:`SplitAssignment`: one phase row over the network's hidden neurons
+in flat, layer-major order.  A batch stacks its rows into one array
+(:func:`stack_rows`), so per-layer phases, unstable masks and leaf
+programs are array slices, and a row's bytes are its cache key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +40,7 @@ class ReluSplit:
 
     @property
     def neuron(self) -> Tuple[int, int]:
+        """The split neuron's ``(layer, unit)`` address."""
         return (self.layer, self.unit)
 
     def negated(self) -> "ReluSplit":
@@ -47,162 +52,148 @@ class ReluSplit:
         return f"r{sign}({self.layer},{self.unit})"
 
 
-class SplitAssignment:
-    """An immutable mapping from ReLU neurons to decided phases.
+def flat_offsets(sizes: Sequence[int]) -> List[int]:
+    """Start of each layer in a flat row of layers of ``sizes``, then its end."""
+    return list(accumulate(sizes, initial=0))
 
-    The assignment corresponds to the constraint sequence Γ of a BaB node;
-    extending it with one more :class:`ReluSplit` yields a child node's
-    assignment.
+
+class SplitAssignment:
+    """The constraint set Γ of a BaB node as one immutable phase row.
+
+    ``row`` is an ``int8`` vector over the hidden neurons in the flat,
+    layer-major order of :class:`~repro.bounds.report.FlatBounds` (layer
+    ``l`` occupies ``offsets[l]:offsets[l + 1]``): 0 undecided, else the
+    decided phase.  A run's root comes from :meth:`empty`, and each child
+    is its parent's row with one entry set (:meth:`with_split`), sharing
+    ``offsets``.  Nothing may write to ``row``.
     """
 
-    def __init__(self, splits: Optional[Mapping[Tuple[int, int], int]] = None) -> None:
-        self._phases: Dict[Tuple[int, int], int] = dict(splits or {})
-        for neuron, phase in self._phases.items():
-            require(phase in (ACTIVE, INACTIVE),
-                    f"phase for neuron {neuron} must be +1 or -1")
+    __slots__ = ("row", "offsets")
+
+    def __init__(self, row: np.ndarray, offsets: Tuple[int, ...]) -> None:
+        self.row = row
+        self.offsets = offsets
 
     @classmethod
-    def empty(cls) -> "SplitAssignment":
-        return cls()
+    def empty(cls, sizes: Sequence[int]) -> "SplitAssignment":
+        """The root assignment of a network whose hidden layers have ``sizes``."""
+        offsets = tuple(flat_offsets(sizes))
+        return cls(np.zeros(offsets[-1], dtype=np.int8), offsets)
 
     @classmethod
-    def from_splits(cls, splits: Iterable[ReluSplit]) -> "SplitAssignment":
-        assignment = cls()
+    def from_splits(cls, sizes: Sequence[int],
+                    splits: Iterable[ReluSplit]) -> "SplitAssignment":
+        """The root of ``sizes`` extended by every split in turn (see
+        :meth:`with_split`)."""
+        assignment = cls.empty(sizes)
         for split in splits:
             assignment = assignment.with_split(split)
         return assignment
 
+    def _index(self, layer: int, unit: int) -> int:
+        """The flat row index of neuron ``(layer, unit)``; ``ValueError`` for a
+        neuron outside the row's layers, which a flat index would misplace."""
+        offsets = self.offsets
+        if not (0 <= layer < len(offsets) - 1
+                and 0 <= unit < offsets[layer + 1] - offsets[layer]):
+            raise ValueError(f"neuron {(layer, unit)} is outside the network's "
+                             "hidden layers")
+        return offsets[layer] + unit
+
     def with_split(self, split: ReluSplit) -> "SplitAssignment":
         """Return a new assignment extended by ``split``.
 
-        Re-splitting an already-decided neuron with a conflicting phase is a
-        programming error in the BaB driver and raises ``ValueError``.  Only
+        A neuron outside the row, or re-split with a conflicting phase (a
+        programming error in the BaB driver), raises ``ValueError``.  Only
         the added split is checked: the inherited phases were validated when
         this assignment was built, and ``split`` validated its own phase.
         """
-        existing = self._phases.get(split.neuron)
-        if existing is not None and existing != split.phase:
+        index = self._index(split.layer, split.unit)
+        existing = self.row[index]
+        if existing and existing != split.phase:
             raise ValueError(f"conflicting split for neuron {split.neuron}")
-        child = SplitAssignment.__new__(SplitAssignment)
-        child._phases = dict(self._phases)
-        child._phases[split.neuron] = split.phase
-        return child
+        row = self.row.copy()
+        row[index] = split.phase
+        return SplitAssignment(row, self.offsets)
 
     def phase_of(self, layer: int, unit: int) -> int:
         """Return the decided phase of a neuron, or 0 when undecided."""
-        return self._phases.get((layer, unit), 0)
+        return int(self.row[self._index(layer, unit)])
 
     def is_decided(self, layer: int, unit: int) -> bool:
-        return (layer, unit) in self._phases
+        """Whether a split fixes the phase of neuron ``(layer, unit)``."""
+        return self.phase_of(layer, unit) != 0
 
-    def decided_neurons(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(self._phases))
+    @property
+    def key(self) -> bytes:
+        """The row's bytes: equal exactly for equal assignments of one
+        network, so the LP cache and the α-CROWN slope store key on it."""
+        return self.row.tobytes()
 
-    def layer_phases(self, layer: int, width: int) -> Dict[int, int]:
-        """Decided phases restricted to one layer: ``{unit: phase}``."""
-        return {unit: phase for (lay, unit), phase in self._phases.items()
-                if lay == layer and unit < width}
-
-    def canonical_key(self) -> Tuple[Tuple[int, int, int], ...]:
-        """A hashable canonical form: sorted ``(layer, unit, phase)`` triples.
-
-        Two assignments describing the same constraint set always produce the
-        same key, which is what the bound cache uses to identify sub-problems.
-        """
-        return tuple((layer, unit, phase)
-                     for (layer, unit), phase in sorted(self._phases.items()))
-
-    def max_layer(self) -> int:
-        """The deepest layer with a decided neuron, or ``-1`` when empty."""
-        if not self._phases:
-            return -1
-        return max(layer for layer, _ in self._phases)
+    def key_without(self, split: ReluSplit) -> bytes:
+        """The key of this assignment with ``split``'s neuron undecided: a
+        child's key without its newest split is its parent's key."""
+        row = self.row.copy()
+        row[self._index(split.layer, split.unit)] = 0
+        return row.tobytes()
 
     def __len__(self) -> int:
-        return len(self._phases)
+        return int(np.count_nonzero(self.row))
 
     def __iter__(self) -> Iterator[ReluSplit]:
-        for (layer, unit), phase in sorted(self._phases.items()):
-            yield ReluSplit(layer, unit, phase)
+        decided = np.flatnonzero(self.row)
+        layers = np.searchsorted(self.offsets, decided, side="right") - 1
+        for index, layer in zip(decided.tolist(), layers.tolist()):
+            yield ReluSplit(layer, index - self.offsets[layer], int(self.row[index]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SplitAssignment):
             return NotImplemented
-        return self._phases == other._phases
+        return self.offsets == other.offsets and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._phases.items())))
+        return hash(self.key)
 
     def __str__(self) -> str:
-        if not self._phases:
+        if not len(self):
             return "Γ=ε"
         return "Γ=" + "·".join(str(split) for split in self)
-
-    def layer_phase_array(self, layer: int, width: int) -> np.ndarray:
-        """Decided phases of one layer as an integer array (0 = undecided)."""
-        phases = np.zeros(width, dtype=int)
-        for unit, phase in self.layer_phases(layer, width).items():
-            phases[unit] = phase
-        return phases
 
     def satisfied_by(self, pre_activations: Iterable, tolerance: float = 1e-9) -> bool:
         """Whether concrete pre-activation vectors satisfy every decided phase.
 
         ``pre_activations`` is the per-layer list produced by
-        :meth:`repro.nn.network.LoweredNetwork.pre_activations`.
+        :meth:`repro.nn.network.LoweredNetwork.pre_activations`; vectors
+        of another layout satisfy nothing.
         """
-        pre_activations = list(pre_activations)
-        for (layer, unit), phase in self._phases.items():
-            if layer >= len(pre_activations) or unit >= len(pre_activations[layer]):
-                return False
-            value = float(pre_activations[layer][unit])
-            if phase == ACTIVE and value < -tolerance:
-                return False
-            if phase == INACTIVE and value > tolerance:
-                return False
-        return True
+        layers = [np.ravel(values) for values in pre_activations]
+        if [len(values) for values in layers] != np.diff(self.offsets).tolist():
+            return False
+        decided = self.row != 0
+        signed = np.concatenate(layers + [np.empty(0)])[decided] * self.row[decided]
+        return not np.any(signed < -tolerance)
 
 
-def prefix_counts(canonical: Tuple[Tuple[int, int, int], ...],
-                  num_layers: int) -> Tuple[int, ...]:
-    """Per-layer split counts: ``canonical[:counts[l]]`` holds the splits
-    at layers ``<= l``.
+def stack_rows(splits_list: Sequence[Optional[SplitAssignment]],
+               root: SplitAssignment) -> np.ndarray:
+    """The phase rows of a batch stacked into one ``(count, H)`` array.
 
-    A canonical key is sorted by ``(layer, unit)``, so the splits at layers
-    ``<= l`` are literally a leading slice of it; this computes every
-    slice boundary in one linear pass.
+    ``root`` is the network's empty assignment: a ``None`` entry takes its
+    row, and every assignment must share its layer layout.
     """
-    counts = []
-    position = 0
-    total = len(canonical)
-    for layer in range(num_layers):
-        while position < total and canonical[position][0] <= layer:
-            position += 1
-        counts.append(position)
-    return tuple(counts)
+    offsets = root.offsets
+    require(all(splits is None or splits.offsets == offsets for splits in splits_list),
+            "split assignments must lay out the network's hidden layers")
+    return np.concatenate([root.row if splits is None else splits.row
+                           for splits in splits_list]).reshape(len(splits_list), -1)
 
 
-def decided_phases(canonical_keys: Sequence[Tuple[Tuple[int, int, int], ...]],
-                   counts: Sequence[Tuple[int, ...]], rows: Sequence[int],
-                   layer: int, width: int) -> Optional[np.ndarray]:
-    """Decided phases of ``rows`` at one layer, or ``None`` if none is decided.
-
-    ``counts[row]`` is :func:`prefix_counts` of ``canonical_keys[row]``, so
-    the row's decisions at ``layer`` are the key's slice between
-    consecutive counts.  Returns a ``(len(rows), width)`` integer array
-    (0 = undecided); units beyond ``width`` are ignored, as in
-    :meth:`SplitAssignment.layer_phases`.
-    """
-    phases = None
-    for position, row in enumerate(rows):
-        row_counts = counts[row]
-        start = row_counts[layer - 1] if layer else 0
-        for _, unit, phase in canonical_keys[row][start:row_counts[layer]]:
-            if unit < width:
-                if phases is None:
-                    phases = np.zeros((len(rows), width), dtype=int)
-                phases[position, unit] = phase
-    return phases
+def layer_rows(rows: np.ndarray, offsets: Sequence[int],
+               layer: int) -> Optional[np.ndarray]:
+    """One layer's ``(count, width)`` slice of stacked phase rows, or
+    ``None`` when no row decides a neuron of that layer."""
+    phases = rows[:, offsets[layer]:offsets[layer + 1]]
+    return phases if phases.any() else None
 
 
 def clip_bounds_with_phases(lower: np.ndarray, upper: np.ndarray,

@@ -232,8 +232,8 @@ class AbonnVerifier(Verifier):
     """The paper's proposed verifier.
 
     ``lp_cache`` optionally shares a leaf-LP cache across runs *on the same
-    verification problem* (the cache key is the leaf's canonical split
-    assignment, which only identifies a sub-problem for a fixed network,
+    verification problem* (the cache key is the leaf's phase-row bytes,
+    which only identifies a sub-problem for a fixed network,
     input box and output spec); by default every run gets a fresh cache.
     ``bound_cache`` likewise shares the bound cache across runs
     on one problem (the verification service scopes both by the problem
@@ -285,7 +285,7 @@ class AbonnVerifier(Verifier):
         if settled is not None:
             return CompletedRun(finish(settled))
 
-        root = MctsNode(SplitAssignment.empty(), depth=0, outcome=root_outcome)
+        root = MctsNode(appver.root_splits, depth=0, outcome=root_outcome)
         root.reward = scorer.score(root_outcome.p_hat, False, 0)
 
         # Main loop (Alg. 1 lines 4-7) on the shared frontier engine: every

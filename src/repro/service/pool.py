@@ -67,8 +67,9 @@ from repro.verifiers.milp import network_weights_digest, problem_fingerprint
 #: changes incompatibly; :meth:`CacheBundle.load` refuses other versions.
 #: Format 3 keys bound reports by their search path and drops layer entries;
 #: format 4 stores a report's hidden bounds as one flat row and drops the
-#: output bounds of spec-given reports.
-BUNDLE_FORMAT = 4
+#: output bounds of spec-given reports; format 5 keys leaf-LP optima by
+#: ``(fingerprint, phase-row bytes)``.
+BUNDLE_FORMAT = 5
 
 #: Marker distinguishing bundle files from arbitrary pickles.
 _BUNDLE_KIND = "repro-cache-bundle"

@@ -88,7 +88,7 @@ def robustness_radius_sweep(make_verifier: Callable[[LpCache], object],
     :class:`~repro.bounds.cache.LpCache` (e.g. ``lambda cache:
     AbonnVerifier(lp_cache=cache)``); one verifier instance runs per
     epsilon so per-run state never leaks between radii, while the cache —
-    keyed by ``(problem fingerprint, canonical splits)`` — persists across
+    keyed by ``(problem fingerprint, phase-row bytes)`` — persists across
     the sweep.  ``budget`` (a :class:`~repro.utils.timing.Budget`) is
     copied per run so every radius gets the full allowance.  Returns the
     per-epsilon ``(epsilon, VerificationResult)`` pairs in input order plus

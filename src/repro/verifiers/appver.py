@@ -196,6 +196,8 @@ class ApproximateVerifier:
         require(self.lowered.output_dim == spec.output_dim,
                 "specification output dimension does not match the network")
         self._deeppoly = DeepPolyAnalyzer(self.lowered)
+        #: The network's empty split assignment: every run's root.
+        self.root_splits = self._deeppoly.root_splits
         self._alpha = AlphaCrownAnalyzer(self.lowered, alpha_config)
         if not use_cache:
             self.cache: Optional[BoundCache] = None
@@ -305,7 +307,6 @@ class ApproximateVerifier:
         DeepPoly back-end then bounds it against the parent's report (see
         the module docstring).
         """
-        splits = splits or SplitAssignment.empty()
         method = method or self.method
         require(method in BOUND_METHODS, f"unknown bound method {method!r}")
         self.num_calls += 1
@@ -346,7 +347,6 @@ class ApproximateVerifier:
         """
         method = method or self.method
         require(method in BOUND_METHODS, f"unknown bound method {method!r}")
-        splits_list = [s or SplitAssignment.empty() for s in splits_list]
         self.num_calls += len(splits_list)
         if not splits_list:
             return []

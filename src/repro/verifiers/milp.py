@@ -43,8 +43,8 @@ tolerance is never claimed and goes to HiGHS, as does every leaf without a
 certificate.
 
 Both entry points accept a :class:`~repro.bounds.cache.LpCache` that
-memoises the resulting :class:`RowOptimum`.  Cache keys are
-``SplitAssignment.canonical_key()`` tuples, optionally scoped by a
+memoises the resulting :class:`RowOptimum`.  Cache keys are the leaf's
+phase-row bytes (``SplitAssignment.key``), optionally scoped by a
 ``fingerprint`` — a digest of the network weights, input box and output
 spec from :func:`problem_fingerprint` — which makes one ``LpCache``
 instance safely shareable *across verification problems*: a
@@ -65,9 +65,9 @@ from scipy import optimize, sparse
 
 from repro.bounds.cache import LpCache
 from repro.bounds.deeppoly import DeepPolyAnalyzer
-from repro.bounds.linear_form import ScalarBounds, concretize_upper_batch
+from repro.bounds.linear_form import concretize_upper_batch
 from repro.bounds.report import BoundReport
-from repro.bounds.splits import ACTIVE, INACTIVE, SplitAssignment
+from repro.bounds.splits import ACTIVE, INACTIVE, SplitAssignment, flat_offsets, stack_rows
 from repro.nn.network import LoweredNetwork, Network
 from repro.specs.properties import InputBox, LinearOutputSpec, Specification
 from repro.utils.timing import Budget, PhaseTimings
@@ -113,20 +113,6 @@ def _build_encoding(network: LoweredNetwork, unstable: Sequence[Tuple[int, int]]
             cursor += 1
     return _Encoding(network.input_dim, tuple(hidden_sizes), tuple(offsets),
                      binary_index, cursor)
-
-
-def _phase_of(layer: int, unit: int, bounds: ScalarBounds,
-              splits: SplitAssignment) -> int:
-    """Phase of a neuron (``bounds``: its layer's): +1 active, -1 inactive,
-    0 unstable."""
-    decided = splits.phase_of(layer, unit)
-    if decided != 0:
-        return decided
-    if bounds.lower[unit] >= 0.0:
-        return ACTIVE
-    if bounds.upper[unit] <= 0.0:
-        return INACTIVE
-    return 0
 
 
 class _ConstraintBuilder:
@@ -192,6 +178,11 @@ def _encode_problem(network: LoweredNetwork, box: InputBox, report: BoundReport,
 
     infinity = float("inf")
     layers = report.pre_activation_bounds
+    # Each neuron's phase: its split, else +1 / -1 when its bounds are
+    # stable, else 0 (unstable).
+    flat = report.hidden_bounds
+    phases = np.where(splits.row != 0, splits.row, np.where(
+        flat.lower >= 0.0, ACTIVE, np.where(flat.upper <= 0.0, INACTIVE, 0)))
     for layer, size in enumerate(encoding.hidden_sizes):
         previous_offset = None if layer == 0 else encoding.hidden_offsets[layer - 1]
         weight = network.weights[layer]
@@ -201,7 +192,7 @@ def _encode_problem(network: LoweredNetwork, box: InputBox, report: BoundReport,
             h_index = encoding.h_index(layer, unit)
             lower_z = float(bounds.lower[unit])
             upper_z = float(bounds.upper[unit])
-            phase = _phase_of(layer, unit, bounds, splits)
+            phase = phases[flat.offsets[layer] + unit]
             if phase == ACTIVE:
                 # h = z, z >= 0
                 var_lower[h_index] = max(0.0, lower_z)
@@ -364,94 +355,107 @@ def problem_fingerprint(network: LoweredNetwork, box: InputBox,
 
 
 @dataclass(frozen=True)
-class _SplitRows:
-    """A leaf's split rows, signed so that each reads ``matrix @ x + offset >= 0``.
+class _LeafPrograms:
+    """The input-space LPs of a batch of decided leaves.
 
-    ``sign`` is ``+1`` for an ACTIVE split and ``-1`` for an INACTIVE one,
-    so row ``i`` is ``sign_i (a_i x + c_i) >= 0`` for the neuron's
-    pre-activation ``a_i x + c_i``.
+    Leaf ``b`` minimises ``objectives[b] @ x + constants[b]`` (one row per
+    spec row) over the box subject to its split rows ``matrix[b, i] @ x +
+    offset[b, i] >= 0``, i.e. ``sign_i (a_i x + c_i) >= 0`` for the split
+    neuron's pre-activation ``a_i x + c_i`` and ``sign[b, i]`` its phase.
+    A leaf's rows come first, in flat neuron order; zero rows with sign 0
+    pad them to the batch's largest count.
     """
 
+    objectives: np.ndarray
+    constants: np.ndarray
     matrix: np.ndarray
     offset: np.ndarray
     sign: np.ndarray
 
-    def constraint(self) -> optimize.LinearConstraint:
-        """The rows as HiGHS solves them: ``a x >= -c`` ACTIVE, ``a x <= -c``
-        INACTIVE (unsigning is exact, so the solver input is unchanged)."""
-        active = self.sign > 0
-        bound = -self.sign * self.offset
-        return optimize.LinearConstraint(self.sign[:, None] * self.matrix,
+    def constraint(self, leaf: int) -> Optional[optimize.LinearConstraint]:
+        """Leaf ``leaf``'s rows as HiGHS solves them: ``a x >= -c`` ACTIVE,
+        ``a x <= -c`` INACTIVE (unsigning is exact, so the solver input is
+        unchanged), or ``None`` when nothing is split."""
+        present = self.sign[leaf] != 0.0
+        if not present.any():
+            return None
+        sign = self.sign[leaf, present]
+        active = sign > 0
+        bound = -sign * self.offset[leaf, present]
+        return optimize.LinearConstraint(sign[:, None] * self.matrix[leaf, present],
                                          np.where(active, bound, -np.inf),
                                          np.where(active, np.inf, bound))
 
 
-def _leaf_program(network: LoweredNetwork, spec: LinearOutputSpec,
-                  splits: SplitAssignment, report: BoundReport
-                  ) -> Tuple[np.ndarray, np.ndarray, Optional[_SplitRows]]:
-    """The input-space leaf LP: ``(objectives, constants, split rows)``.
+def _leaf_programs(network: LoweredNetwork, spec: LinearOutputSpec,
+                   leaves: Sequence[Tuple[SplitAssignment, BoundReport]]
+                   ) -> _LeafPrograms:
+    """The input-space LPs of ``leaves`` in one batched forward composition.
 
-    Composes the decided leaf's affine map forward (see the module
-    docstring) and keeps one sign row per split neuron; the rows are
-    ``None`` when nothing is split.  Raises ``ValueError`` when any neuron
-    is still unstable — the leaf LP is only defined for fully
-    phase-decided sub-problems.
+    Each leaf's decided affine map (see the module docstring) composes
+    over the stacked phase rows: a neuron is active when split ACTIVE or,
+    undecided, when its report's lower bound is non-negative, and the next
+    layer's weights apply with inactive neurons' columns zeroed.  Raises
+    ``ValueError`` when any neuron of any leaf is still unstable.
     """
-    matrix = network.weights[0]
-    offset = network.biases[0]
-    rows: List[np.ndarray] = []
-    offsets: List[np.ndarray] = []
-    signs: List[np.ndarray] = []
-    layers = report.pre_activation_bounds
-    for layer, size in enumerate(network.relu_layer_sizes()):
-        bounds = layers[layer]
-        split = splits.layer_phase_array(layer, size)
-        decided = split != 0
-        if np.any(~decided & (bounds.lower < 0.0) & (bounds.upper > 0.0)):
-            raise ValueError("leaf LP requires every ReLU neuron to be phase-decided")
-        active = np.where(decided, split == ACTIVE, bounds.lower >= 0.0)
-        # One sign row per split neuron: ACTIVE A x + c >= 0, INACTIVE
-        # -(A x + c) >= 0 (ACTIVE and INACTIVE are the signs +1 and -1).
-        sign = split[decided].astype(float)
-        rows.append(sign[:, None] * matrix[decided])
-        offsets.append(sign * offset[decided])
-        signs.append(sign)
-        weight = network.weights[layer + 1][:, active]
-        matrix = weight @ matrix[active]
-        offset = weight @ offset[active] + network.biases[layer + 1]
+    sizes = network.relu_layer_sizes()
+    offsets = flat_offsets(sizes)
+    count = len(leaves)
+    rows = stack_rows([splits for splits, _ in leaves], SplitAssignment.empty(sizes))
+    lower = np.concatenate([report.hidden_bounds.lower for _, report in leaves]).reshape(count, -1)
+    upper = np.concatenate([report.hidden_bounds.upper for _, report in leaves]).reshape(count, -1)
+    decided = rows != 0
+    if np.any(~decided & (lower < 0.0) & (upper > 0.0)):
+        raise ValueError("leaf LP requires every ReLU neuron to be phase-decided")
+    active = np.where(decided, rows == ACTIVE, lower >= 0.0)
+
+    matrix = np.broadcast_to(network.weights[0], (count,) + network.weights[0].shape)
+    offset = np.broadcast_to(network.biases[0], (count, len(network.biases[0])))
+    forms, form_offsets = [matrix], [offset]
+    for layer in range(len(sizes)):
+        weight = (network.weights[layer + 1]
+                  * active[:, None, offsets[layer]:offsets[layer + 1]])
+        matrix = weight @ matrix
+        offset = (weight @ offset[..., None])[..., 0] + network.biases[layer + 1]
+        forms.append(matrix)
+        form_offsets.append(offset)
     objectives = spec.coefficients @ matrix
-    constants = spec.coefficients @ offset + spec.offsets
-    split_rows = None
-    if any(len(block) for block in signs):
-        split_rows = _SplitRows(np.vstack(rows), np.concatenate(offsets),
-                                np.concatenate(signs))
-    return objectives, constants, split_rows
+    constants = offset @ spec.coefficients.T + spec.offsets
+
+    # One sign row per split neuron, in flat order at the front of its leaf.
+    leaf, neuron = np.nonzero(decided)
+    counts = np.bincount(leaf, minlength=count)
+    position = np.arange(len(leaf)) - np.repeat(np.cumsum(counts) - counts, counts)
+    signs = rows[leaf, neuron].astype(float)
+    sign = np.zeros((count, int(counts.max())))
+    sign[leaf, position] = signs
+    split_matrix = np.zeros(sign.shape + (network.input_dim,))
+    split_matrix[leaf, position] = (
+        signs[:, None] * np.concatenate(forms[:-1], axis=1)[leaf, neuron])
+    split_offset = np.zeros(sign.shape)
+    split_offset[leaf, position] = (
+        signs * np.concatenate(form_offsets[:-1], axis=1)[leaf, neuron])
+    return _LeafPrograms(objectives, constants, split_matrix, split_offset, sign)
 
 
-def _prove_empty(leaf_rows: Sequence[_SplitRows], box: InputBox) -> np.ndarray:
+def _prove_empty(matrix: np.ndarray, offset: np.ndarray, present: np.ndarray,
+                 box: InputBox) -> np.ndarray:
     """Which leaves a Farkas certificate proves empty over the box.
 
     A region ``{x in box : g_i(x) >= 0}`` is empty iff some ``lambda >= 0``
     with ``sum(lambda) = 1`` has ``U(lambda) = max_box sum_i lambda_i g_i(x)
-    < 0``; ``U`` is the box-corner concretisation of the combined row.  One
-    exponentiated-gradient (mirror-descent) search over the simplex runs on
-    all leaves at once, on rows scaled to unit range over the box and
-    padded to the batch's largest row count.  A leaf is accepted only when
-    its best ``lambda``, mapped back to the *original* rows and normalised
-    to sum 1, gives ``U < -_CERTIFICATE_TOLERANCE``: every box point then
-    violates some split row by more than that.  Returns one bool per leaf;
-    ``False`` proves nothing.
+    < 0``; ``U`` is the box-corner concretisation of the combined row.  The
+    leaves' signed split rows come padded: ``matrix`` is ``(count, R, d)``,
+    ``offset`` ``(count, R)``, and ``present`` marks the real rows (each
+    leaf has at least one).  One exponentiated-gradient (mirror-descent)
+    search over the simplex runs on all leaves at once, on rows scaled to
+    unit range over the box.  A leaf is accepted only when its best
+    ``lambda``, mapped back to the *original* rows and normalised to sum 1,
+    gives ``U < -_CERTIFICATE_TOLERANCE``: every box point then violates
+    some split row by more than that.  Returns one bool per leaf; ``False``
+    proves nothing.
     """
-    count = len(leaf_rows)
-    width = max(len(rows.offset) for rows in leaf_rows)
-    matrix = np.zeros((count, width, box.dimension))
-    offset = np.zeros((count, width))
-    present = np.zeros((count, width), dtype=bool)
-    for index, rows in enumerate(leaf_rows):
-        size = len(rows.offset)
-        matrix[index, :size] = rows.matrix
-        offset[index, :size] = rows.offset
-        present[index, :size] = True
+    count = len(matrix)
     span = np.abs(matrix) @ (box.upper - box.lower)
     scale = 1.0 / np.where(span > 0.0, span, 1.0)
     unit_matrix = matrix * scale[..., None]
@@ -527,12 +531,14 @@ def solve_leaf_lp_batch(network: LoweredNetwork, box: InputBox,
     no rows, because the report bounds that give them their phase are sound
     over the box restricted by the splits at or below their layer, so the
     split rows already imply those phases (the module docstring has the
-    induction).  Leaves with split rows first go through one batched
-    emptiness-certificate search (:func:`_prove_empty`); a certified leaf
+    induction).  The call builds every unsolved leaf's program in one
+    batched forward composition over the stacked phase rows
+    (:func:`_leaf_programs`).  Leaves with split rows first go through one
+    batched emptiness-certificate search (:func:`_prove_empty`); a certified leaf
     is empty and returns the infeasible optimum without a solver call.
     For the rest, the spec rows are minimised one HiGHS call each, stopping
     at the first infeasible row.  When a :class:`~repro.bounds.cache.LpCache`
-    is supplied, leaves whose ``canonical_key()`` was already resolved — in
+    is supplied, leaves whose phase row was already resolved — in
     an earlier call or earlier in this batch — are served from the cache
     (counted as hits) and never reach the solver.  ``fingerprint``
     (see :func:`problem_fingerprint`) scopes the cache keys so one cache
@@ -547,11 +553,10 @@ def solve_leaf_lp_batch(network: LoweredNetwork, box: InputBox,
     first_by_key = {}
 
     def cache_key(splits: SplitAssignment):
-        canonical = splits.canonical_key()
-        return canonical if fingerprint is None else (fingerprint, canonical)
+        return splits.key if fingerprint is None else (fingerprint, splits.key)
 
     for index, (splits, _) in enumerate(leaves):
-        key = splits.canonical_key()
+        key = splits.key
         primary = first_by_key.get(key)
         if primary is not None:
             # An identical leaf earlier in this batch: reuse its optimum.
@@ -567,25 +572,27 @@ def solve_leaf_lp_batch(network: LoweredNetwork, box: InputBox,
         first_by_key[key] = index
         unsolved.append(index)
 
-    programs = [_leaf_program(network, spec, *leaves[index]) for index in unsolved]
-    screened = [position for position, (_, _, rows) in enumerate(programs)
-                if rows is not None]
+    if not unsolved:  # every leaf was a cache hit (so none is an alias)
+        return results  # type: ignore[return-value]
+    programs = _leaf_programs(network, spec, [leaves[index] for index in unsolved])
+    present = programs.sign != 0.0
+    screened = np.flatnonzero(present.any(axis=1))
     proven = np.zeros(len(unsolved), dtype=bool)
-    if screened:
+    if screened.size:
         with _lp_measure(timings):
             proven[screened] = _prove_empty(
-                [programs[position][2] for position in screened], box)
+                programs.matrix[screened], programs.offset[screened],
+                present[screened], box)
 
     for position, index in enumerate(unsolved):
-        objectives, constants, rows = programs[position]
         if proven[position]:
             # Exactly what HiGHS returns for an empty region.
             optimum = RowOptimum(float("inf"), None, feasible=False)
         else:
             with _lp_measure(timings):
                 optimum = _minimise_rows(
-                    objectives, constants,
-                    None if rows is None else rows.constraint(), box, time_limit)
+                    programs.objectives[position], programs.constants[position],
+                    programs.constraint(position), box, time_limit)
         results[index] = optimum
         if cache is not None:
             cache.record_solve()
@@ -642,7 +649,7 @@ def solve_leaf_lp(network: LoweredNetwork, box: InputBox, spec: LinearOutputSpec
     region along with its minimiser; an infeasible region yields ``+inf``
     (vacuously verified).  Every ReLU neuron must be stable or split.  A
     supplied :class:`~repro.bounds.cache.LpCache` memoises the optimum by
-    the assignment's canonical key, optionally scoped by ``fingerprint``
+    the assignment's phase-row bytes, optionally scoped by ``fingerprint``
     (see :func:`solve_leaf_lp_batch`, which also documents ``timings``).
     """
     return solve_leaf_lp_batch(network, box, spec, [(splits, report)],
@@ -673,7 +680,7 @@ class MilpVerifier(Verifier):
                                       nodes_explored=budget.nodes,
                                       bound=float(report.p_hat))
 
-        splits = SplitAssignment.empty()
+        splits = SplitAssignment.empty(lowered.relu_layer_sizes())
         encoding, builder, var_lower, var_upper, has_unstable = _encode_problem(
             lowered, spec.input_box, report, splits, with_binaries=True)
         constraints = builder.to_constraint()

@@ -79,11 +79,16 @@ def _against_parent(lower, upper, parent_bounds):
             np.where(unstable, np.fmin(parent_upper, upper), parent_upper))
 
 
+def _layer_phases(splits, layer, width):
+    """One layer's decided phases, read neuron by neuron (0 = undecided)."""
+    return np.array([splits.phase_of(layer, unit) for unit in range(width)], dtype=int)
+
+
 def reference_deeppoly(network, box, splits=None, spec=None, lower_slopes=None,
                        parent=None):
     """DeepPoly of one sub-problem; ``lower_slopes`` is one array per hidden
     layer, and ``parent`` an optional report the child is bounded against."""
-    splits = splits or SplitAssignment.empty()
+    splits = splits or SplitAssignment.empty(network.relu_layer_sizes())
     relaxations, pre_activation, infeasible = [], [], False
     for layer in range(network.num_relu_layers):
         lower, upper, _ = _deeppoly_bounds(network, network.weights[layer],
@@ -91,7 +96,7 @@ def reference_deeppoly(network, box, splits=None, spec=None, lower_slopes=None,
         if parent is not None:
             lower, upper = _against_parent(lower, upper,
                                            parent.pre_activation_bounds[layer])
-        phases = splits.layer_phase_array(layer, len(lower))
+        phases = _layer_phases(splits, layer, len(lower))
         lower, upper, empty = _clip(lower, upper, phases)
         infeasible = infeasible or empty
         pre_activation.append(ScalarBounds(lower, upper))
@@ -121,14 +126,14 @@ def _interval_image(weight, bias, lower, upper):
 
 def reference_ibp(network, box, splits=None, spec=None):
     """Interval bound propagation of one sub-problem."""
-    splits = splits or SplitAssignment.empty()
+    splits = splits or SplitAssignment.empty(network.relu_layer_sizes())
     lower, upper = box.lower, box.upper
     pre_activation, infeasible = [], False
     for layer in range(network.num_relu_layers):
         pre_lower, pre_upper = _interval_image(network.weights[layer],
                                                network.biases[layer], lower, upper)
         pre_lower, pre_upper, empty = _clip(
-            pre_lower, pre_upper, splits.layer_phase_array(layer, len(pre_lower)))
+            pre_lower, pre_upper, _layer_phases(splits, layer, len(pre_lower)))
         infeasible = infeasible or empty
         pre_activation.append(ScalarBounds(pre_lower, pre_upper))
         lower, upper = np.maximum(pre_lower, 0.0), np.maximum(pre_upper, 0.0)

@@ -35,7 +35,7 @@ def context(small_network):
     spec = local_robustness_spec(reference, 0.25, label, 3)
     appver = ApproximateVerifier(small_network, spec)
     outcome = appver.evaluate()
-    splits = SplitAssignment.empty()
+    splits = appver.root_splits
     return BranchingContext(network=appver.lowered, spec=spec.output_spec,
                             report=outcome.report, splits=splits,
                             evaluate_split=lambda split: appver.evaluate(
@@ -64,7 +64,7 @@ class TestSelection:
 
     @pytest.mark.parametrize("name", ALL_HEURISTICS)
     def test_returns_none_when_everything_is_decided(self, name, context):
-        splits = SplitAssignment.empty()
+        splits = context.splits
         for layer, unit in context.report.unstable_neurons():
             splits = splits.with_split(ReluSplit(layer, unit, ACTIVE))
         leaf_context = BranchingContext(network=context.network, spec=context.spec,
@@ -163,11 +163,10 @@ def oracle_deepsplit_scores(network, spec, report, unstable, indirect_weight):
 
 def oracle_unstable_neurons(report, splits=None, tolerance=0.0):
     """The per-unit double loop ``BoundReport.unstable_neurons`` replaced."""
-    splits = splits or SplitAssignment.empty()
     unstable = []
     for layer, bounds in enumerate(report.pre_activation_bounds):
         for unit in range(bounds.size):
-            if splits.is_decided(layer, unit):
+            if splits is not None and splits.is_decided(layer, unit):
                 continue
             if bounds.lower[unit] < -tolerance and bounds.upper[unit] > tolerance:
                 unstable.append((layer, unit))
@@ -199,7 +198,7 @@ def random_problem(seed, num_relu_layers=None, stable_layer=None):
         bounds.append(ScalarBounds(centre - radius, centre + radius))
     report = BoundReport(hidden_bounds=FlatBounds(bounds),
                          output_bounds=ScalarBounds(-np.ones(3), np.ones(3)))
-    splits = SplitAssignment.empty()
+    splits = SplitAssignment.empty(widths[1:-1])
     for layer, unit in report.unstable_neurons():
         if rng.random() < 0.25:
             phase = ACTIVE if rng.random() < 0.5 else INACTIVE
@@ -263,15 +262,22 @@ class TestVectorisedOracles:
     @pytest.mark.parametrize("tolerance", [0.0, 0.3])
     def test_unstable_neurons_matches_loop(self, seed, tolerance):
         _, _, report, splits = random_problem(seed)
-        for assignment in (None, SplitAssignment.empty(), splits):
+        root = SplitAssignment.empty(np.diff(report.flat_bounds().offsets).tolist())
+        for assignment in (None, root, splits):
             assert report.unstable_neurons(assignment, tolerance) == \
                 oracle_unstable_neurons(report, assignment, tolerance)
 
-    def test_unstable_neurons_ignores_out_of_range_splits(self):
+    def test_out_of_range_splits_are_rejected(self):
+        """A flat phase row has no place for a neuron outside its layers, so
+        building such an assignment raises instead of wrapping the index."""
         _, _, report, splits = random_problem(3, 2)
-        far = splits.with_split(ReluSplit(0, 10_000, ACTIVE)) \
-            .with_split(ReluSplit(7, 0, INACTIVE))
-        assert report.unstable_neurons(far) == oracle_unstable_neurons(report, far)
+        sizes = np.diff(report.flat_bounds().offsets).tolist()
+        for far in (ReluSplit(0, 10_000, ACTIVE), ReluSplit(7, 0, INACTIVE),
+                    ReluSplit(len(sizes), 0, ACTIVE), ReluSplit(0, sizes[0], INACTIVE)):
+            with pytest.raises(ValueError, match="outside"):
+                splits.with_split(far)
+            with pytest.raises(ValueError, match="outside"):
+                SplitAssignment.from_splits(sizes, [far])
 
     def test_unstable_neurons_are_plain_int_pairs(self):
         _, _, report, _ = random_problem(5)
@@ -285,9 +291,9 @@ class TestVectorisedOracles:
         report = ApproximateVerifier(small_network, spec).evaluate().report
         assert report.unstable_neurons() == oracle_unstable_neurons(report) == []
         assert report.num_unstable == 0
-        context = BranchingContext(network=ApproximateVerifier(small_network, spec).lowered,
-                                   spec=spec.output_spec, report=report,
-                                   splits=SplitAssignment.empty())
+        appver = ApproximateVerifier(small_network, spec)
+        context = BranchingContext(network=appver.lowered, spec=spec.output_spec,
+                                   report=report, splits=appver.root_splits)
         for name in ALL_HEURISTICS:
             assert make_heuristic(name).select(context) is None
 
@@ -402,7 +408,7 @@ class TestFlatPassBitExact:
                                                split):
         network, spec, report, splits = random_problem(seed, num_relu_layers, stable_layer)
         if not split:
-            splits = SplitAssignment.empty()
+            splits = SplitAssignment.empty(network.relu_layer_sizes())
         context = BranchingContext(network=network, spec=spec, report=report, splits=splits)
         unstable = context.unstable_neurons()
         for name in FLAT_NAMES:

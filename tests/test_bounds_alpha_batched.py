@@ -39,17 +39,18 @@ def _split_workload(network, spec, include_infeasible=True):
     an infeasible split forcing a stable-off neuron ACTIVE."""
     probe = ApproximateVerifier(network, spec, use_cache=False)
     report = probe.evaluate().report
-    splits_list = [SplitAssignment.empty()]
+    sizes = probe.lowered.relu_layer_sizes()
+    splits_list = [probe.root_splits]
     for layer, unit in report.unstable_neurons()[:3]:
         for phase in (ACTIVE, INACTIVE):
             splits_list.append(SplitAssignment.from_splits(
-                [ReluSplit(layer, unit, phase)]))
+                sizes, [ReluSplit(layer, unit, phase)]))
     if include_infeasible:
         for layer, bounds in enumerate(report.pre_activation_bounds):
             negative = np.where(bounds.upper < 0)[0]
             if len(negative):
                 splits_list.append(SplitAssignment.from_splits(
-                    [ReluSplit(layer, int(negative[0]), ACTIVE)]))
+                    sizes, [ReluSplit(layer, int(negative[0]), ACTIVE)]))
                 break
     return splits_list
 
@@ -117,9 +118,9 @@ class TestAlphaCrownBatched:
         spec = _problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.12)
         analyzer = AlphaCrownAnalyzer(small_network.lowered(),
                                       AlphaCrownConfig(iterations=6))
-        report = analyzer.analyze_batch(spec.input_box,
-                                        [SplitAssignment.empty()],
-                                        spec=spec.output_spec)[0]
+        report = analyzer.analyze_batch(
+            spec.input_box, [SplitAssignment.empty(small_network.lowered().relu_layer_sizes())],
+            spec=spec.output_spec)[0]
         for sample in spec.input_box.sample(0, count=200):
             assert spec.margin(small_network, sample) >= report.p_hat - 1e-7
 
@@ -144,9 +145,9 @@ class TestAppVerAlphaBatched:
     def test_batch_histogram_records_realised_sizes(self, small_network):
         spec = _problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.1)
         verifier = ApproximateVerifier(small_network, spec)
-        verifier.evaluate_batch([SplitAssignment.empty()] * 3)
-        verifier.evaluate_batch([SplitAssignment.empty()] * 3)
-        verifier.evaluate_batch([SplitAssignment.empty()] * 5)
+        verifier.evaluate_batch([verifier.root_splits] * 3)
+        verifier.evaluate_batch([verifier.root_splits] * 3)
+        verifier.evaluate_batch([verifier.root_splits] * 5)
         verifier.evaluate_batch([])  # empty batches are not recorded
         stats = verifier.batch_stats()
         assert stats["batch_histogram"] == {3: 2, 5: 1}
@@ -164,7 +165,7 @@ def _worst_row_lower(network, box, spec, report, splits, slopes, row):
     for layer in reversed(range(network.num_relu_layers)):
         bounds = report.pre_activation_bounds[layer]
         ls, us, ui = _relaxation(bounds.lower, bounds.upper,
-                                 splits.layer_phase_array(layer, len(bounds.lower)),
+                                 report.hidden_bounds.layer(splits.row, layer),
                                  slopes[layer])
         signs.append(tuple(np.sign(lam)))
         positive, negative = np.maximum(lam, 0.0), np.minimum(lam, 0.0)
@@ -180,11 +181,12 @@ def _random_split(network, spec, seed):
     """The empty assignment or one split on an unstable neuron, by seed."""
     report = DeepPolyAnalyzer(network).analyze(spec.input_box, spec=spec.output_spec)
     unstable = report.unstable_neurons()
+    sizes = network.relu_layer_sizes()
     if seed % 3 == 0 or not unstable:
-        return SplitAssignment.empty()
+        return SplitAssignment.empty(sizes)
     layer, unit = unstable[seed % len(unstable)]
     return SplitAssignment.from_splits(
-        [ReluSplit(layer, unit, ACTIVE if seed % 2 else INACTIVE)])
+        sizes, [ReluSplit(layer, unit, ACTIVE if seed % 2 else INACTIVE)])
 
 
 class TestExactGradient:
@@ -252,7 +254,7 @@ class TestExactGradient:
     def test_never_looser_than_deeppoly_on_every_row(self, seed, depth, width):
         network, spec = make_random_dense_problem(seed, depth, width, 0.15)
         box, output_spec = spec.input_box, spec.output_spec
-        splits_list = [SplitAssignment.empty()] + [
+        splits_list = [SplitAssignment.empty(network.relu_layer_sizes())] + [
             _random_split(network, spec, seed + offset) for offset in (1, 2, 4, 5)]
         deeppoly = DeepPolyAnalyzer(network).analyze_batch(box, splits_list,
                                                            spec=output_spec)

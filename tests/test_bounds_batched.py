@@ -53,13 +53,14 @@ def _make_splits_pool(network, spec, seed=0):
     assert unstable, "fixture problem must have unstable neurons"
 
     rng = np.random.default_rng(seed)
-    pool = [SplitAssignment.empty()]
+    root = verifier.root_splits
+    pool = [root]
     for layer, unit in unstable:
-        pool.append(SplitAssignment.from_splits([ReluSplit(layer, unit, ACTIVE)]))
-        pool.append(SplitAssignment.from_splits([ReluSplit(layer, unit, INACTIVE)]))
+        pool.append(root.with_split(ReluSplit(layer, unit, ACTIVE)))
+        pool.append(root.with_split(ReluSplit(layer, unit, INACTIVE)))
     for _ in range(8):
         chosen = rng.choice(len(unstable), size=min(2, len(unstable)), replace=False)
-        splits = SplitAssignment.empty()
+        splits = root
         for index in chosen:
             layer, unit = unstable[int(index)]
             phase = ACTIVE if rng.random() < 0.5 else INACTIVE
@@ -73,7 +74,7 @@ def _make_splits_pool(network, spec, seed=0):
                      if bounds.lower[unit] > 1e-6]
     assert stable_active, "fixture problem must have a stably active neuron"
     layer, unit = stable_active[0]
-    pool.append(SplitAssignment.from_splits([ReluSplit(layer, unit, INACTIVE)]))
+    pool.append(root.with_split(ReluSplit(layer, unit, INACTIVE)))
     return pool
 
 
@@ -150,7 +151,7 @@ class TestEvaluateBatchEquivalence:
         pool = _make_splits_pool(network, spec)
         infeasible_splits = pool[-1]
         verifier = ApproximateVerifier(network, spec, use_cache=False)
-        outcomes = verifier.evaluate_batch([SplitAssignment.empty(), infeasible_splits])
+        outcomes = verifier.evaluate_batch([verifier.root_splits, infeasible_splits])
         assert not outcomes[0].report.infeasible
         assert outcomes[1].report.infeasible
         assert outcomes[1].p_hat == float("inf")
@@ -173,7 +174,7 @@ class TestEvaluateBatchEquivalence:
         network, spec = medium_problem
         verifier = ApproximateVerifier(network, spec)
         outcome_none, outcome_empty = verifier.evaluate_batch(
-            [None, SplitAssignment.empty()])
+            [None, SplitAssignment.empty(verifier.lowered.relu_layer_sizes())])
         assert outcome_none.p_hat == outcome_empty.p_hat
 
     def test_alpha_crown_batch_falls_back_to_sequential(self, medium_problem):
@@ -226,7 +227,7 @@ def _random_assignments(rng, network, count: int):
                for unit in range(width)]
     assignments = []
     for _ in range(count):
-        splits = SplitAssignment.empty()
+        splits = SplitAssignment.empty(network.relu_layer_sizes())
         size = min(int(rng.integers(0, 4)), len(neurons) - 1)
         for index in rng.choice(len(neurons), size=size, replace=False):
             layer, unit = neurons[int(index)]

@@ -14,7 +14,7 @@ from reference_bounds import assert_report_matches, reference_deeppoly
 
 from repro.bounds.cache import BoundCache
 from repro.bounds.deeppoly import DeepPolyAnalyzer
-from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
+from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit
 from repro.core import AbonnConfig, AbonnVerifier
 from repro.specs.robustness import local_robustness_spec
 from repro.utils import Budget
@@ -75,7 +75,7 @@ class TestCacheDoesNotChangeVerdicts:
         root = analyzer.analyze(spec.input_box, spec=spec.output_spec, cache=cache)
         layer, unit = root.unstable_neurons()[-1]  # deepest: layers below are taken
         delta = ReluSplit(layer, unit, ACTIVE)
-        child = SplitAssignment.empty().with_split(delta)
+        child = analyzer.root_splits.with_split(delta)
         report = analyzer.analyze(spec.input_box, child, spec=spec.output_spec,
                                   cache=cache, parent=(root, delta))
         assert cache.stats.layer_hits == layer + 1
@@ -102,7 +102,7 @@ class TestCacheDoesNotChangeVerdicts:
         plain = ApproximateVerifier(small_network, spec, use_cache=False)
         root_report = cached.evaluate().report
         neurons = root_report.unstable_neurons()[:3]
-        chain = SplitAssignment.empty()
+        chain = cached.root_splits
         for layer, unit in neurons:
             chain = chain.with_split(ReluSplit(layer, unit, ACTIVE))
             for splits in (chain, chain):  # second pass is a report-cache hit
@@ -121,7 +121,7 @@ class TestCacheDoesNotChangeVerdicts:
         cached = ApproximateVerifier(network, spec, use_cache=True)
         uncached = ApproximateVerifier(network, spec, use_cache=False)
         report = cached.evaluate().report
-        chain = SplitAssignment.empty()
+        chain = cached.root_splits
         searched = []
         for layer, unit in sorted(report.unstable_neurons())[:4]:
             delta = ReluSplit(layer, unit, ACTIVE)
@@ -152,7 +152,7 @@ class TestProbeMatchesExpansion:
             root = appver.evaluate().report
             layer, unit = root.unstable_neurons()[0]
             deltas = [ReluSplit(layer, unit, phase) for phase in (ACTIVE, INACTIVE)]
-            children = [SplitAssignment.empty().with_split(d) for d in deltas]
+            children = [appver.root_splits.with_split(d) for d in deltas]
             probes = [appver.evaluate(child, parent=(root, delta)).report
                       for child, delta in zip(children, deltas)]
             expanded = appver.evaluate_batch(
@@ -192,8 +192,8 @@ class TestCacheSizeBound:
         root = verifier.evaluate().report
         for layer, unit in root.unstable_neurons():
             for phase in (ACTIVE, INACTIVE):
-                verifier.evaluate(SplitAssignment.from_splits(
-                    [ReluSplit(layer, unit, phase)]))
+                verifier.evaluate(verifier.root_splits.with_split(
+                    ReluSplit(layer, unit, phase)))
         assert len(verifier.cache) <= 6
         assert verifier.cache.stats.evictions > 0
 

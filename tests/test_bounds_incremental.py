@@ -34,7 +34,8 @@ from repro.bounds.splits import (
     INACTIVE,
     ReluSplit,
     SplitAssignment,
-    prefix_counts,
+    layer_rows,
+    stack_rows,
 )
 from repro.specs.robustness import local_robustness_spec
 
@@ -49,7 +50,7 @@ def _random_chain(rng, analyzer, box, spec, cache, length: int):
     where possible, any undecided neuron otherwise — exercising the
     stable-split and infeasible corners too).
     """
-    parent = SplitAssignment.empty()
+    parent = analyzer.root_splits
     report = analyzer.analyze(box, parent, spec=spec, cache=cache)
     for _ in range(length + 1):
         candidates = report.unstable_neurons(parent)
@@ -166,7 +167,7 @@ class TestSequentialBitwiseEquivalence:
         analyzer = DeepPolyAnalyzer(network)
         box = spec.input_box
         cache = BoundCache()
-        parent = SplitAssignment.empty()
+        parent = analyzer.root_splits
         report = analyzer.analyze(box, parent, spec=spec.output_spec,
                                   cache=cache)
         stable = [(layer, unit, bounds.lower[unit])
@@ -191,12 +192,12 @@ class TestSequentialBitwiseEquivalence:
 
 def _root_children(analyzer, box, spec, cache, count):
     """The root report and its first ``count`` unstable neurons' children."""
-    root = analyzer.analyze(box, SplitAssignment.empty(), spec=spec, cache=cache)
+    root = analyzer.analyze(box, analyzer.root_splits, spec=spec, cache=cache)
     children, parents = [], []
     for layer, unit in root.unstable_neurons()[:count]:
         for phase in (ACTIVE, INACTIVE):
             delta = ReluSplit(layer, unit, phase)
-            children.append(SplitAssignment.empty().with_split(delta))
+            children.append(analyzer.root_splits.with_split(delta))
             parents.append((root, delta))
     return root, children, parents
 
@@ -244,7 +245,7 @@ class TestBatchedEquivalence:
         analyzer = DeepPolyAnalyzer(network)
         box = spec.input_box
         cache = BoundCache()
-        parent = SplitAssignment.empty()
+        parent = analyzer.root_splits
         report = analyzer.analyze(box, parent, spec=spec.output_spec,
                                   cache=cache)
         stable = [(layer, unit)
@@ -325,7 +326,7 @@ class TestReferenceProperties:
         network, spec = make_random_dense_problem(seed, depth, width, epsilon)
         analyzer = DeepPolyAnalyzer(network)
         box = spec.input_box
-        root = analyzer.analyze(box, SplitAssignment.empty(), spec=spec.output_spec)
+        root = analyzer.analyze(box, analyzer.root_splits, spec=spec.output_spec)
         unit = 0
         layers = [ScalarBounds(bounds.lower.copy(), bounds.upper.copy())
                   for bounds in root.pre_activation_bounds]
@@ -333,7 +334,7 @@ class TestReferenceProperties:
         layers[1].upper[unit] = np.nan
         poisoned = dataclasses.replace(root, hidden_bounds=FlatBounds(layers))
         delta = ReluSplit(0, 0, ACTIVE)
-        child = SplitAssignment.empty().with_split(delta)
+        child = analyzer.root_splits.with_split(delta)
         report = analyzer.analyze(box, child, spec=spec.output_spec,
                                   parent=(poisoned, delta))
         got = report.pre_activation_bounds[1]
@@ -343,6 +344,10 @@ class TestReferenceProperties:
         assert_report_matches(report, want)
 
 
+#: Hidden layer sizes of the key-derivation tests' assignments.
+KEY_SIZES = (6, 6, 6, 6)
+
+
 class TestKeyDerivation:
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 100_000), size=st.integers(0, 10))
@@ -350,7 +355,7 @@ class TestKeyDerivation:
         """A chain of ``with_split`` calls builds the assignment the splits
         describe, in any order."""
         rng = np.random.default_rng(seed)
-        parent = SplitAssignment.empty()
+        parent = SplitAssignment.empty(KEY_SIZES)
         made = []
         for _ in range(size):
             layer = int(rng.integers(0, 4))
@@ -361,34 +366,47 @@ class TestKeyDerivation:
             made.append(ReluSplit(layer, unit, phase))
             parent = parent.with_split(made[-1])
         rng.shuffle(made)
-        rebuilt = SplitAssignment({split.neuron: split.phase for split in made})
+        rebuilt = SplitAssignment.from_splits(KEY_SIZES, made)
         assert rebuilt == parent
-        assert rebuilt.canonical_key() == parent.canonical_key()
+        assert rebuilt.key == parent.key
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 100_000), size=st.integers(0, 10),
            num_layers=st.integers(1, 5))
-    def test_prefix_counts_slice_the_layers(self, seed, size, num_layers):
+    def test_layer_rows_slice_the_layers(self, seed, size, num_layers):
+        """Each layer's slice of the stacked rows holds exactly that layer's
+        splits, and a layer nobody decides reads as ``None``."""
         rng = np.random.default_rng(seed)
-        splits = SplitAssignment.empty()
-        for _ in range(size):
-            layer = int(rng.integers(0, num_layers))
-            unit = int(rng.integers(0, 6))
-            if splits.is_decided(layer, unit):
-                continue
-            phase = ACTIVE if rng.random() < 0.5 else INACTIVE
-            splits = splits.with_split(ReluSplit(layer, unit, phase))
-        canonical = splits.canonical_key()
-        counts = prefix_counts(canonical, num_layers)
+        sizes = (6,) * num_layers
+        batch = []
+        for _ in range(3):
+            splits = SplitAssignment.empty(sizes)
+            for _ in range(size):
+                layer = int(rng.integers(0, num_layers))
+                unit = int(rng.integers(0, 6))
+                if splits.is_decided(layer, unit):
+                    continue
+                phase = ACTIVE if rng.random() < 0.5 else INACTIVE
+                splits = splits.with_split(ReluSplit(layer, unit, phase))
+            batch.append(splits)
+        rows = stack_rows(batch, SplitAssignment.empty(sizes))
         for layer in range(num_layers):
-            assert canonical[:counts[layer]] == tuple(
-                triple for triple in canonical if triple[0] <= layer)
+            want = np.zeros((len(batch), 6), dtype=int)
+            for position, splits in enumerate(batch):
+                for split in splits:
+                    if split.layer == layer:
+                        want[position, split.unit] = split.phase
+            got = layer_rows(rows, batch[0].offsets, layer)
+            if want.any():
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert got is None
 
     def test_with_split_checks_only_the_added_split(self):
         """``with_split`` checks only the added split: a repeated split is a
         no-op and a conflicting one raises."""
-        parent = SplitAssignment.from_splits([ReluSplit(0, 1, ACTIVE),
-                                              ReluSplit(1, 0, INACTIVE)])
+        parent = SplitAssignment.from_splits(KEY_SIZES, [ReluSplit(0, 1, ACTIVE),
+                                                         ReluSplit(1, 0, INACTIVE)])
         child = parent.with_split(ReluSplit(2, 3, ACTIVE))
         assert child.phase_of(2, 3) == ACTIVE and len(child) == 3
         assert len(parent) == 2  # the parent is unchanged
@@ -517,7 +535,8 @@ class TestTrainedTrajectoryEquality:
             for unit in [unit for at, unit in unstable if at == layer][:2]:
                 for phase in (ACTIVE, INACTIVE):
                     delta = ReluSplit(layer, unit, phase)
-                    children.append(SplitAssignment.empty().with_split(delta))
+                    children.append(SplitAssignment.empty(
+                        network.lowered().relu_layer_sizes()).with_split(delta))
                     parents.append((root.report, delta))
         assert {parent[1].layer for parent in parents} == {0, 1}
         appvers = [ApproximateVerifier(network, spec, incremental=incremental)

@@ -45,8 +45,9 @@ def _assert_batch_matches_reference(network, spec, batch, lower_slopes=None):
     return reports
 
 
-def _splits(*decisions):
-    return SplitAssignment.from_splits([ReluSplit(*decision) for decision in decisions])
+def _splits(network, *decisions):
+    return SplitAssignment.from_splits(network.relu_layer_sizes(),
+                                       [ReluSplit(*decision) for decision in decisions])
 
 
 class TestLiveStep:
@@ -98,7 +99,8 @@ class TestLiveColumnsMatchReference:
         report = reference_deeppoly(network, spec.input_box, None, spec.output_spec)
         assert np.all(report.pre_activation_bounds[1].upper <= 0.0)
         free = [(0, unit) for unit in range(5)]
-        batch = [None, _splits((*free[0], ACTIVE)), _splits((*free[1], INACTIVE))]
+        batch = [None, _splits(network, (*free[0], ACTIVE)),
+                 _splits(network, (*free[1], INACTIVE))]
         _assert_batch_matches_reference(network, spec, batch)
 
     def test_rows_with_disjoint_dead_sets(self):
@@ -110,7 +112,7 @@ class TestLiveColumnsMatchReference:
         root = reference_deeppoly(network, spec.input_box, None, spec.output_spec)
         layer0 = root.pre_activation_bounds[0]
         assert np.all(layer0.upper[:2] <= 0.0) and np.all(layer0.upper[2:] > 0.0)
-        batch = [_splits((0, unit, INACTIVE)) for unit in range(2, 6)]
+        batch = [_splits(network, (0, unit, INACTIVE)) for unit in range(2, 6)]
         reports = _assert_batch_matches_reference(network, spec, batch)
         analyzer = DeepPolyAnalyzer(network)
         for splits, report in zip(batch, reports):
@@ -140,9 +142,9 @@ def _random_batch(rng, network, size: int):
     for _ in range(size):
         count = min(int(rng.integers(0, 4)), len(neurons))
         chosen = rng.choice(len(neurons), size=count, replace=False)
-        batch.append(_splits(*[(*neurons[int(index)],
-                                ACTIVE if rng.random() < 0.5 else INACTIVE)
-                               for index in chosen]))
+        batch.append(_splits(network, *[(*neurons[int(index)],
+                                         ACTIVE if rng.random() < 0.5 else INACTIVE)
+                                        for index in chosen]))
     return batch
 
 
@@ -168,7 +170,7 @@ def test_incremental_child_of_a_partly_dead_layer(phase):
     analyzer = DeepPolyAnalyzer(network)
     box = spec.input_box
     cache = BoundCache()
-    parent = SplitAssignment.empty()
+    parent = analyzer.root_splits
     root = analyzer.analyze(box, parent, spec=spec.output_spec, cache=cache)
     deltas = [ReluSplit(0, unit, phase) for unit in range(3, 6)]
     children = [parent.with_split(delta) for delta in deltas]

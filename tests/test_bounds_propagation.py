@@ -55,7 +55,7 @@ class TestInterval:
         # Force a neuron into the phase it certainly does not have.
         unit = int(np.argmax(np.abs(pre)))
         wrong_phase = INACTIVE if pre[unit] > 0 else ACTIVE
-        splits = SplitAssignment.from_splits([ReluSplit(0, unit, wrong_phase)])
+        splits = SplitAssignment.from_splits(lowered.relu_layer_sizes(), [ReluSplit(0, unit, wrong_phase)])
         report = interval_bounds(lowered, box, splits=splits)
         assert report.infeasible
 
@@ -96,7 +96,7 @@ class TestDeepPoly:
         assert unstable, "test requires at least one unstable neuron"
         layer, unit = unstable[0]
         for phase in (ACTIVE, INACTIVE):
-            splits = SplitAssignment.from_splits([ReluSplit(layer, unit, phase)])
+            splits = SplitAssignment.from_splits(lowered.relu_layer_sizes(), [ReluSplit(layer, unit, phase)])
             child = analyzer.analyze(spec.input_box, splits=splits, spec=spec.output_spec)
             assert (layer, unit) not in child.unstable_neurons(splits)
             assert np.isfinite(child.p_hat)
@@ -108,11 +108,11 @@ class TestDeepPoly:
         root = analyzer.analyze(spec.input_box, spec=spec.output_spec)
         layer, unit = root.unstable_neurons()[0]
         active = analyzer.analyze(spec.input_box, spec=spec.output_spec,
-                                  splits=SplitAssignment.from_splits(
-                                      [ReluSplit(layer, unit, ACTIVE)]))
+                                  splits=analyzer.root_splits.with_split(
+                                      ReluSplit(layer, unit, ACTIVE)))
         inactive = analyzer.analyze(spec.input_box, spec=spec.output_spec,
-                                    splits=SplitAssignment.from_splits(
-                                        [ReluSplit(layer, unit, INACTIVE)]))
+                                    splits=analyzer.root_splits.with_split(
+                                        ReluSplit(layer, unit, INACTIVE)))
         assert active.pre_activation_bounds[layer].lower[unit] >= -1e-12
         assert inactive.pre_activation_bounds[layer].upper[unit] <= 1e-12
 
@@ -125,7 +125,7 @@ class TestDeepPoly:
         unstable = root.unstable_neurons()
         layer, unit = unstable[0]
         for phase in (ACTIVE, INACTIVE):
-            splits = SplitAssignment.from_splits([ReluSplit(layer, unit, phase)])
+            splits = SplitAssignment.from_splits(lowered.relu_layer_sizes(), [ReluSplit(layer, unit, phase)])
             report = analyzer.analyze(spec.input_box, splits=splits, spec=spec.output_spec)
             if report.infeasible:
                 continue
@@ -141,7 +141,7 @@ class TestDeepPoly:
         spec = robustness_problem(network, [0.5, 0.5, 0.5], 0.3)
         lowered = network.lowered()
         analyzer = DeepPolyAnalyzer(lowered)
-        splits = SplitAssignment.empty()
+        splits = analyzer.root_splits
         report = analyzer.analyze(spec.input_box, spec=spec.output_spec)
         # Greedily fix every unstable neuron to its ACTIVE phase.
         while report.unstable_neurons(splits):
@@ -238,7 +238,7 @@ class TestBoundReport:
         unstable = report.unstable_neurons()
         assert unstable
         layer, unit = unstable[0]
-        splits = SplitAssignment.from_splits([ReluSplit(layer, unit, ACTIVE)])
+        splits = SplitAssignment.from_splits(lowered.relu_layer_sizes(), [ReluSplit(layer, unit, ACTIVE)])
         remaining = report.unstable_neurons(splits)
         assert (layer, unit) not in remaining
         assert len(remaining) == len(unstable) - 1

@@ -28,7 +28,8 @@ def _children(root):
     for layer, unit in root.unstable_neurons()[:2]:
         for phase in (ACTIVE, INACTIVE):
             split = ReluSplit(layer, unit, phase)
-            splits.append(SplitAssignment.empty().with_split(split))
+            splits.append(SplitAssignment.empty(
+                np.diff(root.hidden_bounds.offsets).tolist()).with_split(split))
             parents.append((root, split))
     return splits, parents
 
@@ -115,12 +116,12 @@ class TestSpecRowsFromBelow:
         network, spec = make_random_dense_problem(seed, depth, width, 0.15)
         analyzer = AlphaCrownAnalyzer(network, AlphaCrownConfig(iterations=3))
         box = spec.input_box
-        splits_list = [SplitAssignment.empty()] + _children(
+        splits_list = [SplitAssignment.empty(network.relu_layer_sizes())] + _children(
             DeepPolyAnalyzer(network).analyze(box, spec=spec.output_spec))[0]
         reports = analyzer.analyze_batch(box, splits_list, spec=spec.output_spec)
         for splits, report in zip(splits_list, reports):
             assert report.output_bounds is None
-            slopes = analyzer._slope_store[splits.canonical_key()]
+            slopes = analyzer._slope_store[splits.key]
             want = reference_deeppoly(network, box, splits, spec.output_spec,
                                       lower_slopes=slopes)
             np.testing.assert_allclose(report.spec_row_lower, want.spec_row_lower,

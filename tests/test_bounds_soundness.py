@@ -60,7 +60,7 @@ def _draw_splits(report, lowered, rng, max_splits: int) -> SplitAssignment:
                    for unit in range(size)]
     count = int(rng.integers(0, min(max_splits, len(neurons)) + 1))
     chosen = rng.choice(len(neurons), size=count, replace=False)
-    splits = SplitAssignment.empty()
+    splits = SplitAssignment.empty(lowered.relu_layer_sizes())
     for index in chosen:
         layer, unit = neurons[int(index)]
         phase = ACTIVE if rng.random() < 0.5 else INACTIVE

@@ -37,11 +37,11 @@ def problem(network, dataset, index, epsilon):
 
 def _make_tree():
     """A small hand-built MCTS tree: root with two expanded children."""
-    root = MctsNode(SplitAssignment.empty(), depth=0, outcome=None)
+    root = MctsNode(SplitAssignment.empty((2,)), depth=0, outcome=None)
     root.reward = 0.5
-    left = MctsNode(SplitAssignment.from_splits([ReluSplit(0, 0, ACTIVE)]),
+    left = MctsNode(root.splits.with_split(ReluSplit(0, 0, ACTIVE)),
                     depth=1, outcome=None, parent=root)
-    right = MctsNode(SplitAssignment.from_splits([ReluSplit(0, 0, INACTIVE)]),
+    right = MctsNode(root.splits.with_split(ReluSplit(0, 0, INACTIVE)),
                      depth=1, outcome=None, parent=root)
     left.reward, right.reward = 0.5, 0.4
     root.children = {ACTIVE: left, INACTIVE: right}
@@ -73,7 +73,7 @@ class TestSelectFrontier:
             assert node.subtree_size == size
 
     def test_unexpanded_root_selected_once(self):
-        root = MctsNode(SplitAssignment.empty(), depth=0, outcome=None)
+        root = MctsNode(SplitAssignment.empty((2,)), depth=0, outcome=None)
         root.reward = 0.3
         leaves = select_frontier(root, exploration=0.2, limit=8)
         assert leaves == [root]
@@ -152,11 +152,11 @@ class TestAbonnFrontierVerdicts:
                 break
         assert stable is not None, "fixture network must have a stable-off neuron"
         # Forcing a stable-off neuron ACTIVE empties the region.
-        splits = SplitAssignment.from_splits([ReluSplit(stable[0], stable[1], ACTIVE)])
-        outcomes = appver.evaluate_batch([splits, SplitAssignment.empty()])
+        splits = appver.root_splits.with_split(ReluSplit(stable[0], stable[1], ACTIVE))
+        outcomes = appver.evaluate_batch([splits, appver.root_splits])
         assert outcomes[0].report.infeasible
         scorer = PotentialityScorer(appver.num_relu_neurons, 0.5)
-        parent = MctsNode(SplitAssignment.empty(), depth=0, outcome=outcomes[1])
+        parent = MctsNode(appver.root_splits, depth=0, outcome=outcomes[1])
         child = _score_child(parent, splits, outcomes[0], scorer)
         assert child.reward == float("-inf")
 

@@ -19,7 +19,7 @@ from repro.core.mcts import (
 
 
 def make_node(reward=0.0, depth=0, parent=None, subtree_size=1):
-    node = MctsNode(SplitAssignment.empty(), depth=depth, outcome=None,
+    node = MctsNode(SplitAssignment.empty((2,)), depth=depth, outcome=None,
                     reward=reward, parent=parent)
     node.subtree_size = subtree_size
     return node

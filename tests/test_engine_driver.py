@@ -90,7 +90,7 @@ class ScriptedSource(WorkSource):
         return None if kind == "leaf" else (0, 0)
 
     def child_splits(self, item, neuron, phases):
-        return [SplitAssignment.empty() for _ in phases]
+        return [SplitAssignment.empty((1,)) for _ in phases]
 
     def item_report(self, item):
         return f"report-{item[1]}"

@@ -36,7 +36,7 @@ def _decided_leaves(network, spec, count=3, seed=11):
     rng = np.random.default_rng(seed)
     leaves = []
     for _ in range(count):
-        splits = SplitAssignment.empty()
+        splits = appver.root_splits
         outcome = appver.evaluate(splits)
         for _ in range(4):
             unstable = outcome.report.unstable_neurons(splits)
@@ -140,7 +140,7 @@ class TestAlphaWarmStart:
         spec = _problem(small_network, [0.45, 0.55, 0.5, 0.4], 0.12)
         lowered = small_network.lowered()
         analyzer = AlphaCrownAnalyzer(lowered, AlphaCrownConfig(iterations=2))
-        parent = SplitAssignment.empty()
+        parent = SplitAssignment.empty(lowered.relu_layer_sizes())
         parent_report = analyzer.analyze(spec.input_box, parent,
                                          spec=spec.output_spec)
         unstable = parent_report.unstable_neurons()
@@ -169,7 +169,7 @@ class TestAlphaWarmStart:
         lowered = small_network.lowered()
         analyzer = AlphaCrownAnalyzer(
             lowered, AlphaCrownConfig(iterations=1, warm_start=False))
-        parent = SplitAssignment.empty()
+        parent = SplitAssignment.empty(lowered.relu_layer_sizes())
         report = analyzer.analyze(spec.input_box, parent, spec=spec.output_spec)
         unstable = report.unstable_neurons()
         assert unstable
@@ -183,7 +183,7 @@ class TestAlphaWarmStart:
         spec = _problem(small_network, [0.45, 0.55, 0.5, 0.4], 0.12)
         lowered = small_network.lowered()
         analyzer = AlphaCrownAnalyzer(lowered, AlphaCrownConfig(iterations=1))
-        parent = SplitAssignment.empty()
+        parent = SplitAssignment.empty(lowered.relu_layer_sizes())
         report = analyzer.analyze(spec.input_box, parent, spec=spec.output_spec)
         unstable = report.unstable_neurons()
         assert unstable

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bounds.splits import ACTIVE, ReluSplit, SplitAssignment
+from repro.bounds.splits import ACTIVE, ReluSplit
 from repro.specs.robustness import local_robustness_spec
 from repro.verifiers.appver import ApproximateVerifier
 
@@ -41,7 +41,7 @@ class TestApproximateVerifier:
         spec = problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.1)
         verifier = ApproximateVerifier(small_network, spec)
         verifier.evaluate()
-        verifier.evaluate(SplitAssignment.from_splits([ReluSplit(0, 0, ACTIVE)]))
+        verifier.evaluate(verifier.root_splits.with_split(ReluSplit(0, 0, ACTIVE)))
         assert verifier.num_calls == 2
         verifier.reset_counter()
         assert verifier.num_calls == 0
@@ -90,7 +90,7 @@ class TestSingleCallAccounting:
         verifier = ApproximateVerifier(small_network, spec, method)
         keys = set(verifier.cache_stats())
         verifier.evaluate()
-        verifier.evaluate(SplitAssignment.from_splits([ReluSplit(0, 0, ACTIVE)]))
+        verifier.evaluate(verifier.root_splits.with_split(ReluSplit(0, 0, ACTIVE)))
         assert verifier.num_calls == 2
         assert verifier.batch_stats() == {"batch_histogram": {}, "batched_calls": 0,
                                           "mean_realised_batch": 0.0}

@@ -364,12 +364,18 @@ class TestEmpiricalRadius:
                                              dataset.num_classes, upper=0.9,
                                              tolerance=5e-3,
                                              config=AttackConfig(steps=30, restarts=3))
-        assert 0.0 < radius <= 0.9
-        # The attack succeeds slightly above the radius.
+        # The bisection found a radius below its cap, not the "never
+        # falsified" fallback.
+        assert 0.0 < radius < 0.9
+        # The bisection's own attack succeeds at the radius it returns.
+        spec_at = local_robustness_spec(reference, radius, label, dataset.num_classes)
+        assert pgd_attack(network, spec_at,
+                          AttackConfig(steps=30, restarts=3)).is_counterexample
+        # A stronger attack succeeds slightly above the radius.
         spec_above = local_robustness_spec(reference, min(radius * 1.2 + 1e-3, 1.0),
                                            label, dataset.num_classes)
         attack = pgd_attack(network, spec_above, AttackConfig(steps=40, restarts=4))
-        assert attack.best_margin < np.inf  # attack ran; success not strictly guaranteed
+        assert attack.is_counterexample
 
     def test_robust_network_returns_upper(self, small_network):
         # With a tiny radius cap the attack cannot flip a confident prediction.

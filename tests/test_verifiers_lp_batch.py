@@ -16,11 +16,17 @@ from repro.verifiers import milp as milp_module
 from repro.verifiers.appver import ApproximateVerifier
 from repro.verifiers.milp import (
     RowOptimum,
-    _leaf_program,
+    _leaf_programs,
     _minimise_rows,
     _prove_empty,
     solve_leaf_lp,
     solve_leaf_lp_batch,
+)
+
+from reference_leaf_lp import (
+    TOLERANCE as PROGRAM_TOLERANCE,
+    reference_leaf_program,
+    reference_prove_empty,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -128,7 +134,8 @@ class TestBatchedLeafLp:
         assert root_report.unstable_neurons(), "root must have unstable neurons"
         with pytest.raises(ValueError):
             solve_leaf_lp_batch(lowered, spec.input_box, spec.output_spec,
-                                [(SplitAssignment.empty(), root_report)])
+                                [(SplitAssignment.empty(lowered.relu_layer_sizes()),
+                                  root_report)])
 
 
 class TestInputSpaceLeafLpOracle:
@@ -149,7 +156,7 @@ class TestInputSpaceLeafLpOracle:
         appver = ApproximateVerifier(network, spec, use_cache=False)
         leaves = []
         for _ in range(2):
-            leaf = _decide(appver, SplitAssignment.empty(), rng)
+            leaf = _decide(appver, appver.root_splits, rng)
             if leaf is not None:
                 leaves.append(leaf)
         assume(leaves)
@@ -163,12 +170,14 @@ class TestInputSpaceLeafLpOracle:
         network = dense_network([3, 6, 5, 3], seed=4)
         spec = _problem(network, [0.5, 0.4, 0.6], 1e-4)
         appver = ApproximateVerifier(network, spec, use_cache=False)
-        splits = SplitAssignment.empty()
+        splits = appver.root_splits
         report = appver.evaluate(splits).report
         assert not report.unstable_neurons(), "root must be fully stable"
-        _, _, constraints = _leaf_program(appver.lowered, spec.output_spec,
-                                          splits, report)
+        _, _, constraints = reference_leaf_program(appver.lowered, spec.output_spec,
+                                                   splits, report)
         assert constraints is None
+        assert _leaf_programs(appver.lowered, spec.output_spec,
+                              [(splits, report)]).constraint(0) is None
         optimum = solve_leaf_lp(appver.lowered, spec.input_box,
                                 spec.output_spec, splits, report)
         _assert_matches_reference(appver.lowered, spec, splits, report, optimum)
@@ -183,7 +192,8 @@ class TestInputSpaceLeafLpOracle:
         network = Network([hidden, ReLU(), head], (1,), name="contradiction")
         spec = _problem(network, [0.4], 0.4)
         appver = ApproximateVerifier(network, spec, use_cache=False)
-        splits = SplitAssignment({(0, 0): ACTIVE, (0, 1): ACTIVE})
+        splits = SplitAssignment.from_splits(
+            (2,), [ReluSplit(0, 0, ACTIVE), ReluSplit(0, 1, ACTIVE)])
         report = appver.evaluate(splits).report
         assert not report.unstable_neurons(splits)
         optimum = solve_leaf_lp(appver.lowered, spec.input_box,
@@ -205,7 +215,8 @@ def _both_active_leaf(bias):
     network = _two_row_network(bias)
     spec = _problem(network, [0.5], 0.4)
     appver = ApproximateVerifier(network, spec, use_cache=False)
-    splits = SplitAssignment({(0, 0): ACTIVE, (0, 1): ACTIVE})
+    splits = SplitAssignment.from_splits(
+        (2,), [ReluSplit(0, 0, ACTIVE), ReluSplit(0, 1, ACTIVE)])
     report = appver.evaluate(splits).report
     assert not report.unstable_neurons(splits)
     return appver.lowered, spec, splits, report
@@ -222,6 +233,14 @@ def _count_highs_calls(monkeypatch):
 
     monkeypatch.setattr(milp_module.optimize, "milp", counting)
     return calls
+
+
+def _random_full_assignment(appver, rng):
+    """An assignment splitting every hidden neuron with a random phase."""
+    return SplitAssignment.from_splits(appver.lowered.relu_layer_sizes(), [
+        ReluSplit(layer, unit, ACTIVE if rng.random() < 0.5 else INACTIVE)
+        for layer, size in enumerate(appver.lowered.relu_layer_sizes())
+        for unit in range(size)])
 
 
 def _random_network(seed, depth, width):
@@ -246,13 +265,12 @@ class TestEmptinessCertificate:
         appver = ApproximateVerifier(network, spec, use_cache=False)
         programs = []
         for _ in range(4):
-            phases = {(layer, unit): ACTIVE if rng.random() < 0.5 else INACTIVE
-                      for layer in range(depth) for unit in range(width)}
-            splits = SplitAssignment(phases)
+            splits = _random_full_assignment(appver, rng)
             report = appver.evaluate(splits).report
-            programs.append(_leaf_program(appver.lowered, spec.output_spec,
-                                          splits, report))
-        claims = _prove_empty([rows for _, _, rows in programs], spec.input_box)
+            programs.append(reference_leaf_program(appver.lowered, spec.output_spec,
+                                                   splits, report))
+        claims = reference_prove_empty([rows for _, _, rows in programs],
+                                       spec.input_box)
         for (objectives, constants, rows), claim in zip(programs, claims):
             if claim:
                 optimum = _minimise_rows(objectives, constants,
@@ -270,20 +288,20 @@ class TestEmptinessCertificate:
         appver = ApproximateVerifier(network, spec, use_cache=False)
         point = spec.input_box.sample(rng)[0]
         pre_activations = appver.lowered.pre_activations(point)
-        splits = SplitAssignment({
-            (layer, unit): ACTIVE if value >= 0.0 else INACTIVE
+        splits = SplitAssignment.from_splits(appver.lowered.relu_layer_sizes(), [
+            ReluSplit(layer, unit, ACTIVE if value >= 0.0 else INACTIVE)
             for layer, values in enumerate(pre_activations)
-            for unit, value in enumerate(values)})
+            for unit, value in enumerate(values)])
         report = appver.evaluate(splits).report
-        _, _, rows = _leaf_program(appver.lowered, spec.output_spec, splits,
-                                   report)
-        assert not _prove_empty([rows], spec.input_box)[0]
+        _, _, rows = reference_leaf_program(appver.lowered, spec.output_spec,
+                                            splits, report)
+        assert not reference_prove_empty([rows], spec.input_box)[0]
 
     def test_leaf_without_split_rows_is_never_screened(self, monkeypatch):
         network = dense_network([3, 6, 5, 3], seed=4)
         spec = _problem(network, [0.5, 0.4, 0.6], 1e-4)
         appver = ApproximateVerifier(network, spec, use_cache=False)
-        splits = SplitAssignment.empty()
+        splits = appver.root_splits
         report = appver.evaluate(splits).report
         assert not report.unstable_neurons(), "root must be fully stable"
 
@@ -314,8 +332,8 @@ class TestEmptinessCertificate:
         """``x >= 0.5`` and ``x <= 0.5 - 1e-9`` is empty by less than the
         certificate's tolerance, so it is not claimed and HiGHS decides."""
         lowered, spec, splits, report = _both_active_leaf([-0.5, 0.5 - 1e-9])
-        _, _, rows = _leaf_program(lowered, spec.output_spec, splits, report)
-        assert not _prove_empty([rows], spec.input_box)[0]
+        _, _, rows = reference_leaf_program(lowered, spec.output_spec, splits, report)
+        assert not reference_prove_empty([rows], spec.input_box)[0]
         calls = _count_highs_calls(monkeypatch)
         cache = LpCache()
         solve_leaf_lp(lowered, spec.input_box, spec.output_spec, splits,
@@ -388,3 +406,84 @@ class TestLpCache:
         cache.get(("k",))
         cache.get(("missing",))
         assert cache.stats.hit_rate == pytest.approx(0.5)
+
+
+def _assert_programs_match_reference(lowered, spec, leaves):
+    """The batched programs of ``leaves`` against the per-leaf reference:
+    objectives, constants and sign rows within ``PROGRAM_TOLERANCE``, and
+    identical proven-empty flags."""
+    programs = _leaf_programs(lowered, spec.output_spec, leaves)
+    references = [reference_leaf_program(lowered, spec.output_spec, splits, report)
+                  for splits, report in leaves]
+    width = programs.sign.shape[1]
+    for position, (objectives, constants, rows) in enumerate(references):
+        np.testing.assert_allclose(programs.objectives[position], objectives,
+                                   rtol=0.0, atol=PROGRAM_TOLERANCE)
+        np.testing.assert_allclose(programs.constants[position], constants,
+                                   rtol=0.0, atol=PROGRAM_TOLERANCE)
+        size = 0 if rows is None else len(rows.sign)
+        assert size <= width
+        np.testing.assert_array_equal(programs.sign[position, size:], 0.0)
+        np.testing.assert_array_equal(programs.matrix[position, size:], 0.0)
+        np.testing.assert_array_equal(programs.offset[position, size:], 0.0)
+        if rows is None:
+            assert programs.constraint(position) is None
+            continue
+        np.testing.assert_array_equal(programs.sign[position, :size], rows.sign)
+        np.testing.assert_allclose(programs.matrix[position, :size], rows.matrix,
+                                   rtol=0.0, atol=PROGRAM_TOLERANCE)
+        np.testing.assert_allclose(programs.offset[position, :size], rows.offset,
+                                   rtol=0.0, atol=PROGRAM_TOLERANCE)
+    screened = [position for position, (_, _, rows) in enumerate(references)
+                if rows is not None]
+    if not screened:
+        return np.zeros(0, dtype=bool)
+    present = programs.sign[screened] != 0.0
+    proven = _prove_empty(programs.matrix[screened], programs.offset[screened],
+                          present, spec.input_box)
+    want = reference_prove_empty([references[position][2] for position in screened],
+                                 spec.input_box)
+    np.testing.assert_array_equal(proven, want)
+    return proven
+
+
+class TestBatchedProgramsMatchPerLeafReference:
+    """One batched forward composition builds what the per-leaf builder
+    and its re-padded screen built, leaf for leaf."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000), depth=st.integers(1, 3),
+           width=st.integers(2, 5), epsilon=st.floats(0.05, 0.5))
+    def test_random_decided_leaves(self, batch, seed, depth, width, epsilon):
+        """Leaves splitting every neuron share the batch with leaves that
+        split only until decided, so the leaves' row counts differ."""
+        rng, network = _random_network(seed, depth, width)
+        spec = _problem(network, rng.uniform(0.2, 0.8, network.input_dim), epsilon)
+        appver = ApproximateVerifier(network, spec, use_cache=False)
+        leaves = []
+        for _ in range(batch):
+            leaf = _decide(appver, appver.root_splits, rng) if rng.random() < 0.5 else None
+            if leaf is None:
+                splits = _random_full_assignment(appver, rng)
+                leaf = splits, appver.evaluate(splits).report
+            leaves.append(leaf)
+        _assert_programs_match_reference(appver.lowered, spec, leaves)
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    def test_batch_with_a_leaf_without_split_rows(self, batch):
+        """A fully stable root (no split rows) shares the batch with fully
+        split leaves, some of them contradicting the root's stable phases."""
+        network = dense_network([3, 6, 5, 3], seed=4)
+        spec = _problem(network, [0.5, 0.4, 0.6], 1e-4)
+        appver = ApproximateVerifier(network, spec, use_cache=False)
+        root = appver.evaluate().report
+        assert not root.unstable_neurons(), "root must be fully stable"
+        rng = np.random.default_rng(batch)
+        leaves = []
+        for _ in range(batch - 1):
+            splits = _random_full_assignment(appver, rng)
+            leaves.append((splits, appver.evaluate(splits).report))
+        leaves.insert(int(rng.integers(batch)), (appver.root_splits, root))
+        proven = _assert_programs_match_reference(appver.lowered, spec, leaves)
+        assert len(proven) == batch - 1

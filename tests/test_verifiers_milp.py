@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 from repro.bounds.deeppoly import DeepPolyAnalyzer
-from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
+from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit
 from repro.nn import dense_network
 from repro.specs.robustness import local_robustness_spec
 from repro.utils import Budget
@@ -84,7 +84,7 @@ def fully_split(network, spec):
     """Split unstable neurons ACTIVE until the leaf is phase-decided."""
     appver = ApproximateVerifier(network, spec)
     outcome = appver.evaluate()
-    splits = SplitAssignment.empty()
+    splits = appver.root_splits
     report = outcome.report
     while report.unstable_neurons(splits):
         layer, unit = report.unstable_neurons(splits)[0]
@@ -99,7 +99,7 @@ def split_at(network, spec, point):
     is non-empty whenever ``point`` lies in the box."""
     appver = ApproximateVerifier(network, spec)
     pre_activations = network.lowered().pre_activations(point)
-    splits = SplitAssignment.empty()
+    splits = appver.root_splits
     report = appver.evaluate().report
     while report.unstable_neurons(splits):
         layer, unit = report.unstable_neurons(splits)[0]
@@ -117,7 +117,7 @@ class TestLeafLp:
         if outcome.report.unstable_neurons():
             with pytest.raises(ValueError):
                 solve_leaf_lp(small_network.lowered(), spec.input_box, spec.output_spec,
-                              SplitAssignment.empty(), outcome.report)
+                              appver.root_splits, outcome.report)
 
     def test_leaf_lp_value_is_sound_for_the_leaf_region(self):
         network = dense_network([2, 4, 3, 2], seed=8)

@@ -26,7 +26,6 @@ from repro.bounds.splits import (
     ACTIVE,
     INACTIVE,
     ReluSplit,
-    SplitAssignment,
     clip_bounds_with_phases,
 )
 from repro.core.abonn import AbonnVerifier
@@ -180,7 +179,7 @@ def test_nan_bounds_never_read_as_empty():
         for phase in (ACTIVE, INACTIVE):
             split = ReluSplit(0, 0, phase)
             child = analyzer.analyze(spec.input_box,
-                                     SplitAssignment.empty().with_split(split),
+                                     analyzer.root_splits.with_split(split),
                                      spec=spec.output_spec, parent=(parent, split))
             assert not child.infeasible
 

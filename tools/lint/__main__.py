@@ -23,6 +23,7 @@ DOCSTRING_SURFACES = (
     "src/repro/engine", "src/repro/verifiers", "src/repro/core/abonn.py",
     "src/repro/bab/baseline.py", "src/repro/baselines", "src/repro/service",
     "src/repro/bab/heuristics.py", "src/repro/bounds/report.py",
+    "src/repro/bounds/splits.py", "src/repro/bounds/cache.py",
 )
 
 #: The Markdown trees the link checker gates in CI.
