@@ -8,9 +8,11 @@ consume networks in a canonical form: an alternation
 over the flattened input.  :meth:`Network.lowered` produces that form by
 merging consecutive affine layers (Flatten/Dense/Conv2d) into explicit
 ``(W, b)`` pairs.  Each hidden affine output corresponds to one ReLU "layer"
-of the paper's BaB formulation; individual neurons are addressed globally by
-``(layer_index, neuron_index)`` pairs or by a flat index in ``[0, K)`` where
-``K`` is the total number of ReLU neurons (the constant in Def. 1).
+of the paper's BaB formulation.  Individual neurons are addressed by one
+flat, layer-major index in ``[0, K)``, where ``K`` is the total number of
+ReLU neurons (the constant in Def. 1); that is the index of
+:class:`~repro.bounds.splits.SplitAssignment`'s phase row and of
+:class:`~repro.bounds.report.FlatBounds`' hidden bounds.
 """
 
 from __future__ import annotations
@@ -86,23 +88,6 @@ class LoweredNetwork:
     def num_relu_neurons(self) -> int:
         """Total number of ReLU neurons ``K`` (the constant of Def. 1)."""
         return int(sum(self.relu_layer_sizes()))
-
-    def neuron_index(self, layer: int, unit: int) -> int:
-        """Flatten a ``(layer, unit)`` ReLU address into a global index."""
-        sizes = self.relu_layer_sizes()
-        require(0 <= layer < len(sizes), f"layer {layer} out of range")
-        require(0 <= unit < sizes[layer], f"unit {unit} out of range for layer {layer}")
-        return int(sum(sizes[:layer]) + unit)
-
-    def neuron_address(self, index: int) -> Tuple[int, int]:
-        """Inverse of :meth:`neuron_index`."""
-        sizes = self.relu_layer_sizes()
-        require(0 <= index < sum(sizes), f"neuron index {index} out of range")
-        for layer, size in enumerate(sizes):
-            if index < size:
-                return layer, int(index)
-            index -= size
-        raise AssertionError("unreachable")
 
     # -- evaluation ----------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -4,25 +4,32 @@ The service turns the library's verifiers into a batch/streaming facility:
 many ``(network, property, budget)`` jobs run interleaved, preempted only at
 :class:`~repro.engine.driver.FrontierDriver` round boundaries (where the
 verifiers' ``affordable_phases`` budget accounting already makes stopping
-sound).  Three execution transports share one API and one scheduling policy
-(see ``docs/SERVICE.md#transports``):
+sound).  Three execution transports share one API, one scheduling policy
+and one slice path (see ``docs/SERVICE.md#transports``): every slice goes
+through the shard's *executor* (``repro.service.process_transport``), whose
+``start_job``/``run_slice`` open and advance the job's run in one shared
+implementation.
 
-* ``"cooperative"`` — single-threaded and fully deterministic: one job
-  advances at a time, driven by the caller iterating :meth:`VerificationService.step`
-  / :meth:`VerificationService.as_completed`, so the same submissions always
+* ``"cooperative"`` — single-threaded and fully deterministic, on each
+  shard's in-process executor: one job advances at a time, driven by the
+  caller iterating :meth:`VerificationService.step` /
+  :meth:`VerificationService.as_completed`, so the same submissions always
   produce the same interleaving.
-* ``"threaded"`` — one real worker thread per shard: each worker drains its
-  own queue under the identical per-worker policy, so jobs on *different*
-  workers execute in parallel while jobs on one worker keep the cooperative
-  ordering guarantees.  Results stream in completion order (nondeterministic
+* ``"threaded"`` — one real worker thread per shard, driving the shard's
+  in-process executor: each worker drains its own queue under the
+  identical per-worker policy, so jobs on *different* workers execute in
+  parallel while jobs on one worker keep the cooperative ordering
+  guarantees.  Results stream in completion order (nondeterministic
   across workers); :meth:`VerificationService.run_until_complete` restores
   deterministic submission order at the collection point.
 * ``"process"`` — one supervised worker *process* per shard: the shard
-  thread keeps running the per-worker policy in the parent, but each slice
-  executes in the shard's process via a pipe round-trip (see
-  ``repro.service.process_transport``).  The shard's cache bundle is handed
-  over in the ``CacheBundle.save()`` payload format and shipped back at
-  shutdown, so warmth survives the process boundary.  What the extra hop
+  thread keeps running the per-worker policy in the parent, but its
+  executor is a :class:`~repro.service.process_transport.ShardExecutor`,
+  so each slice executes in the shard's process via a pipe round-trip.
+  Jobs whose payload does not pickle run on the shard's in-process
+  executor instead.  The shard's cache bundle is handed over in the
+  ``CacheBundle.save()`` payload format and shipped back at shutdown, so
+  warmth survives the process boundary.  What the extra hop
   buys is *crash isolation*: a worker death — segfault, OOM kill, SIGKILL —
   detected by the supervisor, the worker restarts, and interrupted jobs are
   retried under the :class:`~repro.service.jobs.RetryPolicy`.
@@ -43,9 +50,12 @@ Scheduling policy
   first) — between two slices of a job at most ``max_wait_slices`` slices
   plus one per *older* pending job can go elsewhere, so an endless stream
   of high-priority submissions can never starve it.
-* **Deadlines**: wall-clock from submission, checked at slice boundaries
-  (including before a job's first round); an expired job is interrupted via
-  its run's ``interrupt()`` (TIMEOUT with the best bound so far) and marked
+* **Deadlines**: wall-clock from submission.  A job whose deadline passed
+  before its run opened times out without setup; once open, the executor
+  checks the deadline before every round, the first one after setup
+  included, on every transport.  An expired job is interrupted via its
+  run's ``interrupt()`` (TIMEOUT with the best bound so far; a run without
+  one gets a TIMEOUT timed from submission) and marked
   ``deadline_exceeded``.
 * **Fault isolation**: an exception escaping a job's setup or a round is
   captured as a structured :class:`~repro.service.jobs.JobError` on *that
@@ -61,7 +71,7 @@ Scheduling policy
   worker ``max_attempts`` times is *poison* and fails without taking the
   service down.  A shard whose worker keeps dying beyond
   ``worker_crash_budget`` — or a host that cannot spawn processes at all —
-  *degrades* to in-process execution on the shard thread, recorded in
+  *degrades*: its executor is swapped for the in-process one, recorded in
   :meth:`VerificationService.stats` under ``transport_downgrades``.
 """
 
@@ -79,19 +89,17 @@ from repro.nn.network import Network
 from repro.service.jobs import JobError, JobRequest, JobResult, RetryPolicy
 from repro.service.pool import CacheBundle, FingerprintCachePool
 from repro.service.process_transport import (
+    InlineExecutor,
     ShardExecutor,
     UnpicklableJob,
     reply_error,
+    timeout_result,
 )
 from repro.service.supervisor import ProcessTransportUnavailable, WorkerCrashed
 from repro.specs.properties import Specification
 from repro.utils.timing import Budget
 from repro.utils.validation import require
-from repro.verifiers.result import (
-    VerificationResult,
-    VerificationStatus,
-    VerifierRun,
-)
+from repro.verifiers.result import VerificationResult
 
 #: Execution transports accepted by :attr:`ServiceConfig.transport`.  The
 #: asyncio front-end (:class:`~repro.service.async_service.AsyncVerificationService`)
@@ -174,19 +182,16 @@ class _Job:
     worker: int
     submitted_at: float
     deadline_at: Optional[float]
-    run: Optional[VerifierRun] = None
     wait: int = 0
     total_wait: int = 0
     slices: int = 0
-    # Executions begun (inline run creations + remote run starts).
+    # Executions begun (runs opened on any executor).
     attempts: int = 0
     # Worker-process deaths attributed to this job (the poison gauge).
     crashes: int = 0
     # Earliest monotonic time the next attempt may start (retry backoff).
     not_before: float = 0.0
-    # Whether the job's run is currently open in the shard's worker process.
-    remote_started: bool = False
-    # Pinned to in-process execution (payload does not pickle).
+    # Pinned to the shard's inline executor (payload does not pickle).
     inline_only: bool = False
     cache_stats: Dict[str, int] = field(default_factory=dict)
     done: Optional[JobResult] = None
@@ -198,20 +203,24 @@ class _Worker:
     ``lock`` guards the job list; ``wake`` (a condition on the same lock)
     lets a threaded worker sleep while its queue is empty and be woken by
     submissions or shutdown.  The cooperative transport takes the same lock
-    — uncontended, so effectively free — which keeps one code path.  Under
-    the process transport the shard thread additionally owns ``executor``
-    (the supervised worker process) and the crash bookkeeping that decides
-    when the shard ``degraded`` back to in-process execution.
+    — uncontended, so effectively free — which keeps one code path.
+
+    ``executor`` runs the shard's jobs: its ``inline`` executor, or under
+    the process transport a :class:`ShardExecutor` (``None`` until first
+    use), which degradation swaps for ``inline``.  Jobs whose payload does
+    not pickle always use ``inline``.  ``crashes`` counts the shard's
+    worker deaths against ``worker_crash_budget``.
     """
 
-    def __init__(self, index: int) -> None:
+    def __init__(self, index: int, spawn: bool) -> None:
         self.index = index
         self.jobs: List[_Job] = []
         self.lock = threading.RLock()
         self.wake = threading.Condition(self.lock)
         self.thread: Optional[threading.Thread] = None
-        self.executor: Optional[ShardExecutor] = None
-        self.degraded: Optional[str] = None
+        self.inline = InlineExecutor()
+        self.executor: Union[ShardExecutor, InlineExecutor, None] = (
+            None if spawn else self.inline)
         self.crashes: int = 0
 
 
@@ -242,7 +251,8 @@ class VerificationService:
         self.verifier_factory = verifier_factory or _default_verifier_factory
         self.pool = FingerprintCachePool(self.config.lp_cache_size,
                                          self.config.bound_cache_size)
-        self._workers = [_Worker(i) for i in range(self.config.pool_size)]
+        self._workers = [_Worker(i, self.config.transport == "process")
+                         for i in range(self.config.pool_size)]
         self._jobs: Dict[str, _Job] = {}
         self._lock = threading.RLock()
         self._next_seq = 0
@@ -647,153 +657,74 @@ class VerificationService:
         return max(runnable,
                    key=lambda job: (job.request.priority, -job.seq))
 
-    def _deadline_passed(self, job: _Job) -> bool:
-        return (job.deadline_at is not None
-                and time.monotonic() >= job.deadline_at)
-
     def _run_slice(self, worker: _Worker, job: _Job) -> Optional[JobResult]:
-        if (self.config.transport == "process" and not job.inline_only
-                and worker.degraded is None):
-            return self._run_slice_remote(worker, job)
-        return self._run_slice_inline(worker, job)
+        """Advance ``job`` one slice on its executor, opening its run first.
 
-    def _run_slice_inline(self, worker: _Worker,
-                          job: _Job) -> Optional[JobResult]:
+        The one slice path of every transport.  A job whose deadline passed
+        before its run opened times out without setup; once open, the
+        executor checks the deadline before every round.
+        """
         with self._lock:
             self._slices += 1
         job.slices += 1
-        bundle = self.pool.bundle(job.fingerprint)
-        before = bundle.stats_snapshot()
-        result: Optional[VerificationResult] = None
-        error: Optional[JobError] = None
-        deadline_exceeded = False
+        executor = (worker.inline if job.inline_only
+                    else self._shard_executor(worker))
+        if job.done is not None:  # failed as the shard degraded
+            return job.done
         try:
-            if self._deadline_passed(job):
-                result = self._expire(job)
-                deadline_exceeded = True
-            else:
-                if job.run is None:
-                    factory = (job.request.verifier_factory
-                               or self.verifier_factory)
-                    job.attempts += 1
-                    budget = job.request.budget
-                    if budget is not None and job.attempts > 1:
-                        # A retry must not inherit the failed attempt's
-                        # charges: fresh limits, fresh clock.
-                        budget = budget.copy()
-                    try:
-                        verifier = factory(bundle)
-                        job.run = verifier.start_run(job.request.network,
-                                                     job.request.spec,
-                                                     budget)
-                    except Exception as exc:  # noqa: BLE001 - isolation boundary
-                        error = JobError(type(exc).__name__, str(exc), "setup")
-                if error is None:
-                    for _ in range(self.config.rounds_per_slice):
-                        try:
-                            result = job.run.step()
-                        except Exception as exc:  # noqa: BLE001 - isolation boundary
-                            error = JobError(type(exc).__name__, str(exc),
-                                             "round")
-                            break
-                        if result is not None:
-                            break
-                        if self._deadline_passed(job):
-                            result = self._expire(job)
-                            deadline_exceeded = True
-                            break
-        finally:
-            delta = CacheBundle.stats_delta(before, bundle.stats_snapshot())
-            for key, value in delta.items():
-                job.cache_stats[key] = job.cache_stats.get(key, 0) + value
-        if error is not None:
-            return self._fail(worker, job, error)
-        if result is not None:
-            return self._complete(worker, job, result, deadline_exceeded)
-        return None
-
-    # -- process drive ---------------------------------------------------------
-    def _run_slice_remote(self, worker: _Worker,
-                          job: _Job) -> Optional[JobResult]:
-        """One scheduling slice executed in the shard's worker process."""
-        executor = self._ensure_executor(worker)
-        if executor is None:  # the shard just degraded
-            return self._run_slice_inline(worker, job)
-        if self._deadline_passed(job) and not job.remote_started:
-            # Mirror the inline pre-start expiry: no run exists anywhere,
-            # so the TIMEOUT is synthesised parent-side within one slice.
-            with self._lock:
-                self._slices += 1
-            job.slices += 1
-            return self._complete(worker, job, self._expire(job), True)
-        try:
-            if not job.remote_started:
+            if job.job_id not in executor.runs:
+                if (job.deadline_at is not None
+                        and time.monotonic() >= job.deadline_at):
+                    return self._complete(
+                        worker, job, timeout_result(job.submitted_at), True)
                 job.attempts += 1
+                factory = job.request.verifier_factory or self.verifier_factory
                 try:
                     reply = executor.start_job(job.job_id, job.fingerprint,
-                                               job.request,
-                                               self._remote_factory(job),
-                                               self.pool)
+                                               job.request, factory, self.pool)
                 except UnpicklableJob:
                     # Not a failure: this job's payload cannot cross the
                     # pipe, so it runs in-process while picklable jobs on
                     # the shard keep their isolation.
-                    job.attempts -= 1
                     job.inline_only = True
                     with self._lock:
                         self._jobs_inline += 1
-                    return self._run_slice_inline(worker, job)
+                    executor = worker.inline
+                    reply = executor.start_job(job.job_id, job.fingerprint,
+                                               job.request, factory, self.pool)
                 self._merge_delta(job, reply)
-                if reply.get("op") == "error":
-                    with self._lock:
-                        self._slices += 1
-                    job.slices += 1
+                if reply["op"] == "error":
                     return self._fail(worker, job, reply_error(reply))
-                job.remote_started = True
-            with self._lock:
-                self._slices += 1
-            job.slices += 1
             reply = executor.run_slice(job.job_id,
                                        self.config.rounds_per_slice,
-                                       job.deadline_at)
+                                       job.deadline_at, job.submitted_at)
         except WorkerCrashed as exc:
             return self._handle_crash(worker, job, exc)
         self._merge_delta(job, reply)
-        op = reply.get("op")
-        if op == "error":
-            job.remote_started = False  # the worker dropped the run
+        if reply["op"] == "error":
             return self._fail(worker, job, reply_error(reply))
-        if op == "done":
-            job.remote_started = False
+        if reply["op"] == "done":
             return self._complete(worker, job, reply["result"],
-                                  bool(reply.get("deadline_exceeded")))
-        return None
-
-    def _remote_factory(self, job: _Job) -> Optional[Callable]:
-        """The factory to ship to the worker (``None`` = worker default)."""
-        if job.request.verifier_factory is not None:
-            return job.request.verifier_factory
-        if self.verifier_factory is not _default_verifier_factory:
-            return self.verifier_factory
+                                  reply["deadline_exceeded"])
         return None
 
     @staticmethod
     def _merge_delta(job: _Job, reply: dict) -> None:
-        """Fold a worker reply's cache delta into the job's counters."""
-        for key, value in reply.get("cache_delta", {}).items():
+        """Fold an executor reply's cache delta into the job's counters."""
+        for key, value in reply["cache_delta"].items():
             job.cache_stats[key] = job.cache_stats.get(key, 0) + value
 
-    def _ensure_executor(self, worker: _Worker) -> Optional[ShardExecutor]:
-        """The shard's live executor — spawning, restarting or degrading.
+    # -- process supervision ---------------------------------------------------
+    def _shard_executor(
+            self, worker: _Worker) -> Union[ShardExecutor, InlineExecutor]:
+        """The shard's executor, spawning or recovering its worker process.
 
-        Returns ``None`` exactly when the shard (just) degraded to
-        in-process execution.  A worker found dead *between* slices (no
-        request observed the death) still counts against the shard's crash
-        budget, but implicates no job: the remote runs are simply lost and
-        restart from scratch on the fresh worker.
+        A worker found dead *between* slices (no request observed the
+        death) still counts against the shard's crash budget, but
+        implicates no job: its open runs are simply gone and restart from
+        scratch on the restarted (or inline) executor.
         """
-        executor = worker.executor
-        if executor is None:
+        if worker.executor is None:
             try:
                 worker.executor = ShardExecutor(
                     worker.index, self.config.lp_cache_size,
@@ -802,41 +733,31 @@ class VerificationService:
                     slice_timeout=self.config.slice_timeout_seconds)
             except ProcessTransportUnavailable as exc:
                 self._degrade(worker, f"process spawn unavailable: {exc}")
-                return None
-            return worker.executor
-        if executor.alive():
-            return executor
-        worker.crashes += 1
-        with self._lock:
-            self._worker_crashes += 1
-        self._reset_remote_jobs(worker)
+        elif worker.executor is not worker.inline \
+                and not worker.executor.alive():
+            worker.crashes += 1
+            with self._lock:
+                self._worker_crashes += 1
+            self._recover(worker)
+        return worker.executor
+
+    def _recover(self, worker: _Worker) -> None:
+        """Restart the shard's dead worker, or degrade past the crash budget.
+
+        The restarted executor holds no open runs, so every job restarts
+        from scratch — never resuming partial state is what keeps a
+        retried job's trajectory identical to an uninterrupted run.
+        """
         if worker.crashes > self.config.worker_crash_budget:
             self._degrade(worker, "worker crash budget exceeded")
-            return None
-        return self._restart_executor(worker)
-
-    def _restart_executor(self, worker: _Worker) -> Optional[ShardExecutor]:
-        """Restart the shard's worker process (degrading when it fails)."""
+            return
         try:
             worker.executor.restart()
         except ProcessTransportUnavailable as exc:
             self._degrade(worker, f"worker restart failed: {exc}")
-            return None
+            return
         with self._lock:
             self._worker_restarts += 1
-        return worker.executor
-
-    def _reset_remote_jobs(self, worker: _Worker) -> None:
-        """Forget remote runs after a worker death (restart from scratch).
-
-        Restarting from the beginning — never resuming partial state —
-        is what keeps a retried job's trajectory identical to an
-        uninterrupted run.
-        """
-        with worker.lock:
-            jobs = list(worker.jobs)
-        for job in jobs:
-            job.remote_started = False
 
     def _handle_crash(self, worker: _Worker, job: _Job,
                       exc: WorkerCrashed) -> Optional[JobResult]:
@@ -845,7 +766,6 @@ class VerificationService:
         job.crashes += 1
         with self._lock:
             self._worker_crashes += 1
-        self._reset_remote_jobs(worker)
         retry = self.config.retry
         outcome: Optional[JobResult] = None
         if job.crashes >= retry.max_attempts \
@@ -862,28 +782,24 @@ class VerificationService:
                 self._retries += 1
             job.not_before = (time.monotonic()
                               + retry.delay_seconds(job.job_id, job.crashes))
-        if worker.degraded is None:
-            if worker.crashes > self.config.worker_crash_budget:
-                self._degrade(worker, "worker crash budget exceeded")
-            else:
-                self._restart_executor(worker)
+        self._recover(worker)
         return outcome
 
     def _degrade(self, worker: _Worker, reason: str) -> None:
-        """Fall back to in-process execution for this shard, permanently.
+        """Swap the shard's executor for its inline one, permanently.
 
         The degradation ladder's middle rung: the shard thread keeps
         draining its queue under the same policy, just without the process
-        boundary.  Jobs implicated in worker crashes are failed instead of
-        run inline — a job that kills its worker would kill the host — and
-        the downgrade is recorded in :meth:`VerificationService.stats`.
+        boundary.  The stopped worker's open runs are forgotten — the
+        inline executor holds none, so their jobs restart from scratch.
+        Jobs implicated in worker crashes are failed instead of run inline
+        — a job that kills its worker would kill the host — and the
+        downgrade is recorded in :meth:`VerificationService.stats`.
         """
-        worker.degraded = reason
         with self._lock:
             self._downgrades.append({"worker": worker.index,
                                      "reason": reason})
-        executor = worker.executor
-        worker.executor = None
+        executor, worker.executor = worker.executor, worker.inline
         if executor is not None:
             executor.stop(self.pool)
         with worker.lock:
@@ -896,22 +812,11 @@ class VerificationService:
                 allow_retry=False)
 
     def _release_executor(self, worker: _Worker) -> None:
-        """Stop the shard's worker process, reclaiming its warm bundles."""
-        executor = worker.executor
-        worker.executor = None
-        if executor is not None:
-            executor.stop(self.pool)
+        """Stop the shard's executor, reclaiming a worker's warm bundles."""
+        if worker.executor is not None:
+            worker.executor.stop(self.pool)
 
     # -- completion ------------------------------------------------------------
-    def _expire(self, job: _Job) -> VerificationResult:
-        """Force a deadline TIMEOUT (interrupt, or synthesise pre-start)."""
-        result = job.run.interrupt() if job.run is not None else None
-        if result is None:
-            result = VerificationResult(
-                status=VerificationStatus.TIMEOUT, verifier="service",
-                elapsed_seconds=time.monotonic() - job.submitted_at)
-        return result
-
     def _finish_job(self, worker: _Worker, job: _Job,
                     done: JobResult) -> JobResult:
         # Removal and publication form one critical section: once a worker
@@ -959,8 +864,6 @@ class VerificationService:
                 and job.attempts < retry.max_attempts):
             # Re-enqueue instead of finalising: the job stays in the
             # worker's queue and becomes runnable after its backoff.
-            job.run = None
-            job.remote_started = False
             with self._lock:
                 self._retries += 1
             job.not_before = (time.monotonic()

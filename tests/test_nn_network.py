@@ -99,17 +99,6 @@ class TestLowering:
         manual = lowered.weights[-1] @ hidden + lowered.biases[-1]
         np.testing.assert_allclose(manual, lowered.forward(x)[0], atol=1e-9)
 
-    def test_neuron_index_roundtrip(self, small_network):
-        lowered = small_network.lowered()
-        for flat in range(lowered.num_relu_neurons):
-            layer, unit = lowered.neuron_address(flat)
-            assert lowered.neuron_index(layer, unit) == flat
-
-    def test_neuron_index_out_of_range(self, small_network):
-        lowered = small_network.lowered()
-        with pytest.raises(ValueError):
-            lowered.neuron_address(lowered.num_relu_neurons)
-
     def test_relu_first_rejected(self):
         network = Network([ReLU(), Dense(3, 2, seed=0)], (3,))
         with pytest.raises(ValueError):

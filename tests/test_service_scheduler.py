@@ -17,6 +17,7 @@ granularity, and batch collection restores submission order.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,7 +32,7 @@ from repro.service import (
     VerificationService,
 )
 from repro.utils import Budget
-from repro.verifiers.result import VerificationStatus
+from repro.verifiers.result import MonolithicRun, VerificationStatus
 
 from conftest import make_robustness_problem
 
@@ -262,6 +263,39 @@ class TestBoundedWait:
         _assert_identical(done.result, SOLO_RESULTS[2])
 
 
+#: Setup time of the slow-start verifiers, well past the probe's deadline.
+SLOW_START_SECONDS = 0.3
+
+
+class _SlowStartVerifier:
+    """ABONN whose ``start_run`` takes ``SLOW_START_SECONDS`` to open a run.
+
+    ``monolithic`` opens a :class:`MonolithicRun` (no interrupt before its
+    one step) instead of the engine's preemptible run.
+    """
+
+    def __init__(self, bundle, monolithic: bool) -> None:
+        self.inner = AbonnVerifier(lp_cache=bundle.lp_cache,
+                                   bound_cache=bundle.bound_cache)
+        self.monolithic = monolithic
+
+    def start_run(self, network, spec, budget=None):
+        if self.monolithic:
+            run = MonolithicRun(self.inner, network, spec, budget)
+        else:
+            run = self.inner.start_run(network, spec, budget)
+        time.sleep(SLOW_START_SECONDS)
+        return run
+
+
+def _slow_engine_factory(bundle):
+    return _SlowStartVerifier(bundle, monolithic=False)
+
+
+def _slow_monolithic_factory(bundle):
+    return _SlowStartVerifier(bundle, monolithic=True)
+
+
 class TestDeadlines:
     def test_expired_deadline_times_out_within_one_slice(self, transport):
         job_ids, results = _run_jobs(
@@ -270,6 +304,32 @@ class TestDeadlines:
         assert done.deadline_exceeded
         assert done.result.status == VerificationStatus.TIMEOUT
         assert done.slices == 1  # honoured before the first round
+
+    @pytest.mark.parametrize("factory", [_slow_engine_factory,
+                                         _slow_monolithic_factory])
+    def test_deadline_is_checked_before_the_first_round_after_setup(
+            self, transport, factory):
+        """A setup that outlasts the deadline gets no round: the first
+        advance interrupts the run, identically on every transport.  An
+        engine run ends with its own pre-round TIMEOUT, timed from its
+        setup; a monolithic run has none, so the service's TIMEOUT reports
+        the time since submission."""
+        deadline = 0.1
+        network, spec = PROBLEMS[2]
+        interrupted = AbonnVerifier().start_run(
+            network, spec, Budget(max_nodes=BUDGET_NODES)).interrupt()
+        expected_nodes = (0 if factory is _slow_monolithic_factory
+                          else interrupted.nodes_explored)
+        job_ids, results = _run_jobs(
+            transport, [_submission(2, deadline_seconds=deadline,
+                                    verifier_factory=factory)], pool_size=1)
+        done = results[job_ids[0]]
+        assert done.ok, f"job failed: {done.error}"
+        assert done.deadline_exceeded
+        assert done.slices == 1
+        assert done.result.status == VerificationStatus.TIMEOUT
+        assert done.result.nodes_explored == expected_nodes
+        assert done.result.elapsed_seconds >= deadline
 
     def test_generous_deadline_does_not_disturb_the_run(self, transport):
         job_ids, results = _run_jobs(
