@@ -363,11 +363,11 @@ def _record_frontier_rounds(network, spec, max_nodes: int) -> List[Tuple]:
     rounds: List[Tuple] = []
     original = ApproximateVerifier.evaluate_batch
 
-    def recording(self, splits_list, method=None, parents=None):
+    def recording(self, splits_list, parents=None):
         if len(splits_list) > 1:
             rounds.append((list(splits_list),
                            list(parents) if parents is not None else None))
-        return original(self, splits_list, method=method, parents=parents)
+        return original(self, splits_list, parents=parents)
 
     ApproximateVerifier.evaluate_batch = recording
     try:
@@ -553,22 +553,17 @@ def bench_alpha(family_name: str, repetitions: int) -> Dict:
 def _max_report_difference(got, want) -> float:
     """Largest bound difference of two reports; ``inf`` when a flag, a
     corner or an infinite ``p̂`` disagrees.  Compares the hidden bounds,
-    the spec rows and ``p̂``, and the output bounds only when ``got`` has
-    them (a spec-given DeepPoly report bounds the spec rows instead)."""
+    the spec rows and ``p̂``."""
     if (got.infeasible != want.infeasible
             or not np.array_equal(got.candidate_input, want.candidate_input)):
         return float("inf")
     if not np.isfinite(want.p_hat) or not np.isfinite(got.p_hat):
         return 0.0 if got.p_hat == want.p_hat else float("inf")
-    pairs = [(got.flat_bounds(), want.flat_bounds())]
-    if got.output_bounds is not None:
-        pairs.append((got.output_bounds, want.output_bounds))
-    differences = [abs(got.p_hat - want.p_hat),
-                   float(np.max(np.abs(got.spec_row_lower - want.spec_row_lower)))]
-    for got_bounds, want_bounds in pairs:
-        differences.append(float(np.max(np.abs(got_bounds.lower - want_bounds.lower))))
-        differences.append(float(np.max(np.abs(got_bounds.upper - want_bounds.upper))))
-    return max(differences)
+    got_bounds, want_bounds = got.flat_bounds(), want.flat_bounds()
+    return max(abs(got.p_hat - want.p_hat),
+               float(np.max(np.abs(got.spec_row_lower - want.spec_row_lower))),
+               float(np.max(np.abs(got_bounds.lower - want_bounds.lower))),
+               float(np.max(np.abs(got_bounds.upper - want_bounds.upper))))
 
 
 def _dead_column_fraction(reports) -> float:

@@ -14,8 +14,6 @@ The gap between the first two columns is exactly the value added by branch
 and bound; the gap between the last two brackets the true robustness radius.
 """
 
-import numpy as np
-
 from repro import AbonnVerifier, Budget, local_robustness_spec
 from repro.experiments import root_certified_radius
 from repro.nn import build_trained_model

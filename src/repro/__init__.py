@@ -5,7 +5,8 @@ The package is organised as:
 * :mod:`repro.nn` — neural-network substrate (layers, training, model zoo);
 * :mod:`repro.datasets` — synthetic MNIST/CIFAR-10 stand-ins;
 * :mod:`repro.specs` — verification specifications and VNN-LIB I/O;
-* :mod:`repro.bounds` — approximated verifiers (IBP, DeepPoly/CROWN, α-CROWN);
+* :mod:`repro.bounds` — approximated verifiers (DeepPoly/CROWN and α-CROWN,
+  each bounding a required output specification);
 * :mod:`repro.verifiers` — AppVer wrapper, PGD attacks, MILP/LP back-ends;
 * :mod:`repro.bab` — branch-and-bound substrate and the BaB-baseline;
 * :mod:`repro.core` — the paper's contribution (counterexample potentiality,

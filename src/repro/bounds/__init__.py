@@ -1,6 +1,11 @@
-"""Approximated-verifier substrate: IBP, DeepPoly/CROWN and α-CROWN bounds."""
+"""Approximated-verifier substrate: DeepPoly/CROWN and α-CROWN bounds.
 
-from repro.bounds.alpha_crown import AlphaCrownAnalyzer, AlphaCrownConfig, alpha_crown_bounds
+Two back-ends, one question: every bound query carries an output
+specification, and a report holds the spec rows' lower bounds, ``p̂``,
+the candidate counterexample and the hidden pre-activation bounds.
+"""
+
+from repro.bounds.alpha_crown import AlphaCrownAnalyzer, AlphaCrownConfig
 from repro.bounds.cache import (
     DEFAULT_CACHE_SIZE,
     DEFAULT_LP_CACHE_SIZE,
@@ -9,13 +14,7 @@ from repro.bounds.cache import (
     LpCache,
     LpCacheStats,
 )
-from repro.bounds.deeppoly import (
-    DeepPolyAnalyzer,
-    deeppoly_bounds,
-    deeppoly_bounds_batch,
-    default_lower_slope,
-)
-from repro.bounds.interval import interval_bounds, interval_bounds_batch
+from repro.bounds.deeppoly import DeepPolyAnalyzer, default_lower_slope
 from repro.bounds.linear_form import (
     ScalarBounds,
     concretize_lower_batch,
@@ -41,15 +40,10 @@ __all__ = [
     "stack_rows",
     "AlphaCrownAnalyzer",
     "AlphaCrownConfig",
-    "alpha_crown_bounds",
     "BoundCache",
     "CacheStats",
     "DeepPolyAnalyzer",
-    "deeppoly_bounds",
-    "deeppoly_bounds_batch",
     "default_lower_slope",
-    "interval_bounds",
-    "interval_bounds_batch",
     "ScalarBounds",
     "concretize_lower_batch",
     "concretize_upper_batch",

@@ -108,8 +108,7 @@ def spec_row_gradient(network: LoweredNetwork, spec: LinearOutputSpec,
     """
     num_layers = network.num_relu_layers
     rows = [int(np.argmin(report.spec_row_lower)) for report in reports]
-    finite = np.array([report.p_hat is not None and np.isfinite(report.p_hat)
-                       for report in reports])
+    finite = np.isfinite([report.p_hat for report in reports])
     flat = reports[0].hidden_bounds
     flat_lower = np.stack([report.hidden_bounds.lower for report in reports])
     flat_upper = np.stack([report.hidden_bounds.upper for report in reports])
@@ -228,15 +227,15 @@ class AlphaCrownAnalyzer:
         return slopes, reports
 
     def analyze(self, box: InputBox, splits: Optional[SplitAssignment] = None,
-                spec: Optional[LinearOutputSpec] = None,
+                *, spec: LinearOutputSpec,
                 parent: Optional[Parent] = None) -> BoundReport:
         """Bounds of one sub-problem with optimised slopes: the batched
-        optimisation at ``B = 1`` (falls back to DeepPoly without a spec)."""
+        optimisation at ``B = 1``."""
         return self._optimise(box, [splits], spec, [parent])[0]
 
     def analyze_batch(self, box: InputBox,
                       splits_list: Sequence[Optional[SplitAssignment]],
-                      spec: Optional[LinearOutputSpec] = None,
+                      spec: LinearOutputSpec,
                       parents: Optional[Sequence[Optional[Parent]]] = None
                       ) -> List[BoundReport]:
         """Optimise slopes for ``B`` sub-problems in stacked passes.
@@ -250,7 +249,7 @@ class AlphaCrownAnalyzer:
 
     def _optimise(self, box: InputBox,
                   splits_list: Sequence[Optional[SplitAssignment]],
-                  spec: Optional[LinearOutputSpec],
+                  spec: LinearOutputSpec,
                   parents: Optional[Sequence[Optional[Parent]]]
                   ) -> List[BoundReport]:
         """The projected gradient ascent behind :meth:`analyze` and
@@ -261,7 +260,7 @@ class AlphaCrownAnalyzer:
         if parents is not None:
             require(len(parents) == len(splits_list),
                     "parents must be index-aligned with splits_list")
-        if spec is None or self.config.iterations == 0:
+        if self.config.iterations == 0:
             reports = self._inner.analyze_batch(box, splits_list, spec=spec)
             return self._stamp(reports)
 
@@ -305,10 +304,3 @@ class AlphaCrownAnalyzer:
             report.path = None
         return reports
 
-
-def alpha_crown_bounds(network: LoweredNetwork, box: InputBox,
-                       splits: Optional[SplitAssignment] = None,
-                       spec: Optional[LinearOutputSpec] = None,
-                       config: Optional[AlphaCrownConfig] = None) -> BoundReport:
-    """Convenience wrapper around :meth:`AlphaCrownAnalyzer.analyze`."""
-    return AlphaCrownAnalyzer(network, config).analyze(box, splits=splits, spec=spec)

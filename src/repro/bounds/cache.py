@@ -132,10 +132,10 @@ class BoundCache:
             self.stats.report_evictions += 1  # lint: disable=lock-discipline - caller holds _lock
 
     # -- report entries -------------------------------------------------------
-    def get_report(self, path: Tuple, with_spec: bool):
+    def get_report(self, path: Tuple):
         """The report memoised for ``path``, or ``None``; counts a hit or miss."""
         with self._lock:
-            key = ("report", path, with_spec)
+            key = ("report", path)
             report = self._store.get(key)
             if report is None:
                 self.stats.report_misses += 1
@@ -144,10 +144,10 @@ class BoundCache:
                 self._store.move_to_end(key)
             return report
 
-    def put_report(self, path: Tuple, with_spec: bool, report) -> None:
+    def put_report(self, path: Tuple, report) -> None:
         """Memoise ``report`` under ``path`` (LRU eviction beyond capacity)."""
         with self._lock:
-            self._put(("report", path, with_spec), report)
+            self._put(("report", path), report)
 
     # -- stats ----------------------------------------------------------------
     def record_reuse(self, children: int, layers_taken: int,

@@ -73,12 +73,14 @@ call's largest group, and expanded to the children by one fancy index.
 A sub-problem without a parent (the root, a direct :meth:`analyze` call)
 is bounded by plain DeepPoly.
 
-**What a report holds.**  Only what the search reads.  With a spec, the
-top pass bounds just the rows ``C·W`` of the last affine layer (constants
-``C·b + d``), and from below only: that yields the spec rows' lower bounds,
-``p̂`` and the candidate corner, and ``output_bounds`` is ``None`` (the spec
-matrix is folded into the last layer, as auto_LiRPA does).  Without a spec
-the logits are bounded both ways.  A call writes every hidden bound into
+**What a report holds.**  Only what the search reads.  Every call bounds
+an output specification ``C·y + d``, a required argument: the top pass
+bounds just the rows ``C·W`` of the last affine layer (constants
+``C·b + d``), and from below only, which yields the spec rows' lower
+bounds, ``p̂`` and the candidate corner (the spec matrix is folded into
+the last layer, as auto_LiRPA does).  The logits themselves are never
+bounded; a caller that wants them asks for the spec rows ``[I; −I]``.
+A call writes every hidden bound into
 one layer-major ``(count, H)`` array per side; each report's
 :class:`~repro.bounds.report.FlatBounds` is a view of its row, and the
 per-layer ``pre_activation_bounds`` are views of that row.  The parents
@@ -110,11 +112,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bounds.cache import BoundCache
-from repro.bounds.linear_form import (
-    ScalarBounds,
-    concretize_center_radius,
-    minimizing_corner_batch,
-)
+from repro.bounds.linear_form import concretize_center_radius, minimizing_corner_batch
 from repro.bounds.report import BoundReport, FlatBounds, Parent
 from repro.bounds.splits import (
     ACTIVE,
@@ -215,22 +213,18 @@ class DeepPolyAnalyzer:
         #: Layer offsets of a flat hidden row, shared by every report.
         self._offsets = list(self.root_splits.offsets)
 
-    def _top_rows(self, spec: Optional[LinearOutputSpec]
-                  ) -> Tuple[np.ndarray, np.ndarray]:
+    def _top_rows(self, spec: LinearOutputSpec) -> Tuple[np.ndarray, np.ndarray]:
         """Coefficients ``(1, rows, width)`` and constants ``(1, rows)`` of the
         top pass: the spec rows pulled through the last affine layer,
-        ``C·W`` and ``C·b + d``, or that layer's outputs without a spec.
+        ``C·W`` and ``C·b + d``.
 
         The rows of the last spec seen are kept, since an analyser bounds
         one spec many times.
         """
         top = self._top
-        if top[0] is not spec or top[1] is None:
-            weight = self.network.weights[-1]
-            bias = self.network.biases[-1]
-            if spec is not None:
-                weight = spec.coefficients @ weight
-                bias = spec.coefficients @ bias + spec.offsets
+        if top[0] is not spec:
+            weight = spec.coefficients @ self.network.weights[-1]
+            bias = spec.coefficients @ self.network.biases[-1] + spec.offsets
             top = self._top = (spec, weight[None], bias[None])
         return top[1], top[2]
 
@@ -394,7 +388,7 @@ class DeepPolyAnalyzer:
 
     # -- public API -------------------------------------------------------------
     def analyze(self, box: InputBox, splits: Optional[SplitAssignment] = None,
-                spec: Optional[LinearOutputSpec] = None,
+                *, spec: LinearOutputSpec,
                 lower_slopes: Optional[Sequence[np.ndarray]] = None,
                 cache: Optional[BoundCache] = None,
                 parent: Optional[Parent] = None,
@@ -414,7 +408,7 @@ class DeepPolyAnalyzer:
 
     def analyze_batch(self, box: InputBox,
                       splits_list: Sequence[Optional[SplitAssignment]],
-                      spec: Optional[LinearOutputSpec] = None,
+                      spec: LinearOutputSpec,
                       cache: Optional[BoundCache] = None,
                       lower_slopes: Optional[Sequence[np.ndarray]] = None,
                       parents: Optional[Sequence[Optional[Parent]]] = None,
@@ -427,8 +421,8 @@ class DeepPolyAnalyzer:
         splits_list:
             The sub-problems' split assignments (``None`` means none).
         spec:
-            Optional output specification; with it every report carries the
-            spec-row lower bounds, ``p̂`` and the counterexample candidate.
+            The output specification: every report carries its rows' lower
+            bounds, ``p̂`` and the counterexample candidate.
         cache:
             Optional bound cache: a sub-problem whose report path was seen
             before is served from it, and the reuse counters accumulate in
@@ -464,11 +458,9 @@ class DeepPolyAnalyzer:
             parents = [None] * batch_size
         require(len(parents) == batch_size,
                 "parents must be index-aligned with splits_list")
-        if spec is not None:
-            require(spec.output_dim == network.output_dim,
-                    "specification output dimension does not match the network")
+        require(spec.output_dim == network.output_dim,
+                "specification output dimension does not match the network")
         use_cache = cache is not None and lower_slopes is None
-        with_spec = spec is not None
 
         paths = [self._path(parent, splits) if lower_slopes is None else None
                  for parent, splits in zip(parents, splits_list)]
@@ -476,7 +468,7 @@ class DeepPolyAnalyzer:
         if use_cache:
             for index, path in enumerate(paths):
                 if path is not None:
-                    cached = cache.get_report(path, with_spec)
+                    cached = cache.get_report(path)
                     if cached is not None:
                         reports[index] = cached.shallow_copy()
         pending = [index for index, report in enumerate(reports) if report is None]
@@ -539,31 +531,22 @@ class DeepPolyAnalyzer:
         top_coefficients, top_constants = self._top_rows(spec)
         if live is not None:
             top_coefficients = top_coefficients.take(live, axis=2)
-        top_lower, top_upper, top_lower_A = self._bound_rows(
+        spec_lower, _, spec_lower_A = self._bound_rows(
             top_coefficients, top_constants, steps, center, radius,
-            count, timings=timings, two_sided=not with_spec)
-        if with_spec:
-            worst_rows = top_lower.argmin(axis=1)
-            candidates = minimizing_corner_batch(
-                top_lower_A[np.arange(count), worst_rows], box)
+            count, timings=timings, two_sided=False)
+        worst_rows = spec_lower.argmin(axis=1)
+        candidates = minimizing_corner_batch(
+            spec_lower_A[np.arange(count), worst_rows], box)
 
         for position, index in enumerate(pending):
-            output_bounds = spec_row_lower = p_hat = candidate = None
-            if with_spec:
-                spec_row_lower = top_lower[position]
-                candidate = candidates[position]
-                p_hat = (float("inf") if infeasible[position]
-                         else float(spec_row_lower[worst_rows[position]]))
-            else:
-                output_bounds = ScalarBounds.wrap(top_lower[position],
-                                                  top_upper[position])
+            spec_row_lower = spec_lower[position]
             report = BoundReport(
                 hidden_bounds=FlatBounds.wrap(flat_lower[position],
                                               flat_upper[position], offsets),
-                output_bounds=output_bounds,
                 spec_row_lower=spec_row_lower,
-                p_hat=p_hat,
-                candidate_input=candidate,
+                p_hat=(float("inf") if infeasible[position]
+                       else float(spec_row_lower[worst_rows[position]])),
+                candidate_input=candidates[position],
                 infeasible=bool(infeasible[position]),
                 method="deeppoly",
                 path=paths[index])
@@ -572,7 +555,7 @@ class DeepPolyAnalyzer:
             # outlives the run — the verification service replays identical
             # jobs against it.
             if use_cache and paths[index] is not None:
-                cache.put_report(paths[index], with_spec, report.shallow_copy())
+                cache.put_report(paths[index], report.shallow_copy())
             reports[index] = report
         return reports
 
@@ -651,20 +634,3 @@ class _Reference:
         start, stop = self.offsets[layer], self.offsets[layer + 1]
         return self.lower[:, start:stop], self.upper[:, start:stop]
 
-
-def deeppoly_bounds(network: LoweredNetwork, box: InputBox,
-                    splits: Optional[SplitAssignment] = None,
-                    spec: Optional[LinearOutputSpec] = None,
-                    lower_slopes: Optional[Sequence[np.ndarray]] = None) -> BoundReport:
-    """Convenience wrapper around :meth:`DeepPolyAnalyzer.analyze`."""
-    return DeepPolyAnalyzer(network).analyze(box, splits=splits, spec=spec,
-                                             lower_slopes=lower_slopes)
-
-
-def deeppoly_bounds_batch(network: LoweredNetwork, box: InputBox,
-                          splits_list: Sequence[Optional[SplitAssignment]],
-                          spec: Optional[LinearOutputSpec] = None,
-                          cache: Optional[BoundCache] = None) -> List[BoundReport]:
-    """Convenience wrapper around :meth:`DeepPolyAnalyzer.analyze_batch`."""
-    return DeepPolyAnalyzer(network).analyze_batch(box, splits_list, spec=spec,
-                                                   cache=cache)

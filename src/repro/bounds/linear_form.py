@@ -112,10 +112,12 @@ class ScalarBounds:
 
     @property
     def size(self) -> int:
+        """Number of bounded quantities."""
         return int(self.lower.shape[0])
 
     @property
     def width(self) -> np.ndarray:
+        """Per-quantity interval widths ``upper - lower``."""
         return self.upper - self.lower
 
     def is_consistent(self) -> bool:

@@ -101,14 +101,8 @@ class BoundReport:
         intersecting with the sub-problem's split constraints) as one
         layer-major :class:`FlatBounds` row; a batched analysis hands each
         sub-problem a view of its row of the batch's arrays.
-    output_bounds:
-        Scalar bounds on the network output (logits), or ``None`` when a
-        specification was supplied to DeepPoly or α-CROWN: those bound the
-        spec rows instead (from below only), and nothing downstream reads
-        the logits.
     spec_row_lower:
-        Lower bound of each output-spec constraint row over the sub-problem,
-        or ``None`` when no specification was supplied.
+        Lower bound of each output-spec constraint row over the sub-problem.
     p_hat:
         The paper's ``p̂``: the minimum of ``spec_row_lower`` (a sound lower
         bound of the specification margin over the sub-problem).
@@ -128,10 +122,9 @@ class BoundReport:
     """
 
     hidden_bounds: FlatBounds
-    output_bounds: Optional[ScalarBounds]
-    spec_row_lower: Optional[np.ndarray] = None
-    p_hat: Optional[float] = None
-    candidate_input: Optional[np.ndarray] = None
+    spec_row_lower: np.ndarray
+    p_hat: float
+    candidate_input: np.ndarray
     infeasible: bool = False
     method: str = "unknown"
     path: Optional[Tuple] = None
@@ -145,7 +138,6 @@ class BoundReport:
         """
         return BoundReport(
             hidden_bounds=self.hidden_bounds,
-            output_bounds=self.output_bounds,
             spec_row_lower=self.spec_row_lower,
             p_hat=self.p_hat,
             candidate_input=self.candidate_input,
@@ -186,9 +178,7 @@ class BoundReport:
     @property
     def verified(self) -> bool:
         """True when the bound alone proves the property on this sub-problem."""
-        if self.infeasible:
-            return True
-        return self.p_hat is not None and self.p_hat > 0.0
+        return self.infeasible or self.p_hat > 0.0
 
 
 #: A child's reference for bound propagation: its parent's report and the

@@ -31,7 +31,9 @@ class AbonnConfig:
         Name of the ReLU branching heuristic ``H`` (see
         :mod:`repro.bab.heuristics`); the paper uses DeepSplit.
     bound_method:
-        AppVer back-end: ``"deeppoly"`` (default), ``"alpha-crown"``, ``"ibp"``.
+        AppVer back-end: ``"deeppoly"`` (default) or ``"alpha-crown"``
+        (αβ-CROWN's optimised-slope bound, so ABONN and the BaB baseline
+        can run on the baseline's bound).
     frontier_size:
         ``K`` — the number of distinct MCTS leaves expanded per iteration.
         Each iteration selects up to ``K`` leaves by repeated UCB1 descent

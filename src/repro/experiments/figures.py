@@ -25,7 +25,6 @@ from repro.experiments.metrics import (
 )
 from repro.experiments.runner import (
     SuiteRunResult,
-    VerifierFactory,
     ground_truth_statuses,
     run_suite,
 )

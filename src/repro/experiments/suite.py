@@ -22,7 +22,7 @@ have the non-trivial size distribution reported in Fig. 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.specs.robustness import local_robustness_spec
 from repro.utils.rng import as_rng, derive_seed
 from repro.utils.validation import require
 from repro.verifiers.appver import ApproximateVerifier
-from repro.verifiers.attack import AttackConfig, empirical_robustness_radius, pgd_attack
+from repro.verifiers.attack import AttackConfig, empirical_robustness_radius
 
 
 @dataclass(frozen=True)

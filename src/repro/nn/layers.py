@@ -16,7 +16,7 @@ paper).  Each layer therefore provides three views:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 

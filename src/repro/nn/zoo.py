@@ -23,7 +23,7 @@ backend.  The substitution is recorded in DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.datasets.synthetic import Dataset, make_blob_dataset, make_stripe_dataset
 from repro.nn.layers import Conv2d, Dense, Flatten, ReLU

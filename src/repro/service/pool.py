@@ -68,8 +68,9 @@ from repro.verifiers.milp import network_weights_digest, problem_fingerprint
 #: Format 3 keys bound reports by their search path and drops layer entries;
 #: format 4 stores a report's hidden bounds as one flat row and drops the
 #: output bounds of spec-given reports; format 5 keys leaf-LP optima by
-#: ``(fingerprint, phase-row bytes)``.
-BUNDLE_FORMAT = 5
+#: ``(fingerprint, phase-row bytes)``; format 6 keys bound reports by their
+#: path alone and drops every report's output-bounds field.
+BUNDLE_FORMAT = 6
 
 #: Marker distinguishing bundle files from arbitrary pickles.
 _BUNDLE_KIND = "repro-cache-bundle"

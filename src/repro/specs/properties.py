@@ -14,7 +14,6 @@ A verification problem (§III of the paper) is a pair ``(Φ, Ψ)``:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
 
 import numpy as np
 

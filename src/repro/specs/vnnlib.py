@@ -30,12 +30,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.specs.properties import InputBox, LinearOutputSpec, Specification
-from repro.utils.validation import require
 
 
 class VnnLibError(ValueError):

@@ -15,9 +15,9 @@ their node budgets.
 Four throughput features back the hot path (see ``docs/BATCHING.md``):
 
 * :meth:`ApproximateVerifier.evaluate_batch` bounds ``B`` sub-problems in
-  one batched pass for every back-end — DeepPoly and IBP via a leading
-  batch axis through the backward substitution, α-CROWN via stacked
-  exact-gradient slope ascent.  The frontier-wide drivers feed it the phase-split
+  one batched pass for both back-ends — DeepPoly via a leading batch axis
+  through the backward substitution, α-CROWN via stacked exact-gradient
+  slope ascent.  The frontier-wide drivers feed it the phase-split
   children of up to ``frontier_size`` nodes at once, and the realised batch
   sizes are recorded in :attr:`ApproximateVerifier.batch_histogram`.
   :meth:`ApproximateVerifier.evaluate` runs the same kernels at ``B = 1``;
@@ -58,7 +58,6 @@ import numpy as np
 from repro.bounds.alpha_crown import AlphaCrownAnalyzer, AlphaCrownConfig
 from repro.bounds.cache import DEFAULT_CACHE_SIZE, BoundCache, CacheStats
 from repro.bounds.deeppoly import DeepPolyAnalyzer
-from repro.bounds.interval import interval_bounds, interval_bounds_batch
 from repro.bounds.report import BoundReport, Parent
 from repro.bounds.splits import ACTIVE, INACTIVE, SplitAssignment
 from repro.nn.network import Network
@@ -70,7 +69,7 @@ from repro.utils.validation import require
 DEFAULT_CANDIDATE_CACHE_SIZE = 2048
 
 #: Supported bound-propagation back-ends.
-BOUND_METHODS = ("deeppoly", "alpha-crown", "ibp")
+BOUND_METHODS = ("deeppoly", "alpha-crown")
 
 
 def affordable_phases(budget: Budget, planned: int = 0) -> tuple:
@@ -105,7 +104,7 @@ class AppVerOutcome:
     """One AppVer evaluation of a sub-problem."""
 
     p_hat: float
-    candidate: Optional[np.ndarray]
+    candidate: np.ndarray
     is_valid_counterexample: bool
     report: BoundReport
 
@@ -133,14 +132,12 @@ def _require_finite_root(report: BoundReport) -> None:
     neither an empty region nor ``p̂ ≥ 0`` — and every sub-problem inherits
     the root's overflow, so the problem is rejected with ``ValueError``
     before any verdict is drawn from it.  Checked: the hidden bounds, the
-    spec rows, ``p̂``, and the output bounds when the report has them.
+    spec rows and ``p̂``.
     """
     arrays = [report.hidden_bounds.lower, report.hidden_bounds.upper,
               report.spec_row_lower]
-    if report.output_bounds is not None:
-        arrays += [report.output_bounds.lower, report.output_bounds.upper]
-    finite = (report.p_hat is None or bool(np.isfinite(report.p_hat))) and all(
-        np.isfinite(values).all() for values in arrays if values is not None)
+    finite = bool(np.isfinite(report.p_hat)) and all(
+        np.isfinite(values).all() for values in arrays)
     require(finite, "the root bounds are not finite: the input box or the "
                     "network's values overflow float64")
 
@@ -155,7 +152,7 @@ class ApproximateVerifier:
     spec:
         The verification problem ``(Φ, Ψ)``.
     method:
-        One of ``"deeppoly"`` (default), ``"alpha-crown"`` or ``"ibp"``.
+        One of ``"deeppoly"`` (default) or ``"alpha-crown"``.
     alpha_config:
         Optional α-CROWN optimiser configuration (only used by that method).
     use_cache:
@@ -270,8 +267,7 @@ class ApproximateVerifier:
         fresh = {}
         for report in reports:
             candidate = report.candidate_input
-            if (candidate is None or report.p_hat is None
-                    or not report.p_hat < 0.0):
+            if not report.p_hat < 0.0:
                 continue
             key = candidate.tobytes()
             if key not in self._candidate_cache and key not in fresh:
@@ -288,15 +284,11 @@ class ApproximateVerifier:
 
     def _outcome_from_report(self, report: BoundReport) -> AppVerOutcome:
         candidate = report.candidate_input
-        valid = False
-        if candidate is not None and report.p_hat is not None and report.p_hat < 0.0:
-            valid = self._validate_candidate(candidate)
-        p_hat = float(report.p_hat) if report.p_hat is not None else float("-inf")
-        return AppVerOutcome(p_hat=p_hat, candidate=candidate,
+        valid = report.p_hat < 0.0 and self._validate_candidate(candidate)
+        return AppVerOutcome(p_hat=float(report.p_hat), candidate=candidate,
                              is_valid_counterexample=valid, report=report)
 
     def evaluate(self, splits: Optional[SplitAssignment] = None,
-                 method: Optional[str] = None,
                  parent: Optional[Parent] = None) -> AppVerOutcome:
         """Apply the approximated verifier to the sub-problem ``splits``.
 
@@ -307,13 +299,8 @@ class ApproximateVerifier:
         DeepPoly back-end then bounds it against the parent's report (see
         the module docstring).
         """
-        method = method or self.method
-        require(method in BOUND_METHODS, f"unknown bound method {method!r}")
         self.num_calls += 1
-        if method == "ibp":
-            report = interval_bounds(self.lowered, self.spec.input_box,
-                                     splits=splits, spec=self.spec.output_spec)
-        elif method == "alpha-crown":
+        if self.method == "alpha-crown":
             report = self._alpha.analyze(self.spec.input_box, splits=splits,
                                          spec=self.spec.output_spec,
                                          parent=parent if self.incremental else None)
@@ -327,7 +314,6 @@ class ApproximateVerifier:
         return self._outcome_from_report(report)
 
     def evaluate_batch(self, splits_list: Sequence[Optional[SplitAssignment]],
-                       method: Optional[str] = None,
                        parents: Optional[Sequence[Optional[Parent]]] = None
                        ) -> List[AppVerOutcome]:
         """Apply the approximated verifier to ``B`` sub-problems at once.
@@ -335,8 +321,8 @@ class ApproximateVerifier:
         Returns one :class:`AppVerOutcome` per entry of ``splits_list``, in
         order, equal (to floating-point noise far below 1e-9) to what ``B``
         :meth:`evaluate` calls would return; each sub-problem is charged one
-        call.  All three back-ends run genuinely batched: DeepPoly and IBP
-        carry a leading batch axis through one backward pass, and α-CROWN
+        call.  Both back-ends run genuinely batched: DeepPoly carries a
+        leading batch axis through one backward pass, and α-CROWN
         runs its slope ascent for all ``B`` sub-problems at once (stacked
         DeepPoly passes and adjoints, per-row gradient steps — see
         :meth:`~repro.bounds.alpha_crown.AlphaCrownAnalyzer.analyze_batch`).
@@ -345,16 +331,11 @@ class ApproximateVerifier:
         ``parents`` (index-aligned with ``splits_list``, ``None`` entries
         allowed) gives each sub-problem's ``(parent report, split)``.
         """
-        method = method or self.method
-        require(method in BOUND_METHODS, f"unknown bound method {method!r}")
         self.num_calls += len(splits_list)
         if not splits_list:
             return []
         self.batch_histogram[len(splits_list)] += 1
-        if method == "ibp":
-            reports = interval_bounds_batch(self.lowered, self.spec.input_box,
-                                            splits_list, spec=self.spec.output_spec)
-        elif method == "alpha-crown":
+        if self.method == "alpha-crown":
             reports = self._alpha.analyze_batch(
                 self.spec.input_box, splits_list, spec=self.spec.output_spec,
                 parents=parents if self.incremental else None)
@@ -393,7 +374,3 @@ class ApproximateVerifier:
             "batched_calls": calls,
             "mean_realised_batch": (total / calls) if calls else 0.0,
         }
-
-    def reset_counter(self) -> None:
-        """Zero the AppVer call counter (between benchmark phases)."""
-        self.num_calls = 0

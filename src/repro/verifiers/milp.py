@@ -674,7 +674,7 @@ class MilpVerifier(Verifier):
         report = DeepPolyAnalyzer(lowered).analyze(spec.input_box,
                                                    spec=spec.output_spec)
         budget.charge_node()
-        if report.p_hat is not None and report.p_hat > 0.0:
+        if report.p_hat > 0.0:
             return VerificationResult(VerificationStatus.VERIFIED, self.name,
                                       elapsed_seconds=budget.elapsed_seconds,
                                       nodes_explored=budget.nodes,

@@ -2,8 +2,10 @@
 
 A direct transcription of both analyses for one sub-problem at a time: no
 batch axis, no cache, no parent reuse, and one backward pass per bounded
-quantity (the output rows and the specification rows are substituted
-separately).  ``reference_deeppoly`` also takes an optional parent report:
+quantity.  Like the kernels, both bound a required output specification;
+:func:`logit_spec` gives the rows ``[I; −I]`` whose lower bounds are the
+logits' lower bounds and negated upper bounds.  ``reference_deeppoly``
+also takes an optional parent report:
 every layer is then bounded by DeepPoly in full, each neuron unstable in
 the parent is intersected with the parent's interval, and every other
 neuron keeps the parent's interval.  It shares nothing with ``repro.bounds`` but the result
@@ -19,6 +21,7 @@ import numpy as np
 from repro.bounds.linear_form import ScalarBounds
 from repro.bounds.report import BoundReport, FlatBounds
 from repro.bounds.splits import ACTIVE, INACTIVE, SplitAssignment
+from repro.specs.properties import LinearOutputSpec
 
 #: Agreement required between a bound kernel and this reference.
 TOLERANCE = 1e-9
@@ -84,10 +87,30 @@ def _layer_phases(splits, layer, width):
     return np.array([splits.phase_of(layer, unit) for unit in range(width)], dtype=int)
 
 
-def reference_deeppoly(network, box, splits=None, spec=None, lower_slopes=None,
-                       parent=None):
-    """DeepPoly of one sub-problem; ``lower_slopes`` is one array per hidden
-    layer, and ``parent`` an optional report the child is bounded against."""
+def logit_spec(output_dim):
+    """The spec rows ``[I; −I]``: their lower bounds are the logits' lower
+    bounds followed by their negated upper bounds."""
+    identity = np.eye(output_dim)
+    return LinearOutputSpec(np.vstack([identity, -identity]), np.zeros(2 * output_dim),
+                            description="logit bounds")
+
+
+def logit_bounds(report):
+    """``(lower, upper)`` logit bounds of a report bounded on :func:`logit_spec`."""
+    lower, negated_upper = np.split(report.spec_row_lower, 2)
+    return lower, -negated_upper
+
+
+def _spec_report(pre_activation, infeasible, spec_lower, candidate, method):
+    return BoundReport(FlatBounds(pre_activation), spec_row_lower=spec_lower,
+                       p_hat=float("inf") if infeasible else float(np.min(spec_lower)),
+                       candidate_input=candidate, infeasible=infeasible, method=method)
+
+
+def reference_deeppoly(network, box, splits, spec, lower_slopes=None, parent=None):
+    """DeepPoly of one sub-problem (``splits=None`` is the root);
+    ``lower_slopes`` is one array per hidden layer, and ``parent`` an
+    optional report the child is bounded against."""
     splits = splits or SplitAssignment.empty(network.relu_layer_sizes())
     relaxations, pre_activation, infeasible = [], [], False
     for layer in range(network.num_relu_layers):
@@ -102,20 +125,13 @@ def reference_deeppoly(network, box, splits=None, spec=None, lower_slopes=None,
         pre_activation.append(ScalarBounds(lower, upper))
         relaxations.append(_relaxation(lower, upper, phases,
                                        None if lower_slopes is None else lower_slopes[layer]))
-    output_lower, output_upper, _ = _deeppoly_bounds(
-        network, network.weights[-1], network.biases[-1], relaxations, box)
-    report = BoundReport(FlatBounds(pre_activation),
-                         ScalarBounds(output_lower, output_upper),
-                         infeasible=infeasible, method="reference-deeppoly")
-    if spec is not None:
-        spec_lower, _, spec_A = _deeppoly_bounds(
-            network, spec.coefficients @ network.weights[-1],
-            spec.coefficients @ network.biases[-1] + spec.offsets, relaxations, box)
-        worst = int(np.argmin(spec_lower))
-        report.spec_row_lower = spec_lower
-        report.candidate_input = np.where(spec_A[worst] > 0, box.lower, box.upper)
-        report.p_hat = float("inf") if infeasible else float(spec_lower[worst])
-    return report
+    spec_lower, _, spec_A = _deeppoly_bounds(
+        network, spec.coefficients @ network.weights[-1],
+        spec.coefficients @ network.biases[-1] + spec.offsets, relaxations, box)
+    worst = int(np.argmin(spec_lower))
+    return _spec_report(pre_activation, infeasible, spec_lower,
+                        np.where(spec_A[worst] > 0, box.lower, box.upper),
+                        "reference-deeppoly")
 
 
 def _interval_image(weight, bias, lower, upper):
@@ -124,8 +140,9 @@ def _interval_image(weight, bias, lower, upper):
             positive @ upper + negative @ lower + bias)
 
 
-def reference_ibp(network, box, splits=None, spec=None):
-    """Interval bound propagation of one sub-problem."""
+def reference_ibp(network, box, splits, spec):
+    """Interval bound propagation of one sub-problem (``splits=None`` is the
+    root); its candidate is the box centre."""
     splits = splits or SplitAssignment.empty(network.relu_layer_sizes())
     lower, upper = box.lower, box.upper
     pre_activation, infeasible = [], False
@@ -139,42 +156,25 @@ def reference_ibp(network, box, splits=None, spec=None):
         lower, upper = np.maximum(pre_lower, 0.0), np.maximum(pre_upper, 0.0)
     output_lower, output_upper = _interval_image(network.weights[-1],
                                                  network.biases[-1], lower, upper)
-    report = BoundReport(FlatBounds(pre_activation),
-                         ScalarBounds(output_lower, output_upper),
-                         infeasible=infeasible, method="reference-ibp")
-    if spec is not None:
-        spec_lower, _ = _interval_image(spec.coefficients, spec.offsets,
-                                        output_lower, output_upper)
-        report.spec_row_lower = spec_lower
-        report.candidate_input = box.center
-        report.p_hat = float("inf") if infeasible else float(np.min(spec_lower))
-    return report
+    spec_lower, _ = _interval_image(spec.coefficients, spec.offsets,
+                                    output_lower, output_upper)
+    return _spec_report(pre_activation, infeasible, spec_lower, box.center,
+                        "reference-ibp")
 
 
 def assert_report_matches(got, want, tolerance=TOLERANCE):
-    """``got`` equals ``want`` to ``tolerance``; flags and corners exactly.
-
-    The hidden bounds are compared always (a spec does not change them).
-    With a spec, the spec rows, ``p̂`` and the candidate are compared, and
-    the output bounds only when ``got`` has them (IBP keeps them; DeepPoly
-    and α-CROWN bound the spec rows instead); without one, the output
-    bounds are.
-    """
+    """``got`` equals ``want`` to ``tolerance``; flags and corners exactly:
+    the hidden bounds, the spec rows, ``p̂`` and the candidate."""
     assert got.infeasible == want.infeasible
-    if want.p_hat is None or want.p_hat == float("inf"):
+    if want.p_hat == float("inf"):
         assert got.p_hat == want.p_hat
     else:
         assert abs(got.p_hat - want.p_hat) <= tolerance
     assert len(got.pre_activation_bounds) == len(want.pre_activation_bounds)
-    pairs = list(zip(got.pre_activation_bounds, want.pre_activation_bounds))
-    if want.spec_row_lower is None or got.output_bounds is not None:
-        pairs.append((got.output_bounds, want.output_bounds))
-    for got_bounds, want_bounds in pairs:
+    for got_bounds, want_bounds in zip(got.pre_activation_bounds,
+                                       want.pre_activation_bounds):
         np.testing.assert_allclose(got_bounds.lower, want_bounds.lower, rtol=0, atol=tolerance)
         np.testing.assert_allclose(got_bounds.upper, want_bounds.upper, rtol=0, atol=tolerance)
-    if want.spec_row_lower is None:
-        assert got.spec_row_lower is None and got.candidate_input is None
-    else:
-        np.testing.assert_allclose(got.spec_row_lower, want.spec_row_lower,
-                                   rtol=0, atol=tolerance)
-        np.testing.assert_array_equal(got.candidate_input, want.candidate_input)
+    np.testing.assert_allclose(got.spec_row_lower, want.spec_row_lower,
+                               rtol=0, atol=tolerance)
+    np.testing.assert_array_equal(got.candidate_input, want.candidate_input)

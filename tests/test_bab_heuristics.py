@@ -197,7 +197,8 @@ def random_problem(seed, num_relu_layers=None, stable_layer=None):
             centre = np.where(centre >= 0.0, 1.0, -1.0) * (radius + 0.1)
         bounds.append(ScalarBounds(centre - radius, centre + radius))
     report = BoundReport(hidden_bounds=FlatBounds(bounds),
-                         output_bounds=ScalarBounds(-np.ones(3), np.ones(3)))
+                         spec_row_lower=-np.ones(2), p_hat=-1.0,
+                         candidate_input=np.zeros(widths[0]))
     splits = SplitAssignment.empty(widths[1:-1])
     for layer, unit in report.unstable_neurons():
         if rng.random() < 0.25:

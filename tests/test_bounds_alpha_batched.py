@@ -90,15 +90,11 @@ class TestAlphaCrownBatched:
                                           spec.output_spec)
             assert report.p_hat >= baseline.p_hat - TOLERANCE
 
-    def test_no_spec_and_zero_iterations_fall_back(self, small_network):
+    def test_zero_iterations_fall_back(self, small_network):
         spec = _problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.1)
         lowered = small_network.lowered()
         splits_list = _split_workload(small_network, spec,
                                       include_infeasible=False)[:3]
-        no_spec = AlphaCrownAnalyzer(lowered).analyze_batch(
-            spec.input_box, splits_list)
-        assert all(report.method == "alpha-crown" for report in no_spec)
-        assert all(report.p_hat is None for report in no_spec)
         frozen = AlphaCrownAnalyzer(lowered, AlphaCrownConfig(iterations=0))
         batched = frozen.analyze_batch(spec.input_box, splits_list,
                                        spec=spec.output_spec)

@@ -1,7 +1,7 @@
 """Equivalence regression tests for the batched bound kernels.
 
 ``ApproximateVerifier.evaluate_batch`` must reproduce the cache-free
-textbook DeepPoly / IBP of ``tests/reference_bounds.py`` to 1e-9 — for
+textbook DeepPoly of ``tests/reference_bounds.py`` to 1e-9 — for
 batch sizes 1, 2 and 17, with and without warmed cache prefixes, and
 including infeasible-split reports.  Row ``b`` of a batch must also equal
 the same sub-problem bounded alone (``B = 1``), with and without parents.
@@ -16,11 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import make_random_dense_problem
-from reference_bounds import (
-    assert_report_matches,
-    reference_deeppoly,
-    reference_ibp,
-)
+from reference_bounds import assert_report_matches, reference_deeppoly
 
 from repro.bounds.cache import BoundCache
 from repro.bounds.deeppoly import DeepPolyAnalyzer
@@ -78,12 +74,11 @@ def _make_splits_pool(network, spec, seed=0):
     return pool
 
 
-def _reference_outcomes(network, spec, batch, method):
+def _reference_outcomes(network, spec, batch):
     """What AppVer must return for each sub-problem, from the reference."""
-    analyse = reference_ibp if method == "ibp" else reference_deeppoly
     outcomes = []
     for splits in batch:
-        report = analyse(network.lowered(), spec.input_box, splits, spec.output_spec)
+        report = reference_deeppoly(network.lowered(), spec.input_box, splits, spec.output_spec)
         outcomes.append(SimpleNamespace(
             p_hat=report.p_hat, report=report, candidate=report.candidate_input,
             is_valid_counterexample=(report.p_hat < 0.0 and spec.is_counterexample(
@@ -102,14 +97,6 @@ def _assert_outcomes_match(batched, sequential):
         assert got.is_valid_counterexample == want.is_valid_counterexample
         assert np.allclose(got.report.spec_row_lower, want.report.spec_row_lower,
                            atol=TOLERANCE)
-        # AppVer always has a spec: DeepPoly bounds only the spec rows, and
-        # IBP keeps its output bounds.  The hidden bounds are compared either way.
-        assert (got.report.output_bounds is None) == (got.report.method != "ibp")
-        if got.report.output_bounds is not None:
-            assert np.allclose(got.report.output_bounds.lower,
-                               want.report.output_bounds.lower, atol=TOLERANCE)
-            assert np.allclose(got.report.output_bounds.upper,
-                               want.report.output_bounds.upper, atol=TOLERANCE)
         for got_bounds, want_bounds in zip(got.report.pre_activation_bounds,
                                            want.report.pre_activation_bounds):
             assert np.allclose(got_bounds.lower, want_bounds.lower, atol=TOLERANCE)
@@ -119,13 +106,12 @@ def _assert_outcomes_match(batched, sequential):
 
 class TestEvaluateBatchEquivalence:
     @pytest.mark.parametrize("batch_size", [1, 2, 17])
-    @pytest.mark.parametrize("method", ["deeppoly", "ibp"])
-    def test_matches_reference_without_cache(self, medium_problem, batch_size, method):
+    def test_matches_reference_without_cache(self, medium_problem, batch_size):
         network, spec = medium_problem
         pool = _make_splits_pool(network, spec)
         batch = [pool[index % len(pool)] for index in range(batch_size)]
-        sequential = _reference_outcomes(network, spec, batch, method)
-        batched = ApproximateVerifier(network, spec, method,
+        sequential = _reference_outcomes(network, spec, batch)
+        batched = ApproximateVerifier(network, spec,
                                       use_cache=False).evaluate_batch(batch)
         _assert_outcomes_match(batched, sequential)
 
@@ -134,7 +120,7 @@ class TestEvaluateBatchEquivalence:
         network, spec = medium_problem
         pool = _make_splits_pool(network, spec)
         batch = [pool[index % len(pool)] for index in range(batch_size)]
-        sequential = _reference_outcomes(network, spec, batch, "deeppoly")
+        sequential = _reference_outcomes(network, spec, batch)
         # Warm the cache with the root and a few parents, then batch-evaluate.
         verifier = ApproximateVerifier(network, spec, use_cache=True)
         verifier.evaluate()
@@ -284,19 +270,3 @@ class TestBatchRowIndependence:
                                           cache=BoundCache(), parents=child_parents)
         for got, want in zip(together, alone):
             assert_report_matches(got, want)
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000), depth=st.integers(1, 3),
-           width=st.integers(2, 6), size=st.integers(2, 9))
-    def test_ibp_rows_equal_single_calls(self, seed, depth, width, size):
-        from repro.bounds.interval import interval_bounds_batch
-
-        network, spec = make_random_dense_problem(seed, depth, width, 0.2)
-        box = spec.input_box
-        batch = _random_assignments(np.random.default_rng(seed), network, size)
-        reports = interval_bounds_batch(network, box, batch, spec=spec.output_spec)
-        for splits, report in zip(batch, reports):
-            assert_report_matches(report, interval_bounds_batch(
-                network, box, [splits], spec=spec.output_spec)[0])
-            assert_report_matches(report, reference_ibp(
-                network, box, splits, spec.output_spec))

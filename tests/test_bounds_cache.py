@@ -169,22 +169,22 @@ class TestProbeMatchesExpansion:
 class TestCacheSizeBound:
     def test_lru_eviction_respects_max_entries(self):
         cache = BoundCache(max_entries=2)
-        cache.put_report(("a",), True, "report-a")
-        cache.put_report(("b",), True, "report-b")
-        cache.put_report(("c",), True, "report-c")
+        cache.put_report(("a",), "report-a")
+        cache.put_report(("b",), "report-b")
+        cache.put_report(("c",), "report-c")
         assert len(cache) == 2
         assert cache.stats.evictions == 1
-        assert cache.get_report(("a",), True) is None  # oldest evicted
-        assert cache.get_report(("c",), True) is not None
+        assert cache.get_report(("a",)) is None  # oldest evicted
+        assert cache.get_report(("c",)) is not None
 
     def test_get_refreshes_recency(self):
         cache = BoundCache(max_entries=2)
-        cache.put_report(("a",), True, "report-a")
-        cache.put_report(("b",), True, "report-b")
-        cache.get_report(("a",), True)  # refresh "a"; "b" becomes LRU
-        cache.put_report(("c",), True, "report-c")
-        assert cache.get_report(("a",), True) is not None
-        assert cache.get_report(("b",), True) is None
+        cache.put_report(("a",), "report-a")
+        cache.put_report(("b",), "report-b")
+        cache.get_report(("a",))  # refresh "a"; "b" becomes LRU
+        cache.put_report(("c",), "report-c")
+        assert cache.get_report(("a",)) is not None
+        assert cache.get_report(("b",)) is None
 
     def test_verifier_cache_respects_configured_bound(self, small_network):
         spec = _problem(small_network, [0.45, 0.55, 0.5, 0.4], 0.12)
@@ -223,17 +223,17 @@ class TestEvictionCountersByKind:
 
     def test_evictions_are_report_evictions(self):
         cache = BoundCache(max_entries=2)
-        cache.put_report(("r",), True, "report")
-        cache.put_report(("s",), True, "report")
-        cache.put_report(("t",), True, "report")  # evicts ("r",)
-        cache.put_report(("t",), True, "report")  # a refresh evicts nothing
+        cache.put_report(("r",), "report")
+        cache.put_report(("s",), "report")
+        cache.put_report(("t",), "report")  # evicts ("r",)
+        cache.put_report(("t",), "report")  # a refresh evicts nothing
         assert cache.stats.report_evictions == 1
         assert cache.stats.evictions == 1
 
     def test_as_dict_exposes_report_evictions(self):
         cache = BoundCache(max_entries=1)
-        cache.put_report(("a",), False, "report")
-        cache.put_report(("a",), True, "report")  # with_spec is part of the key
+        cache.put_report(("a",), "report")
+        cache.put_report(("b",), "report")
         stats = cache.stats.as_dict()
         assert stats["evictions"] == 1
         assert stats["report_evictions"] == 1

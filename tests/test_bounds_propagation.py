@@ -1,13 +1,13 @@
-"""Soundness and tightness tests for IBP, DeepPoly and α-CROWN bounds."""
+"""Soundness and tightness tests for DeepPoly and α-CROWN bounds."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_bounds import logit_bounds, logit_spec, reference_ibp
 
-from repro.bounds.alpha_crown import AlphaCrownAnalyzer, AlphaCrownConfig, alpha_crown_bounds
-from repro.bounds.deeppoly import DeepPolyAnalyzer, deeppoly_bounds, default_lower_slope
-from repro.bounds.interval import interval_bounds
+from repro.bounds.alpha_crown import AlphaCrownAnalyzer, AlphaCrownConfig
+from repro.bounds.deeppoly import DeepPolyAnalyzer, default_lower_slope
 from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
 from repro.nn.network import dense_network
 from repro.specs.robustness import local_robustness_spec
@@ -20,32 +20,45 @@ def robustness_problem(network, reference, epsilon):
     return local_robustness_spec(reference, epsilon, label, network.output_dim)
 
 
-class TestInterval:
-    def test_output_bounds_contain_samples(self, small_network):
+def deeppoly_report(lowered, box, splits=None, spec=None, lower_slopes=None):
+    """DeepPoly of one sub-problem, on the logit rows when no spec is given."""
+    spec = logit_spec(lowered.output_dim) if spec is None else spec
+    return DeepPolyAnalyzer(lowered).analyze(box, splits, spec=spec,
+                                             lower_slopes=lower_slopes)
+
+
+def alpha_crown_report(lowered, box, spec, config):
+    return AlphaCrownAnalyzer(lowered, config).analyze(box, spec=spec)
+
+
+class TestLogitRows:
+    def test_logit_bounds_contain_samples(self, small_network):
         spec = robustness_problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.1)
         lowered = small_network.lowered()
-        report = interval_bounds(lowered, spec.input_box, spec=spec.output_spec)
+        logits = deeppoly_report(lowered, spec.input_box)
+        report = deeppoly_report(lowered, spec.input_box, spec=spec.output_spec)
+        lower, upper = logit_bounds(logits)
         for sample in spec.input_box.sample(0, count=200):
             output = lowered.forward(sample)[0]
-            assert report.output_bounds.contains(output)
+            assert np.all(lower <= output + 1e-9) and np.all(output <= upper + 1e-9)
             assert spec.output_spec.margin(output) >= report.p_hat - 1e-9
 
     def test_pre_activation_bounds_contain_samples(self, small_network):
         spec = robustness_problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.1)
         lowered = small_network.lowered()
-        report = interval_bounds(lowered, spec.input_box)
+        report = deeppoly_report(lowered, spec.input_box)
         for sample in spec.input_box.sample(1, count=50):
             for layer, pre in enumerate(lowered.pre_activations(sample)):
-                assert report.pre_activation_bounds[layer].contains(pre)
+                assert report.pre_activation_bounds[layer].contains(pre, tolerance=1e-9)
 
     def test_degenerate_box_is_exact(self, small_network):
         point = np.array([0.3, 0.7, 0.2, 0.9])
         lowered = small_network.lowered()
         box = InputBox(point, point)
-        report = interval_bounds(lowered, box)
+        lower, upper = logit_bounds(deeppoly_report(lowered, box))
         output = lowered.forward(point)[0]
-        np.testing.assert_allclose(report.output_bounds.lower, output, atol=1e-9)
-        np.testing.assert_allclose(report.output_bounds.upper, output, atol=1e-9)
+        np.testing.assert_allclose(lower, output, atol=1e-9)
+        np.testing.assert_allclose(upper, output, atol=1e-9)
 
     def test_infeasible_split_detected(self, small_network):
         lowered = small_network.lowered()
@@ -56,7 +69,7 @@ class TestInterval:
         unit = int(np.argmax(np.abs(pre)))
         wrong_phase = INACTIVE if pre[unit] > 0 else ACTIVE
         splits = SplitAssignment.from_splits(lowered.relu_layer_sizes(), [ReluSplit(0, unit, wrong_phase)])
-        report = interval_bounds(lowered, box, splits=splits)
+        report = deeppoly_report(lowered, box, splits=splits)
         assert report.infeasible
 
 
@@ -64,7 +77,7 @@ class TestDeepPoly:
     def test_soundness_on_spec_margin(self, small_network):
         spec = robustness_problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.15)
         lowered = small_network.lowered()
-        report = deeppoly_bounds(lowered, spec.input_box, spec=spec.output_spec)
+        report = deeppoly_report(lowered, spec.input_box, spec=spec.output_spec)
         for sample in spec.input_box.sample(2, count=300):
             margin = spec.output_spec.margin(lowered.forward(sample)[0])
             assert margin >= report.p_hat - 1e-7
@@ -72,8 +85,8 @@ class TestDeepPoly:
     def test_at_least_as_tight_as_interval(self, small_network):
         spec = robustness_problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.1)
         lowered = small_network.lowered()
-        dp = deeppoly_bounds(lowered, spec.input_box, spec=spec.output_spec)
-        ibp = interval_bounds(lowered, spec.input_box, spec=spec.output_spec)
+        dp = deeppoly_report(lowered, spec.input_box, spec=spec.output_spec)
+        ibp = reference_ibp(lowered, spec.input_box, None, spec.output_spec)
         assert dp.p_hat >= ibp.p_hat - 1e-9
         for layer in range(lowered.num_relu_layers):
             assert np.all(dp.pre_activation_bounds[layer].lower
@@ -83,7 +96,7 @@ class TestDeepPoly:
 
     def test_candidate_is_inside_box(self, small_network):
         spec = robustness_problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.2)
-        report = deeppoly_bounds(small_network.lowered(), spec.input_box,
+        report = deeppoly_report(small_network.lowered(), spec.input_box,
                                  spec=spec.output_spec)
         assert spec.input_box.contains(report.candidate_input)
 
@@ -163,7 +176,7 @@ class TestDeepPoly:
         lowered = small_network.lowered()
         rng = np.random.default_rng(4)
         slopes = [rng.random(size) for size in lowered.relu_layer_sizes()]
-        report = deeppoly_bounds(lowered, spec.input_box, spec=spec.output_spec,
+        report = deeppoly_report(lowered, spec.input_box, spec=spec.output_spec,
                                  lower_slopes=slopes)
         for sample in spec.input_box.sample(5, count=200):
             margin = spec.output_spec.margin(lowered.forward(sample)[0])
@@ -175,39 +188,48 @@ class TestDeepPoly:
 
     def test_wrong_box_dimension_rejected(self, small_network):
         with pytest.raises(ValueError):
-            deeppoly_bounds(small_network.lowered(), InputBox([0.0], [1.0]))
+            deeppoly_report(small_network.lowered(), InputBox([0.0], [1.0]))
+
+    def test_spec_is_required(self, small_network):
+        spec = robustness_problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.1)
+        analyzer = DeepPolyAnalyzer(small_network.lowered())
+        with pytest.raises(TypeError):
+            analyzer.analyze(spec.input_box)
+        with pytest.raises(TypeError):
+            analyzer.analyze_batch(spec.input_box, [None])
 
 
 class TestAlphaCrown:
     def test_never_looser_than_deeppoly(self, small_network):
         spec = robustness_problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.2)
         lowered = small_network.lowered()
-        dp = deeppoly_bounds(lowered, spec.input_box, spec=spec.output_spec)
-        alpha = alpha_crown_bounds(lowered, spec.input_box, spec=spec.output_spec,
+        dp = deeppoly_report(lowered, spec.input_box, spec=spec.output_spec)
+        alpha = alpha_crown_report(lowered, spec.input_box, spec=spec.output_spec,
                                    config=AlphaCrownConfig(iterations=5))
         assert alpha.p_hat >= dp.p_hat - 1e-9
 
     def test_soundness(self, small_network):
         spec = robustness_problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.2)
         lowered = small_network.lowered()
-        report = alpha_crown_bounds(lowered, spec.input_box, spec=spec.output_spec,
+        report = alpha_crown_report(lowered, spec.input_box, spec=spec.output_spec,
                                     config=AlphaCrownConfig(iterations=4))
         for sample in spec.input_box.sample(6, count=200):
             margin = spec.output_spec.margin(lowered.forward(sample)[0])
             assert margin >= report.p_hat - 1e-7
 
-    def test_without_spec_falls_back_to_deeppoly(self, small_network):
+    def test_spec_is_required(self, small_network):
         spec = robustness_problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.1)
-        lowered = small_network.lowered()
-        report = AlphaCrownAnalyzer(lowered).analyze(spec.input_box)
-        assert report.method == "alpha-crown"
-        assert report.p_hat is None
+        analyzer = AlphaCrownAnalyzer(small_network.lowered())
+        with pytest.raises(TypeError):
+            analyzer.analyze(spec.input_box)
+        with pytest.raises(TypeError):
+            analyzer.analyze_batch(spec.input_box, [None])
 
     def test_zero_iterations_equals_deeppoly(self, small_network):
         spec = robustness_problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.1)
         lowered = small_network.lowered()
-        dp = deeppoly_bounds(lowered, spec.input_box, spec=spec.output_spec)
-        alpha = alpha_crown_bounds(lowered, spec.input_box, spec=spec.output_spec,
+        dp = deeppoly_report(lowered, spec.input_box, spec=spec.output_spec)
+        alpha = alpha_crown_report(lowered, spec.input_box, spec=spec.output_spec,
                                    config=AlphaCrownConfig(iterations=0))
         assert alpha.p_hat == pytest.approx(dp.p_hat)
 
@@ -224,8 +246,8 @@ class TestAlphaCrown:
                 AlphaCrownConfig(**{field: 0.1})
         spec = robustness_problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.2)
         lowered = small_network.lowered()
-        first, second = (alpha_crown_bounds(lowered, spec.input_box,
-                                            spec=spec.output_spec)
+        first, second = (alpha_crown_report(lowered, spec.input_box,
+                                            spec.output_spec, None)
                          for _ in range(2))
         assert first.p_hat == second.p_hat
 
@@ -234,7 +256,7 @@ class TestBoundReport:
     def test_unstable_neurons_excludes_decided(self, small_network):
         spec = robustness_problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.3)
         lowered = small_network.lowered()
-        report = deeppoly_bounds(lowered, spec.input_box, spec=spec.output_spec)
+        report = deeppoly_report(lowered, spec.input_box, spec=spec.output_spec)
         unstable = report.unstable_neurons()
         assert unstable
         layer, unit = unstable[0]
@@ -245,7 +267,7 @@ class TestBoundReport:
 
     def test_verified_flag(self, small_network):
         spec = robustness_problem(small_network, [0.4, 0.5, 0.6, 0.3], 0.001)
-        report = deeppoly_bounds(small_network.lowered(), spec.input_box,
+        report = deeppoly_report(small_network.lowered(), spec.input_box,
                                  spec=spec.output_spec)
         assert report.verified == (report.p_hat > 0)
 
@@ -261,7 +283,7 @@ def test_deeppoly_soundness_property(seed, epsilon):
     reference = rng.random(3)
     label = int(network.predict(reference.reshape(1, -1))[0])
     spec = local_robustness_spec(reference, epsilon, label, 2)
-    report = deeppoly_bounds(lowered, spec.input_box, spec=spec.output_spec)
+    report = deeppoly_report(lowered, spec.input_box, spec=spec.output_spec)
     samples = spec.input_box.sample(rng, count=60)
     margins = [spec.output_spec.margin(lowered.forward(s)[0]) for s in samples]
     assert min(margins) >= report.p_hat - 1e-7

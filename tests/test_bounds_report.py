@@ -1,8 +1,8 @@
 """What a bound report holds, and how it is laid out.
 
-A spec-given DeepPoly or α-CROWN report bounds only the spec rows, from
-below, and has no output bounds; without a spec the logits are bounded
-both ways.  The hidden bounds of a batched call live in one layer-major
+A DeepPoly or α-CROWN report bounds only the spec rows, from below; the
+logits are bounded by asking for the rows ``[I; −I]``.  The hidden bounds
+of a batched call live in one layer-major
 array per side: each report's flat row is a view of it, siblings share it,
 and the per-layer bounds are views of the row.
 """
@@ -14,11 +14,15 @@ import pytest
 from conftest import make_random_dense_problem
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_bounds import TOLERANCE, assert_report_matches, reference_deeppoly
+from reference_bounds import (
+    TOLERANCE,
+    assert_report_matches,
+    logit_spec,
+    reference_deeppoly,
+)
 
 from repro.bounds.alpha_crown import AlphaCrownAnalyzer, AlphaCrownConfig
 from repro.bounds.deeppoly import DeepPolyAnalyzer
-from repro.bounds.interval import interval_bounds_batch
 from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
 
 
@@ -44,8 +48,7 @@ class TestFlatRows:
         assert len(splits) >= 2
         batches = [analyzer.analyze_batch(box, splits, spec=spec.output_spec,
                                           parents=parents),
-                   analyzer.analyze_batch(box, splits, spec=spec.output_spec),
-                   interval_bounds_batch(network, box, splits, spec=spec.output_spec)]
+                   analyzer.analyze_batch(box, splits, spec=spec.output_spec)]
         for reports in batches:
             first = reports[0].flat_bounds()
             lower, upper = first.lower.base, first.upper.base
@@ -80,28 +83,27 @@ class TestSpecRowsFromBelow:
     @given(seed=st.integers(0, 10_000), depth=st.integers(1, 3),
            width=st.integers(2, 6), epsilon=st.floats(0.02, 0.3))
     def test_deeppoly_spec_rows_match_the_oracle(self, seed, depth, width, epsilon):
-        """With a spec: no output bounds, and the spec rows, ``p̂`` and the
-        candidate match the oracle (roots and children alike).  Without
-        one: the output bounds match it.  The hidden bounds are the same
-        either way, bit for bit."""
+        """The spec rows, ``p̂`` and the candidate match the oracle (roots
+        and children alike), on the problem's spec and on the logit rows.
+        The hidden bounds do not depend on the spec, bit for bit."""
         network, spec = make_random_dense_problem(seed, depth, width, epsilon)
         analyzer = DeepPolyAnalyzer(network)
         box = spec.input_box
+        logit_rows = logit_spec(network.output_dim)
         root = analyzer.analyze(box, spec=spec.output_spec)
         splits, parents = _children(root)
         children = analyzer.analyze_batch(box, splits, spec=spec.output_spec,
                                           parents=parents)
-        plain = analyzer.analyze_batch(box, splits, parents=parents)
-        assert root.output_bounds is None
-        assert_report_matches(root, reference_deeppoly(network, box,
-                                                       spec=spec.output_spec))
+        plain = analyzer.analyze_batch(box, splits, logit_rows, parents=parents)
+        assert_report_matches(root, reference_deeppoly(network, box, None,
+                                                       spec.output_spec))
         for child_splits, child, logits in zip(splits, children, plain):
-            assert child.output_bounds is None
-            assert logits.output_bounds is not None and logits.spec_row_lower is None
+            assert child.spec_row_lower.shape == (spec.output_spec.num_constraints,)
+            assert logits.spec_row_lower.shape == (2 * network.output_dim,)
             assert_report_matches(child, reference_deeppoly(
                 network, box, child_splits, spec.output_spec, parent=root))
             assert_report_matches(logits, reference_deeppoly(
-                network, box, child_splits, parent=root))
+                network, box, child_splits, logit_rows, parent=root))
             np.testing.assert_array_equal(child.hidden_bounds.lower,
                                           logits.hidden_bounds.lower)
             np.testing.assert_array_equal(child.hidden_bounds.upper,
@@ -111,8 +113,8 @@ class TestSpecRowsFromBelow:
     @given(seed=st.integers(0, 10_000), depth=st.integers(1, 3),
            width=st.integers(2, 6))
     def test_alpha_crown_spec_rows_match_the_oracle(self, seed, depth, width):
-        """An α-CROWN report has no output bounds, and its spec rows match
-        the oracle run with the report's optimised slopes."""
+        """An α-CROWN report's spec rows match the oracle run with the
+        report's optimised slopes."""
         network, spec = make_random_dense_problem(seed, depth, width, 0.15)
         analyzer = AlphaCrownAnalyzer(network, AlphaCrownConfig(iterations=3))
         box = spec.input_box
@@ -120,7 +122,6 @@ class TestSpecRowsFromBelow:
             DeepPolyAnalyzer(network).analyze(box, spec=spec.output_spec))[0]
         reports = analyzer.analyze_batch(box, splits_list, spec=spec.output_spec)
         for splits, report in zip(splits_list, reports):
-            assert report.output_bounds is None
             slopes = analyzer._slope_store[splits.key]
             want = reference_deeppoly(network, box, splits, spec.output_spec,
                                       lower_slopes=slopes)

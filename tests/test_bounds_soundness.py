@@ -2,9 +2,11 @@
 
 For randomized networks, input boxes, specifications and split assignments,
 every concrete execution sampled from the (split-constrained) input region
-must lie within the interval and DeepPoly bounds, the specification margin
-must never drop below ``p̂``, and DeepPoly must never be looser than
-interval propagation on the final specification rows.
+must lie within the DeepPoly bounds (and the interval bounds of the
+reference oracle), the specification margin must never drop below ``p̂``,
+and DeepPoly must never be looser than interval arithmetic on its own logit
+bounds on the final specification rows.  The logit bounds are DeepPoly's
+spec-row bounds of ``[I; −I]``.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference_bounds import logit_bounds, logit_spec, reference_ibp
 
-from repro.bounds.deeppoly import deeppoly_bounds
-from repro.bounds.interval import interval_bounds
+from repro.bounds.deeppoly import DeepPolyAnalyzer
 from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
 from repro.nn.network import dense_network
 from repro.specs.properties import InputBox, LinearOutputSpec
@@ -68,30 +70,30 @@ def _draw_splits(report, lowered, rng, max_splits: int) -> SplitAssignment:
     return splits
 
 
+def _deeppoly(lowered, box, spec, splits=None):
+    return DeepPolyAnalyzer(lowered).analyze(box, splits, spec=spec)
+
+
 def _check_execution_within_report(report, lowered, samples, spec):
     """Every sampled execution respects the report's bounds: the hidden
-    bounds, the output bounds when the report has them (IBP, or DeepPoly
-    without a spec), and each spec row's lower bound and ``p̂`` when it has
-    those."""
+    bounds, each spec row's lower bound and ``p̂``."""
     for sample in samples:
         pre_activations = lowered.pre_activations(sample)
         for layer, bounds in enumerate(report.pre_activation_bounds):
             assert bounds.contains(pre_activations[layer], tolerance=TOLERANCE)
         output = lowered.forward(sample.reshape(1, -1)).reshape(-1)
-        if report.output_bounds is not None:
-            assert report.output_bounds.contains(output, tolerance=TOLERANCE)
-        if report.spec_row_lower is not None:
-            values = spec.constraint_values(output)
-            assert np.all(values >= report.spec_row_lower - TOLERANCE)
-            assert float(np.min(values)) >= report.p_hat - TOLERANCE
+        values = spec.constraint_values(output)
+        assert np.all(values >= report.spec_row_lower - TOLERANCE)
+        assert float(np.min(values)) >= report.p_hat - TOLERANCE
 
 
 def _analyses(lowered, box, spec, splits=None):
-    """IBP and DeepPoly with the spec, and DeepPoly without it (the only
-    DeepPoly report that bounds the logits)."""
-    return (interval_bounds(lowered, box, splits=splits, spec=spec),
-            deeppoly_bounds(lowered, box, splits=splits, spec=spec),
-            deeppoly_bounds(lowered, box, splits=splits))
+    """``(report, spec)`` pairs: the reference IBP and DeepPoly on the spec,
+    and DeepPoly on the logit rows."""
+    logits = logit_spec(lowered.output_dim)
+    return ((reference_ibp(lowered, box, splits, spec), spec),
+            (_deeppoly(lowered, box, spec, splits), spec),
+            (_deeppoly(lowered, box, logits, splits), logits))
 
 
 class TestUnconstrainedSoundness:
@@ -101,9 +103,9 @@ class TestUnconstrainedSoundness:
         network, box, spec = problem
         lowered = network.lowered()
         samples = box.sample(sample_seed, count=48)
-        for report in _analyses(lowered, box, spec):
+        for report, bounded in _analyses(lowered, box, spec):
             assert not report.infeasible
-            _check_execution_within_report(report, lowered, samples, spec)
+            _check_execution_within_report(report, lowered, samples, bounded)
 
     @SOUNDNESS_SETTINGS
     @given(problems())
@@ -122,19 +124,19 @@ class TestUnconstrainedSoundness:
         """
         network, box, spec = problem
         lowered = network.lowered()
-        deeppoly = deeppoly_bounds(lowered, box, spec=spec)
-        # A spec-given report bounds only the spec rows; the spec-less pass
-        # has the same hidden bounds and bounds the logits.
-        logits = deeppoly_bounds(lowered, box)
-        assert deeppoly.output_bounds is None
+        deeppoly = _deeppoly(lowered, box, spec)
+        # A report bounds only its spec rows; the logit rows' report has
+        # the same hidden bounds and bounds the logits.
+        logits = _deeppoly(lowered, box, logit_spec(lowered.output_dim))
         np.testing.assert_array_equal(deeppoly.hidden_bounds.lower,
                                       logits.hidden_bounds.lower)
         np.testing.assert_array_equal(deeppoly.hidden_bounds.upper,
                                       logits.hidden_bounds.upper)
+        logit_lower, logit_upper = logit_bounds(logits)
         positive = np.clip(spec.coefficients, 0.0, None)
         negative = np.clip(spec.coefficients, None, 0.0)
-        early_lower = (positive @ logits.output_bounds.lower
-                       + negative @ logits.output_bounds.upper + spec.offsets)
+        early_lower = (positive @ logit_lower + negative @ logit_upper
+                       + spec.offsets)
         assert np.all(deeppoly.spec_row_lower >= early_lower - 1e-9)
         assert deeppoly.p_hat >= float(np.min(early_lower)) - 1e-9
 
@@ -146,22 +148,21 @@ class TestSplitConstrainedSoundness:
         network, box, spec = problem
         lowered = network.lowered()
         rng = np.random.default_rng(split_seed)
-        root = deeppoly_bounds(lowered, box, spec=spec)
+        root = _deeppoly(lowered, box, spec)
         splits = _draw_splits(root, lowered, rng, max_splits=3)
 
         samples = box.sample(split_seed, count=64)
         satisfying = [sample for sample in samples
                       if splits.satisfied_by(lowered.pre_activations(sample))]
 
-        for report in _analyses(lowered, box, spec, splits):
+        for report, bounded in _analyses(lowered, box, spec, splits):
             if report.infeasible:
                 # An empty sub-problem region is vacuously verified.
-                assert report.p_hat == (None if report.spec_row_lower is None
-                                        else float("inf"))
+                assert report.p_hat == float("inf")
                 continue
             # The bounds constrain the *sub-problem* region: only samples that
             # satisfy every split decision must be contained.
-            _check_execution_within_report(report, lowered, satisfying, spec)
+            _check_execution_within_report(report, lowered, satisfying, bounded)
 
     @SOUNDNESS_SETTINGS
     @given(problems(), st.integers(min_value=0, max_value=10_000))
@@ -169,9 +170,9 @@ class TestSplitConstrainedSoundness:
         network, box, spec = problem
         lowered = network.lowered()
         rng = np.random.default_rng(split_seed)
-        root = deeppoly_bounds(lowered, box, spec=spec)
+        root = _deeppoly(lowered, box, spec)
         splits = _draw_splits(root, lowered, rng, max_splits=3)
-        report = deeppoly_bounds(lowered, box, splits=splits, spec=spec)
+        report = _deeppoly(lowered, box, spec, splits)
         if report.infeasible:
             return
         for split in splits:

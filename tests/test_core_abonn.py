@@ -113,7 +113,7 @@ class TestHyperparameters:
         with pytest.raises(ValueError):
             AbonnConfig(exploration=-0.1)
 
-    @pytest.mark.parametrize("bound_method", ["deeppoly", "ibp"])
+    @pytest.mark.parametrize("bound_method", ["deeppoly", "alpha-crown"])
     def test_bound_methods_agree_on_verdict(self, bound_method, trained_network):
         network, dataset = trained_network
         image, label = dataset.sample(27)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
+from repro.bounds.splits import ACTIVE, INACTIVE, SplitAssignment
 from repro.core import mcts
 from repro.core.mcts import (
     MctsNode,

@@ -1,6 +1,5 @@
 """Tests for repro.core.potentiality (Def. 1 of the paper)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

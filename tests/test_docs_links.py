@@ -135,8 +135,7 @@ class TestDocstringChecker:
                    REPO_ROOT / "src" / "repro" / "core" / "abonn.py",
                    REPO_ROOT / "src" / "repro" / "bab" / "baseline.py",
                    REPO_ROOT / "src" / "repro" / "baselines",
-                   REPO_ROOT / "src" / "repro" / "bounds" / "splits.py",
-                   REPO_ROOT / "src" / "repro" / "bounds" / "cache.py"]
+                   REPO_ROOT / "src" / "repro" / "bounds"]
         problems = []
         for target in targets:
             files = ([target] if target.is_file()

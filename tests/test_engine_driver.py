@@ -22,7 +22,7 @@ import repro.core.abonn
 
 from repro.bab import BaBBaselineVerifier
 from repro.baselines.alphabeta_crown import AlphaBetaCrownVerifier
-from repro.bounds.splits import ACTIVE, INACTIVE, SplitAssignment
+from repro.bounds.splits import SplitAssignment
 from repro.core.abonn import AbonnVerifier
 from repro.core.config import AbonnConfig
 from repro.engine.driver import DriverVerdict, FrontierDriver, WorkSource

@@ -1,6 +1,5 @@
 """Tests for the experiment harness: runner, metrics, tables and figures."""
 
-import numpy as np
 import pytest
 
 from repro.bab import BaBBaselineVerifier

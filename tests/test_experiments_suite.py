@@ -1,10 +1,8 @@
 """Tests for repro.experiments.suite (benchmark generation, Table I data)."""
 
-import numpy as np
 import pytest
 
 from repro.experiments.suite import (
-    BenchmarkSuite,
     SuiteConfig,
     generate_suite,
     root_certified_radius,

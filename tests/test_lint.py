@@ -33,13 +33,13 @@ def rule_ids(report):
 
 
 class TestFramework:
-    def test_all_six_rules_registered(self):
-        import lint.rules  # noqa: F401 - populates the registry
+    def test_all_seven_rules_registered(self):
+        import lint.rules  # lint: disable=unused-import - populates the registry
 
         assert set(REGISTRY) == {
             "lock-discipline", "rng-discipline", "wallclock-discipline",
             "exception-discipline", "payload-pickle-safety",
-            "api-annotations",
+            "api-annotations", "unused-import",
         }
 
     def test_finding_format_is_file_line_rule_message(self):
@@ -184,7 +184,8 @@ class TestRngDiscipline:
         assert rule_ids(report) == {"rng-discipline"}
 
     def test_flags_stdlib_random_import(self, tmp_path):
-        report = lint_snippet(tmp_path, "src/mod.py", "import random\n")
+        report = lint_snippet(tmp_path, "src/mod.py",
+                              "import random\n\nDRAW = random.random\n")
         assert rule_ids(report) == {"rng-discipline"}
 
     def test_passes_seeded_generator_construction(self, tmp_path):
@@ -353,6 +354,53 @@ class TestApiAnnotations:
         assert elsewhere.ok
 
 
+class TestUnusedImport:
+    def test_flags_an_unused_import(self, tmp_path):
+        report = lint_snippet(tmp_path, "src/mod.py", """\
+            import os
+            from typing import Iterable, List
+
+
+            def names() -> List[str]:
+                return []
+            """)
+        assert rule_ids(report) == {"unused-import"}
+        assert [f.message for f in report.findings] == [
+            "`os` is imported but never used",
+            "`Iterable` is imported but never used"]
+        assert [f.line for f in report.findings] == [1, 2]
+
+    def test_passes_used_and_exported_imports(self, tmp_path):
+        report = lint_snippet(tmp_path, "src/mod.py", """\
+            from __future__ import annotations
+
+            import os.path
+            from collections import OrderedDict
+            from typing import List as Names
+            from repro.bounds import BoundReport
+
+            __all__ = ["BoundReport", "names"]
+
+
+            def names(store: "OrderedDict[str, int]") -> Names:
+                return [os.path.basename(name) for name in store]
+            """)
+        assert report.ok
+
+    def test_init_reexports_are_exempt(self, tmp_path):
+        report = lint_snippet(tmp_path, "src/pkg/__init__.py", """\
+            from pkg.mod import helper
+            """)
+        assert report.ok
+
+    def test_suppression_silences_it(self, tmp_path):
+        report = lint_snippet(tmp_path, "src/mod.py", f"""\
+            import pkg.plugins  {MARKER}unused-import - registers the plugins
+            """)
+        assert report.ok
+        assert [f.rule for f in report.suppressed] == ["unused-import"]
+
+
 class TestCleanTree:
     def test_repository_is_lint_clean(self):
         report = run_lint([str(REPO_ROOT / "src"), str(REPO_ROOT / "tools"),
@@ -389,5 +437,6 @@ class TestCleanTree:
         assert proc.returncode == 0
         for rule_id in ("lock-discipline", "rng-discipline",
                         "wallclock-discipline", "exception-discipline",
-                        "payload-pickle-safety", "api-annotations"):
+                        "payload-pickle-safety", "api-annotations",
+                        "unused-import"):
             assert rule_id in proc.stdout

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.layers import Conv2d, Dense, Flatten, ReLU
+from repro.nn.layers import Dense, ReLU
 from repro.nn.network import LoweredNetwork, Network, dense_network
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import threading
 
-import numpy as np
 import pytest
 
 import repro.engine.driver
@@ -293,8 +292,8 @@ class TestCacheThreadSafety:
         def hammer(tid: int) -> None:
             for i in range(per_thread):
                 key = (("layer", (tid + i) % 64),)
-                if cache.get_report(key, True) is None:
-                    cache.put_report(key, True, {"tid": tid})
+                if cache.get_report(key) is None:
+                    cache.put_report(key, {"tid": tid})
 
         workers = [threading.Thread(target=hammer, args=(t,))
                    for t in range(threads)]

@@ -25,7 +25,6 @@ import functools
 import os
 import signal
 
-import numpy as np
 import pytest
 
 from repro.core.abonn import AbonnVerifier
@@ -254,8 +253,7 @@ class TestWorkerCrash:
             fingerprint = service.pool.fingerprint_for(network, spec)
             bundle = service.pool.bundle(fingerprint)
             root_key = ROOT_PATH
-            bundle.bound_cache.put_report(root_key, True, "poison")
-            bundle.bound_cache.put_report(root_key, False, "poison")
+            bundle.bound_cache.put_report(root_key, "poison")
 
             # The poisoned bundle is handed to the worker and breaks the
             # job's setup there; quarantine discards both copies.
@@ -286,7 +284,7 @@ class TestWorkerCrash:
             assert done.ok
             _assert_identical(done.result, SOLO_A)
             fresh = service.pool.bundle(fingerprint)
-            assert fresh.bound_cache.get_report(root_key, True) is not True
+            assert fresh.bound_cache.get_report(root_key) != "poison"
 
 
 class TestRoundFailure:
@@ -388,8 +386,7 @@ class TestPoisonedCache:
         bundle = service.pool.bundle(fingerprint)
         # A truthy non-report value: any consumer blows up on first use.
         root_key = ROOT_PATH
-        bundle.bound_cache.put_report(root_key, True, "poison")
-        bundle.bound_cache.put_report(root_key, False, "poison")
+        bundle.bound_cache.put_report(root_key, "poison")
         return fingerprint, bundle
 
     @pytest.mark.parametrize("transport",

@@ -124,13 +124,14 @@ class TestRoundTrip:
         before = saved.bound_cache.export_entries()
         after = loaded.bound_cache.export_entries()
         assert before and [key for key, _ in after] == [key for key, _ in before]
-        for (_, want), (_, got) in zip(before, after):
+        for (key, want), (_, got) in zip(before, after):
+            assert key == ("report", want.path)
             assert got.hidden_bounds.offsets == want.hidden_bounds.offsets
             np.testing.assert_array_equal(got.hidden_bounds.lower,
                                           want.hidden_bounds.lower)
             np.testing.assert_array_equal(got.hidden_bounds.upper,
                                           want.hidden_bounds.upper)
-            assert got.output_bounds is None and want.output_bounds is None
+            np.testing.assert_array_equal(got.candidate_input, want.candidate_input)
             np.testing.assert_array_equal(got.spec_row_lower, want.spec_row_lower)
             assert got.p_hat == want.p_hat and got.path == want.path
             for got_layer, want_layer in zip(got.pre_activation_bounds,

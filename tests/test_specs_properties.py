@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.specs.properties import InputBox, LinearOutputSpec, Specification
+from repro.specs.properties import InputBox, LinearOutputSpec
 
 
 class TestInputBox:

@@ -1,6 +1,5 @@
 """Tests for repro.verifiers.result."""
 
-import numpy as np
 import pytest
 
 from repro.utils.timing import Budget

@@ -261,7 +261,7 @@ def run_lint(targets: Iterable[str], root: Optional[Path] = None,
     if rules is None:
         # Imported lazily so ``core`` stays importable on its own; the
         # import populates :data:`REGISTRY` via :func:`register`.
-        from . import rules as _rules  # noqa: F401 (import for side effect)
+        from . import rules  # lint: disable=unused-import - registers the rules
         rules = list(REGISTRY.values())
     root = (Path.cwd() if root is None else Path(root)).resolve()
     report = LintReport()

@@ -13,4 +13,5 @@ from . import exception_discipline  # noqa: F401 (registers exception-discipline
 from . import lock_discipline  # noqa: F401 (registers lock-discipline)
 from . import payload_pickle_safety  # noqa: F401 (registers payload-pickle-safety)
 from . import rng_discipline  # noqa: F401 (registers rng-discipline)
+from . import unused_import  # noqa: F401 (registers unused-import)
 from . import wallclock_discipline  # noqa: F401 (registers wallclock-discipline)
