@@ -447,7 +447,7 @@ def bench_incremental(family_name: str, frontier_sizes, max_nodes: int,
     median_baseline = median(best[False]) if rounds else 0.0
     median_incremental = median(best[True]) if rounds else 0.0
 
-    # One instrumented replay for the reuse counters and phase breakdown.
+    # One instrumented replay for the reuse counters.
     verifier = ApproximateVerifier(network, spec, incremental=True)
     verifier.evaluate()
     for splits_list, parents in rounds:
@@ -469,7 +469,6 @@ def bench_incremental(family_name: str, frontier_sizes, max_nodes: int,
         "layers_rebound": stats["layer_misses"],
         "candidate_hits": stats["candidate_hits"],
         "candidate_misses": stats["candidate_misses"],
-        "timings": verifier.timings.as_dict(),
     }
 
 

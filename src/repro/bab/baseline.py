@@ -44,7 +44,7 @@ from repro.engine.driver import (
 )
 from repro.nn.network import Network
 from repro.specs.properties import Specification
-from repro.utils.timing import Budget
+from repro.utils.timing import Budget, PhaseTimings
 from repro.utils.validation import require
 from repro.verifiers.appver import ApproximateVerifier, AppVerOutcome
 from repro.verifiers.milp import (
@@ -116,8 +116,7 @@ class QueueFrontierSource(LinearWorkSource):
         optima = solve_leaf_lp_batch(
             self.appver.lowered, self.spec.input_box, self.spec.output_spec,
             [(node.splits, node.outcome.report) for node in nodes],
-            cache=self.lp_cache, fingerprint=self.lp_fingerprint,
-            timings=self.appver.timings)
+            cache=self.lp_cache, fingerprint=self.lp_fingerprint)
         for optimum in optima:
             self.statistics.leaves_lp_resolved += 1
             verdict, counterexample = classify_leaf_optimum(optimum, self.spec,
@@ -190,12 +189,14 @@ class BaBBaselineVerifier(Verifier):
         statistics = BaBStatistics()
         lp_cache, lp_fingerprint = leaf_lp_cache(self.lp_cache, appver, spec)
 
-        def finish(verdict: DriverVerdict) -> VerificationResult:
+        def finish(verdict: DriverVerdict,
+                   timings: Optional[PhaseTimings] = None) -> VerificationResult:
             statistics.tree_size = appver.num_calls
             return verification_result(
                 self.name, verdict, budget, appver, lp_cache,
                 nodes=appver.num_calls, frontier_size=self.frontier_size,
-                incremental=self.incremental, extras=statistics.as_dict())
+                incremental=self.incremental, extras=statistics.as_dict(),
+                timings=timings)
 
         root_outcome = appver.evaluate()
         budget.charge_node()

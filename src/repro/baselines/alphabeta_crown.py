@@ -54,7 +54,7 @@ from repro.engine.driver import (
 )
 from repro.nn.network import Network
 from repro.specs.properties import Specification
-from repro.utils.timing import Budget
+from repro.utils.timing import Budget, PhaseTimings
 from repro.utils.validation import require
 from repro.verifiers.appver import ApproximateVerifier, AppVerOutcome
 from repro.verifiers.attack import AttackConfig, pgd_attack
@@ -123,8 +123,7 @@ class HeapFrontierSource(LinearWorkSource):
         optima = solve_leaf_lp_batch(
             self.appver.lowered, self.spec.input_box, self.spec.output_spec,
             [(node.splits, node.outcome.report) for node in nodes],
-            cache=self.lp_cache, fingerprint=self.lp_fingerprint,
-            timings=self.appver.timings)
+            cache=self.lp_cache, fingerprint=self.lp_fingerprint)
         for optimum in optima:
             self.lp_leaves += 1
             verdict, counterexample = classify_leaf_optimum(optimum, self.spec,
@@ -194,14 +193,14 @@ class AlphaBetaCrownVerifier(Verifier):
                                      use_cache=False)
         lp_cache, lp_fingerprint = leaf_lp_cache(self.lp_cache, appver, spec)
 
-        def finish(verdict: DriverVerdict,
+        def finish(verdict: DriverVerdict, timings: Optional[PhaseTimings] = None,
                    source: Optional[HeapFrontierSource] = None) -> VerificationResult:
             # Node counts are budget charges; a BaB exit reports the DeepPoly
             # sub-AppVer, a pre-BaB exit the α-CROWN root AppVer.
             return verification_result(
                 self.name, verdict, budget, source.appver if source else appver,
                 lp_cache, nodes=budget.nodes, frontier_size=self.frontier_size,
-                incremental=self.incremental,
+                incremental=self.incremental, timings=timings,
                 extras={"heuristic": self.heuristic_name,
                         "alpha_iterations": self.alpha_config.iterations,
                         "lp_leaves_resolved": source.lp_leaves if source else 0})

@@ -17,7 +17,6 @@ from repro.bounds.cache import (
 from repro.bounds.deeppoly import DeepPolyAnalyzer, default_lower_slope
 from repro.bounds.linear_form import (
     ScalarBounds,
-    concretize_lower_batch,
     concretize_upper_batch,
     minimizing_corner_batch,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "DeepPolyAnalyzer",
     "default_lower_slope",
     "ScalarBounds",
-    "concretize_lower_batch",
     "concretize_upper_batch",
     "minimizing_corner_batch",
     "BoundReport",

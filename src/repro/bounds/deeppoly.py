@@ -106,7 +106,6 @@ relaxes against its columns of the stack.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -124,7 +123,6 @@ from repro.bounds.splits import (
 )
 from repro.nn.network import LoweredNetwork
 from repro.specs.properties import InputBox, LinearOutputSpec
-from repro.utils.timing import PhaseTimings
 from repro.utils.validation import require
 
 #: One hidden layer's backward-substitution step in its live coordinates:
@@ -133,11 +131,6 @@ from repro.utils.validation import require
 #: then the weight ``(n, n_below)`` and bias ``(n,)`` rows that substitute
 #: them, already restricted to the live columns of the layer below.
 Step = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _measure(timings: Optional[PhaseTimings], phase: str):
-    """A ``timings.measure(phase)`` context, or a no-op without timings."""
-    return timings.measure(phase) if timings is not None else nullcontext()
 
 
 def default_lower_slope(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -273,8 +266,7 @@ class DeepPolyAnalyzer:
 
     def _bound_rows(self, coefficients: np.ndarray, constants: np.ndarray,
                     steps: Sequence[Step], center: np.ndarray, radius: np.ndarray,
-                    batch: int, timings: Optional[PhaseTimings] = None,
-                    two_sided: bool = True
+                    batch: int, two_sided: bool = True
                     ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
         """``(batch, rows)`` bounds of ``A @ h + c`` over the box.
 
@@ -285,18 +277,14 @@ class DeepPolyAnalyzer:
         minimising corner of a spec row's form is the counterexample
         candidate.
         """
-        with _measure(timings, "substitute"):
-            lower_A, lower_c = self._back_substitute(
-                coefficients, constants, steps, minimize=True)
-        with _measure(timings, "concretize"):
-            lower = concretize_center_radius(lower_A, lower_c, center, radius, -1.0)
+        lower_A, lower_c = self._back_substitute(
+            coefficients, constants, steps, minimize=True)
+        lower = concretize_center_radius(lower_A, lower_c, center, radius, -1.0)
         upper = None
         if two_sided:
-            with _measure(timings, "substitute"):
-                upper_A, upper_c = self._back_substitute(
-                    coefficients, constants, steps, minimize=False)
-            with _measure(timings, "concretize"):
-                upper = concretize_center_radius(upper_A, upper_c, center, radius, 1.0)
+            upper_A, upper_c = self._back_substitute(
+                coefficients, constants, steps, minimize=False)
+            upper = concretize_center_radius(upper_A, upper_c, center, radius, 1.0)
         if lower.shape[0] != batch:
             # No relaxation was substituted, so every row shares one form.
             lower = np.repeat(lower, batch, axis=0)
@@ -309,8 +297,7 @@ class DeepPolyAnalyzer:
     def _rebound_against_parents(self, layer: int, weight: np.ndarray,
                                  bias: np.ndarray, steps: Sequence[Step],
                                  reference: "_Reference", center: np.ndarray,
-                                 radius: np.ndarray,
-                                 timings: Optional[PhaseTimings]
+                                 radius: np.ndarray
                                  ) -> Tuple[np.ndarray, np.ndarray, int]:
         """One layer's ``(count, width)`` bounds defined from the parents.
 
@@ -321,55 +308,53 @@ class DeepPolyAnalyzer:
         with the parent's interval.  Also returns how many parent rows
         re-bounded the layer.
         """
-        with _measure(timings, "correct"):
-            ref_lower, ref_upper = reference.layer(layer)
-            lower = ref_lower[reference.group]
-            upper = ref_upper[reference.group]
-            rows, rebound = reference.rows(layer)
-            if rows is None:
-                return lower, upper, 0
-            unstable = ~((ref_lower >= 0.0) | (ref_upper <= 0.0))
-            padding = None
-            if reference.single:
-                # Every row shares one parent (always so at K = 1): its
-                # unstable rows, unpadded, are broadcast to the children
-                # rather than copied per child as the padded gather does.
-                columns = np.flatnonzero(unstable[0])
-                size = columns.size
-                if size == len(bias):
-                    columns = None
-                weight = weight[None] if columns is None else weight[columns][None]
-                bias = bias[None] if columns is None else bias[columns][None]
-            else:
-                sizes = unstable.sum(axis=1)
-                row_groups = reference.group[rows]
-                groups = np.flatnonzero(np.bincount(row_groups, minlength=len(sizes)))
-                size = int(sizes[groups].max())
-                order = np.argsort(~unstable[groups], axis=1, kind="stable")[:, :size]
-                inverse = np.searchsorted(groups, row_groups)
-                columns = order[inverse]
-                weight = weight[order][inverse]
-                bias = bias[order][inverse]
-                # Padding columns are parent-stable neurons: a NaN result
-                # leaves them the parent's interval.
-                padding = np.arange(size) >= sizes[row_groups][:, None]
-            if not size:
-                return lower, upper, 0
+        ref_lower, ref_upper = reference.layer(layer)
+        lower = ref_lower[reference.group]
+        upper = ref_upper[reference.group]
+        rows, rebound = reference.rows(layer)
+        if rows is None:
+            return lower, upper, 0
+        unstable = ~((ref_lower >= 0.0) | (ref_upper <= 0.0))
+        padding = None
+        if reference.single:
+            # Every row shares one parent (always so at K = 1): its
+            # unstable rows, unpadded, are broadcast to the children
+            # rather than copied per child as the padded gather does.
+            columns = np.flatnonzero(unstable[0])
+            size = columns.size
+            if size == len(bias):
+                columns = None
+            weight = weight[None] if columns is None else weight[columns][None]
+            bias = bias[None] if columns is None else bias[columns][None]
+        else:
+            sizes = unstable.sum(axis=1)
+            row_groups = reference.group[rows]
+            groups = np.flatnonzero(np.bincount(row_groups, minlength=len(sizes)))
+            size = int(sizes[groups].max())
+            order = np.argsort(~unstable[groups], axis=1, kind="stable")[:, :size]
+            inverse = np.searchsorted(groups, row_groups)
+            columns = order[inverse]
+            weight = weight[order][inverse]
+            bias = bias[order][inverse]
+            # Padding columns are parent-stable neurons: a NaN result
+            # leaves them the parent's interval.
+            padding = np.arange(size) >= sizes[row_groups][:, None]
+        if not size:
+            return lower, upper, 0
         below = steps if len(rows) == len(lower) else [
             (step[0][rows], step[1][rows], step[2][rows]) + step[3:] for step in steps]
         row_lower, row_upper, _ = self._bound_rows(
-            weight, bias, below, center, radius, len(rows), timings=timings)
-        with _measure(timings, "correct"):
-            if columns is None:
-                lower[rows] = np.fmax(lower[rows], row_lower)
-                upper[rows] = np.fmin(upper[rows], row_upper)
-            else:
-                if padding is not None and padding.any():
-                    row_lower[padding] = np.nan
-                    row_upper[padding] = np.nan
-                at = (rows[:, None], columns)
-                lower[at] = np.fmax(lower[at], row_lower)
-                upper[at] = np.fmin(upper[at], row_upper)
+            weight, bias, below, center, radius, len(rows))
+        if columns is None:
+            lower[rows] = np.fmax(lower[rows], row_lower)
+            upper[rows] = np.fmin(upper[rows], row_upper)
+        else:
+            if padding is not None and padding.any():
+                row_lower[padding] = np.nan
+                row_upper[padding] = np.nan
+            at = (rows[:, None], columns)
+            lower[at] = np.fmax(lower[at], row_lower)
+            upper[at] = np.fmin(upper[at], row_upper)
         return lower, upper, rebound
 
     @staticmethod
@@ -391,8 +376,7 @@ class DeepPolyAnalyzer:
                 *, spec: LinearOutputSpec,
                 lower_slopes: Optional[Sequence[np.ndarray]] = None,
                 cache: Optional[BoundCache] = None,
-                parent: Optional[Parent] = None,
-                timings: Optional[PhaseTimings] = None) -> BoundReport:
+                parent: Optional[Parent] = None) -> BoundReport:
         """Analyse one sub-problem: :meth:`analyze_batch` at ``B = 1``.
 
         ``lower_slopes`` holds one ``(width,)`` array per hidden layer and
@@ -403,18 +387,19 @@ class DeepPolyAnalyzer:
             lower_slopes = [np.asarray(slopes, dtype=float)[None]
                             for slopes in lower_slopes]
         return self.analyze_batch(box, [splits], spec=spec, cache=cache,
-                                  lower_slopes=lower_slopes, parents=[parent],
-                                  timings=timings)[0]
+                                  lower_slopes=lower_slopes, parents=[parent])[0]
 
     def analyze_batch(self, box: InputBox,
                       splits_list: Sequence[Optional[SplitAssignment]],
                       spec: LinearOutputSpec,
                       cache: Optional[BoundCache] = None,
                       lower_slopes: Optional[Sequence[np.ndarray]] = None,
-                      parents: Optional[Sequence[Optional[Parent]]] = None,
-                      timings: Optional[PhaseTimings] = None
+                      parents: Optional[Sequence[Optional[Parent]]] = None
                       ) -> List[BoundReport]:
         """Analyse ``B`` sub-problems of the same box in one batched pass.
+
+        The call records no timing; the frontier driver times its whole
+        ``evaluate_batch`` call as the round's ``bound`` stage.
 
         Parameters
         ----------
@@ -439,9 +424,6 @@ class DeepPolyAnalyzer:
             (index-aligned with ``splits_list``, ``None`` entries allowed):
             the child's bounds are defined from the parent's report, as the
             module docstring describes.
-        timings:
-            Optional :class:`~repro.utils.timing.PhaseTimings` receiving the
-            ``substitute`` / ``correct`` / ``concretize`` breakdown.
         """
         network = self.network
         require(box.dimension == network.input_dim,
@@ -501,13 +483,11 @@ class DeepPolyAnalyzer:
             width = weight.shape[0]
             if reference is None:
                 lower, upper, _ = self._bound_rows(
-                    weight[None], bias[None], steps, center, radius, count,
-                    timings=timings)
+                    weight[None], bias[None], steps, center, radius, count)
                 layers_rebound += count
             else:
                 lower, upper, rebound = self._rebound_against_parents(
-                    layer, weight, bias, steps, reference, center, radius,
-                    timings)
+                    layer, weight, bias, steps, reference, center, radius)
                 layers_taken += reference.children - rebound
                 layers_rebound += count - reference.children + rebound
             phases = layer_rows(phase_rows, offsets, layer)
@@ -533,7 +513,7 @@ class DeepPolyAnalyzer:
             top_coefficients = top_coefficients.take(live, axis=2)
         spec_lower, _, spec_lower_A = self._bound_rows(
             top_coefficients, top_constants, steps, center, radius,
-            count, timings=timings, two_sided=False)
+            count, two_sided=False)
         worst_rows = spec_lower.argmin(axis=1)
         candidates = minimizing_corner_batch(
             spec_lower_A[np.arange(count), worst_rows], box)

@@ -55,15 +55,6 @@ def _checked(coefficients: np.ndarray, constants: np.ndarray):
     return coefficients, constants
 
 
-def concretize_lower_batch(coefficients: np.ndarray, constants: np.ndarray,
-                           box: InputBox) -> np.ndarray:
-    """Minimum of ``A[b] @ x + c[b]`` over the box, per row: ``(B, R, D)``
-    coefficients and ``(B, R)`` constants give ``(B, R)`` bounds."""
-    coefficients, constants = _checked(coefficients, constants)
-    return concretize_center_radius(coefficients, constants, box.center,
-                                    box.radius, -1.0)
-
-
 def concretize_upper_batch(coefficients: np.ndarray, constants: np.ndarray,
                            box: InputBox) -> np.ndarray:
     """Maximum of ``A[b] @ x + c[b]`` over the box, per row: ``(B, R, D)``
@@ -115,20 +106,9 @@ class ScalarBounds:
         """Number of bounded quantities."""
         return int(self.lower.shape[0])
 
-    @property
-    def width(self) -> np.ndarray:
-        """Per-quantity interval widths ``upper - lower``."""
-        return self.upper - self.lower
-
     def is_consistent(self) -> bool:
         """True when every lower bound is at most its upper bound."""
         return bool(np.all(self.lower <= self.upper + 1e-12))
-
-    def intersect(self, other: "ScalarBounds") -> "ScalarBounds":
-        """Elementwise intersection (may produce inconsistent bounds)."""
-        require(self.size == other.size, "bounds have different sizes")
-        return ScalarBounds(np.maximum(self.lower, other.lower),
-                            np.minimum(self.upper, other.upper))
 
     def contains(self, values: np.ndarray, tolerance: float = 1e-7) -> bool:
         """Whether a concrete vector lies within the bounds."""

@@ -53,7 +53,7 @@ from repro.engine.driver import (
 )
 from repro.nn.network import Network
 from repro.specs.properties import Specification
-from repro.utils.timing import Budget
+from repro.utils.timing import Budget, PhaseTimings
 from repro.verifiers.appver import ApproximateVerifier, AppVerOutcome
 from repro.verifiers.milp import (
     LEAF_FALSIFIED,
@@ -161,8 +161,7 @@ class MctsFrontierSource(WorkSource):
         optima = solve_leaf_lp_batch(
             self.appver.lowered, self.spec.input_box, self.spec.output_spec,
             [(leaf.splits, leaf.outcome.report) for leaf in leaves],
-            cache=self.lp_cache, fingerprint=self.lp_fingerprint,
-            timings=self.appver.timings)
+            cache=self.lp_cache, fingerprint=self.lp_fingerprint)
         for leaf, optimum in zip(leaves, optima):
             self.lp_leaves += 1
             self._apply_leaf_optimum(leaf, optimum)
@@ -265,12 +264,12 @@ class AbonnVerifier(Verifier):
         scorer = PotentialityScorer(max(appver.num_relu_neurons, 1), config.lam)
         lp_cache, lp_fingerprint = leaf_lp_cache(self.lp_cache, appver, spec)
 
-        def finish(verdict: DriverVerdict,
+        def finish(verdict: DriverVerdict, timings: Optional[PhaseTimings] = None,
                    source: Optional[MctsFrontierSource] = None) -> VerificationResult:
             return verification_result(
                 self.name, verdict, budget, appver, lp_cache,
                 nodes=appver.num_calls, frontier_size=config.frontier_size,
-                incremental=config.incremental,
+                incremental=config.incremental, timings=timings,
                 extras={"max_depth": source.max_depth if source else 0,
                         "lambda": config.lam,
                         "exploration": config.exploration,

@@ -61,6 +61,12 @@ through the verifier's finish function), the result with its shared
 ``extras`` blocks (:func:`verification_result`), the run's leaf-LP cache
 (:func:`leaf_lp_cache`) and the root settlement (:func:`settle_root`).
 Each verifier module keeps only its search state and its leaf-LP call.
+
+The run's one clock lives here too: each :class:`DriverRun` owns a
+:class:`~repro.utils.timing.PhaseTimings` that only the engine writes
+(``setup``, then each round's ``select`` / ``branch`` / ``lp`` /
+``bound`` / ``attach``), reported as ``extras["timings"]``.  Nothing
+below the engine takes or records a timing.
 """
 
 from __future__ import annotations
@@ -77,7 +83,7 @@ from repro.bounds.cache import LpCache
 from repro.bounds.report import BoundReport
 from repro.bounds.splits import ReluSplit, SplitAssignment
 from repro.specs.properties import Specification
-from repro.utils.timing import Budget
+from repro.utils.timing import Budget, PhaseTimings
 from repro.utils.validation import require
 from repro.verifiers.appver import (
     ApproximateVerifier,
@@ -147,18 +153,27 @@ def leaf_lp_cache(shared: Optional[LpCache], appver: ApproximateVerifier,
 def verification_result(verifier: str, verdict: DriverVerdict, budget: Budget,
                         appver: ApproximateVerifier, lp_cache: LpCache, *,
                         nodes: int, frontier_size: int, incremental: bool,
-                        extras: Dict[str, object]) -> VerificationResult:
+                        extras: Dict[str, object],
+                        timings: Optional[PhaseTimings] = None) -> VerificationResult:
     """Map a terminal verdict to the result every verifier reports.
 
     ``nodes`` is the verifier's node count (``nodes_explored`` and
     ``tree_size``) and ``extras`` its own keys; this function adds the
-    shared blocks: ``frontier_size``, ``incremental`` and, from ``appver``
-    and ``lp_cache``, ``bound_cache``, ``lp_cache`` and ``timings``.
+    shared blocks: ``frontier_size``, ``incremental``, ``bound_cache`` and
+    ``lp_cache`` (from ``appver`` and ``lp_cache``) and ``timings``, the
+    run's stage times as ``{stage: {"seconds", "count"}}``.  ``timings`` is
+    the :class:`DriverRun`'s (see :meth:`FrontierDriver._round` for the
+    stages); a result that never reached the driver (a root-settled run, an
+    attack's counterexample) spent all of its time in ``setup``.
     """
+    elapsed = budget.elapsed_seconds
+    if timings is None:
+        timings = PhaseTimings()
+        timings.record("setup", elapsed)
     return VerificationResult(
         status=verdict.status,
         verifier=verifier,
-        elapsed_seconds=budget.elapsed_seconds,
+        elapsed_seconds=elapsed,
         nodes_explored=nodes,
         tree_size=nodes,
         counterexample=verdict.counterexample,
@@ -168,7 +183,7 @@ def verification_result(verifier: str, verdict: DriverVerdict, budget: Budget,
                 "incremental": incremental,
                 "bound_cache": appver.cache_stats(),
                 "lp_cache": lp_cache.stats.as_dict(),
-                "timings": appver.timings.as_dict()},
+                "timings": timings.as_dict()},
     )
 
 
@@ -425,19 +440,26 @@ class DriverRun(VerifierRun):
     happening inside the round, so interleaving the steps of several runs
     cannot change any single run's trajectory.
 
-    ``finish`` maps the terminal verdict to the verifier's result.  The run
-    memoises that result: every later :meth:`step` and :meth:`interrupt`
-    returns the identical object.
+    ``finish`` maps the terminal verdict and the run's :attr:`timings` to
+    the verifier's result.  The run memoises that result: every later
+    :meth:`step` and :meth:`interrupt` returns the identical object.
+
+    :attr:`timings` is the run's one clock.  It opens with ``setup``, the
+    budget's elapsed seconds when the run is created (AppVer construction,
+    the root bound and any pre-search stage), and each round adds its
+    stages (see :meth:`FrontierDriver._round`).
     """
 
     def __init__(self, driver: "FrontierDriver", source: WorkSource,
                  budget: Budget,
-                 finish: Callable[[DriverVerdict], VerificationResult]) -> None:
+                 finish: Callable[[DriverVerdict, PhaseTimings],
+                                  VerificationResult]) -> None:
         self.driver = driver
         self.source = source
         self.budget = budget
         self.finish = finish
-        self.rounds = 0
+        self.timings = PhaseTimings()
+        self.timings.record("setup", budget.elapsed_seconds)
         self._result: Optional[VerificationResult] = None
 
     def step(self) -> Optional[VerificationResult]:
@@ -453,19 +475,18 @@ class DriverRun(VerifierRun):
         elif self.budget.exhausted():
             verdict = self.source.timeout()
         else:
-            self.rounds += 1
-            verdict = self.driver._round(self.source, self.budget)
+            verdict = self.driver._round(self.source, self.budget, self.timings)
             if verdict is None:
                 verdict = self.source.round_complete()
             if verdict is None:
                 return None
-        self._result = self.finish(verdict)
+        self._result = self.finish(verdict, self.timings)
         return self._result
 
     def interrupt(self) -> VerificationResult:
         """The finished result, or finish now with the source's TIMEOUT."""
         if self._result is None:
-            self._result = self.finish(self.source.timeout())
+            self._result = self.finish(self.source.timeout(), self.timings)
         return self._result
 
 
@@ -494,13 +515,26 @@ class FrontierDriver:
         self.frontier_size = int(frontier_size)
 
     def start(self, source: WorkSource, budget: Budget,
-              finish: Callable[[DriverVerdict], VerificationResult]) -> DriverRun:
+              finish: Callable[[DriverVerdict, PhaseTimings],
+                               VerificationResult]) -> DriverRun:
         """Begin a resumable run; the caller steps it one round at a time."""
         return DriverRun(self, source, budget, finish)
 
     # -- one gather → resolve → expand → attach round --------------------------
-    def _round(self, source: WorkSource, budget: Budget) -> Optional[DriverVerdict]:
-        if not source.begin_round(budget):
+    def _round(self, source: WorkSource, budget: Budget,
+               timings: PhaseTimings) -> Optional[DriverVerdict]:
+        """One round, each stage timed into ``timings``.
+
+        The stages are ``select`` (:meth:`WorkSource.begin_round`),
+        ``branch`` (the gather: pops, the branching heuristic with any
+        look-ahead probes, and the children's splits), ``lp`` (the deferred
+        leaves' :meth:`WorkSource.resolve_leaves`), ``bound`` (the batched
+        ``evaluate_batch`` call with candidate validation) and ``attach``
+        (:meth:`_attach`, with the sources' back-propagation).
+        """
+        with timings.measure("select"):
+            ready = source.begin_round(budget)
+        if not ready:
             return None
 
         plan: List[Expansion] = []
@@ -508,35 +542,37 @@ class FrontierDriver:
         planned = 0
         truncated = False
         gather_verdict: Optional[DriverVerdict] = None
-        while len(plan) < self.frontier_size and not truncated:
-            item = source.next_item(budget, len(plan), planned)
-            if item is None:
-                break
-            if isinstance(item, DriverVerdict):
-                gather_verdict = item
-                break
-            neuron = source.select_neuron(item)
-            if neuron is None:
-                # The leaf LP costs about one bound computation; the solve
-                # itself is deferred so the whole round resolves in one
-                # batched call.
-                budget.charge_node()
-                pending.append(item)
-                continue
-            phases = affordable_phases(budget, planned)
-            if not phases:
-                gather_verdict = source.push_back(item, len(plan))
-                break
-            plan.append(Expansion(item, neuron, phases,
-                                  source.child_splits(item, neuron, phases)))
-            planned += len(phases)
-            truncated = len(phases) < 2
+        with timings.measure("branch"):
+            while len(plan) < self.frontier_size and not truncated:
+                item = source.next_item(budget, len(plan), planned)
+                if item is None:
+                    break
+                if isinstance(item, DriverVerdict):
+                    gather_verdict = item
+                    break
+                neuron = source.select_neuron(item)
+                if neuron is None:
+                    # The leaf LP costs about one bound computation; the
+                    # solve itself is deferred so the whole round resolves
+                    # in one batched call.
+                    budget.charge_node()
+                    pending.append(item)
+                    continue
+                phases = affordable_phases(budget, planned)
+                if not phases:
+                    gather_verdict = source.push_back(item, len(plan))
+                    break
+                plan.append(Expansion(item, neuron, phases,
+                                      source.child_splits(item, neuron, phases)))
+                planned += len(phases)
+                truncated = len(phases) < 2
 
         # Deferred exact resolution before any verdict: the leaves were
         # charged, so their outcomes (in pop order) take effect exactly as
         # in the sequential interleaving.
         if pending:
-            verdict = source.resolve_leaves(pending)
+            with timings.measure("lp"):
+                verdict = source.resolve_leaves(pending)
             if verdict is not None:
                 return verdict
         if gather_verdict is not None:
@@ -548,17 +584,19 @@ class FrontierDriver:
         # this is the engine's single point of batched-bound dispatch.  Each
         # child carries its parent's report and its own split, so it is
         # bounded against the parent instead of from scratch.
-        flat_splits = [splits for expansion in plan
-                       for splits in expansion.child_splits]
-        flat_parents = []
-        for expansion in plan:
-            report = source.item_report(expansion.item)
-            layer, unit = expansion.neuron
-            flat_parents.extend((report, ReluSplit(layer, unit, phase))
-                                for phase in expansion.phases)
-        outcomes = self.appver.evaluate_batch(flat_splits, parents=flat_parents)
+        with timings.measure("bound"):
+            flat_splits = [splits for expansion in plan
+                           for splits in expansion.child_splits]
+            flat_parents = []
+            for expansion in plan:
+                report = source.item_report(expansion.item)
+                layer, unit = expansion.neuron
+                flat_parents.extend((report, ReluSplit(layer, unit, phase))
+                                    for phase in expansion.phases)
+            outcomes = self.appver.evaluate_batch(flat_splits, parents=flat_parents)
 
-        verdict = self._attach(source, plan, outcomes, budget)
+        with timings.measure("attach"):
+            verdict = self._attach(source, plan, outcomes, budget)
         if verdict is not None:
             return verdict
         if truncated:

@@ -5,10 +5,11 @@ In this reproduction we support both wall-clock budgets and *node* budgets
 (the number of AppVer calls), because node budgets make benchmark results
 machine-independent and keep the benchmark harness fast.
 
-:class:`PhaseTimings` additionally gives the bound/LP hot path a cheap
-per-phase breakdown (``substitute``, ``correct``, ``concretize``, ``lp``)
-that the verifiers surface in ``extras["timings"]`` — so perf work can see
-*where* per-child bound time goes instead of only its total.
+:class:`PhaseTimings` is a run's stage clock: the frontier driver
+(:mod:`repro.engine.driver`) owns one per run and times ``setup`` and each
+round's ``select`` / ``branch`` / ``lp`` / ``bound`` / ``attach`` stages
+into it, and the verifiers surface it as ``extras["timings"]`` — so a
+result shows *where* its wall time went, not only its total.
 """
 
 from __future__ import annotations
@@ -67,15 +68,11 @@ class Stopwatch:
 class PhaseTimings:
     """Cumulative wall-clock seconds (and call counts) per named phase.
 
-    The bound analysers record their backward-substitution time under
-    ``"substitute"``, the work of bounding children against their parents'
-    reports under ``"correct"`` and the box concretisations under
-    ``"concretize"``; the
-    leaf-LP solver records under ``"lp"``.  One instance lives on each
-    :class:`~repro.verifiers.appver.ApproximateVerifier` and is exposed by
-    the verifiers as ``extras["timings"]``.  Recording costs two
-    ``perf_counter`` calls per measured block, so it is safe to leave on in
-    the hot path.
+    One instance lives on each :class:`~repro.engine.driver.DriverRun`,
+    which alone writes it: ``setup`` once, then one block per stage of
+    every round.  The verifiers expose it as ``extras["timings"]``.
+    Recording costs two ``perf_counter`` calls per measured block, so it is
+    safe to leave on.
     """
 
     def __init__(self) -> None:
@@ -96,20 +93,11 @@ class PhaseTimings:
         finally:
             self.record(phase, time.perf_counter() - start)
 
-    def seconds(self, phase: str) -> float:
-        """Total seconds recorded for a phase (0.0 when never recorded)."""
-        return self._seconds.get(phase, 0.0)
-
     def as_dict(self) -> dict:
         """``{phase: {"seconds": ..., "count": ...}}`` for every phase."""
         return {phase: {"seconds": self._seconds[phase],
                         "count": self._counts.get(phase, 0)}
                 for phase in sorted(self._seconds)}
-
-    def clear(self) -> None:
-        """Drop all recorded phases."""
-        self._seconds.clear()
-        self._counts.clear()
 
 
 @dataclass

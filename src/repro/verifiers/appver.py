@@ -42,9 +42,9 @@ Four throughput features back the hot path (see ``docs/BATCHING.md``):
   sound but moves the slope ascent's starting point, so optimised bounds
   may differ from the cold-start path.
 
-The per-phase time breakdown (``substitute`` / ``correct`` / ``concretize``
-and the sources' ``lp``) accumulates in :attr:`ApproximateVerifier.timings`
-and is surfaced by the verifiers as ``extras["timings"]``.
+AppVer records no timing: the frontier driver times each round's
+``evaluate_batch`` call, candidate validation included, as its ``bound``
+stage (see :mod:`repro.engine.driver`).
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from repro.bounds.report import BoundReport, Parent
 from repro.bounds.splits import ACTIVE, INACTIVE, SplitAssignment
 from repro.nn.network import Network
 from repro.specs.properties import Specification
-from repro.utils.timing import Budget, PhaseTimings
+from repro.utils.timing import Budget
 from repro.utils.validation import require
 
 #: Capacity of the candidate-validation memo (distinct candidate corners).
@@ -206,8 +206,6 @@ class ApproximateVerifier:
         self.num_calls = 0
         #: Realised ``evaluate_batch`` sizes: ``{batch_size: call_count}``.
         self.batch_histogram: Counter = Counter()
-        #: Per-phase wall-clock breakdown of the bound/LP hot path.
-        self.timings = PhaseTimings()
         self._candidate_cache: "OrderedDict[bytes, bool]" = OrderedDict()
         self._fresh_keys: set = set()
         self.candidate_hits = 0
@@ -307,8 +305,7 @@ class ApproximateVerifier:
         else:
             report = self._deeppoly.analyze(self.spec.input_box, splits=splits,
                                             spec=self.spec.output_spec,
-                                            cache=self.cache, parent=parent,
-                                            timings=self.timings)
+                                            cache=self.cache, parent=parent)
         if not splits:
             _require_finite_root(report)
         return self._outcome_from_report(report)
@@ -342,7 +339,7 @@ class ApproximateVerifier:
         else:
             reports = self._deeppoly.analyze_batch(
                 self.spec.input_box, splits_list, spec=self.spec.output_spec,
-                cache=self.cache, parents=parents, timings=self.timings)
+                cache=self.cache, parents=parents)
         if self.incremental and len(reports) > 1:
             self._prevalidate_candidates(reports)
         return [self._outcome_from_report(report) for report in reports]

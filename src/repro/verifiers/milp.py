@@ -56,7 +56,6 @@ hence optima, differ) can never collide.
 from __future__ import annotations
 
 import hashlib
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -70,7 +69,7 @@ from repro.bounds.report import BoundReport
 from repro.bounds.splits import ACTIVE, INACTIVE, SplitAssignment, flat_offsets, stack_rows
 from repro.nn.network import LoweredNetwork, Network
 from repro.specs.properties import InputBox, LinearOutputSpec, Specification
-from repro.utils.timing import Budget, PhaseTimings
+from repro.utils.timing import Budget
 from repro.verifiers.result import (
     VerificationResult,
     VerificationStatus,
@@ -90,9 +89,6 @@ class _Encoding:
     #: indices of binary variables (MILP only), keyed by (layer, unit)
     binary_index: dict
     num_variables: int
-
-    def x_slice(self) -> slice:
-        return slice(0, self.num_inputs)
 
     def h_index(self, layer: int, unit: int) -> int:
         return self.hidden_offsets[layer] + unit
@@ -254,11 +250,6 @@ class RowOptimum:
     value: float
     minimizer: Optional[np.ndarray]
     feasible: bool
-
-
-def _lp_measure(timings: Optional[PhaseTimings]):
-    """A ``timings.measure("lp")`` context, or a no-op without timings."""
-    return timings.measure("lp") if timings is not None else nullcontext()
 
 
 def _solve(objective: np.ndarray, constant: float,
@@ -516,8 +507,7 @@ def solve_leaf_lp_batch(network: LoweredNetwork, box: InputBox,
                         leaves: Sequence[Tuple[SplitAssignment, BoundReport]],
                         cache: Optional[LpCache] = None,
                         time_limit: Optional[float] = None,
-                        fingerprint: Optional[str] = None,
-                        timings: Optional[PhaseTimings] = None) -> List[RowOptimum]:
+                        fingerprint: Optional[str] = None) -> List[RowOptimum]:
     """Exactly resolve a batch of fully phase-decided sub-problems.
 
     ``leaves`` pairs each leaf's :class:`~repro.bounds.splits.SplitAssignment`
@@ -542,8 +532,9 @@ def solve_leaf_lp_batch(network: LoweredNetwork, box: InputBox,
     an earlier call or earlier in this batch — are served from the cache
     (counted as hits) and never reach the solver.  ``fingerprint``
     (see :func:`problem_fingerprint`) scopes the cache keys so one cache
-    can be shared across verification problems; ``timings`` accumulates the
-    solver time under the ``"lp"`` phase.
+    can be shared across verification problems.  The call records no
+    timing: the frontier driver times each round's whole leaf resolution
+    as its ``lp`` stage.
     """
     if not leaves:
         return []
@@ -579,20 +570,18 @@ def solve_leaf_lp_batch(network: LoweredNetwork, box: InputBox,
     screened = np.flatnonzero(present.any(axis=1))
     proven = np.zeros(len(unsolved), dtype=bool)
     if screened.size:
-        with _lp_measure(timings):
-            proven[screened] = _prove_empty(
-                programs.matrix[screened], programs.offset[screened],
-                present[screened], box)
+        proven[screened] = _prove_empty(
+            programs.matrix[screened], programs.offset[screened],
+            present[screened], box)
 
     for position, index in enumerate(unsolved):
         if proven[position]:
             # Exactly what HiGHS returns for an empty region.
             optimum = RowOptimum(float("inf"), None, feasible=False)
         else:
-            with _lp_measure(timings):
-                optimum = _minimise_rows(
-                    programs.objectives[position], programs.constants[position],
-                    programs.constraint(position), box, time_limit)
+            optimum = _minimise_rows(
+                programs.objectives[position], programs.constants[position],
+                programs.constraint(position), box, time_limit)
         results[index] = optimum
         if cache is not None:
             cache.record_solve()
@@ -641,8 +630,7 @@ def solve_leaf_lp(network: LoweredNetwork, box: InputBox, spec: LinearOutputSpec
                   splits: SplitAssignment, report: BoundReport,
                   time_limit: Optional[float] = None,
                   cache: Optional[LpCache] = None,
-                  fingerprint: Optional[str] = None,
-                  timings: Optional[PhaseTimings] = None) -> RowOptimum:
+                  fingerprint: Optional[str] = None) -> RowOptimum:
     """Exactly resolve a fully phase-decided sub-problem with an LP.
 
     Returns the minimum specification margin over the sub-problem's feasible
@@ -650,11 +638,11 @@ def solve_leaf_lp(network: LoweredNetwork, box: InputBox, spec: LinearOutputSpec
     (vacuously verified).  Every ReLU neuron must be stable or split.  A
     supplied :class:`~repro.bounds.cache.LpCache` memoises the optimum by
     the assignment's phase-row bytes, optionally scoped by ``fingerprint``
-    (see :func:`solve_leaf_lp_batch`, which also documents ``timings``).
+    (see :func:`solve_leaf_lp_batch`).
     """
     return solve_leaf_lp_batch(network, box, spec, [(splits, report)],
                                cache=cache, time_limit=time_limit,
-                               fingerprint=fingerprint, timings=timings)[0]
+                               fingerprint=fingerprint)[0]
 
 
 class MilpVerifier(Verifier):

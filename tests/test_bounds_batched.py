@@ -21,7 +21,7 @@ from reference_bounds import assert_report_matches, reference_deeppoly
 from repro.bounds.cache import BoundCache
 from repro.bounds.deeppoly import DeepPolyAnalyzer
 from repro.bounds.linear_form import (
-    concretize_lower_batch,
+    concretize_center_radius,
     concretize_upper_batch,
     minimizing_corner_batch,
 )
@@ -183,7 +183,8 @@ class TestBatchedConcretization:
         constants = rng.standard_normal((4, 3))
         box = InputBox(np.zeros(5), np.ones(5))
         x = rng.random(5)
-        lower = concretize_lower_batch(coefficients, constants, box)
+        lower = concretize_center_radius(coefficients, constants, box.center,
+                                         box.radius, -1.0)
         upper = concretize_upper_batch(coefficients, constants, box)
         rows = np.array([0, 2, 1, 0])
         corners = minimizing_corner_batch(coefficients[np.arange(4), rows], box)
@@ -201,7 +202,7 @@ class TestBatchedConcretization:
     def test_shape_validation(self):
         box = InputBox(np.zeros(3), np.ones(3))
         with pytest.raises(ValueError):
-            concretize_lower_batch(np.zeros((2, 3)), np.zeros((2, 3)), box)
+            concretize_upper_batch(np.zeros((2, 3)), np.zeros((2, 3)), box)
         with pytest.raises(ValueError):
             concretize_upper_batch(np.zeros((2, 3, 4)), np.zeros((2, 4)), box)
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.bounds.linear_form import (
     ScalarBounds,
     concretize_center_radius,
-    concretize_lower_batch,
     concretize_upper_batch,
     minimizing_corner_batch,
 )
@@ -24,8 +23,9 @@ BOX = InputBox([0.0, -1.0, 2.0], [1.0, 1.0, 3.0])
 
 def concretize_lower(coefficients, constants, box):
     """Per-row minimum of one ``(rows, dim)`` form: a batch of one."""
-    return concretize_lower_batch(np.asarray(coefficients)[None],
-                                  np.asarray(constants)[None], box)[0]
+    return concretize_center_radius(np.asarray(coefficients, dtype=float)[None],
+                                    np.asarray(constants, dtype=float)[None],
+                                    box.center, box.radius, -1.0)[0]
 
 
 def concretize_upper(coefficients, constants, box):
@@ -128,7 +128,7 @@ class TestLinearForm:
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            concretize_lower_batch(np.zeros((1, 2, 3)), np.zeros((1, 3)), BOX)
+            concretize_upper_batch(np.zeros((1, 2, 3)), np.zeros((1, 3)), BOX)
 
     def test_wrong_input_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -140,15 +140,6 @@ class TestScalarBounds:
         assert ScalarBounds([0.0, 1.0], [1.0, 2.0]).is_consistent()
         assert not ScalarBounds([2.0], [1.0]).is_consistent()
 
-    def test_width(self):
-        np.testing.assert_allclose(ScalarBounds([0.0, -1.0], [1.0, 1.0]).width, [1.0, 2.0])
-
-    def test_intersect(self):
-        merged = ScalarBounds([0.0, 0.0], [2.0, 2.0]).intersect(ScalarBounds([1.0, -1.0],
-                                                                             [3.0, 1.0]))
-        np.testing.assert_allclose(merged.lower, [1.0, 0.0])
-        np.testing.assert_allclose(merged.upper, [2.0, 1.0])
-
     def test_contains(self):
         bounds = ScalarBounds([0.0, 0.0], [1.0, 1.0])
         assert bounds.contains(np.array([0.5, 1.0]))
@@ -156,7 +147,7 @@ class TestScalarBounds:
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ScalarBounds([0.0], [1.0]).intersect(ScalarBounds([0.0, 0.0], [1.0, 1.0]))
+            ScalarBounds([0.0], [1.0, 1.0])
 
 
 @settings(max_examples=30, deadline=None)

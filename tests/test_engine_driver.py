@@ -119,7 +119,8 @@ class ScriptedSource(WorkSource):
 
 def drive(driver, source, budget):
     """Step a run to its terminal verdict (``finish`` passes it through)."""
-    return driver.start(source, budget, lambda verdict: verdict).run_to_completion()
+    return driver.start(source, budget,
+                        lambda verdict, timings: verdict).run_to_completion()
 
 
 class ScriptedBudget(Budget):
@@ -322,17 +323,21 @@ OWN_EXTRAS = {
             "nodes_split", "nodes_verified", "tree_size"},
     "alphabeta": {"alpha_iterations", "heuristic", "lp_leaves_resolved"},
 }
+#: ``(index, epsilon, branches)`` problems on the trained network.
+EXTRAS_CASES = [
+    (12, 0.2, True),     # every verifier enters BaB
+    (13, 0.12, False),   # the root bound verifies
+    (13, 0.3, False),    # falsified before any split (αβ: by the attack)
+]
+#: The stages of ``extras["timings"]`` (see ``FrontierDriver._round``).
+STAGES = {"setup", "select", "branch", "lp", "bound", "attach"}
 
 
 class TestResultExtrasSchema:
     """All three verifiers report the same ``extras`` blocks, BaB or not."""
 
     @pytest.mark.parametrize("name", sorted(VERIFIER_FACTORIES))
-    @pytest.mark.parametrize("index,epsilon,branches", [
-        (12, 0.2, True),     # every verifier enters BaB
-        (13, 0.12, False),   # the root bound verifies
-        (13, 0.3, False),    # falsified before any split (αβ: by the attack)
-    ])
+    @pytest.mark.parametrize("index,epsilon,branches", EXTRAS_CASES)
     def test_schema_exposed_by_all_verifiers(self, name, index, epsilon,
                                              branches, trained_network):
         network, dataset = trained_network
@@ -348,6 +353,35 @@ class TestResultExtrasSchema:
         assert set(extras["lp_cache"]) == LP_CACHE_KEYS
         if branches:
             assert extras["bound_cache"]["layer_misses"] > 0
+
+
+class TestStageTimings:
+    """``extras["timings"]`` is the driver's stage clock for every verifier."""
+
+    @pytest.mark.parametrize("name", sorted(VERIFIER_FACTORIES))
+    @pytest.mark.parametrize("index,epsilon,branches", EXTRAS_CASES)
+    def test_stages_partition_the_run(self, name, index, epsilon, branches,
+                                      trained_network):
+        network, dataset = trained_network
+        spec = problem(dataset, index, epsilon)
+        result = VERIFIER_FACTORIES[name]().verify(network, spec,
+                                                   Budget(max_nodes=300))
+        timings = result.extras["timings"]
+        assert set(timings) <= STAGES
+        assert all(stage["seconds"] >= 0.0 for stage in timings.values())
+        # The stages are disjoint spans of the run's wall clock.
+        assert sum(stage["seconds"] for stage in timings.values()) \
+            <= result.elapsed_seconds
+        if not branches:
+            # Settled before the driver: everything was set-up.
+            assert set(timings) == {"setup"}
+            assert timings["setup"]["seconds"] == result.elapsed_seconds
+        else:
+            assert {"setup", "select", "branch", "bound",
+                    "attach"} <= set(timings)
+            # The bound stage times exactly the driver's batched calls.
+            assert timings["bound"]["count"] == \
+                result.extras["bound_cache"]["batched_calls"]
 
 
 class TestFinishedRunContract:
