@@ -67,9 +67,9 @@ child's region empty (``infeasible``, with the usual ``1e-12`` slack).  A
 neuron counts as unstable in the parent when ``not (lower >= 0 or upper
 <= 0)``, so a NaN parent bound is re-bounded, never inherited, and the
 intersection (``fmax``/``fmin``) never lets a NaN win over a number.
-Siblings share a parent, so the re-bound rows are grouped by parent: each
-parent's unstable weight rows are gathered once per layer, padded to the
-call's largest group, and expanded to the children by one fancy index.
+Each parent's neurons are ordered once per call, unstable first, layer by
+layer, so a layer gathers every re-bound row's weight rows by its parent's
+order in one fancy index, padded to the largest parent's count.
 A sub-problem without a parent (the root, a direct :meth:`analyze` call)
 is bounded by plain DeepPoly.
 
@@ -101,7 +101,8 @@ splits has path ``("deeppoly-plain", phase row bytes)``, so it never shares
 an entry with a child bounded against the root along the same splits.
 A call stacks its sub-problems' phase rows once
 (:func:`~repro.bounds.splits.stack_rows`), and each layer clips and
-relaxes against its columns of the stack.
+relaxes against the ACTIVE and INACTIVE masks of its columns of the stack,
+computed once for both.
 """
 
 from __future__ import annotations
@@ -139,32 +140,34 @@ def default_lower_slope(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 
 def _relaxation_arrays(lower: np.ndarray, upper: np.ndarray,
-                       phases: Optional[np.ndarray],
+                       decided: Optional[Tuple[np.ndarray, np.ndarray]],
                        unstable_lower_slope: Optional[np.ndarray]) -> np.ndarray:
     """Vectorised triangle relaxation of ``(B, width)`` bounds.
 
     A neuron is exact-identity when split ACTIVE or provably non-negative,
     exact-zero when split INACTIVE or provably non-positive, and otherwise
     gets the triangle upper relaxation with the supplied (or default) lower
-    slope.  ``phases`` is ``None`` when no neuron of the layer is decided.
+    slope.  ``decided`` holds the layer's ``(split ACTIVE, split INACTIVE)``
+    masks, or is ``None`` when no neuron of the layer is decided.
     Returns the lower slopes, upper slopes and upper intercepts stacked
-    into one ``(3, B, width)`` array.
+    into one ``(3, B, width)`` array: zeros, with the identity and unstable
+    entries written through masks.
     """
     active = lower >= 0.0
-    inactive = upper <= 0.0
-    if phases is not None:
-        active |= phases == ACTIVE
-        inactive |= phases == INACTIVE
-    inactive &= ~active
-    unstable = ~(active | inactive)
+    stable = upper <= 0.0
+    if decided is not None:
+        active |= decided[0]
+        stable |= decided[1]
+    stable |= active
+    unstable = ~stable
+    relaxation = np.zeros((3,) + lower.shape)
+    lower_slopes, upper_slopes, upper_intercepts = relaxation
+    np.copyto(relaxation[:2], 1.0, where=active)
     if unstable_lower_slope is None:
         unstable_lower_slope = default_lower_slope(lower, upper)
-    denominator = np.where(unstable, upper - lower, 1.0)
-    slope = np.where(unstable, upper / denominator, 0.0)
-    relaxation = np.empty((3,) + lower.shape)
-    relaxation[0] = np.where(active, 1.0, np.where(unstable, unstable_lower_slope, 0.0))
-    relaxation[1] = np.where(active, 1.0, slope)
-    relaxation[2] = np.where(unstable, -slope * lower, 0.0)
+    np.copyto(lower_slopes, unstable_lower_slope, where=unstable)
+    np.divide(upper, upper - lower, out=upper_slopes, where=unstable)
+    np.multiply(-upper_slopes, lower, out=upper_intercepts, where=unstable)
     return relaxation
 
 
@@ -205,6 +208,10 @@ class DeepPolyAnalyzer:
         self.root_splits = SplitAssignment.empty(network.relu_layer_sizes())
         #: Layer offsets of a flat hidden row, shared by every report.
         self._offsets = list(self.root_splits.offsets)
+        #: Twice each flat column's layer index: sorting a parent's columns
+        #: by it plus their stability groups them by layer, unstable first.
+        self._layer_key = np.repeat(2 * np.arange(network.num_relu_layers),
+                                    np.diff(self._offsets))
 
     def _top_rows(self, spec: LinearOutputSpec) -> Tuple[np.ndarray, np.ndarray]:
         """Coefficients ``(1, rows, width)`` and constants ``(1, rows)`` of the
@@ -296,66 +303,42 @@ class DeepPolyAnalyzer:
     # -- reference bounds -------------------------------------------------------
     def _rebound_against_parents(self, layer: int, weight: np.ndarray,
                                  bias: np.ndarray, steps: Sequence[Step],
-                                 reference: "_Reference", center: np.ndarray,
-                                 radius: np.ndarray
-                                 ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """One layer's ``(count, width)`` bounds defined from the parents.
+                                 reference: "_Reference", lower: np.ndarray,
+                                 upper: np.ndarray, center: np.ndarray,
+                                 radius: np.ndarray) -> int:
+        """Define one layer's ``(count, width)`` bounds from the parents.
 
-        Every row starts from its parent's interval (NaN for a row without
-        a parent); the rows that must re-bound (see the module docstring)
-        substitute only their parent's unstable neurons, gathered once per
-        parent and padded to the largest group, and intersect the result
-        with the parent's interval.  Also returns how many parent rows
-        re-bounded the layer.
+        ``lower`` and ``upper`` hold every row's parent interval (NaN for a
+        row without a parent), one contiguous ``(count, width)`` array each.
+        The rows that must re-bound (see the module docstring) substitute
+        only their parent's unstable neurons, padded to the largest parent's
+        count, and intersect the result with the parent's interval in
+        place.  Returns how many parent rows re-bounded the layer.
         """
-        ref_lower, ref_upper = reference.layer(layer)
-        lower = ref_lower[reference.group]
-        upper = ref_upper[reference.group]
-        rows, rebound = reference.rows(layer)
+        start = self._offsets[layer]
+        rows, rebound = reference.rows[layer]
         if rows is None:
-            return lower, upper, 0
-        unstable = ~((ref_lower >= 0.0) | (ref_upper <= 0.0))
-        padding = None
-        if reference.single:
-            # Every row shares one parent (always so at K = 1): its
-            # unstable rows, unpadded, are broadcast to the children
-            # rather than copied per child as the padded gather does.
-            columns = np.flatnonzero(unstable[0])
-            size = columns.size
-            if size == len(bias):
-                columns = None
-            weight = weight[None] if columns is None else weight[columns][None]
-            bias = bias[None] if columns is None else bias[columns][None]
-        else:
-            sizes = unstable.sum(axis=1)
-            row_groups = reference.group[rows]
-            groups = np.flatnonzero(np.bincount(row_groups, minlength=len(sizes)))
-            size = int(sizes[groups].max())
-            order = np.argsort(~unstable[groups], axis=1, kind="stable")[:, :size]
-            inverse = np.searchsorted(groups, row_groups)
-            columns = order[inverse]
-            weight = weight[order][inverse]
-            bias = bias[order][inverse]
-            # Padding columns are parent-stable neurons: a NaN result
-            # leaves them the parent's interval.
-            padding = np.arange(size) >= sizes[row_groups][:, None]
+            return 0
+        row_groups = reference.group[rows]
+        sizes = reference.sizes[row_groups, layer]
+        size = int(sizes.max())
         if not size:
-            return lower, upper, 0
+            return 0
+        columns = reference.order[row_groups, start:start + size] - start
         below = steps if len(rows) == len(lower) else [
             (step[0][rows], step[1][rows], step[2][rows]) + step[3:] for step in steps]
         row_lower, row_upper, _ = self._bound_rows(
-            weight, bias, below, center, radius, len(rows))
-        if columns is None:
-            lower[rows] = np.fmax(lower[rows], row_lower)
-            upper[rows] = np.fmin(upper[rows], row_upper)
-        else:
-            if padding is not None and padding.any():
-                row_lower[padding] = np.nan
-                row_upper[padding] = np.nan
-            at = (rows[:, None], columns)
-            lower[at] = np.fmax(lower[at], row_lower)
-            upper[at] = np.fmin(upper[at], row_upper)
-        return lower, upper, rebound
+            weight[columns], bias[columns], below, center, radius, len(rows))
+        # Padding columns are parent-stable neurons: a NaN result leaves
+        # them the parent's interval.
+        padding = np.arange(size) >= sizes[:, None]
+        if padding.any():
+            row_lower[padding] = np.nan
+            row_upper[padding] = np.nan
+        at = (rows[:, None], columns)
+        lower[at] = np.fmax(lower[at], row_lower)
+        upper[at] = np.fmin(upper[at], row_upper)
+        return rebound
 
     @staticmethod
     def _path(parent: Optional[Parent], splits: SplitAssignment) -> Optional[Tuple]:
@@ -459,13 +442,16 @@ class DeepPolyAnalyzer:
         count = len(pending)
         phase_rows = stack_rows([splits_list[index] for index in pending], self.root_splits)
         offsets = self._offsets
-        reference = _Reference.build([parents[index] for index in pending],
-                                     offsets)
+        pending_parents = [parents[index] for index in pending]
+        reference = (None if all(parent is None for parent in pending_parents)
+                     else _Reference(pending_parents, offsets, self._layer_key))
 
         # The post-clip bounds of every pending sub-problem, one flat
         # (count, H) row each, and per layer its relaxation as a
         # substitution step in the batch's live columns (see
-        # :func:`_live_step`).
+        # :func:`_live_step`).  A layer's bounds are clipped and relaxed as
+        # one contiguous (count, width) array (elementwise kernels run
+        # slower on strided views) and then stored in the flat rows.
         steps: List[Step] = []
         flat_lower = np.empty((count, offsets[-1]))
         flat_upper = np.empty((count, offsets[-1]))
@@ -480,30 +466,34 @@ class DeepPolyAnalyzer:
             if live is not None:
                 weight = weight.take(live, axis=1)
             bias = network.biases[layer]
-            width = weight.shape[0]
+            start, stop = offsets[layer], offsets[layer + 1]
             if reference is None:
                 lower, upper, _ = self._bound_rows(
                     weight[None], bias[None], steps, center, radius, count)
                 layers_rebound += count
             else:
-                lower, upper, rebound = self._rebound_against_parents(
-                    layer, weight, bias, steps, reference, center, radius)
+                lower = reference.lower[reference.group, start:stop]
+                upper = reference.upper[reference.group, start:stop]
+                rebound = self._rebound_against_parents(
+                    layer, weight, bias, steps, reference, lower, upper,
+                    center, radius)
                 layers_taken += reference.children - rebound
                 layers_rebound += count - reference.children + rebound
             phases = layer_rows(phase_rows, offsets, layer)
-            lower, upper, layer_infeasible = clip_bounds_with_phases(lower, upper, phases)
+            decided = None if phases is None else (phases == ACTIVE, phases == INACTIVE)
+            _, _, layer_infeasible = clip_bounds_with_phases(lower, upper, decided)
+            infeasible |= layer_infeasible
             slopes = None
             if lower_slopes is not None:
                 slopes = np.clip(np.asarray(lower_slopes[layer], dtype=float), 0.0, 1.0)
-                require(slopes.shape == (batch_size, width),
+                require(slopes.shape == lower.shape,
                         f"lower_slopes for layer {layer} must have shape "
-                        f"{(batch_size, width)}")
-            relaxation = _relaxation_arrays(lower, upper, phases, slopes)
-            infeasible |= layer_infeasible
-            flat_lower[:, offsets[layer]:offsets[layer + 1]] = lower
-            flat_upper[:, offsets[layer]:offsets[layer + 1]] = upper
-            step, live = _live_step(relaxation, weight, bias)
+                        f"{lower.shape}")
+            step, live = _live_step(_relaxation_arrays(lower, upper, decided, slopes),
+                                    weight, bias)
             steps.append(step)
+            flat_lower[:, start:stop] = lower
+            flat_upper[:, start:stop] = upper
         if cache is not None:
             cache.record_reuse(0 if reference is None else reference.children,
                                layers_taken, layers_rebound)
@@ -515,27 +505,25 @@ class DeepPolyAnalyzer:
             top_coefficients, top_constants, steps, center, radius,
             count, two_sided=False)
         worst_rows = spec_lower.argmin(axis=1)
-        candidates = minimizing_corner_batch(
-            spec_lower_A[np.arange(count), worst_rows], box)
+        positions = np.arange(count)
+        candidates = minimizing_corner_batch(spec_lower_A[positions, worst_rows], box)
+        p_hats = np.where(infeasible, np.inf, spec_lower[positions, worst_rows])
 
-        for position, index in enumerate(pending):
-            spec_row_lower = spec_lower[position]
+        for index, lower_row, upper_row, spec_row_lower, candidate, p_hat, empty in zip(
+                pending, flat_lower, flat_upper, spec_lower, candidates,
+                p_hats.tolist(), infeasible.tolist()):
+            path = paths[index]
             report = BoundReport(
-                hidden_bounds=FlatBounds.wrap(flat_lower[position],
-                                              flat_upper[position], offsets),
-                spec_row_lower=spec_row_lower,
-                p_hat=(float("inf") if infeasible[position]
-                       else float(spec_row_lower[worst_rows[position]])),
-                candidate_input=candidates[position],
-                infeasible=bool(infeasible[position]),
-                method="deeppoly",
-                path=paths[index])
+                hidden_bounds=FlatBounds.wrap(lower_row, upper_row, offsets),
+                spec_row_lower=spec_row_lower, p_hat=p_hat,
+                candidate_input=candidate, infeasible=empty,
+                method="deeppoly", path=path)
             # Every bounded report is stored: an FSB probe's report serves
             # the real expansion of the same child, and a *shared* cache
             # outlives the run — the verification service replays identical
             # jobs against it.
-            if use_cache and paths[index] is not None:
-                cache.put_report(paths[index], report.shallow_copy())
+            if use_cache and path is not None:
+                cache.put_report(path, report.shallow_copy())
             reports[index] = report
         return reports
 
@@ -547,34 +535,22 @@ class _Reference:
     reports once per call, ``(groups, H)``; when some row has no parent, a
     NaN pseudo-parent follows them (a NaN bound is unstable, and
     ``fmax``/``fmin`` against NaN return the re-bound value, so such a row
-    is plain DeepPoly).  ``group[row]`` indexes a row's parent and
-    ``split_layer[row]`` is the layer of its new split (``-1`` without a
-    parent).
+    is plain DeepPoly).  ``group[row]`` indexes a row's parent.
+
+    What the layers read is derived once per call, not once per layer:
+
+    * ``order[g]`` lists each layer's columns of group ``g`` in place, the
+      neurons unstable in the parent first and then the stable ones, each
+      in index order: one stable sort by ``layer_key`` (twice each flat
+      column's layer index) plus stability;
+    * ``sizes[g, layer]`` counts the group's unstable neurons of a layer;
+    * ``rows[layer]`` is ``(rows, rebound)``: the rows that re-bound the
+      layer (``None`` when none does) and how many of them have a parent.
+      A row takes every layer up to its split layer from its parent.
     """
 
-    def __init__(self, parents: List[FlatBounds], group: List[int],
-                 split_layer: List[int], offsets: List[int]) -> None:
-        self.group = np.asarray(group, dtype=np.intp)
-        self.split_layer = split_layer
-        self.offsets = offsets
-        self.children = sum(index < len(parents) for index in group)
-        self.orphans = self.children < len(group)
-        #: One parent and no orphan: every row shares a single group.
-        self.single = len(parents) == 1 and not self.orphans
-        lower = [flat.lower for flat in parents]
-        upper = [flat.upper for flat in parents]
-        if self.orphans:
-            unknown = np.full(offsets[-1], np.nan)
-            lower.append(unknown)
-            upper.append(unknown)
-        self.lower, self.upper = np.stack(lower), np.stack(upper)
-
-    @classmethod
-    def build(cls, parents: Sequence[Optional[Parent]],
-              offsets: List[int]) -> Optional["_Reference"]:
-        """The call's reference, or ``None`` when no row has a parent."""
-        if all(parent is None for parent in parents):
-            return None
+    def __init__(self, parents: Sequence[Optional[Parent]], offsets: List[int],
+                 layer_key: np.ndarray) -> None:
         flats: List[FlatBounds] = []
         position = {}
         group: List[int] = []
@@ -593,24 +569,29 @@ class _Reference:
                 flats.append(report.hidden_bounds)
             group.append(index)
             split_layer.append(split.layer)
-        group = [len(flats) if index < 0 else index for index in group]
-        return cls(flats, group, split_layer, offsets)
-
-    def rows(self, layer: int) -> Tuple[Optional[np.ndarray], int]:
-        """The rows that re-bound ``layer`` (``None`` when none does) and how
-        many of them have a parent.
-
-        A row takes every layer up to its split layer from its parent.
-        """
-        rows = [row for row, split in enumerate(self.split_layer) if split < layer]
-        if not rows:
-            return None, 0
-        rebound = sum(self.split_layer[row] >= 0 for row in rows)
-        return np.asarray(rows, dtype=np.intp), rebound
-
-    def layer(self, layer: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(groups, width)`` lower and upper bounds of one layer: views
-        of the stacked rows."""
-        start, stop = self.offsets[layer], self.offsets[layer + 1]
-        return self.lower[:, start:stop], self.upper[:, start:stop]
-
+        self.group = np.asarray([len(flats) if index < 0 else index for index in group],
+                                dtype=np.intp)
+        orphans = split_layer.count(-1)
+        self.children = len(group) - orphans
+        self.orphans = orphans > 0
+        lower = [flat.lower for flat in flats]
+        upper = [flat.upper for flat in flats]
+        if self.orphans:
+            unknown = np.full(offsets[-1], np.nan)
+            lower.append(unknown)
+            upper.append(unknown)
+        self.lower = np.concatenate(lower).reshape(len(lower), offsets[-1])
+        self.upper = np.concatenate(upper).reshape(len(upper), offsets[-1])
+        stable = (self.lower >= 0.0) | (self.upper <= 0.0)
+        self.order = np.argsort(layer_key + stable, axis=1, kind="stable")
+        # Every layer is at least one neuron wide, so each start opens a
+        # non-empty segment.
+        self.sizes = np.add.reduceat(~stable, offsets[:-1], axis=1, dtype=np.intp)
+        # An orphan (split layer -1) re-bounds every layer without a parent.
+        members: List[List[int]] = [[] for _ in range(len(offsets) - 1)]
+        for row, split in enumerate(split_layer):
+            for layer in range(split + 1, len(members)):
+                members[layer].append(row)
+        self.rows: List[Tuple[Optional[np.ndarray], int]] = [
+            (np.asarray(rows, dtype=np.intp), len(rows) - orphans) if rows else (None, 0)
+            for rows in members]

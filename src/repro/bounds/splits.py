@@ -197,24 +197,26 @@ def layer_rows(rows: np.ndarray, offsets: Sequence[int],
 
 
 def clip_bounds_with_phases(lower: np.ndarray, upper: np.ndarray,
-                            phases: Optional[np.ndarray]
+                            decided: Optional[Tuple[np.ndarray, np.ndarray]]
                             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched split clipping plus per-row inconsistency handling.
+    """Batched split clipping plus per-row inconsistency handling, in place.
 
     Intersects ``(B, width)`` pre-activation bounds with the decided phases
-    (ACTIVE entries clip the lower bound to 0, INACTIVE entries the upper;
-    ``phases=None`` decides nothing), flags each batch row whose bounds are
-    empty (beyond the ``1e-12`` slack of
-    :meth:`~repro.bounds.linear_form.ScalarBounds.is_consistent`), and
-    re-sorts only those rows so downstream relaxations stay well formed.
-    The emptiness test runs whether or not anything was clipped, and a NaN
-    bound (an overflowed analysis) never reads as empty.  Returns
-    ``(lower, upper, inconsistent_rows)``; without phases the inputs
-    themselves are returned, re-sorted in place where inconsistent.
+    and flags each batch row whose bounds are empty (beyond the ``1e-12``
+    slack of :meth:`~repro.bounds.linear_form.ScalarBounds.is_consistent`),
+    re-sorting only those rows so downstream relaxations stay well formed.
+    ``decided`` holds the ``(B, width)`` masks ``(phases == ACTIVE, phases
+    == INACTIVE)``, computed once for the clip and the relaxation after it,
+    or is ``None`` when nothing is decided.  ACTIVE entries clip the lower
+    bound to 0 and INACTIVE entries the upper.  The emptiness test runs
+    whether or not anything was clipped, and a NaN bound (an overflowed
+    analysis) never reads as empty.  ``lower`` and ``upper`` are clipped
+    and re-sorted in place and returned as ``(lower, upper,
+    inconsistent_rows)``.
     """
-    if phases is not None:
-        lower = np.where(phases == ACTIVE, np.maximum(lower, 0.0), lower)
-        upper = np.where(phases == INACTIVE, np.minimum(upper, 0.0), upper)
+    if decided is not None:
+        np.maximum(lower, 0.0, out=lower, where=decided[0])
+        np.minimum(upper, 0.0, out=upper, where=decided[1])
     empty = lower > upper + 1e-12
     if not empty.any():
         return lower, upper, np.zeros(len(lower), dtype=bool)

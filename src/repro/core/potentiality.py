@@ -47,19 +47,9 @@ def counterexample_potentiality(p_hat: float, is_valid_counterexample: bool,
         Normalisation constant for ``p̂`` (the most negative bound observed);
         must be negative whenever ``p_hat`` is negative.
     """
-    require(0.0 <= lam <= 1.0, "lam must be in [0, 1]")
-    require(num_relu_neurons > 0, "the network must contain at least one ReLU neuron")
+    scorer = PotentialityScorer(num_relu_neurons, lam, p_hat_min)
     require(depth >= 0, "depth must be non-negative")
-    if p_hat > 0.0:
-        return float("-inf")
-    if p_hat < 0.0 and is_valid_counterexample:
-        return float("inf")
-    depth_term = min(depth / num_relu_neurons, 1.0)
-    if p_hat_min >= 0.0 or p_hat >= 0.0:
-        violation_term = 0.0
-    else:
-        violation_term = min(p_hat / p_hat_min, 1.0)
-    return lam * depth_term + (1.0 - lam) * violation_term
+    return scorer.score(p_hat, is_valid_counterexample, depth)
 
 
 @dataclass
@@ -68,12 +58,18 @@ class PotentialityScorer:
 
     The scorer observes every AppVer result produced during a search and
     keeps ``p̂_min`` as the most negative bound seen, so potentiality values
-    remain comparable across the whole tree.
+    remain comparable across the whole tree.  ``λ`` and ``K`` are checked
+    here, once, so :meth:`score` (once per bounded child) checks nothing.
     """
 
     num_relu_neurons: int
     lam: float
     p_hat_min: float = -1e-9
+
+    def __post_init__(self) -> None:
+        require(0.0 <= self.lam <= 1.0, "lam must be in [0, 1]")
+        require(self.num_relu_neurons > 0,
+                "the network must contain at least one ReLU neuron")
 
     def observe(self, p_hat: float) -> None:
         """Record a bound so the normalisation constant stays up to date."""
@@ -82,6 +78,13 @@ class PotentialityScorer:
 
     def score(self, p_hat: float, is_valid_counterexample: bool, depth: int) -> float:
         """Potentiality of a node with the current normalisation constant."""
-        return counterexample_potentiality(p_hat, is_valid_counterexample, depth,
-                                           self.num_relu_neurons, self.lam,
-                                           self.p_hat_min)
+        if p_hat > 0.0:
+            return float("-inf")
+        if p_hat < 0.0 and is_valid_counterexample:
+            return float("inf")
+        depth_term = min(depth / self.num_relu_neurons, 1.0)
+        if self.p_hat_min >= 0.0 or p_hat >= 0.0:
+            violation_term = 0.0
+        else:
+            violation_term = min(p_hat / self.p_hat_min, 1.0)
+        return self.lam * depth_term + (1.0 - self.lam) * violation_term

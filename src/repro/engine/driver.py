@@ -606,35 +606,23 @@ class FrontierDriver:
     def _attach(self, source: WorkSource, plan: List[Expansion],
                 outcomes: List[AppVerOutcome],
                 budget: Budget) -> Optional[DriverVerdict]:
-        """Hand outcomes back in selection order with sequential charges."""
-        position = 0
+        """Hand outcomes back in selection order with sequential charges.
+
+        Wall-clock exhaustion between two children ends the attachment: the
+        cut expansion is not handed to ``leaf_attached``, whose contract is
+        "all children attached", so it is never back-propagated as complete.
+        """
+        outcomes = iter(outcomes)
         first_child = True
         for expansion in plan:
-            added = 0
-            stop = False
-            for offset, (phase, splits) in enumerate(zip(expansion.phases,
-                                                         expansion.child_splits)):
+            for phase, splits in zip(expansion.phases, expansion.child_splits):
                 if not first_child and budget.exhausted():
-                    # The wall clock ran out between two children.
-                    verdict = source.attach_exhausted()
-                    if verdict is not None:
-                        return verdict
-                    stop = True
-                    break
-                outcome = outcomes[position + offset]
+                    return source.attach_exhausted()
                 budget.charge_node()
                 first_child = False
-                verdict = source.attach(expansion.item, phase, splits, outcome)
-                added += 1
+                verdict = source.attach(expansion.item, phase, splits, next(outcomes))
                 if verdict is not None:
                     return verdict
-            position += len(expansion.phases)
-            if stop:
-                # Wall-clock exhaustion cut the expansion short, so the
-                # ``leaf_attached`` contract ("all children attached") does
-                # not hold — the partial expansion must not be
-                # back-propagated as complete.
-                break
-            if added and source.leaf_attached(expansion.item, added):
+            if source.leaf_attached(expansion.item, len(expansion.phases)):
                 break  # a real counterexample surfaced; stop attaching more
         return None

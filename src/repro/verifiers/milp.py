@@ -444,7 +444,9 @@ def _prove_empty(matrix: np.ndarray, offset: np.ndarray, present: np.ndarray,
     ``lambda``, mapped back to the *original* rows and normalised to sum 1,
     gives ``U < -_CERTIFICATE_TOLERANCE``: every box point then violates
     some split row by more than that.  Returns one bool per leaf; ``False``
-    proves nothing.
+    proves nothing.  The search stops once every leaf is certified or has
+    a best-response corner satisfying all its split rows: such a witness
+    shows the region non-empty, so no ``lambda`` can certify it.
     """
     count = len(matrix)
     span = np.abs(matrix) @ (box.upper - box.lower)
@@ -455,6 +457,7 @@ def _prove_empty(matrix: np.ndarray, offset: np.ndarray, present: np.ndarray,
     logits = np.where(present, 0.0, -np.inf)
     best = present / present.sum(axis=1, keepdims=True)
     best_upper = np.full(count, np.inf)
+    witnessed = np.zeros(count, dtype=bool)
     for _ in range(_CERTIFICATE_ITERATIONS):
         weights = np.exp(logits - logits.max(axis=1, keepdims=True))
         weights /= weights.sum(axis=1, keepdims=True)
@@ -467,7 +470,8 @@ def _prove_empty(matrix: np.ndarray, offset: np.ndarray, present: np.ndarray,
         improved = upper < best_upper
         best[improved] = weights[improved]
         best_upper[improved] = upper[improved]
-        if np.all(best_upper < -_CERTIFICATE_TOLERANCE):
+        witnessed |= ((values >= 0.0) | ~present).all(axis=1)
+        if np.all((best_upper < -_CERTIFICATE_TOLERANCE) | witnessed):
             break
         # Descend on the subgradient g~(x*): violated rows gain weight.
         logits -= _CERTIFICATE_STEP * values

@@ -93,6 +93,24 @@ class TestScorer:
         scorer.observe(-2.0)
         assert scorer.score(-1.0, False, 0) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("lam", [-0.1, 1.5, float("nan")])
+    def test_invalid_lambda_rejected_at_construction(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            PotentialityScorer(num_relu_neurons=10, lam=lam)
+
+    @pytest.mark.parametrize("neurons", [0, -3])
+    def test_invalid_neuron_count_rejected_at_construction(self, neurons):
+        with pytest.raises(ValueError, match="ReLU"):
+            PotentialityScorer(num_relu_neurons=neurons, lam=0.5)
+
+    def test_score_matches_the_checked_definition(self):
+        scorer = PotentialityScorer(num_relu_neurons=12, lam=0.3)
+        scorer.observe(-1.7)
+        for p_hat, valid, depth in ((-0.4, False, 5), (0.2, False, 1),
+                                    (-0.4, True, 2), (0.0, False, 30)):
+            assert scorer.score(p_hat, valid, depth) == counterexample_potentiality(
+                p_hat, valid, depth, 12, 0.3, scorer.p_hat_min)
+
     def test_score_special_cases(self):
         scorer = PotentialityScorer(num_relu_neurons=10, lam=0.5)
         assert scorer.score(0.3, False, 2) == float("-inf")

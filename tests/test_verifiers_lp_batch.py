@@ -297,6 +297,47 @@ class TestEmptinessCertificate:
                                             splits, report)
         assert not reference_prove_empty([rows], spec.input_box)[0]
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), depth=st.integers(1, 3),
+           width=st.integers(2, 5), epsilon=st.floats(0.05, 0.5),
+           at_points=st.lists(st.booleans(), min_size=1, max_size=5))
+    def test_screen_flags_match_the_full_search(self, seed, depth, width,
+                                                epsilon, at_points):
+        """The screen stops once every leaf is certified or has a corner
+        that satisfies all its split rows; its flags are the reference's,
+        whose search runs on until every leaf is certified.  Leaves split
+        at a box point are non-empty, random full assignments mostly
+        empty."""
+        rng, network = _random_network(seed, depth, width)
+        spec = _problem(network, rng.uniform(0.2, 0.8, network.input_dim),
+                        epsilon)
+        appver = ApproximateVerifier(network, spec, use_cache=False)
+        sizes = appver.lowered.relu_layer_sizes()
+        leaf_rows = []
+        for at_point in at_points:
+            if at_point:
+                point = spec.input_box.sample(rng)[0]
+                splits = SplitAssignment.from_splits(sizes, [
+                    ReluSplit(layer, unit, ACTIVE if value >= 0.0 else INACTIVE)
+                    for layer, values in enumerate(appver.lowered.pre_activations(point))
+                    for unit, value in enumerate(values)])
+            else:
+                splits = _random_full_assignment(appver, rng)
+            report = appver.evaluate(splits).report
+            leaf_rows.append(reference_leaf_program(appver.lowered, spec.output_spec,
+                                                    splits, report)[2])
+        rows = max(len(leaf.offset) for leaf in leaf_rows)
+        matrix = np.zeros((len(leaf_rows), rows, network.input_dim))
+        offset = np.zeros((len(leaf_rows), rows))
+        present = np.zeros((len(leaf_rows), rows), dtype=bool)
+        for index, leaf in enumerate(leaf_rows):
+            matrix[index, :len(leaf.offset)] = leaf.matrix
+            offset[index, :len(leaf.offset)] = leaf.offset
+            present[index, :len(leaf.offset)] = True
+        np.testing.assert_array_equal(
+            _prove_empty(matrix, offset, present, spec.input_box),
+            reference_prove_empty(leaf_rows, spec.input_box))
+
     def test_leaf_without_split_rows_is_never_screened(self, monkeypatch):
         network = dense_network([3, 6, 5, 3], seed=4)
         spec = _problem(network, [0.5, 0.4, 0.6], 1e-4)
