@@ -12,27 +12,24 @@ calls) — and compares:
   LP/bound cache bundle and the pool-wide warm-model digest;
 * ``transports`` — a *multi-fingerprint* workload (distinct wide problems,
   so jobs shard across all workers) run on each execution transport:
-  ``cooperative``, ``threaded`` (real worker threads; numpy's BLAS kernels
-  release the GIL, so distinct shards overlap on multi-core hosts),
-  ``process`` (one supervised worker process per shard — parallelism plus
-  crash isolation, paying a pipe round-trip per slice) and ``async`` (the
-  asyncio front-end over the threaded pool).  The process rows also report
-  the robustness counters (job retries, worker crashes/restarts) so the
-  regression gate notices a bench run that only passed by retrying.
+  ``cooperative`` and ``process`` (one supervised worker process per shard
+  — crash isolation, paying a pipe round-trip per slice).  The process row
+  also reports the robustness counters (job retries, worker
+  crashes/restarts) so the regression gate notices a bench run that only
+  passed by retrying.
 
 The cooperative service's speedup is *reuse*, not parallelism: repeat jobs
 serve their bound passes and leaf LPs from the warm fingerprint bundle.
-The threaded transport adds parallelism on top — its speedup over
-cooperative is reported per run together with ``cpu_count``, since it
-cannot exceed 1.0x on a single-core host.  Every job's verdict, node
-charges and counterexample are gated for equality with its sequential-cold
-run on *every* transport, and the report includes throughput (jobs/s and
+The process transport's speedup over cooperative is reported per run
+together with ``cpu_count``.  Every job's verdict, node charges and
+counterexample are gated for equality with its sequential-cold run on
+*every* transport, and the report includes throughput (jobs/s and
 speedup over sequential), latency percentiles (p50/p95/p99 of per-job
 submit-to-finish wall time) and cache reuse rates (per-job LP/bound hit
 deltas).
 
 Job priorities are drawn from a per-job RNG seeded by the job *index*
-(:func:`_job_rng`), never from numpy's global state, so a threaded run is
+(:func:`_job_rng`), never from numpy's global state, so a run is
 replayable bit-for-bit no matter what other code touched ``np.random``.
 
 Results are printed as JSON and written to
@@ -45,7 +42,6 @@ workload for CI.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import os
 import sys
@@ -58,12 +54,7 @@ import numpy as np
 from repro.core.abonn import AbonnVerifier
 from repro.nn import dense_network
 from repro.nn.zoo import MODEL_FAMILIES
-from repro.service import (
-    AsyncVerificationService,
-    JobRequest,
-    ServiceConfig,
-    VerificationService,
-)
+from repro.service import JobRequest, ServiceConfig, VerificationService
 from repro.specs.robustness import local_robustness_spec
 from repro.utils.timing import Budget
 from repro.verifiers.appver import ApproximateVerifier
@@ -75,7 +66,7 @@ SMOKE_FAMILIES = ("MNIST_L2",)
 POOL_SIZES = (1, 2, 4)
 
 #: Execution transports compared on the multi-fingerprint workload.
-TRANSPORTS = ("cooperative", "threaded", "process", "async")
+TRANSPORTS = ("cooperative", "process")
 #: Workers for the transport comparison (jobs shard across all of them).
 TRANSPORT_POOL_SIZE = 4
 
@@ -89,7 +80,7 @@ def _job_rng(job_index: int) -> np.random.Generator:
     Seeded from ``(BENCH_SEED, job_index)`` and *never* from numpy's global
     state: two bench runs draw identical per-job values (priorities,
     references) regardless of what other code did to ``np.random`` in
-    between, which is what makes threaded runs replayable.
+    between, which is what makes runs replayable.
     """
     return np.random.default_rng((BENCH_SEED, int(job_index)))
 
@@ -235,10 +226,9 @@ def bench_service(jobs, max_nodes: int, pool_size: int,
 def _wide_problem(index: int, smoke: bool):
     """One distinct wide dense problem (its own fingerprint and shard).
 
-    Wide layers keep each driver round inside numpy's BLAS kernels — which
-    release the GIL — so distinct fingerprints genuinely overlap on the
-    threaded transport.  The reference comes from the problem's own
-    :func:`_job_rng` stream, not global numpy state.
+    Distinct fingerprints spread the jobs across every shard.  The
+    reference comes from the problem's own :func:`_job_rng` stream, not
+    global numpy state.
     """
     shape = [48, 96, 96, 6] if smoke else [96, 192, 192, 8]
     network = dense_network(shape, seed=100 + index)
@@ -272,28 +262,17 @@ def _transport_requests(jobs, max_nodes: int) -> List[JobRequest]:
             for job in jobs]
 
 
-async def _run_async(requests) -> List:
-    service = AsyncVerificationService(
-        ServiceConfig(pool_size=TRANSPORT_POOL_SIZE, rounds_per_slice=4),
-        max_pending=64)
-    async with service:
-        return await service.run(requests)
-
-
 def bench_transport(jobs, max_nodes: int, transport: str,
                     sequential: Dict) -> Dict:
     """The multi-fingerprint workload on one transport, equality-gated."""
     requests = _transport_requests(jobs, max_nodes)
     start = time.perf_counter()
-    if transport == "async":
-        results = asyncio.run(_run_async(requests))
-    else:
-        service = VerificationService(
-            ServiceConfig(pool_size=TRANSPORT_POOL_SIZE, rounds_per_slice=4,
-                          transport=transport))
-        with service:
-            service.submit_many(requests)
-            results = service.run_until_complete()
+    service = VerificationService(
+        ServiceConfig(pool_size=TRANSPORT_POOL_SIZE, rounds_per_slice=4,
+                      transport=transport))
+    with service:
+        service.submit_many(requests)
+        results = service.run_until_complete()
     total = time.perf_counter() - start
 
     verdicts_identical = True
@@ -371,19 +350,13 @@ def main(argv=None) -> int:
                                         for row in service_rows),
         "service_max_p95_latency_ratio": max(row["p95_latency_ratio"]
                                              for row in service_rows),
-        # Transport acceptance: identical verdicts on every backend; the
-        # threaded speedup over cooperative is parallelism and therefore
-        # machine-dependent — gate it only where cpu_count allows it.
+        # Transport acceptance: identical verdicts on both backends; the
+        # process speedup over cooperative depends on the host's cores and
+        # pays a pipe round-trip per slice.
         "transport_verdicts_identical": all(row["verdicts_identical"]
                                             for row in transport_rows),
-        "threaded_speedup_over_cooperative": (
-            by_transport["threaded"]["throughput_jobs_per_sec"]
-            / cooperative_tput if cooperative_tput else 0.0),
         "process_speedup_over_cooperative": (
             by_transport["process"]["throughput_jobs_per_sec"]
-            / cooperative_tput if cooperative_tput else 0.0),
-        "async_speedup_over_cooperative": (
-            by_transport["async"]["throughput_jobs_per_sec"]
             / cooperative_tput if cooperative_tput else 0.0),
         # Robustness: a healthy bench run needs no retries and loses no
         # workers — nonzero values mean the run only passed by retrying.

@@ -2,7 +2,7 @@
 
 Run with::
 
-    python examples/serve_robustness.py [--transport cooperative|threaded|process]
+    python examples/serve_robustness.py [--transport cooperative|process]
 
 The script plays a small verification "server": a mixed batch of local
 robustness queries on one trained model — several references, several radii,
@@ -11,8 +11,8 @@ submitted to one :class:`repro.service.VerificationService` and the results
 stream back in completion order.  Along the way it demonstrates
 
 * **transport selection** — the same batch runs unchanged on the
-  caller-driven cooperative loop, worker threads, or supervised worker
-  *processes* (``--transport``), with byte-identical verdicts;
+  caller-driven cooperative loop or on supervised worker *processes*
+  (``--transport``), with byte-identical verdicts;
 * **priorities** — the urgent query (highest radius) is submitted last with
   high priority and still finishes among the first;
 * **deadlines** — one query carries a tight wall-clock deadline and comes
@@ -116,7 +116,7 @@ def demo_crash_resilience() -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--transport", default="cooperative",
-                        choices=("cooperative", "threaded", "process"),
+                        choices=("cooperative", "process"),
                         help="execution transport for the query batch "
                              "(default: cooperative)")
     args = parser.parse_args()

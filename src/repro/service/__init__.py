@@ -1,15 +1,13 @@
 """Verification-as-a-service: a job scheduler over the frontier engine.
 
 See :mod:`repro.service.scheduler` for the scheduling policy and execution
-transports (cooperative / threaded / process),
-:mod:`repro.service.supervisor` and :mod:`repro.service.process_transport`
-for worker-process supervision and crash isolation,
-:mod:`repro.service.async_service` for the asyncio front-end, and
-:mod:`repro.service.pool` for the fingerprint-scoped cache sharing and
-persistence model; ``docs/SERVICE.md`` documents the subsystem end to end.
+transports (cooperative / process), :mod:`repro.service.supervisor` and
+:mod:`repro.service.process_transport` for worker-process supervision and
+crash isolation, and :mod:`repro.service.pool` for the fingerprint-scoped
+cache sharing and persistence model; ``docs/SERVICE.md`` documents the
+subsystem end to end.
 """
 
-from repro.service.async_service import AsyncVerificationService
 from repro.service.jobs import JobError, JobRequest, JobResult, RetryPolicy
 from repro.service.pool import CacheBundle, FingerprintCachePool
 from repro.service.scheduler import (
@@ -24,7 +22,6 @@ from repro.service.supervisor import (
 )
 
 __all__ = [
-    "AsyncVerificationService",
     "CacheBundle",
     "FingerprintCachePool",
     "JobError",

@@ -22,10 +22,11 @@ many-property workload — a robustness sweep, a batch of labels on one model
 
 Thread safety
 -------------
-The threaded service transport calls into the pool from every worker thread
-(bundle lookup per slice, quarantine on failure) and from submitting threads
-(fingerprinting), so all pool state — the bundle table, the digest memo and
-the hit/miss counters — is guarded by one re-entrant lock.  The bundles'
+The process transport's shard threads call into the pool (bundle lookup
+per slice, quarantine on failure, adopting worker bundles at shutdown)
+while submitting threads fingerprint, so all pool state — the bundle
+table, the digest memo and the hit/miss counters — is guarded by one
+re-entrant lock.  The bundles'
 own caches carry their own locks (see ``bounds/cache.py``); the pool lock
 only protects the *pool's* bookkeeping.
 
@@ -100,7 +101,7 @@ class CacheBundle:
         """
         snapshot: Dict[str, int] = {}
         # stats_snapshot() reads under each cache's lock, so the per-cache
-        # counters cannot tear while a worker thread is mid-update.
+        # counters cannot tear while a shard thread is mid-update.
         for prefix, stats in (("lp", self.lp_cache.stats_snapshot()),
                               ("bound", self.bound_cache.stats_snapshot())):
             for key, value in stats.items():
@@ -215,7 +216,7 @@ class CacheBundle:
 class FingerprintCachePool:
     """Bundles per problem fingerprint, plus the warm-model digest memo.
 
-    All bookkeeping is serialised behind one re-entrant lock, so worker
+    All bookkeeping is serialised behind one re-entrant lock, so shard
     threads may fingerprint, fetch and quarantine bundles concurrently
     without losing counter increments or racing bundle creation (concurrent
     :meth:`bundle` calls on one fingerprint observe the same instance).

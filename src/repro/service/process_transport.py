@@ -7,7 +7,7 @@ here run the same two functions: :func:`start_run` (the service's only
 ``interrupt()`` calls, with the deadline checked before every round).
 
 * :class:`InlineExecutor` calls them directly on the parent pool's
-  bundles, in the calling thread: the cooperative and threaded transports,
+  bundles, in the calling thread: the cooperative transport,
   process-transport jobs whose payload does not pickle, and degraded
   shards.
 * :class:`ShardExecutor` calls them in one supervised worker *process* per
@@ -244,8 +244,8 @@ class InlineExecutor:
     Calls :func:`start_run` and :func:`advance_run` directly on the parent
     pool's bundles, with the same methods and reply dicts as
     :class:`ShardExecutor`, so the scheduler drives every slice through one
-    path.  It serves the cooperative and threaded transports, process-shard
-    jobs whose payload cannot cross the pipe, and shards that degraded.  It
+    path.  It serves the cooperative transport, process-shard jobs whose
+    payload cannot cross the pipe, and shards that degraded.  It
     never raises :class:`~repro.service.supervisor.WorkerCrashed`.
     """
 

@@ -4,7 +4,7 @@ The service turns the library's verifiers into a batch/streaming facility:
 many ``(network, property, budget)`` jobs run interleaved, preempted only at
 :class:`~repro.engine.driver.FrontierDriver` round boundaries (where the
 verifiers' ``affordable_phases`` budget accounting already makes stopping
-sound).  Three execution transports share one API, one scheduling policy
+sound).  Two execution transports share one API, one scheduling policy
 and one slice path (see ``docs/SERVICE.md#transports``): every slice goes
 through the shard's *executor* (``repro.service.process_transport``), whose
 ``start_job``/``run_slice`` open and advance the job's run in one shared
@@ -15,17 +15,14 @@ implementation.
   caller iterating :meth:`VerificationService.step` /
   :meth:`VerificationService.as_completed`, so the same submissions always
   produce the same interleaving.
-* ``"threaded"`` — one real worker thread per shard, driving the shard's
-  in-process executor: each worker drains its own queue under the
-  identical per-worker policy, so jobs on *different* workers execute in
-  parallel while jobs on one worker keep the cooperative ordering
-  guarantees.  Results stream in completion order (nondeterministic
-  across workers); :meth:`VerificationService.run_until_complete` restores
-  deterministic submission order at the collection point.
-* ``"process"`` — one supervised worker *process* per shard: the shard
-  thread keeps running the per-worker policy in the parent, but its
-  executor is a :class:`~repro.service.process_transport.ShardExecutor`,
-  so each slice executes in the shard's process via a pipe round-trip.
+* ``"process"`` — one supervised worker *process* per shard, driven by
+  one shard thread in the parent: each shard thread drains its own queue
+  under the identical per-worker policy, but its executor is a
+  :class:`~repro.service.process_transport.ShardExecutor`, so each slice
+  executes in the shard's process via a pipe round-trip.  Results stream
+  in completion order (nondeterministic across shards);
+  :meth:`VerificationService.run_until_complete` restores deterministic
+  submission order at the collection point.
   Jobs whose payload does not pickle run on the shard's in-process
   executor instead.  The shard's cache bundle is handed over in the
   ``CacheBundle.save()`` payload format and shipped back at shutdown, so
@@ -37,7 +34,7 @@ implementation.
 Either way a job's verdict, budget charges and counterexample are
 byte-identical to an uninterrupted solo run — the caches shared between
 jobs return exactly what recomputation would, so multiplexing buys *reuse*
-(and, threaded/process, parallelism), never races.
+(and, under the process transport, crash isolation), never races.
 
 Scheduling policy
 -----------------
@@ -61,8 +58,8 @@ Scheduling policy
   captured as a structured :class:`~repro.service.jobs.JobError` on *that
   job's* result; the fingerprint's cache bundle is quarantined (discarded)
   in case a poisoned entry caused the failure, and every other job — on the
-  same worker or not — continues untouched.  Under the threaded transport a
-  failing job never takes its worker thread down.
+  same worker or not — continues untouched.  A failing job never takes its
+  shard thread down.
 * **Retry & supervision** (``docs/SERVICE.md#fault-model--supervision``):
   failures whose ``JobError.kind`` is in ``RetryPolicy.retryable_kinds``
   re-enqueue the job with deterministic exponential backoff instead of
@@ -101,10 +98,8 @@ from repro.utils.timing import Budget
 from repro.utils.validation import require
 from repro.verifiers.result import VerificationResult
 
-#: Execution transports accepted by :attr:`ServiceConfig.transport`.  The
-#: asyncio front-end (:class:`~repro.service.async_service.AsyncVerificationService`)
-#: is a wrapper over the self-driving transports, not a fourth scheduler.
-TRANSPORTS = ("cooperative", "threaded", "process")
+#: Execution transports accepted by :attr:`ServiceConfig.transport`.
+TRANSPORTS = ("cooperative", "process")
 
 #: Seconds a worker sleeps between queue probes while every pending job on
 #: it is inside a retry-backoff window.
@@ -128,23 +123,20 @@ def _default_verifier_factory(bundle: CacheBundle):
 class ServiceConfig:
     """Knobs of the verification service (see the module docstring)."""
 
-    #: Number of workers jobs are sharded across (threads when
-    #: ``transport="threaded"``, supervised processes when ``"process"``,
-    #: cooperative queues otherwise).
+    #: Number of workers jobs are sharded across (supervised processes when
+    #: ``transport="process"``, cooperative queues otherwise).
     pool_size: int = 2
     #: Driver rounds one job advances per scheduling slice.
     rounds_per_slice: int = 4
     #: Slices a pending job may wait before it pre-empts higher priorities.
     max_wait_slices: int = 8
-    #: Discard a fingerprint's cache bundle when a job on it fails.
-    quarantine_on_error: bool = True
     #: Capacity of each fingerprint bundle's leaf-LP cache.
     lp_cache_size: int = DEFAULT_LP_CACHE_SIZE
     #: Capacity of each fingerprint bundle's bound cache.
     bound_cache_size: int = DEFAULT_CACHE_SIZE
     #: Execution transport: ``"cooperative"`` (caller-driven, deterministic
-    #: interleaving), ``"threaded"`` (one worker thread per shard) or
-    #: ``"process"`` (one supervised worker process per shard).
+    #: interleaving) or ``"process"`` (one supervised worker process per
+    #: shard).
     transport: str = "cooperative"
     #: When and how failed jobs are re-run (worker crashes by default).
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -201,9 +193,10 @@ class _Worker:
     """One worker shard: a queue of jobs plus its synchronisation state.
 
     ``lock`` guards the job list; ``wake`` (a condition on the same lock)
-    lets a threaded worker sleep while its queue is empty and be woken by
-    submissions or shutdown.  The cooperative transport takes the same lock
-    — uncontended, so effectively free — which keeps one code path.
+    lets a process shard's thread sleep while its queue is empty and be
+    woken by submissions or shutdown.  The cooperative transport takes the
+    same lock — uncontended, so effectively free — which keeps one code
+    path.
 
     ``executor`` runs the shard's jobs: its ``inline`` executor, or under
     the process transport a :class:`ShardExecutor` (``None`` until first
@@ -238,8 +231,8 @@ class VerificationService:
     submit-and-stream convenience.  Under the default cooperative transport
     the caller drives the service by iterating :meth:`as_completed` (or
     calling :meth:`step` directly) and determinism follows; under
-    ``transport="threaded"`` / ``"process"`` workers drive themselves,
-    results stream in completion order, and the service should be
+    ``transport="process"`` workers drive themselves, results stream in
+    completion order, and the service should be
     :meth:`shutdown` (or used as a context manager) when done.
     :meth:`as_completed` supports one consumer at a time.
     """
@@ -272,14 +265,9 @@ class VerificationService:
         self._threads_started = False
 
     @property
-    def threaded(self) -> bool:
-        """Whether this service runs the threaded transport."""
-        return self.config.transport == "threaded"
-
-    @property
     def self_driving(self) -> bool:
-        """Whether workers drive themselves (any non-cooperative transport)."""
-        return self.config.transport != "cooperative"
+        """Whether workers drive themselves (the process transport)."""
+        return self.config.transport == "process"
 
     # -- submission ------------------------------------------------------------
     def submit(self, network: Network, spec: Specification,
@@ -364,12 +352,12 @@ class VerificationService:
         Returns ``None`` while the job needs more slices (or no work is
         pending, or every pending job sits in a retry-backoff window).
         Only the cooperative transport is caller-stepped; under
-        ``transport="threaded"`` / ``"process"`` the workers drive
-        themselves and this method raises.
+        ``transport="process"`` the workers drive themselves and this
+        method raises.
         """
         require(not self.self_driving,
-                "step() drives the cooperative transport; threaded/process "
-                "workers run autonomously — iterate as_completed() instead")
+                "step() drives the cooperative transport; process workers "
+                "run autonomously — iterate as_completed() instead")
         worker = self._pick_worker()
         if worker is None:
             if self.has_pending():
@@ -386,13 +374,13 @@ class VerificationService:
     def as_completed(self) -> Iterator[JobResult]:
         """Drive/drain the service, yielding each result as it finishes.
 
-        Cooperative: runs slices inline, deterministically.  Threaded /
-        process: blocks on the workers' completion stream; the yield order
-        is completion order, which is *not* deterministic across workers
-        (use :meth:`run_until_complete` for submission-ordered collection).
+        Cooperative: runs slices inline, deterministically.  Process:
+        blocks on the workers' completion stream; the yield order is
+        completion order, which is *not* deterministic across workers (use
+        :meth:`run_until_complete` for submission-ordered collection).
         """
         if self.self_driving:
-            return self._as_completed_threaded()
+            return self._as_completed_process()
         return self._as_completed_cooperative()
 
     def run_until_complete(self) -> List[JobResult]:
@@ -425,10 +413,8 @@ class VerificationService:
                                 listener: Callable[[JobResult], None]) -> None:
         """Register ``listener`` to be called once per finished job.
 
-        Under the self-driving transports listeners run on the worker
-        thread that finished the job (the asyncio front-end bridges back to
-        its event loop with ``call_soon_threadsafe``); they must be quick
-        and must not raise.
+        Under the process transport listeners run on the shard thread that
+        finished the job; they must be quick and must not raise.
         """
         self._listeners.append(listener)
 
@@ -563,7 +549,7 @@ class VerificationService:
                     return worker
         return None
 
-    # -- threaded drive --------------------------------------------------------
+    # -- process drive ---------------------------------------------------------
     def _ensure_threads(self) -> None:
         if self._threads_started:
             return
@@ -579,7 +565,7 @@ class VerificationService:
             self._threads_started = True
 
     def _worker_loop(self, worker: _Worker) -> None:
-        """Drain ``worker``'s queue: the per-worker policy, on a real thread."""
+        """Drain ``worker``'s queue under the per-worker policy."""
         try:
             while True:
                 with worker.wake:
@@ -603,7 +589,7 @@ class VerificationService:
         finally:
             self._release_executor(worker)
 
-    def _as_completed_threaded(self) -> Iterator[JobResult]:
+    def _as_completed_process(self) -> Iterator[JobResult]:
         self._ensure_threads()
         while True:
             try:
@@ -821,7 +807,7 @@ class VerificationService:
                     done: JobResult) -> JobResult:
         # Removal and publication form one critical section: once a worker
         # queue is observed empty, every finished result is already in the
-        # completion stream (the threaded as_completed termination test).
+        # completion stream (the process as_completed termination test).
         with worker.lock:
             worker.jobs.remove(job)
             job.done = done
@@ -856,10 +842,9 @@ class VerificationService:
     def _fail(self, worker: _Worker, job: _Job, error: JobError,
               allow_retry: bool = True) -> Optional[JobResult]:
         retry = self.config.retry
-        if self.config.quarantine_on_error:
-            self.pool.discard(job.fingerprint)
-            if worker.executor is not None:
-                worker.executor.discard(job.fingerprint)
+        self.pool.discard(job.fingerprint)
+        if worker.executor is not None:
+            worker.executor.discard(job.fingerprint)
         if (allow_retry and retry.retryable(error.kind)
                 and job.attempts < retry.max_attempts):
             # Re-enqueue instead of finalising: the job stays in the

@@ -15,7 +15,7 @@ Start-method resolution prefers ``fork`` (cheap on Linux — the parent's
 loaded numpy/model state is shared copy-on-write) and falls back to
 ``spawn``; hosts where neither is available raise
 :class:`ProcessTransportUnavailable`, which the scheduler catches to
-degrade gracefully onto the threaded transport.
+degrade the shard gracefully onto its in-process ``InlineExecutor``.
 """
 
 from __future__ import annotations

@@ -122,8 +122,7 @@ def robustness_radius_sweep_service(network, reference: np.ndarray,
                                     deadline_seconds: Optional[float] = None,
                                     target: Optional[int] = None,
                                     domain_lower: float = 0.0,
-                                    domain_upper: float = 1.0,
-                                    transport: str = "cooperative"):
+                                    domain_upper: float = 1.0):
     """Run a radius sweep through the verification service.
 
     The service generalises :func:`robustness_radius_sweep`: each epsilon
@@ -132,21 +131,20 @@ def robustness_radius_sweep_service(network, reference: np.ndarray,
     each other's leaf-LP and bound work and the whole sweep shares one
     warm-model digest.  ``service`` accepts an existing
     :class:`~repro.service.scheduler.VerificationService` (jobs join its
-    pool and caches); by default a fresh one is built on ``transport``
-    (``"cooperative"`` or ``"threaded"`` — a threaded sweep runs the radii
-    in parallel across fingerprint shards; the caller owns the returned
-    service's ``shutdown()``).  Failed jobs raise — a sweep has no
-    meaningful partial answer.  Returns the per-epsilon
+    pool and caches, on whatever transport it runs; the caller owns its
+    ``shutdown()``); by default a fresh cooperative one is built.  Failed
+    jobs raise :class:`RuntimeError` — a sweep has no meaningful partial
+    answer.  Returns the per-epsilon
     ``(epsilon, VerificationResult)`` pairs in input order plus the
     service, whose ``stats()`` expose the cross-request reuse.
     """
     require(len(epsilons) > 0, "epsilons must be non-empty")
     # Imported lazily: ``repro.service`` sits above the verifiers, which
     # import this module — a top-level import would be circular.
-    from repro.service import ServiceConfig, VerificationService
+    from repro.service import VerificationService
 
     if service is None:
-        service = VerificationService(ServiceConfig(transport=transport))
+        service = VerificationService()
     job_ids = []
     for epsilon in epsilons:
         spec = local_robustness_spec(reference, float(epsilon), label,

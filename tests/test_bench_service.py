@@ -2,7 +2,7 @@
 
 The bench's replayability rests on one rule: every per-job random draw
 comes from :func:`_job_rng`, a pure function of the job index — never from
-numpy's global RNG.  A threaded bench run interleaves jobs
+numpy's global RNG.  A process-transport bench run interleaves jobs
 nondeterministically, so any dependence on global state would make two runs
 draw different priorities and the transport comparison unreproducible.
 These tests pin that rule without running the (slow) benchmark itself.

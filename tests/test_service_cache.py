@@ -253,10 +253,11 @@ class TestFingerprintIsolation:
 class TestCacheThreadSafety:
     """The shared caches' counters stay exact under concurrent access.
 
-    The service itself is single-threaded, but the bundles are documented as
-    safe to share (``cache.py`` serialises all public methods behind a
-    lock); these hammers would lose counter increments and corrupt the LRU
-    under the pre-lock implementation.
+    The process transport's shard threads share the bundles with the
+    submitting thread, and the bundles are documented as safe to share
+    (``cache.py`` serialises all public methods behind a lock); these
+    hammers would lose counter increments and corrupt the LRU under the
+    pre-lock implementation.
     """
 
     def test_lp_cache_counters_exact_under_threads(self):
@@ -311,8 +312,8 @@ class TestCacheThreadSafety:
 class TestPoolThreadSafety:
     """The pool's own bookkeeping stays exact under concurrent workers.
 
-    The threaded transport fingerprints on submitting threads and fetches /
-    quarantines bundles on worker threads; these hammers pin the pool-level
+    The process transport fingerprints on submitting threads and fetches /
+    quarantines bundles on shard threads; these hammers pin the pool-level
     guarantees — exact memo counters, one bundle per fingerprint between
     quarantines, and safe mid-run discards.
     """

@@ -6,8 +6,8 @@ poisoned shared-cache entry must fail *only the job that hit it* — with a
 structured :class:`~repro.service.jobs.JobError` naming the stage — while
 every other job in the pool finishes solo-identical and the fingerprint's
 cache bundle is quarantined so the poison cannot outlive the job it broke.
-The isolation tests run on every execution transport: a failing job must
-not take down a cooperative scheduling loop, a real worker thread, *or*
+The isolation tests run on both execution transports: a failing job must
+not take down a cooperative scheduling loop, a process shard's thread, *or*
 the service hosting a worker process.
 
 The kill-based tests go further than exceptions: they SIGKILL the worker
@@ -288,8 +288,7 @@ class TestWorkerCrash:
 
 
 class TestRoundFailure:
-    @pytest.mark.parametrize("transport",
-                             ["cooperative", "threaded", "process"])
+    @pytest.mark.parametrize("transport", ["cooperative", "process"])
     def test_mid_round_exception_fails_only_that_job(self, transport):
         service = VerificationService(ServiceConfig(pool_size=2,
                                                     rounds_per_slice=1,
@@ -326,8 +325,7 @@ class TestRoundFailure:
 
 
 class TestSetupFailure:
-    @pytest.mark.parametrize("transport",
-                             ["cooperative", "threaded", "process"])
+    @pytest.mark.parametrize("transport", ["cooperative", "process"])
     def test_broken_factory_fails_at_setup(self, transport):
         def broken_factory(bundle):
             raise ValueError("no verifier for you")
@@ -389,8 +387,7 @@ class TestPoisonedCache:
         bundle.bound_cache.put_report(root_key, "poison")
         return fingerprint, bundle
 
-    @pytest.mark.parametrize("transport",
-                             ["cooperative", "threaded", "process"])
+    @pytest.mark.parametrize("transport", ["cooperative", "process"])
     def test_poisoned_entry_fails_job_and_quarantines_bundle(self, transport):
         service = VerificationService(ServiceConfig(pool_size=2,
                                                     transport=transport))
@@ -429,13 +426,3 @@ class TestPoisonedCache:
             assert done.ok
             _assert_identical(done.result, SOLO_A)
             assert service.stats()["jobs_failed"] == 1
-
-    def test_quarantine_can_be_disabled(self):
-        service = VerificationService(ServiceConfig(pool_size=1,
-                                                    quarantine_on_error=False))
-        fingerprint, poisoned = self._poison(service, PROBLEM_A)
-        service.submit(*PROBLEM_A, budget=Budget(max_nodes=BUDGET_NODES))
-        done = next(iter(service.as_completed()))
-        assert not done.ok
-        # With quarantine off the (still poisoned) bundle survives.
-        assert service.pool.bundle(fingerprint) is poisoned

@@ -158,13 +158,14 @@ class TestRoundTrip:
         assert kept == [6, 7, 8, 9]
         assert shrunk.lp_cache.stats.evictions == 6
 
-    def test_threaded_service_shares_the_persistence_path(self, tmp_path):
-        """save/load works identically when the pool is fed by worker threads."""
+    def test_process_service_shares_the_persistence_path(self, tmp_path):
+        """save/load works identically when the pool is fed by worker
+        processes: shutdown ships their warm bundles back first."""
         with VerificationService(ServiceConfig(pool_size=2,
-                                               transport="threaded")) as svc:
+                                               transport="process")) as svc:
             svc.submit(*PROBLEM_LP, budget=Budget(max_nodes=BUDGET_NODES))
             svc.run_until_complete()
-            paths = svc.save_caches(tmp_path)
+        paths = svc.save_caches(tmp_path)
         assert len(paths) == 1
 
         restored = VerificationService(ServiceConfig(pool_size=1))

@@ -2,11 +2,10 @@
 
 The service's core promise: multiplexing many jobs never changes any job's
 answer — and that promise must survive every execution backend.  The suite
-therefore runs its properties against all four transports (the cooperative
-single-threaded scheduler, the threaded worker pool, the supervised
-worker-process pool, and the asyncio front-end): property-based tests
-submit random job mixes (problems,
-priorities, pool sizes, slice lengths) and require every job's verdict,
+therefore runs its properties against both transports (the cooperative
+single-threaded scheduler and the supervised worker-process pool):
+property-based tests submit random job mixes (problems, priorities, pool
+sizes, slice lengths) and require every job's verdict,
 node charges, tree size, bound and counterexample to be byte-identical to a
 solo run of a fresh verifier on a fresh driver.  On top of that the
 scheduling policy itself is pinned per backend: priorities order work but
@@ -16,7 +15,6 @@ granularity, and batch collection restores submission order.
 
 from __future__ import annotations
 
-import asyncio
 import time
 
 import pytest
@@ -25,12 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.abonn import AbonnVerifier
 from repro.nn import dense_network
-from repro.service import (
-    AsyncVerificationService,
-    JobRequest,
-    ServiceConfig,
-    VerificationService,
-)
+from repro.service import JobRequest, ServiceConfig, VerificationService
 from repro.utils import Budget
 from repro.verifiers.result import MonolithicRun, VerificationStatus
 
@@ -41,7 +34,7 @@ from conftest import make_robustness_problem
 BUDGET_NODES = 60
 
 #: Every execution backend the conformance properties must hold for.
-TRANSPORTS = ("cooperative", "threaded", "process", "async")
+TRANSPORTS = ("cooperative", "process")
 
 
 def _problems():
@@ -90,32 +83,17 @@ def transport(request):
     return request.param
 
 
-def _service_config(transport: str, **kwargs) -> ServiceConfig:
-    """A ServiceConfig for ``transport`` (async rides on threaded)."""
-    if transport in ("threaded", "process"):
-        kwargs["transport"] = transport
-    return ServiceConfig(**kwargs)
-
-
 def _run_jobs(transport: str, submissions, **config_kwargs):
     """Run ``submissions`` (submit-kwargs dicts) on one backend.
 
     Returns ``(job_ids, results)`` with ``results`` keyed by job id —
     the uniform harness every conformance property goes through.
     """
-    if transport == "async":
-        return asyncio.run(_run_jobs_async(submissions, **config_kwargs))
-    service = VerificationService(_service_config(transport, **config_kwargs))
+    service = VerificationService(ServiceConfig(transport=transport,
+                                                **config_kwargs))
     with service:
         job_ids = [service.submit(**submission) for submission in submissions]
         results = {done.job_id: done for done in service.as_completed()}
-    return job_ids, results
-
-
-async def _run_jobs_async(submissions, **config_kwargs):
-    async with AsyncVerificationService(ServiceConfig(**config_kwargs)) as svc:
-        job_ids = [await svc.submit(**submission) for submission in submissions]
-        results = {job_id: await svc.result(job_id) for job_id in job_ids}
     return job_ids, results
 
 
@@ -151,39 +129,23 @@ class TestSoloIdentical:
         """Batch collection restores submission order on every backend."""
         submissions = [_submission(0, priority=priority)
                        for priority in (0, 9, 3)]
-        if transport == "async":
-            async def collect():
-                async with AsyncVerificationService(
-                        ServiceConfig(pool_size=2)) as svc:
-                    requests = [JobRequest(network=sub["network"],
-                                           spec=sub["spec"],
-                                           budget=sub["budget"],
-                                           priority=sub["priority"])
-                                for sub in submissions]
-                    return await svc.run(requests)
-            results = asyncio.run(collect())
-            assert [int(done.job_id.split("-")[1]) for done in results] \
-                == sorted(int(done.job_id.split("-")[1]) for done in results)
-        else:
-            service = VerificationService(_service_config(transport,
-                                                          pool_size=2))
-            with service:
-                ids = [service.submit(**sub) for sub in submissions]
-                results = service.run_until_complete()
-            assert [done.job_id for done in results] == ids
+        service = VerificationService(ServiceConfig(transport=transport,
+                                                    pool_size=2))
+        with service:
+            ids = [service.submit(**sub) for sub in submissions]
+            results = service.run_until_complete()
+        assert [done.job_id for done in results] == ids
         for done in results:
             assert done.ok
             _assert_identical(done.result, SOLO_RESULTS[0])
 
     def test_stream_results_accepts_requests(self, transport):
-        if transport == "async":
-            pytest.skip("streaming via JobRequest lists is run()/as_completed "
-                        "on the async front-end, covered elsewhere")
         network, spec = PROBLEMS[1]
         requests = [JobRequest(network=network, spec=spec,
                                budget=Budget(max_nodes=BUDGET_NODES))
                     for _ in range(3)]
-        service = VerificationService(_service_config(transport, pool_size=1))
+        service = VerificationService(ServiceConfig(transport=transport,
+                                                    pool_size=1))
         with service:
             seen = list(service.stream_results(requests))
         assert len(seen) == 3
@@ -358,18 +320,10 @@ class TestDeadlines:
         attempts — no exception, and other jobs in the batch still run.
         """
         network, spec = PROBLEMS[0]
-        if transport == "async":
-            async def bad_submit():
-                async with AsyncVerificationService() as svc:
-                    job_id = await svc.submit(network, spec,
-                                              deadline_seconds=0.0)
-                    return await svc.result(job_id)
-            done = asyncio.run(bad_submit())
-        else:
-            service = VerificationService(_service_config(transport))
-            with service:
-                job_id = service.submit(network, spec, deadline_seconds=0.0)
-                done = service.result(job_id)
+        service = VerificationService(ServiceConfig(transport=transport))
+        with service:
+            job_id = service.submit(network, spec, deadline_seconds=0.0)
+            done = service.result(job_id)
         assert not done.ok
         assert done.error.kind == "InvalidRequest"
         assert done.error.stage == "submit"

@@ -1,28 +1,25 @@
-"""Transport-specific behaviour: threaded lifecycle, asyncio front-end.
+"""Transport-specific behaviour: the process transport's lifecycle.
 
 The conformance suite (``test_service_scheduler.py``) pins the properties
-every backend shares; this module pins what is *particular* to each — the
-threaded transport's lifecycle (autonomous workers, draining shutdown,
-completion listeners, fault isolation across real threads) and the asyncio
-front-end's contracts (bounded in-flight submissions that block the
-producer, one-loop binding, forced threaded transport underneath).
+both backends share; this module pins what is *particular* to the
+self-driving process transport — autonomous workers that refuse
+``step()``, draining and idempotent shutdown, completion listeners, the
+reported transport, and rounds that run off the caller: in the shard's
+worker process, or on its shard thread for a job that cannot cross the
+pipe.  Every verifier here is picklable, so jobs really run in the worker
+processes unless a test says otherwise.
 """
 
 from __future__ import annotations
 
-import asyncio
+import os
 import threading
 
 import pytest
 
 from repro.core.abonn import AbonnVerifier
 from repro.nn import dense_network
-from repro.service import (
-    AsyncVerificationService,
-    JobRequest,
-    ServiceConfig,
-    VerificationService,
-)
+from repro.service import ServiceConfig, VerificationService
 from repro.utils import Budget
 from repro.verifiers.result import (
     VerificationResult,
@@ -44,7 +41,6 @@ PROBLEM_A = _problem(1, [4, 8, 6, 3], [0.45, 0.55, 0.5, 0.4], 0.08)
 PROBLEM_B = _problem(3, [3, 8, 8, 3], [0.4, 0.6, 0.5], 0.12)
 
 SOLO_A = AbonnVerifier().verify(*PROBLEM_A, Budget(max_nodes=BUDGET_NODES))
-SOLO_B = AbonnVerifier().verify(*PROBLEM_B, Budget(max_nodes=BUDGET_NODES))
 
 
 def _assert_identical(result, solo) -> None:
@@ -53,53 +49,43 @@ def _assert_identical(result, solo) -> None:
     assert result.tree_size == solo.tree_size
 
 
-class _GatedRun(VerifierRun):
-    """A run that blocks its worker thread until the test opens the gate."""
+def _process_service(**kwargs) -> VerificationService:
+    return VerificationService(ServiceConfig(transport="process", **kwargs))
 
-    def __init__(self, gate: threading.Event) -> None:
-        self.gate = gate
+
+class _WhereRun(VerifierRun):
+    """Answers at once, recording the process and thread it stepped in."""
 
     def step(self):
-        assert self.gate.wait(timeout=10.0), "test gate never opened"
-        return VerificationResult(status=VerificationStatus.VERIFIED,
-                                  verifier="gated", elapsed_seconds=0.0)
+        return VerificationResult(
+            status=VerificationStatus.VERIFIED, verifier="where",
+            elapsed_seconds=0.0,
+            extras={"pid": os.getpid(),
+                    "thread": threading.current_thread().name})
 
     def interrupt(self):
         return None
 
 
-class _GatedVerifier:
-    def __init__(self, gate: threading.Event) -> None:
-        self.gate = gate
-
+class _WhereVerifier:
     def start_run(self, network, spec, budget=None):
-        return _GatedRun(self.gate)
+        return _WhereRun()
 
 
-class _ExplodingRun(VerifierRun):
-    def __init__(self) -> None:
-        self.remaining = 2
-
-    def step(self):
-        if self.remaining == 0:
-            raise RuntimeError("injected thread failure")
-        self.remaining -= 1
-        return None
-
-    def interrupt(self):
-        return None
+def _where_factory(bundle):
+    """Module-level (hence picklable) factory for the recording verifier."""
+    return _WhereVerifier()
 
 
-class TestThreadedLifecycle:
-    def test_step_raises_on_threaded_transport(self):
-        with VerificationService(ServiceConfig(transport="threaded")) as svc:
+class TestProcessLifecycle:
+    def test_step_raises_on_process_transport(self):
+        with _process_service() as svc:
             with pytest.raises(ValueError, match="autonomously"):
                 svc.step()
 
     def test_shutdown_drains_pending_jobs(self):
         """shutdown(wait=True) finishes accepted jobs instead of dropping them."""
-        service = VerificationService(ServiceConfig(transport="threaded",
-                                                    pool_size=2))
+        service = _process_service(pool_size=2)
         ids = [service.submit(*PROBLEM_A, budget=Budget(max_nodes=BUDGET_NODES))
                for _ in range(4)]
         service.shutdown(wait=True)
@@ -107,9 +93,10 @@ class TestThreadedLifecycle:
             done = service.result(job_id)
             assert done is not None and done.ok
             _assert_identical(done.result, SOLO_A)
+        assert service.stats()["jobs_inline"] == 0
 
     def test_shutdown_is_idempotent_and_rejects_submissions(self):
-        service = VerificationService(ServiceConfig(transport="threaded"))
+        service = _process_service()
         service.submit(*PROBLEM_A, budget=Budget(max_nodes=BUDGET_NODES))
         service.shutdown(wait=True)
         service.shutdown(wait=True)  # second call is a no-op
@@ -119,8 +106,7 @@ class TestThreadedLifecycle:
     def test_completion_listeners_fire_once_per_job(self):
         seen = []
         lock = threading.Lock()
-        service = VerificationService(ServiceConfig(transport="threaded",
-                                                    pool_size=2))
+        service = _process_service(pool_size=2)
         service.add_completion_listener(
             lambda done: (lock.acquire(), seen.append(done.job_id),
                           lock.release()))
@@ -131,168 +117,27 @@ class TestThreadedLifecycle:
             service.run_until_complete()
         assert sorted(seen) == sorted(ids)
 
-    def test_thread_failure_is_isolated_to_its_job(self):
-        """A job raising on a worker thread fails alone; the thread survives."""
-        with VerificationService(ServiceConfig(transport="threaded",
-                                               pool_size=1,
-                                               rounds_per_slice=1)) as service:
-            bad = service.submit(
-                *PROBLEM_A, budget=Budget(max_nodes=BUDGET_NODES),
-                verifier_factory=lambda bundle: _ExplodingVerifierFactory())
-            good = service.submit(*PROBLEM_A,
-                                  budget=Budget(max_nodes=BUDGET_NODES))
-            results = {done.job_id: done for done in service.as_completed()}
-        assert not results[bad].ok
-        assert results[bad].error.stage == "round"
-        assert results[good].ok
-        _assert_identical(results[good].result, SOLO_A)
-        assert service.stats()["jobs_failed"] == 1
+    def test_stats_report_process_transport(self):
+        with _process_service() as svc:
+            assert svc.stats()["transport"] == "process"
+            assert svc.self_driving
 
-    def test_stats_report_threaded_transport(self):
-        with VerificationService(ServiceConfig(transport="threaded")) as svc:
-            assert svc.stats()["transport"] == "threaded"
-            assert svc.threaded
-
-    def test_workers_run_off_the_calling_thread(self):
-        """The submitting thread never executes a verification round."""
-        threads = set()
-        lock = threading.Lock()
-
-        class _RecordingRun(VerifierRun):
-            def step(self):
-                with lock:
-                    threads.add(threading.current_thread().name)
-                return VerificationResult(status=VerificationStatus.VERIFIED,
-                                          verifier="recording",
-                                          elapsed_seconds=0.0)
-
-            def interrupt(self):
-                return None
-
-        class _RecordingVerifier:
-            def start_run(self, network, spec, budget=None):
-                return _RecordingRun()
-
-        with VerificationService(
-                ServiceConfig(transport="threaded"),
-                verifier_factory=lambda bundle: _RecordingVerifier()) as svc:
-            svc.submit(*PROBLEM_A, budget=Budget(max_nodes=BUDGET_NODES))
+    def test_rounds_run_off_the_caller(self):
+        """The caller never executes a round: a picklable job steps in the
+        shard's worker process, and a job that cannot cross the pipe steps
+        on the shard thread."""
+        with _process_service(pool_size=1) as svc:
+            remote = svc.submit(*PROBLEM_A,
+                                budget=Budget(max_nodes=BUDGET_NODES),
+                                verifier_factory=_where_factory)
+            inline = svc.submit(*PROBLEM_A,
+                                budget=Budget(max_nodes=BUDGET_NODES),
+                                verifier_factory=lambda bundle: _WhereVerifier())
             svc.run_until_complete()
-        assert threads
-        assert threading.current_thread().name not in threads
-        assert all(name.startswith("verification-worker-")
-                   for name in threads)
-
-
-class _ExplodingVerifierFactory:
-    def start_run(self, network, spec, budget=None):
-        return _ExplodingRun()
-
-
-class TestAsyncFrontEnd:
-    def test_transport_is_forced_to_threaded(self):
-        svc = AsyncVerificationService(ServiceConfig(transport="cooperative"))
-        assert svc.service.threaded
-        # Never bound to a loop, never started threads — nothing to close.
-
-    def test_invalid_max_pending_rejected(self):
-        with pytest.raises(ValueError, match="max_pending"):
-            AsyncVerificationService(max_pending=0)
-
-    def test_backpressure_blocks_the_producer(self):
-        """The (max_pending+1)-th submit awaits until a completion frees a slot."""
-        gate = threading.Event()
-
-        async def scenario():
-            config = ServiceConfig(pool_size=1, rounds_per_slice=1)
-            async with AsyncVerificationService(
-                    config,
-                    verifier_factory=lambda bundle: _GatedVerifier(gate),
-                    max_pending=2) as svc:
-                first = await svc.submit(
-                    *PROBLEM_A, budget=Budget(max_nodes=BUDGET_NODES))
-                second = await svc.submit(
-                    *PROBLEM_A, budget=Budget(max_nodes=BUDGET_NODES))
-                assert svc.in_flight == 2
-                third = asyncio.ensure_future(svc.submit(
-                    *PROBLEM_A, budget=Budget(max_nodes=BUDGET_NODES)))
-                await asyncio.sleep(0.1)
-                # Both slots are held by gated jobs: the producer is parked.
-                assert not third.done()
-                gate.set()
-                third_id = await asyncio.wait_for(third, timeout=10.0)
-                for job_id in (first, second, third_id):
-                    done = await svc.result(job_id)
-                    assert done.ok
-                    assert done.result.status == VerificationStatus.VERIFIED
-
-        asyncio.run(scenario())
-
-    def test_as_completed_yields_every_submission(self):
-        async def scenario():
-            async with AsyncVerificationService(
-                    ServiceConfig(pool_size=2)) as svc:
-                ids = {await svc.submit(*problem,
-                                        budget=Budget(max_nodes=BUDGET_NODES))
-                       for problem in (PROBLEM_A, PROBLEM_B, PROBLEM_A)}
-                seen = set()
-                async for done in svc.as_completed():
-                    assert done.ok
-                    seen.add(done.job_id)
-                assert seen == ids
-
-        asyncio.run(scenario())
-
-    def test_run_returns_submission_order(self):
-        async def scenario():
-            async with AsyncVerificationService(
-                    ServiceConfig(pool_size=2)) as svc:
-                requests = [JobRequest(network=network, spec=spec,
-                                       budget=Budget(max_nodes=BUDGET_NODES))
-                            for network, spec in (PROBLEM_B, PROBLEM_A,
-                                                  PROBLEM_B)]
-                results = await svc.run(requests)
-                seqs = [int(done.job_id.split("-")[1]) for done in results]
-                assert seqs == sorted(seqs)
-                _assert_identical(results[0].result, SOLO_B)
-                _assert_identical(results[1].result, SOLO_A)
-                _assert_identical(results[2].result, SOLO_B)
-
-        asyncio.run(scenario())
-
-    def test_result_raises_for_unknown_job(self):
-        async def scenario():
-            async with AsyncVerificationService() as svc:
-                with pytest.raises(KeyError):
-                    await svc.result("job-404")
-
-        asyncio.run(scenario())
-
-    def test_refuses_use_from_a_second_loop(self):
-        svc = AsyncVerificationService()
-
-        async def first_use():
-            await svc.submit(*PROBLEM_A, budget=Budget(max_nodes=BUDGET_NODES))
-            async for _ in svc.as_completed():
-                pass
-
-        async def second_use():
-            with pytest.raises(RuntimeError, match="different"):
-                await svc.submit(*PROBLEM_A,
-                                 budget=Budget(max_nodes=BUDGET_NODES))
-            await svc.close()
-
-        asyncio.run(first_use())
-        asyncio.run(second_use())
-
-    def test_stats_expose_front_end_gauges(self):
-        async def scenario():
-            async with AsyncVerificationService(max_pending=7) as svc:
-                await svc.submit(*PROBLEM_A,
-                                 budget=Budget(max_nodes=BUDGET_NODES))
-                stats = svc.stats()
-                assert stats["transport"] == "threaded"
-                assert stats["async_max_pending"] == 7
-                assert 0 <= stats["async_in_flight"] <= 1
-
-        asyncio.run(scenario())
+            remote_extras = svc.result(remote).result.extras
+            inline_extras = svc.result(inline).result.extras
+        assert remote_extras["pid"] != os.getpid()
+        assert inline_extras["pid"] == os.getpid()
+        assert inline_extras["thread"] != threading.current_thread().name
+        assert inline_extras["thread"].startswith("verification-worker-")
+        assert svc.stats()["jobs_inline"] == 1

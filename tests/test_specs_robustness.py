@@ -5,10 +5,14 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.abonn import AbonnVerifier
+from repro.nn import dense_network
+from repro.service import VerificationService
 from repro.specs.robustness import (
     local_robustness_spec,
     robustness_output_spec,
     robustness_radius_sweep,
+    robustness_radius_sweep_service,
 )
 from repro.utils.timing import Budget
 
@@ -115,3 +119,59 @@ class TestRadiusSweepBudget:
                                 reference=np.zeros(2), epsilons=[0.05],
                                 label=0, num_classes=2)
         assert captured == [None]
+
+
+#: The sweep's ladder at 60 nodes: verified at the root, verified and
+#: falsified after branching, a TIMEOUT, and one radius queried twice (a
+#: warm repeat).
+SWEEP_NETWORK = dense_network([6, 10, 8, 4], seed=1)
+SWEEP_REFERENCE = np.full(6, 0.5)
+SWEEP_EPSILONS = [0.05, 0.1, 0.12, 0.15, 0.1]
+SWEEP_NODES = 60
+
+
+def _broken_factory(bundle):
+    raise ValueError("no verifier for this sweep")
+
+
+class TestRadiusSweepService:
+    def _sweep(self, **kwargs):
+        label = int(SWEEP_NETWORK.predict(SWEEP_REFERENCE.reshape(1, -1))[0])
+        results, service = robustness_radius_sweep_service(
+            SWEEP_NETWORK, SWEEP_REFERENCE, SWEEP_EPSILONS, label, 4,
+            budget=Budget(max_nodes=SWEEP_NODES), **kwargs)
+        return label, results, service
+
+    def test_each_radius_equals_a_fresh_solo_run(self):
+        label, results, service = self._sweep()
+        assert [epsilon for epsilon, _ in results] == SWEEP_EPSILONS
+        for epsilon, result in results:
+            spec = local_robustness_spec(SWEEP_REFERENCE, epsilon, label, 4)
+            solo = AbonnVerifier().verify(SWEEP_NETWORK, spec,
+                                          Budget(max_nodes=SWEEP_NODES))
+            assert result.status == solo.status
+            assert result.nodes_explored == solo.nodes_explored
+            assert result.tree_size == solo.tree_size
+            assert result.bound == solo.bound
+            if solo.counterexample is None:
+                assert result.counterexample is None
+            else:
+                assert (result.counterexample.tobytes()
+                        == solo.counterexample.tobytes())
+        stats = service.stats()
+        assert stats["transport"] == "cooperative"
+        assert stats["jobs_completed"] == len(SWEEP_EPSILONS)
+        # The repeated radius shares its problem's bundle.
+        assert stats["pool"]["fingerprints"] == len(set(SWEEP_EPSILONS))
+
+    def test_a_passed_service_is_the_one_returned(self):
+        service = VerificationService()
+        _, results, returned = self._sweep(service=service)
+        assert returned is service
+        assert len(results) == len(SWEEP_EPSILONS)
+        assert service.stats()["jobs_completed"] == len(SWEEP_EPSILONS)
+
+    def test_a_failed_job_raises(self):
+        service = VerificationService(verifier_factory=_broken_factory)
+        with pytest.raises(RuntimeError, match="sweep job .* failed"):
+            self._sweep(service=service)

@@ -51,7 +51,6 @@ HIGHER_BETTER_KEYS = (
     "service_min_throughput_speedup",
     "service_min_lp_hit_rate",
     "service_min_bound_hit_rate",
-    "threaded_speedup_over_cooperative",
     "process_speedup_over_cooperative",
 )
 #: Per-key tolerance overrides.  The smoke-workload per-child medians are
@@ -65,12 +64,6 @@ TOLERANCE_OVERRIDES = {"min_speedup_incremental": 0.30,
                        # keeps the gates meaningful without flaking.
                        "service_min_throughput_speedup": 0.30,
                        "service_max_p95_latency_ratio": 0.50,
-                       # Parallel speedup depends on the host's core count
-                       # (a 1-core baseline machine reports ~1.0x); this key
-                       # only backstops "threading suddenly became a big
-                       # slowdown" — the real ≥1.3x floor lives in CI,
-                       # guarded by cpu_count.
-                       "threaded_speedup_over_cooperative": 0.50,
                        # Process-transport throughput additionally pays a
                        # per-slice pipe round-trip, so on few-core hosts the
                        # ratio sits below 1.0 by design; the gate only

@@ -1,10 +1,12 @@
 """lock-discipline: instance state of lock-owning classes stays locked.
 
-The verification service multiplexes jobs over worker threads, and its
-correctness argument (docs/SERVICE.md) leans on a simple convention: a
-class that creates its own ``threading.Lock``/``RLock``/``Condition``
-(``self._lock``, ``self.lock``, ``self.wake``, …) mutates its instance
-attributes only inside a ``with self.<lock>`` block.  PR 7 fixed a real
+The verification service's process transport drives its worker processes
+from one shard thread per shard, sharing the scheduler, the cache pool and
+the caches with the submitting thread.  Its correctness argument
+(docs/SERVICE.md) leans on a simple convention: a class that creates its
+own ``threading.Lock``/``RLock``/``Condition`` (``self._lock``,
+``self.lock``, ``self.wake``, …) mutates its instance attributes only
+inside a ``with self.<lock>`` block.  PR 7 fixed a real
 counter race in exactly this shape (``LpCache`` stats mutated outside the
 cache lock), so the convention is now machine-checked: in any class that
 assigns a lock to an instance attribute, every write to ``self.*`` outside
@@ -14,8 +16,8 @@ Construction is exempt (``__init__``/``__post_init__`` run before the
 instance is shared).  The rule is intra-class by design: writes to *other*
 objects' attributes (``job.not_before = …``) follow the owning object's
 discipline, not the writer's.  Genuinely single-threaded writes (a
-cooperative-only code path, loop-thread-confined asyncio state) are
-suppressed inline with a justification saying exactly why no lock is
+cooperative-only code path, a private helper whose caller holds the lock)
+are suppressed inline with a justification saying exactly why no lock is
 needed — see docs/STATIC_ANALYSIS.md#lock-discipline.
 """
 
