@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bab import BaBBaselineVerifier
 from repro.core.abonn import AbonnVerifier
 from repro.nn import dense_network
 from repro.service import JobRequest, ServiceConfig, VerificationService
@@ -151,6 +152,104 @@ class TestSoloIdentical:
         assert len(seen) == 3
         for done in seen:
             _assert_identical(done.result, SOLO_RESULTS[1])
+
+
+def _bab_factory(bundle):
+    """Module-level (hence picklable) per-job factory: the BaB baseline."""
+    return BaBBaselineVerifier()
+
+
+class TestServiceSurface:
+    """The service API answers alike on both transports."""
+
+    def test_submit_many_returns_ids_in_submission_order(self, transport):
+        network, spec = PROBLEMS[1]
+        requests = [JobRequest(network=network, spec=spec,
+                               budget=Budget(max_nodes=BUDGET_NODES))
+                    for _ in range(3)]
+        with VerificationService(ServiceConfig(transport=transport)) as svc:
+            ids = svc.submit_many(requests)
+            results = svc.run_until_complete()
+        assert ids == ["job-0", "job-1", "job-2"]
+        assert [done.job_id for done in results] == ids
+        for done in results:
+            _assert_identical(done.result, SOLO_RESULTS[1])
+
+    def test_result_is_what_the_stream_yielded(self, transport):
+        """``result(job_id)`` returns the object ``as_completed`` yielded
+        (and the listener saw), once the job is done; an unknown id raises."""
+        heard = []
+        with VerificationService(ServiceConfig(transport=transport)) as svc:
+            svc.add_completion_listener(heard.append)
+            ids = [svc.submit(**_submission(index)) for index in (0, 3)]
+            streamed = list(svc.as_completed())
+            assert not svc.has_pending()
+            with pytest.raises(KeyError):
+                svc.result("job-404")
+            for done in streamed:
+                assert svc.result(done.job_id) is done
+        assert sorted(done.job_id for done in streamed) == ids
+        assert sorted(map(id, heard)) == sorted(map(id, streamed))
+
+    def test_stats_count_jobs_and_fingerprints(self, transport):
+        config = ServiceConfig(transport=transport, pool_size=2)
+        with VerificationService(config) as svc:
+            for index in (0, 0, 0, 3):
+                svc.submit(**_submission(index))
+            svc.run_until_complete()
+        stats = svc.stats()
+        assert stats["transport"] == transport
+        assert stats["pool_size"] == 2
+        assert stats["jobs_submitted"] == 4
+        assert stats["jobs_completed"] == 4
+        assert stats["jobs_failed"] == stats["jobs_rejected"] == 0
+        assert stats["jobs_inline"] == 0
+        assert stats["retries"] == stats["worker_crashes"] == 0
+        assert stats["transport_downgrades"] == []
+        assert stats["slices"] >= 4
+        assert stats["pool"]["fingerprints"] == 2
+
+    def test_shutdown_refuses_new_jobs_but_drains_accepted_ones(self,
+                                                                transport):
+        service = VerificationService(ServiceConfig(transport=transport))
+        ids = [service.submit(**_submission(0)) for _ in range(2)]
+        service.shutdown(wait=False)
+        with pytest.raises(ValueError, match="shut down"):
+            service.submit(**_submission(0))
+        results = service.run_until_complete()
+        service.shutdown(wait=True)
+        assert [done.job_id for done in results] == ids
+        for done in results:
+            assert done.ok
+            _assert_identical(done.result, SOLO_RESULTS[0])
+
+    def test_a_job_factory_overrides_the_service_default(self, transport):
+        """A job's own ``verifier_factory`` runs that job only; its
+        neighbours keep the service's default verifier."""
+        network, spec = PROBLEMS[0]
+        solo_bab = BaBBaselineVerifier().verify(
+            network, spec, Budget(max_nodes=BUDGET_NODES))
+        job_ids, results = _run_jobs(
+            transport, [_submission(0), _submission(0,
+                                                    verifier_factory=_bab_factory)],
+            pool_size=1)
+        default, override = (results[job_id].result for job_id in job_ids)
+        assert default.verifier == SOLO_RESULTS[0].verifier
+        _assert_identical(default, SOLO_RESULTS[0])
+        assert override.verifier == solo_bab.verifier != default.verifier
+        _assert_identical(override, solo_bab)
+
+    def test_listeners_hear_rejected_jobs_too(self, transport):
+        heard = []
+        with VerificationService(ServiceConfig(transport=transport)) as svc:
+            svc.add_completion_listener(heard.append)
+            bad = svc.submit(**_submission(0, deadline_seconds=-1.0))
+            good = svc.submit(**_submission(0))
+            svc.run_until_complete()
+        assert sorted(done.job_id for done in heard) == [bad, good]
+        rejected = next(done for done in heard if done.job_id == bad)
+        assert rejected.error.kind == "InvalidRequest"
+        assert rejected.attempts == 0
 
 
 class TestBoundedWait:
@@ -361,6 +460,20 @@ class TestSchedulerPlumbing:
         service = VerificationService()
         assert service.step() is None
         assert not service.has_pending()
+
+    def test_step_returns_each_finished_result_once(self):
+        service = VerificationService(ServiceConfig(pool_size=2,
+                                                    rounds_per_slice=1))
+        ids = [service.submit(**_submission(index)) for index in (0, 3)]
+        finished = []
+        while service.has_pending():
+            done = service.step()
+            if done is not None:
+                finished.append(done)
+        assert sorted(done.job_id for done in finished) == ids
+        for done in finished:
+            assert service.result(done.job_id) is done
+        assert service.step() is None
 
     def test_result_raises_for_unknown_job(self):
         service = VerificationService()

@@ -1,7 +1,9 @@
-"""Transport-specific behaviour: the process transport's lifecycle.
+"""Transport-specific behaviour: the accepted configurations and the
+process transport's lifecycle.
 
 The conformance suite (``test_service_scheduler.py``) pins the properties
-both backends share; this module pins what is *particular* to the
+both backends share; this module pins which transports and knob values
+:class:`ServiceConfig` accepts, and what is *particular* to the
 self-driving process transport — autonomous workers that refuse
 ``step()``, draining and idempotent shutdown, completion listeners, the
 reported transport, and rounds that run off the caller: in the shard's
@@ -12,6 +14,7 @@ processes unless a test says otherwise.
 
 from __future__ import annotations
 
+import importlib
 import os
 import threading
 
@@ -19,7 +22,8 @@ import pytest
 
 from repro.core.abonn import AbonnVerifier
 from repro.nn import dense_network
-from repro.service import ServiceConfig, VerificationService
+import repro.service
+from repro.service import TRANSPORTS, ServiceConfig, VerificationService
 from repro.utils import Budget
 from repro.verifiers.result import (
     VerificationResult,
@@ -75,6 +79,47 @@ class _WhereVerifier:
 def _where_factory(bundle):
     """Module-level (hence picklable) factory for the recording verifier."""
     return _WhereVerifier()
+
+
+class TestServiceConfig:
+    @pytest.mark.parametrize("transport",
+                             ["threaded", "async", "", "Process", "inline"])
+    def test_rejects_a_transport_outside_the_two(self, transport):
+        with pytest.raises(ValueError,
+                           match=r"\('cooperative', 'process'\)"):
+            ServiceConfig(transport=transport)
+
+    @pytest.mark.parametrize("transport", ["cooperative", "process"])
+    def test_accepts_each_transport(self, transport):
+        assert TRANSPORTS == ("cooperative", "process")
+        with VerificationService(ServiceConfig(transport=transport)) as svc:
+            assert svc.stats()["transport"] == transport
+            assert svc.self_driving == (transport == "process")
+
+    @pytest.mark.parametrize("knob, value", [
+        ("pool_size", 0),
+        ("pool_size", -1),
+        ("rounds_per_slice", 0),
+        ("max_wait_slices", 0),
+        ("worker_crash_budget", 0),
+        ("slice_timeout_seconds", 0.0),
+        ("slice_timeout_seconds", -1.0),
+        ("slice_timeout_seconds", float("nan")),
+    ])
+    def test_rejects_a_non_positive_knob(self, knob, value):
+        with pytest.raises(ValueError, match=f"{knob} must be positive"):
+            ServiceConfig(**{knob: value})
+
+    def test_a_failed_job_always_quarantines_its_bundle(self):
+        """Quarantine on failure is not optional: the config has no switch
+        that would keep a failed job's (possibly poisoned) bundle alive."""
+        with pytest.raises(TypeError, match="quarantine_on_error"):
+            ServiceConfig(quarantine_on_error=False)
+
+    def test_there_is_no_asyncio_front_end(self):
+        assert not hasattr(repro.service, "AsyncVerificationService")
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.service.async_service")
 
 
 class TestProcessLifecycle:

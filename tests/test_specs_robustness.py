@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.abonn import AbonnVerifier
 from repro.nn import dense_network
-from repro.service import VerificationService
+from repro.service import ServiceConfig, VerificationService
 from repro.specs.robustness import (
     local_robustness_spec,
     robustness_output_spec,
@@ -15,6 +15,7 @@ from repro.specs.robustness import (
     robustness_radius_sweep_service,
 )
 from repro.utils.timing import Budget
+from repro.verifiers.result import VerificationStatus
 
 
 class TestRobustnessOutputSpec:
@@ -175,3 +176,43 @@ class TestRadiusSweepService:
         service = VerificationService(verifier_factory=_broken_factory)
         with pytest.raises(RuntimeError, match="sweep job .* failed"):
             self._sweep(service=service)
+
+    def test_a_process_service_matches_the_solo_runs(self):
+        """A caller who wants another transport passes ``service=``."""
+        _, cooperative, _ = self._sweep()
+        with VerificationService(ServiceConfig(transport="process")) as svc:
+            _, results, returned = self._sweep(service=svc)
+        assert returned is svc
+        assert svc.stats()["jobs_inline"] == 0
+        for (epsilon, result), (_, reference) in zip(results, cooperative):
+            assert result.status == reference.status
+            assert result.nodes_explored == reference.nodes_explored
+            assert result.tree_size == reference.tree_size
+            assert result.bound == reference.bound
+
+    def test_the_repeated_radius_reuses_its_bundle(self):
+        """The second query at ε = 0.1 is answered from the bound reports
+        and leaf LPs its first query cached: no miss, no LP solve."""
+        _, _, service = self._sweep()
+        first = service.result(f"job-{SWEEP_EPSILONS.index(0.1)}").cache_stats
+        repeat = service.result(f"job-{len(SWEEP_EPSILONS) - 1}").cache_stats
+        assert repeat["bound_report_misses"] == 0
+        assert repeat["bound_report_hits"] == first["bound_report_misses"] > 0
+        assert repeat["lp_solves"] == 0
+        assert repeat["lp_hits"] == first["lp_solves"]
+
+    def test_an_expired_deadline_times_out_every_radius(self):
+        _, results, service = self._sweep(deadline_seconds=1e-9)
+        assert [epsilon for epsilon, _ in results] == SWEEP_EPSILONS
+        for _, result in results:
+            assert result.status is VerificationStatus.TIMEOUT
+        assert service.stats()["jobs_failed"] == 0
+
+    def test_the_transport_is_chosen_through_the_service(self):
+        with pytest.raises(TypeError, match="transport"):
+            self._sweep(transport="process")
+
+    def test_empty_epsilons_rejected(self):
+        with pytest.raises(ValueError, match="epsilons must be non-empty"):
+            robustness_radius_sweep_service(SWEEP_NETWORK, SWEEP_REFERENCE,
+                                            [], 0, 4)
