@@ -20,7 +20,8 @@ calls) — and compares:
 
 The cooperative service's speedup is *reuse*, not parallelism: repeat jobs
 serve their bound passes and leaf LPs from the warm fingerprint bundle.
-The process transport's speedup over cooperative is reported per run
+The process transport's speedup over cooperative is the ratio of the two
+transports' median throughputs over three alternating runs of each, reported
 together with ``cpu_count``.  Every job's verdict, node charges and
 counterexample are gated for equality with its sequential-cold run on
 *every* transport, and the report includes throughput (jobs/s and
@@ -44,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -69,6 +71,8 @@ POOL_SIZES = (1, 2, 4)
 TRANSPORTS = ("cooperative", "process")
 #: Workers for the transport comparison (jobs shard across all of them).
 TRANSPORT_POOL_SIZE = 4
+#: Alternating runs of each transport row; their medians give the speedup.
+TRANSPORT_REPEATS = 3
 
 #: Root of every derived per-job seed (see :func:`_job_rng`).
 BENCH_SEED = 8
@@ -323,11 +327,17 @@ def main(argv=None) -> int:
     transport_max_nodes = 24 if smoke else 64
     transport_sequential = bench_sequential(transport_jobs,
                                             transport_max_nodes)
+    # The transport rows are short (a tenth of a second in the smoke), so
+    # they run alternately TRANSPORT_REPEATS times and the speedup is the
+    # ratio of the median throughputs.
     transport_rows = [bench_transport(transport_jobs, transport_max_nodes,
                                       transport, transport_sequential)
+                      for _ in range(TRANSPORT_REPEATS)
                       for transport in TRANSPORTS]
-    by_transport = {row["transport"]: row for row in transport_rows}
-    cooperative_tput = by_transport["cooperative"]["throughput_jobs_per_sec"]
+    median_tput = {transport: statistics.median(
+        row["throughput_jobs_per_sec"] for row in transport_rows
+        if row["transport"] == transport) for transport in TRANSPORTS}
+    process_rows = [row for row in transport_rows if row["transport"] == "process"]
 
     summary = {
         "smoke": smoke,
@@ -356,15 +366,15 @@ def main(argv=None) -> int:
         "transport_verdicts_identical": all(row["verdicts_identical"]
                                             for row in transport_rows),
         "process_speedup_over_cooperative": (
-            by_transport["process"]["throughput_jobs_per_sec"]
-            / cooperative_tput if cooperative_tput else 0.0),
+            median_tput["process"] / median_tput["cooperative"]
+            if median_tput["cooperative"] else 0.0),
         # Robustness: a healthy bench run needs no retries and loses no
         # workers — nonzero values mean the run only passed by retrying.
         "total_job_retries": sum(row["job_retries"]
                                  for row in transport_rows),
-        "process_worker_crashes": by_transport["process"]["worker_crashes"],
-        "process_transport_downgrades": (
-            by_transport["process"]["transport_downgrades"]),
+        "process_worker_crashes": sum(row["worker_crashes"] for row in process_rows),
+        "process_transport_downgrades": sum(row["transport_downgrades"]
+                                            for row in process_rows),
         "cpu_count": os.cpu_count() or 1,
     }
     payload = {

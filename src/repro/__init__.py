@@ -14,7 +14,8 @@ The package is organised as:
 * :mod:`repro.baselines` — the αβ-CROWN-like baseline;
 * :mod:`repro.service` — the verification service (job scheduling, cache
   pooling, batch/streaming APIs over every verifier);
-* :mod:`repro.experiments` — benchmark suite, runners, tables and figures.
+* :mod:`repro.experiments` — the trained benchmark suite (``suite.py``);
+  ``benchmarks/bench_rq1.py`` runs the verifiers on it for Table II.
 
 Quickstart::
 

@@ -1,36 +1,5 @@
-"""Evaluation harness: suite generation, runners, metrics, tables and figures."""
+"""The trained benchmark suite (the analogue of the paper's problem set)."""
 
-from repro.experiments.figures import (
-    TREE_SIZE_BINS,
-    GroupBox,
-    HyperparameterCell,
-    HyperparameterGrid,
-    fig3_tree_size_histogram,
-    fig4_speedup_scatter,
-    fig5_hyperparameter_grid,
-    fig6_violated_certified,
-    render_fig3,
-    render_fig4,
-    render_fig5,
-    render_fig6,
-)
-from repro.experiments.metrics import (
-    BoxStatistics,
-    SpeedupPoint,
-    average_nodes,
-    average_speedup,
-    average_time,
-    solved_count,
-    speedups,
-    times_by_group,
-)
-from repro.experiments.runner import (
-    InstanceRun,
-    SuiteRunResult,
-    ground_truth_statuses,
-    run_matrix,
-    run_suite,
-)
 from repro.experiments.suite import (
     BenchmarkSuite,
     SuiteConfig,
@@ -39,53 +8,12 @@ from repro.experiments.suite import (
     root_certified_radius,
     table1_rows,
 )
-from repro.experiments.tables import (
-    render_table,
-    render_table1,
-    render_table2,
-    rows_to_csv,
-    table1,
-    table2,
-    table2_headers,
-)
 
 __all__ = [
-    "TREE_SIZE_BINS",
-    "GroupBox",
-    "HyperparameterCell",
-    "HyperparameterGrid",
-    "fig3_tree_size_histogram",
-    "fig4_speedup_scatter",
-    "fig5_hyperparameter_grid",
-    "fig6_violated_certified",
-    "render_fig3",
-    "render_fig4",
-    "render_fig5",
-    "render_fig6",
-    "BoxStatistics",
-    "SpeedupPoint",
-    "average_nodes",
-    "average_speedup",
-    "average_time",
-    "solved_count",
-    "speedups",
-    "times_by_group",
-    "InstanceRun",
-    "SuiteRunResult",
-    "ground_truth_statuses",
-    "run_matrix",
-    "run_suite",
     "BenchmarkSuite",
     "SuiteConfig",
     "VerificationInstance",
     "generate_suite",
     "root_certified_radius",
     "table1_rows",
-    "render_table",
-    "render_table1",
-    "render_table2",
-    "rows_to_csv",
-    "table1",
-    "table2",
-    "table2_headers",
 ]

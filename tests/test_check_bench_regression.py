@@ -65,6 +65,15 @@ class TestCompareSummaries:
         assert set(regressions(dict(BASELINE, min_speedup_incremental=1.1),
                                BASELINE)) == {"min_speedup_incremental"}
 
+    def test_solved_counts_are_gated_at_zero_tolerance(self):
+        baseline = dict(BASELINE, solved_abonn_k8_n300=25)
+        assert regressions(dict(baseline), baseline) == {}
+        assert regressions(dict(baseline, solved_abonn_k8_n300=26), baseline) == {}
+        found = regressions(dict(baseline, solved_abonn_k8_n300=24), baseline)
+        assert set(found) == {"solved_abonn_k8_n300"}
+        # 24 is within the default 25% tolerance; only the prefix rule fails it.
+        assert "24 < 25" in found["solved_abonn_k8_n300"]
+
     def test_ungated_key_is_ignored(self):
         baseline = dict(BASELINE, jobs=8, async_speedup_over_cooperative=1.0)
         current = dict(BASELINE, async_speedup_over_cooperative=0.1)

@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
 """Gate benchmark summaries against a committed baseline.
 
-Compares the stable top-level ``summary`` block of a fresh
-``benchmarks/bench_batching.py`` run against a committed baseline JSON and
-fails on regressions beyond a tolerance (default 25%).
+Compares the stable top-level ``summary`` block of a fresh benchmark run
+(``benchmarks/bench_batching.py``, ``bench_service.py`` or ``bench_rq1.py``)
+against a committed baseline JSON and fails on regressions beyond a
+tolerance (default 25%).
 
 Only *machine-portable* metrics are compared by default:
 
 * speedup ratios (``*speedup*`` keys) and cache hit rates / realised batch
   sizes — higher is better, a run fails when it drops below
   ``baseline * (1 - tolerance)``;
+* solved-instance counts (``solved_*`` keys, from
+  ``benchmarks/bench_rq1.py``) — higher is better at zero tolerance: node
+  budgets make them deterministic, so one instance fewer is a regression;
 * LP solve counts (``lp_total_solves``) — lower is better, a run fails when
   it grows beyond ``baseline * (1 + tolerance)``;
 * robustness counters (``total_job_retries``, ``process_worker_crashes``,
@@ -69,6 +73,8 @@ TOLERANCE_OVERRIDES = {"min_speedup_incremental": 0.30,
                        # ratio sits below 1.0 by design; the gate only
                        # catches the IPC path becoming drastically slower.
                        "process_speedup_over_cooperative": 0.50}
+#: Prefix of deterministic solved counts: higher is better, no tolerance.
+SOLVED_PREFIX = "solved_"
 #: Lower-is-better numeric summary metrics.
 LOWER_BETTER_KEYS = ("lp_total_solves", "service_max_p95_latency_ratio",
                      "total_job_retries", "process_worker_crashes",
@@ -89,7 +95,7 @@ def _classify(key: str):
         return "boolean"
     if key in LOWER_BETTER_KEYS:
         return "lower"
-    if key in HIGHER_BETTER_KEYS:
+    if key in HIGHER_BETTER_KEYS or key.startswith(SOLVED_PREFIX):
         return "higher"
     return None
 
@@ -130,7 +136,8 @@ def compare_summaries(current: dict, baseline: dict, tolerance: float,
                 yield (key, f"invariant {key} regressed: baseline "
                             f"{base_value} -> current {value}")
         elif kind == "higher" and isinstance(base_value, (int, float)):
-            key_tolerance = TOLERANCE_OVERRIDES.get(key, tolerance)
+            key_tolerance = (0.0 if key.startswith(SOLVED_PREFIX)
+                             else TOLERANCE_OVERRIDES.get(key, tolerance))
             floor = base_value * (1.0 - key_tolerance)
             if value < floor:
                 yield (key, f"{key} regressed: {value:.4g} < "
