@@ -41,7 +41,6 @@ induces the same LP and a hit returns the identical optimum.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Optional, Tuple
@@ -108,72 +107,52 @@ class CacheStats:
 class BoundCache:
     """A bounded LRU cache of bound reports keyed by their search path.
 
-    Every public method holds an internal re-entrant lock for its whole
-    duration, so the LRU bookkeeping (lookup + ``move_to_end``, insert +
-    eviction sweep) and the matching stats updates are atomic and one cache
-    instance may be shared by concurrent workers.  Entries are immutable, so
-    locking the *operations* is all the safety a shared cache needs.
+    Entries are immutable, so one instance may be shared by every run on
+    its problem.
     """
 
     def __init__(self, max_entries: int = DEFAULT_CACHE_SIZE) -> None:
         require(max_entries >= 1, "max_entries must be positive")
         self.max_entries = int(max_entries)
         self._store: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._lock = threading.RLock()
         self.stats = CacheStats()
 
     def _put(self, key: Hashable, value: object) -> None:
-        """Insert with LRU eviction (callers must hold ``_lock``)."""
+        """Insert with LRU eviction."""
         if key in self._store:
             self._store.move_to_end(key)
         self._store[key] = value
         while len(self._store) > self.max_entries:
             self._store.popitem(last=False)
-            self.stats.report_evictions += 1  # lint: disable=lock-discipline - caller holds _lock
+            self.stats.report_evictions += 1
 
     # -- report entries -------------------------------------------------------
     def get_report(self, path: Tuple):
         """The report memoised for ``path``, or ``None``; counts a hit or miss."""
-        with self._lock:
-            key = ("report", path)
-            report = self._store.get(key)
-            if report is None:
-                self.stats.report_misses += 1
-            else:
-                self.stats.report_hits += 1
-                self._store.move_to_end(key)
-            return report
+        key = ("report", path)
+        report = self._store.get(key)
+        if report is None:
+            self.stats.report_misses += 1
+        else:
+            self.stats.report_hits += 1
+            self._store.move_to_end(key)
+        return report
 
     def put_report(self, path: Tuple, report) -> None:
         """Memoise ``report`` under ``path`` (LRU eviction beyond capacity)."""
-        with self._lock:
-            self._put(("report", path), report)
+        self._put(("report", path), report)
 
     # -- stats ----------------------------------------------------------------
     def record_reuse(self, children: int, layers_taken: int,
                      layers_rebound: int) -> None:
-        """Count one analysis call's parent reuse (see :class:`CacheStats`).
-
-        Counted through this method instead of mutating :attr:`stats`
-        directly, which would tear the counters on a fingerprint-shared
-        cache under concurrent workers (the same discipline as
-        :meth:`LpCache.record_hit`).
-        """
-        with self._lock:
-            self.stats.delta_corrections += children
-            self.stats.layer_hits += layers_taken
-            self.stats.layer_misses += layers_rebound
+        """Count one analysis call's parent reuse (see :class:`CacheStats`)."""
+        self.stats.delta_corrections += children
+        self.stats.layer_hits += layers_taken
+        self.stats.layer_misses += layers_rebound
 
     def stats_snapshot(self) -> dict:
-        """Atomic :meth:`CacheStats.as_dict` snapshot (taken under the lock).
-
-        Reading ``cache.stats.as_dict()`` from another thread can tear
-        across the individual counters while a worker is mid-update;
-        bundle- and service-level reporting reads through this method so a
-        snapshot is internally consistent.
-        """
-        with self._lock:
-            return self.stats.as_dict()
+        """The counters as a fresh :meth:`CacheStats.as_dict` dict."""
+        return self.stats.as_dict()
 
     # -- persistence ----------------------------------------------------------
     def export_entries(self) -> list:
@@ -184,8 +163,7 @@ class BoundCache:
         store including its eviction order.  Entries are immutable, so the
         snapshot shares them with the live cache safely.
         """
-        with self._lock:
-            return list(self._store.items())
+        return list(self._store.items())
 
     def import_entries(self, items) -> int:
         """Insert exported ``(key, entry)`` pairs, preserving their order.
@@ -196,20 +174,17 @@ class BoundCache:
         capacity evicts (and counts) exactly like regular puts.  Returns the
         number of entries inserted.
         """
-        with self._lock:
-            for key, value in items:
-                self._put(key, value)
-            return len(self._store)
+        for key, value in items:
+            self._put(key, value)
+        return len(self._store)
 
     # -- management -----------------------------------------------------------
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._store)
+        return len(self._store)
 
     def clear(self) -> None:
         """Drop every entry; the counters are kept."""
-        with self._lock:
-            self._store.clear()
+        self._store.clear()
 
 
 @dataclass
@@ -260,10 +235,6 @@ class LpCache:
     per spec row internally), so ``hits / (hits + misses)`` and ``solves``
     make the cost of leaf resolution observable end to end.
 
-    As with :class:`BoundCache`, every public method is serialised by an
-    internal re-entrant lock, so a fingerprint-shared instance is safe under
-    concurrent workers and its counters never tear.
-
     Setting :attr:`fingerprint` pins the cache to one verification problem:
     a run on the cache then scopes its keys with it instead of hashing the
     problem again.  Each service cache bundle pins its cache to the
@@ -276,61 +247,47 @@ class LpCache:
         self.max_entries = int(max_entries)
         self.fingerprint: Optional[str] = None
         self._store: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._lock = threading.RLock()
         self.stats = LpCacheStats()
 
     def get(self, key: Hashable) -> Optional[object]:
         """Look up a leaf's optimum; counts a hit or a miss."""
-        with self._lock:
-            value = self._store.get(key)
-            if value is None:
-                self.stats.misses += 1
-            else:
-                self.stats.hits += 1
-                self._store.move_to_end(key)
-            return value
+        value = self._store.get(key)
+        if value is None:
+            self.stats.misses += 1
+        else:
+            self.stats.hits += 1
+            self._store.move_to_end(key)
+        return value
 
     def put(self, key: Hashable, optimum: object) -> None:
         """Store a freshly solved optimum (LRU eviction beyond capacity)."""
-        with self._lock:
-            if key in self._store:
-                self._store.move_to_end(key)
-            self._store[key] = optimum
-            while len(self._store) > self.max_entries:
-                self._store.popitem(last=False)
-                self.stats.evictions += 1
+        if key in self._store:
+            self._store.move_to_end(key)
+        self._store[key] = optimum
+        while len(self._store) > self.max_entries:
+            self._store.popitem(last=False)
+            self.stats.evictions += 1
 
     def record_solve(self, count: int = 1) -> None:
         """Count ``count`` leaf resolutions dispatched to the solver."""
-        with self._lock:
-            self.stats.solves += count
+        self.stats.solves += count
 
     def record_proven_empty(self, count: int = 1) -> None:
         """Count ``count`` solved leaves closed by an emptiness certificate."""
-        with self._lock:
-            self.stats.proven_empty += count
+        self.stats.proven_empty += count
 
     def record_hit(self, count: int = 1) -> None:
         """Count ``count`` reuses served without a store lookup.
 
         The batch LP solver deduplicates identical leaves *within* one
         batch by aliasing the first resolution's optimum; those aliases are
-        cache-level reuse and are recorded through this method instead of
-        callers mutating :attr:`stats` directly (which would race on a
-        shared cache).
+        cache-level reuse and are recorded through this method.
         """
-        with self._lock:
-            self.stats.hits += count
+        self.stats.hits += count
 
     def stats_snapshot(self) -> dict:
-        """Atomic :meth:`LpCacheStats.as_dict` snapshot (under the lock).
-
-        The counterpart of :meth:`BoundCache.stats_snapshot`: reporting
-        reads a shared cache's counters through this method so the snapshot
-        never tears across a concurrent worker's update.
-        """
-        with self._lock:
-            return self.stats.as_dict()
+        """The counters as a fresh :meth:`LpCacheStats.as_dict` dict."""
+        return self.stats.as_dict()
 
     def export_entries(self) -> list:
         """Snapshot of every ``(key, optimum)`` pair in LRU order (oldest first).
@@ -338,8 +295,7 @@ class LpCache:
         The counterpart of :meth:`import_entries`; optima are immutable, so
         the snapshot shares them with the live cache safely.
         """
-        with self._lock:
-            return list(self._store.items())
+        return list(self._store.items())
 
     def import_entries(self, items) -> int:
         """Insert exported ``(key, optimum)`` pairs, preserving their order.
@@ -349,21 +305,13 @@ class LpCache:
         evicts oldest-first exactly like regular puts.  Returns the number
         of entries inserted.
         """
-        with self._lock:
-            for key, value in items:
-                if key in self._store:
-                    self._store.move_to_end(key)
-                self._store[key] = value
-                while len(self._store) > self.max_entries:
-                    self._store.popitem(last=False)
-                    self.stats.evictions += 1
-            return len(self._store)
+        for key, value in items:
+            self.put(key, value)
+        return len(self._store)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._store)
+        return len(self._store)
 
     def clear(self) -> None:
         """Drop every entry; the counters are kept."""
-        with self._lock:
-            self._store.clear()
+        self._store.clear()

@@ -20,15 +20,12 @@ pool never keeps a network alive) and thereby makes fingerprinting a
 many-property workload — a robustness sweep, a batch of labels on one model
 — cost one weight hash total instead of one per property.
 
-Thread safety
--------------
-The process transport's shard threads call into the pool (bundle lookup
-per slice, quarantine on failure, adopting worker bundles at shutdown)
-while submitting threads fingerprint, so all pool state — the bundle
-table, the digest memo and the hit/miss counters — is guarded by one
-re-entrant lock.  The bundles'
-own caches carry their own locks (see ``bounds/cache.py``); the pool lock
-only protects the *pool's* bookkeeping.
+Threads
+-------
+The pool takes no locks: the service calls into it (fingerprinting on
+submit, bundle lookup per slice, quarantine on failure, adopting worker
+bundles at shutdown) only from the thread that drives it, and worker
+processes hold their own copies of the bundles.
 
 Persistence
 -----------
@@ -46,7 +43,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import threading
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -100,8 +96,6 @@ class CacheBundle:
         ``hit_rate`` do not difference meaningfully.
         """
         snapshot: Dict[str, int] = {}
-        # stats_snapshot() reads under each cache's lock, so the per-cache
-        # counters cannot tear while a shard thread is mid-update.
         for prefix, stats in (("lp", self.lp_cache.stats_snapshot()),
                               ("bound", self.bound_cache.stats_snapshot())):
             for key, value in stats.items():
@@ -214,13 +208,7 @@ class CacheBundle:
 
 
 class FingerprintCachePool:
-    """Bundles per problem fingerprint, plus the warm-model digest memo.
-
-    All bookkeeping is serialised behind one re-entrant lock, so shard
-    threads may fingerprint, fetch and quarantine bundles concurrently
-    without losing counter increments or racing bundle creation (concurrent
-    :meth:`bundle` calls on one fingerprint observe the same instance).
-    """
+    """Bundles per problem fingerprint, plus the warm-model digest memo."""
 
     def __init__(self, lp_cache_size: int = DEFAULT_LP_CACHE_SIZE,
                  bound_cache_size: int = DEFAULT_CACHE_SIZE) -> None:
@@ -229,7 +217,6 @@ class FingerprintCachePool:
         self._bundles: Dict[str, CacheBundle] = {}
         self._digests: "weakref.WeakKeyDictionary[Network, str]" = (
             weakref.WeakKeyDictionary())
-        self._lock = threading.RLock()
         self.model_cache_hits = 0
         self.model_cache_misses = 0
 
@@ -237,34 +224,25 @@ class FingerprintCachePool:
     def fingerprint_for(self, network: Network, spec: Specification) -> str:
         """The problem fingerprint of ``(network, spec)``, digest-memoised."""
         lowered = network.lowered()  # memoised on the network instance
-        with self._lock:
-            digest = self._digests.get(network)
-            if digest is None:
-                self.model_cache_misses += 1
-            else:
-                self.model_cache_hits += 1
+        digest = self._digests.get(network)
         if digest is None:
-            # Hash outside the lock: digesting large weights is the slow
-            # part, and a duplicate digest computed by a racing thread is
-            # identical anyway.
-            digest = network_weights_digest(lowered)
-            with self._lock:
-                self._digests[network] = digest
+            self.model_cache_misses += 1
+            digest = self._digests[network] = network_weights_digest(lowered)
+        else:
+            self.model_cache_hits += 1
         return problem_fingerprint(lowered, spec.input_box, spec.output_spec,
                                    weights_digest=digest)
 
     # -- bundle management -----------------------------------------------------
     def bundle(self, fingerprint: str) -> CacheBundle:
         """The (created-on-demand) cache bundle of one fingerprint."""
-        with self._lock:
-            found = self._bundles.get(fingerprint)
-            if found is None:
-                found = CacheBundle(
-                    fingerprint,
-                    lp_cache=LpCache(self.lp_cache_size),
-                    bound_cache=BoundCache(self.bound_cache_size))
-                self._bundles[fingerprint] = found
-            return found
+        found = self._bundles.get(fingerprint)
+        if found is None:
+            found = self._bundles[fingerprint] = CacheBundle(
+                fingerprint,
+                lp_cache=LpCache(self.lp_cache_size),
+                bound_cache=BoundCache(self.bound_cache_size))
+        return found
 
     def adopt_payload(self, payload: object, source: str = "worker") -> str:
         """Import a :meth:`CacheBundle.to_payload` dict into the pool.
@@ -281,8 +259,7 @@ class FingerprintCachePool:
                                           lp_cache_size=self.lp_cache_size,
                                           bound_cache_size=self.bound_cache_size,
                                           source=source)
-        with self._lock:
-            self._bundles[bundle.fingerprint] = bundle
+        self._bundles[bundle.fingerprint] = bundle
         return bundle.fingerprint
 
     def discard(self, fingerprint: str) -> bool:
@@ -293,24 +270,19 @@ class FingerprintCachePool:
         recompute, so the service trades warm caches for certain isolation.
         Returns whether a bundle existed.
         """
-        with self._lock:
-            return self._bundles.pop(fingerprint, None) is not None
+        return self._bundles.pop(fingerprint, None) is not None
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._bundles)
+        return len(self._bundles)
 
     def stats(self) -> dict:
         """Pool-level counters plus per-fingerprint cache stats."""
-        with self._lock:
-            bundles = dict(self._bundles)
-            hits, misses = self.model_cache_hits, self.model_cache_misses
         return {
-            "fingerprints": len(bundles),
-            "model_cache_hits": hits,
-            "model_cache_misses": misses,
+            "fingerprints": len(self._bundles),
+            "model_cache_hits": self.model_cache_hits,
+            "model_cache_misses": self.model_cache_misses,
             "bundles": {fp: bundle.stats_snapshot()
-                        for fp, bundle in bundles.items()},
+                        for fp, bundle in self._bundles.items()},
         }
 
     # -- persistence -----------------------------------------------------------
@@ -318,12 +290,10 @@ class FingerprintCachePool:
         """Save every bundle to ``directory/<fingerprint>.cachebundle``.
 
         Returns the written paths (sorted by fingerprint, so directory
-        listings are stable).  Bundles keep serving while being saved —
-        ``export_entries`` snapshots under the cache locks.
+        listings are stable).
         """
-        with self._lock:
-            bundles = sorted(self._bundles.values(),
-                             key=lambda bundle: bundle.fingerprint)
+        bundles = sorted(self._bundles.values(),
+                         key=lambda bundle: bundle.fingerprint)
         directory = Path(directory)
         return [bundle.save(directory / f"{bundle.fingerprint}{BUNDLE_SUFFIX}")
                 for bundle in bundles]
@@ -355,7 +325,6 @@ class FingerprintCachePool:
                                       bound_cache_size=self.bound_cache_size)
             require(path.name == f"{bundle.fingerprint}{BUNDLE_SUFFIX}",
                     f"bundle file {path.name} does not match its fingerprint")
-            with self._lock:
-                self._bundles[bundle.fingerprint] = bundle
+            self._bundles[bundle.fingerprint] = bundle
             loaded += 1
         return loaded

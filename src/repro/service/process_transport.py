@@ -1,46 +1,44 @@
 """Shard executors: where a job's run is opened and advanced.
 
 The scheduler drives every slice through one executor interface —
-``start_job``, ``run_slice``, ``discard``, ``stop`` — and both executors
+``start_job`` and ``run_slice`` post a request, ``receive`` reads its
+reply, and ``discard`` and ``stop`` manage the shard — and both executors
 here run the same two functions: :func:`start_run` (the service's only
 ``start_run`` call) and :func:`advance_run` (its only ``step()`` and
 ``interrupt()`` calls, with the deadline checked before every round).
 
 * :class:`InlineExecutor` calls them directly on the parent pool's
-  bundles, in the calling thread: the cooperative transport,
-  process-transport jobs whose payload does not pickle, and degraded
-  shards.
+  bundles, in the caller's thread, when the request is posted: the
+  cooperative transport, process-transport jobs whose payload does not
+  pickle, and degraded shards.
 * :class:`ShardExecutor` calls them in one supervised worker *process* per
-  shard, one pipe round-trip per request, while the scheduler's shard
-  thread keeps running the usual per-worker policy (priority, bounded
-  wait, deadlines) in the parent — so the interleaving semantics and the
-  transport-conformance properties are untouched.  What the process
-  boundary buys is *crash isolation*: a segfaulting LP solve, an
-  OOM-killed worker or a plain SIGKILL takes down one shard's process,
-  which the supervisor detects and restarts, and the scheduler retries the
-  interrupted jobs under its :class:`~repro.service.jobs.RetryPolicy` —
-  the host service never dies.
+  shard: a request is posted at once and its reply read when the pipe is
+  ready, while the scheduler runs the usual per-worker policy in the
+  parent.  What the process boundary buys is *crash isolation*: a
+  segfault, OOM kill or SIGKILL takes down one shard's process, which the
+  supervisor detects and the scheduler restarts.
 
 Protocol
 --------
-Messages are dicts over a duplex pipe, one reply per request:
+Messages are dicts over a duplex pipe:
 
-* ``ping`` → ``pong`` (liveness probe);
-* ``bundle`` — hand over a fingerprint's cache bundle as a
-  :meth:`~repro.service.pool.CacheBundle.to_payload` dict (the on-disk
-  save/load format, shipped over the pipe instead of through a file);
 * ``start`` — :func:`start_run` on the worker-local bundle (the verifier
-  factory travels as its own pickle, loaded inside the setup guard);
-  ``slice`` — :func:`advance_run`;
-* ``discard`` — quarantine a fingerprint's worker-local bundle;
+  factory travels as its own pickle, loaded inside the setup guard).  In
+  each worker generation, the first ``start`` on a network carries the
+  network, and the first on a fingerprint carries its cache bundle as a
+  :meth:`~repro.service.pool.CacheBundle.to_payload` dict (the on-disk
+  save/load format);
+* ``slice`` — :func:`advance_run`;
+* ``discard`` — quarantine a fingerprint's worker-local bundle (no reply);
 * ``collect`` — ship every worker-local bundle back as payloads (used at
   shutdown so the parent pool keeps the warmth accumulated in the worker);
-* ``stop`` — exit the worker loop.
+* ``stop`` — exit the worker loop (no reply).
 
-In-worker Python exceptions are *data* (``error`` replies that become
-structured ``JobError``\\ s); only process death is a crash.  The
-worker-local caches are rebuilt from the parent pool's bundles on every
-restart, so a crash costs warmth, never correctness.
+Every other request gets exactly one reply.  In-worker Python
+exceptions are *data* (``error`` replies that become structured
+``JobError``\\ s); only process death is a crash.  The worker-local caches
+are rebuilt from the parent pool's bundles on every restart, so a crash
+costs warmth, never correctness.
 """
 
 from __future__ import annotations
@@ -48,13 +46,14 @@ from __future__ import annotations
 import copy
 import pickle
 import time
+import weakref
 from multiprocessing.connection import Connection
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.nn.network import Network
 from repro.service.jobs import JobError, JobRequest
 from repro.service.pool import CacheBundle, FingerprintCachePool
-from repro.service.supervisor import WorkerSupervisor
+from repro.service.supervisor import WorkerCrashed, WorkerSupervisor
 from repro.specs.properties import Specification
 from repro.utils.timing import Budget
 from repro.verifiers.result import (
@@ -167,12 +166,13 @@ def worker_main(conn: Connection, lp_cache_size: int,
 
     Serves protocol requests until ``stop`` or pipe EOF.  Holds the
     worker-local state: fingerprint-keyed :class:`CacheBundle`\\ s (seeded
-    by ``bundle`` handovers, replaced wholesale on ``discard``) and the
+    by the bundles ``start`` requests carry, dropped on ``discard``) and the
     open verifier runs keyed by job id.  Every per-op exception is caught
     and answered as an ``error`` reply — the loop itself only dies with the
     process, which is exactly the event the parent supervisor watches for.
     """
     bundles: Dict[str, CacheBundle] = {}
+    networks: Dict[int, Network] = {}
     runs: Runs = {}
 
     def bundle_for(fingerprint: str) -> CacheBundle:
@@ -192,44 +192,41 @@ def worker_main(conn: Connection, lp_cache_size: int,
             return
         op = message.get("op")
         if op == "stop":
-            try:
-                conn.send({"op": "bye"})
-            except (BrokenPipeError, OSError):
-                pass
             return
+        reply = _serve(message, op, bundles, bundle_for, networks, runs)
         try:
-            conn.send(_serve(message, op, bundles, bundle_for, runs))
+            if reply is not None:
+                conn.send(reply)
         except (BrokenPipeError, OSError):
             return
 
 
 def _serve(message: dict, op: str, bundles: dict, bundle_for,
-           runs: Runs) -> dict:
-    """Dispatch one protocol request to a reply dict (never raises)."""
-    if op == "ping":
-        return {"op": "pong"}
-    if op == "bundle":
-        try:
-            bundles[message["fingerprint"]] = CacheBundle.from_payload(
-                message["payload"],
-                expected_fingerprint=message["fingerprint"],
-                source="handover")
-            return {"op": "ok"}
-        except Exception as exc:  # noqa: BLE001 - isolation boundary
-            return {**_error_reply(exc, "setup"), "cache_delta": {}}
+           networks: dict, runs: Runs) -> Optional[dict]:
+    """One protocol request's reply dict, ``None`` for none (never raises)."""
     if op == "discard":
         bundles.pop(message["fingerprint"], None)
-        return {"op": "ok"}
+        return None
     if op == "collect":
         return {"op": "bundles",
                 "payloads": [bundle.to_payload()
                              for bundle in bundles.values()]}
     if op == "start":
+        if "payload" in message:
+            try:
+                bundles[message["fingerprint"]] = CacheBundle.from_payload(
+                    message["payload"],
+                    expected_fingerprint=message["fingerprint"],
+                    source="handover")
+            except Exception as exc:  # noqa: BLE001 - isolation boundary
+                return {**_error_reply(exc, "setup"), "cache_delta": {}}
+        if "network" in message:
+            networks[message["network_id"]] = message["network"]
         return start_run(runs, message["job_id"],
                          bundle_for(message["fingerprint"]),
                          _shipped_factory(message["factory"]),
-                         message["network"], message["spec"],
-                         message["budget"])
+                         networks.get(message["network_id"]),
+                         message["spec"], message["budget"])
     if op == "slice":
         return advance_run(runs, message["job_id"], message["rounds"],
                            message["deadline_at"], message["submitted_at"])
@@ -239,35 +236,39 @@ def _serve(message: dict, op: str, bundles: dict, bundle_for,
 
 
 class InlineExecutor:
-    """An executor that runs a shard's jobs in the calling thread.
+    """An executor that runs a shard's jobs in the caller's thread.
 
-    Calls :func:`start_run` and :func:`advance_run` directly on the parent
-    pool's bundles, with the same methods and reply dicts as
-    :class:`ShardExecutor`, so the scheduler drives every slice through one
-    path.  It serves the cooperative transport, process-shard jobs whose
-    payload cannot cross the pipe, and shards that degraded.  It
-    never raises :class:`~repro.service.supervisor.WorkerCrashed`.
+    Calls :func:`start_run` and :func:`advance_run` on the parent pool's
+    bundles when a request is posted, with the same methods and reply
+    dicts as :class:`ShardExecutor`.  It serves the cooperative transport,
+    process-shard jobs whose payload cannot cross the pipe, and degraded
+    shards, and never raises ``WorkerCrashed``.
     """
 
     def __init__(self) -> None:
         self.runs: Runs = {}
+        self._reply: dict = {}
 
     def start_job(self, job_id: str, fingerprint: str, request: JobRequest,
-                  factory: Callable, pool: FingerprintCachePool) -> dict:
-        """Open ``job_id``'s run on the pool's bundle; the reply dict.
+                  factory: Callable, pool: FingerprintCachePool) -> None:
+        """Open ``job_id``'s run on the pool's bundle.
 
         The run gets its own copy of the request's budget, as the worker
         process gets an unpickled one, so every attempt starts uncharged.
         """
-        return start_run(self.runs, job_id, pool.bundle(fingerprint),
-                         factory, request.network, request.spec,
-                         copy.deepcopy(request.budget))
+        self._reply = start_run(self.runs, job_id, pool.bundle(fingerprint),
+                                factory, request.network, request.spec,
+                                copy.deepcopy(request.budget))
 
     def run_slice(self, job_id: str, rounds: int,
-                  deadline_at: Optional[float], submitted_at: float) -> dict:
-        """Advance ``job_id`` by up to ``rounds`` rounds; the reply dict."""
-        return advance_run(self.runs, job_id, rounds, deadline_at,
-                           submitted_at)
+                  deadline_at: Optional[float], submitted_at: float) -> None:
+        """Advance ``job_id`` by up to ``rounds`` rounds."""
+        self._reply = advance_run(self.runs, job_id, rounds, deadline_at,
+                                  submitted_at)
+
+    def receive(self) -> dict:
+        """The reply of the last :meth:`start_job` or :meth:`run_slice`."""
+        return self._reply
 
     def discard(self, fingerprint: str) -> None:
         """Nothing to drop: the runs use the parent pool's own bundles."""
@@ -281,13 +282,12 @@ class ShardExecutor:
     """Parent-side handle of one shard's worker process.
 
     Owns the shard's :class:`~repro.service.supervisor.WorkerSupervisor`
-    and the handover bookkeeping: which fingerprints' bundles the current
-    worker generation has received, and which jobs hold open runs in it
-    (``runs``).  Used only from the shard's scheduler thread, so it needs
-    no locking.  Crash handling is split: the executor *detects* (its
-    supervisor raises :class:`~repro.service.supervisor.WorkerCrashed`)
-    while the scheduler decides (retry, poison, degrade) and then calls
-    :meth:`restart`.
+    and what the current worker generation holds: the bundles and networks
+    it was sent, and the jobs with open runs (``runs``).  The scheduler
+    calls :meth:`receive` once the supervisor's ``waitables`` are ready or
+    its ``expires_at`` has passed.  Crash handling is split: the executor
+    *detects* (:meth:`receive` raises ``WorkerCrashed``) while the
+    scheduler decides (retry, poison, degrade) and calls :meth:`restart`.
     """
 
     def __init__(self, index: int, lp_cache_size: int, bound_cache_size: int,
@@ -296,7 +296,9 @@ class ShardExecutor:
         self.index = index
         self.slice_timeout = slice_timeout
         self.handed_over: Set[str] = set()
+        self.shipped: "weakref.WeakSet[Network]" = weakref.WeakSet()
         self.runs: Set[str] = set()
+        self._job_id = ""
         self.supervisor = WorkerSupervisor(
             target=worker_main, args=(lp_cache_size, bound_cache_size),
             start_method=start_method, name=f"verification-shard-{index}")
@@ -316,6 +318,7 @@ class ShardExecutor:
         an uninterrupted run (the run never resumes mid-state).
         """
         self.handed_over.clear()
+        self.shipped.clear()
         self.runs.clear()
         self.supervisor.restart()
 
@@ -341,80 +344,76 @@ class ShardExecutor:
 
     # -- job execution ---------------------------------------------------------
     def start_job(self, job_id: str, fingerprint: str, request: JobRequest,
-                  factory: Callable, pool: FingerprintCachePool) -> dict:
-        """Open ``job_id``'s run in the worker; the worker's reply dict.
+                  factory: Callable, pool: FingerprintCachePool) -> None:
+        """Post the request that opens ``job_id``'s run in the worker.
 
-        The reply is ``{"op": "ok"/"error", "cache_delta": ...}`` — the
-        scheduler folds the delta into the job's counters and turns
-        ``error`` replies into a setup-stage :class:`JobError` via
-        :func:`reply_error`.  Hands the fingerprint's bundle over first
-        when this worker generation has not seen it.  Raises
-        :class:`UnpicklableJob` when the request cannot cross the pipe (the
-        scheduler then runs the job on an :class:`InlineExecutor`) and
-        :class:`~repro.service.supervisor.WorkerCrashed` when the worker
-        died underneath the request.
+        Its reply is ``{"op": "ok"/"error", "cache_delta": ...}``.  Carries
+        the network and the fingerprint's bundle when this worker
+        generation has not been sent them.  Raises :class:`UnpicklableJob` when the request cannot cross
+        the pipe (the scheduler then runs the job on an
+        :class:`InlineExecutor`) and
+        :class:`~repro.service.supervisor.WorkerCrashed` when the worker is
+        gone.
         """
-        if fingerprint not in self.handed_over:
-            payload = pool.bundle(fingerprint).to_payload()
-            reply = self.supervisor.request(
-                {"op": "bundle", "fingerprint": fingerprint,
-                 "payload": payload}, timeout=self.slice_timeout)
-            if reply.get("op") == "error":
-                return reply
-            self.handed_over.add(fingerprint)
         try:
             factory_bytes = pickle.dumps(factory)
         except _PICKLE_ERRORS as exc:
             raise UnpicklableJob(
                 f"verifier factory does not pickle: {exc}") from exc
         message = {"op": "start", "job_id": job_id,
-                   "fingerprint": fingerprint, "network": request.network,
-                   "spec": request.spec, "budget": request.budget,
-                   "factory": factory_bytes}
+                   "fingerprint": fingerprint,
+                   "network_id": id(request.network), "spec": request.spec,
+                   "budget": request.budget, "factory": factory_bytes}
+        if request.network not in self.shipped:
+            message["network"] = request.network
+        if fingerprint not in self.handed_over:
+            message["payload"] = pool.bundle(fingerprint).to_payload()
         try:
-            reply = self.supervisor.request(message,
-                                            timeout=self.slice_timeout)
+            self._post(job_id, message)
         except _PICKLE_ERRORS as exc:
             raise UnpicklableJob(
                 f"job payload does not pickle: {exc}") from exc
-        if reply["op"] != "error":
-            self.runs.add(job_id)
-        return reply
+        self.handed_over.add(fingerprint)
+        self.shipped.add(request.network)
 
     def run_slice(self, job_id: str, rounds: int,
-                  deadline_at: Optional[float], submitted_at: float) -> dict:
-        """Advance ``job_id`` by up to ``rounds`` rounds; the reply dict.
+                  deadline_at: Optional[float], submitted_at: float) -> None:
+        """Post the request that advances ``job_id`` by up to ``rounds``.
 
         ``deadline_at`` and ``submitted_at`` are absolute
         ``time.monotonic()`` instants — comparable across processes on one
         host (CLOCK_MONOTONIC is system-wide on Linux), so the worker's
         :func:`advance_run` enforces the deadline exactly as in-process.
-        Terminal replies (``done`` / ``error``) close the job's run.
         """
-        reply = self.supervisor.request(
-            {"op": "slice", "job_id": job_id, "rounds": rounds,
-             "deadline_at": deadline_at, "submitted_at": submitted_at},
-            timeout=self.slice_timeout)
-        if reply["op"] != "more":
-            self.runs.discard(job_id)
+        self._post(job_id, {"op": "slice", "job_id": job_id,
+                            "rounds": rounds, "deadline_at": deadline_at,
+                            "submitted_at": submitted_at})
+
+    def receive(self) -> dict:
+        """The posted request's reply (see ``WorkerSupervisor.receive``)."""
+        reply = self.supervisor.receive()
+        if reply["op"] == "ok":
+            self.runs.add(self._job_id)
+        elif reply["op"] != "more":
+            self.runs.discard(self._job_id)
         return reply
 
     def discard(self, fingerprint: str) -> None:
         """Quarantine a fingerprint's worker-local bundle (best-effort).
 
-        Mirrors the parent pool's quarantine: the next job on the
-        fingerprint re-hands a fresh (post-quarantine) bundle, so poisoned
-        entries never survive in the worker either.
+        The next job on the fingerprint re-hands the parent's fresh bundle,
+        so poisoned entries never survive in the worker either.
         """
         self.handed_over.discard(fingerprint)
-        if not self.alive():
-            return
         try:
-            self.supervisor.request({"op": "discard",
-                                     "fingerprint": fingerprint},
-                                    timeout=self.slice_timeout)
-        except Exception:  # noqa: BLE001 - next dispatch handles a dead worker
+            self.supervisor.post({"op": "discard",
+                                  "fingerprint": fingerprint})
+        except WorkerCrashed:  # the next dispatch handles a dead worker
             pass
+
+    def _post(self, job_id: str, message: dict) -> None:
+        self.supervisor.post(message, self.slice_timeout)
+        self._job_id = job_id
 
 
 def reply_error(reply: dict) -> JobError:

@@ -4,32 +4,36 @@ The service turns the library's verifiers into a batch/streaming facility:
 many ``(network, property, budget)`` jobs run interleaved, preempted only at
 :class:`~repro.engine.driver.FrontierDriver` round boundaries (where the
 verifiers' ``affordable_phases`` budget accounting already makes stopping
-sound).  Two execution transports share one API, one scheduling policy
-and one slice path (see ``docs/SERVICE.md#transports``): every slice goes
-through the shard's *executor* (``repro.service.process_transport``), whose
+sound).  Two execution transports share one API, one scheduling policy,
+one slice path and one caller-driven loop (see
+``docs/SERVICE.md#transports``): every slice goes through the shard's
+*executor* (``repro.service.process_transport``), whose
 ``start_job``/``run_slice`` open and advance the job's run in one shared
-implementation.
+implementation, and the caller drives everything by iterating
+:meth:`VerificationService.step` / :meth:`VerificationService.as_completed`.
 
-* ``"cooperative"`` — single-threaded and fully deterministic, on each
-  shard's in-process executor: one job advances at a time, driven by the
-  caller iterating :meth:`VerificationService.step` /
-  :meth:`VerificationService.as_completed`, so the same submissions always
+* ``"cooperative"`` — fully deterministic, on each shard's in-process
+  executor: each :meth:`~VerificationService.step` advances one job by one
+  slice, round-robin over the shards, so the same submissions always
   produce the same interleaving.
-* ``"process"`` — one supervised worker *process* per shard, driven by
-  one shard thread in the parent: each shard thread drains its own queue
-  under the identical per-worker policy, but its executor is a
-  :class:`~repro.service.process_transport.ShardExecutor`, so each slice
-  executes in the shard's process via a pipe round-trip.  Results stream
-  in completion order (nondeterministic across shards);
-  :meth:`VerificationService.run_until_complete` restores deterministic
-  submission order at the collection point.
+* ``"process"`` — one supervised worker *process* per shard, whose
+  executor is a :class:`~repro.service.process_transport.ShardExecutor`.
+  Each step posts the next slice to every idle shard, then one
+  ``multiprocessing.connection.wait`` over the shards' pipes and process
+  sentinels collects whichever replies arrive first; its timeout is the
+  nearest slice-timeout expiry, retry ``not_before`` or deadline.  Each
+  slice executes in the shard's process, under the identical per-worker
+  policy.  Results stream in completion order (nondeterministic across
+  shards); :meth:`VerificationService.run_until_complete` restores
+  deterministic submission order at the collection point.
   Jobs whose payload does not pickle run on the shard's in-process
-  executor instead.  The shard's cache bundle is handed over in the
-  ``CacheBundle.save()`` payload format and shipped back at shutdown, so
-  warmth survives the process boundary.  What the extra hop
-  buys is *crash isolation*: a worker death — segfault, OOM kill, SIGKILL —
-  detected by the supervisor, the worker restarts, and interrupted jobs are
-  retried under the :class:`~repro.service.jobs.RetryPolicy`.
+  executor instead, in the caller's thread.  The shard's cache bundle is
+  handed over in the ``CacheBundle.save()`` payload format and shipped
+  back at shutdown, so warmth survives the process boundary.  What the
+  extra hop buys is *crash isolation*: a worker death — segfault, OOM
+  kill, SIGKILL — is detected by the supervisor, the worker restarts, and
+  interrupted jobs are retried under the
+  :class:`~repro.service.jobs.RetryPolicy`.
 
 Either way a job's verdict, budget charges and counterexample are
 byte-identical to an uninterrupted solo run — the caches shared between
@@ -58,12 +62,13 @@ Scheduling policy
   captured as a structured :class:`~repro.service.jobs.JobError` on *that
   job's* result; the fingerprint's cache bundle is quarantined (discarded)
   in case a poisoned entry caused the failure, and every other job — on the
-  same worker or not — continues untouched.  A failing job never takes its
-  shard thread down.
+  same worker or not — continues untouched.  A failing job never takes
+  the loop down.
 * **Retry & supervision** (``docs/SERVICE.md#fault-model--supervision``):
   failures whose ``JobError.kind`` is in ``RetryPolicy.retryable_kinds``
   re-enqueue the job with deterministic exponential backoff instead of
-  finalising it.  Under the process transport a dead worker surfaces as a
+  finalising it; a job whose deadline passes while it backs off times out
+  then.  Under the process transport a dead worker surfaces as a
   synthetic ``"WorkerCrash"`` (retryable by default); a job that kills its
   worker ``max_attempts`` times is *poison* and fails without taking the
   service down.  A shard whose worker keeps dying beyond
@@ -74,12 +79,13 @@ Scheduling policy
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
+from typing import (Callable, Deque, Dict, Iterable, Iterator, List, Optional,
+                    Tuple, Union)
 
 from repro.bounds.cache import DEFAULT_CACHE_SIZE, DEFAULT_LP_CACHE_SIZE
 from repro.nn.network import Network
@@ -100,10 +106,6 @@ from repro.verifiers.result import VerificationResult
 
 #: Execution transports accepted by :attr:`ServiceConfig.transport`.
 TRANSPORTS = ("cooperative", "process")
-
-#: Seconds a worker sleeps between queue probes while every pending job on
-#: it is inside a retry-backoff window.
-_BACKOFF_POLL_SECONDS = 0.005
 
 #: Fingerprint of a rejected job whose network cannot be lowered (and so
 #: has no problem fingerprint); it is never run, cached or looked up.
@@ -189,31 +191,27 @@ class _Job:
     done: Optional[JobResult] = None
 
 
-class _Worker:
-    """One worker shard: a queue of jobs plus its synchronisation state.
+Executor = Union[ShardExecutor, InlineExecutor]
 
-    ``lock`` guards the job list; ``wake`` (a condition on the same lock)
-    lets a process shard's thread sleep while its queue is empty and be
-    woken by submissions or shutdown.  The cooperative transport takes the
-    same lock — uncontended, so effectively free — which keeps one code
-    path.
+
+class _Worker:
+    """One worker shard: its queue of jobs and its executors.
 
     ``executor`` runs the shard's jobs: its ``inline`` executor, or under
     the process transport a :class:`ShardExecutor` (``None`` until first
     use), which degradation swaps for ``inline``.  Jobs whose payload does
-    not pickle always use ``inline``.  ``crashes`` counts the shard's
+    not pickle always use ``inline``.  ``busy`` is the job and executor of
+    the request posted to the shard's worker process and not yet answered;
+    the shard takes no other job meanwhile.  ``crashes`` counts the shard's
     worker deaths against ``worker_crash_budget``.
     """
 
     def __init__(self, index: int, spawn: bool) -> None:
         self.index = index
         self.jobs: List[_Job] = []
-        self.lock = threading.RLock()
-        self.wake = threading.Condition(self.lock)
-        self.thread: Optional[threading.Thread] = None
         self.inline = InlineExecutor()
-        self.executor: Union[ShardExecutor, InlineExecutor, None] = (
-            None if spawn else self.inline)
+        self.executor: Optional[Executor] = None if spawn else self.inline
+        self.busy: Optional[Tuple[_Job, Executor]] = None
         self.crashes: int = 0
 
 
@@ -228,13 +226,13 @@ class VerificationService:
 
     ``run_until_complete()`` drains everything and returns results in
     submission order (on every transport); :meth:`stream_results` is the
-    submit-and-stream convenience.  Under the default cooperative transport
-    the caller drives the service by iterating :meth:`as_completed` (or
-    calling :meth:`step` directly) and determinism follows; under
-    ``transport="process"`` workers drive themselves, results stream in
-    completion order, and the service should be
-    :meth:`shutdown` (or used as a context manager) when done.
-    :meth:`as_completed` supports one consumer at a time.
+    submit-and-stream convenience.  The caller drives the service on every
+    transport, by iterating :meth:`as_completed` (or calling :meth:`step`
+    directly); nothing runs in the background.  Under the cooperative
+    transport determinism follows; under ``transport="process"`` results
+    stream in completion order, and the service should be
+    :meth:`shutdown` (or used as a context manager) when done, which
+    releases the worker processes.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None,
@@ -247,7 +245,6 @@ class VerificationService:
         self._workers = [_Worker(i, self.config.transport == "process")
                          for i in range(self.config.pool_size)]
         self._jobs: Dict[str, _Job] = {}
-        self._lock = threading.RLock()
         self._next_seq = 0
         self._next_worker = 0
         self._slices = 0
@@ -258,16 +255,10 @@ class VerificationService:
         self._worker_restarts = 0
         self._jobs_inline = 0
         self._downgrades: List[dict] = []
-        self._results: "queue.SimpleQueue[JobResult]" = queue.SimpleQueue()
-        self._pending_rejects: List[JobResult] = []
+        # Finished results step() has not handed to the caller yet.
+        self._finished: Deque[JobResult] = deque()
         self._listeners: List[Callable[[JobResult], None]] = []
         self._shutdown = False
-        self._threads_started = False
-
-    @property
-    def self_driving(self) -> bool:
-        """Whether workers drive themselves (the process transport)."""
-        return self.config.transport == "process"
 
     # -- submission ------------------------------------------------------------
     def submit(self, network: Network, spec: Specification,
@@ -296,6 +287,7 @@ class VerificationService:
         runs the other jobs and the caller sees the rejection where it sees
         every other failure.
         """
+        require(not self._shutdown, "service is shut down; no new submissions")
         error = self._validate_request(request)
         try:
             fingerprint = self.pool.fingerprint_for(request.network, request.spec)
@@ -303,31 +295,28 @@ class VerificationService:
             fingerprint = _UNLOWERABLE_FINGERPRINT
             error = error or JobError("InvalidRequest", str(exc), "submit")
         now = time.monotonic()
-        with self._lock:
-            require(not self._shutdown,
-                    "service is shut down; no new submissions")
-            seq = self._next_seq
-            self._next_seq += 1
-            job = _Job(
-                job_id=f"job-{seq}",
-                seq=seq,
-                request=request,
-                fingerprint=fingerprint,
-                worker=int(fingerprint[:8], 16) % self.config.pool_size,
-                submitted_at=now,
-                deadline_at=(None if request.deadline_seconds is None
-                             or error is not None
-                             else now + request.deadline_seconds),
-            )
-            self._jobs[job.job_id] = job
+        seq = self._next_seq
+        self._next_seq += 1
+        job = _Job(
+            job_id=f"job-{seq}",
+            seq=seq,
+            request=request,
+            fingerprint=fingerprint,
+            worker=int(fingerprint[:8], 16) % self.config.pool_size,
+            submitted_at=now,
+            deadline_at=(None if request.deadline_seconds is None
+                         or error is not None
+                         else now + request.deadline_seconds),
+        )
+        self._jobs[job.job_id] = job
         if error is not None:
-            return self._reject(job, error)
-        worker = self._workers[job.worker]
-        with worker.wake:
-            worker.jobs.append(job)
-            worker.wake.notify()
-        if self.self_driving:
-            self._ensure_threads()
+            self._failed += 1
+            self._rejected += 1
+            self._finish(job, JobResult(job_id=job.job_id,
+                                        fingerprint=job.fingerprint,
+                                        error=error, attempts=0))
+        else:
+            self._workers[job.worker].jobs.append(job)
         return job.job_id
 
     def submit_many(self, requests: Iterable[JobRequest]) -> List[str]:
@@ -336,52 +325,49 @@ class VerificationService:
 
     # -- scheduling ------------------------------------------------------------
     def has_pending(self) -> bool:
-        """Whether any submitted job has not finished yet."""
-        for worker in self._workers:
-            with worker.lock:
-                if worker.jobs:
-                    return True
-        return False
+        """Whether the service still owes the caller a result.
+
+        True while a submitted job has not finished, or a finished one has
+        not been returned by :meth:`step` (or yielded by
+        :meth:`as_completed`) yet.
+        """
+        return bool(self._finished) or self._unfinished()
 
     def step(self) -> Optional[JobResult]:
-        """Run one cooperative scheduling slice; the finished result, if any.
+        """Drive the service one turn; a finished result, if any.
 
-        Picks the next worker (round-robin over workers with pending jobs),
-        selects that worker's next job under the priority/bounded-wait
-        policy, and advances it up to ``rounds_per_slice`` driver rounds.
-        Returns ``None`` while the job needs more slices (or no work is
-        pending, or every pending job sits in a retry-backoff window).
-        Only the cooperative transport is caller-stepped; under
-        ``transport="process"`` the workers drive themselves and this
-        method raises.
+        Returns the oldest finished result not yet handed to the caller,
+        each exactly once.  When there is none, the turn first dispatches:
+        it picks the next worker (round-robin over workers with runnable
+        jobs), selects that worker's next job under the
+        priority/bounded-wait policy, and advances it up to
+        ``rounds_per_slice`` driver rounds.  Under the cooperative
+        transport that is the turn: one slice (after sleeping until a
+        retry's backoff ends, when every pending job is backing off).
+        Under ``transport="process"`` the turn posts a slice to every idle
+        shard, then waits for the first replies (see :meth:`_advance`).
+        Returns ``None`` while no job finished this turn (or no work is
+        pending).
         """
-        require(not self.self_driving,
-                "step() drives the cooperative transport; process workers "
-                "run autonomously — iterate as_completed() instead")
-        worker = self._pick_worker()
-        if worker is None:
-            if self.has_pending():
-                # Every pending job is backing off; don't spin hot.
-                time.sleep(_BACKOFF_POLL_SECONDS)
-            return None
-        with worker.lock:
-            job = self._pick_job(worker)
-            if job is None:  # raced into a backoff window
-                return None
-            self._charge_waits(worker, job)
-        return self._run_slice(worker, job)
+        if not self._finished and self._unfinished():
+            self._advance()
+        if self._shutdown and not self._unfinished():
+            self._release_executors()
+        return self._finished.popleft() if self._finished else None
 
     def as_completed(self) -> Iterator[JobResult]:
         """Drive/drain the service, yielding each result as it finishes.
 
-        Cooperative: runs slices inline, deterministically.  Process:
-        blocks on the workers' completion stream; the yield order is
-        completion order, which is *not* deterministic across workers (use
+        The yield order is completion order: deterministic under the
+        cooperative transport, *not* across process shards (use
         :meth:`run_until_complete` for submission-ordered collection).
         """
-        if self.self_driving:
-            return self._as_completed_process()
-        return self._as_completed_cooperative()
+        while True:
+            done = self.step()
+            if done is not None:
+                yield done
+            elif not self.has_pending():
+                return
 
     def run_until_complete(self) -> List[JobResult]:
         """Drain every pending job; results in submission order.
@@ -393,9 +379,8 @@ class VerificationService:
         """
         for _ in self.as_completed():
             pass
-        with self._lock:
-            done = [(job.seq, job.done) for job in self._jobs.values()
-                    if job.done is not None]
+        done = [(job.seq, job.done) for job in self._jobs.values()
+                if job.done is not None]
         return [result for _, result in sorted(done, key=lambda pair: pair[0])]
 
     def stream_results(self,
@@ -413,31 +398,29 @@ class VerificationService:
                                 listener: Callable[[JobResult], None]) -> None:
         """Register ``listener`` to be called once per finished job.
 
-        Under the process transport listeners run on the shard thread that
-        finished the job; they must be quick and must not raise.
+        Listeners run on the caller's thread, inside the :meth:`submit`
+        (for a rejected request) or :meth:`step` that finished the job;
+        they must be quick and must not raise.
         """
         self._listeners.append(listener)
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting submissions and wind the workers down.
 
-        Pending jobs are *drained*, not dropped: workers finish their queues
-        before exiting, so a shutdown after ``run_until_complete`` is
-        instant while a premature one still honours every accepted job.
-        Worker processes ship their warm cache bundles back into the pool
-        before stopping.  Idempotent; a no-op on the cooperative transport
-        apart from rejecting further submissions.  With ``wait`` the
-        calling thread joins the workers.
+        Pending jobs are *drained*, not dropped.  With ``wait`` the caller
+        drives the service until every accepted job has finished, then
+        worker processes ship their warm cache bundles back into the pool
+        and stop; the finished results stay available to :meth:`result`,
+        :meth:`step` and :meth:`as_completed`.  Without ``wait`` further
+        submissions are refused and nothing else happens: the next drain
+        (:meth:`as_completed`, :meth:`run_until_complete`) finishes the
+        accepted jobs and releases the workers.  Idempotent.
         """
-        with self._lock:
-            self._shutdown = True
-        for worker in self._workers:
-            with worker.wake:
-                worker.wake.notify_all()
-        if wait and self.self_driving:
-            for worker in self._workers:
-                if worker.thread is not None:
-                    worker.thread.join()
+        self._shutdown = True
+        if wait:
+            while self._unfinished():
+                self._advance()
+            self._release_executors()
 
     def __enter__(self) -> "VerificationService":
         """Context-manager entry: the service itself."""
@@ -450,31 +433,23 @@ class VerificationService:
     # -- results & stats -------------------------------------------------------
     def result(self, job_id: str) -> Optional[JobResult]:
         """The finished result of ``job_id`` (``None`` while running)."""
-        with self._lock:
-            return self._jobs[job_id].done
+        return self._jobs[job_id].done
 
     def stats(self) -> dict:
         """Service-level counters: jobs, slices, robustness, pool stats."""
-        with self._lock:
-            done = sum(1 for job in self._jobs.values()
-                       if job.done is not None)
-            submitted = len(self._jobs)
-            slices, failed = self._slices, self._failed
-            rejected, retries = self._rejected, self._retries
-            crashes, restarts = self._worker_crashes, self._worker_restarts
-            inline = self._jobs_inline
-            downgrades = [dict(entry) for entry in self._downgrades]
         return {
-            "jobs_submitted": submitted,
-            "jobs_completed": done,
-            "jobs_failed": failed,
-            "jobs_rejected": rejected,
-            "jobs_inline": inline,
-            "retries": retries,
-            "worker_crashes": crashes,
-            "worker_restarts": restarts,
-            "transport_downgrades": downgrades,
-            "slices": slices,
+            "jobs_submitted": len(self._jobs),
+            "jobs_completed": sum(1 for job in self._jobs.values()
+                                  if job.done is not None),
+            "jobs_failed": self._failed,
+            "jobs_rejected": self._rejected,
+            "jobs_inline": self._jobs_inline,
+            "retries": self._retries,
+            "worker_crashes": self._worker_crashes,
+            "worker_restarts": self._worker_restarts,
+            "transport_downgrades": [dict(entry)
+                                     for entry in self._downgrades],
+            "slices": self._slices,
             "pool_size": self.config.pool_size,
             "transport": self.config.transport,
             "pool": self.pool.stats(),
@@ -510,108 +485,78 @@ class VerificationService:
                     "submit")
         return None
 
-    def _reject(self, job: _Job, error: JobError) -> str:
-        """Finalise a never-run job with a submit-stage error; its id."""
-        done = JobResult(job_id=job.job_id, fingerprint=job.fingerprint,
-                         error=error, attempts=0)
-        with self._lock:
-            job.done = done
-            self._failed += 1
-            self._rejected += 1
-            if self.self_driving:
-                self._results.put(done)
-            else:
-                self._pending_rejects.append(done)
-        for listener in list(self._listeners):
-            listener(done)
-        return job.job_id
+    # -- the loop --------------------------------------------------------------
+    def _unfinished(self) -> bool:
+        return any(worker.jobs for worker in self._workers)
 
-    # -- cooperative drive -----------------------------------------------------
-    def _as_completed_cooperative(self) -> Iterator[JobResult]:
-        while True:
-            with self._lock:
-                rejects, self._pending_rejects = self._pending_rejects, []
-            for done in rejects:
-                yield done
-            if not self.has_pending():
-                return
-            finished = self.step()
-            if finished is not None:
-                yield finished
+    def _advance(self) -> None:
+        """One turn of the loop: dispatch, collect the replies, dispatch again.
 
-    def _pick_worker(self) -> Optional[_Worker]:
-        for offset in range(len(self._workers)):
-            worker = self._workers[(self._next_worker + offset)
-                                   % len(self._workers)]
-            with worker.lock:
-                if worker.jobs and self._pick_job(worker) is not None:
-                    self._next_worker = (worker.index + 1) % len(self._workers)  # lint: disable=lock-discipline - dispatcher-confined round-robin cursor; only the single driving thread calls _pick_worker
-                    return worker
-        return None
-
-    # -- process drive ---------------------------------------------------------
-    def _ensure_threads(self) -> None:
-        if self._threads_started:
+        A turn whose first dispatch ran a slice on the caller's thread and
+        left no shard busy ends there: the cooperative transport's one
+        slice per turn.  Otherwise one ``connection.wait`` over the busy
+        shards' pipes and sentinels collects the replies — without blocking
+        after an inline slice, else until the first reply or the nearest
+        instant at which a request times out or a backing-off job becomes
+        runnable.  The second dispatch hands the shards that answered their
+        next slice, so they work while the caller handles the results.
+        """
+        ran_here = self._dispatch()
+        busy = [worker for worker in self._workers if worker.busy is not None]
+        if ran_here and not busy:
             return
-        with self._lock:
-            if self._threads_started:
-                return
-            for worker in self._workers:
-                thread = threading.Thread(
-                    target=self._worker_loop, args=(worker,),
-                    name=f"verification-worker-{worker.index}", daemon=True)
-                worker.thread = thread
-                thread.start()
-            self._threads_started = True
+        owners = {waitable: worker for worker in busy
+                  for waitable in worker.busy[1].supervisor.waitables}
+        ready = wait(list(owners),
+                     0.0 if ran_here else self._wait_timeout(busy))
+        answered = {owners[waitable].index for waitable in ready}
+        now = time.monotonic()
+        for worker in busy:
+            expires_at = worker.busy[1].supervisor.expires_at
+            if worker.index in answered or (expires_at is not None
+                                            and expires_at <= now):
+                self._receive(worker)
+        self._dispatch()
 
-    def _worker_loop(self, worker: _Worker) -> None:
-        """Drain ``worker``'s queue under the per-worker policy."""
-        try:
-            while True:
-                with worker.wake:
-                    job: Optional[_Job] = None
-                    while job is None:
-                        if not worker.jobs:
-                            if self._shutdown:
-                                return
-                            worker.wake.wait()
-                            continue
-                        job = self._pick_job(worker)
-                        if job is None:
-                            # Everything pending is in a retry-backoff
-                            # window; poll until a job becomes runnable.
-                            worker.wake.wait(_BACKOFF_POLL_SECONDS)
-                    self._charge_waits(worker, job)
-                # The slice itself runs without the worker lock so
-                # submissions (and has_pending probes) never wait on a
-                # verification round.
-                self._run_slice(worker, job)
-        finally:
-            self._release_executor(worker)
+    def _dispatch(self) -> bool:
+        """Start a slice on every idle worker that has a runnable job.
 
-    def _as_completed_process(self) -> Iterator[JobResult]:
-        self._ensure_threads()
-        while True:
-            try:
-                yield self._results.get_nowait()
+        Walks the workers round-robin from the cursor.  A slice that runs
+        on the caller's thread (an inline executor) ends the walk and moves
+        the cursor past its worker; returns whether one did.
+        """
+        count = len(self._workers)
+        for offset in range(count):
+            worker = self._workers[(self._next_worker + offset) % count]
+            job = None if worker.busy is not None else self._pick_job(worker)
+            if job is None:
                 continue
-            except queue.Empty:
-                pass
-            if not self.has_pending():
-                # Finishing publishes to the queue *before* the job leaves
-                # its worker queue (one critical section), so an empty pool
-                # plus an empty results queue really means: all done.
-                try:
-                    yield self._results.get_nowait()
-                    continue
-                except queue.Empty:
-                    return
-            try:
-                yield self._results.get(timeout=0.05)
-            except queue.Empty:
-                continue
+            self._charge_waits(worker, job)
+            self._run_slice(worker, job)
+            if worker.busy is None:  # the slice ran on this thread
+                self._next_worker = (worker.index + 1) % count
+                return True
+        return False
 
-    # -- shared internals ------------------------------------------------------
+    def _wait_timeout(self, busy: List[_Worker]) -> Optional[float]:
+        """Seconds the loop may wait for replies (``None``: until one comes).
+
+        The nearest of: a posted request's slice-timeout expiry, and the
+        end of a retry backoff or the deadline of a backing-off job.  Zero
+        when no shard is busy and nothing is due: a backoff ended after the
+        dispatch looked.
+        """
+        now = time.monotonic()
+        instants = [worker.busy[1].supervisor.expires_at for worker in busy]
+        for worker in self._workers:
+            for job in worker.jobs:
+                if job.not_before > now:
+                    instants += [job.not_before, job.deadline_at]
+        instants = [instant for instant in instants if instant is not None]
+        if not instants:
+            return None if busy else 0.0
+        return max(0.0, min(instants) - now)
+
     def _charge_waits(self, worker: _Worker, job: _Job) -> None:
         """Account one waiting slice to every pending job except ``job``."""
         for other in worker.jobs:
@@ -630,10 +575,13 @@ class VerificationService:
         # *older* pending job, a set that never grows after submission.
         #
         # Jobs inside a retry-backoff window (``not_before`` in the future)
-        # are invisible to selection; without retries the filter is a no-op,
-        # so the policy — and the conformance properties — are unchanged.
+        # are invisible to selection until the window ends or their
+        # deadline passes; without retries the filter is a no-op, so the
+        # policy — and the conformance properties — are unchanged.
         now = time.monotonic()
-        runnable = [job for job in worker.jobs if job.not_before <= now]
+        runnable = [job for job in worker.jobs
+                    if job.not_before <= now
+                    or (job.deadline_at is not None and job.deadline_at <= now)]
         if not runnable:
             return None
         starved = [job for job in runnable
@@ -643,66 +591,79 @@ class VerificationService:
         return max(runnable,
                    key=lambda job: (job.request.priority, -job.seq))
 
-    def _run_slice(self, worker: _Worker, job: _Job) -> Optional[JobResult]:
-        """Advance ``job`` one slice on its executor, opening its run first.
+    def _run_slice(self, worker: _Worker, job: _Job) -> None:
+        """Start ``job``'s next slice on its executor, opening its run first.
 
         The one slice path of every transport.  A job whose deadline passed
         before its run opened times out without setup; once open, the
-        executor checks the deadline before every round.
+        executor checks the deadline before every round.  An inline slice
+        runs to its end here; a process slice leaves the shard busy until
+        its reply is received.
         """
-        with self._lock:
-            self._slices += 1
+        self._slices += 1
         job.slices += 1
         executor = (worker.inline if job.inline_only
                     else self._shard_executor(worker))
         if job.done is not None:  # failed as the shard degraded
-            return job.done
+            return
+        if job.job_id in executor.runs:
+            self._post(worker, job, executor, executor.run_slice, job.job_id,
+                       self.config.rounds_per_slice, job.deadline_at,
+                       job.submitted_at)
+            return
+        if job.deadline_at is not None and time.monotonic() >= job.deadline_at:
+            self._complete(worker, job, timeout_result(job.submitted_at), True)
+            return
+        job.attempts += 1
+        factory = job.request.verifier_factory or self.verifier_factory
         try:
-            if job.job_id not in executor.runs:
-                if (job.deadline_at is not None
-                        and time.monotonic() >= job.deadline_at):
-                    return self._complete(
-                        worker, job, timeout_result(job.submitted_at), True)
-                job.attempts += 1
-                factory = job.request.verifier_factory or self.verifier_factory
-                try:
-                    reply = executor.start_job(job.job_id, job.fingerprint,
-                                               job.request, factory, self.pool)
-                except UnpicklableJob:
-                    # Not a failure: this job's payload cannot cross the
-                    # pipe, so it runs in-process while picklable jobs on
-                    # the shard keep their isolation.
-                    job.inline_only = True
-                    with self._lock:
-                        self._jobs_inline += 1
-                    executor = worker.inline
-                    reply = executor.start_job(job.job_id, job.fingerprint,
-                                               job.request, factory, self.pool)
-                self._merge_delta(job, reply)
-                if reply["op"] == "error":
-                    return self._fail(worker, job, reply_error(reply))
-            reply = executor.run_slice(job.job_id,
-                                       self.config.rounds_per_slice,
-                                       job.deadline_at, job.submitted_at)
-        except WorkerCrashed as exc:
-            return self._handle_crash(worker, job, exc)
-        self._merge_delta(job, reply)
-        if reply["op"] == "error":
-            return self._fail(worker, job, reply_error(reply))
-        if reply["op"] == "done":
-            return self._complete(worker, job, reply["result"],
-                                  reply["deadline_exceeded"])
-        return None
+            self._post(worker, job, executor, executor.start_job, job.job_id,
+                       job.fingerprint, job.request, factory, self.pool)
+        except UnpicklableJob:
+            # Not a failure: this job's payload cannot cross the pipe, so
+            # it runs in-process while picklable jobs on the shard keep
+            # their isolation.
+            job.inline_only = True
+            self._jobs_inline += 1
+            self._post(worker, job, worker.inline, worker.inline.start_job,
+                       job.job_id, job.fingerprint, job.request, factory,
+                       self.pool)
 
-    @staticmethod
-    def _merge_delta(job: _Job, reply: dict) -> None:
-        """Fold an executor reply's cache delta into the job's counters."""
+    def _post(self, worker: _Worker, job: _Job, executor: Executor,
+              request: Callable, *args) -> None:
+        """Post ``request(*args)`` for ``job``; an inline reply is read at once."""
+        try:
+            request(*args)
+        except WorkerCrashed as exc:
+            self._handle_crash(worker, job, exc)
+            return
+        worker.busy = (job, executor)
+        if executor is worker.inline:
+            self._receive(worker)
+
+    def _receive(self, worker: _Worker) -> None:
+        """Read the reply to ``worker``'s posted request and act on it."""
+        job, executor = worker.busy
+        worker.busy = None
+        try:
+            reply = executor.receive()
+        except WorkerCrashed as exc:
+            self._handle_crash(worker, job, exc)
+            return
         for key, value in reply["cache_delta"].items():
             job.cache_stats[key] = job.cache_stats.get(key, 0) + value
+        if reply["op"] == "ok":  # the run opened; its first slice follows
+            self._post(worker, job, executor, executor.run_slice, job.job_id,
+                       self.config.rounds_per_slice, job.deadline_at,
+                       job.submitted_at)
+        elif reply["op"] == "error":
+            self._fail(worker, job, reply_error(reply))
+        elif reply["op"] == "done":
+            self._complete(worker, job, reply["result"],
+                           reply["deadline_exceeded"])
 
     # -- process supervision ---------------------------------------------------
-    def _shard_executor(
-            self, worker: _Worker) -> Union[ShardExecutor, InlineExecutor]:
+    def _shard_executor(self, worker: _Worker) -> Executor:
         """The shard's executor, spawning or recovering its worker process.
 
         A worker found dead *between* slices (no request observed the
@@ -722,8 +683,7 @@ class VerificationService:
         elif worker.executor is not worker.inline \
                 and not worker.executor.alive():
             worker.crashes += 1
-            with self._lock:
-                self._worker_crashes += 1
+            self._worker_crashes += 1
             self._recover(worker)
         return worker.executor
 
@@ -742,18 +702,15 @@ class VerificationService:
         except ProcessTransportUnavailable as exc:
             self._degrade(worker, f"worker restart failed: {exc}")
             return
-        with self._lock:
-            self._worker_restarts += 1
+        self._worker_restarts += 1
 
     def _handle_crash(self, worker: _Worker, job: _Job,
-                      exc: WorkerCrashed) -> Optional[JobResult]:
+                      exc: WorkerCrashed) -> None:
         """A worker died under ``job``: retry, poison-fail, restart/degrade."""
         worker.crashes += 1
         job.crashes += 1
-        with self._lock:
-            self._worker_crashes += 1
+        self._worker_crashes += 1
         retry = self.config.retry
-        outcome: Optional[JobResult] = None
         if job.crashes >= retry.max_attempts \
                 or not retry.retryable("WorkerCrash"):
             # Poison job: it keeps killing its worker, so it fails — the
@@ -762,64 +719,52 @@ class VerificationService:
                 "WorkerCrash",
                 f"worker process died executing this job "
                 f"{job.crashes} time(s) (last: {exc})", "round")
-            outcome = self._fail(worker, job, error, allow_retry=False)
+            self._fail(worker, job, error, allow_retry=False)
         else:
-            with self._lock:
-                self._retries += 1
+            self._retries += 1
             job.not_before = (time.monotonic()
                               + retry.delay_seconds(job.job_id, job.crashes))
         self._recover(worker)
-        return outcome
 
     def _degrade(self, worker: _Worker, reason: str) -> None:
         """Swap the shard's executor for its inline one, permanently.
 
-        The degradation ladder's middle rung: the shard thread keeps
-        draining its queue under the same policy, just without the process
-        boundary.  The stopped worker's open runs are forgotten — the
-        inline executor holds none, so their jobs restart from scratch.
-        Jobs implicated in worker crashes are failed instead of run inline
-        — a job that kills its worker would kill the host — and the
-        downgrade is recorded in :meth:`VerificationService.stats`.
+        The degradation ladder's middle rung: the shard keeps draining its
+        queue under the same policy, in the caller's thread, just without
+        the process boundary.  The stopped worker's open runs are
+        forgotten — the inline executor holds none, so their jobs restart
+        from scratch.  Jobs implicated in worker crashes are failed instead
+        of run inline — a job that kills its worker would kill the host —
+        and the downgrade is recorded in :meth:`VerificationService.stats`.
         """
-        with self._lock:
-            self._downgrades.append({"worker": worker.index,
-                                     "reason": reason})
+        self._downgrades.append({"worker": worker.index, "reason": reason})
         executor, worker.executor = worker.executor, worker.inline
         if executor is not None:
             executor.stop(self.pool)
-        with worker.lock:
-            implicated = [job for job in worker.jobs if job.crashes > 0]
-        for job in implicated:
+        for job in [job for job in worker.jobs if job.crashes > 0]:
             self._fail(worker, job, JobError(
                 "WorkerCrash",
                 f"shard degraded to in-process execution ({reason}); job "
                 f"implicated in {job.crashes} worker crash(es)", "round"),
                 allow_retry=False)
 
-    def _release_executor(self, worker: _Worker) -> None:
-        """Stop the shard's executor, reclaiming a worker's warm bundles."""
-        if worker.executor is not None:
-            worker.executor.stop(self.pool)
+    def _release_executors(self) -> None:
+        """Stop the worker processes, reclaiming their warm bundles."""
+        for worker in self._workers:
+            if isinstance(worker.executor, ShardExecutor):
+                worker.executor.stop(self.pool)
+                worker.executor = None
 
     # -- completion ------------------------------------------------------------
-    def _finish_job(self, worker: _Worker, job: _Job,
-                    done: JobResult) -> JobResult:
-        # Removal and publication form one critical section: once a worker
-        # queue is observed empty, every finished result is already in the
-        # completion stream (the process as_completed termination test).
-        with worker.lock:
-            worker.jobs.remove(job)
-            job.done = done
-            if self.self_driving:
-                self._results.put(done)
+    def _finish(self, job: _Job, done: JobResult) -> None:
+        job.done = done
+        self._finished.append(done)
         for listener in list(self._listeners):
             listener(done)
-        return done
 
     def _complete(self, worker: _Worker, job: _Job,
                   result: VerificationResult,
-                  deadline_exceeded: bool) -> JobResult:
+                  deadline_exceeded: bool) -> None:
         done = JobResult(
             job_id=job.job_id, fingerprint=job.fingerprint, result=result,
             slices=job.slices, wait_slices=job.total_wait,
@@ -837,10 +782,11 @@ class VerificationService:
             "worker_crashes": done.worker_crashes,
             "cache_stats": done.cache_stats,
         }
-        return self._finish_job(worker, job, done)
+        worker.jobs.remove(job)
+        self._finish(job, done)
 
     def _fail(self, worker: _Worker, job: _Job, error: JobError,
-              allow_retry: bool = True) -> Optional[JobResult]:
+              allow_retry: bool = True) -> None:
         retry = self.config.retry
         self.pool.discard(job.fingerprint)
         if worker.executor is not None:
@@ -849,17 +795,15 @@ class VerificationService:
                 and job.attempts < retry.max_attempts):
             # Re-enqueue instead of finalising: the job stays in the
             # worker's queue and becomes runnable after its backoff.
-            with self._lock:
-                self._retries += 1
+            self._retries += 1
             job.not_before = (time.monotonic()
                               + retry.delay_seconds(job.job_id, job.attempts))
-            return None
-        with self._lock:
-            self._failed += 1
-        done = JobResult(
+            return
+        self._failed += 1
+        worker.jobs.remove(job)
+        self._finish(job, JobResult(
             job_id=job.job_id, fingerprint=job.fingerprint, error=error,
             slices=job.slices, wait_slices=job.total_wait,
             latency_seconds=time.monotonic() - job.submitted_at,
             attempts=max(job.attempts, 1), worker_crashes=job.crashes,
-            cache_stats=dict(job.cache_stats))
-        return self._finish_job(worker, job, done)
+            cache_stats=dict(job.cache_stats)))

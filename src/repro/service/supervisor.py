@@ -4,12 +4,14 @@ A :class:`WorkerSupervisor` owns exactly one worker *process*: it spawns
 the process with a duplex pipe, performs request/response round-trips, and
 — the part that makes the transport crash-resilient — watches liveness the
 whole time a reply is pending.  A worker that segfaults, is OOM-killed or
-SIGKILLed mid-round never leaves the parent blocked: the receive loop polls
-the pipe in short intervals and checks the process between polls, so a dead
-worker surfaces as a :class:`WorkerCrashed` within one poll interval.  The
-scheduler translates that exception into its retry/poison/degradation
-policy (see ``docs/SERVICE.md#fault-model--supervision``); the supervisor
-itself is policy-free — it only detects, restarts and stops.
+SIGKILLed mid-round never leaves the parent blocked: a reply is awaited
+on the pipe *and* the process sentinel together, so a dead worker
+surfaces as a :class:`WorkerCrashed` as soon as it exits.  The scheduler
+translates that exception into its retry/poison/degradation policy (see
+``docs/SERVICE.md#fault-model--supervision``); the supervisor itself is
+policy-free — it only detects, restarts and stops.  A request is posted
+and received separately, so the scheduler can post to every shard and
+wait on all their ``waitables`` at once.
 
 Start-method resolution prefers ``fork`` (cheap on Linux — the parent's
 loaded numpy/model state is shared copy-on-write) and falls back to
@@ -22,16 +24,11 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from multiprocessing.connection import wait
 from typing import Callable, Optional, Tuple
-
-from repro.utils.validation import require
 
 #: Start methods tried, in order, when the user does not pin one.
 PREFERRED_START_METHODS = ("fork", "spawn")
-
-#: Seconds between pipe polls while a reply is pending — the heartbeat
-#: granularity of crash detection.
-DEFAULT_POLL_INTERVAL = 0.02
 
 #: Seconds a worker is given to exit voluntarily on ``stop()`` before it is
 #: killed.
@@ -87,25 +84,25 @@ class WorkerSupervisor:
     """Spawn, watch, restart and stop one worker process.
 
     ``target`` is the worker main — a module-level function (spawn-safe)
-    called as ``target(child_connection, *args)``.  The supervisor is used
-    from a single scheduler shard thread, so it carries no locking of its
-    own; crash *detection* is synchronous with the request that observed
-    it, which is exactly the attribution the retry policy needs.
+    called as ``target(child_connection, *args)``.  At most one request is
+    outstanding at a time; crash *detection* happens in the
+    :meth:`receive` of the request that observed it, which is exactly the
+    attribution the retry policy needs.
     """
 
     def __init__(self, target: Callable, args: Tuple = (),
                  start_method: Optional[str] = None,
-                 poll_interval: float = DEFAULT_POLL_INTERVAL,
                  name: str = "verification-shard") -> None:
-        require(poll_interval > 0.0, "poll_interval must be positive")
         self._target = target
         self._args = tuple(args)
         self._start_method = start_method
-        self._poll_interval = float(poll_interval)
         self._name = name
         self._context = None
         self._process = None
         self._conn = None
+        self._timeout: Optional[float] = None
+        #: ``time.monotonic()`` instant the posted request times out at.
+        self.expires_at: Optional[float] = None
         #: Successful (re)starts performed — restarts = starts - 1.
         self.starts = 0
 
@@ -163,17 +160,16 @@ class WorkerSupervisor:
         return None if self._process is None else self._process.exitcode
 
     # -- requests --------------------------------------------------------------
-    def request(self, message: dict, timeout: Optional[float] = None) -> dict:
-        """One round-trip: send ``message``, await the reply, watch liveness.
+    @property
+    def waitables(self) -> Tuple:
+        """The pipe and the process sentinel, for ``connection.wait``."""
+        return (self._conn, self._process.sentinel)
 
-        While the reply is pending the pipe is polled every
-        ``poll_interval`` seconds and the process checked in between — a
-        worker that died mid-request raises :class:`WorkerCrashed` almost
-        immediately instead of blocking forever.  With ``timeout`` set, a
-        worker that is still silent after that many seconds is *killed* and
-        reported as crashed (the hung-worker containment path).  Pickling
-        errors from unpicklable payloads propagate to the caller before any
-        bytes hit the pipe.
+    def post(self, message: dict, timeout: Optional[float] = None) -> None:
+        """Send one request whose reply is due by :attr:`expires_at`.
+
+        Raises :class:`WorkerCrashed` when the worker is not running or the
+        pipe is broken; pickling errors propagate before any bytes are sent.
         """
         if not self.alive() or self._conn is None:
             raise WorkerCrashed("worker process is not running",
@@ -183,48 +179,44 @@ class WorkerSupervisor:
         except (BrokenPipeError, OSError) as exc:
             raise WorkerCrashed(f"worker pipe broken on send: {exc}",
                                 exitcode=self._harvest_exitcode()) from exc
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            try:
-                if self._conn.poll(self._poll_interval):
-                    return self._conn.recv()
-            except (EOFError, BrokenPipeError, OSError) as exc:
-                raise WorkerCrashed(
-                    f"worker pipe closed mid-request: {exc}",
-                    exitcode=self._harvest_exitcode()) from exc
-            if not self._process.is_alive():
-                # One final drain: the reply may have been written just
-                # before death.
-                try:
-                    if self._conn.poll(0):
-                        return self._conn.recv()
-                except (EOFError, BrokenPipeError, OSError):
-                    pass
-                raise WorkerCrashed(
-                    f"worker process died mid-request "
-                    f"(exitcode {self._process.exitcode})",
-                    exitcode=self._process.exitcode)
-            if deadline is not None and time.monotonic() >= deadline:
-                self._kill()
-                raise WorkerCrashed(
-                    f"worker unresponsive for {timeout:.3g}s; killed")
+        self._timeout = timeout
+        self.expires_at = None if timeout is None else time.monotonic() + timeout
 
-    def ping(self, timeout: float = 1.0) -> bool:
-        """Liveness probe: a ``ping`` round-trip (False on any failure)."""
+    def receive(self) -> dict:
+        """The reply to the posted request, watching liveness meanwhile.
+
+        Waits on the pipe and the process sentinel together, so a worker
+        that died mid-request raises :class:`WorkerCrashed` at once instead
+        of blocking forever.  A worker still silent at :attr:`expires_at`
+        is *killed* and reported as crashed (hung-worker containment).
+        """
+        ready = wait(self.waitables, None if self.expires_at is None
+                     else max(0.0, self.expires_at - time.monotonic()))
         try:
-            return self.request({"op": "ping"}, timeout=timeout)\
-                .get("op") == "pong"
-        except WorkerCrashed:
-            return False
+            if self._conn in ready or self._conn.poll(0):
+                # A reply written just before death still counts.
+                return self._conn.recv()
+        except (EOFError, BrokenPipeError, OSError) as exc:
+            raise WorkerCrashed(
+                f"worker pipe closed mid-request: {exc}",
+                exitcode=self._harvest_exitcode()) from exc
+        if ready:
+            exitcode = self._harvest_exitcode()
+            raise WorkerCrashed(
+                f"worker process died mid-request (exitcode {exitcode})",
+                exitcode=exitcode)
+        self._kill()
+        raise WorkerCrashed(
+            f"worker unresponsive for {self._timeout:.3g}s; killed")
+
+    def request(self, message: dict, timeout: Optional[float] = None) -> dict:
+        """One round-trip: :meth:`post` then :meth:`receive`."""
+        self.post(message, timeout)
+        return self.receive()
 
     # -- internals -------------------------------------------------------------
     def _harvest_exitcode(self) -> Optional[int]:
-        """The dying worker's exit code, waiting briefly for the reap.
-
-        A broken pipe can surface before the kernel finishes tearing the
-        process down, when ``exitcode`` still reads ``None``; a short join
-        recovers the real code (negative = killing signal) for diagnostics.
-        """
+        """The dying worker's exit code, after a short join for the reap."""
         process = self._process
         if process is None:
             return None

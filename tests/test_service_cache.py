@@ -5,13 +5,10 @@ fingerprint share one :class:`~repro.service.pool.CacheBundle`, so a repeat
 job serves its bound passes and leaf LPs from the warm bundle.  These tests
 pin the contract in both directions — same fingerprint ⇒ observable nonzero
 hit deltas on the repeat (and results equal to a cold solo run), different
-fingerprints ⇒ disjoint bundles and a cold second job — plus the
-thread-safety of the shared caches' counters under concurrent hammering.
+fingerprints ⇒ disjoint bundles and a cold second job.
 """
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
@@ -19,7 +16,7 @@ import repro.engine.driver
 import repro.service.pool
 from repro.bab import BaBBaselineVerifier
 from repro.baselines.alphabeta_crown import AlphaBetaCrownVerifier
-from repro.bounds.cache import BoundCache, LpCache
+from repro.bounds.cache import LpCache
 from repro.core.abonn import AbonnVerifier
 from repro.nn import dense_network
 from repro.service import ServiceConfig, VerificationService
@@ -248,187 +245,3 @@ class TestFingerprintIsolation:
         # Same network though: the weight digest was computed exactly once.
         assert service.pool.model_cache_misses == 1
         assert service.pool.model_cache_hits == 1
-
-
-class TestCacheThreadSafety:
-    """The shared caches' counters stay exact under concurrent access.
-
-    The process transport's shard threads share the bundles with the
-    submitting thread, and the bundles are documented as safe to share
-    (``cache.py`` serialises all public methods behind a lock); these
-    hammers would lose counter increments and corrupt the LRU under the
-    pre-lock implementation.
-    """
-
-    def test_lp_cache_counters_exact_under_threads(self):
-        cache = LpCache(max_entries=64)
-        threads, per_thread = 8, 400
-
-        def hammer(tid: int) -> None:
-            for i in range(per_thread):
-                key = ("k", (tid + i) % 48)  # fits: every lookup can hit
-                if cache.get(key) is None:
-                    cache.put(key, object())
-                    cache.record_solve()
-                cache.record_hit()  # the batch-alias path
-
-        workers = [threading.Thread(target=hammer, args=(t,))
-                   for t in range(threads)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-
-        total = threads * per_thread
-        # One get + one record_hit per iteration; every counter is exact.
-        assert cache.stats.hits + cache.stats.misses == 2 * total
-        assert cache.stats.hits >= total
-        assert cache.stats.solves == cache.stats.misses
-        assert len(cache) <= 64
-
-    def test_bound_cache_counters_exact_under_threads(self):
-        cache = BoundCache(max_entries=128)
-        threads, per_thread = 8, 400
-
-        def hammer(tid: int) -> None:
-            for i in range(per_thread):
-                key = (("layer", (tid + i) % 64),)
-                if cache.get_report(key) is None:
-                    cache.put_report(key, {"tid": tid})
-
-        workers = [threading.Thread(target=hammer, args=(t,))
-                   for t in range(threads)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-
-        stats = cache.stats
-        total = threads * per_thread
-        assert stats.report_hits + stats.report_misses == total
-        assert len(cache) <= 128
-
-
-class TestPoolThreadSafety:
-    """The pool's own bookkeeping stays exact under concurrent workers.
-
-    The process transport fingerprints on submitting threads and fetches /
-    quarantines bundles on shard threads; these hammers pin the pool-level
-    guarantees — exact memo counters, one bundle per fingerprint between
-    quarantines, and safe mid-run discards.
-    """
-
-    def test_fingerprint_memo_counters_exact_under_threads(self):
-        pool = VerificationService().pool
-        network, spec = PROBLEM_LP
-        expected = pool.fingerprint_for(network, spec)  # 1 recorded miss
-        threads, per_thread = 8, 50
-        fingerprints = []
-        lock = threading.Lock()
-
-        def hammer() -> None:
-            for _ in range(per_thread):
-                fingerprint = pool.fingerprint_for(network, spec)
-                with lock:
-                    fingerprints.append(fingerprint)
-
-        workers = [threading.Thread(target=hammer) for _ in range(threads)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-
-        assert set(fingerprints) == {expected}
-        # Every lookup recorded exactly one hit or miss — no lost updates.
-        total = threads * per_thread + 1
-        assert pool.model_cache_hits + pool.model_cache_misses == total
-        # The memo was warm before the hammer, so everything after is a hit.
-        assert pool.model_cache_misses == 1
-
-    def test_concurrent_bundle_lookups_observe_one_instance(self):
-        pool = VerificationService().pool
-        fingerprint = "a" * 64
-        threads, per_thread = 8, 200
-        seen = set()
-        lock = threading.Lock()
-        start = threading.Barrier(threads)
-
-        def hammer() -> None:
-            start.wait()
-            for _ in range(per_thread):
-                bundle = pool.bundle(fingerprint)
-                with lock:
-                    seen.add(id(bundle))
-
-        workers = [threading.Thread(target=hammer) for _ in range(threads)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-
-        # Without discards there is exactly one bundle, ever.
-        assert len(seen) == 1
-        assert len(pool) == 1
-
-    def test_mid_run_quarantine_bounds_distinct_bundles(self):
-        """Concurrent jobs racing a quarantine see at most 1 + discards bundles."""
-        pool = VerificationService().pool
-        fingerprint = "b" * 64
-        threads, per_thread, discards = 6, 200, 3
-        seen = set()
-        lock = threading.Lock()
-        start = threading.Barrier(threads + 1)
-        discarded = 0
-
-        def hammer() -> None:
-            start.wait()
-            for _ in range(per_thread):
-                bundle = pool.bundle(fingerprint)
-                with lock:
-                    seen.add(id(bundle))
-
-        def quarantine() -> None:
-            nonlocal discarded
-            start.wait()
-            for _ in range(discards):
-                if pool.discard(fingerprint):
-                    discarded += 1
-
-        workers = [threading.Thread(target=hammer) for _ in range(threads)]
-        workers.append(threading.Thread(target=quarantine))
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-
-        # Each successful discard can introduce at most one fresh bundle.
-        assert 1 <= len(seen) <= 1 + discarded
-        # The fingerprint still resolves (recreated cold on demand).
-        assert pool.bundle(fingerprint) is pool.bundle(fingerprint)
-
-    def test_pool_stats_sum_exactly_under_threads(self):
-        pool = VerificationService().pool
-        problems = [PROBLEM_LP, PROBLEM_OTHER]
-        threads, per_thread = 6, 40
-
-        def hammer(tid: int) -> None:
-            network, spec = problems[tid % len(problems)]
-            for _ in range(per_thread):
-                pool.fingerprint_for(network, spec)
-
-        workers = [threading.Thread(target=hammer, args=(t,))
-                   for t in range(threads)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-
-        stats = pool.stats()
-        total = threads * per_thread
-        assert (stats["model_cache_hits"]
-                + stats["model_cache_misses"]) == total
-        # Distinct networks may each record a handful of racing misses (the
-        # digest is computed outside the lock), never more than one per
-        # thread that raced the cold memo.
-        assert stats["model_cache_misses"] <= threads
-        assert stats["model_cache_misses"] >= len(problems)

@@ -241,6 +241,23 @@ class TestWorkerCrash:
         assert stats["worker_crashes"] == retry.max_attempts
         assert stats["jobs_failed"] == 1
 
+    def test_deadline_passing_in_backoff_times_out_then(self):
+        """A job backing off after a worker crash times out when its
+        deadline passes, not when its backoff ends."""
+        backoff = 5.0
+        retry = RetryPolicy(backoff_seconds=backoff,
+                            max_backoff_seconds=backoff, jitter_fraction=0.0)
+        service = VerificationService(self._config(pool_size=1, retry=retry))
+        with service:
+            service.submit(*PROBLEM_A, budget=Budget(max_nodes=BUDGET_NODES),
+                           deadline_seconds=0.5,
+                           verifier_factory=_sigkill_factory)
+            done, = service.as_completed()
+        assert done.ok and done.deadline_exceeded
+        assert done.result.status == VerificationStatus.TIMEOUT
+        assert done.worker_crashes == 1
+        assert done.latency_seconds < backoff
+
     def test_quarantined_bundle_never_leaks_poison_across_restart(
             self, tmp_path):
         """Quarantine survives worker restarts: a poisoned bundle is

@@ -46,8 +46,11 @@ def _problem(seed, shape, reference, epsilon):
 
 PROBLEM_A = _problem(1, [4, 8, 6, 3], [0.45, 0.55, 0.5, 0.4], 0.08)
 PROBLEM_LP = _problem(1, [6, 10, 8, 4], [0.5] * 6, 0.1)
+#: At pool size 2, sharded to the worker PROBLEM_A does not use.
+PROBLEM_B = _problem(3, [3, 8, 8, 3], [0.4, 0.6, 0.5], 0.12)
 
 SOLO_A = AbonnVerifier().verify(*PROBLEM_A, Budget(max_nodes=BUDGET_NODES))
+SOLO_B = AbonnVerifier().verify(*PROBLEM_B, Budget(max_nodes=BUDGET_NODES))
 SOLO_LP = AbonnVerifier().verify(*PROBLEM_LP, Budget(max_nodes=BUDGET_NODES))
 
 
@@ -122,7 +125,6 @@ class TestWorkerSupervisor:
         supervisor.start()
         try:
             assert supervisor.alive()
-            assert supervisor.ping()
             reply = supervisor.request({"op": "echo", "payload": 42})
             assert reply == {"op": "echo", "payload": 42}
         finally:
@@ -136,7 +138,7 @@ class TestWorkerSupervisor:
             with pytest.raises(WorkerCrashed) as excinfo:
                 supervisor.request({"op": "die"})
             assert excinfo.value.exitcode == -signal.SIGKILL
-            assert not supervisor.ping()
+            assert not supervisor.alive()
         finally:
             supervisor.stop()
 
@@ -148,7 +150,7 @@ class TestWorkerSupervisor:
                 supervisor.request({"op": "die"})
             supervisor.restart()
             assert supervisor.alive()
-            assert supervisor.ping()
+            assert supervisor.request({"op": "ping"}) == {"op": "pong"}
             assert supervisor.starts == 2
         finally:
             supervisor.stop()
@@ -275,7 +277,7 @@ class TestGracefulDegradation:
 
     def test_unpicklable_job_runs_inline_beside_remote_jobs(self):
         """A job whose factory cannot cross the pipe degrades *per job*:
-        it runs on the shard thread while picklable jobs keep their
+        it runs on the caller's thread while picklable jobs keep their
         process isolation — and both answer solo-identically."""
         service = VerificationService(ServiceConfig(
             pool_size=1, transport="process"))
@@ -311,6 +313,37 @@ class TestGracefulDegradation:
         assert time.monotonic() - began < 30.0
         failed = results[stuck]
         assert not failed.ok
+        assert failed.error.kind == "WorkerCrash"
+        assert "unresponsive" in failed.error.message
+        assert failed.worker_crashes == 2
+
+    def test_hung_worker_leaves_the_other_shard_running(self):
+        """One loop serves every shard, so a hung worker stalls only its
+        own shard: the other shard's jobs finish solo-identical before the
+        first slice timeout, and the hung job fails as a worker crash
+        after its retries."""
+        timeout = 1.0
+        service = VerificationService(ServiceConfig(
+            pool_size=2, transport="process", slice_timeout_seconds=timeout,
+            retry=RetryPolicy(max_attempts=2, backoff_seconds=0.01)))
+        with service:
+            stuck = service.submit(*PROBLEM_A,
+                                   budget=Budget(max_nodes=BUDGET_NODES),
+                                   verifier_factory=_sleepy_factory)
+            others = [service.submit(*PROBLEM_B,
+                                     budget=Budget(max_nodes=BUDGET_NODES))
+                      for _ in range(3)]
+            order = [done.job_id for done in service.as_completed()]
+        results = {job_id: service.result(job_id) for job_id in order}
+        shards = {job_id: int(done.fingerprint[:8], 16) % 2
+                  for job_id, done in results.items()}
+        assert all(shards[job_id] != shards[stuck] for job_id in others)
+        assert order[-1] == stuck
+        for job_id in others:
+            assert results[job_id].ok
+            _assert_identical(results[job_id].result, SOLO_B)
+            assert results[job_id].latency_seconds < timeout
+        failed = results[stuck]
         assert failed.error.kind == "WorkerCrash"
         assert "unresponsive" in failed.error.message
         assert failed.worker_crashes == 2

@@ -260,14 +260,11 @@ class TestBoundedWait:
                                      rounds_per_slice=1)
         low, high = job_ids
         assert results[low].ok and results[high].ok
-        if transport == "cooperative":
-            # Exact slice-level interleaving is only deterministic when the
-            # caller drives the scheduler: a free-running worker may pick up
-            # the first job before the rival is even submitted.  The first
-            # slice goes to the high-priority job, so the low one waits at
-            # least one slice while high never waits.
-            assert results[high].wait_slices == 0
-            assert results[low].wait_slices >= 1
+        # The caller drives both transports, so nothing runs before both
+        # jobs are in: the first slice goes to the high-priority job, so
+        # the low one waits at least one slice while high never waits.
+        assert results[high].wait_slices == 0
+        assert results[low].wait_slices >= 1
         for job_id in job_ids:
             _assert_identical(results[job_id].result, SOLO_RESULTS[0])
 
@@ -290,35 +287,38 @@ class TestBoundedWait:
         assert low.wait_slices <= low.slices * max_wait
         _assert_identical(low.result, SOLO_RESULTS[2])
 
-    def test_low_priority_job_is_never_starved_under_injection(self):
+    def test_low_priority_job_is_never_starved_under_injection(self,
+                                                               transport):
         """A continuous stream of high-priority rivals cannot starve a job.
 
-        New rivals are injected every slice; the low-priority job must
+        New rivals are injected every step; the low-priority job must
         still run within ``max_wait_slices`` slices of any point in time,
         so it finishes long before the (endless) rival stream drains.
-        Cooperative-only: the injection is interleaved with manual
-        ``step()`` calls, which only the caller-driven transport exposes —
-        the policy itself is shared code, pinned for the other backends by
-        ``test_oldest_job_wait_is_bounded``.
         """
         max_wait = 2
         service = VerificationService(ServiceConfig(
-            pool_size=1, rounds_per_slice=1, max_wait_slices=max_wait))
+            transport=transport, pool_size=1, rounds_per_slice=1,
+            max_wait_slices=max_wait))
         network, spec = PROBLEMS[2]
-        low = service.submit(network, spec,
-                             budget=Budget(max_nodes=BUDGET_NODES), priority=0)
-        for _ in range(3):
-            service.submit(network, spec,
-                           budget=Budget(max_nodes=BUDGET_NODES), priority=10)
-        slices = 0
-        while service.result(low) is None:
-            # Keep the pressure on: one fresh high-priority rival per slice.
-            service.submit(network, spec,
-                           budget=Budget(max_nodes=BUDGET_NODES), priority=10)
-            service.step()
-            slices += 1
-            assert slices < 500, "low-priority job starved"
-        done = service.result(low)
+        with service:
+            low = service.submit(network, spec,
+                                 budget=Budget(max_nodes=BUDGET_NODES),
+                                 priority=0)
+            for _ in range(3):
+                service.submit(network, spec,
+                               budget=Budget(max_nodes=BUDGET_NODES),
+                               priority=10)
+            steps = 0
+            while service.result(low) is None:
+                # Keep the pressure on: one fresh high-priority rival per
+                # step.
+                service.submit(network, spec,
+                               budget=Budget(max_nodes=BUDGET_NODES),
+                               priority=10)
+                service.step()
+                steps += 1
+                assert steps < 500, "low-priority job starved"
+            done = service.result(low)
         assert done.ok
         assert done.wait_slices <= done.slices * max_wait
         _assert_identical(done.result, SOLO_RESULTS[2])

@@ -3,13 +3,12 @@ process transport's lifecycle.
 
 The conformance suite (``test_service_scheduler.py``) pins the properties
 both backends share; this module pins which transports and knob values
-:class:`ServiceConfig` accepts, and what is *particular* to the
-self-driving process transport — autonomous workers that refuse
-``step()``, draining and idempotent shutdown, completion listeners, the
-reported transport, and rounds that run off the caller: in the shard's
-worker process, or on its shard thread for a job that cannot cross the
-pipe.  Every verifier here is picklable, so jobs really run in the worker
-processes unless a test says otherwise.
+:class:`ServiceConfig` accepts, and what is *particular* to the process
+transport — a caller-driven ``step()`` that starts no thread, draining and
+idempotent shutdown, completion listeners, the reported transport, and
+where rounds run: in the shard's worker process, or on the caller's thread
+for a job that cannot cross the pipe.  Every verifier here is picklable,
+so jobs really run in the worker processes unless a test says otherwise.
 """
 
 from __future__ import annotations
@@ -94,7 +93,6 @@ class TestServiceConfig:
         assert TRANSPORTS == ("cooperative", "process")
         with VerificationService(ServiceConfig(transport=transport)) as svc:
             assert svc.stats()["transport"] == transport
-            assert svc.self_driving == (transport == "process")
 
     @pytest.mark.parametrize("knob, value", [
         ("pool_size", 0),
@@ -123,10 +121,29 @@ class TestServiceConfig:
 
 
 class TestProcessLifecycle:
-    def test_step_raises_on_process_transport(self):
-        with _process_service() as svc:
-            with pytest.raises(ValueError, match="autonomously"):
-                svc.step()
+    def test_step_returns_each_finished_result_once(self):
+        with _process_service(pool_size=2, rounds_per_slice=1) as svc:
+            ids = [svc.submit(*problem, budget=Budget(max_nodes=BUDGET_NODES))
+                   for problem in (PROBLEM_A, PROBLEM_B, PROBLEM_A)]
+            finished = []
+            while svc.has_pending():
+                done = svc.step()
+                if done is not None:
+                    finished.append(done)
+            assert sorted(done.job_id for done in finished) == sorted(ids)
+            for done in finished:
+                assert svc.result(done.job_id) is done
+            assert svc.step() is None
+
+    def test_run_starts_no_thread(self):
+        before = threading.active_count()
+        with _process_service(pool_size=2) as svc:
+            for problem in (PROBLEM_A, PROBLEM_B):
+                svc.submit(*problem, budget=Budget(max_nodes=BUDGET_NODES))
+            results = svc.run_until_complete()
+            assert threading.active_count() == before
+        assert all(done.ok for done in results)
+        assert threading.active_count() == before
 
     def test_shutdown_drains_pending_jobs(self):
         """shutdown(wait=True) finishes accepted jobs instead of dropping them."""
@@ -165,12 +182,11 @@ class TestProcessLifecycle:
     def test_stats_report_process_transport(self):
         with _process_service() as svc:
             assert svc.stats()["transport"] == "process"
-            assert svc.self_driving
 
     def test_rounds_run_off_the_caller(self):
-        """The caller never executes a round: a picklable job steps in the
-        shard's worker process, and a job that cannot cross the pipe steps
-        on the shard thread."""
+        """A picklable job steps in the shard's worker process, off the
+        caller; a job that cannot cross the pipe steps on the caller's
+        thread."""
         with _process_service(pool_size=1) as svc:
             remote = svc.submit(*PROBLEM_A,
                                 budget=Budget(max_nodes=BUDGET_NODES),
@@ -183,6 +199,5 @@ class TestProcessLifecycle:
             inline_extras = svc.result(inline).result.extras
         assert remote_extras["pid"] != os.getpid()
         assert inline_extras["pid"] == os.getpid()
-        assert inline_extras["thread"] != threading.current_thread().name
-        assert inline_extras["thread"].startswith("verification-worker-")
+        assert inline_extras["thread"] == threading.current_thread().name
         assert svc.stats()["jobs_inline"] == 1

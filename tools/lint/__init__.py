@@ -2,7 +2,7 @@
 
 A small rule framework over :mod:`ast` that machine-checks the invariants
 this repository's PR history keeps re-litigating in review: lock
-discipline in the service's shard threads, seeded-RNG-only randomness, wall-clock
+discipline in lock-owning classes, seeded-RNG-only randomness, wall-clock
 confinement, marked isolation boundaries, pickle-safe transport payloads
 and fully annotated public surfaces.  Run it as::
 

@@ -1,16 +1,15 @@
 """lock-discipline: instance state of lock-owning classes stays locked.
 
-The verification service's process transport drives its worker processes
-from one shard thread per shard, sharing the scheduler, the cache pool and
-the caches with the submitting thread.  Its correctness argument
-(docs/SERVICE.md) leans on a simple convention: a class that creates its
-own ``threading.Lock``/``RLock``/``Condition`` (``self._lock``,
-``self.lock``, ``self.wake``, …) mutates its instance attributes only
-inside a ``with self.<lock>`` block.  PR 7 fixed a real
-counter race in exactly this shape (``LpCache`` stats mutated outside the
-cache lock), so the convention is now machine-checked: in any class that
-assigns a lock to an instance attribute, every write to ``self.*`` outside
-a ``with`` on one of the class's own locks is flagged.
+A class that creates its own ``threading.Lock``/``RLock``/``Condition``
+(``self._lock``, ``self.lock``, ``self.wake``, …) shares its instances
+across threads, and its correctness argument leans on a simple
+convention: it mutates its instance attributes only inside a
+``with self.<lock>`` block.  A counter race in exactly this shape
+(``LpCache`` stats mutated outside the cache lock) once shipped, so the
+convention is machine-checked: in any class that assigns a lock to an
+instance attribute, every write to ``self.*`` outside a ``with`` on one of
+the class's own locks is flagged.  No class under ``src/`` owns a lock
+today; the rule holds the next one to the convention.
 
 Construction is exempt (``__init__``/``__post_init__`` run before the
 instance is shared).  The rule is intra-class by design: writes to *other*
