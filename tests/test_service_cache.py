@@ -5,7 +5,8 @@ fingerprint share one :class:`~repro.service.pool.CacheBundle`, so a repeat
 job serves its bound passes and leaf LPs from the warm bundle.  These tests
 pin the contract in both directions — same fingerprint ⇒ observable nonzero
 hit deltas on the repeat (and results equal to a cold solo run), different
-fingerprints ⇒ disjoint bundles and a cold second job.
+fingerprints ⇒ disjoint bundles and a cold second job — plus the exact
+bookkeeping of the shared caches and the pool over interleaved jobs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import repro.engine.driver
 import repro.service.pool
 from repro.bab import BaBBaselineVerifier
 from repro.baselines.alphabeta_crown import AlphaBetaCrownVerifier
-from repro.bounds.cache import LpCache
+from repro.bounds.cache import BoundCache, LpCache
 from repro.core.abonn import AbonnVerifier
 from repro.nn import dense_network
 from repro.service import ServiceConfig, VerificationService
@@ -245,3 +246,112 @@ class TestFingerprintIsolation:
         # Same network though: the weight digest was computed exactly once.
         assert service.pool.model_cache_misses == 1
         assert service.pool.model_cache_hits == 1
+
+
+class TestCacheBookkeeping:
+    """The shared caches' and the pool's counters stay exact over interleaved jobs.
+
+    One thread drives every job on both transports, and the jobs on one
+    fingerprint take turns on its bundle slice by slice; these loops
+    interleave lookups the same way and pin every counter to its exact
+    value, plus one bundle per fingerprint between quarantines.
+    """
+
+    def test_lp_cache_counters_exact_over_interleaved_jobs(self):
+        cache = LpCache(max_entries=64)
+        jobs, per_job = 8, 400
+        for i in range(per_job):
+            for job in range(jobs):
+                key = ("k", (job + i) % 48)  # fits: every lookup can hit
+                if cache.get(key) is None:
+                    cache.put(key, object())
+                    cache.record_solve()
+                cache.record_hit()  # the batch-alias path
+
+        total = jobs * per_job
+        # One get + one record_hit per iteration; every counter is exact.
+        assert cache.stats.hits + cache.stats.misses == 2 * total
+        assert cache.stats.misses == 48  # one cold lookup per key
+        assert cache.stats.solves == cache.stats.misses
+        assert cache.stats.evictions == 0
+        assert len(cache) == 48
+
+    def test_bound_cache_counters_exact_over_interleaved_jobs(self):
+        cache = BoundCache(max_entries=128)
+        jobs, per_job = 8, 400
+        for i in range(per_job):
+            for job in range(jobs):
+                key = (("layer", (job + i) % 64),)
+                if cache.get_report(key) is None:
+                    cache.put_report(key, {"job": job})
+
+        stats = cache.stats
+        total = jobs * per_job
+        assert stats.report_hits + stats.report_misses == total
+        assert stats.report_misses == 64
+        assert stats.report_evictions == 0
+        assert len(cache) == 64
+
+    def test_fingerprint_memo_counters_exact_over_repeat_lookups(self):
+        pool = VerificationService().pool
+        network, spec = PROBLEM_LP
+        expected = pool.fingerprint_for(network, spec)  # 1 recorded miss
+        lookups = 400
+        fingerprints = {pool.fingerprint_for(network, spec)
+                        for _ in range(lookups)}
+
+        assert fingerprints == {expected}
+        # Every lookup recorded exactly one hit or miss.
+        assert pool.model_cache_hits + pool.model_cache_misses == lookups + 1
+        # The memo was warm before the loop, so everything after is a hit.
+        assert pool.model_cache_misses == 1
+
+    def test_bundle_lookups_observe_one_instance(self):
+        pool = VerificationService().pool
+        fingerprint = "a" * 64
+        seen = {id(pool.bundle(fingerprint)) for _ in range(1600)}
+
+        # Without discards there is exactly one bundle, ever.
+        assert len(seen) == 1
+        assert len(pool) == 1
+
+    def test_mid_run_quarantine_makes_one_cold_bundle_per_discard(self):
+        pool = VerificationService().pool
+        fingerprint = "b" * 64
+        seen = {}
+        discarded = 0
+        for i in range(601):
+            bundle = pool.bundle(fingerprint)
+            if id(bundle) not in seen:
+                # A recreated bundle starts cold.
+                assert len(bundle.lp_cache) == 0
+                assert len(bundle.bound_cache) == 0
+                seen[id(bundle)] = bundle
+            bundle.lp_cache.put(("k", i), object())
+            if i % 200 == 199:
+                assert pool.discard(fingerprint)
+                assert not pool.discard(fingerprint)  # already gone
+                discarded += 1
+
+        # Each discard introduces exactly one fresh bundle on next demand.
+        assert discarded == 3
+        assert len(seen) == 1 + discarded
+        # The fingerprint still resolves to the last bundle made.
+        assert pool.bundle(fingerprint) is bundle
+        assert len(pool) == 1
+
+    def test_pool_stats_sum_exactly_over_interleaved_jobs(self):
+        pool = VerificationService().pool
+        problems = [PROBLEM_LP, PROBLEM_OTHER]
+        jobs, per_job = 6, 40
+        for _ in range(per_job):
+            for job in range(jobs):
+                network, spec = problems[job % len(problems)]
+                pool.fingerprint_for(network, spec)
+
+        stats = pool.stats()
+        total = jobs * per_job
+        assert (stats["model_cache_hits"]
+                + stats["model_cache_misses"]) == total
+        # One miss per distinct network: its first lookup; the rest hit.
+        assert stats["model_cache_misses"] == len(problems)
