@@ -56,6 +56,24 @@ DEFAULT_CACHE_SIZE = 4096
 DEFAULT_LP_CACHE_SIZE = 2048
 
 
+def _lru_put(store: "OrderedDict[Hashable, object]", key: Hashable,
+             value: object, max_entries: int) -> int:
+    """Store ``value`` as the most recent entry; returns how many it evicted.
+
+    A new key is hashed once: the size check tells an insert from an
+    update, and only an update hashes again to move the key to the end.
+    """
+    size = len(store)
+    store[key] = value
+    if len(store) == size:
+        store.move_to_end(key)
+    evicted = 0
+    while len(store) > max_entries:
+        store.popitem(last=False)
+        evicted += 1
+    return evicted
+
+
 @dataclass
 class CacheStats:
     """Reuse counters of the bound analyser and its report cache.
@@ -119,12 +137,8 @@ class BoundCache:
 
     def _put(self, key: Hashable, value: object) -> None:
         """Insert with LRU eviction."""
-        if key in self._store:
-            self._store.move_to_end(key)
-        self._store[key] = value
-        while len(self._store) > self.max_entries:
-            self._store.popitem(last=False)
-            self.stats.report_evictions += 1
+        self.stats.report_evictions += _lru_put(self._store, key, value,
+                                                self.max_entries)
 
     # -- report entries -------------------------------------------------------
     def get_report(self, path: Tuple):
@@ -261,12 +275,8 @@ class LpCache:
 
     def put(self, key: Hashable, optimum: object) -> None:
         """Store a freshly solved optimum (LRU eviction beyond capacity)."""
-        if key in self._store:
-            self._store.move_to_end(key)
-        self._store[key] = optimum
-        while len(self._store) > self.max_entries:
-            self._store.popitem(last=False)
-            self.stats.evictions += 1
+        self.stats.evictions += _lru_put(self._store, key, optimum,
+                                         self.max_entries)
 
     def record_solve(self, count: int = 1) -> None:
         """Count ``count`` leaf resolutions dispatched to the solver."""

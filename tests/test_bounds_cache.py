@@ -186,6 +186,16 @@ class TestCacheSizeBound:
         assert cache.get_report(("a",)) is not None
         assert cache.get_report(("b",)) is None
 
+    def test_put_refreshes_recency(self):
+        cache = BoundCache(max_entries=2)
+        cache.put_report(("a",), "old-a")
+        cache.put_report(("b",), "report-b")
+        cache.put_report(("a",), "new-a")  # refresh "a"; "b" becomes LRU
+        cache.put_report(("c",), "report-c")
+        assert cache.get_report(("a",)) == "new-a"
+        assert cache.get_report(("b",)) is None
+        assert cache.stats.evictions == 1
+
     def test_verifier_cache_respects_configured_bound(self, small_network):
         spec = _problem(small_network, [0.45, 0.55, 0.5, 0.4], 0.12)
         verifier = ApproximateVerifier(small_network, spec, cache_size=6)
@@ -248,6 +258,18 @@ class TestEvictionCountersByKind:
         assert len(cache) == 2
         assert cache.stats.evictions == 1
         assert cache.get(("a",)) is None  # oldest evicted
+
+    def test_lp_cache_put_refreshes_recency(self):
+        from repro.bounds.cache import LpCache
+
+        cache = LpCache(max_entries=2)
+        cache.put(("a",), "old-a")
+        cache.put(("b",), "optimum-b")
+        cache.put(("a",), "new-a")  # refresh "a"; "b" becomes LRU
+        cache.put(("c",), "optimum-c")
+        assert cache.get(("a",)) == "new-a"
+        assert cache.get(("b",)) is None
+        assert cache.stats.evictions == 1
 
 
 class TestCacheStats:

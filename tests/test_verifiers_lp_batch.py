@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from repro.bounds.cache import LpCache
 from repro.bounds.splits import ACTIVE, INACTIVE, ReluSplit, SplitAssignment
@@ -224,14 +225,14 @@ def _both_active_leaf(bias):
 
 def _count_highs_calls(monkeypatch):
     """Wrap the real HiGHS entry point; returns the live call counter."""
-    real = milp_module.optimize.milp
+    real = optimize.milp
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(milp_module.optimize, "milp", counting)
+    monkeypatch.setattr(optimize, "milp", counting)
     return calls
 
 

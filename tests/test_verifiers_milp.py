@@ -173,7 +173,7 @@ class TestSolverStatus:
             x[:center.size] = center
             return OptimizeResult(status=status, x=x, fun=fun,
                                   mip_dual_bound=dual_bound)
-        monkeypatch.setattr("repro.verifiers.milp.optimize.milp", fake)
+        monkeypatch.setattr("scipy.optimize.milp", fake)
 
     def test_time_limited_incumbent_is_no_proof(self, milp_problem, monkeypatch):
         network, spec, center = milp_problem
