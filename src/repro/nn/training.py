@@ -5,12 +5,18 @@ distribution of stable/unstable ReLUs (and therefore BaB behaviour) depends
 on training.  This module trains the laptop-scale model-zoo networks on the
 synthetic datasets with mini-batch SGD (optionally Adam) and a softmax
 cross-entropy loss.
+
+Each optimiser step works on one flat vector: the step concatenates every
+layer's gradients and parameters, keeps the momentum (or Adam's ``m`` and
+``v``) as flat vectors, and subtracts each layer's slice of the update from
+that layer's own parameter array in place.  Every operation is elementwise,
+so each weight receives exactly the value a per-parameter loop computes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -77,10 +83,12 @@ class TrainingHistory:
 
     @property
     def final_loss(self) -> Optional[float]:
+        """The last epoch's mean loss, or ``None`` before any epoch."""
         return self.losses[-1] if self.losses else None
 
     @property
     def final_accuracy(self) -> Optional[float]:
+        """The last epoch's training accuracy, or ``None`` before any epoch."""
         return self.accuracies[-1] if self.accuracies else None
 
 
@@ -90,14 +98,19 @@ class Trainer:
     def __init__(self, network: Network, config: Optional[TrainingConfig] = None) -> None:
         self.network = network
         self.config = config or TrainingConfig()
-        self._momentum_buffers: Dict[int, np.ndarray] = {}
-        self._adam_m: Dict[int, np.ndarray] = {}
-        self._adam_v: Dict[int, np.ndarray] = {}
+        # Optimiser state over the flat parameter vector (see the module docstring).
+        self._momentum: Optional[np.ndarray] = None
+        self._adam_m: Optional[np.ndarray] = None
+        self._adam_v: Optional[np.ndarray] = None
         self._adam_t = 0
 
     def fit(self, inputs: np.ndarray, labels: np.ndarray,
             rng: SeedLike = None) -> TrainingHistory:
-        """Train the network in place and return the training history."""
+        """Train the network in place and return the training history.
+
+        The layers' forward caches are dropped at the end, so the trained
+        network does not hold the last full-dataset accuracy forward.
+        """
         config = self.config
         rng = as_rng(config.seed if rng is None else rng)
         inputs = np.asarray(inputs, dtype=float)
@@ -115,6 +128,8 @@ class Trainer:
                 epoch_losses.append(loss)
             history.losses.append(float(np.mean(epoch_losses)))
             history.accuracies.append(accuracy(self.network, inputs, labels))
+        for layer in self.network.layers:
+            layer.clear_caches()
         self.network.invalidate_lowered()
         return history
 
@@ -128,40 +143,50 @@ class Trainer:
             self._apply_sgd()
         return loss
 
+    def _flat_gradient(self) -> Tuple[List[np.ndarray], np.ndarray]:
+        """Every parameter array, and the weight-decayed gradient as one vector."""
+        params: List[np.ndarray] = []
+        grads: List[np.ndarray] = []
+        for layer in self.network.layers:
+            gradients = layer.gradients()
+            for name, param in layer.parameters().items():
+                params.append(param)
+                grads.append(gradients[name])
+        if not params:
+            return params, np.zeros(0)
+        flat_params = np.concatenate([param.ravel() for param in params])
+        flat_grads = np.concatenate([grad.ravel() for grad in grads])
+        return params, flat_grads + self.config.weight_decay * flat_params
+
+    @staticmethod
+    def _subtract(params: List[np.ndarray], update: np.ndarray) -> None:
+        """Subtract each parameter's slice of the flat ``update`` in place."""
+        offset = 0
+        for param in params:
+            param -= update[offset:offset + param.size].reshape(param.shape)
+            offset += param.size
+
     def _apply_sgd(self) -> None:
         config = self.config
-        for layer in self.network.layers:
-            params = layer.parameters()
-            grads = layer.gradients()
-            for name, param in params.items():
-                grad = grads[name] + config.weight_decay * param
-                key = id(param)
-                buffer = self._momentum_buffers.get(key)
-                if buffer is None:
-                    buffer = np.zeros_like(param)
-                buffer = config.momentum * buffer + grad
-                self._momentum_buffers[key] = buffer
-                param -= config.learning_rate * buffer
+        params, grad = self._flat_gradient()
+        if self._momentum is None:
+            self._momentum = np.zeros_like(grad)
+        self._momentum = config.momentum * self._momentum + grad
+        self._subtract(params, config.learning_rate * self._momentum)
 
     def _apply_adam(self, beta1: float = 0.9, beta2: float = 0.999,
                     epsilon: float = 1e-8) -> None:
         config = self.config
         self._adam_t += 1
-        for layer in self.network.layers:
-            params = layer.parameters()
-            grads = layer.gradients()
-            for name, param in params.items():
-                grad = grads[name] + config.weight_decay * param
-                key = id(param)
-                m = self._adam_m.get(key, np.zeros_like(param))
-                v = self._adam_v.get(key, np.zeros_like(param))
-                m = beta1 * m + (1 - beta1) * grad
-                v = beta2 * v + (1 - beta2) * grad * grad
-                self._adam_m[key] = m
-                self._adam_v[key] = v
-                m_hat = m / (1 - beta1 ** self._adam_t)
-                v_hat = v / (1 - beta2 ** self._adam_t)
-                param -= config.learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
+        params, grad = self._flat_gradient()
+        if self._adam_m is None:
+            self._adam_m = np.zeros_like(grad)
+            self._adam_v = np.zeros_like(grad)
+        self._adam_m = beta1 * self._adam_m + (1 - beta1) * grad
+        self._adam_v = beta2 * self._adam_v + (1 - beta2) * grad * grad
+        m_hat = self._adam_m / (1 - beta1 ** self._adam_t)
+        v_hat = self._adam_v / (1 - beta2 ** self._adam_t)
+        self._subtract(params, config.learning_rate * m_hat / (np.sqrt(v_hat) + epsilon))
 
 
 def train_network(network: Network, inputs: np.ndarray, labels: np.ndarray,

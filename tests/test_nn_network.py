@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.nn.layers import Dense, ReLU
 from repro.nn.network import LoweredNetwork, Network, dense_network
+from repro.nn.zoo import family
 
 
 class TestNetworkBasics:
@@ -48,6 +49,22 @@ class TestNetworkBasics:
         out = small_network.forward(x)
         grad = small_network.backward(np.ones_like(out))
         assert grad.shape == (3, 4)
+
+    def test_lowering_between_forward_and_backward_keeps_gradients(self):
+        """``lowered()`` must not overwrite the activations ``backward`` reads."""
+        spec = family("CIFAR_BASE")
+        dataset = spec.build_dataset(0)
+        network, twin = spec.build_network(dataset, 0), spec.build_network(dataset, 0)
+        x = dataset.inputs[:8]
+        grad = np.random.default_rng(0).normal(size=(8, dataset.num_classes))
+        network.forward(x)
+        network.lowered()
+        lowered_grad = network.backward(grad)
+        twin.forward(x)
+        assert np.array_equal(lowered_grad, twin.backward(grad))
+        for layer, other in zip(network.layers, twin.layers):
+            for name, value in layer.gradients().items():
+                assert np.array_equal(value, other.gradients()[name])
 
 
 class TestDenseNetworkBuilder:

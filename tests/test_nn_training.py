@@ -1,10 +1,13 @@
 """Tests for repro.nn.training."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.datasets import make_blob_dataset
+from repro.datasets import make_blob_dataset, make_stripe_dataset
 from repro.nn import dense_network
+from repro.nn.layers import _FORWARD_CACHES
 from repro.nn.training import (
     Trainer,
     TrainingConfig,
@@ -13,6 +16,7 @@ from repro.nn.training import (
     softmax,
     train_network,
 )
+from repro.nn.zoo import family
 
 
 class TestSoftmax:
@@ -119,3 +123,31 @@ class TestTrainer:
         network = dense_network([25, 8, 3], seed=5)
         value = accuracy(network, dataset.inputs, dataset.labels)
         assert 0.0 <= value <= 1.0
+
+
+class TestTrainedNetworkMemory:
+    @pytest.fixture(scope="class")
+    def trained(self):
+        spec = family("CIFAR_BASE")
+        dataset = make_stripe_dataset(count=64, size=8, channels=3, num_classes=4, seed=0)
+        network = spec.build_network(dataset, 0)
+        train_network(network, dataset.inputs, dataset.labels,
+                      TrainingConfig(epochs=2, optimizer="adam", learning_rate=0.02))
+        return network, dataset
+
+    def test_trained_network_holds_no_forward_or_index_cache(self, trained):
+        network, _ = trained
+        for layer in network.layers:
+            for name in _FORWARD_CACHES:
+                assert getattr(layer, name, None) is None, (type(layer).__name__, name)
+
+    def test_pickled_copy_forwards_bit_identically(self, trained):
+        network, dataset = trained
+        expected = network.forward(dataset.inputs)
+        # The forward rebuilt the gather index; the pickle must leave it out.
+        assert any(getattr(layer, "_gather", None) is not None for layer in network.layers)
+        restored = pickle.loads(pickle.dumps(network))
+        for layer in restored.layers:
+            for name in _FORWARD_CACHES:
+                assert getattr(layer, name, None) is None
+        assert np.array_equal(restored.forward(dataset.inputs), expected)

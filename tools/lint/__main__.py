@@ -22,7 +22,8 @@ from .core import REGISTRY, run_lint
 DOCSTRING_SURFACES = (
     "src/repro/engine", "src/repro/verifiers", "src/repro/core/abonn.py",
     "src/repro/bab/baseline.py", "src/repro/baselines", "src/repro/service",
-    "src/repro/bab/heuristics.py", "src/repro/bounds",
+    "src/repro/bab/heuristics.py", "src/repro/bounds", "src/repro/nn/layers.py",
+    "src/repro/nn/training.py",
 )
 
 #: The Markdown trees the link checker gates in CI.
