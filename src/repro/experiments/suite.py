@@ -17,6 +17,15 @@ regime, which is bracketed by
 Instances are sampled on a grid spanning that bracket, so the suite contains
 a mixture of certified, violated and budget-limited problems whose BaB trees
 have the non-trivial size distribution reported in Fig. 3.
+
+``eps_root`` is bisected on the bound alone: one
+:class:`~repro.bounds.deeppoly.DeepPolyAnalyzer` per reference bounds the
+root of each step's specification, and the step certifies when ``p̂ > 0``.
+That is the ``p̂`` the approximated verifier's root evaluation returns, so
+the radius is the one an ``ApproximateVerifier`` per step would find,
+without its bound cache, α-CROWN analyser or counterexample check.  Root
+bounds that overflow are refused with ``ValueError``, as AppVer refuses
+them.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.bounds.deeppoly import DeepPolyAnalyzer
 from repro.datasets.synthetic import Dataset
 from repro.nn.network import Network
 from repro.nn.zoo import FAMILY_ORDER, build_trained_model, family
@@ -33,7 +43,7 @@ from repro.specs.properties import Specification
 from repro.specs.robustness import local_robustness_spec
 from repro.utils.rng import as_rng, derive_seed
 from repro.utils.validation import require
-from repro.verifiers.appver import ApproximateVerifier
+from repro.verifiers.appver import ApproximateVerifier, _require_finite_root
 from repro.verifiers.attack import AttackConfig, empirical_robustness_radius
 
 
@@ -111,16 +121,26 @@ class SuiteConfig:
 def root_certified_radius(network: Network, reference: np.ndarray, label: int,
                           num_classes: int, upper: float = 0.5,
                           steps: int = 10) -> float:
-    """Largest ε (up to ``upper``) certified by the root DeepPoly bound."""
+    """Largest ε (up to ``upper``) certified by the root DeepPoly bound.
+
+    Bisects on the bound alone (see the module docstring); raises
+    ``ValueError`` when a step's root bounds are not finite.
+    """
     reference = np.asarray(reference, dtype=float).reshape(-1)
-    spec_upper = local_robustness_spec(reference, upper, label, num_classes)
-    if ApproximateVerifier(network, spec_upper).evaluate().verified:
+    analyzer = DeepPolyAnalyzer(network.lowered())
+
+    def certified(epsilon: float) -> bool:
+        spec = local_robustness_spec(reference, epsilon, label, num_classes)
+        report = analyzer.analyze(spec.input_box, spec=spec.output_spec)
+        _require_finite_root(report)
+        return report.p_hat > 0.0
+
+    if certified(upper):
         return float(upper)
     low, high = 0.0, float(upper)
     for _ in range(steps):
         mid = 0.5 * (low + high)
-        spec = local_robustness_spec(reference, mid, label, num_classes)
-        if ApproximateVerifier(network, spec).evaluate().verified:
+        if certified(mid):
             low = mid
         else:
             high = mid

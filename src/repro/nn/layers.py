@@ -7,7 +7,10 @@ paper).  Each layer therefore provides three views:
 * ``forward`` / ``backward`` — batched inference and gradient propagation,
   used by the trainer (:mod:`repro.nn.training`) and, through
   :meth:`repro.nn.network.Network.forward`, as the ground truth that every
-  counterexample is checked against;
+  counterexample is checked against.  ``backward_parameters`` is the
+  parameter half of ``backward``: it stores the same gradients and forms no
+  input gradient, which the trainer never reads below the lowest layer
+  with parameters;
 * ``output_shape`` — static shape inference;
 * for affine layers, ``to_affine`` — the explicit ``(W, b)`` pair over the
   flattened input, used to lower the network into the canonical
@@ -74,6 +77,14 @@ class Layer:
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Propagate gradients; must be called after ``forward``."""
         raise NotImplementedError
+
+    def backward_parameters(self, grad_output: np.ndarray) -> None:
+        """Store the parameter gradients ``backward`` stores, and return nothing.
+
+        Layers with parameters skip forming the input gradient; the default
+        runs the whole ``backward``.
+        """
+        self.backward(grad_output)
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         """Infer the per-sample output shape given a per-sample input shape."""
@@ -150,12 +161,20 @@ class Dense(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Store the weight and bias gradients; return the flat input gradient."""
+        return self._store_gradients(grad_output) @ self.weight
+
+    def backward_parameters(self, grad_output: np.ndarray) -> None:
+        """Store the weight and bias gradients without the input gradient."""
+        self._store_gradients(grad_output)
+
+    def _store_gradients(self, grad_output: np.ndarray) -> np.ndarray:
+        """Store the parameter gradients; return ``grad_output`` as floats."""
         if self._cache_input is None:
             raise RuntimeError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=float)
         self.grad_weight = grad_output.T @ self._cache_input
         self.grad_bias = grad_output.sum(axis=0)
-        return grad_output @ self.weight
+        return grad_output
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         """``(out_features,)``; the input must hold ``in_features`` values."""
@@ -371,20 +390,9 @@ class Conv2d(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Store the kernel and bias gradients; return the input gradient."""
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        cols, input_shape = self._cache
-        batch, channels, height, width = input_shape
-        out_h, out_w = self._spatial_output(height, width)
-        grad_output = np.asarray(grad_output, dtype=float)
-        grad_flat = grad_output.reshape(batch, self.out_channels, out_h * out_w)
-        grad_flat = grad_flat.transpose(0, 2, 1)  # (batch, positions, out_channels)
-
+        grad_flat = self._store_gradients(grad_output)
+        batch, channels, height, width = self._cache[1]
         kernel = self.weight.reshape(self.out_channels, -1)
-        grad_kernel = np.einsum("bpo,bpk->ok", grad_flat, cols)
-        self.grad_weight = grad_kernel.reshape(self.weight.shape)
-        self.grad_bias = grad_flat.sum(axis=(0, 1))
-
         grad_cols = grad_flat @ kernel  # (batch, positions, channels*k*k)
         padded_shape = (batch, channels, height + 2 * self.padding, width + 2 * self.padding)
         sample = int(np.prod(padded_shape[1:]))
@@ -395,6 +403,25 @@ class Conv2d(Layer):
         if self.padding:
             return padded[:, :, self.padding:-self.padding, self.padding:-self.padding]
         return padded
+
+    def backward_parameters(self, grad_output: np.ndarray) -> None:
+        """Store the kernel and bias gradients without the col2im scatter."""
+        self._store_gradients(grad_output)
+
+    def _store_gradients(self, grad_output: np.ndarray) -> np.ndarray:
+        """Store the parameter gradients; return ``grad_output`` as
+        ``(batch, positions, out_channels)``."""
+        if self._cache is None:
+            raise RuntimeError("backward called before forward")
+        cols, (batch, _, height, width) = self._cache
+        out_h, out_w = self._spatial_output(height, width)
+        grad_output = np.asarray(grad_output, dtype=float)
+        grad_flat = grad_output.reshape(batch, self.out_channels, out_h * out_w)
+        grad_flat = grad_flat.transpose(0, 2, 1)
+        grad_kernel = np.einsum("bpo,bpk->ok", grad_flat, cols)
+        self.grad_weight = grad_kernel.reshape(self.weight.shape)
+        self.grad_bias = grad_flat.sum(axis=(0, 1))
+        return grad_flat
 
     def parameters(self) -> Dict[str, np.ndarray]:
         """The live ``weight`` and ``bias`` arrays (updated in place by training)."""

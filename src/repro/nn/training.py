@@ -6,6 +6,16 @@ on training.  This module trains the laptop-scale model-zoo networks on the
 synthetic datasets with mini-batch SGD (optionally Adam) and a softmax
 cross-entropy loss.
 
+Training records the mean loss of every epoch and nothing else: a caller
+that wants the accuracy calls :func:`accuracy` once, so no forward wider
+than ``batch_size`` runs during ``fit``.  Each step back-propagates into the
+parameters only: it walks the layers from the top and stops at the lowest
+layer with parameters, which stores its gradients through
+``backward_parameters`` without forming the input gradient nobody reads
+(for a convolutional net the first convolution's col2im scatter, for a
+dense one the first ``Dense``'s ``g @ W`` and the ``Flatten`` below it).
+The gradients are the ones ``Network.backward`` stores, bit for bit.
+
 Each optimiser step works on one flat vector: the step concatenates every
 layer's gradients and parameters, keeps the momentum (or Adam's ``m`` and
 ``v``) as flat vectors, and subtracts each layer's slice of the update from
@@ -76,20 +86,14 @@ class TrainingConfig:
 
 @dataclass
 class TrainingHistory:
-    """Per-epoch loss and accuracy recorded by the trainer."""
+    """Per-epoch mean loss recorded by the trainer."""
 
     losses: List[float] = field(default_factory=list)
-    accuracies: List[float] = field(default_factory=list)
 
     @property
     def final_loss(self) -> Optional[float]:
         """The last epoch's mean loss, or ``None`` before any epoch."""
         return self.losses[-1] if self.losses else None
-
-    @property
-    def final_accuracy(self) -> Optional[float]:
-        """The last epoch's training accuracy, or ``None`` before any epoch."""
-        return self.accuracies[-1] if self.accuracies else None
 
 
 class Trainer:
@@ -109,7 +113,7 @@ class Trainer:
         """Train the network in place and return the training history.
 
         The layers' forward caches are dropped at the end, so the trained
-        network does not hold the last full-dataset accuracy forward.
+        network does not hold the last mini-batch's activations.
         """
         config = self.config
         rng = as_rng(config.seed if rng is None else rng)
@@ -127,16 +131,21 @@ class Trainer:
                 loss = self._step(inputs[batch_index], labels[batch_index])
                 epoch_losses.append(loss)
             history.losses.append(float(np.mean(epoch_losses)))
-            history.accuracies.append(accuracy(self.network, inputs, labels))
         for layer in self.network.layers:
             layer.clear_caches()
         self.network.invalidate_lowered()
         return history
 
     def _step(self, batch_inputs: np.ndarray, batch_labels: np.ndarray) -> float:
+        layers = self.network.layers
         logits = self.network.forward(batch_inputs)
-        loss, grad_logits = cross_entropy_loss(logits, batch_labels)
-        self.network.backward(grad_logits)
+        loss, grad = cross_entropy_loss(logits, batch_labels)
+        lowest = next((index for index, layer in enumerate(layers) if layer.parameters()),
+                      None)
+        if lowest is not None:
+            for layer in reversed(layers[lowest + 1:]):
+                grad = layer.backward(grad)
+            layers[lowest].backward_parameters(grad)
         if self.config.optimizer == "adam":
             self._apply_adam()
         else:

@@ -195,7 +195,8 @@ class ApproximateVerifier:
         self._deeppoly = DeepPolyAnalyzer(self.lowered)
         #: The network's empty split assignment: every run's root.
         self.root_splits = self._deeppoly.root_splits
-        self._alpha = AlphaCrownAnalyzer(self.lowered, alpha_config)
+        self._alpha = (AlphaCrownAnalyzer(self.lowered, alpha_config)
+                       if method == "alpha-crown" else None)
         if not use_cache:
             self.cache: Optional[BoundCache] = None
         elif bound_cache is not None:
@@ -357,7 +358,7 @@ class ApproximateVerifier:
                  else CacheStats()).as_dict()
         stats["candidate_hits"] = self.candidate_hits
         stats["candidate_misses"] = self.candidate_misses
-        stats["alpha_warm_starts"] = self._alpha.warm_starts
+        stats["alpha_warm_starts"] = self._alpha.warm_starts if self._alpha is not None else 0
         stats.update(self.batch_stats())
         return stats
 

@@ -2,12 +2,13 @@
 
 :class:`repro.nn.layers.Conv2d` gathers its im2col columns with one
 ``np.take`` and scatters col2im with one ``np.bincount``, and
-:class:`repro.nn.training.Trainer` takes each optimiser step on one flat
-vector.  This module keeps the loops they replaced, unchanged:
-:class:`ReferenceConv2d` fills im2col and col2im one kernel offset at a
-time through strided slices, and :class:`ReferenceTrainer` updates one
-parameter array at a time with its own momentum / Adam state.  The library
-must produce bit-identical outputs, gradients and trained weights,
+:class:`repro.nn.training.Trainer` back-propagates into the parameters
+only and takes each optimiser step on one flat vector.  This module keeps
+the code they replaced, unchanged: :class:`ReferenceConv2d` fills im2col
+and col2im one kernel offset at a time through strided slices, and
+:class:`ReferenceTrainer` runs the full ``Network.backward`` and updates
+one parameter array at a time with its own momentum / Adam state.  The
+library must produce bit-identical outputs, gradients and trained weights,
 including the sign of every zero.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from repro.nn.layers import Conv2d, Dense
 from repro.nn.network import Network
-from repro.nn.training import Trainer
+from repro.nn.training import Trainer, cross_entropy_loss
 
 
 class ReferenceConv2d(Conv2d):
@@ -96,13 +97,24 @@ def reference_copy(network: Network) -> Network:
 
 
 class ReferenceTrainer(Trainer):
-    """``Trainer`` with the per-parameter SGD and Adam loops."""
+    """``Trainer`` with the full back-propagation and the per-parameter SGD and
+    Adam loops."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._momentum_buffers: Dict[int, np.ndarray] = {}
         self._adam_m_by_id: Dict[int, np.ndarray] = {}
         self._adam_v_by_id: Dict[int, np.ndarray] = {}
+
+    def _step(self, batch_inputs: np.ndarray, batch_labels: np.ndarray) -> float:
+        logits = self.network.forward(batch_inputs)
+        loss, grad_logits = cross_entropy_loss(logits, batch_labels)
+        self.network.backward(grad_logits)
+        if self.config.optimizer == "adam":
+            self._apply_adam()
+        else:
+            self._apply_sgd()
+        return loss
 
     def _apply_sgd(self) -> None:
         config = self.config

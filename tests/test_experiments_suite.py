@@ -1,5 +1,6 @@
 """Tests for repro.experiments.suite (benchmark generation, Table I data)."""
 
+import numpy as np
 import pytest
 
 from repro.experiments.suite import (
@@ -8,6 +9,9 @@ from repro.experiments.suite import (
     root_certified_radius,
     table1_rows,
 )
+from repro.nn import dense_network
+from repro.nn.zoo import FAMILY_ORDER, build_trained_model
+from repro.specs.robustness import local_robustness_spec
 from repro.verifiers.appver import ApproximateVerifier
 
 
@@ -67,10 +71,54 @@ class TestSuiteGeneration:
             generate_suite(SuiteConfig(families=("MNIST_L8",), instances_per_family=1))
 
 
-class TestRootCertifiedRadius:
-    def test_radius_is_certified(self, small_suite):
-        from repro.specs.robustness import local_robustness_spec
+def appver_root_radius(network, reference, label, num_classes, upper=0.5, steps=10):
+    """The oracle: the same bisection with one ``ApproximateVerifier`` per step."""
+    reference = np.asarray(reference, dtype=float).reshape(-1)
+    spec_upper = local_robustness_spec(reference, upper, label, num_classes)
+    if ApproximateVerifier(network, spec_upper).evaluate().verified:
+        return float(upper)
+    low, high = 0.0, float(upper)
+    for _ in range(steps):
+        mid = 0.5 * (low + high)
+        spec = local_robustness_spec(reference, mid, label, num_classes)
+        if ApproximateVerifier(network, spec).evaluate().verified:
+            low = mid
+        else:
+            high = mid
+    return low
 
+
+class TestRootCertifiedRadius:
+    @pytest.mark.parametrize("name", FAMILY_ORDER)
+    def test_radius_matches_the_appver_bisection(self, name):
+        network, dataset = build_trained_model(name, seed=0)
+        correct = np.nonzero(network.predict(dataset.inputs) == dataset.labels)[0][:8]
+        assert len(correct) == 8
+        radii = []
+        for index in correct:
+            image, label = dataset.sample(int(index))
+            radius = root_certified_radius(network, image.reshape(-1), label,
+                                           dataset.num_classes)
+            assert radius == appver_root_radius(network, image.reshape(-1), label,
+                                                dataset.num_classes)
+            radii.append(radius)
+        # The bisection moved: the references are certified at some radius
+        # short of the upper end.
+        assert 0.0 < max(radii) < 0.5
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_root_bounds_raise(self):
+        network = dense_network([4, 6, 6, 3], seed=0)
+        for dense in network.layers[0], network.layers[2]:
+            dense.weight *= 1e200
+        network.invalidate_lowered()
+        reference = np.full(4, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            appver_root_radius(network, reference, 0, 3)
+        with pytest.raises(ValueError, match="finite"):
+            root_certified_radius(network, reference, 0, 3)
+
+    def test_radius_is_certified(self, small_suite):
         family = small_suite.families[0]
         network = small_suite.networks[family]
         dataset = small_suite.datasets[family]

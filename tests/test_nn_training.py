@@ -88,9 +88,9 @@ class TestTrainer:
 
     def test_accuracy_improves_over_chance(self, dataset):
         network = dense_network([25, 12, 3], seed=0)
-        history = train_network(network, dataset.inputs, dataset.labels,
-                                TrainingConfig(epochs=12, seed=0))
-        assert history.final_accuracy > 0.6
+        train_network(network, dataset.inputs, dataset.labels,
+                      TrainingConfig(epochs=12, seed=0))
+        assert accuracy(network, dataset.inputs, dataset.labels) > 0.6
 
     def test_adam_optimizer_trains(self, dataset):
         network = dense_network([25, 10, 3], seed=1)
@@ -113,6 +113,19 @@ class TestTrainer:
         stale = network.lowered()
         train_network(network, dataset.inputs, dataset.labels, TrainingConfig(epochs=1))
         assert network.lowered() is not stale
+
+    def test_fit_forwards_batches_only_and_skips_the_input_gradient(self, dataset):
+        network = dense_network([25, 8, 3], seed=6)
+        first = network.layers[0]
+        widths, input_gradients = [], []
+        forward, backward = first.forward, first.backward
+        first.forward = lambda x: widths.append(len(x)) or forward(x)
+        first.backward = lambda grad: input_gradients.append(grad) or backward(grad)
+        train_network(network, dataset.inputs, dataset.labels,
+                      TrainingConfig(epochs=3, batch_size=16))
+        # 120 samples: eight mini-batches per epoch and no full-dataset pass.
+        assert len(widths) == 3 * 8 and max(widths) == 16
+        assert input_gradients == []
 
     def test_mismatched_labels_rejected(self, dataset):
         network = dense_network([25, 8, 3], seed=4)

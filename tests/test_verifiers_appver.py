@@ -6,6 +6,7 @@ from reference_bounds import reference_ibp
 
 from repro.bounds.splits import ACTIVE, ReluSplit
 from repro.specs.robustness import local_robustness_spec
+from repro.verifiers import appver
 from repro.verifiers.appver import ApproximateVerifier
 
 
@@ -53,6 +54,18 @@ class TestApproximateVerifier:
         alpha = ApproximateVerifier(small_network, spec, "alpha-crown").evaluate()
         assert ibp.p_hat <= deeppoly.p_hat + 1e-9
         assert deeppoly.p_hat <= alpha.p_hat + 1e-9
+
+    @pytest.mark.parametrize("method, built", [("deeppoly", 0), ("alpha-crown", 1)])
+    def test_alpha_crown_analyser_built_only_for_its_method(
+            self, small_network, small_spec, monkeypatch, method, built):
+        made = []
+        real = appver.AlphaCrownAnalyzer
+        monkeypatch.setattr(appver, "AlphaCrownAnalyzer",
+                            lambda *args: made.append(args) or real(*args))
+        verifier = ApproximateVerifier(small_network, small_spec, method=method)
+        verifier.evaluate()
+        assert len(made) == built
+        assert verifier.cache_stats()["alpha_warm_starts"] == 0
 
     def test_num_relu_neurons(self, small_network, small_spec):
         verifier = ApproximateVerifier(small_network, small_spec)
