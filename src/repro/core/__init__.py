@@ -6,8 +6,6 @@ from repro.core.mcts import (
     MctsNode,
     propagate_rewards,
     propagate_sizes,
-    select_child,
-    ucb1_score,
 )
 from repro.core.potentiality import PotentialityScorer, counterexample_potentiality
 
@@ -19,8 +17,6 @@ __all__ = [
     "MctsNode",
     "propagate_rewards",
     "propagate_sizes",
-    "select_child",
-    "ucb1_score",
     "PotentialityScorer",
     "counterexample_potentiality",
 ]

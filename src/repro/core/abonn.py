@@ -266,6 +266,12 @@ class AbonnVerifier(Verifier):
 
         def finish(verdict: DriverVerdict, timings: Optional[PhaseTimings] = None,
                    source: Optional[MctsFrontierSource] = None) -> VerificationResult:
+            if source is not None:
+                # The search is over: cut the upward links so the tree is
+                # no reference cycle and reference counting frees it with
+                # the run, not the next generation-2 collection.
+                for node in source.root.descendants():
+                    node.parent = None
             return verification_result(
                 self.name, verdict, budget, appver, lp_cache,
                 nodes=appver.num_calls, frontier_size=config.frontier_size,

@@ -5,7 +5,9 @@ and the reward refresh out in place for speed.  This module keeps the
 helper-per-level version they replaced, verbatim but for the node's refresh
 method, which is a free function here: ``refresh_from_children``,
 ``ucb1_score``, ``select_child``, ``descend_to_leaf``, ``select_frontier``,
-``propagate_sizes`` and ``propagate_rewards``.  They read and write only the
+``propagate_sizes`` and ``propagate_rewards``.  The one-level
+``ucb1_score`` and ``select_child`` exist only here now; the library's
+descent scores each level in place.  These functions read and write only the
 node fields ``reward``, ``subtree_size``, ``parent``, ``children`` and
 ``counterexample``, so they run on :class:`~repro.core.mcts.MctsNode` trees.
 The library must select the same nodes in the same order and leave every

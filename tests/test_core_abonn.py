@@ -1,10 +1,15 @@
 """Tests for repro.core.abonn (the ABONN verifier, Alg. 1)."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.core.abonn import AbonnVerifier
 from repro.core.config import AbonnConfig
+from repro.core.mcts import MctsNode
+from repro.nn import dense_network
+from repro.service import ServiceConfig, VerificationService
 from repro.specs.robustness import local_robustness_spec
 from repro.utils import Budget
 from repro.verifiers.milp import MilpVerifier
@@ -123,3 +128,60 @@ class TestHyperparameters:
         reference = AbonnVerifier().verify(network, spec, Budget(max_nodes=3000))
         if result.solved and reference.solved:
             assert result.status == reference.status
+
+
+class TestTreeTeardown:
+    """A finished run leaves no MCTS node for the cyclic collector.
+
+    The cases search past the root: on a 6-10-8-4 network around
+    ``[0.5] * 6``, ε = 0.1 is verified after 11 nodes and ε = 0.2 falsified
+    after 23; ε = 0.15 needs 69 nodes, so a 20-node budget times out.
+    """
+
+    NETWORK = dense_network([6, 10, 8, 4], seed=1)
+
+    def spec(self, epsilon):
+        return problem(self.NETWORK, [0.5] * 6, epsilon)
+
+    def verify(self, epsilon, max_nodes):
+        return AbonnVerifier().verify(self.NETWORK, self.spec(epsilon),
+                                      Budget(max_nodes=max_nodes))
+
+    def interrupted(self):
+        run = AbonnVerifier().start_run(self.NETWORK, self.spec(0.15),
+                                        Budget(max_nodes=200))
+        for _ in range(3):
+            assert run.step() is None
+        result = run.interrupt()
+        assert run.step() is result and run.interrupt() is result
+        return result
+
+    def service_job(self):
+        with VerificationService(ServiceConfig(transport="cooperative")) as service:
+            service.submit(self.NETWORK, self.spec(0.15), Budget(max_nodes=200))
+            (done,) = service.run_until_complete()
+        assert done.ok
+        return done.result
+
+    def test_finished_trees_are_not_cyclic_garbage(self):
+        gc.collect()
+        enabled, debug = gc.isenabled(), gc.get_debug()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            results = [self.verify(0.1, 200), self.verify(0.2, 200),
+                       self.verify(0.15, 20), self.interrupted(),
+                       self.service_job()]
+            gc.collect()
+            leaked = sum(isinstance(obj, MctsNode) for obj in gc.garbage)
+        finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert leaked == 0
+        assert [(result.status, result.nodes_explored) for result in results] == [
+            (VerificationStatus.VERIFIED, 11), (VerificationStatus.FALSIFIED, 23),
+            (VerificationStatus.TIMEOUT, 20), (VerificationStatus.TIMEOUT, 7),
+            (VerificationStatus.FALSIFIED, 69)]
+        assert self.spec(0.2).is_counterexample(self.NETWORK, results[1].counterexample)

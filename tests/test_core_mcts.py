@@ -1,4 +1,9 @@
-"""Tests for repro.core.mcts (reward/visit bookkeeping and UCB1 selection)."""
+"""Tests for repro.core.mcts (reward/visit bookkeeping) and the UCB1 rule.
+
+The one-level UCB1 score and child selection live in
+``tests/reference_mcts.py``, the oracle the library's written-out descent
+is checked against, so their unit tests run on those copies.
+"""
 
 import math
 from unittest import mock
@@ -7,15 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_mcts import select_child, ucb1_score
 from repro.bounds.splits import ACTIVE, INACTIVE, SplitAssignment
 from repro.core import mcts
-from repro.core.mcts import (
-    MctsNode,
-    propagate_rewards,
-    propagate_sizes,
-    select_child,
-    ucb1_score,
-)
+from repro.core.mcts import MctsNode, propagate_rewards, propagate_sizes
 
 
 def make_node(reward=0.0, depth=0, parent=None, subtree_size=1):

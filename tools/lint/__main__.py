@@ -20,7 +20,7 @@ from .core import REGISTRY, run_lint
 #: The docstring-gated surfaces — kept in lockstep with the CI docs job
 #: (.github/workflows/ci.yml) so `--all` reproduces it exactly.
 DOCSTRING_SURFACES = (
-    "src/repro/engine", "src/repro/verifiers", "src/repro/core/abonn.py",
+    "src/repro/engine", "src/repro/verifiers", "src/repro/core",
     "src/repro/bab/baseline.py", "src/repro/baselines", "src/repro/service",
     "src/repro/bab/heuristics.py", "src/repro/bounds", "src/repro/nn/layers.py",
     "src/repro/nn/training.py",
