@@ -168,7 +168,7 @@ class BoundCache:
         """The counters as a fresh :meth:`CacheStats.as_dict` dict."""
         return self.stats.as_dict()
 
-    # -- persistence ----------------------------------------------------------
+    # -- handover -------------------------------------------------------------
     def export_entries(self) -> list:
         """Snapshot of every ``(key, entry)`` pair in LRU order (oldest first).
 
@@ -182,7 +182,7 @@ class BoundCache:
     def import_entries(self, items) -> int:
         """Insert exported ``(key, entry)`` pairs, preserving their order.
 
-        Used by cache-bundle persistence to rebuild a warm cache from a
+        Used by the cache-bundle handover to rebuild a warm cache from a
         snapshot.  Imported entries do not touch the hit/miss counters — a
         restored cache starts with fresh stats — but inserting beyond
         capacity evicts (and counts) exactly like regular puts.  Returns the

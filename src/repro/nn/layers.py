@@ -115,7 +115,7 @@ class Dense(Layer):
     in_features, out_features:
         Layer dimensions.
     weight, bias:
-        Optional explicit parameters (used when loading saved networks).
+        Optional explicit parameters, used instead of He-initialisation.
     seed:
         Seed for He-initialisation when parameters are not given.
     """
@@ -447,39 +447,3 @@ class Conv2d(Layer):
         bias_term = self._convolve(np.zeros((1,) + tuple(input_shape)))[0].reshape(out_dim)
         matrix = (response - bias_term).T
         return matrix, bias_term
-
-
-def layer_from_config(config: Dict[str, object]) -> Layer:
-    """Re-create a layer from the dictionary produced by :func:`layer_config`."""
-    kind = config["kind"]
-    if kind == "dense":
-        return Dense(int(config["in_features"]), int(config["out_features"]),
-                     weight=np.asarray(config["weight"]), bias=np.asarray(config["bias"]))
-    if kind == "conv2d":
-        return Conv2d(int(config["in_channels"]), int(config["out_channels"]),
-                      int(config["kernel_size"]), stride=int(config["stride"]),
-                      padding=int(config["padding"]),
-                      weight=np.asarray(config["weight"]), bias=np.asarray(config["bias"]))
-    if kind == "flatten":
-        return Flatten()
-    if kind == "relu":
-        return ReLU()
-    raise ValueError(f"unknown layer kind: {kind!r}")
-
-
-def layer_config(layer: Layer) -> Dict[str, object]:
-    """Return a serialisable description of ``layer`` (used by save/load)."""
-    if isinstance(layer, Dense):
-        return {"kind": "dense", "in_features": layer.in_features,
-                "out_features": layer.out_features,
-                "weight": layer.weight, "bias": layer.bias}
-    if isinstance(layer, Conv2d):
-        return {"kind": "conv2d", "in_channels": layer.in_channels,
-                "out_channels": layer.out_channels, "kernel_size": layer.kernel_size,
-                "stride": layer.stride, "padding": layer.padding,
-                "weight": layer.weight, "bias": layer.bias}
-    if isinstance(layer, Flatten):
-        return {"kind": "flatten"}
-    if isinstance(layer, ReLU):
-        return {"kind": "relu"}
-    raise ValueError(f"cannot serialise layer of type {type(layer).__name__}")

@@ -18,12 +18,11 @@ ReLU neurons (the constant in Def. 1); that is the index of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.layers import Dense, Layer, ReLU, layer_config, layer_from_config
+from repro.nn.layers import Dense, Layer, ReLU
 from repro.utils.validation import require, require_finite_array
 
 
@@ -257,37 +256,6 @@ class Network:
         weights.append(current_w)
         biases.append(current_b)
         return LoweredNetwork(tuple(weights), tuple(biases), self.input_shape)
-
-    # -- persistence ---------------------------------------------------------
-    def save(self, path: Union[str, Path]) -> None:
-        """Save architecture and weights to an ``.npz`` file."""
-        path = Path(path)
-        payload: Dict[str, np.ndarray] = {
-            "__input_shape__": np.asarray(self.input_shape, dtype=np.int64),
-            "__name__": np.asarray(self.name),
-            "__num_layers__": np.asarray(len(self.layers), dtype=np.int64),
-        }
-        for index, layer in enumerate(self.layers):
-            config = layer_config(layer)
-            for key, value in config.items():
-                payload[f"layer{index}__{key}"] = np.asarray(value)
-        np.savez(path, **payload)
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "Network":
-        """Load a network previously written by :meth:`save`."""
-        with np.load(Path(path), allow_pickle=False) as data:
-            input_shape = tuple(int(d) for d in data["__input_shape__"])
-            name = str(data["__name__"])
-            num_layers = int(data["__num_layers__"])
-            layers: List[Layer] = []
-            for index in range(num_layers):
-                prefix = f"layer{index}__"
-                config = {key[len(prefix):]: data[key] for key in data.files
-                          if key.startswith(prefix)}
-                config["kind"] = str(config["kind"])
-                layers.append(layer_from_config(config))
-        return cls(layers, input_shape, name=name)
 
 
 def dense_network(layer_sizes: Sequence[int], seed: int = 0, name: str = "dense") -> Network:

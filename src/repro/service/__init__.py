@@ -4,7 +4,7 @@ See :mod:`repro.service.scheduler` for the scheduling policy and execution
 transports (cooperative / process), :mod:`repro.service.supervisor` and
 :mod:`repro.service.process_transport` for worker-process supervision and
 crash isolation, and :mod:`repro.service.pool` for the fingerprint-scoped
-cache sharing and persistence model; ``docs/SERVICE.md`` documents the
+cache sharing model; ``docs/SERVICE.md`` documents the
 subsystem end to end.
 """
 

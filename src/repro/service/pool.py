@@ -23,30 +23,26 @@ many-property workload — a robustness sweep, a batch of labels on one model
 Threads
 -------
 The pool takes no locks: the service calls into it (fingerprinting on
-submit, bundle lookup per slice, quarantine on failure, adopting worker
-bundles at shutdown) only from the thread that drives it, and worker
-processes hold their own copies of the bundles.
+submit, bundle lookup per slice, quarantine on failure) only from the
+thread that drives it, and worker processes hold their own copies of the
+bundles.
 
-Persistence
------------
-:meth:`CacheBundle.save` / :meth:`CacheBundle.load` serialise a bundle's
-LP and bound entries to disk (a versioned pickle payload stamped with the
-fingerprint), so warm caches survive process restarts;
-:meth:`FingerprintCachePool.save_bundles` / :meth:`~FingerprintCachePool.load_bundles`
-persist and restore a whole pool directory.  Loaded caches keep their
-entries but start with fresh counters — hits observed after a restore are
-genuine warm-path reuse.  The payload is a pickle: only load bundle files
-you (or a process you trust) wrote.
+Handover
+--------
+:meth:`CacheBundle.to_payload` / :meth:`CacheBundle.from_payload` turn a
+bundle into a versioned dict stamped with its fingerprint and back.  The
+process transport sends the parent's bundle to each worker generation this
+way with the fingerprint's first start, so entries the parent computed
+(inline jobs) warm a fresh or restarted worker.  Rebuilt caches keep their
+entries but start with fresh counters.  Workers never send their bundles
+back: their warmth lives and dies with the worker process.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 import weakref
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional
 
 from repro.bounds.cache import (
     DEFAULT_CACHE_SIZE,
@@ -56,12 +52,12 @@ from repro.bounds.cache import (
 )
 from repro.nn.network import Network
 from repro.specs.properties import Specification
-from repro.utils.validation import require
 from repro.verifiers.milp import network_weights_digest, problem_fingerprint
 
-#: Version stamp of the on-disk cache-bundle payload.  Bump it whenever the
+#: Version stamp of the cache-bundle handover payload.  Bump it whenever the
 #: entry layout (cache keys, ``BoundReport``/``RowOptimum`` fields)
-#: changes incompatibly; :meth:`CacheBundle.load` refuses other versions.
+#: changes incompatibly; :meth:`CacheBundle.from_payload` refuses other
+#: versions.
 #: Format 3 keys bound reports by their search path and drops layer entries;
 #: format 4 stores a report's hidden bounds as one flat row and drops the
 #: output bounds of spec-given reports; format 5 keys leaf-LP optima by
@@ -69,11 +65,8 @@ from repro.verifiers.milp import network_weights_digest, problem_fingerprint
 #: path alone and drops every report's output-bounds field.
 BUNDLE_FORMAT = 6
 
-#: Marker distinguishing bundle files from arbitrary pickles.
+#: Marker distinguishing bundle payloads from arbitrary dicts.
 _BUNDLE_KIND = "repro-cache-bundle"
-
-#: File suffix used by the pool-level persistence helpers.
-BUNDLE_SUFFIX = ".cachebundle"
 
 
 @dataclass
@@ -109,14 +102,13 @@ class CacheBundle:
         """Per-job counter increments between two snapshots."""
         return {key: after[key] - before.get(key, 0) for key in after}
 
-    # -- persistence -----------------------------------------------------------
+    # -- handover --------------------------------------------------------------
     def to_payload(self) -> dict:
         """The versioned handover payload of this bundle.
 
-        The exact structure :meth:`save` pickles to disk — the process
-        transport sends the same payload over a worker pipe, so on-disk
-        bundles and live worker handovers share one format (and one
-        validator, :meth:`from_payload`).
+        Carries the fingerprint, both caches' capacities and their entries
+        in LRU order; the process transport pickles it over a worker pipe,
+        and :meth:`from_payload` validates and rebuilds it.
         """
         return {
             "kind": _BUNDLE_KIND,
@@ -139,11 +131,11 @@ class CacheBundle:
         Checks the payload kind, format version and (when
         ``expected_fingerprint`` is given) the fingerprint — a bundle must
         never warm-start a *different* verification problem.  Cache
-        capacities default to the saved ones; passing smaller sizes simply
+        capacities default to the payload's; passing smaller sizes simply
         evicts the oldest entries on import.  Restored caches start with
         fresh (zero) counters.  Raises :class:`ValueError` for anything
         that is not a healthy bundle payload; ``source`` names the payload's
-        origin (a path, a worker) in those errors.
+        origin (the handover, a worker) in those errors.
         """
         if not isinstance(payload, dict) or payload.get("kind") != _BUNDLE_KIND:
             raise ValueError(f"not a cache-bundle payload: {source}")
@@ -165,46 +157,6 @@ class CacheBundle:
         lp_cache.import_entries(payload["lp_entries"])
         bound_cache.import_entries(payload["bound_entries"])
         return cls(fingerprint, lp_cache=lp_cache, bound_cache=bound_cache)
-
-    def save(self, path: Union[str, Path]) -> Path:
-        """Serialise this bundle's cache entries to ``path`` (atomically).
-
-        The payload is a versioned pickle carrying the fingerprint, both
-        caches' capacities and their entries in LRU order; the write goes
-        through a temp file + ``os.replace`` so a crash never leaves a
-        truncated bundle behind.  Returns the written path.
-        """
-        path = Path(path)
-        payload = self.to_payload()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            pickle.dump(payload, handle, protocol=4)
-        os.replace(tmp, path)
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, Path],
-             expected_fingerprint: Optional[str] = None,
-             lp_cache_size: Optional[int] = None,
-             bound_cache_size: Optional[int] = None) -> "CacheBundle":
-        """Rebuild a bundle from a :meth:`save` file.
-
-        Reads the pickled payload and delegates every structural check to
-        :meth:`from_payload` — see there for the validation contract.
-        Raises :class:`ValueError` for anything that is not a healthy
-        bundle file.
-        """
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except OSError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - any unpickling failure
-            raise ValueError(f"not a cache-bundle file: {path}") from exc
-        return cls.from_payload(payload, expected_fingerprint,
-                                lp_cache_size, bound_cache_size,
-                                source=str(path))
 
 
 class FingerprintCachePool:
@@ -247,13 +199,16 @@ class FingerprintCachePool:
     def adopt_payload(self, payload: object, source: str = "worker") -> str:
         """Import a :meth:`CacheBundle.to_payload` dict into the pool.
 
-        The worker-handover counterpart of :meth:`load_bundles`: a process
-        transport shutting down collects each worker's warm bundles over the
-        pipe and adopts them here, replacing any same-fingerprint bundle
-        (the worker's copy is strictly warmer — the pool stopped seeing its
-        traffic at handover).  Capacities follow the pool's configuration.
-        Returns the adopted fingerprint; raises :class:`ValueError` on a
-        malformed payload.
+        Replaces any same-fingerprint bundle; capacities follow the pool's
+        configuration.  Returns the adopted fingerprint; raises
+        :class:`ValueError` on a malformed payload.
+
+        Nothing in the service calls this: workers never ship their
+        bundles back at shutdown.  It stays because perfbench's traced site
+        list (``perfbench/layers.py``, ``sites()``) looks it up by name
+        with ``vars(FingerprintCachePool)["adopt_payload"]``; without it
+        every ``--trace 1`` run raises ``KeyError``.  Its
+        ``service.adopt_payload_s`` layer therefore always reads 0.
         """
         bundle = CacheBundle.from_payload(payload,
                                           lp_cache_size=self.lp_cache_size,
@@ -284,47 +239,3 @@ class FingerprintCachePool:
             "bundles": {fp: bundle.stats_snapshot()
                         for fp, bundle in self._bundles.items()},
         }
-
-    # -- persistence -----------------------------------------------------------
-    def save_bundles(self, directory: Union[str, Path]) -> List[Path]:
-        """Save every bundle to ``directory/<fingerprint>.cachebundle``.
-
-        Returns the written paths (sorted by fingerprint, so directory
-        listings are stable).
-        """
-        bundles = sorted(self._bundles.values(),
-                         key=lambda bundle: bundle.fingerprint)
-        directory = Path(directory)
-        return [bundle.save(directory / f"{bundle.fingerprint}{BUNDLE_SUFFIX}")
-                for bundle in bundles]
-
-    def load_bundles(self, directory: Union[str, Path]) -> int:
-        """Restore every ``*.cachebundle`` file under ``directory``.
-
-        Loaded bundles replace same-fingerprint bundles already in the pool
-        (the restart scenario: the pool is cold) and adopt the pool's
-        configured cache capacities.  Returns the number of bundles
-        restored; raises :class:`ValueError` on a corrupt or alien file.
-
-        Stale ``*.tmp`` files — the residue of a :meth:`CacheBundle.save`
-        interrupted between opening its temp file and the atomic
-        ``os.replace`` — are ignored and deleted: they are never valid
-        bundles (truncated at best) and a crash-restart loop must not
-        accumulate them.
-        """
-        loaded = 0
-        directory = Path(directory)
-        for stale in sorted(directory.glob(f"*{BUNDLE_SUFFIX}.tmp")):
-            try:
-                stale.unlink()
-            except OSError:
-                pass  # a racing writer re-created it; their os.replace wins
-        for path in sorted(directory.glob(f"*{BUNDLE_SUFFIX}")):
-            bundle = CacheBundle.load(path,
-                                      lp_cache_size=self.lp_cache_size,
-                                      bound_cache_size=self.bound_cache_size)
-            require(path.name == f"{bundle.fingerprint}{BUNDLE_SUFFIX}",
-                    f"bundle file {path.name} does not match its fingerprint")
-            self._bundles[bundle.fingerprint] = bundle
-            loaded += 1
-        return loaded

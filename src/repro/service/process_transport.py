@@ -26,13 +26,11 @@ Messages are dicts over a duplex pipe:
   factory travels as its own pickle, loaded inside the setup guard).  In
   each worker generation, the first ``start`` on a network carries the
   network, and the first on a fingerprint carries its cache bundle as a
-  :meth:`~repro.service.pool.CacheBundle.to_payload` dict (the on-disk
-  save/load format);
+  :meth:`~repro.service.pool.CacheBundle.to_payload` dict;
 * ``slice`` — :func:`advance_run`;
 * ``discard`` — quarantine a fingerprint's worker-local bundle (no reply);
-* ``collect`` — ship every worker-local bundle back as payloads (used at
-  shutdown so the parent pool keeps the warmth accumulated in the worker);
-* ``stop`` — exit the worker loop (no reply).
+* ``stop`` — exit the worker loop (no reply).  The worker-local bundles
+  die with the worker: nothing ships them back to the parent.
 
 Every other request gets exactly one reply.  In-worker Python
 exceptions are *data* (``error`` replies that become structured
@@ -207,10 +205,6 @@ def _serve(message: dict, op: str, bundles: dict, bundle_for,
     if op == "discard":
         bundles.pop(message["fingerprint"], None)
         return None
-    if op == "collect":
-        return {"op": "bundles",
-                "payloads": [bundle.to_payload()
-                             for bundle in bundles.values()]}
     if op == "start":
         if "payload" in message:
             try:
@@ -273,7 +267,7 @@ class InlineExecutor:
     def discard(self, fingerprint: str) -> None:
         """Nothing to drop: the runs use the parent pool's own bundles."""
 
-    def stop(self, pool: Optional[FingerprintCachePool] = None) -> None:
+    def stop(self) -> None:
         """Forget every open run."""
         self.runs.clear()
 
@@ -322,24 +316,8 @@ class ShardExecutor:
         self.runs.clear()
         self.supervisor.restart()
 
-    def stop(self, pool: Optional[FingerprintCachePool] = None) -> None:
-        """Stop the worker, optionally collecting its warm bundles first.
-
-        With ``pool`` given, the worker's bundles are shipped back over the
-        pipe and adopted into the parent pool (same payload format as
-        :meth:`CacheBundle.save`), so ``save_caches()`` after a process-run
-        persists the warmth the workers accumulated.  Best-effort: a dead
-        or unresponsive worker just gets killed.
-        """
-        if pool is not None and self.alive():
-            try:
-                reply = self.supervisor.request({"op": "collect"},
-                                                timeout=10.0)
-                for payload in reply.get("payloads", ()):
-                    pool.adopt_payload(payload,
-                                       source=f"worker-{self.index}")
-            except Exception:  # noqa: BLE001 - shutdown is best-effort
-                pass
+    def stop(self) -> None:
+        """Stop the worker; its bundles and open runs go with it."""
         self.supervisor.stop()
 
     # -- job execution ---------------------------------------------------------

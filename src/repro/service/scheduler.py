@@ -28,12 +28,12 @@ implementation, and the caller drives everything by iterating
   deterministic submission order at the collection point.
   Jobs whose payload does not pickle run on the shard's in-process
   executor instead, in the caller's thread.  The shard's cache bundle is
-  handed over in the ``CacheBundle.save()`` payload format and shipped
-  back at shutdown, so warmth survives the process boundary.  What the
-  extra hop buys is *crash isolation*: a worker death — segfault, OOM
-  kill, SIGKILL — is detected by the supervisor, the worker restarts, and
-  interrupted jobs are retried under the
-  :class:`~repro.service.jobs.RetryPolicy`.
+  handed over as a ``CacheBundle.to_payload()`` dict with the
+  fingerprint's first start; what the worker adds to it stays in the
+  worker and is not shipped back at shutdown.  What the extra hop buys is
+  *crash isolation*: a worker death — segfault, OOM kill, SIGKILL — is
+  detected by the supervisor, the worker restarts, and interrupted jobs
+  are retried under the :class:`~repro.service.jobs.RetryPolicy`.
 
 Either way a job's verdict, budget charges and counterexample are
 byte-identical to an uninterrupted solo run — the caches shared between
@@ -83,7 +83,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
-from pathlib import Path
 from typing import (Callable, Deque, Dict, Iterable, Iterator, List, Optional,
                     Tuple, Union)
 
@@ -409,8 +408,8 @@ class VerificationService:
 
         Pending jobs are *drained*, not dropped.  With ``wait`` the caller
         drives the service until every accepted job has finished, then
-        worker processes ship their warm cache bundles back into the pool
-        and stop; the finished results stay available to :meth:`result`,
+        stops the worker processes, whose warm cache bundles go with them;
+        the finished results stay available to :meth:`result`,
         :meth:`step` and :meth:`as_completed`.  Without ``wait`` further
         submissions are refused and nothing else happens: the next drain
         (:meth:`as_completed`, :meth:`run_until_complete`) finishes the
@@ -454,15 +453,6 @@ class VerificationService:
             "transport": self.config.transport,
             "pool": self.pool.stats(),
         }
-
-    # -- cache persistence -----------------------------------------------------
-    def save_caches(self, directory: Union[str, Path]) -> List[Path]:
-        """Persist every fingerprint bundle to ``directory`` (see pool docs)."""
-        return self.pool.save_bundles(directory)
-
-    def load_caches(self, directory: Union[str, Path]) -> int:
-        """Warm-start the pool from a :meth:`save_caches` directory."""
-        return self.pool.load_bundles(directory)
 
     # -- submit validation -----------------------------------------------------
     def _validate_request(self, request: JobRequest) -> Optional[JobError]:
@@ -740,7 +730,7 @@ class VerificationService:
         self._downgrades.append({"worker": worker.index, "reason": reason})
         executor, worker.executor = worker.executor, worker.inline
         if executor is not None:
-            executor.stop(self.pool)
+            executor.stop()
         for job in [job for job in worker.jobs if job.crashes > 0]:
             self._fail(worker, job, JobError(
                 "WorkerCrash",
@@ -749,10 +739,10 @@ class VerificationService:
                 allow_retry=False)
 
     def _release_executors(self) -> None:
-        """Stop the worker processes, reclaiming their warm bundles."""
+        """Stop the worker processes; their warm bundles die with them."""
         for worker in self._workers:
             if isinstance(worker.executor, ShardExecutor):
-                worker.executor.stop(self.pool)
+                worker.executor.stop()
                 worker.executor = None
 
     # -- completion ------------------------------------------------------------

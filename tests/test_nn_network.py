@@ -1,5 +1,7 @@
 """Tests for repro.nn.network: Sequential container and affine/ReLU lowering."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from repro.nn.layers import Dense, ReLU
 from repro.nn.network import LoweredNetwork, Network, dense_network
 from repro.nn.zoo import family
+from repro.verifiers.milp import network_weights_digest
 
 
 class TestNetworkBasics:
@@ -138,21 +141,22 @@ class TestLowering:
                            (np.zeros(2), np.zeros(4)), (3,))
 
 
-class TestPersistence:
-    def test_save_load_roundtrip_dense(self, tmp_path, small_network):
-        path = tmp_path / "model.npz"
-        small_network.save(path)
-        restored = Network.load(path)
-        x = np.random.default_rng(4).random((3, 4))
-        np.testing.assert_allclose(restored.forward(x), small_network.forward(x))
-        assert restored.name == small_network.name
-
-    def test_save_load_roundtrip_conv(self, tmp_path, conv_network):
-        path = tmp_path / "conv.npz"
-        conv_network.save(path)
-        restored = Network.load(path)
-        x = np.random.default_rng(5).random((2, 1, 6, 6))
-        np.testing.assert_allclose(restored.forward(x), conv_network.forward(x))
+class TestPickledCopy:
+    @pytest.mark.parametrize("fixture", ["small_network", "conv_network"])
+    def test_lowers_to_the_same_weights_digest(self, request, fixture):
+        """A worker process gets the network as a pickled copy; the copy
+        must lower to the same weights, so it fingerprints the same
+        problem as the parent's original."""
+        network = request.getfixturevalue(fixture)
+        restored = pickle.loads(pickle.dumps(network))
+        assert restored.name == network.name
+        original, copied = network.lowered(), restored.lowered()
+        assert len(copied.weights) == len(original.weights)
+        for want, got in zip(original.weights + original.biases,
+                             copied.weights + copied.biases):
+            assert np.array_equal(got, want)
+        assert (network_weights_digest(copied)
+                == network_weights_digest(original))
 
 
 @settings(max_examples=20, deadline=None)

@@ -6,11 +6,15 @@ job serves its bound passes and leaf LPs from the warm bundle.  These tests
 pin the contract in both directions — same fingerprint ⇒ observable nonzero
 hit deltas on the repeat (and results equal to a cold solo run), different
 fingerprints ⇒ disjoint bundles and a cold second job — plus the exact
-bookkeeping of the shared caches and the pool over interleaved jobs.
+bookkeeping of the shared caches and the pool over interleaved jobs, and
+the handover payload that carries a bundle to a worker process.
 """
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 
 import repro.engine.driver
@@ -20,7 +24,8 @@ from repro.baselines.alphabeta_crown import AlphaBetaCrownVerifier
 from repro.bounds.cache import BoundCache, LpCache
 from repro.core.abonn import AbonnVerifier
 from repro.nn import dense_network
-from repro.service import ServiceConfig, VerificationService
+from repro.service import CacheBundle, ServiceConfig, VerificationService
+from repro.service.pool import BUNDLE_FORMAT
 from repro.utils import Budget
 from repro.verifiers.milp import problem_fingerprint
 
@@ -139,10 +144,14 @@ class TestSharedBundleAcrossVerifiers:
 
 class _NoRehashVerifier:
     """ABONN on the job's bundle, failing the job if ``start_run`` hashes
-    the problem.  Module-level so the process transport can pickle it."""
+    the problem.  Module-level so the process transport can pickle it.
+    Its result reports the fingerprints of the bundle's LP-cache keys in
+    ``extras["lp_key_fingerprints"]``: under the process transport that
+    bundle is the worker's copy, which never comes back to the parent."""
 
     def __init__(self, bundle) -> None:
         self.inner = _abonn_on(bundle)
+        self.lp_cache = bundle.lp_cache
 
     def start_run(self, network, spec, budget=None):
         def refuse(*args, **kwargs):
@@ -151,9 +160,30 @@ class _NoRehashVerifier:
         original = repro.engine.driver.problem_fingerprint
         repro.engine.driver.problem_fingerprint = refuse
         try:
-            return self.inner.start_run(network, spec, budget)
+            return _KeyReportingRun(self.inner.start_run(network, spec, budget),
+                                    self.lp_cache)
         finally:
             repro.engine.driver.problem_fingerprint = original
+
+
+class _KeyReportingRun:
+    """A run that stamps its LP cache's key fingerprints on its result."""
+
+    def __init__(self, run, lp_cache: LpCache) -> None:
+        self.run = run
+        self.lp_cache = lp_cache
+
+    def step(self):
+        return self._stamped(self.run.step())
+
+    def interrupt(self):
+        return self._stamped(self.run.interrupt())
+
+    def _stamped(self, result):
+        if result is not None:
+            result.extras["lp_key_fingerprints"] = sorted(
+                _lp_key_fingerprints(self.lp_cache))
+        return result
 
 
 def _lp_key_fingerprints(cache: LpCache) -> set:
@@ -191,7 +221,11 @@ class TestOneFingerprintPerJob:
             assert service.stats()["jobs_inline"] == 0
         bundle = service.pool.bundle(expected)
         assert bundle.lp_cache.fingerprint == expected
-        assert _lp_key_fingerprints(bundle.lp_cache) == {expected}
+        # The run's own bundle: the pool's under the cooperative transport,
+        # the worker's copy under the process transport.
+        assert set(done.result.extras["lp_key_fingerprints"]) == {expected}
+        if transport == "cooperative":
+            assert _lp_key_fingerprints(bundle.lp_cache) == {expected}
 
     def test_user_shared_cache_is_fingerprinted_per_run(self, monkeypatch):
         calls = []
@@ -355,3 +389,146 @@ class TestCacheBookkeeping:
                 + stats["model_cache_misses"]) == total
         # One miss per distinct network: its first lookup; the rest hit.
         assert stats["model_cache_misses"] == len(problems)
+
+
+def _handed_over(bundle, **kwargs):
+    """``bundle`` rebuilt from its payload after a pickle round-trip, as a
+    worker receives it over the pipe."""
+    payload = pickle.loads(pickle.dumps(bundle.to_payload()))
+    return CacheBundle.from_payload(payload, **kwargs)
+
+
+def _warm_bundle():
+    service = VerificationService(ServiceConfig(pool_size=1))
+    job_id = service.submit(*PROBLEM_LP, budget=Budget(max_nodes=BUDGET_NODES))
+    service.run_until_complete()
+    return service.pool.bundle(service.result(job_id).fingerprint)
+
+
+class TestBundlePayload:
+    def test_rebuilt_bundle_starts_with_fresh_counters(self):
+        bundle = _warm_bundle()
+        rebuilt = _handed_over(bundle)
+        snapshot = rebuilt.stats_snapshot()
+        assert all(value == 0 for value in snapshot.values()), snapshot
+        assert len(rebuilt.bound_cache) == len(bundle.bound_cache) > 0
+
+    def test_rebuilt_reports_keep_their_flat_rows(self):
+        """A rebuilt bound report's flat row and per-layer views equal the
+        handed-over ones, the views still read the row, and a run on the
+        rebuilt bundle equals its solo run, served from its reports."""
+        bundle = _warm_bundle()
+        rebuilt = _handed_over(bundle, expected_fingerprint=bundle.fingerprint)
+        before = bundle.bound_cache.export_entries()
+        after = rebuilt.bound_cache.export_entries()
+        assert before and [key for key, _ in after] == [key for key, _ in before]
+        for (key, want), (_, got) in zip(before, after):
+            assert key == ("report", want.path)
+            assert got.hidden_bounds.offsets == want.hidden_bounds.offsets
+            np.testing.assert_array_equal(got.hidden_bounds.lower,
+                                          want.hidden_bounds.lower)
+            np.testing.assert_array_equal(got.hidden_bounds.upper,
+                                          want.hidden_bounds.upper)
+            np.testing.assert_array_equal(got.candidate_input, want.candidate_input)
+            np.testing.assert_array_equal(got.spec_row_lower, want.spec_row_lower)
+            assert got.p_hat == want.p_hat and got.path == want.path
+            for got_layer, want_layer in zip(got.pre_activation_bounds,
+                                             want.pre_activation_bounds):
+                np.testing.assert_array_equal(got_layer.lower, want_layer.lower)
+                np.testing.assert_array_equal(got_layer.upper, want_layer.upper)
+                assert np.shares_memory(got_layer.lower, got.hidden_bounds.lower)
+
+        solo = _solo(PROBLEM_LP)
+        warm = AbonnVerifier(lp_cache=rebuilt.lp_cache,
+                             bound_cache=rebuilt.bound_cache).verify(
+            *PROBLEM_LP, Budget(max_nodes=BUDGET_NODES))
+        _assert_identical(warm, solo)
+        assert warm.bound == solo.bound
+        assert rebuilt.bound_cache.stats.report_hits > 0
+        assert rebuilt.lp_cache.stats.solves == 0
+
+    def test_import_preserves_lru_order(self):
+        """Importing into a smaller cache keeps the most recent entries."""
+        bundle = CacheBundle("f" * 64)
+        for index in range(10):
+            bundle.lp_cache.put(("key", index), index)
+        shrunk = _handed_over(bundle, lp_cache_size=4)
+        kept = [index for index in range(10)
+                if shrunk.lp_cache.get(("key", index)) is not None]
+        assert kept == [6, 7, 8, 9]
+        assert shrunk.lp_cache.stats.evictions == 6
+
+    def test_wrong_fingerprint_is_rejected(self):
+        bundle = _warm_bundle()
+        with pytest.raises(ValueError, match="belongs to fingerprint"):
+            _handed_over(bundle, expected_fingerprint="0" * 64)
+        # The matching fingerprint rebuilds fine.
+        rebuilt = _handed_over(bundle, expected_fingerprint=bundle.fingerprint)
+        assert rebuilt.fingerprint == bundle.fingerprint
+
+    @pytest.mark.parametrize("alien", [
+        {"surprise": True},
+        {"kind": "some-other-payload", "format": BUNDLE_FORMAT},
+        b"this is not a payload",
+    ], ids=["no-kind", "other-kind", "bytes"])
+    def test_alien_payload_is_rejected(self, alien):
+        with pytest.raises(ValueError, match="not a cache-bundle"):
+            CacheBundle.from_payload(alien)
+
+    @pytest.mark.parametrize("stale_format", [BUNDLE_FORMAT + 1, BUNDLE_FORMAT - 1])
+    def test_other_format_is_rejected(self, stale_format):
+        payload = _warm_bundle().to_payload()
+        payload["format"] = stale_format
+        with pytest.raises(ValueError, match="unsupported cache-bundle format"):
+            CacheBundle.from_payload(payload)
+
+    def test_import_preserves_bound_lru_order(self):
+        """The bound cache keeps its most recent reports when the handover
+        rebuilds it smaller, counting the rest as evictions."""
+        bundle = CacheBundle("f" * 64)
+        for index in range(10):
+            bundle.bound_cache.put_report((index,), f"report-{index}")
+        shrunk = _handed_over(bundle, bound_cache_size=4)
+        assert [key for key, _ in shrunk.bound_cache.export_entries()] == [
+            ("report", (index,)) for index in (6, 7, 8, 9)]
+        assert shrunk.bound_cache.stats.report_evictions == 6
+
+    def test_capacities_default_to_the_payload(self):
+        bundle = CacheBundle("f" * 64, lp_cache=LpCache(7),
+                             bound_cache=BoundCache(9))
+        rebuilt = _handed_over(bundle)
+        assert rebuilt.lp_cache.max_entries == 7
+        assert rebuilt.bound_cache.max_entries == 9
+
+    def test_empty_bundle_rebuilds_empty_and_fingerprinted(self):
+        bundle = CacheBundle("e" * 64)
+        rebuilt = _handed_over(bundle, expected_fingerprint="e" * 64)
+        assert len(rebuilt.lp_cache) == len(rebuilt.bound_cache) == 0
+        # Runs on the rebuilt bundle skip hashing the problem too.
+        assert rebuilt.lp_cache.fingerprint == "e" * 64
+
+    def test_rebuilt_bundle_does_not_write_back(self):
+        """What a worker adds to its rebuilt copy never reaches the
+        parent's bundle: the handover is one-way."""
+        bundle = _warm_bundle()
+        before = (bundle.lp_cache.export_entries()
+                  + bundle.bound_cache.export_entries())
+        rebuilt = _handed_over(bundle)
+        rebuilt.lp_cache.put(("key", "worker-only"), 1.0)
+        rebuilt.bound_cache.put_report(("worker-only",), "report")
+        after = (bundle.lp_cache.export_entries()
+                 + bundle.bound_cache.export_entries())
+        assert [key for key, _ in after] == [key for key, _ in before]
+        assert all(got is want for (_, got), (_, want) in zip(after, before))
+        assert bundle.lp_cache.get(("key", "worker-only")) is None
+        assert bundle.bound_cache.get_report(("worker-only",)) is None
+
+    def test_errors_name_the_payload_source(self):
+        """Each refusal names where the payload came from."""
+        payload = CacheBundle("f" * 64).to_payload()
+        stale = {**payload, "format": BUNDLE_FORMAT + 1}
+        for bad, kwargs in (({"surprise": True}, {}),
+                            (stale, {}),
+                            (payload, {"expected_fingerprint": "0" * 64})):
+            with pytest.raises(ValueError, match="worker-3"):
+                CacheBundle.from_payload(bad, source="worker-3", **kwargs)

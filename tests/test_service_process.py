@@ -8,8 +8,8 @@ arithmetic (deterministic jitter, exponential growth, caps), the
 :class:`~repro.service.supervisor.WorkerSupervisor` life cycle (liveness
 detection, exit codes, hung-worker containment), and the degradation
 ladder — spawn-unavailable hosts and crash-looping shards fall back to
-in-process execution, unpicklable jobs fall back per-job, and worker
-warmth is collected back into the parent pool at shutdown.
+in-process execution, unpicklable jobs fall back per-job, and shutdown
+stops each worker without shipping its warm bundles back to the parent.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import pytest
 from repro.core.abonn import AbonnVerifier
 from repro.nn import dense_network
 from repro.service import (
+    CacheBundle,
     ProcessTransportUnavailable,
     RetryPolicy,
     ServiceConfig,
@@ -30,6 +31,7 @@ from repro.service import (
     WorkerCrashed,
     WorkerSupervisor,
 )
+from repro.service.process_transport import ShardExecutor
 from repro.service.supervisor import resolve_start_method
 from repro.utils import Budget
 from repro.verifiers.result import VerifierRun
@@ -349,32 +351,164 @@ class TestGracefulDegradation:
         assert failed.worker_crashes == 2
 
 
-class TestWorkerWarmthCollection:
-    def test_shutdown_collects_worker_bundles_into_pool(self, tmp_path):
-        """Cache warmth accumulated inside worker processes survives them:
-        shutdown ships the worker-local bundles back, so ``save_caches``
-        after a process-transport run persists real entries and a fresh
-        service warm-starts from them."""
+class TestShutdownDropsWorkerWarmth:
+    def test_shutdown_ships_no_worker_bundles_back(self, monkeypatch):
+        """Shutdown stops the worker without a ``collect`` request: the
+        worker's warm bundle dies with it, the parent pool's bundle of the
+        fingerprint holds no entries, and every result still equals its
+        solo run."""
+        posted = []
+        post = WorkerSupervisor.post
+
+        def recording_post(self, message, timeout=None):
+            posted.append(message["op"])
+            return post(self, message, timeout)
+
+        monkeypatch.setattr(WorkerSupervisor, "post", recording_post)
+        service = VerificationService(ServiceConfig(
+            pool_size=1, transport="process"))
+        job_ids = [service.submit(*PROBLEM_LP,
+                                  budget=Budget(max_nodes=BUDGET_NODES))
+                   for _ in range(2)]
+        service.run_until_complete()
+        service.shutdown(wait=True)
+        results = [service.result(job_id) for job_id in job_ids]
+        for done in results:
+            assert done.ok
+            _assert_identical(done.result, SOLO_LP)
+        # The worker held warm entries: the repeat job was served from them.
+        assert results[1].cache_stats["lp_hits"] > 0
+        assert "start" in posted and "slice" in posted
+        assert "collect" not in posted
+        bundle = service.pool.bundle(results[0].fingerprint)
+        assert not bundle.lp_cache.export_entries()
+        assert not bundle.bound_cache.export_entries()
+
+    def test_handover_warms_the_worker_from_inline_jobs(self):
+        """The parent→worker handover still carries warmth: once an inline
+        job has filled the parent's bundle, a remote job on the same
+        fingerprint starts from it, solves no leaf LP and equals its solo
+        run."""
         service = VerificationService(ServiceConfig(
             pool_size=1, transport="process"))
         with service:
-            job_id = service.submit(*PROBLEM_LP,
-                                    budget=Budget(max_nodes=BUDGET_NODES))
+            inline_id = service.submit(
+                *PROBLEM_LP, budget=Budget(max_nodes=BUDGET_NODES),
+                verifier_factory=lambda bundle: _inline_factory_for_test(
+                    bundle))
             service.run_until_complete()
-            fingerprint = service.result(job_id).fingerprint
-        # Post-shutdown the parent bundle holds the worker's entries.
-        bundle = service.pool.bundle(fingerprint)
-        assert bundle.bound_cache.export_entries()
-        paths = service.save_caches(tmp_path)
-        assert len(paths) == 1
+            remote_id = service.submit(*PROBLEM_LP,
+                                       budget=Budget(max_nodes=BUDGET_NODES))
+            service.run_until_complete()
+        inline, remote = service.result(inline_id), service.result(remote_id)
+        assert inline.ok and remote.ok
+        _assert_identical(inline.result, SOLO_LP)
+        _assert_identical(remote.result, SOLO_LP)
+        assert service.stats()["jobs_inline"] == 1
+        assert remote.cache_stats["lp_solves"] == 0
+        assert remote.cache_stats["bound_report_hits"] > 0
 
-        warm = VerificationService(ServiceConfig(pool_size=1,
-                                                 transport="process"))
-        assert warm.load_caches(tmp_path) == 1
-        with warm:
-            warm_id = warm.submit(*PROBLEM_LP,
+    def test_shutdown_stops_every_shard_without_a_collect(self, monkeypatch):
+        """With two shards each holding a warm bundle, shutdown stops both
+        worker processes and neither bundle comes back to the parent."""
+        posted = []
+        post = WorkerSupervisor.post
+
+        def recording_post(self, message, timeout=None):
+            posted.append(message["op"])
+            return post(self, message, timeout)
+
+        monkeypatch.setattr(WorkerSupervisor, "post", recording_post)
+        service = VerificationService(ServiceConfig(
+            pool_size=2, transport="process"))
+        job_ids = [service.submit(*problem,
                                   budget=Budget(max_nodes=BUDGET_NODES))
-            warm.run_until_complete()
-            done = warm.result(warm_id)
-        assert done.ok
-        _assert_identical(done.result, SOLO_LP)
+                   for problem in (PROBLEM_A, PROBLEM_B)]
+        service.run_until_complete()
+        executors = [worker.executor for worker in service._workers]
+        assert all(isinstance(executor, ShardExecutor)
+                   for executor in executors)
+        service.shutdown(wait=True)
+        assert not any(executor.alive() for executor in executors)
+        assert "collect" not in posted
+        results = [service.result(job_id) for job_id in job_ids]
+        for done, solo in zip(results, (SOLO_A, SOLO_B)):
+            assert done.ok
+            _assert_identical(done.result, solo)
+        assert len({done.fingerprint for done in results}) == 2
+        for done in results:
+            bundle = service.pool.bundle(done.fingerprint)
+            assert not bundle.lp_cache.export_entries()
+            assert not bundle.bound_cache.export_entries()
+
+    def test_handover_rewarms_a_restarted_worker(self):
+        """A worker restart drops the worker's bundles, and the next start
+        on the fingerprint hands the parent's bundle over again: the job
+        after the restart still solves no leaf LP."""
+        service = VerificationService(ServiceConfig(
+            pool_size=1, transport="process",
+            retry=RetryPolicy(max_attempts=1)))
+        with service:
+            service.submit(*PROBLEM_LP, budget=Budget(max_nodes=BUDGET_NODES),
+                           verifier_factory=lambda bundle:
+                           _inline_factory_for_test(bundle))
+            service.run_until_complete()
+            before_id = service.submit(*PROBLEM_LP,
+                                       budget=Budget(max_nodes=BUDGET_NODES))
+            service.run_until_complete()
+            crash_id = service.submit(*PROBLEM_A,
+                                      budget=Budget(max_nodes=BUDGET_NODES),
+                                      verifier_factory=_poison_factory)
+            service.run_until_complete()
+            after_id = service.submit(*PROBLEM_LP,
+                                      budget=Budget(max_nodes=BUDGET_NODES))
+            service.run_until_complete()
+        crashed = service.result(crash_id)
+        assert not crashed.ok and crashed.worker_crashes == 1
+        assert service.stats()["worker_restarts"] == 1
+        assert service.stats()["transport_downgrades"] == []
+        assert service.stats()["jobs_inline"] == 1
+        for job_id in (before_id, after_id):
+            done = service.result(job_id)
+            assert done.ok
+            _assert_identical(done.result, SOLO_LP)
+            assert done.cache_stats["lp_solves"] == 0
+            assert done.cache_stats["bound_report_hits"] > 0
+
+
+class TestWorkerProtocol:
+    def test_worker_refuses_the_retired_collect_op(self):
+        """Workers no longer ship their bundles back: ``collect`` is an
+        unknown op, answered with a protocol error, and the worker lives
+        on until it is stopped."""
+        executor = ShardExecutor(0, lp_cache_size=8, bound_cache_size=8)
+        try:
+            reply = executor.supervisor.request({"op": "collect"},
+                                                timeout=30.0)
+            assert reply["op"] == "error"
+            assert reply["kind"] == "ProtocolError"
+            assert "'collect'" in reply["message"]
+            assert executor.alive()
+        finally:
+            executor.stop()
+        assert not executor.alive()
+
+    def test_worker_refuses_a_handover_for_another_fingerprint(self):
+        """A ``start`` whose bundle payload belongs to a different problem
+        fails at setup inside the worker, naming the handover, before any
+        run opens; the worker stays up."""
+        executor = ShardExecutor(0, lp_cache_size=8, bound_cache_size=8)
+        try:
+            payload = CacheBundle("f" * 64).to_payload()
+            reply = executor.supervisor.request(
+                {"op": "start", "fingerprint": "0" * 64, "payload": payload},
+                timeout=30.0)
+            assert reply["op"] == "error"
+            assert reply["kind"] == "ValueError"
+            assert reply["stage"] == "setup"
+            assert "handover" in reply["message"]
+            assert reply["cache_delta"] == {}
+            assert executor.alive()
+        finally:
+            executor.stop()
+        assert not executor.alive()

@@ -1,13 +1,13 @@
 """payload-pickle-safety: transport payloads stay composed of picklables.
 
-Jobs, results and cache bundles cross a ``multiprocessing`` pipe (PRs 8–9)
-and are persisted as on-disk cache payloads (PR 7).  A field that sneaks a
-closure, a lock or an open handle into one of these dataclasses does not
-fail at the definition site — it fails *later*, in a worker process, as an
-opaque ``PicklingError`` (or worse, pickles by reference and silently
-diverges between processes).  PR 9's ``UnpicklableJob`` fallback exists
-precisely because one such field (``JobRequest.verifier_factory``) is
-legitimately a callable; everything else must stay structural.
+Jobs, results and cache bundles cross a ``multiprocessing`` pipe.  A
+field that sneaks a closure, a lock or an open handle into one of these
+dataclasses does not fail at the definition site — it fails *later*, in a
+worker process, as an opaque ``PicklingError`` (or worse, pickles by
+reference and silently diverges between processes).  The
+``UnpicklableJob`` fallback exists precisely because one such field
+(``JobRequest.verifier_factory``) is legitimately a callable; everything
+else must stay structural.
 
 The rule checks the annotated fields of a named family of payload
 dataclasses (:data:`PAYLOAD_CLASSES` — everything that transits the
@@ -26,8 +26,8 @@ from typing import Iterable, List
 from ..astutil import attribute_chain
 from ..core import Finding, LintContext, Rule, register
 
-#: The dataclasses that transit the process-transport pipe or an on-disk
-#: cache bundle.  A class listed here has its annotated fields checked.
+#: The dataclasses that transit the process-transport pipe, a cache-bundle
+#: handover included.  A class listed here has its annotated fields checked.
 PAYLOAD_CLASSES = {
     # service/jobs.py — the pipe protocol's request/reply payloads.
     "JobRequest", "JobResult", "JobError",
